@@ -130,9 +130,10 @@ def _served_load(host, port, requests):
 
 
 def _percentile(sorted_values, fraction):
-    index = min(len(sorted_values) - 1,
-                max(0, int(fraction * len(sorted_values)) - 1))
-    return sorted_values[index]
+    """Nearest rank ``ceil(fraction * n)``, computed in exact integers."""
+    ppm = round(fraction * 1_000_000)
+    rank = -(-ppm * len(sorted_values) // 1_000_000)
+    return sorted_values[min(len(sorted_values), max(1, rank)) - 1]
 
 
 def test_serve_load_speedup_and_sla(

@@ -138,10 +138,15 @@ class ServingReport:
 
 
 def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile, matching ``benchmarks/bench_serve.py``."""
-    index = min(len(sorted_values) - 1,
-                max(0, int(fraction * len(sorted_values)) - 1))
-    return sorted_values[index]
+    """Nearest-rank percentile: the ``ceil(fraction * n)``-th smallest.
+
+    The rank is computed in exact integers (``fraction`` in parts per
+    million): in floats ``0.07 * 100`` is ``7.000000000000001``, whose
+    ceil is 8.  Matches ``benchmarks/bench_serve.py``.
+    """
+    ppm = round(fraction * 1_000_000)
+    rank = -(-ppm * len(sorted_values) // 1_000_000)
+    return sorted_values[min(len(sorted_values), max(1, rank)) - 1]
 
 
 def _fused_la_pass(
@@ -243,6 +248,35 @@ def _unfused_la_passes(
     ]
 
 
+#: One pass's cost as plain numbers, in ``TilePass`` field order after
+#: ``index``: ``(read_bytes, compute_cycles, softmax_cycles,
+#: write_bytes)``.
+_PassCost = Tuple[float, float, float, float]
+
+
+def _participant_cost(
+    tokens: int,
+    kv_len: int,
+    cfg: AttentionConfig,
+    dataflow: Dataflow,
+    accel: Accelerator,
+    options: PerfOptions,
+) -> Tuple[_PassCost, ...]:
+    """The pass costs of one step participant, in schedule order."""
+    if dataflow.fused:
+        passes = [_fused_la_pass(
+            0, tokens, kv_len, True, cfg, dataflow, accel, options
+        )]
+    else:
+        passes = _unfused_la_passes(
+            0, tokens, kv_len, cfg, dataflow, accel, options
+        )
+    return tuple(
+        (p.read_bytes, p.compute_cycles, p.softmax_cycles, p.write_bytes)
+        for p in passes
+    )
+
+
 def step_passes(
     prefill: Optional[Tuple[int, int]],
     decode_kv_lens: Sequence[int],
@@ -250,6 +284,8 @@ def step_passes(
     dataflow: Dataflow,
     accel: Accelerator,
     options: PerfOptions = PerfOptions(),
+    *,
+    _costs: Optional[Dict[Tuple[int, int], Tuple[_PassCost, ...]]] = None,
 ) -> List[TilePass]:
     """Tile passes of one engine step.
 
@@ -261,32 +297,29 @@ def step_passes(
     through fusion, stationarity and variant — a single query row is
     one cross-tile under every granularity, and single-token tiles
     always fit the staging region.
+
+    ``_costs`` is :func:`run_serving`'s per-run memo of participant
+    costs keyed by ``(tokens, kv_len)``; it is only valid for one
+    ``(cfg, dataflow, accel, options)``.  Fresh passes are built from
+    it on every call, so each still passes ``TilePass`` validation.
     """
     if prefill is None and not decode_kv_lens:
         raise ValueError("an engine step needs a prefill chunk or a decode")
-    passes: List[TilePass] = []
-    index = 0
+    costs = {} if _costs is None else _costs
+    shapes: List[Tuple[int, int]] = []
     if prefill is not None:
         tokens, kv_len = prefill
-        if dataflow.fused:
-            passes.append(_fused_la_pass(
-                index, tokens, kv_len, True, cfg, dataflow, accel, options
-            ))
-        else:
-            passes.extend(_unfused_la_passes(
-                index, tokens, kv_len, cfg, dataflow, accel, options
-            ))
-        index = len(passes)
-    for kv_len in decode_kv_lens:
-        if dataflow.fused:
-            passes.append(_fused_la_pass(
-                index, 1, kv_len, True, cfg, dataflow, accel, options
-            ))
-        else:
-            passes.extend(_unfused_la_passes(
-                index, 1, kv_len, cfg, dataflow, accel, options
-            ))
-        index = len(passes)
+        shapes.append((tokens, kv_len))
+    shapes.extend((1, kv_len) for kv_len in decode_kv_lens)
+    passes: List[TilePass] = []
+    for shape in shapes:
+        cost = costs.get(shape)
+        if cost is None:
+            cost = costs[shape] = _participant_cost(
+                *shape, cfg, dataflow, accel, options
+            )
+        for pass_cost in cost:
+            passes.append(TilePass(len(passes), *pass_cost))
     return passes
 
 
@@ -320,6 +353,13 @@ def run_serving(
     ``cfg`` supplies the model's dimensions (heads, ``d_head``);
     its sequence-length fields are ignored — each request's own prompt
     and cache lengths drive the per-step shapes.
+
+    Host cost per step is O(decode batch), plus one O(live) list splice
+    on a step where a request finishes: prompts are prefilled one
+    request at a time in admission order, so ``live`` is always its
+    decoding requests followed by those still prefilling, and finished
+    requests are retired from that prefix in place.  Participant pass
+    costs are memoized for the run (see :func:`step_passes`).
     """
     if not requests:
         raise ValueError("run_serving needs at least one request")
@@ -330,7 +370,9 @@ def run_serving(
         requests, key=lambda r: (r.arrival_cycle, r.rid), reverse=True
     )
     live: List[_Live] = []
+    decoding = 0  # live[:decoding] decode; live[decoding:] still prefill
     done: List[RequestMetrics] = []
+    costs: Dict[Tuple[int, int], Tuple[_PassCost, ...]] = {}
     clock = 0.0
     steps = 0
 
@@ -343,26 +385,21 @@ def run_serving(
 
         prefill: Optional[Tuple[int, int]] = None
         prefill_slot: Optional[_Live] = None
-        for slot in live:
-            if slot.prefilled < slot.req.prompt_tokens:
-                chunk = min(
-                    policy.prefill_chunk,
-                    slot.req.prompt_tokens - slot.prefilled,
-                )
-                prefill = (chunk, slot.prefilled + chunk)
-                prefill_slot = slot
-                break
-        decode_slots = [
-            slot for slot in live
-            if slot.prefilled >= slot.req.prompt_tokens
-        ][: policy.max_decode_batch]
+        if decoding < len(live):
+            prefill_slot = live[decoding]
+            chunk = min(
+                policy.prefill_chunk,
+                prefill_slot.req.prompt_tokens - prefill_slot.prefilled,
+            )
+            prefill = (chunk, prefill_slot.prefilled + chunk)
+        decode_slots = live[: min(decoding, policy.max_decode_batch)]
         decode_kv = [
             slot.req.prompt_tokens + slot.generated + 1
             for slot in decode_slots
         ]
 
         passes = step_passes(prefill, decode_kv, cfg, dataflow, accel,
-                             options)
+                             options, _costs=costs)
         clock += simulate(passes, accel).total_cycles
         steps += 1
 
@@ -370,9 +407,12 @@ def run_serving(
             prefill_slot.prefilled = prefill[1]
             if prefill_slot.prefilled >= prefill_slot.req.prompt_tokens:
                 prefill_slot.first_token_cycle = clock
+                decoding += 1
+        retired = False
         for slot in decode_slots:
             slot.generated += 1
             if slot.generated >= slot.req.output_tokens:
+                retired = True
                 done.append(RequestMetrics(
                     rid=slot.req.rid,
                     arrival_cycle=slot.req.arrival_cycle,
@@ -381,8 +421,11 @@ def run_serving(
                     prompt_tokens=slot.req.prompt_tokens,
                     output_tokens=slot.req.output_tokens,
                 ))
-        finished = {m.rid for m in done}
-        live = [slot for slot in live if slot.req.rid not in finished]
+        if retired:
+            kept = [slot for slot in decode_slots
+                    if slot.generated < slot.req.output_tokens]
+            decoding -= len(decode_slots) - len(kept)
+            live[: len(decode_slots)] = kept
 
     done.sort(key=lambda m: m.rid)
     ttfts = sorted(m.ttft_cycles for m in done)
