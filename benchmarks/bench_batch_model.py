@@ -7,10 +7,7 @@ stage did before the batch backend) and once with
 criteria of the batch-backend PR:
 
 * bit-for-bit identical objective scores and argmin on every point,
-* >= 5x wall-clock speedup for the vectorized pass,
-* a ``run_search`` through the engine exercises the backend
-  (``SearchStats.batch_evaluations`` covers the grid), so the
-  conftest's ``BENCH_pipeline.json`` artifact records real totals.
+* >= 5x wall-clock speedup for the vectorized pass.
 
 ``BENCH_BATCH_SEQ`` shrinks the workload for CI smoke runs; the
 default is the paper's bandwidth-bound regime.
@@ -21,8 +18,7 @@ import time
 
 from repro.arch.presets import edge
 from repro.core.batch import best_index, evaluate_grid
-from repro.core.dse import Objective, SearchSpace, enumerate_dataflows, search
-from repro.core.engine import EngineOptions, clear_evaluation_cache
+from repro.core.dse import Objective, SearchSpace, enumerate_dataflows
 from repro.core.perf import cost_scope
 from repro.core.tiling import choose_l2_tile
 from repro.energy.model import energy_report
@@ -82,29 +78,12 @@ def test_batch_vs_scalar_speedup(benchmark, report_printer):
                         key=lambda i: (scalar[obj][i], i))
         assert best_index(vectorized[obj]) == first_min, obj
 
-    # An engine search drives the backend end-to-end and leaves real
-    # totals in search_totals() for the BENCH_pipeline.json artifact.
-    # candidates=False: this benchmark isolates the batch backend on
-    # the full grid; the generated front end (which batch-scores only
-    # the families that survive its bounds) has its own benchmark in
-    # bench_candidates.py.
-    clear_evaluation_cache()
-    res = search(cfg, accel, scope=scope, space=space,
-                 engine=EngineOptions(jobs=1, cache_size=0,
-                                      candidates=False),
-                 retain_points=False)
-    assert res.stats.batch_evaluations == res.stats.enumerated
-    assert float(res.best.cost.total_cycles) == min(
-        scalar[Objective.RUNTIME]
-    )
-
     lines = [
         f"grid: {len(dataflows)} candidates x {len(OBJECTIVES)} objectives "
         f"(seq={cfg.seq_q})",
         f"scalar loop : {scalar_s * 1e3:9.1f} ms",
         f"batch pass  : {batch_s * 1e3:9.1f} ms "
         f"({scalar_s / batch_s:.1f}x speedup)",
-        f"engine stats: {res.stats}",
     ]
     report_printer("\n".join(lines))
 

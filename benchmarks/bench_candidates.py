@@ -1,12 +1,12 @@
-"""Benchmark: analytic candidate generation vs enumerate-then-prune.
+"""Benchmark: analytic candidate generation vs full-grid scoring.
 
 Runs the fig8-style buffer sweep (one workload, the exhaustive-staging
-FLAT-opt space, every buffer size of Figure 8) three times: with the
-full-grid front end (``candidates=False`` — enumerate, batch-score,
-prune), with the generated front end (family planning plus
-branch-and-bound), and with the generated front end warm-started from
-each neighboring buffer size's winner.  Asserts the acceptance
-criteria of the candidate-generation PR:
+FLAT-opt space, every buffer size of Figure 8) three times: as one
+full-grid reference (enumerate every dataflow, score them all in one
+``evaluate_grid`` call, build the winner's scalar breakdown), through
+the engine's generated search (family planning plus branch-and-bound),
+and through the generated search warm-started from each neighboring
+buffer size's winner.  Asserts:
 
 * identical winning dataflow and cycle count at every buffer size,
 * >= 5x fewer scalar/batch cost evaluations for the generated front
@@ -27,20 +27,20 @@ import pytest
 
 from repro.arch.presets import edge
 from repro.analysis.utilization import default_buffer_sizes
+from repro.core.batch import best_index, evaluate_grid
 from repro.core.candidates import make_incumbent
-from repro.core.dse import Objective, SearchSpace, search
+from repro.core.dse import Objective, SearchSpace, enumerate_dataflows, search
 from repro.core.engine import (
     EngineOptions,
     clear_evaluation_cache,
     reset_search_totals,
     search_totals,
 )
+from repro.core.perf import cost_scope
 from repro.models.configs import model_config
 from repro.ops.attention import Scope
 
-FULL_GRID = EngineOptions(jobs=1, prune=True, cache_size=8192, batch=True,
-                          candidates=False)
-GENERATED = EngineOptions(jobs=1, prune=True, cache_size=8192, batch=True)
+GENERATED = EngineOptions(cache_size=8192)
 
 # The paper's FLAT-opt DSE over the exhaustive staging product — the
 # widest per-search grid the sweep experiments use.
@@ -72,6 +72,27 @@ def _sweep(cfg, engine, warm):
     return winners, search_totals(), time.perf_counter() - start
 
 
+def _full_grid_sweep(cfg):
+    """The reference: every candidate in one grid call per buffer size.
+
+    Returns (winners, evaluations, wall seconds); evaluations count the
+    grid rows plus each winner's scalar breakdown.
+    """
+    start = time.perf_counter()
+    winners = []
+    evaluations = 0
+    for size in default_buffer_sizes():
+        accel = edge().with_scratchpad_bytes(size)
+        dataflows = list(enumerate_dataflows(cfg, accel, SPACE))
+        grid = evaluate_grid(cfg, Scope.LA, accel, dataflows)
+        best = dataflows[best_index(grid.objective_scores(
+            Objective.RUNTIME))]
+        cost = cost_scope(cfg, Scope.LA, accel, best)
+        evaluations += len(dataflows) + 1
+        winners.append((best, cost.total_cycles))
+    return winners, evaluations, time.perf_counter() - start
+
+
 def _evaluations(totals):
     return totals["evaluated"] + totals["batch_evaluations"]
 
@@ -83,20 +104,19 @@ def test_candidate_generation_speedup(benchmark, report_printer):
         "bert", seq=int(os.environ.get("BENCH_CAND_SEQ", "4096"))
     )
 
-    grid_winners, grid_totals, grid_s = _sweep(cfg, FULL_GRID, warm=False)
+    grid_winners, grid_e, grid_s = _full_grid_sweep(cfg)
     cold_winners, cold_totals, cold_s = _sweep(cfg, GENERATED, warm=False)
     warm_winners, warm_totals, warm_s = benchmark.pedantic(
         lambda: _sweep(cfg, GENERATED, warm=True),
         rounds=1, iterations=1,
     )
 
-    grid_e = _evaluations(grid_totals)
     cold_e = _evaluations(cold_totals)
     warm_e = _evaluations(warm_totals)
     points = len(default_buffer_sizes())
     lines = [
         f"sweep: {points} buffer sizes x "
-        f"{grid_totals['enumerated'] // max(points, 1)} candidates",
+        f"{cold_totals['enumerated'] // max(points, 1)} candidates",
         f"full grid : {grid_s * 1e3:9.1f} ms  {grid_e:6d} evaluations",
         f"generated : {cold_s * 1e3:9.1f} ms  {cold_e:6d} evaluations "
         f"({grid_s / cold_s:.1f}x wall, {grid_e / cold_e:.1f}x evals, "

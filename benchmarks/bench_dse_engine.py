@@ -2,9 +2,10 @@
 
 Runs the same exhaustive-staging sweep (one workload, two scopes,
 three objectives — the shape of the fig8/fig11-style grids, which
-re-visit identical design points across searches) twice: once with a
-naive engine (no pruning, no cache, eager energy) and once with the
-optimized engine.  Asserts the acceptance criteria of the engine PR:
+re-visit identical design points across searches) twice: once naive
+(every point scored by the scalar model, no cache, eager energy) and
+once through the engine's best-only route (family branch-and-bound,
+vectorized scoring, memoization).  Asserts:
 
 * identical best dataflow and objective value on every cell,
 * >= 2x wall-clock speedup for the engine,
@@ -26,11 +27,10 @@ from repro.core.engine import (
 from repro.models.configs import model_config
 from repro.ops.attention import Scope
 
-# batch=False on both sides: this benchmark isolates the scalar
-# engine's pruning/memoization; the vectorized backend has its own
-# benchmark in bench_batch_model.py.
-NAIVE = EngineOptions(jobs=1, prune=False, cache_size=0, batch=False)
-FAST = EngineOptions(jobs=1, prune=True, cache_size=8192, batch=False)
+# NAIVE scores every point (retain_points=True) with the cache off;
+# FAST is the engine's single best-only route.
+NAIVE = EngineOptions(cache_size=0)
+FAST = EngineOptions(cache_size=8192)
 
 SCOPES = (Scope.LA, Scope.BLOCK)
 OBJECTIVES = (Objective.RUNTIME, Objective.ENERGY, Objective.EDP)
@@ -75,7 +75,6 @@ def test_engine_speedup(benchmark, report_printer):
         pruned=sum(r.stats.pruned for r in fast.values()),
         cache_hits=sum(r.stats.cache_hits for r in fast.values()),
         wall_time_s=sum(r.stats.wall_time_s for r in fast.values()),
-        jobs=1,
     )
     lines = [
         f"grid: {len(fast)} searches x "

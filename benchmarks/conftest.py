@@ -42,9 +42,18 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
+from pathlib import Path
 
 import pytest
+
+# Some benchmarks time the engine against the reference searches in
+# ``tests/oracles.py``; make the repository root importable under a
+# bare ``pytest benchmarks/...`` as well as ``python -m pytest``.
+_ROOT = str(Path(__file__).resolve().parents[1])
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
 
 from repro.core.engine import reset_search_totals, search_totals
 from repro.core.scaleout import reset_scaleout_totals, scaleout_totals

@@ -82,8 +82,6 @@ from repro.core.engine import (
     accelerator_fingerprint,
     clear_evaluation_cache,
     cycles_lower_bound,
-    default_batch,
-    default_jobs,
     evaluate_cost,
     evaluation_cache_info,
     get_default_engine,
@@ -145,8 +143,6 @@ __all__ = [
     "accelerator_fingerprint",
     "clear_evaluation_cache",
     "cycles_lower_bound",
-    "default_batch",
-    "default_jobs",
     "evaluate_cost",
     "evaluation_cache_info",
     "get_default_engine",

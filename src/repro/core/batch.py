@@ -40,10 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-try:  # pragma: no cover - exercised by the fallback tests via mocking
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    np = None
+import numpy as np
 
 from repro.arch.accelerator import Accelerator
 from repro.core.dataflow import AttentionVariant, Dataflow, Stationarity
@@ -590,13 +587,11 @@ def evaluate_grid(
     operator costs in the same order with the same association, so the
     results equal the scalar path's bit for bit.
 
-    Raises :class:`BatchFallback` when numpy is unavailable, when the
-    scope contains operator shapes the vectorization does not cover, or
-    when a workload is large enough that float64 could round integer
-    arithmetic Python would keep exact.
+    Raises :class:`BatchFallback` when the scope contains operator
+    shapes the vectorization does not cover, or when a workload is
+    large enough that float64 could round integer arithmetic Python
+    would keep exact.
     """
-    if np is None:
-        raise BatchFallback("numpy is unavailable")
     dataflows = list(dataflows)
     if not dataflows:
         raise ValueError("evaluate_grid needs at least one candidate")

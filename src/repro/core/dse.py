@@ -403,10 +403,9 @@ def search(
     default).
 
     Evaluation runs through :mod:`repro.core.engine`: ``engine``
-    selects its parallelism / pruning / memoization knobs (``None``
-    uses the process default, which is serial) and
-    ``retain_points=False`` drops everything but the winner, enabling
-    pruning and lazy energy accounting.  ``warm_start`` optionally
+    selects its memoization knobs (``None`` uses the process default)
+    and ``retain_points=False`` drops everything but the winner,
+    enabling branch-and-bound pruning and lazy energy accounting.  ``warm_start`` optionally
     seeds the candidate-generation path with a neighboring search's
     winner (see :class:`repro.core.candidates.Incumbent`).  The best
     point is identical either way; see

@@ -39,9 +39,10 @@ collective with compute), so ``total = chip + fabric`` and the bound
 Selection minimizes ``(total cycles, enumeration index)`` over the
 evaluated points.  A pruned point's true value is >= its bound > the
 incumbent >= the final optimum, so it can neither win nor displace a
-tie — the hierarchical path returns the exact point the exhaustive
-reference (``exhaustive=True`` / ``--exhaustive-scaleout``) returns,
-bytes included; CI diffs the two.
+tie — the hierarchical search returns the exact point an exhaustive
+cross-product (one inner search per partition and schedule) returns,
+bytes included; ``tests/core/test_scaleout.py`` checks it against that
+oracle.
 
 Winners are memoized through the engine's LRU and the persistent disk
 cache under a ``scaleout-memo`` key; this module and
@@ -68,9 +69,8 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,9 +105,6 @@ __all__ = [
     "sweep_chip_counts",
     "scaleout_totals",
     "reset_scaleout_totals",
-    "get_default_scaleout_exhaustive",
-    "set_default_scaleout_exhaustive",
-    "default_scaleout_exhaustive",
     "DEFAULT_SCHEDULES",
 ]
 
@@ -509,44 +506,6 @@ def _accumulate(stats: ScaleoutStats) -> None:
 
 
 # ----------------------------------------------------------------------
-# exhaustive-reference toggle (--exhaustive-scaleout plumbing)
-# ----------------------------------------------------------------------
-_default_exhaustive = False
-_DEFAULT_LOCK = threading.Lock()
-
-
-def get_default_scaleout_exhaustive() -> bool:
-    with _DEFAULT_LOCK:
-        return _default_exhaustive
-
-
-def set_default_scaleout_exhaustive(value: bool) -> bool:
-    """Set the process default; returns the previous setting."""
-    global _default_exhaustive
-    with _DEFAULT_LOCK:
-        previous = _default_exhaustive
-        _default_exhaustive = bool(value)
-    return previous
-
-
-@contextmanager
-def default_scaleout_exhaustive(exhaustive: Optional[bool]) -> Iterator[None]:
-    """Temporarily select the exhaustive outer path (CLI plumbing).
-
-    ``None`` leaves the default untouched, so an optional flag can be
-    passed straight through.
-    """
-    if exhaustive is None:
-        yield
-        return
-    previous = set_default_scaleout_exhaustive(exhaustive)
-    try:
-        yield
-    finally:
-        set_default_scaleout_exhaustive(previous)
-
-
-# ----------------------------------------------------------------------
 # the two-level search
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -610,17 +569,15 @@ def search_scaleout(
     space: SearchSpace = SearchSpace(),
     options: PerfOptions = PerfOptions(),
     schedules: Sequence[CollectiveSchedule] = DEFAULT_SCHEDULES,
-    exhaustive: Optional[bool] = None,
     warm_start: Optional[Incumbent] = None,
     use_memo: bool = True,
 ) -> ScaleoutResult:
     """Find the best (partition, schedule, per-chip dataflow) for ``T``.
 
-    ``exhaustive=None`` follows the process default
-    (:func:`default_scaleout_exhaustive`); the hierarchical path prunes
-    outer points whose admissible bound strictly exceeds the incumbent
-    before their inner search ever runs, and both paths return the
-    identical winner (see module docstring).  ``warm_start`` seeds the
+    Outer points are visited best-bound-first, and every point whose
+    admissible bound strictly exceeds the incumbent is pruned before
+    its inner search ever runs; the winner is the exhaustive
+    cross-product's (see module docstring).  ``warm_start`` seeds the
     first inner search with a neighboring sweep's winner when
     warm-starting is enabled on the default engine; winners also land
     in the engine's LRU and the persistent disk cache.
@@ -628,8 +585,6 @@ def search_scaleout(
     from repro.core.cache import get_default_cache
     from repro.core.engine import _CACHE, get_default_engine
 
-    if exhaustive is None:
-        exhaustive = get_default_scaleout_exhaustive()
     schedules = tuple(schedules)
     stats = ScaleoutStats()
     grid = evaluate_partition_grid(
@@ -684,20 +639,17 @@ def search_scaleout(
 
     # Flat outer enumeration order: partition-major, schedule-minor.
     flat_bounds = grid.bound_cycles.reshape(-1)
-    if exhaustive:
-        visit = list(range(grid.num_points))
-    else:
-        # Best-bound-first; index tie-break keeps the visit order
-        # deterministic (the *selection* tie-break is handled below).
-        visit = sorted(range(grid.num_points),
-                       key=lambda i: (flat_bounds[i], i))
+    # Best-bound-first; index tie-break keeps the visit order
+    # deterministic (the *selection* tie-break is handled below).
+    visit = sorted(range(grid.num_points),
+                   key=lambda i: (flat_bounds[i], i))
 
     best_value = math.inf
     best_index = -1
     best_point: Optional[ScaleoutPoint] = None
     best_result = None
     for flat in visit:
-        if not exhaustive and flat_bounds[flat] > best_value:
+        if flat_bounds[flat] > best_value:
             # Bounds are sorted: this and every later point is pruned.
             stats.partitions_pruned += grid.num_points - stats.outer_evaluated
             break
@@ -746,7 +698,6 @@ def sweep_chip_counts(
     space: SearchSpace = SearchSpace(),
     options: PerfOptions = PerfOptions(),
     schedules: Sequence[CollectiveSchedule] = DEFAULT_SCHEDULES,
-    exhaustive: Optional[bool] = None,
 ) -> List[ScaleoutResult]:
     """Run :func:`search_scaleout` at each chip count, warm-chaining.
 
@@ -766,7 +717,6 @@ def sweep_chip_counts(
             space=space,
             options=options,
             schedules=schedules,
-            exhaustive=exhaustive,
             warm_start=warm,
         )
         if result.incumbent is not None:

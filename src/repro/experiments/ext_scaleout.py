@@ -19,8 +19,8 @@ FlatAttention co-search motivation (PAPERS.md).
 
 The sweep is warm-chained across chip counts (neighboring winners seed
 the inner searches) and branch-and-bound-pruned at the outer level;
-``--exhaustive-scaleout`` runs the byte-identical exhaustive reference
-(CI diffs the two reports).
+``tests/core/test_scaleout.py`` checks its winners against the
+exhaustive cross-product.
 """
 
 from __future__ import annotations

@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.core.engine import (
-    default_batch,
-    default_candidates,
-    default_jobs,
-    default_warm_start,
-)
-from repro.core.scaleout import default_scaleout_exhaustive
+from repro.core.engine import default_warm_start
 from repro.obs.trace import span as _span
 from repro.experiments import (
     ext_batch,
@@ -161,25 +155,13 @@ def experiment_names() -> List[str]:
     return sorted(_SPECS)
 
 
-def run_experiment(name: str, jobs: Optional[int] = None,
-                   batch: Optional[bool] = None,
-                   candidates: Optional[bool] = None,
-                   warm_start: Optional[bool] = None,
-                   scaleout_exhaustive: Optional[bool] = None) -> str:
+def run_experiment(name: str, warm_start: Optional[bool] = None) -> str:
     """Run one registered experiment and return its report.
 
-    ``jobs`` sets the DSE engine's worker-process count for the
-    duration of the run (the CLI's ``--jobs`` flag); ``batch`` toggles
-    the vectorized batch backend (``--no-batch`` passes ``False``);
-    ``candidates`` toggles the generated branch-and-bound front end
-    (``--no-candidates`` passes ``False``); ``warm_start`` opts sweep
-    drivers into neighbor-seeded incremental re-search
-    (``--warm-start`` passes ``True``); ``scaleout_exhaustive``
-    selects the exhaustive outer scale-out path over branch-and-bound
-    (``--exhaustive-scaleout`` passes ``True``).  ``None`` keeps the
-    respective current default.  None of these change report bytes —
-    only the amount of work (see ``docs/search_engine.md`` and
-    ``docs/scaleout.md``).
+    ``warm_start`` opts sweep drivers into neighbor-seeded incremental
+    re-search (``--warm-start`` passes ``True``); ``None`` keeps the
+    current default.  It never changes report bytes — only the amount
+    of work (see ``docs/search_engine.md``).
     """
     try:
         runner = EXPERIMENTS[name]
@@ -187,24 +169,15 @@ def run_experiment(name: str, jobs: Optional[int] = None,
         raise ValueError(
             f"unknown experiment {name!r}; choose from {experiment_names()}"
         ) from None
-    with default_jobs(jobs), default_batch(batch), \
-            default_candidates(candidates), default_warm_start(warm_start), \
-            default_scaleout_exhaustive(scaleout_exhaustive), \
-            _span("experiment", name=name):
+    with default_warm_start(warm_start), _span("experiment", name=name):
         return runner()
 
 
-def run_experiment_raw(name: str, jobs: Optional[int] = None,
-                       batch: Optional[bool] = None,
-                       candidates: Optional[bool] = None,
-                       warm_start: Optional[bool] = None,
-                       scaleout_exhaustive: Optional[bool] = None) -> object:
+def run_experiment_raw(name: str,
+                       warm_start: Optional[bool] = None) -> object:
     """Run one experiment and return its typed rows (for JSON export).
 
-    Accepts the same engine knobs as :func:`run_experiment` (``jobs``,
-    ``batch``, ``candidates``, ``warm_start``,
-    ``scaleout_exhaustive``); ``None`` keeps the respective current
-    default.
+    ``warm_start`` is the knob of :func:`run_experiment`.
     """
     try:
         runner = RAW_EXPERIMENTS[name]
@@ -213,8 +186,6 @@ def run_experiment_raw(name: str, jobs: Optional[int] = None,
             f"no raw rows for {name!r}; choose from "
             f"{sorted(RAW_EXPERIMENTS)}"
         ) from None
-    with default_jobs(jobs), default_batch(batch), \
-            default_candidates(candidates), default_warm_start(warm_start), \
-            default_scaleout_exhaustive(scaleout_exhaustive), \
+    with default_warm_start(warm_start), \
             _span("experiment", name=name, raw=True):
         return runner()

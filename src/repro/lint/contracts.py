@@ -320,7 +320,6 @@ LOCK_INVENTORY: Mapping[str, Mapping[str, object]] = {
     "repro.core.scaleout": {
         "locks": {
             "_totals": "_TOTALS_LOCK",
-            "_default_exhaustive": "_DEFAULT_LOCK",
         },
         "write_only": (),
         "held_by": (),

@@ -492,10 +492,10 @@ def scaleout_payload(result: ScaleoutResult) -> Dict[str, Any]:
 
     Only the winner is served: partition, schedule, per-chip dataflow
     and the cycle split.  :class:`~repro.core.scaleout.ScaleoutStats`
-    and the outer grid are deliberately absent — pruning counts and
-    bound arrays vary with the hierarchical/exhaustive mode and cache
-    warmth, and the payload must stay byte-identical across both (the
-    ``scaleout-equivalence`` property) as well as served-vs-direct.
+    and the outer grid are deliberately absent — pruning counts vary
+    with cache warmth, and the payload must stay byte-identical
+    served-vs-direct and against the exhaustive reference in
+    ``tests/``.
     """
     best = result.best
     part = best.partition

@@ -19,11 +19,10 @@ Two routes produce one set of bytes:
   reference path; :class:`~repro.core.batch.BatchFallback` degrades to
   per-query scalar evaluation, never to an error.
 
-Engine knobs are pinned to explicit defaults (``EngineOptions()``,
-serial jobs) rather than the mutable process-wide defaults: a threaded
-server must not observe another thread flipping
-``default_batch``/``default_jobs`` mid-request, and the knobs change
-only the amount of work, never the result.
+Engine knobs are pinned to explicit defaults (``EngineOptions()``)
+rather than the mutable process-wide default: a threaded server must
+not observe another thread flipping the default engine mid-request,
+and the knobs change only the amount of work, never the result.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ cost model: for every candidate in the enumerated grid,
 exactly (``==``, not approx), and ``np.argmin`` over the score array
 must land on the same index as the engine's first-strictly-less scan,
 so tie-breaking survives vectorization.  The engine-level tests then
-check that ``run_search`` with the backend on and off returns the
-identical best point and that the new accounting fields behave.
+check that ``run_search`` returns the exhaustive oracle's best point on
+both sides of the float64-exactness guard and that the accounting
+fields behave.
 """
 
 import random
@@ -16,6 +17,7 @@ import random
 import pytest
 
 from repro.arch.presets import cloud, edge
+from repro.core import batch as batch_backend
 from repro.core.batch import (
     BatchFallback,
     best_index,
@@ -27,26 +29,14 @@ from repro.core.dse import (
     enumerate_dataflows,
     search,
 )
-from repro.core.engine import (
-    EngineOptions,
-    clear_evaluation_cache,
-    default_batch,
-    default_candidates,
-    get_default_engine,
-)
+from repro.core.engine import EngineOptions, clear_evaluation_cache
 from repro.core.dataflow import Granularity
 from repro.core.perf import cost_scope
 from repro.energy.model import energy_report
 from repro.ops.attention import AttentionConfig, Scope
+from tests.oracles import assert_matches_oracle, exhaustive_best
 
-# Same knobs as the scalar-engine suite, with only the backend toggled.
-# BATCH keeps candidate generation on (the default front end); BATCH_EXH
-# pins the exhaustive enumerate-then-batch path whose accounting some
-# stats tests document.
-SCALAR = EngineOptions(jobs=1, prune=True, cache_size=8192, batch=False)
-BATCH = EngineOptions(jobs=1, prune=True, cache_size=8192, batch=True)
-BATCH_EXH = EngineOptions(jobs=1, prune=True, cache_size=8192, batch=True,
-                          candidates=False)
+BATCH = EngineOptions(cache_size=8192)
 
 _SCOPES = (Scope.LA, Scope.BLOCK, Scope.MODEL)
 
@@ -176,54 +166,44 @@ class TestObjectiveScores:
 
 
 class TestEngineEquivalence:
-    """run_search with the backend on vs off: identical winner."""
+    """run_search vs the exhaustive scalar oracle: identical winner."""
 
     @pytest.mark.parametrize("objective", list(Objective))
     def test_every_objective(self, bert_512, edge_accel, objective):
-        scalar = search(bert_512, edge_accel, scope=Scope.LA,
-                        objective=objective, engine=SCALAR,
-                        retain_points=False)
-        clear_evaluation_cache()
+        oracle = exhaustive_best(bert_512, edge_accel, scope=Scope.LA,
+                                 objective=objective)
         fast = search(bert_512, edge_accel, scope=Scope.LA,
                       objective=objective, engine=BATCH,
                       retain_points=False)
-        assert fast.best.dataflow == scalar.best.dataflow
-        assert objective.score(fast.best.cost, fast.best.energy) == (
-            objective.score(scalar.best.cost, scalar.best.energy)
-        )
-        assert fast.best.cost.total_cycles == scalar.best.cost.total_cycles
-        assert fast.best.cost.dram_bytes == scalar.best.cost.dram_bytes
+        assert_matches_oracle(fast, oracle, objective)
 
     @pytest.mark.parametrize("scope", _SCOPES)
     def test_every_scope(self, small_cfg, cloud_accel, scope):
-        scalar = search(small_cfg, cloud_accel, scope=scope, engine=SCALAR,
-                        retain_points=False)
-        clear_evaluation_cache()
+        oracle = exhaustive_best(small_cfg, cloud_accel, scope=scope)
         fast = search(small_cfg, cloud_accel, scope=scope, engine=BATCH,
                       retain_points=False)
-        assert fast.best.dataflow == scalar.best.dataflow
-        assert fast.best.cost.total_cycles == scalar.best.cost.total_cycles
+        assert_matches_oracle(fast, oracle)
 
     def test_exhaustive_staging_grid(self, bert_4k, edge_accel):
         space = SearchSpace(exhaustive_staging=True)
-        scalar = search(bert_4k, edge_accel, scope=Scope.LA, space=space,
-                        engine=SCALAR, retain_points=False)
-        clear_evaluation_cache()
+        oracle = exhaustive_best(bert_4k, edge_accel, scope=Scope.LA,
+                                 space=space)
         fast = search(bert_4k, edge_accel, scope=Scope.LA, space=space,
                       engine=BATCH, retain_points=False)
-        assert fast.best.dataflow == scalar.best.dataflow
-        assert fast.best.cost.total_cycles == scalar.best.cost.total_cycles
+        assert_matches_oracle(fast, oracle)
 
 
 class TestStats:
     def test_cold_search_accounting(self, small_cfg, edge_accel):
-        res = search(small_cfg, edge_accel, engine=BATCH_EXH,
+        res = search(small_cfg, edge_accel, engine=BATCH,
                      retain_points=False)
         s = res.stats
-        # Every candidate went through the array path; the winner alone
-        # got the scalar breakdown, the losers are booked as pruned.
-        assert s.batch_evaluations == s.enumerated
+        # Every generated candidate went through the array path; the
+        # winner alone got the scalar breakdown, the losers are booked
+        # as pruned.
+        assert s.batch_evaluations == s.candidates_generated
         assert s.evaluated == 1
+        assert s.cache_hits == 0
         assert s.enumerated == s.cache_hits + s.pruned + s.evaluated
 
     def test_cold_candidate_accounting(self, small_cfg, edge_accel):
@@ -247,11 +227,6 @@ class TestStats:
         assert second.stats.evaluated == 0
         assert second.stats.cache_hits == second.stats.enumerated
 
-    def test_scalar_engine_never_batches(self, small_cfg, edge_accel):
-        res = search(small_cfg, edge_accel, engine=SCALAR,
-                     retain_points=False)
-        assert res.stats.batch_evaluations == 0
-
     def test_retain_points_stays_scalar(self, small_cfg, edge_accel):
         res = search(small_cfg, edge_accel, engine=BATCH)  # retain default
         assert res.stats.batch_evaluations == 0
@@ -263,11 +238,19 @@ class TestStats:
 
         with pytest.raises(ValueError):
             SearchStats(enumerated=1, evaluated=1, pruned=0, cache_hits=0,
-                        wall_time_s=0.0, jobs=1, batch_evaluations=-1)
+                        wall_time_s=0.0, batch_evaluations=-1)
+
+
+def _edge_cfg(batch: int) -> AttentionConfig:
+    """A workload whose L-A pair has ``2 * batch * 2**45`` MACs."""
+    return AttentionConfig(
+        name=f"edge-b{batch}", batch=batch, heads=16, d_model=1024,
+        seq_q=2 ** 17, seq_kv=2 ** 17, d_ff=4096, num_blocks=1,
+    )
 
 
 class TestFallback:
-    """Workloads beyond the float64-exactness guard take the scalar path."""
+    """Workloads beyond the float64-exactness guard: scalar scoring."""
 
     # 64 * 16 * 262144^2 * 64 = 2^52 MACs in the logit operator alone,
     # past the 2^50 static ceiling.
@@ -275,11 +258,16 @@ class TestFallback:
         name="huge", batch=64, heads=16, d_model=1024,
         seq_q=262144, seq_kv=262144, d_ff=4096, num_blocks=1,
     )
-    # A narrow space keeps the scalar reference sweep fast.
+    # A narrow space keeps the scalar oracle sweep fast.
     _SPACE = SearchSpace(
         allow_unfused=False, granularities=(Granularity.R,),
         row_choices=(64,), include_plain_base=False,
     )
+    # Every R row count of the default ladder: several families, so
+    # family pruning has something to prune.
+    _LADDER = SearchSpace(allow_unfused=False,
+                          granularities=(Granularity.R,),
+                          include_plain_base=False)
 
     def test_grid_raises(self, edge_accel):
         dataflows = _grid(self._HUGE, edge_accel, self._SPACE)
@@ -287,32 +275,54 @@ class TestFallback:
             evaluate_grid(self._HUGE, Scope.LA, edge_accel, dataflows)
 
     def test_engine_falls_back_to_scalar(self, edge_accel):
-        scalar = search(self._HUGE, edge_accel, scope=Scope.LA,
-                        space=self._SPACE, engine=SCALAR,
-                        retain_points=False)
-        clear_evaluation_cache()
+        oracle = exhaustive_best(self._HUGE, edge_accel, scope=Scope.LA,
+                                 space=self._SPACE)
         fast = search(self._HUGE, edge_accel, scope=Scope.LA,
                       space=self._SPACE, engine=BATCH,
                       retain_points=False)
-        assert fast.best.dataflow == scalar.best.dataflow
-        assert fast.best.cost.total_cycles == scalar.best.cost.total_cycles
+        assert_matches_oracle(fast, oracle)
         assert fast.stats.batch_evaluations == 0
 
+    def test_edge_repeat_search_served_from_memo(self, edge_accel):
+        """At the exactness edge: oracle winner, balanced ledger, memo."""
+        cfg = _edge_cfg(batch=32)
+        assert 2 * cfg.batch * cfg.heads * cfg.seq_q * cfg.seq_kv * (
+            cfg.d_model // cfg.heads
+        ) == batch_backend._MAX_EXACT_MACS
+        dataflows = _grid(cfg, edge_accel, self._LADDER)
+        with pytest.raises(BatchFallback):
+            evaluate_grid(cfg, Scope.LA, edge_accel, dataflows)
 
-class TestDefaultBatch:
-    def test_contextmanager_toggles_and_restores(self):
-        before = get_default_engine()
-        with default_batch(False):
-            assert get_default_engine().batch is False
-        assert get_default_engine() == before
-        with default_batch(None):  # None leaves the default untouched
-            assert get_default_engine() == before
+        first = search(cfg, edge_accel, scope=Scope.LA, space=self._LADDER,
+                       engine=BATCH, retain_points=False)
+        assert_matches_oracle(
+            first, exhaustive_best(cfg, edge_accel, scope=Scope.LA,
+                                   space=self._LADDER),
+        )
+        s = first.stats
+        assert s.enumerated == len(dataflows)
+        assert s.enumerated == s.cache_hits + s.pruned + s.evaluated
+        # Scalar-scored members count as evaluated, never as batch
+        # evaluations; whole families are still gated.
+        assert s.batch_evaluations == 0
+        assert s.evaluated == s.candidates_generated
+        assert s.families_pruned > 0
+        assert s.pruned == s.candidates_skipped > 0
 
-    def test_context_reaches_search(self, small_cfg, edge_accel):
-        with default_batch(False):
-            res = search(small_cfg, edge_accel, retain_points=False)
-        assert res.stats.batch_evaluations == 0
-        clear_evaluation_cache()
-        with default_batch(True), default_candidates(False):
-            res = search(small_cfg, edge_accel, retain_points=False)
-        assert res.stats.batch_evaluations == res.stats.enumerated
+        again = search(cfg, edge_accel, scope=Scope.LA, space=self._LADDER,
+                       engine=BATCH, retain_points=False)
+        assert again.best == first.best
+        assert again.stats.evaluated == 0
+        assert again.stats.pruned == 0
+        assert again.stats.cache_hits == again.stats.enumerated
+
+    def test_just_below_the_edge_takes_the_grid(self, edge_accel):
+        cfg = _edge_cfg(batch=16)
+        res = search(cfg, edge_accel, scope=Scope.LA, space=self._LADDER,
+                     engine=BATCH, retain_points=False)
+        assert_matches_oracle(
+            res, exhaustive_best(cfg, edge_accel, scope=Scope.LA,
+                                 space=self._LADDER),
+        )
+        assert res.stats.batch_evaluations == res.stats.candidates_generated
+        assert res.stats.evaluated == 1

@@ -7,10 +7,10 @@ Two bars, matching :mod:`repro.core.candidates`'s contract:
   feasible-row interval must agree with the Table 2 closed form it
   inverts.  Randomized (hypothesis) workloads and buffer sizes probe
   the closed forms off the presets.
-* **Equivalence** — the generated front end must return the *same
-  bytes* as exhaustive enumeration: identical winner, identical cost,
-  with the exhaustive winner never bound-pruned (not even by the
-  enumeration-order tie gate).
+* **Equivalence** — the generated search must return the *same bytes*
+  as the exhaustive oracle (``tests/oracles.py``): identical winner,
+  identical cost, with the exhaustive winner never bound-pruned (not
+  even by the enumeration-order tie gate).
 """
 
 import pytest
@@ -46,10 +46,9 @@ from repro.core.engine import (
 from repro.core.footprint import footprint_r_gran
 from repro.core.perf import PerfOptions, cost_scope, partition_scratchpad
 from repro.ops.attention import AttentionConfig, Scope
+from tests.oracles import assert_matches_oracle, exhaustive_best
 
-CANDIDATES = EngineOptions(jobs=1, prune=True, cache_size=4096, batch=True)
-EXHAUSTIVE = EngineOptions(jobs=1, prune=True, cache_size=4096, batch=True,
-                           candidates=False)
+CANDIDATES = EngineOptions(cache_size=4096)
 
 SPACES = {
     "default": SearchSpace(),
@@ -238,54 +237,52 @@ class TestBoundAdmissibility:
 
 
 class TestSearchEquivalence:
-    """Generated and exhaustive front ends must agree to the byte."""
+    """The generated search and the exhaustive oracle agree to the byte."""
 
     @pytest.mark.parametrize("name", sorted(SPACES))
     def test_same_winner_all_spaces(self, edge_accel, name):
         cfg = _small_cfg(seq=64)
-        clear_evaluation_cache()
-        slow = search(cfg, edge_accel, scope=Scope.LA, space=SPACES[name],
-                      engine=EXHAUSTIVE, retain_points=False)
+        oracle = exhaustive_best(cfg, edge_accel, scope=Scope.LA,
+                                 space=SPACES[name])
         clear_evaluation_cache()
         fast = search(cfg, edge_accel, scope=Scope.LA, space=SPACES[name],
                       engine=CANDIDATES, retain_points=False)
-        assert fast.best.dataflow == slow.best.dataflow
-        assert fast.best.cost == slow.best.cost
-        assert fast.best.energy == slow.best.energy
+        assert_matches_oracle(fast, oracle)
 
     @settings(max_examples=12, deadline=None)
     @given(cfg=workloads, kb=buffer_kb)
     def test_same_winner_randomized(self, cfg, kb):
         accel = edge().with_scratchpad_bytes(kb * 1024)
-        clear_evaluation_cache()
-        slow = search(cfg, accel, scope=Scope.LA, engine=EXHAUSTIVE,
-                      retain_points=False)
+        oracle = exhaustive_best(cfg, accel, scope=Scope.LA)
         clear_evaluation_cache()
         fast = search(cfg, accel, scope=Scope.LA, engine=CANDIDATES,
                       retain_points=False)
-        assert fast.best.dataflow == slow.best.dataflow
-        assert fast.best.cost == slow.best.cost
+        assert_matches_oracle(fast, oracle)
 
     def test_objectives_agree(self, small_cfg, edge_accel):
         for objective in (Objective.RUNTIME, Objective.ENERGY,
                           Objective.EDP):
-            clear_evaluation_cache()
-            slow = search(small_cfg, edge_accel, objective=objective,
-                          engine=EXHAUSTIVE, retain_points=False)
+            oracle = exhaustive_best(small_cfg, edge_accel,
+                                     objective=objective)
             clear_evaluation_cache()
             fast = search(small_cfg, edge_accel, objective=objective,
                           engine=CANDIDATES, retain_points=False)
-            assert fast.best.dataflow == slow.best.dataflow
-            assert fast.best.cost == slow.best.cost
+            assert_matches_oracle(fast, oracle, objective)
 
     def test_footprint_objective_uses_exhaustive_path(self, small_cfg,
                                                       edge_accel):
-        """FOOTPRINT has no bound; the engine must fall back rather
-        than reject the search."""
+        """FOOTPRINT has no bound; the engine scores every point
+        rather than reject the search."""
         clear_evaluation_cache()
         res = search(small_cfg, edge_accel, objective=Objective.FOOTPRINT,
                      engine=CANDIDATES, retain_points=False)
         assert res.stats.candidates_generated == 0
+        assert res.stats.evaluated == res.stats.enumerated
+        assert_matches_oracle(
+            res, exhaustive_best(small_cfg, edge_accel,
+                                 objective=Objective.FOOTPRINT),
+            Objective.FOOTPRINT,
+        )
 
     def test_stats_ledger_balances(self, small_cfg, edge_accel):
         clear_evaluation_cache()

@@ -1,10 +1,11 @@
-"""Unit tests for the DSE search engine (parallel / pruned / memoized).
+"""Unit tests for the DSE search engine (pruned / memoized).
 
-The load-bearing property is *equivalence*: whatever combination of
-jobs / prune / cache the engine runs with, the best design point it
-returns — dataflow identity and objective value — must match the naive
-serial full evaluation.  Everything else (stats invariants, bound
-admissibility, cache behavior) supports that guarantee.
+The load-bearing property is *equivalence*: whichever path a search
+takes and whatever the cache holds, the best design point it returns —
+dataflow identity, cost and objective value — must match the
+exhaustive oracle (``tests/oracles.py``).  Everything else (stats
+invariants, bound admissibility, cache behavior) supports that
+guarantee.
 """
 
 import dataclasses
@@ -17,7 +18,7 @@ from repro.core.engine import (
     accelerator_fingerprint,
     clear_evaluation_cache,
     cycles_lower_bound,
-    default_jobs,
+    default_warm_start,
     evaluation_cache_info,
     get_default_engine,
     objective_lower_bound,
@@ -25,13 +26,11 @@ from repro.core.engine import (
 )
 from repro.core.perf import cost_scope
 from repro.ops.attention import Scope
+from tests.oracles import assert_matches_oracle, exhaustive_best
 
-# These exercise the scalar engine machinery (pruning, pooling, the
-# per-candidate caches); the batch backend has its own suite in
-# test_batch.py and is disabled here so the accounting assertions see
-# the scalar path.
-NAIVE = EngineOptions(jobs=1, prune=False, cache_size=0, batch=False)
-FAST = EngineOptions(jobs=1, prune=True, cache_size=8192, batch=False)
+# The single engine route with and without its evaluation cache.
+NO_CACHE = EngineOptions(cache_size=0)
+FAST = EngineOptions(cache_size=8192)
 
 
 @pytest.fixture(autouse=True)
@@ -42,72 +41,60 @@ def _fresh_cache():
     clear_evaluation_cache()
 
 
-def _assert_same_best(a, b, objective=Objective.RUNTIME):
-    assert a.best.dataflow == b.best.dataflow
-    assert objective.score(a.best.cost, a.best.energy) == pytest.approx(
-        objective.score(b.best.cost, b.best.energy)
-    )
-
-
 class TestEquivalence:
-    """Engine vs naive serial sweep on fixed grids (acceptance criterion)."""
+    """Engine vs the exhaustive oracle on fixed grids."""
 
     def test_grid_edge_exhaustive_runtime(self, bert_512, edge_accel):
         space = SearchSpace(exhaustive_staging=True)
-        naive = search(bert_512, edge_accel, scope=Scope.BLOCK,
-                       space=space, engine=NAIVE)
+        oracle = exhaustive_best(bert_512, edge_accel, scope=Scope.BLOCK,
+                                 space=space)
         fast = search(bert_512, edge_accel, scope=Scope.BLOCK,
                       space=space, engine=FAST, retain_points=False)
-        _assert_same_best(naive, fast)
-        assert naive.best.cost.total_cycles == fast.best.cost.total_cycles
+        assert_matches_oracle(fast, oracle)
 
     def test_grid_cloud_la_runtime(self, bert_4k, cloud_accel):
-        naive = search(bert_4k, cloud_accel, scope=Scope.LA, engine=NAIVE)
+        oracle = exhaustive_best(bert_4k, cloud_accel, scope=Scope.LA)
         fast = search(bert_4k, cloud_accel, scope=Scope.LA,
                       engine=FAST, retain_points=False)
-        _assert_same_best(naive, fast)
+        assert_matches_oracle(fast, oracle)
 
     @pytest.mark.parametrize(
         "objective", [Objective.ENERGY, Objective.EDP, Objective.FOOTPRINT]
     )
     def test_every_objective_matches_naive(self, small_cfg, edge_accel,
                                            objective):
-        naive = search(small_cfg, edge_accel, scope=Scope.LA,
-                       objective=objective, engine=NAIVE)
-        fast = search(small_cfg, edge_accel, scope=Scope.LA,
-                      objective=objective, engine=FAST, retain_points=False)
-        _assert_same_best(naive, fast, objective)
+        oracle = exhaustive_best(small_cfg, edge_accel, scope=Scope.LA,
+                                 objective=objective)
+        for retain_points in (True, False):
+            clear_evaluation_cache()
+            result = search(small_cfg, edge_accel, scope=Scope.LA,
+                            objective=objective, engine=FAST,
+                            retain_points=retain_points)
+            assert_matches_oracle(result, oracle, objective)
 
-    def test_parallel_jobs_match_serial(self, small_cfg, edge_accel):
-        naive = search(small_cfg, edge_accel, scope=Scope.LA, engine=NAIVE)
-        par = search(small_cfg, edge_accel, scope=Scope.LA,
-                     engine=EngineOptions(jobs=2, cache_size=0, batch=False),
-                     retain_points=False)
-        _assert_same_best(naive, par)
-        assert par.stats.jobs == 2
-
-    def test_parallel_retained_points_match_serial(self, small_cfg,
-                                                   edge_accel):
-        naive = search(small_cfg, edge_accel, scope=Scope.LA, engine=NAIVE)
-        par = search(small_cfg, edge_accel, scope=Scope.LA,
-                     engine=EngineOptions(jobs=2, cache_size=0, batch=False))
-        assert [p.dataflow for p in par.points] == [
-            p.dataflow for p in naive.points
+    def test_retained_points_match_oracle(self, small_cfg, edge_accel):
+        retained = search(small_cfg, edge_accel, scope=Scope.LA,
+                          engine=NO_CACHE)
+        dataflows = list(enumerate_dataflows(small_cfg, edge_accel))
+        assert [p.dataflow for p in retained.points] == dataflows
+        assert [p.cost for p in retained.points] == [
+            cost_scope(small_cfg, Scope.LA, edge_accel, df)
+            for df in dataflows
         ]
-        assert [p.cost.total_cycles for p in par.points] == pytest.approx(
-            [p.cost.total_cycles for p in naive.points]
+        assert_matches_oracle(
+            retained, exhaustive_best(small_cfg, edge_accel, scope=Scope.LA)
         )
 
     def test_cache_does_not_change_best(self, bert_512, edge_accel):
         space = SearchSpace(exhaustive_staging=True)
-        naive = search(bert_512, edge_accel, space=space, engine=NAIVE)
-        # Warm the cache under one objective, re-search under another:
-        # hits seed the incumbent before any evaluation runs.
-        search(bert_512, edge_accel, space=space, engine=FAST,
-               retain_points=False)
+        oracle = exhaustive_best(bert_512, edge_accel, space=space)
+        # Warm the per-point cache with the every-point path, then
+        # search best-only: cache hits seed the incumbent before any
+        # family is scored.
+        search(bert_512, edge_accel, space=space, engine=FAST)
         warm = search(bert_512, edge_accel, space=space, engine=FAST,
                       retain_points=False)
-        _assert_same_best(naive, warm)
+        assert_matches_oracle(warm, oracle)
         assert warm.stats.cache_hits > 0
 
 
@@ -172,14 +159,15 @@ class TestStats:
                        retain_points=False)
         second = search(small_cfg, edge_accel, engine=FAST,
                         retain_points=False)
-        assert second.stats.cache_hits == (
-            first.stats.evaluated + first.stats.cache_hits
-        )
-        assert second.stats.evaluated == 0
+        # Served from the winner memo: every point counts as a hit.
+        assert second.stats.cache_hits == first.stats.enumerated
+        assert second.stats.evaluated == second.stats.pruned == 0
+        assert second.best == first.best
 
     def test_cache_size_zero_disables_memoization(self, small_cfg,
                                                   edge_accel):
-        search(small_cfg, edge_accel, engine=NAIVE)
+        search(small_cfg, edge_accel, engine=NO_CACHE)
+        search(small_cfg, edge_accel, engine=NO_CACHE, retain_points=False)
         assert evaluation_cache_info()["entries"] == 0
 
     def test_stats_validation(self):
@@ -187,7 +175,7 @@ class TestStats:
 
         with pytest.raises(ValueError):
             SearchStats(enumerated=3, evaluated=1, pruned=1, cache_hits=0,
-                        wall_time_s=0.0, jobs=1)
+                        wall_time_s=0.0)
 
 
 class TestRetainPoints:
@@ -206,24 +194,23 @@ class TestRetainPoints:
 class TestOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
-            EngineOptions(jobs=0)
-        with pytest.raises(ValueError):
             EngineOptions(cache_size=-1)
-        with pytest.raises(ValueError):
-            EngineOptions(chunk_size=0)
+        assert [f.name for f in dataclasses.fields(EngineOptions)] == [
+            "cache_size", "warm_start",
+        ]
 
-    def test_default_jobs_contextmanager(self):
+    def test_default_warm_start_contextmanager(self):
         before = get_default_engine()
-        with default_jobs(3):
-            assert get_default_engine().jobs == 3
+        with default_warm_start(not before.warm_start):
+            assert get_default_engine().warm_start is not before.warm_start
         assert get_default_engine() == before
-        with default_jobs(None):  # None leaves the default untouched
+        with default_warm_start(None):  # None leaves the default untouched
             assert get_default_engine() == before
 
     def test_set_default_engine_roundtrip(self):
-        previous = set_default_engine(EngineOptions(jobs=2))
+        previous = set_default_engine(EngineOptions(cache_size=7))
         try:
-            assert get_default_engine().jobs == 2
+            assert get_default_engine().cache_size == 7
         finally:
             set_default_engine(previous)
 

@@ -11,7 +11,8 @@ Three bars, mirroring the candidate layer's contract one level up:
   any outer point, probed over randomized (hypothesis) workloads.
 * **Equivalence** — branch-and-bound pruning, memoization and
   warm-starting must be invisible in the result: the hierarchical
-  path returns the exhaustive reference's winner exactly.
+  search returns the winner of the exhaustive cross-product oracle
+  (``tests/oracles.py``) exactly.
 """
 
 import math
@@ -34,7 +35,6 @@ from repro.core.scaleout import (
     DEFAULT_SCHEDULES,
     Partition,
     ScaleoutSystem,
-    default_scaleout_exhaustive,
     enumerate_partitions,
     evaluate_partition_grid,
     induced_collectives,
@@ -45,6 +45,7 @@ from repro.core.scaleout import (
     sweep_chip_counts,
 )
 from repro.ops.attention import AttentionConfig, Scope
+from tests.oracles import exhaustive_scaleout_best
 
 
 def _cfg(batch=4, heads=4, d_head=16, seq=128):
@@ -276,18 +277,22 @@ class TestSearchEquivalence:
             best.chip_cost, best.fabric_cycles,
         )
 
+    def _oracle_key(self, oracle):
+        return (
+            oracle.partition, oracle.schedule, oracle.dataflow,
+            oracle.chip_cost, oracle.fabric_cycles,
+        )
+
     @settings(max_examples=8, deadline=None)
     @given(cfg=workloads, chips=chip_counts)
     def test_hierarchical_matches_exhaustive(self, cfg, chips):
         system = _system(chips_per_channel=2)
         clear_evaluation_cache()
-        ref = search_scaleout(cfg, system, chips, exhaustive=True,
-                              use_memo=False)
+        ref = exhaustive_scaleout_best(cfg, system, chips)
         clear_evaluation_cache()
-        hier = search_scaleout(cfg, system, chips, exhaustive=False,
-                               use_memo=False)
-        assert self._key(hier) == self._key(ref)
-        assert ref.stats.partitions_pruned == 0
+        hier = search_scaleout(cfg, system, chips, use_memo=False)
+        assert self._key(hier) == self._oracle_key(ref)
+        assert hier.best.total_cycles == ref.total_cycles
 
     def test_winner_never_pruned(self):
         """The exhaustive winner's bound can never exceed the optimum,
@@ -295,13 +300,11 @@ class TestSearchEquivalence:
         cfg = _cfg(batch=8, heads=8, seq=128)
         system = _system(chips_per_channel=2)
         clear_evaluation_cache()
-        ref = search_scaleout(cfg, system, 8, exhaustive=True,
-                              use_memo=False)
-        grid = ref.grid
-        i = grid.partitions.index(ref.best.partition)
-        j = grid.schedules.index(ref.best.schedule)
-        optimum = ref.best.total_cycles
-        assert grid.bound_cycles[i, j] <= optimum
+        ref = exhaustive_scaleout_best(cfg, system, 8)
+        grid = evaluate_partition_grid(cfg, system, 8)
+        i = grid.partitions.index(ref.partition)
+        j = grid.schedules.index(ref.schedule)
+        assert grid.bound_cycles[i, j] <= ref.total_cycles
 
     def test_stats_ledger_balances(self):
         cfg = _cfg(batch=8, heads=8, seq=128)
@@ -337,15 +340,33 @@ class TestSearchEquivalence:
             assert any(r.incumbent is not None for r in warm)
         assert [self._key(r) for r in warm] == [self._key(r) for r in cold]
 
-    def test_default_exhaustive_context(self):
-        cfg = _cfg(batch=8, heads=8, seq=128)
+    def test_sweep_prunes_and_avoids_inner_searches(self):
+        """The ext-scaleout sweep: outer pruning fires, the ledger
+        balances, and the hierarchical search runs >= 5x fewer inner
+        searches than the oracle, which needs one per partition."""
+        from repro.experiments.ext_scaleout import build_system
+        from repro.models.configs import model_config
+
+        cfg = model_config("xlm", seq=4096, batch=8)
+        system = build_system()
+        counts = (8, 16, 32, 64)
         clear_evaluation_cache()
-        with default_scaleout_exhaustive(True):
-            result = search_scaleout(cfg, _system(), 8, use_memo=False)
-        assert result.stats.partitions_pruned == 0
-        clear_evaluation_cache()
-        result = search_scaleout(cfg, _system(), 8, use_memo=False)
-        assert result.stats.partitions_pruned > 0
+        reset_scaleout_totals()
+        results = sweep_chip_counts(cfg, system, counts)
+        hier = scaleout_totals()
+        assert hier["partitions_pruned"] > 0, hier
+        assert hier["outer_enumerated"] == (
+            hier["outer_evaluated"] + hier["partitions_pruned"]
+        ), hier
+        oracle_inner = sum(
+            len(enumerate_partitions(cfg, chips)) for chips in counts
+        )
+        assert oracle_inner >= 5 * hier["inner_searches"], (
+            oracle_inner, hier
+        )
+        for chips, result in zip(counts, results):
+            ref = exhaustive_scaleout_best(cfg, system, chips)
+            assert self._key(result) == self._oracle_key(ref), chips
 
     def test_totals_accumulate(self):
         cfg = _cfg()

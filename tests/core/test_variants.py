@@ -37,6 +37,7 @@ from repro.core.perf import cost_scope
 from repro.models.configs import model_config
 from repro.ops.attention import Scope
 from repro.ops.decode import decode_config
+from tests.oracles import assert_matches_oracle, exhaustive_best
 
 ALL_VARIANTS = tuple(AttentionVariant)
 
@@ -176,15 +177,11 @@ class TestSearchWithVariants:
         space = SearchSpace(variants=ALL_VARIANTS)
         gated = search(
             cfg, accel, scope=Scope.LA, space=space, retain_points=False,
-            engine=EngineOptions(candidates=True),
+            engine=EngineOptions(),
         )
-        exhaustive = search(
-            cfg, accel, scope=Scope.LA, space=space, retain_points=False,
-            engine=EngineOptions(candidates=False, batch=False),
+        assert_matches_oracle(
+            gated, exhaustive_best(cfg, accel, scope=Scope.LA, space=space)
         )
-        assert gated.best.dataflow == exhaustive.best.dataflow
-        assert gated.best.cost.total_cycles == \
-            exhaustive.best.cost.total_cycles
 
     def test_variant_wins_on_narrow_sfu(self, cfg, accel):
         space = SearchSpace(variants=ALL_VARIANTS)

@@ -64,10 +64,10 @@ class TestRunPipeline:
         assert not result.failures
 
     def test_failing_experiment_is_isolated(self, monkeypatch):
-        def boom(name, jobs=None, **kwargs):
+        def boom(name, **kwargs):
             if name == "table2":
                 raise RuntimeError("synthetic failure")
-            return run_experiment(name, jobs=jobs, **kwargs)
+            return run_experiment(name, **kwargs)
 
         monkeypatch.setattr(pipeline_mod, "run_experiment", boom)
         result = run_pipeline(names=("table1", "table2"), workers=1,
@@ -87,10 +87,10 @@ class TestRunPipeline:
         in an isolation pool (where it dies again, definitively), gets
         a synthesized ``error`` run, and the survivors complete.
         """
-        def killer(name, jobs=None, **kwargs):
+        def killer(name, **kwargs):
             if name == "table2":
                 os._exit(13)
-            return run_experiment(name, jobs=jobs, **kwargs)
+            return run_experiment(name, **kwargs)
 
         monkeypatch.setattr(pipeline_mod, "run_experiment", killer)
         result = run_pipeline(names=SUBSET, workers=2, cache_dir="")

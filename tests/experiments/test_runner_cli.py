@@ -51,3 +51,13 @@ class TestCLI:
     def test_unknown_experiment_exit_code(self, capsys):
         assert main(["fig99"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [
+        ["--jobs", "2"], ["--no-batch"], ["--no-candidates"],
+        ["--exhaustive-scaleout"],
+    ])
+    def test_removed_engine_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["table1", *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err

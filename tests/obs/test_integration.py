@@ -15,7 +15,7 @@ import repro.obs as obs
 from repro.arch.presets import edge
 from repro.core.cache import PersistentCache
 from repro.core.dse import Objective, search
-from repro.core.engine import clear_evaluation_cache, default_candidates
+from repro.core.engine import clear_evaluation_cache
 from repro.experiments.pipeline import run_pipeline, write_manifest
 from repro.experiments.runner import run_experiment
 from repro.obs.summary import (
@@ -45,8 +45,7 @@ class TestEngineInstrumentation:
                    retain_points=False)
             names = {e["name"] for e in session.collector.events}
             snap = session.registry.snapshot()
-        # The default front end is the generated one; the exhaustive
-        # "enumerate" span only appears with candidates=False.
+        # A best-only search takes the candidate path.
         assert {"search", "candidate-search", "candidate-score"} <= names
         assert snap["engine.searches"]["value"] == 1
         assert snap["engine.enumerated"]["value"] > 0
@@ -59,15 +58,17 @@ class TestEngineInstrumentation:
         )
         assert stats_sum == snap["engine.enumerated"]["value"]
 
-    def test_exhaustive_path_emits_enumerate_span(self, bert_512):
+    def test_every_point_path_skips_candidate_spans(self, bert_512):
         clear_evaluation_cache()
         with obs.observed() as session:
-            with default_candidates(False):
-                search(bert_512, edge(), objective=Objective.RUNTIME,
-                       retain_points=False)
+            search(bert_512, edge(), objective=Objective.RUNTIME)
             names = {e["name"] for e in session.collector.events}
-        assert {"search", "enumerate"} <= names
-        assert "candidate-score" not in names
+            snap = session.registry.snapshot()
+        assert "search" in names
+        assert not {"candidate-search", "candidate-score"} & names
+        assert snap["engine.evaluated"]["value"] == (
+            snap["engine.enumerated"]["value"]
+        )
 
     def test_search_span_carries_candidate_count(self, bert_512):
         clear_evaluation_cache()

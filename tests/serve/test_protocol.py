@@ -215,22 +215,18 @@ class TestPayloadEquivalence:
         assert encode_line(again) == encode_line(payload)
 
     def test_scaleout_payload_is_mode_invariant(self):
-        """Hierarchical and exhaustive searches serve the same bytes —
-        stats and bound grids stay out of the payload by design."""
+        """Cold and memo-served searches serve the same bytes — stats
+        and bound grids stay out of the payload by design."""
         from repro.core.engine import clear_evaluation_cache
         from repro.core.scaleout import ScaleoutSystem, search_scaleout
 
         cfg = model_config("bert", seq=512, batch=8)
         system = ScaleoutSystem(chip=edge(), chips_per_channel=2)
         clear_evaluation_cache()
-        hier = scaleout_payload(
-            search_scaleout(cfg, system, 8, use_memo=False)
-        )
-        clear_evaluation_cache()
-        ref = scaleout_payload(
-            search_scaleout(cfg, system, 8, exhaustive=True,
-                            use_memo=False)
-        )
+        hier = scaleout_payload(search_scaleout(cfg, system, 8))
+        memo = search_scaleout(cfg, system, 8)
+        assert memo.stats.memo_hits == 1
+        ref = scaleout_payload(memo)
         assert encode_line(hier) == encode_line(ref)
         assert set(hier) == {
             "chips", "partition", "schedule", "dataflow",

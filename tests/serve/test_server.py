@@ -137,6 +137,22 @@ class TestLifecycleAndOps:
         assert len({encode_line(r["result"]) for r in results}) == 1
 
 
+    def test_experiment_ignores_unknown_jobs_field(self, server):
+        """``experiment`` has no ``jobs`` field: any value, even one
+        that is not a number, is ignored like other unknown keys."""
+        plain = {"op": "experiment", "name": "table1"}
+        with ServeClient(*server) as client:
+            base = client.request(dict(plain))
+            for jobs in ("x", 0):
+                response = client.request(dict(plain, jobs=jobs))
+                assert response["ok"] is True, response
+                assert response["result"]["status"] == "ok"
+                assert response["result"]["report"] == (
+                    base["result"]["report"]
+                )
+        assert base["ok"] is True
+
+
 class TestErrors:
     @pytest.mark.parametrize("req,code,fragment", [
         ({"op": "nope"}, "bad_request", "unknown op"),
