@@ -31,7 +31,6 @@ from repro.core.batch import best_index, evaluate_grid
 from repro.core.candidates import make_incumbent
 from repro.core.dse import Objective, SearchSpace, enumerate_dataflows, search
 from repro.core.engine import (
-    EngineOptions,
     clear_evaluation_cache,
     reset_search_totals,
     search_totals,
@@ -39,8 +38,6 @@ from repro.core.engine import (
 from repro.core.perf import cost_scope
 from repro.models.configs import model_config
 from repro.ops.attention import Scope
-
-GENERATED = EngineOptions(cache_size=8192)
 
 # The paper's FLAT-opt DSE over the exhaustive staging product — the
 # widest per-search grid the sweep experiments use.
@@ -52,7 +49,7 @@ SPACE = SearchSpace(
 )
 
 
-def _sweep(cfg, engine, warm):
+def _sweep(cfg, warm):
     """One fig8 buffer sweep; returns (winners, totals, wall seconds)."""
     clear_evaluation_cache()
     reset_search_totals()
@@ -63,7 +60,7 @@ def _sweep(cfg, engine, warm):
         accel = edge().with_scratchpad_bytes(size)
         res = search(
             cfg, accel, scope=Scope.LA, objective=Objective.RUNTIME,
-            space=SPACE, engine=engine, retain_points=False,
+            space=SPACE, retain_points=False,
             warm_start=incumbent if warm else None,
         )
         if warm:
@@ -105,9 +102,9 @@ def test_candidate_generation_speedup(benchmark, report_printer):
     )
 
     grid_winners, grid_e, grid_s = _full_grid_sweep(cfg)
-    cold_winners, cold_totals, cold_s = _sweep(cfg, GENERATED, warm=False)
+    cold_winners, cold_totals, cold_s = _sweep(cfg, warm=False)
     warm_winners, warm_totals, warm_s = benchmark.pedantic(
-        lambda: _sweep(cfg, GENERATED, warm=True),
+        lambda: _sweep(cfg, warm=True),
         rounds=1, iterations=1,
     )
 

@@ -3,11 +3,11 @@
 Runs the same exhaustive-staging sweep (one workload, two scopes,
 three objectives — the shape of the fig8/fig11-style grids, which
 re-visit identical design points across searches) twice: once naive
-(every point scored by the scalar model, no cache, eager energy) and
-once through the engine's best-only route (family branch-and-bound,
+(the ``tests/oracles.py`` loop: every point scored by the scalar model,
+no cache, eager energy) and once through the engine's best-only route (family branch-and-bound,
 vectorized scoring, memoization).  Asserts:
 
-* identical best dataflow and objective value on every cell,
+* identical best dataflow, cost and energy on every cell,
 * >= 2x wall-clock speedup for the engine,
 * nonzero pruned and cache-hit counts in the reported SearchStats.
 """
@@ -15,38 +15,26 @@ vectorized scoring, memoization).  Asserts:
 import os
 import time
 
-import pytest
 
 from repro.arch.presets import edge
 from repro.core.dse import Objective, SearchSpace, search
-from repro.core.engine import (
-    EngineOptions,
-    SearchStats,
-    clear_evaluation_cache,
-)
+from repro.core.engine import SearchStats, clear_evaluation_cache
 from repro.models.configs import model_config
 from repro.ops.attention import Scope
-
-# NAIVE scores every point (retain_points=True) with the cache off;
-# FAST is the engine's single best-only route.
-NAIVE = EngineOptions(cache_size=0)
-FAST = EngineOptions(cache_size=8192)
+from tests.oracles import assert_matches_oracle, exhaustive_best
 
 SCOPES = (Scope.LA, Scope.BLOCK)
 OBJECTIVES = (Objective.RUNTIME, Objective.ENERGY, Objective.EDP)
+SPACE = SearchSpace(exhaustive_staging=True)
 
 
-def _sweep(cfg, accel, engine, retain_points):
+def _sweep(run):
     """One grid: scopes x objectives over the exhaustive staging space."""
-    space = SearchSpace(exhaustive_staging=True)
-    cells = {}
-    for scope in SCOPES:
-        for objective in OBJECTIVES:
-            cells[(scope, objective)] = search(
-                cfg, accel, scope=scope, objective=objective, space=space,
-                engine=engine, retain_points=retain_points,
-            )
-    return cells
+    return {
+        (scope, objective): run(scope, objective)
+        for scope in SCOPES
+        for objective in OBJECTIVES
+    }
 
 
 def test_engine_speedup(benchmark, report_printer):
@@ -56,15 +44,19 @@ def test_engine_speedup(benchmark, report_printer):
                                                       "4096")))
     accel = edge()
 
-    clear_evaluation_cache()
     t0 = time.perf_counter()
-    naive = _sweep(cfg, accel, NAIVE, retain_points=True)
+    naive = _sweep(lambda scope, objective: exhaustive_best(
+        cfg, accel, scope=scope, objective=objective, space=SPACE,
+    ))
     naive_s = time.perf_counter() - t0
 
     clear_evaluation_cache()
     t0 = time.perf_counter()
     fast = benchmark.pedantic(
-        lambda: _sweep(cfg, accel, FAST, retain_points=False),
+        lambda: _sweep(lambda scope, objective: search(
+            cfg, accel, scope=scope, objective=objective, space=SPACE,
+            retain_points=False,
+        )),
         rounds=1, iterations=1,
     )
     fast_s = time.perf_counter() - t0
@@ -86,16 +78,9 @@ def test_engine_speedup(benchmark, report_printer):
     ]
     report_printer("\n".join(lines))
 
-    # Equivalence: every cell agrees on the winning dataflow and value.
-    for key, naive_res in naive.items():
-        fast_res = fast[key]
-        objective = naive_res.objective
-        assert fast_res.best.dataflow == naive_res.best.dataflow, key
-        assert objective.score(
-            fast_res.best.cost, fast_res.best.energy
-        ) == pytest.approx(
-            objective.score(naive_res.best.cost, naive_res.best.energy)
-        ), key
+    # Equivalence: every cell's winner is the oracle's, to the bit.
+    for (scope, objective), oracle in naive.items():
+        assert_matches_oracle(fast[(scope, objective)], oracle, objective)
 
     # The optimizations must actually fire...
     assert totals.pruned > 0

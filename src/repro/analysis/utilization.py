@@ -9,7 +9,7 @@ from repro.arch.accelerator import Accelerator
 from repro.core.candidates import Incumbent, make_incumbent
 from repro.core.dataflow import Dataflow
 from repro.core.dse import Objective, SearchSpace, search
-from repro.core.engine import evaluate_cost, get_default_engine
+from repro.core.engine import evaluate_cost
 from repro.core.perf import PerfOptions, ScopeCost
 from repro.energy.model import EnergyReport, energy_report
 from repro.ops.attention import AttentionConfig, Scope
@@ -63,17 +63,15 @@ def buffer_sweep(
     at every buffer size, exactly how Figure 8's ``*-opt`` curves are
     produced.
 
-    When the default engine has ``warm_start`` enabled (the CLI's
-    ``--warm-start``), each re-search is seeded with the previous
-    buffer size's winner for the same curve — neighboring sweep points
-    usually share their optimum, so the seed lets branch-and-bound gate
-    most families immediately.  Results are identical either way; the
-    engine re-evaluates every seed under the current buffer size.
+    Each re-search is seeded with the previous buffer size's winner for
+    the same curve — neighboring sweep points usually share their
+    optimum, so the seed lets branch-and-bound gate most families
+    immediately.  The seed changes only the amount of work: the engine
+    re-evaluates it under the current buffer size.
     """
     sizes = tuple(buffer_sizes) if buffer_sizes is not None else (
         default_buffer_sizes()
     )
-    warm_enabled = get_default_engine().warm_start
     incumbents: Dict[str, Incumbent] = {}
     points: List[SweepPoint] = []
     for size in sizes:
@@ -90,10 +88,7 @@ def buffer_sweep(
                 space=space, options=options, retain_points=False,
                 warm_start=incumbents.get(name),
             )
-            if warm_enabled:
-                incumbents[name] = make_incumbent(
-                    result, scope, sized, options
-                )
+            incumbents[name] = make_incumbent(result, scope, sized, options)
             points.append(_point(name, size, result.best.cost))
     return points
 

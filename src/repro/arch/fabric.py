@@ -102,10 +102,12 @@ class FabricSpec:
     hop_latency_s: float = 100e-9
 
     def __post_init__(self) -> None:
-        if self.link_bytes_per_sec <= 0:
-            raise ValueError("link bandwidth must be positive")
-        if self.hop_latency_s < 0:
-            raise ValueError("hop latency must be >= 0")
+        if not (math.isfinite(self.link_bytes_per_sec)
+                and self.link_bytes_per_sec > 0):
+            raise ValueError("link bandwidth must be positive and finite")
+        if not (math.isfinite(self.hop_latency_s)
+                and self.hop_latency_s >= 0):
+            raise ValueError("hop latency must be finite and >= 0")
 
     @staticmethod
     def dims(chips: int) -> Tuple[int, int]:

@@ -98,12 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
              "PATH as JSON lines (default: $REPRO_TRACE, or off); "
              "render it with 'repro-flat trace-summary PATH'",
     )
-    parser.add_argument(
-        "--warm-start", action="store_true",
-        help="seed each sweep point's search with the neighboring "
-             "point's winner (incremental re-search; results are "
-             "identical, only the amount of work changes)",
-    )
     pipe = parser.add_argument_group("run-all mode")
     pipe.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -258,7 +252,6 @@ def _run_pipeline_mode(args) -> int:
             result = run_pipeline(
                 names=names, workers=args.workers,
                 progress=None if args.quiet else _progress,
-                warm_start=True if args.warm_start else None,
             )
     except (ValueError, ConnectionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -617,7 +610,6 @@ def _run_query(argv: List[str]) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     import repro.obs as obs
     from repro.core.cache import default_cache_dir
-    from repro.core.engine import default_warm_start
 
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     if raw and raw[0] == "lint":
@@ -633,7 +625,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if raw and raw[0] == "query":
         return _run_query(raw[1:])
     args = build_parser().parse_args(raw)
-    warm_start = True if args.warm_start else None
     trace_path = (
         args.trace if args.trace is not None
         else (os.environ.get(obs.ENV_TRACE) or None)
@@ -650,8 +641,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         start = time.perf_counter()
         try:
             with obs.maybe_observed(trace_path), \
-                    default_cache_dir(args.cache_dir), \
-                    default_warm_start(warm_start):
+                    default_cache_dir(args.cache_dir):
                 report = _run_cost(args) if args.experiment == "cost" else (
                     _run_svg(args)
                 )
@@ -674,11 +664,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             try:
                 with default_cache_dir(args.cache_dir):
                     if args.json:
-                        report = dumps(
-                            run_experiment_raw(name, warm_start=warm_start)
-                        )
+                        report = dumps(run_experiment_raw(name))
                     else:
-                        report = run_experiment(name, warm_start=warm_start)
+                        report = run_experiment(name)
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2

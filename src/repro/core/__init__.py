@@ -77,18 +77,15 @@ from repro.core.batch import (
     evaluate_grid,
 )
 from repro.core.engine import (
-    EngineOptions,
     SearchStats,
     accelerator_fingerprint,
     clear_evaluation_cache,
     cycles_lower_bound,
     evaluate_cost,
     evaluation_cache_info,
-    get_default_engine,
     objective_lower_bound,
     reset_search_totals,
     search_totals,
-    set_default_engine,
 )
 from repro.core.footprint import (
     FootprintBreakdown,
@@ -138,18 +135,15 @@ __all__ = [
     "GridEvaluation",
     "best_index",
     "evaluate_grid",
-    "EngineOptions",
     "SearchStats",
     "accelerator_fingerprint",
     "clear_evaluation_cache",
     "cycles_lower_bound",
     "evaluate_cost",
     "evaluation_cache_info",
-    "get_default_engine",
     "objective_lower_bound",
     "reset_search_totals",
     "search_totals",
-    "set_default_engine",
     "CacheStats",
     "PersistentCache",
     "cost_model_fingerprint",

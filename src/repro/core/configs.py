@@ -23,10 +23,7 @@ Accelerators
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.engine import EngineOptions
+from typing import Optional, Tuple
 
 from repro.arch.accelerator import Accelerator
 from repro.core.dataflow import Granularity
@@ -72,12 +69,10 @@ class AcceleratorPolicy:
         scope: Scope = Scope.LA,
         objective: Objective = Objective.RUNTIME,
         energy_table: Optional[EnergyTable] = None,
-        engine: Optional["EngineOptions"] = None,
     ) -> DesignPoint:
         """Best design point only — runs the fast (pruned, lazy) path."""
         return self.search(
-            cfg, accel, scope, objective, energy_table,
-            engine=engine, retain_points=False,
+            cfg, accel, scope, objective, energy_table, retain_points=False,
         ).best
 
     def search(
@@ -87,7 +82,6 @@ class AcceleratorPolicy:
         scope: Scope = Scope.LA,
         objective: Objective = Objective.RUNTIME,
         energy_table: Optional[EnergyTable] = None,
-        engine: Optional["EngineOptions"] = None,
         retain_points: bool = True,
     ) -> DSEResult:
         return search(
@@ -98,7 +92,6 @@ class AcceleratorPolicy:
             space=self.space,
             options=self.options,
             energy_table=energy_table,
-            engine=engine,
             retain_points=retain_points,
         )
 

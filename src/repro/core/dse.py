@@ -38,7 +38,7 @@ from repro.ops.attention import AttentionConfig, Scope
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.candidates import Incumbent
-    from repro.core.engine import EngineOptions, SearchStats
+    from repro.core.engine import SearchStats
 
 __all__ = [
     "Objective",
@@ -391,7 +391,6 @@ def search(
     space: SearchSpace = SearchSpace(),
     options: PerfOptions = PerfOptions(),
     energy_table: Optional[EnergyTable] = None,
-    engine: Optional["EngineOptions"] = None,
     retain_points: bool = True,
     warm_start: Optional["Incumbent"] = None,
 ) -> DSEResult:
@@ -402,11 +401,10 @@ def search(
     :func:`~repro.core.perf.cost_scope` via the ``other_dataflow``
     default).
 
-    Evaluation runs through :mod:`repro.core.engine`: ``engine``
-    selects its memoization knobs (``None`` uses the process default)
-    and ``retain_points=False`` drops everything but the winner,
-    enabling branch-and-bound pruning and lazy energy accounting.  ``warm_start`` optionally
-    seeds the candidate-generation path with a neighboring search's
+    Evaluation runs through :mod:`repro.core.engine`:
+    ``retain_points=False`` drops everything but the winner, enabling
+    branch-and-bound pruning and lazy energy accounting.  ``warm_start``
+    optionally seeds the candidate-generation path with a neighboring search's
     winner (see :class:`repro.core.candidates.Incumbent`).  The best
     point is identical either way; see
     :func:`repro.core.engine.run_search`.
@@ -421,7 +419,6 @@ def search(
         space=space,
         options=options,
         energy_table=energy_table,
-        engine=engine,
         retain_points=retain_points,
         warm_start=warm_start,
     )

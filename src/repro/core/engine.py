@@ -108,7 +108,6 @@ from repro.ops.intensity import roofline_cycles
 from repro.ops.operator import GemmOperator, OperatorKind
 
 __all__ = [
-    "EngineOptions",
     "SearchStats",
     "run_search",
     "accelerator_fingerprint",
@@ -117,9 +116,6 @@ __all__ = [
     "clear_evaluation_cache",
     "evaluation_cache_info",
     "evaluate_cost",
-    "get_default_engine",
-    "set_default_engine",
-    "default_warm_start",
     "reset_search_totals",
     "search_totals",
     "scoped_search_totals",
@@ -135,34 +131,6 @@ _BOUND_SLACK = 1.0 - 1e-9
 # vectorized batch call (~60 candidates' worth of marginal scoring):
 # expand and score the live families in one call instead.
 _MERGE_BATCH_LIMIT = 96
-
-
-@dataclass(frozen=True)
-class EngineOptions:
-    """Knobs of the search engine (not of the cost model).
-
-    Parameters
-    ----------
-    cache_size:
-        Capacity (entries) of the process-wide evaluation cache;
-        ``0`` disables memoization for this search.
-    warm_start:
-        Policy knob for sweep drivers (``--warm-start`` plumbing): when
-        true, sweep loops such as
-        :func:`repro.analysis.utilization.buffer_sweep` thread each
-        search's winner into the next point's search as a
-        :class:`~repro.core.candidates.Incumbent`.  The engine itself
-        only consumes the explicit ``warm_start`` argument of
-        :func:`run_search`; this flag decides whether drivers build
-        one.
-    """
-
-    cache_size: int = 8192
-    warm_start: bool = False
-
-    def __post_init__(self) -> None:
-        if self.cache_size < 0:
-            raise ValueError("cache_size must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -217,44 +185,6 @@ class SearchStats:
             raise ValueError("candidate counters must be non-negative")
         if self.candidates_skipped > self.pruned:
             raise ValueError("candidates_skipped must lie within pruned")
-
-
-# ----------------------------------------------------------------------
-# default engine (threaded through the CLI / experiment runner)
-# ----------------------------------------------------------------------
-_default_engine = EngineOptions()
-
-
-def get_default_engine() -> EngineOptions:
-    """Engine options used when a caller passes ``engine=None``."""
-    return _default_engine
-
-
-def set_default_engine(engine: EngineOptions) -> EngineOptions:
-    """Replace the default engine options; returns the previous ones."""
-    global _default_engine
-    previous = _default_engine
-    _default_engine = engine
-    return previous
-
-
-@contextmanager
-def default_warm_start(warm_start: Optional[bool]) -> Iterator[None]:
-    """Temporarily toggle sweep warm-starting (``--warm-start``).
-
-    ``None`` leaves the default untouched, so callers can pass an
-    optional CLI flag straight through.
-    """
-    if warm_start is None:
-        yield
-        return
-    previous = set_default_engine(
-        replace(_default_engine, warm_start=warm_start)
-    )
-    try:
-        yield
-    finally:
-        set_default_engine(previous)
 
 
 # ----------------------------------------------------------------------
@@ -389,12 +319,6 @@ class _LRUCache:
         self.hits = 0
         self.misses = 0
 
-    def resize(self, maxsize: int) -> None:
-        with self._lock:
-            self.maxsize = maxsize
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-
     def get(self, key: tuple) -> Any:
         with self._lock:
             value = self._data.get(key)
@@ -407,8 +331,6 @@ class _LRUCache:
 
     def put(self, key: tuple, value: Any) -> None:
         with self._lock:
-            if self.maxsize <= 0:
-                return
             self._data[key] = value
             self._data.move_to_end(key)
             while len(self._data) > self.maxsize:
@@ -425,7 +347,7 @@ class _LRUCache:
             return len(self._data)
 
 
-_CACHE = _LRUCache(EngineOptions().cache_size)
+_CACHE = _LRUCache(maxsize=8192)  # process-wide evaluation memo
 
 
 def clear_evaluation_cache() -> None:
@@ -479,25 +401,22 @@ class _Evaluator:
     accel: Accelerator
     accel_fp: tuple
     options: PerfOptions
-    use_cache: bool
     pcache: Optional[PersistentCache]
 
     def get(self, key: tuple) -> Tuple[Any, str]:
         """Fetch ``key`` from the LRU, then from disk (refilling the LRU)."""
-        value = _CACHE.get(key) if self.use_cache else None
+        value = _CACHE.get(key)
         if value is not None:
             return value, "lru"
         if self.pcache is not None:
             value = self.pcache.get(key)
             if value is not None:
-                if self.use_cache:
-                    _CACHE.put(key, value)
+                _CACHE.put(key, value)
                 return value, "disk"
         return None, "miss"
 
     def put(self, key: tuple, value: Any) -> None:
-        if self.use_cache:
-            _CACHE.put(key, value)
+        _CACHE.put(key, value)
         if self.pcache is not None:
             self.pcache.put(key, value)
 
@@ -546,7 +465,7 @@ def evaluate_cost(
     Semantically identical to calling ``cost_scope`` directly.
     """
     evaluator = _Evaluator(cfg, scope, accel, accelerator_fingerprint(accel),
-                           options, True, get_default_cache())
+                           options, get_default_cache())
     cost, source = evaluator.resolve(dataflow)
     _metric_inc(_SOURCE_METRIC[source])
     return cost
@@ -908,7 +827,7 @@ def _locate_warm_start(
     space: SearchSpace,
     options: PerfOptions,
 ) -> Optional[int]:
-    """Global enumeration index of a valid warm-start seed, or ``None``.
+    """Global enumeration index of a valid ``warm_start`` seed, or ``None``.
 
     An incumbent is *rejected* (``engine.warm_start.rejected`` counter)
     when it was found under a different objective, scope or model
@@ -948,7 +867,7 @@ def _candidate_search(
     Never expands the whole space.  :func:`repro.core.candidates.plan_candidates`
     derives one admissible bound per family from its cheapest
     representative member.  Families are gated twice — first against
-    the warm-start incumbent (when one is supplied), then against the
+    the ``warm_start`` incumbent (when one is supplied), then against the
     incumbent tightened by scoring the live families' *representatives*
     — and only the final survivors are expanded and scored.  At most
     two scoring calls run per search (representatives, then surviving
@@ -1136,7 +1055,7 @@ def _candidate_search(
         # never empty and the incumbent below is always established.
         #
         # When a warm seed already gated the space down to a handful of
-        # members — typical for warm-started sweeps in the saturated
+        # members — typical for neighbor-seeded sweeps in the saturated
         # regime — the representative round cannot pay for its own
         # fixed batch-call overhead.  Score the survivors' full
         # expansions in a single call instead; scoring a member that a
@@ -1283,7 +1202,6 @@ def run_search(
     space: SearchSpace = SearchSpace(),
     options: PerfOptions = PerfOptions(),
     energy_table: Optional[EnergyTable] = None,
-    engine: Optional[EngineOptions] = None,
     retain_points: bool = True,
     warm_start: Optional[Incumbent] = None,
 ) -> DSEResult:
@@ -1303,9 +1221,9 @@ def run_search(
     accelerator and uses the resulting value as the initial incumbent.
     The incumbent's own recorded value is never reused — a stale seed
     can therefore never change the result, only the amount of work
-    (see the warm-start contract in ``docs/search_engine.md``).
+    (see "Warm starts" in ``docs/search_engine.md``).
 
-    Regardless of ``retain_points``, ``cache_size`` and ``warm_start``,
+    Regardless of ``retain_points``, cache warmth and ``warm_start``,
     the returned best design point (dataflow and objective value) is
     identical to a naive serial full evaluation: bounds are admissible,
     pruning is strict, and ties resolve to the first candidate in
@@ -1313,13 +1231,8 @@ def run_search(
     """
     with _span("search", scope=scope.name, objective=objective.name):
         start = time.perf_counter()
-        if engine is None:
-            engine = get_default_engine()
-        use_cache = engine.cache_size > 0
-        if use_cache and _CACHE.maxsize != engine.cache_size:
-            _CACHE.resize(engine.cache_size)
         ev = _Evaluator(cfg, scope, accel, accelerator_fingerprint(accel),
-                        options, use_cache, get_default_cache())
+                        options, get_default_cache())
         if retain_points or objective is Objective.FOOTPRINT:
             return _score_all(ev, objective, space, energy_table,
                               retain_points, start)

@@ -17,8 +17,8 @@ structure-of-arrays grid (:func:`evaluate_partition_grid`, the
 payloads, fabric cycles per schedule, and admissible lower bounds are
 computed in vectorized NumPy with no inner search.  The *inner* level
 — the per-chip search — is delegated to the existing candidate-gated
-engine via :func:`repro.core.dse.search`, warm-started between
-neighboring partitions and chip counts, and only runs for outer points
+engine via :func:`repro.core.dse.search`, seeded with the previous
+partition's (or chip count's) winner, and only runs for outer points
 that survive branch-and-bound against the incumbent.
 
 The outer bound is admissible by construction:
@@ -262,8 +262,9 @@ class ScaleoutSystem:
     def __post_init__(self) -> None:
         if self.chips_per_channel < 1:
             raise ValueError("chips_per_channel must be >= 1")
-        if self.channel_contention < 1.0:
-            raise ValueError("channel_contention must be >= 1.0")
+        if not (math.isfinite(self.channel_contention)
+                and self.channel_contention >= 1.0):
+            raise ValueError("channel_contention must be finite and >= 1.0")
 
     def chip_view(self) -> Accelerator:
         """What one chip sees once the channel sharing is priced in."""
@@ -528,16 +529,15 @@ class ScaleoutPoint:
 class ScaleoutResult:
     """Outcome of one :func:`search_scaleout`.
 
-    ``incumbent`` is the winner's per-chip incumbent, for warm-starting
-    the neighboring chip count (``None`` when warm-starting is off or
-    the result came from the memo).
+    ``incumbent`` is the winner's per-chip incumbent, the seed for the
+    neighboring chip count's search.
     """
 
     best: ScaleoutPoint
     chips: int
     grid: PartitionGrid
     stats: ScaleoutStats
-    incumbent: Optional[Incumbent] = None
+    incumbent: Incumbent
 
 
 def _memo_key(
@@ -570,7 +570,6 @@ def search_scaleout(
     options: PerfOptions = PerfOptions(),
     schedules: Sequence[CollectiveSchedule] = DEFAULT_SCHEDULES,
     warm_start: Optional[Incumbent] = None,
-    use_memo: bool = True,
 ) -> ScaleoutResult:
     """Find the best (partition, schedule, per-chip dataflow) for ``T``.
 
@@ -578,12 +577,12 @@ def search_scaleout(
     admissible bound strictly exceeds the incumbent is pruned before
     its inner search ever runs; the winner is the exhaustive
     cross-product's (see module docstring).  ``warm_start`` seeds the
-    first inner search with a neighboring sweep's winner when
-    warm-starting is enabled on the default engine; winners also land
-    in the engine's LRU and the persistent disk cache.
+    first inner search with a neighboring sweep's winner, and each inner
+    search seeds the next; winners also land in the engine's LRU and the
+    persistent disk cache.
     """
     from repro.core.cache import get_default_cache
-    from repro.core.engine import _CACHE, get_default_engine
+    from repro.core.engine import _CACHE, accelerator_fingerprint
 
     schedules = tuple(schedules)
     stats = ScaleoutStats()
@@ -593,24 +592,33 @@ def search_scaleout(
     n_sched = len(schedules)
     stats.outer_enumerated = grid.num_points
 
-    memo_key = _memo_key(cfg, system, chips, schedules, scope, space, options)
-    pcache = get_default_cache() if use_memo else None
-    if use_memo:
-        best = _CACHE.get(memo_key)
-        if best is None and pcache is not None:
-            best = pcache.get(memo_key)
-            if best is not None:
-                _CACHE.put(memo_key, best)
-        if best is not None:
-            stats.memo_hits = 1
-            _accumulate(stats)
-            return ScaleoutResult(best=best, chips=chips, grid=grid,
-                                  stats=stats)
-
-    engine_defaults = get_default_engine()
-    warm_enabled = engine_defaults.warm_start
-    seed = warm_start if warm_enabled else None
     view = system.chip_view()
+
+    def _result(best: ScaleoutPoint) -> ScaleoutResult:
+        _accumulate(stats)
+        incumbent = Incumbent(
+            dataflow=best.dataflow,
+            objective=Objective.RUNTIME,
+            scope=scope,
+            options=options,
+            accel_fingerprint=accelerator_fingerprint(view),
+            value=best.chip_cycles,
+        )
+        return ScaleoutResult(best=best, chips=chips, grid=grid,
+                              stats=stats, incumbent=incumbent)
+
+    memo_key = _memo_key(cfg, system, chips, schedules, scope, space, options)
+    pcache = get_default_cache()
+    best = _CACHE.get(memo_key)
+    if best is None and pcache is not None:
+        best = pcache.get(memo_key)
+        if best is not None:
+            _CACHE.put(memo_key, best)
+    if best is not None:
+        stats.memo_hits = 1
+        return _result(best)
+
+    seed = warm_start
     inner_cache: Dict[int, tuple] = {}  # partition index -> (result, cycles)
 
     def _inner(p_idx: int) -> tuple:
@@ -631,8 +639,7 @@ def search_scaleout(
             warm_start=seed,
         )
         stats.inner_searches += 1
-        if warm_enabled:
-            seed = make_incumbent(result, scope, view, options)
+        seed = make_incumbent(result, scope, view, options)
         entry = (result, float(result.best.cost.total_cycles))
         inner_cache[p_idx] = entry
         return entry
@@ -647,7 +654,6 @@ def search_scaleout(
     best_value = math.inf
     best_index = -1
     best_point: Optional[ScaleoutPoint] = None
-    best_result = None
     for flat in visit:
         if flat_bounds[flat] > best_value:
             # Bounds are sorted: this and every later point is pruned.
@@ -660,7 +666,6 @@ def search_scaleout(
         if (total, flat) < (best_value, best_index):
             best_value = total
             best_index = flat
-            best_result = result
             best_point = ScaleoutPoint(
                 partition=grid.partitions[p_idx],
                 schedule=schedules[s_idx],
@@ -670,24 +675,11 @@ def search_scaleout(
                 fabric_cycles=float(grid.fabric_cycles[p_idx, s_idx]),
             )
 
-    assert best_point is not None and best_result is not None
-    if use_memo:
-        _CACHE.put(memo_key, best_point)
-        if pcache is not None:
-            pcache.put(memo_key, best_point)
-    incumbent = (
-        make_incumbent(best_result, scope, view, options)
-        if warm_enabled
-        else None
-    )
-    _accumulate(stats)
-    return ScaleoutResult(
-        best=best_point,
-        chips=chips,
-        grid=grid,
-        stats=stats,
-        incumbent=incumbent,
-    )
+    assert best_point is not None
+    _CACHE.put(memo_key, best_point)
+    if pcache is not None:
+        pcache.put(memo_key, best_point)
+    return _result(best_point)
 
 
 def sweep_chip_counts(
@@ -702,8 +694,7 @@ def sweep_chip_counts(
     """Run :func:`search_scaleout` at each chip count, warm-chaining.
 
     Each count's inner searches are seeded with the previous count's
-    winning per-chip incumbent (a no-op unless the default engine has
-    warm-starting enabled) — the fig8-sweep idiom of
+    winning per-chip incumbent — the fig8-sweep idiom of
     :func:`repro.analysis.utilization.buffer_sweep` one level up.
     """
     results: List[ScaleoutResult] = []
@@ -719,7 +710,6 @@ def sweep_chip_counts(
             schedules=schedules,
             warm_start=warm,
         )
-        if result.incumbent is not None:
-            warm = result.incumbent
+        warm = result.incumbent
         results.append(result)
     return results

@@ -118,11 +118,10 @@ class PipelineResult:
 
 def _execute(name: str,
              cache_dir: Optional[str],
-             trace: bool = False,
-             warm_start: Optional[bool] = None) -> ExperimentRun:
+             trace: bool = False) -> ExperimentRun:
     """Run one experiment; importable at top level so pools can pickle it.
 
-    ``cache_dir``, ``warm_start`` and ``trace`` are threaded explicitly
+    ``cache_dir`` and ``trace`` are threaded explicitly
     (not inherited) so the pipeline behaves identically under fork and
     spawn start methods.  The search-totals accumulator is scoped: measuring
     this experiment's DSE work leaves the caller's totals untouched.
@@ -142,7 +141,7 @@ def _execute(name: str,
         cache_before = pcache.stats.copy() if pcache is not None else None
         start = time.perf_counter()
         try:
-            report = run_experiment(name, warm_start=warm_start)
+            report = run_experiment(name)
             status = "ok"
         except Exception as exc:  # noqa: BLE001 - one job must not kill the run
             report = f"{type(exc).__name__}: {exc}"
@@ -178,7 +177,6 @@ def run_pipeline(
     workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
     progress: Optional[ProgressFn] = None,
-    warm_start: Optional[bool] = None,
 ) -> PipelineResult:
     """Run ``names`` (default: the whole registry) as parallel jobs.
 
@@ -186,10 +184,7 @@ def run_pipeline(
     cores, capped at the job count); ``workers=1`` runs the exact
     serial loop in-process; experiments are the parallel unit.
     ``cache_dir`` selects the shared persistent cache (``None`` defers
-    to the ambient default / ``REPRO_CACHE_DIR``).  ``warm_start``
-    toggles neighbor-seeded sweeps (``--warm-start`` passes ``True``;
-    ``None`` keeps the default).  Reports are byte-identical either
-    way.
+    to the ambient default / ``REPRO_CACHE_DIR``).
 
     A failing experiment is reported with ``status="error"`` and does
     not abort the others — including an experiment whose worker
@@ -227,7 +222,7 @@ def run_pipeline(
     done = 0
     if workers == 1:
         for name in selected:
-            run = _execute(name, cache_dir, trace, warm_start)
+            run = _execute(name, cache_dir, trace)
             outcomes[name] = run
             done += 1
             if progress is not None:
@@ -240,8 +235,7 @@ def run_pipeline(
         lost: List[str] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             pending = {
-                pool.submit(_execute, name, cache_dir, trace,
-                            warm_start): name
+                pool.submit(_execute, name, cache_dir, trace): name
                 for name in selected
             }
             while pending:
@@ -261,7 +255,7 @@ def run_pipeline(
                     if progress is not None:
                         progress(run, done, len(selected))
         for name in sorted(lost, key=selected.index):
-            run = _execute_isolated(name, cache_dir, trace, warm_start)
+            run = _execute_isolated(name, cache_dir, trace)
             _merge_obs(run)
             outcomes[name] = run
             done += 1
@@ -363,8 +357,7 @@ def run_pipeline_via_server(
 
 def _execute_isolated(name: str,
                       cache_dir: Optional[str],
-                      trace: bool,
-                      warm_start: Optional[bool] = None) -> ExperimentRun:
+                      trace: bool) -> ExperimentRun:
     """Re-run one job lost to a broken pool, in a pool of its own.
 
     ``BrokenProcessPool`` cannot name its casualty, so every lost job
@@ -379,7 +372,7 @@ def _execute_isolated(name: str,
     try:
         with ProcessPoolExecutor(max_workers=1) as pool:
             return pool.submit(
-                _execute, name, cache_dir, trace, warm_start,
+                _execute, name, cache_dir, trace,
             ).result()
     except BrokenProcessPool:
         return ExperimentRun(

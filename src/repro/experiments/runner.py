@@ -11,9 +11,8 @@ and the registries cannot drift apart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
-from repro.core.engine import default_warm_start
 from repro.obs.trace import span as _span
 from repro.experiments import (
     ext_batch,
@@ -155,30 +154,20 @@ def experiment_names() -> List[str]:
     return sorted(_SPECS)
 
 
-def run_experiment(name: str, warm_start: Optional[bool] = None) -> str:
-    """Run one registered experiment and return its report.
-
-    ``warm_start`` opts sweep drivers into neighbor-seeded incremental
-    re-search (``--warm-start`` passes ``True``); ``None`` keeps the
-    current default.  It never changes report bytes — only the amount
-    of work (see ``docs/search_engine.md``).
-    """
+def run_experiment(name: str) -> str:
+    """Run one registered experiment and return its report."""
     try:
         runner = EXPERIMENTS[name]
     except KeyError:
         raise ValueError(
             f"unknown experiment {name!r}; choose from {experiment_names()}"
         ) from None
-    with default_warm_start(warm_start), _span("experiment", name=name):
+    with _span("experiment", name=name):
         return runner()
 
 
-def run_experiment_raw(name: str,
-                       warm_start: Optional[bool] = None) -> object:
-    """Run one experiment and return its typed rows (for JSON export).
-
-    ``warm_start`` is the knob of :func:`run_experiment`.
-    """
+def run_experiment_raw(name: str) -> object:
+    """Run one experiment and return its typed rows (for JSON export)."""
     try:
         runner = RAW_EXPERIMENTS[name]
     except KeyError:
@@ -186,6 +175,5 @@ def run_experiment_raw(name: str,
             f"no raw rows for {name!r}; choose from "
             f"{sorted(RAW_EXPERIMENTS)}"
         ) from None
-    with default_warm_start(warm_start), \
-            _span("experiment", name=name, raw=True):
+    with _span("experiment", name=name, raw=True):
         return runner()

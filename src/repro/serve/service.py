@@ -18,11 +18,6 @@ Two routes produce one set of bytes:
   replaying the energy terms) keeps the bytes identical to the
   reference path; :class:`~repro.core.batch.BatchFallback` degrades to
   per-query scalar evaluation, never to an error.
-
-Engine knobs are pinned to explicit defaults (``EngineOptions()``)
-rather than the mutable process-wide default: a threaded server must
-not observe another thread flipping the default engine mid-request,
-and the knobs change only the amount of work, never the result.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 from repro.core.dse import search
-from repro.core.engine import EngineOptions, evaluate_cost
+from repro.core.engine import evaluate_cost
 from repro.core.perf import PerfOptions
 from repro.serve.protocol import (
     PROTOCOL,
@@ -51,7 +46,6 @@ __all__ = [
 ]
 
 _OPTIONS = PerfOptions()
-_ENGINE = EngineOptions()
 
 
 def execute_query(query: Query) -> Dict[str, Any]:
@@ -83,13 +77,12 @@ def execute_query(query: Query) -> Dict[str, Any]:
         result = search(
             query.cfg, query.accel, scope=query.scope,
             objective=query.objective, space=space, options=_OPTIONS,
-            engine=_ENGINE, retain_points=False,
+            retain_points=False,
         )
         return decode_payload(result, query.cfg, query.accel, query.scope)
     result = search(
         query.cfg, query.accel, scope=query.scope,
-        objective=query.objective, options=_OPTIONS, engine=_ENGINE,
-        retain_points=False,
+        objective=query.objective, options=_OPTIONS, retain_points=False,
     )
     return search_payload(result)
 

@@ -29,14 +29,12 @@ from repro.core.dse import (
     enumerate_dataflows,
     search,
 )
-from repro.core.engine import EngineOptions, clear_evaluation_cache
+from repro.core.engine import clear_evaluation_cache
 from repro.core.dataflow import Granularity
 from repro.core.perf import cost_scope
 from repro.energy.model import energy_report
 from repro.ops.attention import AttentionConfig, Scope
 from tests.oracles import assert_matches_oracle, exhaustive_best
-
-BATCH = EngineOptions(cache_size=8192)
 
 _SCOPES = (Scope.LA, Scope.BLOCK, Scope.MODEL)
 
@@ -173,15 +171,13 @@ class TestEngineEquivalence:
         oracle = exhaustive_best(bert_512, edge_accel, scope=Scope.LA,
                                  objective=objective)
         fast = search(bert_512, edge_accel, scope=Scope.LA,
-                      objective=objective, engine=BATCH,
-                      retain_points=False)
+                      objective=objective, retain_points=False)
         assert_matches_oracle(fast, oracle, objective)
 
     @pytest.mark.parametrize("scope", _SCOPES)
     def test_every_scope(self, small_cfg, cloud_accel, scope):
         oracle = exhaustive_best(small_cfg, cloud_accel, scope=scope)
-        fast = search(small_cfg, cloud_accel, scope=scope, engine=BATCH,
-                      retain_points=False)
+        fast = search(small_cfg, cloud_accel, scope=scope, retain_points=False)
         assert_matches_oracle(fast, oracle)
 
     def test_exhaustive_staging_grid(self, bert_4k, edge_accel):
@@ -189,14 +185,13 @@ class TestEngineEquivalence:
         oracle = exhaustive_best(bert_4k, edge_accel, scope=Scope.LA,
                                  space=space)
         fast = search(bert_4k, edge_accel, scope=Scope.LA, space=space,
-                      engine=BATCH, retain_points=False)
+                      retain_points=False)
         assert_matches_oracle(fast, oracle)
 
 
 class TestStats:
     def test_cold_search_accounting(self, small_cfg, edge_accel):
-        res = search(small_cfg, edge_accel, engine=BATCH,
-                     retain_points=False)
+        res = search(small_cfg, edge_accel, retain_points=False)
         s = res.stats
         # Every generated candidate went through the array path; the
         # winner alone got the scalar breakdown, the losers are booked
@@ -207,8 +202,7 @@ class TestStats:
         assert s.enumerated == s.cache_hits + s.pruned + s.evaluated
 
     def test_cold_candidate_accounting(self, small_cfg, edge_accel):
-        res = search(small_cfg, edge_accel, engine=BATCH,
-                     retain_points=False)
+        res = search(small_cfg, edge_accel, retain_points=False)
         s = res.stats
         # The generated front end never expands skipped families, so
         # fewer candidates hit the array than were (virtually)
@@ -218,17 +212,15 @@ class TestStats:
         assert s.enumerated == s.cache_hits + s.pruned + s.evaluated
 
     def test_memo_hit_skips_the_grid(self, small_cfg, edge_accel):
-        first = search(small_cfg, edge_accel, engine=BATCH,
-                       retain_points=False)
-        second = search(small_cfg, edge_accel, engine=BATCH,
-                        retain_points=False)
+        first = search(small_cfg, edge_accel, retain_points=False)
+        second = search(small_cfg, edge_accel, retain_points=False)
         assert first.best.dataflow == second.best.dataflow
         assert second.stats.batch_evaluations == 0
         assert second.stats.evaluated == 0
         assert second.stats.cache_hits == second.stats.enumerated
 
     def test_retain_points_stays_scalar(self, small_cfg, edge_accel):
-        res = search(small_cfg, edge_accel, engine=BATCH)  # retain default
+        res = search(small_cfg, edge_accel)  # retain default
         assert res.stats.batch_evaluations == 0
         assert len(res.points) == res.stats.enumerated
         assert all(p.energy is not None for p in res.points)
@@ -278,8 +270,7 @@ class TestFallback:
         oracle = exhaustive_best(self._HUGE, edge_accel, scope=Scope.LA,
                                  space=self._SPACE)
         fast = search(self._HUGE, edge_accel, scope=Scope.LA,
-                      space=self._SPACE, engine=BATCH,
-                      retain_points=False)
+                      space=self._SPACE, retain_points=False)
         assert_matches_oracle(fast, oracle)
         assert fast.stats.batch_evaluations == 0
 
@@ -294,7 +285,7 @@ class TestFallback:
             evaluate_grid(cfg, Scope.LA, edge_accel, dataflows)
 
         first = search(cfg, edge_accel, scope=Scope.LA, space=self._LADDER,
-                       engine=BATCH, retain_points=False)
+                       retain_points=False)
         assert_matches_oracle(
             first, exhaustive_best(cfg, edge_accel, scope=Scope.LA,
                                    space=self._LADDER),
@@ -310,7 +301,7 @@ class TestFallback:
         assert s.pruned == s.candidates_skipped > 0
 
         again = search(cfg, edge_accel, scope=Scope.LA, space=self._LADDER,
-                       engine=BATCH, retain_points=False)
+                       retain_points=False)
         assert again.best == first.best
         assert again.stats.evaluated == 0
         assert again.stats.pruned == 0
@@ -319,7 +310,7 @@ class TestFallback:
     def test_just_below_the_edge_takes_the_grid(self, edge_accel):
         cfg = _edge_cfg(batch=16)
         res = search(cfg, edge_accel, scope=Scope.LA, space=self._LADDER,
-                     engine=BATCH, retain_points=False)
+                     retain_points=False)
         assert_matches_oracle(
             res, exhaustive_best(cfg, edge_accel, scope=Scope.LA,
                                  space=self._LADDER),

@@ -37,18 +37,11 @@ from repro.core.dse import (
     family_size,
     search,
 )
-from repro.core.engine import (
-    _BOUND_SLACK,
-    EngineOptions,
-    clear_evaluation_cache,
-    default_warm_start,
-)
+from repro.core.engine import _BOUND_SLACK, clear_evaluation_cache
 from repro.core.footprint import footprint_r_gran
 from repro.core.perf import PerfOptions, cost_scope, partition_scratchpad
 from repro.ops.attention import AttentionConfig, Scope
 from tests.oracles import assert_matches_oracle, exhaustive_best
-
-CANDIDATES = EngineOptions(cache_size=4096)
 
 SPACES = {
     "default": SearchSpace(),
@@ -246,7 +239,7 @@ class TestSearchEquivalence:
                                  space=SPACES[name])
         clear_evaluation_cache()
         fast = search(cfg, edge_accel, scope=Scope.LA, space=SPACES[name],
-                      engine=CANDIDATES, retain_points=False)
+                      retain_points=False)
         assert_matches_oracle(fast, oracle)
 
     @settings(max_examples=12, deadline=None)
@@ -255,8 +248,7 @@ class TestSearchEquivalence:
         accel = edge().with_scratchpad_bytes(kb * 1024)
         oracle = exhaustive_best(cfg, accel, scope=Scope.LA)
         clear_evaluation_cache()
-        fast = search(cfg, accel, scope=Scope.LA, engine=CANDIDATES,
-                      retain_points=False)
+        fast = search(cfg, accel, scope=Scope.LA, retain_points=False)
         assert_matches_oracle(fast, oracle)
 
     def test_objectives_agree(self, small_cfg, edge_accel):
@@ -266,7 +258,7 @@ class TestSearchEquivalence:
                                      objective=objective)
             clear_evaluation_cache()
             fast = search(small_cfg, edge_accel, objective=objective,
-                          engine=CANDIDATES, retain_points=False)
+                          retain_points=False)
             assert_matches_oracle(fast, oracle, objective)
 
     def test_footprint_objective_uses_exhaustive_path(self, small_cfg,
@@ -275,7 +267,7 @@ class TestSearchEquivalence:
         rather than reject the search."""
         clear_evaluation_cache()
         res = search(small_cfg, edge_accel, objective=Objective.FOOTPRINT,
-                     engine=CANDIDATES, retain_points=False)
+                     retain_points=False)
         assert res.stats.candidates_generated == 0
         assert res.stats.evaluated == res.stats.enumerated
         assert_matches_oracle(
@@ -286,8 +278,7 @@ class TestSearchEquivalence:
 
     def test_stats_ledger_balances(self, small_cfg, edge_accel):
         clear_evaluation_cache()
-        res = search(small_cfg, edge_accel, engine=CANDIDATES,
-                     retain_points=False)
+        res = search(small_cfg, edge_accel, retain_points=False)
         s = res.stats
         assert s.enumerated == s.cache_hits + s.pruned + s.evaluated
         assert s.candidates_generated + s.candidates_skipped == s.enumerated
@@ -297,30 +288,18 @@ class TestSearchEquivalence:
 class TestWarmStart:
     """Warm starts change the amount of work, never the answer."""
 
-    def _sweep(self, cfg, accel, sizes, warm):
-        results = []
-        incumbent = None
-        for size in sizes:
-            sized = accel.with_scratchpad_bytes(size)
-            res = search(cfg, sized, scope=Scope.LA, engine=CANDIDATES,
-                         retain_points=False,
-                         warm_start=incumbent if warm else None)
-            if warm:
-                incumbent = make_incumbent(res, Scope.LA, sized)
-            results.append(res)
-        return results
-
     def test_warm_sweep_bit_identical_to_cold(self, edge_accel):
+        """Each point of a neighbor-chained sweep is the cold oracle's."""
         cfg = _small_cfg(seq=256)
         sizes = [20 * 1024, 128 * 1024, 512 * 1024, 4096 * 1024]
         clear_evaluation_cache()
-        cold = self._sweep(cfg, edge_accel, sizes, warm=False)
-        clear_evaluation_cache()
-        warm = self._sweep(cfg, edge_accel, sizes, warm=True)
-        for c, w in zip(cold, warm):
-            assert w.best.dataflow == c.best.dataflow
-            assert w.best.cost == c.best.cost
-            assert w.best.energy == c.best.energy
+        incumbent = None
+        for size in sizes:
+            sized = edge_accel.with_scratchpad_bytes(size)
+            res = search(cfg, sized, scope=Scope.LA, retain_points=False,
+                         warm_start=incumbent)
+            incumbent = make_incumbent(res, Scope.LA, sized)
+            assert_matches_oracle(res, exhaustive_best(cfg, sized))
 
     def test_stale_incumbent_is_reevaluated(self, edge_accel,
                                             cloud_accel):
@@ -329,18 +308,15 @@ class TestWarmStart:
         cannot depend on the stale value."""
         cfg = _small_cfg(seq=64)
         clear_evaluation_cache()
-        donor = search(cfg, cloud_accel, scope=Scope.LA,
-                       engine=CANDIDATES, retain_points=False)
+        donor = search(cfg, cloud_accel, scope=Scope.LA, retain_points=False)
         stale = Incumbent(
             dataflow=donor.best.dataflow, objective=Objective.RUNTIME,
             scope=Scope.LA, options=PerfOptions(), value=0.0,
         )
         clear_evaluation_cache()
-        baseline = search(cfg, edge_accel, scope=Scope.LA,
-                          engine=CANDIDATES, retain_points=False)
+        baseline = search(cfg, edge_accel, scope=Scope.LA, retain_points=False)
         clear_evaluation_cache()
-        seeded = search(cfg, edge_accel, scope=Scope.LA,
-                        engine=CANDIDATES, retain_points=False,
+        seeded = search(cfg, edge_accel, scope=Scope.LA, retain_points=False,
                         warm_start=stale)
         assert seeded.best.dataflow == baseline.best.dataflow
         assert seeded.best.cost == baseline.best.cost
@@ -360,8 +336,7 @@ class TestWarmStart:
 
         cfg = _small_cfg(seq=64)
         clear_evaluation_cache()
-        donor = search(cfg, edge_accel, scope=Scope.LA,
-                       engine=CANDIDATES, retain_points=False)
+        donor = search(cfg, edge_accel, scope=Scope.LA, retain_points=False)
         fields = dict(
             dataflow=donor.best.dataflow, objective=Objective.RUNTIME,
             scope=Scope.LA, options=PerfOptions(),
@@ -369,42 +344,47 @@ class TestWarmStart:
         fields.update(mutate)
         bad = Incumbent(**fields)
         clear_evaluation_cache()
-        baseline = search(cfg, edge_accel, scope=Scope.LA,
-                          engine=CANDIDATES, retain_points=False)
+        baseline = search(cfg, edge_accel, scope=Scope.LA, retain_points=False)
         clear_evaluation_cache()
         with obs.observed() as session:
             seeded = search(cfg, edge_accel, scope=Scope.LA,
-                            engine=CANDIDATES, retain_points=False,
+                            retain_points=False,
                             warm_start=bad)
             snap = session.registry.snapshot()
         assert snap["engine.warm_start.rejected"]["value"] == 1
         assert seeded.best.dataflow == baseline.best.dataflow
         assert seeded.best.cost == baseline.best.cost
 
-    def test_buffer_sweep_warm_flag_is_invisible(self, edge_accel):
-        """The sweep helper's warm-start wiring must not change a
-        single point of the produced curves."""
-        from repro.analysis.utilization import buffer_sweep
+    def test_buffer_sweep_matches_oracle(self, edge_accel):
+        """The sweep helper chains each curve's winner into the next
+        buffer size; every point must still be the oracle's."""
+        from repro.analysis.utilization import SweepPoint, buffer_sweep
+        from repro.energy.model import energy_report
 
         cfg = _small_cfg(seq=64)
         spaces = {"opt": SearchSpace()}
         sizes = (20 * 1024, 512 * 1024, 4096 * 1024)
         clear_evaluation_cache()
-        cold = buffer_sweep(cfg, Scope.LA, edge_accel, [], sizes,
-                            dse_spaces=spaces)
-        clear_evaluation_cache()
-        with default_warm_start(True):
-            warm = buffer_sweep(cfg, Scope.LA, edge_accel, [], sizes,
-                                dse_spaces=spaces)
-        assert warm == cold
+        points = buffer_sweep(cfg, Scope.LA, edge_accel, [], sizes,
+                              dse_spaces=spaces)
+        expected = []
+        for size in sizes:
+            oracle = exhaustive_best(
+                cfg, edge_accel.with_scratchpad_bytes(size)
+            )
+            expected.append(SweepPoint(
+                dataflow_name="opt", buffer_bytes=size,
+                utilization=oracle.cost.utilization,
+                total_cycles=oracle.cost.total_cycles,
+                energy=energy_report(oracle.cost.counts),
+            ))
+        assert points == expected
 
     def test_memo_hit_short_circuits_repeat_search(self, small_cfg,
                                                    edge_accel):
         clear_evaluation_cache()
-        first = search(small_cfg, edge_accel, engine=CANDIDATES,
-                       retain_points=False)
-        second = search(small_cfg, edge_accel, engine=CANDIDATES,
-                        retain_points=False)
+        first = search(small_cfg, edge_accel, retain_points=False)
+        second = search(small_cfg, edge_accel, retain_points=False)
         assert second.best.dataflow == first.best.dataflow
         assert second.stats.batch_evaluations == 0
         assert second.stats.candidates_generated == 0

@@ -14,23 +14,15 @@ import pytest
 
 from repro.core.dse import Objective, SearchSpace, enumerate_dataflows, search
 from repro.core.engine import (
-    EngineOptions,
     accelerator_fingerprint,
     clear_evaluation_cache,
     cycles_lower_bound,
-    default_warm_start,
     evaluation_cache_info,
-    get_default_engine,
     objective_lower_bound,
-    set_default_engine,
 )
 from repro.core.perf import cost_scope
 from repro.ops.attention import Scope
 from tests.oracles import assert_matches_oracle, exhaustive_best
-
-# The single engine route with and without its evaluation cache.
-NO_CACHE = EngineOptions(cache_size=0)
-FAST = EngineOptions(cache_size=8192)
 
 
 @pytest.fixture(autouse=True)
@@ -49,13 +41,13 @@ class TestEquivalence:
         oracle = exhaustive_best(bert_512, edge_accel, scope=Scope.BLOCK,
                                  space=space)
         fast = search(bert_512, edge_accel, scope=Scope.BLOCK,
-                      space=space, engine=FAST, retain_points=False)
+                      space=space, retain_points=False)
         assert_matches_oracle(fast, oracle)
 
     def test_grid_cloud_la_runtime(self, bert_4k, cloud_accel):
         oracle = exhaustive_best(bert_4k, cloud_accel, scope=Scope.LA)
         fast = search(bert_4k, cloud_accel, scope=Scope.LA,
-                      engine=FAST, retain_points=False)
+                      retain_points=False)
         assert_matches_oracle(fast, oracle)
 
     @pytest.mark.parametrize(
@@ -68,13 +60,11 @@ class TestEquivalence:
         for retain_points in (True, False):
             clear_evaluation_cache()
             result = search(small_cfg, edge_accel, scope=Scope.LA,
-                            objective=objective, engine=FAST,
-                            retain_points=retain_points)
+                            objective=objective, retain_points=retain_points)
             assert_matches_oracle(result, oracle, objective)
 
     def test_retained_points_match_oracle(self, small_cfg, edge_accel):
-        retained = search(small_cfg, edge_accel, scope=Scope.LA,
-                          engine=NO_CACHE)
+        retained = search(small_cfg, edge_accel, scope=Scope.LA)
         dataflows = list(enumerate_dataflows(small_cfg, edge_accel))
         assert [p.dataflow for p in retained.points] == dataflows
         assert [p.cost for p in retained.points] == [
@@ -91,9 +81,8 @@ class TestEquivalence:
         # Warm the per-point cache with the every-point path, then
         # search best-only: cache hits seed the incumbent before any
         # family is scored.
-        search(bert_512, edge_accel, space=space, engine=FAST)
-        warm = search(bert_512, edge_accel, space=space, engine=FAST,
-                      retain_points=False)
+        search(bert_512, edge_accel, space=space)
+        warm = search(bert_512, edge_accel, space=space, retain_points=False)
         assert_matches_oracle(warm, oracle)
         assert warm.stats.cache_hits > 0
 
@@ -138,37 +127,35 @@ class TestStats:
     def test_invariant_and_pruning_fires(self, bert_4k, edge_accel):
         space = SearchSpace(exhaustive_staging=True)
         res = search(bert_4k, edge_accel, scope=Scope.LA, space=space,
-                     engine=FAST, retain_points=False)
+                     retain_points=False)
         s = res.stats
         assert s.enumerated == s.cache_hits + s.pruned + s.evaluated
         assert s.pruned > 0
         assert s.wall_time_s > 0
 
     def test_no_pruning_when_points_retained(self, small_cfg, edge_accel):
-        res = search(small_cfg, edge_accel, engine=FAST)  # retain default
+        res = search(small_cfg, edge_accel)  # retain default
         assert res.stats.pruned == 0
         assert len(res.points) == res.stats.enumerated
 
     def test_no_pruning_for_footprint(self, small_cfg, edge_accel):
         res = search(small_cfg, edge_accel, objective=Objective.FOOTPRINT,
-                     engine=FAST, retain_points=False)
+                     retain_points=False)
         assert res.stats.pruned == 0
 
     def test_repeat_search_is_all_cache_hits(self, small_cfg, edge_accel):
-        first = search(small_cfg, edge_accel, engine=FAST,
-                       retain_points=False)
-        second = search(small_cfg, edge_accel, engine=FAST,
-                        retain_points=False)
+        first = search(small_cfg, edge_accel, retain_points=False)
+        second = search(small_cfg, edge_accel, retain_points=False)
         # Served from the winner memo: every point counts as a hit.
         assert second.stats.cache_hits == first.stats.enumerated
         assert second.stats.evaluated == second.stats.pruned == 0
         assert second.best == first.best
 
-    def test_cache_size_zero_disables_memoization(self, small_cfg,
-                                                  edge_accel):
-        search(small_cfg, edge_accel, engine=NO_CACHE)
-        search(small_cfg, edge_accel, engine=NO_CACHE, retain_points=False)
-        assert evaluation_cache_info()["entries"] == 0
+    def test_lru_capacity_is_fixed(self, small_cfg, edge_accel):
+        search(small_cfg, edge_accel)
+        info = evaluation_cache_info()
+        assert info["maxsize"] == 8192
+        assert 0 < info["entries"] <= info["maxsize"]
 
     def test_stats_validation(self):
         from repro.core.engine import SearchStats
@@ -180,39 +167,14 @@ class TestStats:
 
 class TestRetainPoints:
     def test_fast_path_returns_no_points(self, small_cfg, edge_accel):
-        res = search(small_cfg, edge_accel, engine=FAST,
-                     retain_points=False)
+        res = search(small_cfg, edge_accel, retain_points=False)
         assert res.points == ()
         assert res.best.energy is not None  # winner's energy still derived
 
     def test_retained_points_carry_energy(self, small_cfg, edge_accel):
-        res = search(small_cfg, edge_accel, engine=FAST)
+        res = search(small_cfg, edge_accel)
         assert res.points
         assert all(p.energy is not None for p in res.points)
-
-
-class TestOptions:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EngineOptions(cache_size=-1)
-        assert [f.name for f in dataclasses.fields(EngineOptions)] == [
-            "cache_size", "warm_start",
-        ]
-
-    def test_default_warm_start_contextmanager(self):
-        before = get_default_engine()
-        with default_warm_start(not before.warm_start):
-            assert get_default_engine().warm_start is not before.warm_start
-        assert get_default_engine() == before
-        with default_warm_start(None):  # None leaves the default untouched
-            assert get_default_engine() == before
-
-    def test_set_default_engine_roundtrip(self):
-        previous = set_default_engine(EngineOptions(cache_size=7))
-        try:
-            assert get_default_engine().cache_size == 7
-        finally:
-            set_default_engine(previous)
 
 
 class TestFingerprint:

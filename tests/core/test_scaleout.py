@@ -30,7 +30,7 @@ from repro.arch.fabric import (
 )
 from repro.arch.presets import edge
 from repro.core.dse import Objective, search
-from repro.core.engine import clear_evaluation_cache, default_warm_start
+from repro.core.engine import clear_evaluation_cache
 from repro.core.scaleout import (
     DEFAULT_SCHEDULES,
     Partition,
@@ -290,7 +290,7 @@ class TestSearchEquivalence:
         clear_evaluation_cache()
         ref = exhaustive_scaleout_best(cfg, system, chips)
         clear_evaluation_cache()
-        hier = search_scaleout(cfg, system, chips, use_memo=False)
+        hier = search_scaleout(cfg, system, chips)
         assert self._key(hier) == self._oracle_key(ref)
         assert hier.best.total_cycles == ref.total_cycles
 
@@ -309,7 +309,7 @@ class TestSearchEquivalence:
     def test_stats_ledger_balances(self):
         cfg = _cfg(batch=8, heads=8, seq=128)
         clear_evaluation_cache()
-        result = search_scaleout(cfg, _system(), 8, use_memo=False)
+        result = search_scaleout(cfg, _system(), 8)
         stats = result.stats
         assert stats.memo_hits == 0
         assert stats.outer_enumerated == (
@@ -327,18 +327,21 @@ class TestSearchEquivalence:
         assert again.stats.memo_hits == 1
         assert again.stats.inner_searches == 0
         assert self._key(again) == self._key(first)
+        assert again.incumbent == first.incumbent
 
     def test_warm_chained_sweep_bit_identical_to_cold(self):
+        """Every count of the chained sweep is the cold oracle's, and
+        each result hands its winner on as the next count's seed."""
         cfg = _cfg(batch=8, heads=8, seq=128)
         system = _system(chips_per_channel=2)
         counts = (2, 4, 8)
         clear_evaluation_cache()
-        cold = sweep_chip_counts(cfg, system, counts)
-        clear_evaluation_cache()
-        with default_warm_start(True):
-            warm = sweep_chip_counts(cfg, system, counts)
-            assert any(r.incumbent is not None for r in warm)
-        assert [self._key(r) for r in warm] == [self._key(r) for r in cold]
+        warm = sweep_chip_counts(cfg, system, counts)
+        for chips, result in zip(counts, warm):
+            ref = exhaustive_scaleout_best(cfg, system, chips)
+            assert self._key(result) == self._oracle_key(ref), chips
+            assert result.best.total_cycles == ref.total_cycles
+            assert result.incumbent.dataflow == result.best.dataflow
 
     def test_sweep_prunes_and_avoids_inner_searches(self):
         """The ext-scaleout sweep: outer pruning fires, the ledger
@@ -372,13 +375,17 @@ class TestSearchEquivalence:
         cfg = _cfg()
         clear_evaluation_cache()
         reset_scaleout_totals()
-        result = search_scaleout(cfg, _system(), 4, use_memo=False)
+        result = search_scaleout(cfg, _system(), 4)
         totals = scaleout_totals()
         assert totals == result.stats.as_dict()
 
     def test_total_cycles_is_chip_plus_fabric(self):
         cfg = _cfg(batch=2, seq=128)
-        result = search_scaleout(cfg, _system(), 4, use_memo=False)
+        clear_evaluation_cache()
+        result = search_scaleout(cfg, _system(), 4)
         best = result.best
         assert best.total_cycles == best.chip_cycles + best.fabric_cycles
         assert math.isfinite(best.total_cycles)
+        assert best.total_cycles == (
+            exhaustive_scaleout_best(cfg, _system(), 4).total_cycles
+        )

@@ -32,7 +32,6 @@ from repro.core.dse import (
     enumerate_dataflows,
     search,
 )
-from repro.core.engine import EngineOptions
 from repro.core.perf import cost_scope
 from repro.models.configs import model_config
 from repro.ops.attention import Scope
@@ -177,7 +176,6 @@ class TestSearchWithVariants:
         space = SearchSpace(variants=ALL_VARIANTS)
         gated = search(
             cfg, accel, scope=Scope.LA, space=space, retain_points=False,
-            engine=EngineOptions(),
         )
         assert_matches_oracle(
             gated, exhaustive_best(cfg, accel, scope=Scope.LA, space=space)

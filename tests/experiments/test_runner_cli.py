@@ -61,3 +61,10 @@ class TestCLI:
             build_parser().parse_args(["table1", *flag])
         assert exc.value.code == 2
         assert flag[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["run-all", "cost", "table1"])
+    def test_removed_warm_start_flag_is_rejected(self, mode, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([mode, "--warm-start"])
+        assert exc.value.code == 2
+        assert "--warm-start" in capsys.readouterr().err

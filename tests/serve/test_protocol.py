@@ -253,5 +253,33 @@ class TestPayloadEquivalence:
         assert encode_line(answer_direct(req)) == encode_line(resp)
 
 
+NON_FINITE_FABRIC = [
+    {"link_gbs": "nan"},
+    {"link_gbs": "inf"},
+    {"hop_ns": "nan"},
+    {"hop_ns": "inf"},
+    {"contention": "nan"},
+]
+
+
+@pytest.mark.parametrize(
+    "override", NON_FINITE_FABRIC,
+    ids=[f"{k}={v}" for o in NON_FINITE_FABRIC for k, v in o.items()],
+)
+def test_non_finite_fabric_is_bad_request(server, override):
+    """A NaN/inf fabric parameter is rejected up front, both served and
+    direct, rather than crashing the search or answering nonsense."""
+    from repro.serve import ServeClient, answer_direct
+
+    req = dict(TestResolveScaleout.REQ, id="nf", **override)
+    direct = answer_direct(req)
+    assert direct["ok"] is False
+    assert direct["code"] == "bad_request"
+    assert "scaleout system invalid" in direct["error"]
+    with ServeClient(*server) as client:
+        served = client.request(req)
+    assert encode_line(served) == encode_line(direct)
+
+
 def test_protocol_version_is_pinned():
     assert PROTOCOL == "repro-serve/1"

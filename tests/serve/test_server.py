@@ -22,7 +22,6 @@ from repro.serve import (
     ServerThread,
     answer_direct,
     encode_line,
-    wait_for_server,
 )
 from repro.serve.protocol import PROTOCOL
 
@@ -43,14 +42,6 @@ MIXED_REQUESTS = [
     {"op": "cost", "id": "q6", "model": "bert", "seq": 512, "batch": 4,
      "dataflow": "flat-r64"},  # repeat of q3: the warm path
 ]
-
-
-@pytest.fixture(scope="module")
-def server():
-    clear_evaluation_cache()
-    with ServerThread(SchedulerConfig(window_ms=1.0)) as (host, port):
-        wait_for_server(host, port, timeout=30)
-        yield host, port
 
 
 class TestLifecycleAndOps:
