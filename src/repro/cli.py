@@ -32,7 +32,7 @@ Five modes:
   a daemon.
 
 Every mode honors ``--cache-dir`` (or ``REPRO_CACHE_DIR``): a
-persistent cross-run cache of DSE evaluations that makes warm re-runs
+persistent cross-run cache of DSE answers that makes warm re-runs
 several times faster while producing byte-identical reports.  Every
 run mode honors ``--trace PATH`` (or ``REPRO_TRACE``): observability
 (:mod:`repro.obs`) is enabled for the run and the span/metric trace is

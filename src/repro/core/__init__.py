@@ -11,7 +11,7 @@
 * :mod:`repro.core.batch` — the vectorized batch backend scoring the
   whole candidate grid as NumPy arrays, bit-for-bit equal to the
   scalar model.
-* :mod:`repro.core.cache` — the persistent cross-run evaluation cache
+* :mod:`repro.core.cache` — the persistent cross-run answer cache
   underneath the engine (``--cache-dir`` / ``REPRO_CACHE_DIR``).
 * :mod:`repro.core.configs` — the named dataflow/accelerator
   configurations of Figure 7.

@@ -1,50 +1,31 @@
-"""Persistent cross-run cache for DSE evaluations.
+"""Persistent cross-run cache for DSE answers.
 
-:mod:`repro.core.engine` memoizes ``cost_scope`` evaluations in a
-process-wide LRU, but that memo dies with the process: every CLI
-invocation, benchmark run and CI job re-enumerates the same (workload,
-accelerator, dataflow, options) grids from zero.  This module adds the
-missing tier — an on-disk cache shared across processes and runs:
+The engine's LRU dies with its process; this on-disk tier is shared
+across processes and runs.  It holds one entry per *answer* of the
+calls users ask again — :func:`~repro.core.engine.run_search`,
+:func:`~repro.core.scaleout.search_scaleout` and
+:func:`~repro.core.engine.evaluate_cost` — never one per evaluated
+point.  Keys are hashed over their stable ``repr``.
 
-* **Content-addressed.**  Entries are keyed by the *same* evaluation
-  fingerprint the in-memory LRU uses (``(AttentionConfig, accelerator
-  fingerprint, Dataflow, PerfOptions, Scope)``), hashed via the stable
-  ``repr`` of those frozen dataclasses.  One entry is one file under
-  ``<root>/<model-fingerprint>/<hh>/<hash>.pkl``.
+* **Versioned.**  One stdlib :mod:`sqlite3` database in WAL mode per
+  :func:`cost_model_fingerprint` (cost-model sources plus
+  ``CACHE_SCHEMA_VERSION``): ``<root>/<fingerprint[:16]>.sqlite``.
+  Eviction deletes other generations and old one-file-per-entry trees.
+* **Safe.**  sqlite's locks serialize the writers of every process; a
+  per-instance lock guards the connection and counters for threads.  A
+  connection never crosses a ``fork``.  A locked, full or read-only
+  store degrades to a no-op.  A row that does not unpickle is deleted;
+  a file that is not a database is deleted and rebuilt.  A lookup that
+  meets either is a miss *and* ``corrupt``, so
+  ``hits + misses == lookups`` always.
+* **Bounded.**  A process's first write, and every ``_EVICT_EVERY``-th
+  after it, runs one ordered ``DELETE`` of the least recently used
+  rows beyond ``max_entries``.
 
-* **Versioned.**  Every entry lives under a directory named by
-  :func:`cost_model_fingerprint` — a digest of the cost-model source
-  files plus a schema version.  Change the model (or bump
-  ``CACHE_SCHEMA_VERSION``) and the old entries become invisible; the
-  next eviction pass garbage-collects them.
-
-* **Process-safe.**  Writes go through a temp file in the same
-  directory followed by an atomic :func:`os.replace`, so a reader never
-  observes a half-written entry and concurrent writers of the same key
-  settle on one intact copy.  Unreadable or truncated files (crashes,
-  manual tampering) are counted as ``corrupt`` *and* as misses —
-  deleted, never fatal — so ``hits + misses == lookups`` holds
-  unconditionally (see :class:`CacheStats`).
-
-* **Thread-safe.**  Each instance serializes its public operations
-  behind a re-entrant lock: the serving layer (:mod:`repro.serve`)
-  drives one shared instance from executor threads, and the stats
-  counters plus the metrics delta in :meth:`PersistentCache.get` are
-  read-modify-write sequences that would otherwise interleave.  The
-  on-disk format needs no extra locking — atomicity already comes from
-  ``os.replace``.
-
-* **Bounded.**  ``max_entries`` caps the store; an eviction pass (every
-  ``evict_interval`` local writes, or on demand) drops the
-  least-recently-used entries — ``get`` refreshes an entry's mtime —
-  and sweeps stale fingerprint generations.
-
-The default cache is configured with ``--cache-dir`` on the CLI or the
-``REPRO_CACHE_DIR`` environment variable; :func:`get_default_cache`
-resolves that to a per-process singleton, so every search in a
-process — and, through the shared directory, every pipeline worker —
-reads and writes one store.
-See ``docs/experiments_pipeline.md`` for layout and invalidation rules.
+:func:`get_default_cache` resolves ``--cache-dir`` /
+``REPRO_CACHE_DIR`` to a per-process singleton; :mod:`sqlite3` is
+imported only when a store is first used.  See
+``docs/experiments_pipeline.md`` for the layout.
 """
 
 from __future__ import annotations
@@ -54,14 +35,14 @@ import importlib
 import os
 import pickle
 import shutil
-import tempfile
 import threading
 import time
-from contextlib import contextmanager
+import weakref
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.obs.metrics import active as _metrics_active
 
@@ -79,10 +60,27 @@ __all__ = [
 
 #: Bump to invalidate every existing cache entry regardless of source
 #: changes (e.g. when the entry payload format itself changes).
-CACHE_SCHEMA_VERSION = 1
+#: Version 2: one sqlite file per generation, one entry per search.
+CACHE_SCHEMA_VERSION = 2
 
-_ENTRY_HEADER = "repro-dse-cache/1"
 _ENV_VAR = "REPRO_CACHE_DIR"
+
+# How long an operation waits on another process's lock before it
+# gives up and degrades to a no-op.
+_BUSY_TIMEOUT_S = 2.0
+
+_EVICT_EVERY = 512
+
+# synchronous=OFF: a power cut may lose recent writes or tear the file,
+# which a cache can afford — a torn file is dropped and rebuilt.  Point
+# lookups need few pages, so the page cache stays at 64 KiB.
+_OPEN_STATEMENTS = (
+    "PRAGMA journal_mode=WAL",
+    "PRAGMA synchronous=OFF",
+    "PRAGMA cache_size=-64",
+    "CREATE TABLE IF NOT EXISTS entries ("
+    "key BLOB PRIMARY KEY, value BLOB NOT NULL, used INTEGER NOT NULL)",
+)
 
 # Everything a cached ScopeCost can depend on.  ``repro.energy.model``
 # is included because the pickled payload embeds ActivityCounts
@@ -135,8 +133,13 @@ def cost_model_fingerprint() -> str:
     edit to those files yields a new fingerprint, so stale entries can
     never be returned for a changed model.
     """
+    return _fingerprint(CACHE_SCHEMA_VERSION)
+
+
+@lru_cache(maxsize=None)
+def _fingerprint(schema_version: int) -> str:
     digest = hashlib.sha256()
-    digest.update(f"schema={CACHE_SCHEMA_VERSION}".encode())
+    digest.update(f"schema={schema_version}".encode())
     digest.update(_source_digest().encode())
     return digest.hexdigest()
 
@@ -150,9 +153,9 @@ class CacheStats:
 
     Invariant: every ``get`` is exactly one lookup and resolves to
     exactly one of hit or miss, so ``hits + misses == lookups`` always.
-    A corrupt entry (unreadable pickle, malformed payload) counts as a
-    miss *and* bumps ``corrupt`` — ``corrupt`` subdivides misses, it is
-    not a third outcome.
+    ``corrupt`` counts dropped rows that do not unpickle and dropped
+    files that are not databases; a lookup that meets either also
+    counts a miss — corruption is never a third outcome.
     """
 
     lookups: int = 0
@@ -166,27 +169,45 @@ class CacheStats:
         return asdict(self)
 
     def __sub__(self, other: "CacheStats") -> "CacheStats":
-        return CacheStats(
-            lookups=self.lookups - other.lookups,
-            hits=self.hits - other.hits,
-            misses=self.misses - other.misses,
-            writes=self.writes - other.writes,
-            corrupt=self.corrupt - other.corrupt,
-            evictions=self.evictions - other.evictions,
-        )
+        return CacheStats(**{name: value - getattr(other, name)
+                             for name, value in self.as_dict().items()})
 
     def copy(self) -> "CacheStats":
         return CacheStats(**self.as_dict())
 
 
+@lru_cache(maxsize=256)  # a miss's put reuses its get's digest
+def _digest(key: tuple) -> bytes:
+    return hashlib.sha256(repr(key).encode()).digest()
+
+
+def _close_across_forks(store: "PersistentCache") -> None:
+    """Close ``store``'s connection before every ``fork``, holding its
+    lock until the fork is done so no thread reopens it in between."""
+    ref = weakref.ref(store)
+
+    def before() -> None:
+        live = ref()
+        if live is not None:
+            live._lock.acquire()
+            live.close()
+
+    def after() -> None:
+        live = ref()
+        if live is not None:
+            live._lock.release()
+
+    os.register_at_fork(before=before, after_in_parent=after,
+                        after_in_child=after)
+
+
 class PersistentCache:
-    """One on-disk evaluation store rooted at ``root``.
+    """One on-disk answer store rooted at ``root``.
 
     Safe for concurrent use from multiple processes *and*, per
-    instance, from multiple threads; see the module docstring for the
-    guarantees.  ``fingerprint`` defaults to
-    :func:`cost_model_fingerprint` and selects the generation directory
-    all entries of this instance live in.
+    instance, from multiple threads; see the module docstring.
+    ``fingerprint`` defaults to :func:`cost_model_fingerprint` and
+    names the generation file this instance reads and writes.
     """
 
     def __init__(
@@ -194,205 +215,174 @@ class PersistentCache:
         root: os.PathLike,
         fingerprint: Optional[str] = None,
         max_entries: int = 200_000,
-        evict_interval: int = 512,
     ) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
-        if evict_interval < 1:
-            raise ValueError("evict_interval must be >= 1")
         self.root = Path(root)
         self.fingerprint = fingerprint or cost_model_fingerprint()
         self.max_entries = max_entries
-        self.evict_interval = evict_interval
+        self.path = self.root / f"{self.fingerprint[:16]}.sqlite"
         self.stats = CacheStats()
-        self._generation = self.root / self.fingerprint[:16]
-        self._generation.mkdir(parents=True, exist_ok=True)
-        self._writes_since_evict = 0
-        # Re-entrant because _put may call evict() while already held.
+        self._conn: Any = None  # this process's sqlite3.Connection
+        # Re-entrant because _put calls _evict while already held.
         self._lock = threading.RLock()
+        _close_across_forks(self)
 
-    # -- addressing ----------------------------------------------------
-    def _entry_path(self, key: object) -> Tuple[Path, str]:
-        key_repr = repr(key)
-        digest = hashlib.sha256(key_repr.encode()).hexdigest()
-        return self._generation / digest[:2] / f"{digest[2:]}.pkl", key_repr
+    # -- connection ------------------------------------------------------
+    def _connection(self) -> Any:
+        if self._conn is None:
+            import sqlite3
 
-    def _entry_files(self) -> List[Path]:
-        return list(self._generation.glob("??/*.pkl"))
+            self.root.mkdir(parents=True, exist_ok=True)
+            conn = sqlite3.connect(
+                self.path, timeout=_BUSY_TIMEOUT_S, isolation_level=None,
+                check_same_thread=False,
+            )
+            try:
+                for statement in _OPEN_STATEMENTS:
+                    conn.execute(statement)
+            except sqlite3.Error:
+                conn.close()
+                raise
+            self._conn = conn
+        return self._conn
+
+    def _attempt(self, op: Callable[[Any], Any]) -> Any:
+        """``op(connection)``, or ``None`` when the store cannot serve it.
+
+        A file that is not a database is deleted (the next operation
+        rebuilds it) and counted as ``corrupt``.
+        """
+        import sqlite3
+
+        try:
+            return op(self._connection())
+        except (OSError, sqlite3.OperationalError):
+            return None
+        except (sqlite3.ProgrammingError, sqlite3.InterfaceError):
+            raise  # a bug here, not a damaged file
+        except sqlite3.DatabaseError:
+            self.stats.corrupt += 1
+            self.close()
+            for suffix in ("", "-wal", "-shm"):
+                with suppress(OSError):
+                    os.unlink(f"{self.path}{suffix}")
+            return None
+
+    def close(self) -> None:
+        """Close this process's connection; the next operation reopens it."""
+        with self._lock:
+            conn, self._conn = self._conn, None
+            if conn is not None:
+                conn.close()
 
     # -- core operations -----------------------------------------------
-    def get(self, key: object) -> Optional[object]:
+    def get(self, key: tuple) -> Optional[object]:
         """Stored value for ``key``, or ``None`` on miss/corruption."""
         with self._lock:
-            return self._get_observed(key)
+            return self._observed("get", self._get, key)
 
-    def _get_observed(self, key: object) -> Optional[object]:
+    def put(self, key: tuple, value: object) -> None:
+        """Store ``value`` under ``key`` (last-writer-wins)."""
+        with self._lock:
+            self._observed("put", self._put, key, value)
+
+    def _observed(self, op: str, fn: Callable[..., Any], *args: Any) -> Any:
+        """``fn(*args)``, booking its time and counter deltas as metrics."""
         registry = _metrics_active()
         if registry is None:
-            return self._get(key)
+            return fn(*args)
         before = self.stats.copy()
         start = time.perf_counter()
-        value = self._get(key)
-        elapsed = time.perf_counter() - start
-        delta = self.stats - before
-        registry.counter("cache.lookups").inc(delta.lookups)
-        registry.counter("cache.hits").inc(delta.hits)
-        registry.counter("cache.misses").inc(delta.misses)
-        if delta.corrupt:
-            registry.counter("cache.corrupt").inc(delta.corrupt)
-        registry.histogram("cache.get_s").observe(elapsed)
-        if self.stats.hits + self.stats.misses != self.stats.lookups:
+        result = fn(*args)
+        registry.histogram(f"cache.{op}_s").observe(
+            time.perf_counter() - start)
+        for name, amount in (self.stats - before).as_dict().items():
+            registry.counter(f"cache.{name}").inc(amount)
+        stats = self.stats
+        if stats.hits + stats.misses != stats.lookups:
             raise AssertionError(
                 "cache accounting invariant violated: "
-                f"hits={self.stats.hits} + misses={self.stats.misses} "
-                f"!= lookups={self.stats.lookups}"
+                f"hits={stats.hits} + misses={stats.misses} "
+                f"!= lookups={stats.lookups}"
             )
-        return value
+        return result
 
-    def _get(self, key: object) -> Optional[object]:
+    def _get(self, key: tuple) -> Optional[object]:
         self.stats.lookups += 1
-        path, key_repr = self._entry_path(key)
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except Exception:
-            # Truncated pickle, garbage bytes, unreadable file: drop the
-            # entry and carry on — a corrupt entry is a miss that also
-            # counts as corrupt.
-            self._discard_corrupt(path)
-            return None
-        if (
-            not isinstance(payload, tuple)
-            or len(payload) != 3
-            or payload[0] != _ENTRY_HEADER
-            or payload[1] != key_repr
-        ):
-            self._discard_corrupt(path)
-            return None
-        self.stats.hits += 1
-        try:
-            os.utime(path)  # recency signal for LRU eviction
-        except OSError:
-            pass
-        return payload[2]
-
-    def put(self, key: object, value: object) -> None:
-        """Store ``value`` under ``key`` (atomic, last-writer-wins)."""
-        with self._lock:
-            self._put_observed(key, value)
-
-    def _put_observed(self, key: object, value: object) -> None:
-        registry = _metrics_active()
-        if registry is None:
-            self._put(key, value)
-            return
-        before = self.stats.writes
-        start = time.perf_counter()
-        self._put(key, value)
-        elapsed = time.perf_counter() - start
-        registry.counter("cache.writes").inc(self.stats.writes - before)
-        registry.histogram("cache.put_s").observe(elapsed)
-
-    def _put(self, key: object, value: object) -> None:
-        path, key_repr = self._entry_path(key)
-        payload = pickle.dumps(
-            (_ENTRY_HEADER, key_repr, value),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        digest = _digest(key)
+        rows = self._attempt(lambda conn: conn.execute(
+            "SELECT value FROM entries WHERE key = ?", (digest,)
+        ).fetchall())
+        if rows:
             try:
-                os.write(fd, payload)
-            finally:
-                os.close(fd)
-            os.replace(tmp, path)
-        except OSError:
-            # A full or read-only disk degrades the cache to a no-op.
-            try:
-                os.unlink(tmp)
-            except (OSError, UnboundLocalError):
-                pass
+                value = pickle.loads(rows[0][0])
+            except Exception:
+                # A truncated or garbled payload: drop the row.
+                self.stats.corrupt += 1
+                self._attempt(lambda conn: conn.execute(
+                    "DELETE FROM entries WHERE key = ?", (digest,)))
+            else:
+                self.stats.hits += 1
+                self._attempt(lambda conn: conn.execute(
+                    "UPDATE entries SET used = ? WHERE key = ?",
+                    (time.time_ns(), digest)))
+                return value
+        self.stats.misses += 1
+        return None
+
+    def _put(self, key: tuple, value: object) -> None:
+        row = (_digest(key), pickle.dumps(value, pickle.HIGHEST_PROTOCOL),
+               time.time_ns())
+        if self._attempt(lambda conn: conn.execute(
+            "INSERT OR REPLACE INTO entries VALUES (?, ?, ?)", row
+        )) is None:
             return
         self.stats.writes += 1
-        self._writes_since_evict += 1
-        if self._writes_since_evict >= self.evict_interval:
-            self.evict()
-
-    def _discard_corrupt(self, path: Path) -> None:
-        # A corrupt entry is still a failed lookup: count the miss so
-        # ``hits + misses == lookups`` survives corruption.
-        self.stats.misses += 1
-        self.stats.corrupt += 1
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
+        if self.stats.writes % _EVICT_EVERY == 1:
+            self._evict()
 
     # -- maintenance ---------------------------------------------------
     def entry_count(self) -> int:
-        """Number of intact-looking entries in the live generation."""
-        return len(self._entry_files())
+        """Number of entries in the live generation."""
+        with self._lock:
+            rows = self._attempt(lambda conn: conn.execute(
+                "SELECT count(*) FROM entries").fetchall())
+            return rows[0][0] if rows else 0
 
     def evict(self) -> int:
         """Sweep stale generations and enforce ``max_entries`` (LRU).
 
-        Returns the number of entries removed.  Races with concurrent
-        evictors are benign: unlinking an already-unlinked file is a
-        no-op.
+        Returns the number of live-generation entries removed; stale
+        generations are deleted wholesale.
         """
         with self._lock:
-            registry = _metrics_active()
-            if registry is None:
-                return self._evict()
-            start = time.perf_counter()
-            removed = self._evict()
-            elapsed = time.perf_counter() - start
-            registry.counter("cache.evictions").inc(removed)
-            registry.histogram("cache.evict_s").observe(elapsed)
-            return removed
+            return self._observed("evict", self._evict)
 
     def _evict(self) -> int:
-        self._writes_since_evict = 0
-        removed = 0
-        for stale in self.root.iterdir():
-            if stale == self._generation or not stale.is_dir():
-                continue
-            removed += sum(1 for _ in stale.glob("??/*.pkl"))
-            shutil.rmtree(stale, ignore_errors=True)
-        entries = self._entry_files()
-        excess = len(entries) - self.max_entries
-        if excess > 0:
-            def mtime(path: Path) -> float:
-                try:
-                    return path.stat().st_mtime
-                except OSError:
-                    return 0.0
-
-            for path in sorted(entries, key=mtime)[:excess]:
-                try:
-                    os.unlink(path)
-                    removed += 1
-                except OSError:
-                    pass
-        # Leftover temp files from crashed writers are stale after any
-        # completed write cycle; sweep them opportunistically.
-        for tmp in self._generation.glob("??/*.tmp"):
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        self._sweep_stale()
+        cursor = self._attempt(lambda conn: conn.execute(
+            "DELETE FROM entries WHERE key IN (SELECT key FROM entries "
+            "ORDER BY used DESC LIMIT -1 OFFSET ?)", (self.max_entries,)))
+        removed = cursor.rowcount if cursor is not None else 0
         self.stats.evictions += removed
         return removed
+
+    def _sweep_stale(self) -> None:
+        """Delete other generations' files and one-file-per-entry trees."""
+        with suppress(OSError):
+            for path in list(self.root.iterdir()):
+                if path.name.startswith(self.path.name):
+                    continue
+                if path.is_dir():
+                    shutil.rmtree(path, ignore_errors=True)
+                elif ".sqlite" in path.name:
+                    path.unlink()
 
     def clear(self) -> None:
         """Delete every entry of the live generation."""
         with self._lock:
-            shutil.rmtree(self._generation, ignore_errors=True)
-            self._generation.mkdir(parents=True, exist_ok=True)
+            self._attempt(lambda conn: conn.execute("DELETE FROM entries"))
 
 
 # ----------------------------------------------------------------------

@@ -40,18 +40,20 @@ first-in-order tie-break.  Three more optimizations sit under both:
   needs it; a pure-runtime search computes energy once, for the winner.
 * **Cross-sweep memoization.**  Scalar evaluations are cached in a
   process-wide LRU keyed on ``(AttentionConfig, accelerator
-  fingerprint, Dataflow, PerfOptions, Scope)``, and a best-only search
-  remembers its winner's index, so a repeat search touches one entry.
-  The cache stores only the deterministic
-  :class:`~repro.core.perf.ScopeCost`; energy is derived per caller (it
-  depends on the energy table).
+  fingerprint, Dataflow, PerfOptions, Scope)``, and every search
+  remembers its answer — a best-only search its winner's index and
+  cost, an every-point search its costs — so a repeat search touches
+  one entry.  The cache stores only deterministic
+  :class:`~repro.core.perf.ScopeCost` values; energy is derived per
+  caller (it depends on the energy table).
 * **Cross-run persistence.**  When a cache directory is configured
   (``--cache-dir`` / ``REPRO_CACHE_DIR``; see :mod:`repro.core.cache`),
-  every LRU miss falls through to a persistent on-disk store keyed by
-  the same evaluation fingerprint, and every fresh evaluation is
-  written back.  A re-run of any sweep, in any process, starts warm;
-  entries are invalidated wholesale when the cost-model source
-  fingerprint changes.
+  :func:`run_search`, :func:`evaluate_cost` and
+  :func:`repro.core.scaleout.search_scaleout` look their answer up on
+  disk after an LRU miss and write a fresh answer back — one entry per
+  call (:func:`_memoized`).  A re-run of any sweep, in any process,
+  starts warm; entries are invalidated wholesale when the cost-model
+  source fingerprint changes.
 
 Every search reports a :class:`SearchStats` (enumerated / pruned /
 cached / evaluated point counts plus wall time) on its
@@ -69,12 +71,13 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.arch.accelerator import Accelerator
 from repro.core.batch import BatchFallback, evaluate_grid
 from repro.core.cache import PersistentCache, get_default_cache
 from repro.core.candidates import (
+    CandidatePlan,
     Incumbent,
     family_representative,
     locate_candidate,
@@ -141,8 +144,9 @@ class SearchStats:
     speedup story of a sweep is the fraction of ``enumerated`` that
     never reached the cost model.  ``disk_hits`` is the subset of
     ``cache_hits`` served by the persistent cross-run cache rather than
-    the in-process LRU.  ``evaluated`` counts scalar cost-model runs:
-    every point of an every-point search that missed both caches, every
+    the in-process LRU: a search answered from disk books its whole
+    space there.  ``evaluated`` counts scalar cost-model runs:
+    every point of an every-point search that missed the LRU, every
     member a best-only search scored through the scalar fallback, and
     the winner's scalar breakdown.  ``batch_evaluations`` counts
     candidates scored by the vectorized backend only; it sits outside
@@ -386,14 +390,14 @@ def accelerator_fingerprint(accel: Accelerator) -> tuple:
 
 @dataclass(frozen=True)
 class _Evaluator:
-    """The one LRU -> disk -> model lookup, bound to one search identity.
+    """Per-point costs of one search identity, memoized in the LRU only.
 
-    Every scalar evaluation — :func:`evaluate_cost`, the every-point
-    path, the best-only path's cache lookups, ``BatchFallback`` scoring
-    and winner breakdowns — goes through these methods.  Each lookup
-    reports its source (``"lru"``, ``"disk"``, ``"model"``, or
-    ``"miss"`` for a lookup that found nothing) so callers can book
-    their stats.
+    Every scalar evaluation inside a search — the every-point path,
+    ``BatchFallback`` scoring, the warm seed and the winner's breakdown
+    — goes through :meth:`resolve`, which reports its source (``"lru"``
+    or ``"model"``).  Results stay in the process-wide LRU; the disk
+    tier sits one level up and stores each search's answer
+    (:func:`_memoized`).
     """
 
     cfg: AttentionConfig
@@ -401,45 +405,45 @@ class _Evaluator:
     accel: Accelerator
     accel_fp: tuple
     options: PerfOptions
-    pcache: Optional[PersistentCache]
-
-    def get(self, key: tuple) -> Tuple[Any, str]:
-        """Fetch ``key`` from the LRU, then from disk (refilling the LRU)."""
-        value = _CACHE.get(key)
-        if value is not None:
-            return value, "lru"
-        if self.pcache is not None:
-            value = self.pcache.get(key)
-            if value is not None:
-                _CACHE.put(key, value)
-                return value, "disk"
-        return None, "miss"
-
-    def put(self, key: tuple, value: Any) -> None:
-        _CACHE.put(key, value)
-        if self.pcache is not None:
-            self.pcache.put(key, value)
 
     def key(self, dataflow: Dataflow) -> tuple:
         return (self.cfg, self.accel_fp, dataflow, self.options, self.scope)
 
-    def lookup(self, dataflow: Dataflow) -> Tuple[Optional[ScopeCost], str]:
-        """Cached cost of ``dataflow``, or ``(None, "miss")``."""
-        return self.get(self.key(dataflow))
-
-    def evaluate(self, dataflow: Dataflow) -> ScopeCost:
-        """Run the scalar model and store the result in both caches."""
+    def resolve(self, dataflow: Dataflow) -> Tuple[ScopeCost, str]:
+        """Cached cost of ``dataflow``, evaluating (and caching) a miss."""
+        key = self.key(dataflow)
+        cost = _CACHE.get(key)
+        if cost is not None:
+            return cost, "lru"
         cost = cost_scope(self.cfg, self.scope, self.accel, dataflow,
                           options=self.options)
-        self.put(self.key(dataflow), cost)
-        return cost
+        _CACHE.put(key, cost)
+        return cost, "model"
 
-    def resolve(self, dataflow: Dataflow) -> Tuple[ScopeCost, str]:
-        """Cached cost of ``dataflow``, evaluating it on a miss."""
-        cost, source = self.lookup(dataflow)
-        if cost is None:
-            return self.evaluate(dataflow), "model"
-        return cost, source
+
+def _memoized(key: tuple, compute: Callable[[], Any],
+              store: Optional[PersistentCache]) -> Tuple[Any, str]:
+    """The one LRU -> disk -> ``compute()`` lookup of a re-asked answer.
+
+    :func:`run_search`, :func:`evaluate_cost` and
+    :func:`repro.core.scaleout.search_scaleout` answer through here, so
+    each call makes at most one disk lookup and one disk write.
+    Returns the value and its source: ``"lru"``, ``"disk"`` or
+    ``"model"`` (computed).
+    """
+    value = _CACHE.get(key)
+    if value is not None:
+        return value, "lru"
+    if store is not None:
+        value = store.get(key)
+        if value is not None:
+            _CACHE.put(key, value)
+            return value, "disk"
+    value = compute()
+    _CACHE.put(key, value)
+    if store is not None:
+        store.put(key, value)
+    return value, "model"
 
 
 _SOURCE_METRIC = {
@@ -464,10 +468,20 @@ def evaluate_cost(
     and only then runs the cost model — storing the result in both.
     Semantically identical to calling ``cost_scope`` directly.
     """
-    evaluator = _Evaluator(cfg, scope, accel, accelerator_fingerprint(accel),
-                           options, get_default_cache())
-    cost, source = evaluator.resolve(dataflow)
-    _metric_inc(_SOURCE_METRIC[source])
+    ev = _Evaluator(cfg, scope, accel, accelerator_fingerprint(accel),
+                    options)
+    sources: List[str] = []
+
+    def _cost() -> ScopeCost:
+        # A search may already hold this point in the LRU; the answer's
+        # own key keeps its disk entry independent of that.
+        cost, source = ev.resolve(dataflow)
+        sources.append(source)
+        return cost
+
+    cost, source = _memoized(("cost",) + ev.key(dataflow), _cost,
+                             get_default_cache())
+    _metric_inc(_SOURCE_METRIC[sources[0] if sources else source])
     return cost
 
 
@@ -861,8 +875,66 @@ def _candidate_search(
     energy_table: Optional[EnergyTable],
     start: float,
     warm: Optional[Incumbent],
+    store: Optional[PersistentCache],
 ) -> DSEResult:
-    """Best-only path: plan families, branch-and-bound, score survivors.
+    """Best-only path: the memoized answer, or :func:`_branch_and_bound`.
+
+    The answer — the winner's global enumeration index and its
+    ``ScopeCost`` — is keyed on the space, not the expanded grid: the
+    dse/candidates sources are in the disk-cache fingerprint, so an
+    index keeps its meaning.
+    """
+    cfg, scope, options = ev.cfg, ev.scope, ev.options
+    plan = plan_candidates(objective, cfg, scope, ev.accel, space,
+                           options=options, energy_table=energy_table)
+    if plan.total == 0:
+        raise ValueError("search space is empty")
+    searched: List[SearchStats] = []
+
+    def _compute() -> Tuple[int, ScopeCost]:
+        index, cost, stats = _branch_and_bound(ev, plan, objective, space,
+                                               energy_table, start, warm)
+        searched.append(stats)
+        return index, cost
+
+    key = ("search", cfg, ev.accel_fp, options, scope, objective,
+           energy_table, space)
+    (index, cost), source = _memoized(key, _compute, store)
+    stats = searched[0] if searched else _answered(plan.total, source, start)
+    _accumulate(stats)
+    best = DesignPoint(dataflow=_planned_dataflow(cfg, plan, space, index),
+                       cost=cost,
+                       energy=energy_report(cost.counts, energy_table))
+    return DSEResult(best=best, points=(), objective=objective, stats=stats)
+
+
+def _answered(n: int, source: str, start: float) -> SearchStats:
+    """Stats of a search answered by the LRU or the disk: all hits."""
+    return SearchStats(enumerated=n, evaluated=0, pruned=0, cache_hits=n,
+                       wall_time_s=time.perf_counter() - start,
+                       disk_hits=n if source == "disk" else 0)
+
+
+def _planned_dataflow(cfg: AttentionConfig, plan: CandidatePlan,
+                      space: SearchSpace, index: int) -> Dataflow:
+    """The dataflow at global enumeration ``index`` of ``plan``."""
+    for fi in range(len(plan.families) - 1, -1, -1):
+        if plan.offsets[fi] <= index:
+            members = list(expand_family(cfg, plan.families[fi], space))
+            return members[index - plan.offsets[fi]]
+    raise IndexError(index)  # pragma: no cover - index always planned
+
+
+def _branch_and_bound(
+    ev: _Evaluator,
+    plan: CandidatePlan,
+    objective: Objective,
+    space: SearchSpace,
+    energy_table: Optional[EnergyTable],
+    start: float,
+    warm: Optional[Incumbent],
+) -> Tuple[int, ScopeCost, SearchStats]:
+    """Plan families, branch-and-bound, score survivors: the winner.
 
     Never expands the whole space.  :func:`repro.core.candidates.plan_candidates`
     derives one admissible bound per family from its cheapest
@@ -884,11 +956,7 @@ def _candidate_search(
     included.
     """
     cfg, scope, accel, options = ev.cfg, ev.scope, ev.accel, ev.options
-    plan = plan_candidates(objective, cfg, scope, accel, space,
-                           options=options, energy_table=energy_table)
     n = plan.total
-    if n == 0:
-        raise ValueError("search space is empty")
     need_energy = objective in (Objective.ENERGY, Objective.EDP)
 
     def _score(cost: ScopeCost) -> float:
@@ -896,52 +964,6 @@ def _candidate_search(
             energy_report(cost.counts, energy_table) if need_energy else None
         )
         return objective.score(cost, energy)
-
-    def _family_at(index: int) -> int:
-        for fi in range(len(plan.families) - 1, -1, -1):
-            if plan.offsets[fi] <= index:
-                return fi
-        raise IndexError(index)  # pragma: no cover - index always planned
-
-    def _dataflow_at(index: int) -> Dataflow:
-        fi = _family_at(index)
-        members = list(expand_family(cfg, plan.families[fi], space))
-        return members[index - plan.offsets[fi]]
-
-    def _result(index: int, cost: ScopeCost,
-                stats: SearchStats) -> DSEResult:
-        _accumulate(stats)
-        energy = energy_report(cost.counts, energy_table)
-        best = DesignPoint(dataflow=_dataflow_at(index), cost=cost,
-                           energy=energy)
-        return DSEResult(best=best, points=(), objective=objective,
-                         stats=stats)
-
-    # Repeat-search memo: the winner's global index, keyed on the space
-    # (not the expanded grid — expansion is exactly what this path
-    # avoids).  Valid because enumeration order is deterministic and
-    # the dse/candidates sources are part of the disk-cache fingerprint.
-    memo_key = (
-        "cand-memo", cfg, ev.accel_fp, options, scope, objective,
-        energy_table, space,
-    )
-    winner, memo_source = ev.get(memo_key)
-    if winner is not None and 0 <= int(winner) < n:
-        index = int(winner)
-        cost, source = ev.resolve(_dataflow_at(index))
-        evaluated = 1 if source == "model" else 0
-        stats = SearchStats(
-            enumerated=n,
-            evaluated=evaluated,
-            pruned=0,
-            cache_hits=n - evaluated,
-            wall_time_s=time.perf_counter() - start,
-            disk_hits=(
-                (n - 1 if memo_source == "disk" else 0)
-                + (1 if source == "disk" else 0)
-            ),
-        )
-        return _result(index, cost, stats)
 
     best_value: Optional[float] = None
     best_index: Optional[int] = None
@@ -965,14 +987,13 @@ def _candidate_search(
     warm_index = _locate_warm_start(warm, cfg, scope, objective, space,
                                     options)
     if warm_index is not None:
-        cost, _ = ev.resolve(_dataflow_at(warm_index))
+        cost, _ = ev.resolve(_planned_dataflow(cfg, plan, space, warm_index))
         _consider(_score(cost), warm_index)
 
     generated = 0
     family_skipped = 0
     families_pruned = 0
     cache_hits = 0
-    disk_hits = 0
     evaluated = 0
     batch_evaluations = 0
     known: dict = {}  # index -> ScopeCost for members with a scalar cost
@@ -984,15 +1005,14 @@ def _candidate_search(
     def _score_members(members: List[Tuple[int, Dataflow]]) -> None:
         """Score members: cache hits first, then one grid call over the
         misses, or the scalar model when that call cannot be exact."""
-        nonlocal cache_hits, disk_hits, batch_evaluations, evaluated
+        nonlocal cache_hits, batch_evaluations, evaluated
         misses: List[Tuple[int, Dataflow]] = []
         for index, df in members:
-            cost, source = ev.lookup(df)
+            cost = _CACHE.get(ev.key(df))
             if cost is None:
                 misses.append((index, df))
                 continue
             cache_hits += 1
-            disk_hits += source == "disk"
             _scalar_scored(index, cost)
         if not misses:
             return
@@ -1003,7 +1023,7 @@ def _candidate_search(
             )
         except BatchFallback:
             for index, df in misses:
-                _scalar_scored(index, ev.evaluate(df))
+                _scalar_scored(index, ev.resolve(df)[0])
             evaluated += len(misses)
             return
         scores = grid.objective_scores(objective, energy_table)
@@ -1112,30 +1132,28 @@ def _candidate_search(
         batch_losers = batch_evaluations
     else:
         # A grid-scored winner: build its scalar breakdown.  A cache
-        # hit here means another process raced the entry onto disk
+        # hit here means another thread raced the entry into the LRU
         # after the lookup missed it; book it as the hit it became.
-        cost, source = ev.resolve(_dataflow_at(best_index))
+        cost, source = ev.resolve(
+            _planned_dataflow(cfg, plan, space, best_index))
         batch_losers = batch_evaluations - 1
         if source == "model":
             evaluated += 1
         else:
             cache_hits += 1
-            disk_hits += source == "disk"
 
-    ev.put(memo_key, best_index)
     stats = SearchStats(
         enumerated=n,
         evaluated=evaluated,
         pruned=family_skipped + batch_losers,
         cache_hits=cache_hits,
         wall_time_s=time.perf_counter() - start,
-        disk_hits=disk_hits,
         batch_evaluations=batch_evaluations,
         candidates_generated=generated,
         candidates_skipped=family_skipped,
         families_pruned=families_pruned,
     )
-    return _result(best_index, cost, stats)
+    return best_index, cost, stats
 
 
 def _score_all(
@@ -1145,28 +1163,39 @@ def _score_all(
     energy_table: Optional[EnergyTable],
     retain_points: bool,
     start: float,
+    store: Optional[PersistentCache],
 ) -> DSEResult:
     """Every-point path: enumerate the space, score each point scalarly.
 
-    Selection keeps the first point attaining the minimum — exactly
-    ``min(points, key=...)`` over the enumeration.
+    The answer is the tuple of costs in enumeration order, memoized
+    whole (:func:`_memoized`); the objective and energy are derived
+    from it per caller.  Selection keeps the first point attaining the
+    minimum — exactly ``min(points, key=...)`` over the enumeration.
     """
     dataflows = list(enumerate_dataflows(ev.cfg, ev.accel, space))
     if not dataflows:
         raise ValueError("search space is empty")
+    n = len(dataflows)
+    lru_hits = 0
+
+    def _costs() -> Tuple[ScopeCost, ...]:
+        nonlocal lru_hits
+        costs = []
+        for dataflow in dataflows:
+            cost, source = ev.resolve(dataflow)
+            lru_hits += source == "lru"
+            costs.append(cost)
+        return tuple(costs)
+
+    key = ("points", ev.cfg, ev.accel_fp, ev.options, ev.scope, space)
+    costs, source = _memoized(key, _costs, store)
     need_energy = retain_points or objective in (
         Objective.ENERGY, Objective.EDP
     )
     points: List[DesignPoint] = []
     best: Optional[DesignPoint] = None
     best_value = 0.0
-    cache_hits = 0
-    disk_hits = 0
-    for dataflow in dataflows:
-        cost, source = ev.resolve(dataflow)
-        if source != "model":
-            cache_hits += 1
-            disk_hits += source == "disk"
+    for dataflow, cost in zip(dataflows, costs):
         energy = (
             energy_report(cost.counts, energy_table) if need_energy else None
         )
@@ -1180,15 +1209,12 @@ def _score_all(
     if best.energy is None:
         best = replace(best, energy=energy_report(best.cost.counts,
                                                   energy_table))
-    n = len(dataflows)
-    stats = SearchStats(
-        enumerated=n,
-        evaluated=n - cache_hits,
-        pruned=0,
-        cache_hits=cache_hits,
-        wall_time_s=time.perf_counter() - start,
-        disk_hits=disk_hits,
-    )
+    if source == "model":
+        stats = SearchStats(enumerated=n, evaluated=n - lru_hits, pruned=0,
+                            cache_hits=lru_hits,
+                            wall_time_s=time.perf_counter() - start)
+    else:
+        stats = _answered(n, source, start)
     _accumulate(stats)
     return DSEResult(best=best, points=tuple(points), objective=objective,
                      stats=stats)
@@ -1229,13 +1255,28 @@ def run_search(
     pruning is strict, and ties resolve to the first candidate in
     enumeration order.
     """
+    return _search(cfg, accel, scope, objective, space, options,
+                   energy_table, retain_points, warm_start,
+                   get_default_cache())
+
+
+def _search(cfg: AttentionConfig, accel: Accelerator, scope: Scope,
+            objective: Objective, space: SearchSpace, options: PerfOptions,
+            energy_table: Optional[EnergyTable], retain_points: bool,
+            warm_start: Optional[Incumbent],
+            store: Optional[PersistentCache]) -> DSEResult:
+    """:func:`run_search` against an explicit disk ``store`` (or none).
+
+    :func:`repro.core.scaleout.search_scaleout` runs its inner searches
+    with ``store=None``: it persists its own answer, one entry per call.
+    """
     with _span("search", scope=scope.name, objective=objective.name):
         start = time.perf_counter()
         ev = _Evaluator(cfg, scope, accel, accelerator_fingerprint(accel),
-                        options, get_default_cache())
+                        options)
         if retain_points or objective is Objective.FOOTPRINT:
             return _score_all(ev, objective, space, energy_table,
-                              retain_points, start)
+                              retain_points, start, store)
         with _span("candidate-search"):
             return _candidate_search(ev, objective, space, energy_table,
-                                     start, warm_start)
+                                     start, warm_start, store)

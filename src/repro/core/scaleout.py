@@ -17,7 +17,7 @@ structure-of-arrays grid (:func:`evaluate_partition_grid`, the
 payloads, fabric cycles per schedule, and admissible lower bounds are
 computed in vectorized NumPy with no inner search.  The *inner* level
 — the per-chip search — is delegated to the existing candidate-gated
-engine via :func:`repro.core.dse.search`, seeded with the previous
+engine's best-only search, seeded with the previous
 partition's (or chip count's) winner, and only runs for outer points
 that survive branch-and-bound against the incumbent.
 
@@ -45,7 +45,8 @@ bytes included; ``tests/core/test_scaleout.py`` checks it against that
 oracle.
 
 Winners are memoized through the engine's LRU and the persistent disk
-cache under a ``scaleout-memo`` key; this module and
+cache under a ``scaleout-memo`` key, one disk entry per call (inner
+searches stay in the LRU); this module and
 :mod:`repro.arch.fabric` are in the cache fingerprint set, so editing
 either formula invalidates stored winners.
 
@@ -85,7 +86,7 @@ from repro.arch.fabric import (
 )
 from repro.core.candidates import Incumbent, family_lower_bound, make_incumbent
 from repro.core.dataflow import Dataflow
-from repro.core.dse import Objective, SearchSpace, enumerate_families, search
+from repro.core.dse import Objective, SearchSpace, enumerate_families
 from repro.core.perf import PerfOptions, ScopeCost
 from repro.ops.attention import AttentionConfig, Scope
 
@@ -540,27 +541,6 @@ class ScaleoutResult:
     incumbent: Incumbent
 
 
-def _memo_key(
-    cfg: AttentionConfig,
-    system: ScaleoutSystem,
-    chips: int,
-    schedules: Tuple[CollectiveSchedule, ...],
-    scope: Scope,
-    space: SearchSpace,
-    options: PerfOptions,
-) -> tuple:
-    return (
-        "scaleout-memo",
-        cfg,
-        system.fingerprint(),
-        chips,
-        tuple(s.value for s in schedules),
-        scope,
-        space,
-        options,
-    )
-
-
 def search_scaleout(
     cfg: AttentionConfig,
     system: ScaleoutSystem,
@@ -582,7 +562,7 @@ def search_scaleout(
     persistent disk cache.
     """
     from repro.core.cache import get_default_cache
-    from repro.core.engine import _CACHE, accelerator_fingerprint
+    from repro.core.engine import _memoized, _search, accelerator_fingerprint
 
     schedules = tuple(schedules)
     stats = ScaleoutStats()
@@ -607,17 +587,6 @@ def search_scaleout(
         return ScaleoutResult(best=best, chips=chips, grid=grid,
                               stats=stats, incumbent=incumbent)
 
-    memo_key = _memo_key(cfg, system, chips, schedules, scope, space, options)
-    pcache = get_default_cache()
-    best = _CACHE.get(memo_key)
-    if best is None and pcache is not None:
-        best = pcache.get(memo_key)
-        if best is not None:
-            _CACHE.put(memo_key, best)
-    if best is not None:
-        stats.memo_hits = 1
-        return _result(best)
-
     seed = warm_start
     inner_cache: Dict[int, tuple] = {}  # partition index -> (result, cycles)
 
@@ -628,58 +597,56 @@ def search_scaleout(
             stats.inner_reused += 1
             return cached
         shard = shard_config(cfg, grid.partitions[p_idx])
-        result = search(
-            shard,
-            view,
-            scope=scope,
-            objective=Objective.RUNTIME,
-            space=space,
-            options=options,
-            retain_points=False,
-            warm_start=seed,
-        )
+        result = _search(shard, view, scope, Objective.RUNTIME, space,
+                         options, None, False, seed, None)
         stats.inner_searches += 1
         seed = make_incumbent(result, scope, view, options)
         entry = (result, float(result.best.cost.total_cycles))
         inner_cache[p_idx] = entry
         return entry
 
-    # Flat outer enumeration order: partition-major, schedule-minor.
-    flat_bounds = grid.bound_cycles.reshape(-1)
-    # Best-bound-first; index tie-break keeps the visit order
-    # deterministic (the *selection* tie-break is handled below).
-    visit = sorted(range(grid.num_points),
-                   key=lambda i: (flat_bounds[i], i))
+    def _outer_search() -> ScaleoutPoint:
+        # Flat outer enumeration order: partition-major, schedule-minor.
+        flat_bounds = grid.bound_cycles.reshape(-1)
+        # Best-bound-first; index tie-break keeps the visit order
+        # deterministic (the *selection* tie-break is handled below).
+        visit = sorted(range(grid.num_points),
+                       key=lambda i: (flat_bounds[i], i))
 
-    best_value = math.inf
-    best_index = -1
-    best_point: Optional[ScaleoutPoint] = None
-    for flat in visit:
-        if flat_bounds[flat] > best_value:
-            # Bounds are sorted: this and every later point is pruned.
-            stats.partitions_pruned += grid.num_points - stats.outer_evaluated
-            break
-        p_idx, s_idx = divmod(flat, n_sched)
-        result, chip_cycles = _inner(p_idx)
-        stats.outer_evaluated += 1
-        total = chip_cycles + float(grid.fabric_cycles[p_idx, s_idx])
-        if (total, flat) < (best_value, best_index):
-            best_value = total
-            best_index = flat
-            best_point = ScaleoutPoint(
-                partition=grid.partitions[p_idx],
-                schedule=schedules[s_idx],
-                dataflow=result.best.dataflow,
-                chip_cost=result.best.cost,
-                chip_cycles=chip_cycles,
-                fabric_cycles=float(grid.fabric_cycles[p_idx, s_idx]),
-            )
+        best_value = math.inf
+        best_index = -1
+        best_point: Optional[ScaleoutPoint] = None
+        for flat in visit:
+            if flat_bounds[flat] > best_value:
+                # Bounds are sorted: this and every later point is pruned.
+                stats.partitions_pruned += (grid.num_points
+                                            - stats.outer_evaluated)
+                break
+            p_idx, s_idx = divmod(flat, n_sched)
+            result, chip_cycles = _inner(p_idx)
+            stats.outer_evaluated += 1
+            total = chip_cycles + float(grid.fabric_cycles[p_idx, s_idx])
+            if (total, flat) < (best_value, best_index):
+                best_value = total
+                best_index = flat
+                best_point = ScaleoutPoint(
+                    partition=grid.partitions[p_idx],
+                    schedule=schedules[s_idx],
+                    dataflow=result.best.dataflow,
+                    chip_cost=result.best.cost,
+                    chip_cycles=chip_cycles,
+                    fabric_cycles=float(grid.fabric_cycles[p_idx, s_idx]),
+                )
 
-    assert best_point is not None
-    _CACHE.put(memo_key, best_point)
-    if pcache is not None:
-        pcache.put(memo_key, best_point)
-    return _result(best_point)
+        assert best_point is not None
+        return best_point
+
+    memo_key = ("scaleout-memo", cfg, system.fingerprint(), chips,
+                tuple(s.value for s in schedules), scope, space, options)
+    best, source = _memoized(memo_key, _outer_search, get_default_cache())
+    if source != "model":
+        stats.memo_hits = 1
+    return _result(best)
 
 
 def sweep_chip_counts(

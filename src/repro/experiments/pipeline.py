@@ -5,10 +5,10 @@ experiments; ``reproduce.sh`` and the CLI used to run them one after
 another in a single process.  This module schedules any subset of them
 across a ``ProcessPoolExecutor`` — experiments are the unit of
 parallelism (the DSE engine inside each stays serial by default), and
-the persistent evaluation cache (:mod:`repro.core.cache`) is the shared
-substrate underneath: workers exploring overlapping grids reuse each
-other's evaluations through disk, and a second run of the whole suite
-starts warm.
+the persistent answer cache (:mod:`repro.core.cache`) is the shared
+substrate underneath: workers repeating a search reuse each other's
+answers through disk, and a second run of the whole suite starts
+warm.
 
 Every experiment reports its wall time, its accumulated
 :class:`~repro.core.engine.SearchStats` totals and the persistent-cache

@@ -301,17 +301,17 @@ LOCK_INVENTORY: Mapping[str, Mapping[str, object]] = {
     "repro.core.cache": {
         "locks": {
             "self.stats": "self._lock",
-            "self._writes_since_evict": "self._lock",
+            "self._conn": "self._lock",
             "_instances": "_INSTANCES_LOCK",
             "_default_dir": "_DEFAULT_DIR_LOCK",
         },
         "write_only": (),
         "held_by": (
+            "PersistentCache._connection",
+            "PersistentCache._attempt",
+            "PersistentCache._observed",
             "PersistentCache._get",
-            "PersistentCache._get_observed",
             "PersistentCache._put",
-            "PersistentCache._put_observed",
-            "PersistentCache._discard_corrupt",
             "PersistentCache._evict",
         ),
         "loop_confined": (),

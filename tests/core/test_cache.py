@@ -1,11 +1,13 @@
-"""Tests for the persistent cross-run DSE evaluation cache."""
+"""Tests for the persistent cross-run DSE answer cache."""
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
+import sqlite3
+import sys
 import threading
+from contextlib import closing
 
 import pytest
 
@@ -25,8 +27,9 @@ from repro.core.dse import Objective, search
 from repro.core.engine import clear_evaluation_cache, evaluate_cost
 from repro.core.dataflow import flat_r
 from repro.core.perf import cost_scope
+from repro.core.scaleout import ScaleoutSystem, search_scaleout
 from repro.models.configs import model_config
-from repro.ops.attention import Scope
+from repro.ops.attention import AttentionConfig, Scope
 
 
 @pytest.fixture
@@ -34,9 +37,19 @@ def cache(tmp_path):
     return PersistentCache(tmp_path / "cache")
 
 
-def _entry_file(cache: PersistentCache, key) -> os.PathLike:
-    path, _ = cache._entry_path(key)
-    return path
+def _set_payload(cache: PersistentCache, key, payload: bytes) -> None:
+    """Overwrite one row's pickled payload from outside the store."""
+    with closing(sqlite3.connect(cache.path)) as conn:
+        conn.execute("UPDATE entries SET value = ? WHERE key = ?",
+                     (payload, cache_mod._digest(key)))
+        conn.commit()
+
+
+def _payload(cache: PersistentCache, key) -> bytes:
+    with closing(sqlite3.connect(cache.path)) as conn:
+        (value,) = conn.execute("SELECT value FROM entries WHERE key = ?",
+                                (cache_mod._digest(key),)).fetchone()
+    return value
 
 
 class TestRoundTrip:
@@ -63,48 +76,68 @@ class TestRoundTrip:
         assert cache.get(("k",)) == 2
         assert cache.entry_count() == 1
 
+    def test_one_sqlite_file_per_generation(self, cache):
+        for i in range(20):
+            cache.put(("k", i), i)
+        names = {p.name for p in cache.root.iterdir()}
+        assert cache.path.name in names
+        assert names <= {cache.path.name + suffix
+                         for suffix in ("", "-wal", "-shm")}
+
 
 class TestCorruption:
-    """Corrupted or truncated entries are skipped — counted, not fatal.
+    """Corrupt rows and files are skipped — counted, not fatal.
 
-    Regression coverage for the miss-accounting bug: the corruption
-    paths used to bump only ``corrupt``, so ``hits + misses`` drifted
-    below ``lookups``.  Every corruption is a miss *and* a corrupt.
+    Every corruption a lookup meets is a miss *and* a corrupt, so
+    ``hits + misses == lookups`` survives it.
     """
 
     def test_truncated_entry_is_a_miss(self, cache):
         key = ("k", 1)
         cache.put(key, "value")
-        path = _entry_file(cache, key)
-        payload = path.read_bytes()
-        path.write_bytes(payload[: len(payload) // 2])
+        payload = _payload(cache, key)
+        _set_payload(cache, key, payload[: len(payload) // 2])
         assert cache.get(key) is None
         assert cache.stats.corrupt == 1
         assert cache.stats.misses == 1, "a corrupt entry must count as a miss"
-        assert not path.exists(), "corrupt entry should be discarded"
+        assert cache.entry_count() == 0, "corrupt row should be discarded"
 
     def test_garbage_bytes_are_a_miss(self, cache):
         key = ("k", 2)
         cache.put(key, "value")
-        _entry_file(cache, key).write_bytes(b"not a pickle at all")
+        _set_payload(cache, key, b"not a pickle at all")
         assert cache.get(key) is None
         assert cache.stats.corrupt == 1
         assert cache.stats.misses == 1
 
+    def _break_file(self, cache, damage) -> None:
+        for i in range(50):
+            cache.put(("k", i), "x" * 500)
+        cache.close()  # checkpoints the WAL into the main file
+        cache.path.write_bytes(damage(cache.path.read_bytes()))
+
     def test_wrong_header_is_a_miss(self, cache):
-        key = ("k", 3)
-        cache.put(key, "value")
-        _entry_file(cache, key).write_bytes(
-            pickle.dumps(("some-other-schema", repr(key), "value"))
-        )
-        assert cache.get(key) is None
+        """A file that is not a database is dropped and rebuilt."""
+        self._break_file(cache, lambda data: b"garbage " * (len(data) // 8))
+        self._assert_rebuilt(cache)
+
+    def test_truncated_file_is_a_miss(self, cache):
+        self._break_file(cache, lambda data: data[: len(data) // 2])
+        self._assert_rebuilt(cache)
+
+    @staticmethod
+    def _assert_rebuilt(cache) -> None:
+        assert cache.get(("k", 49)) is None
         assert cache.stats.corrupt == 1
         assert cache.stats.misses == 1
+        cache.put(("k", 49), "fresh")
+        assert cache.get(("k", 49)) == "fresh"
+        assert cache.entry_count() == 1, "the store was rebuilt empty"
 
     def test_cache_recovers_after_corruption(self, cache):
         key = ("k", 4)
         cache.put(key, "old")
-        _entry_file(cache, key).write_bytes(b"\x00")
+        _set_payload(cache, key, b"\x00")
         assert cache.get(key) is None
         cache.put(key, "new")
         assert cache.get(key) == "new"
@@ -115,12 +148,52 @@ class TestCorruption:
         assert cache.get(("ok",)) == 1  # hit
         assert cache.get(("absent",)) is None  # plain miss
         cache.put(("bad",), 2)
-        _entry_file(cache, ("bad",)).write_bytes(b"garbage")
+        _set_payload(cache, ("bad",), b"garbage")
         assert cache.get(("bad",)) is None  # corrupt miss
         stats = cache.stats
         assert stats.lookups == 3
         assert stats.hits + stats.misses == stats.lookups
         assert stats.hits == 1 and stats.misses == 2 and stats.corrupt == 1
+
+
+class TestUnwritableStore:
+    """A store that cannot be written degrades to a no-op."""
+
+    def test_locked_store_is_a_no_op(self, cache, monkeypatch):
+        cache.put(("k",), 1)
+        cache.close()
+        monkeypatch.setattr(cache_mod, "_BUSY_TIMEOUT_S", 0.01)
+        with closing(sqlite3.connect(cache.path)) as holder:
+            holder.execute("PRAGMA journal_mode=DELETE")
+            holder.execute("BEGIN EXCLUSIVE")
+            assert cache.get(("k",)) is None
+            cache.put(("k2",), 2)
+            holder.rollback()
+        stats = cache.stats
+        assert stats.writes == 1 and stats.corrupt == 0
+        assert stats.hits + stats.misses == stats.lookups == 1
+        assert cache.get(("k",)) == 1, "the store works once unlocked"
+
+    def test_read_only_cache_dir(self, tmp_path):
+        root = tmp_path / "ro"
+        writer = PersistentCache(root)
+        writer.put(("k",), 1)
+        writer.close()
+        root.chmod(0o555)
+        writer.path.chmod(0o444)
+        try:
+            if os.access(root, os.W_OK):
+                pytest.skip("file permissions do not bind this user")
+            reader = PersistentCache(root)
+            assert reader.get(("k",)) in (None, 1)
+            reader.put(("k2",), 2)
+            assert reader.get(("k2",)) is None
+            stats = reader.stats
+            assert stats.writes == 0 and stats.corrupt == 0
+            assert stats.hits + stats.misses == stats.lookups == 2
+        finally:
+            root.chmod(0o755)
+            writer.path.chmod(0o644)
 
 
 class TestFingerprintInvalidation:
@@ -137,11 +210,31 @@ class TestFingerprintInvalidation:
         old = PersistentCache(tmp_path, fingerprint="a" * 64)
         for i in range(5):
             old.put(("k", i), i)
+        old.close()
         bumped = PersistentCache(tmp_path, fingerprint="b" * 64)
-        removed = bumped.evict()
-        assert removed == 5
-        assert old.entry_count() == 0
-        assert bumped.stats.evictions == 5
+        bumped.put(("k",), "fresh")
+        assert bumped.evict() == 0, "stale files go; live entries stay"
+        assert not any(p.name.startswith("a" * 16) for p in
+                       tmp_path.iterdir())
+        assert bumped.get(("k",)) == "fresh"
+        reopened = PersistentCache(tmp_path, fingerprint="a" * 64)
+        assert reopened.get(("k", 0)) is None
+
+    def test_first_eviction_sweeps_file_per_entry_tree(self, tmp_path):
+        """The version-1 layout, ``<fp16>/??/*.pkl``, is swept on open."""
+        fingerprint = cost_model_fingerprint()
+        for generation in (fingerprint[:16], "d" * 16):
+            for shard in ("0a", "ff"):
+                entries = tmp_path / generation / shard
+                entries.mkdir(parents=True)
+                for i in range(3):
+                    (entries / f"{i:062x}.pkl").write_bytes(b"v1")
+            (tmp_path / generation / "0a" / "stale.tmp").write_bytes(b"")
+        store = PersistentCache(tmp_path)
+        store.put(("k",), 1)  # a process's first write evicts
+        assert not list(tmp_path.glob("**/*.pkl"))
+        assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == []
+        assert store.get(("k",)) == 1
 
     def test_schema_version_feeds_fingerprint(self, monkeypatch):
         before = cost_model_fingerprint()
@@ -151,23 +244,26 @@ class TestFingerprintInvalidation:
 
 class TestEviction:
     def test_max_entries_enforced_lru(self, tmp_path):
-        cache = PersistentCache(tmp_path, max_entries=3, evict_interval=1000)
+        cache = PersistentCache(tmp_path, max_entries=3)
         for i in range(5):
             cache.put(("k", i), i)
-            os.utime(_entry_file(cache, ("k", i)), (i, i))
         # Refresh entry 0 so it becomes the most recently used.
-        now = 100.0
-        os.utime(_entry_file(cache, ("k", 0)), (now, now))
-        cache.evict()
+        assert cache.get(("k", 0)) == 0
+        assert cache.evict() == 2
         assert cache.entry_count() == 3
         assert cache.get(("k", 0)) == 0, "recently used entry survives"
         assert cache.get(("k", 1)) is None
+        assert cache.get(("k", 4)) == 4
 
-    def test_put_triggers_periodic_eviction(self, tmp_path):
-        cache = PersistentCache(tmp_path, max_entries=2, evict_interval=4)
+    def test_put_triggers_periodic_eviction(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_mod, "_EVICT_EVERY", 4)
+        cache = PersistentCache(tmp_path, max_entries=2)
         for i in range(4):
             cache.put(("k", i), i)
+        assert cache.entry_count() == 4, "only the first write evicted"
+        cache.put(("k", 4), 4)  # the fifth write evicts again
         assert cache.entry_count() == 2
+        assert cache.get(("k", 4)) == 4, "the newest entry survives"
 
     def test_clear_empties_live_generation(self, cache):
         cache.put(("k",), 1)
@@ -209,6 +305,34 @@ class TestConcurrency:
         assert reader.stats.corrupt == 0, "concurrent writers mangled entries"
 
 
+def _use_inherited(cache: PersistentCache) -> None:
+    # Runs in a fork-started child on the instance its parent opened.
+    assert cache.get(("parent",)) == "p"
+    cache.put(("child",), "c")
+    assert cache.get(("child",)) == "c"
+    assert cache.stats.corrupt == 0
+    os._exit(0)
+
+
+class TestForkedChild:
+    def test_child_uses_store_its_parent_opened(self, tmp_path):
+        cache = PersistentCache(tmp_path)
+        cache.put(("parent",), "p")
+        assert cache.get(("parent",)) == "p"
+        ctx = multiprocessing.get_context("fork")
+        child = ctx.Process(target=_use_inherited, args=(cache,))
+        child.start()
+        # No connection crosses the fork: the parent closed its own
+        # before forking and reopens it lazily.
+        assert cache._conn is None
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        assert cache.get(("child",)) == "c"
+        cache.put(("parent",), "p2")
+        assert cache.get(("parent",)) == "p2"
+        assert cache.stats.corrupt == 0
+
+
 class TestThreadSafety:
     """One cache instance shared across threads — the serving daemon's
     shape: request handlers and the evaluator hit the same
@@ -246,10 +370,16 @@ class TestThreadSafety:
             threading.Thread(target=write, args=(writer_rounds,))
             for _ in range(writer_threads)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force interleavings
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
         stats = cache.stats
         assert stats.corrupt == 0
@@ -372,3 +502,72 @@ class TestEngineIntegration:
                        evictions=0)
         assert (a - b) == CacheStats(lookups=6, hits=4, misses=2, writes=1,
                                      corrupt=1, evictions=0)
+
+
+def _scaleout_system() -> ScaleoutSystem:
+    return ScaleoutSystem(chip=edge())
+
+
+_SCALEOUT_CFG = AttentionConfig(
+    name="scale", batch=4, heads=4, d_model=64, seq_q=128, seq_kv=128,
+    d_ff=256,
+)
+
+
+class TestOneEntryPerSearch:
+    """Each re-asked call is one disk entry: one write cold, one read
+    warm, and no per-member disk lookup in between."""
+
+    def _cold_then_warm(self, tmp_path, call):
+        with default_cache_dir(str(tmp_path)):
+            clear_evaluation_cache()
+            store = get_default_cache()
+            cold = call()
+            after_cold = store.stats.copy()
+            clear_evaluation_cache()
+            warm = call()
+            warm_traffic = store.stats - after_cold
+        assert after_cold.writes == 1
+        assert after_cold.lookups == 1 and after_cold.misses == 1
+        assert warm_traffic.lookups == warm_traffic.hits == 1
+        assert warm_traffic.writes == 0
+        return cold, warm
+
+    def _check_search(self, cold, warm):
+        assert warm.stats.evaluated == 0
+        assert warm.stats.disk_hits == warm.stats.enumerated
+        assert warm.best == cold.best
+
+    def test_best_only_search(self, tmp_path, bert_512):
+        self._check_search(*self._cold_then_warm(
+            tmp_path,
+            lambda: search(bert_512, edge(), retain_points=False),
+        ))
+
+    def test_search_past_the_batch_float64_edge(self, tmp_path):
+        cfg = model_config("xlm", seq=65536)
+        cold, warm = self._cold_then_warm(
+            tmp_path, lambda: search(cfg, edge(), retain_points=False),
+        )
+        # Every member scored through the scalar fallback.
+        assert cold.stats.batch_evaluations == 0
+        assert cold.stats.evaluated > 1
+        self._check_search(cold, warm)
+
+    def test_every_point_search(self, tmp_path, bert_512):
+        cold, warm = self._cold_then_warm(
+            tmp_path,
+            lambda: search(bert_512, edge(), objective=Objective.ENERGY,
+                           retain_points=True),
+        )
+        self._check_search(cold, warm)
+        assert warm.points == cold.points
+
+    def test_search_scaleout(self, tmp_path):
+        cold, warm = self._cold_then_warm(
+            tmp_path,
+            lambda: search_scaleout(_SCALEOUT_CFG, _scaleout_system(), 4),
+        )
+        assert cold.stats.inner_searches > 0
+        assert warm.stats.memo_hits == 1 and warm.stats.inner_searches == 0
+        assert warm.best == cold.best

@@ -8,11 +8,14 @@ byte-identical to untraced ones.
 from __future__ import annotations
 
 import json
+import sqlite3
+from contextlib import closing
 
 import pytest
 
 import repro.obs as obs
 from repro.arch.presets import edge
+from repro.core import cache as cache_mod
 from repro.core.cache import PersistentCache
 from repro.core.dse import Objective, search
 from repro.core.engine import clear_evaluation_cache
@@ -92,8 +95,10 @@ class TestCacheInstrumentation:
             assert cache.get(("ok",)) == 1
             assert cache.get(("absent",)) is None
             cache.put(("bad",), 2)
-            path, _ = cache._entry_path(("bad",))
-            path.write_bytes(b"garbage")
+            with closing(sqlite3.connect(cache.path)) as conn:
+                conn.execute("UPDATE entries SET value = ? WHERE key = ?",
+                             (b"garbage", cache_mod._digest(("bad",))))
+                conn.commit()
             assert cache.get(("bad",)) is None
             snap = session.registry.snapshot()
         assert snap["cache.lookups"]["value"] == cache.stats.lookups == 3
