@@ -19,16 +19,35 @@ the first index attaining the minimum, which is exactly the engine's
 index-ordered strictly-less scan, so tie-breaking is preserved too.
 
 Why exactness holds: every elementary operation appears in the same
-order with the same operands in both paths, so IEEE-754 rounds it the
-same way.  The only divergence float64 arrays could introduce is in
-*integer* arithmetic, where Python is arbitrary-precision: an int
-product or sum above 2**53 stays exact in the scalar path but rounds
-in the array path.  :class:`BatchFallback` guards that boundary — a
-static MAC ceiling per operator bounds every factor, footprints are
-checked before the staging division, and the aggregated DRAM element
-sums are verified after the fact (sums of non-negative exact terms
-whose total stays below 2**52 were themselves computed exactly).
-Workloads beyond the guard simply take the scalar path.
+order with the same operands in both paths, and each operand has the
+same type — a Python ``int`` in the scalar path is an int64 lane here,
+a ``float`` is a float64 lane.  Float operations then round alike
+(IEEE-754), int operations are exact in both, and an int meets a float
+through the same single correctly-rounded conversion.  Three places
+need care, because there the two paths could still part:
+
+* **Integer traffic terms.**  An unstaged tensor's pass multiplier is
+  an int in the scalar model, so ``cold * passes`` is an exact int,
+  and two such terms (Q and K of the L-A pair, lhs and rhs of an
+  operator) add exactly before the sum meets its first float.  Those
+  products and sums are formed in int64 here (:func:`_traffic_sum`)
+  and converted once, where the scalar path converts.  Every other
+  traffic term is a float product in both paths.
+* **int / int true division.**  Python rounds the exact quotient once;
+  numpy rounds both int64 operands to float64 first, which is inexact
+  past 2**53.  The mapping efficiencies are therefore divided in Python
+  once per distinct iteration space (:func:`_per_value`), and the
+  staged footprint entering the staging-fit division is checked
+  against 2**53.
+* **int64 overflow.**  Every int64 intermediate — footprints in bytes,
+  pass counts, iteration spaces, integer traffic terms — is at most
+  ``9 * bytes_per_element`` times an operator's MAC count, so a static
+  ceiling of 2**58 on that product keeps them all below 2**62.
+
+:class:`BatchFallback` is raised only at those two checks.  The paper
+registry stays below both: its largest operators (XLM at 512K tokens,
+fig12b) reach 2**56 MAC-bytes and ~2**49 staged footprint bytes.
+Workloads beyond them take the scalar path.
 
 The scalar model still exists for two reasons: it produces the full
 :class:`~repro.core.perf.OperatorCost` breakdown (the batch path keeps
@@ -72,17 +91,14 @@ __all__ = [
     "best_index",
 ]
 
-# Largest per-operator MAC count the exactness argument covers: it
-# bounds every cold-traffic factor below 2**53 (exact float64
-# conversion) and keeps int64 intermediates far from overflow.
-_MAX_EXACT_MACS = 2 ** 50
-# Ceiling on the aggregated DRAM element sum (pre-replication): below
-# this, every partial sum of the non-negative integer-valued terms was
-# < 2**53 and therefore added exactly, matching Python's integers.
-_MAX_EXACT_SUM = float(2 ** 52)
-# Ceiling on footprint bytes entering the staging-fit division, where
-# numpy converts the int operand to float64 before dividing.
-_MAX_EXACT_INT = float(2 ** 53)
+# Ceiling on ``macs * bytes_per_element`` of any operator: every int64
+# intermediate of the array path is at most nine times that product,
+# so below 2**58 none comes near int64 overflow.
+_MAX_INT64_MAC_BYTES = 2 ** 58
+# Integers below 2**53 convert to float64 exactly, so numpy's int / int
+# true division of such operands rounds the exact quotient, as Python's
+# does.
+_MAX_EXACT_INT = 2 ** 53
 
 _STAT_INDEX = {
     Stationarity.OUTPUT: 0,
@@ -251,10 +267,36 @@ class _OpArrays:
 
 
 def _check_footprint(fp_bytes: "np.ndarray") -> None:
-    if float(fp_bytes.max()) >= _MAX_EXACT_INT:
+    # The staging fit divides by the footprint (int / int).
+    if int(fp_bytes.max()) >= _MAX_EXACT_INT:
         raise BatchFallback(
             "staged footprint exceeds the float64-exact range"
         )
+
+
+def _per_value(values: "np.ndarray", fn) -> "np.ndarray":
+    """``fn(v)`` for every lane, evaluated once per distinct int in Python.
+
+    For the mapping efficiencies, an int / int true division: Python
+    rounds the exact quotient once, numpy would first round both int64
+    operands to float64 (inexact past 2**53).  A grid has only a
+    handful of distinct values, so this costs next to nothing.
+    """
+    keys, index = _unique_index(values.tolist())
+    return np.asarray([fn(v) for v in keys], dtype=float)[index]
+
+
+def _traffic_sum(x_staged, x_float, x_int, y_staged, y_float, y_int):
+    """``x + y`` of two per-tensor traffic terms, typed as the scalar path.
+
+    ``*_float`` is ``cold * multiplier`` (a float product, exact to the
+    scalar path when the tensor is staged); ``*_int`` is the int64 term
+    ``cold * passes`` an unstaged tensor has.  Two int terms add exactly
+    and round once; an int meeting a float rounds once on conversion.
+    """
+    x = np.where(x_staged, x_float, x_int)
+    y = np.where(y_staged, y_float, y_int)
+    return np.where(x_staged | y_staged, x + y, (x_int + y_int).astype(float))
 
 
 def _tile_luts(unique_keys, lut_index, build):
@@ -361,13 +403,12 @@ def _evaluate_la_pair(
     )
 
     extra = options.spill_extra_pass_only
-    q_mult = _blend_passes(staged & f.s_lhs, fit_q, l_lhs, extra)
-    k_mult = _blend_passes(
-        staged & f.s_rhs, fit_k, row_passes * l_rhs, extra
-    )
-    v_mult = _blend_passes(
-        staged & f.s_rhs2, fit_v, row_passes * a_rhs, extra
-    )
+    q_on, k_on, v_on = staged & f.s_lhs, staged & f.s_rhs, staged & f.s_rhs2
+    k_l2 = row_passes * l_rhs
+    v_l2 = row_passes * a_rhs
+    q_mult = _blend_passes(q_on, fit_q, l_lhs, extra)
+    k_mult = _blend_passes(k_on, fit_k, k_l2, extra)
+    v_mult = _blend_passes(v_on, fit_v, v_l2, extra)
     out_mult = _blend_passes(
         staged & f.s_out, fit_out,
         _psum_passes_from_ko(ko_a, f.is_output).astype(float), extra,
@@ -381,10 +422,10 @@ def _evaluate_la_pair(
         # instance), so they share one quantization efficiency.
         space = f.r * dk * nkv * (f.b_t * f.h_t)
         pes = accel.pe_array.num_pes
-        eff_l = space / (pes * ceil_div(space, pes))
+        eff_l = _per_value(space, lambda v: v / (pes * ceil_div(v, pes)))
         eff_a = eff_l
     else:
-        eff_r_rows = _strict_axis_eff(f.r, rows_pe)
+        eff_r_rows = _per_value(f.r, lambda v: _strict_axis_eff(v, rows_pe))
         eff_l = np.where(
             f.stat_idx == 0,
             eff_r_rows * _strict_axis_eff(nkv, cols_pe),
@@ -411,8 +452,14 @@ def _evaluate_la_pair(
                                          options)
     softmax_cycles = accel.sfu.softmax_cycles(int_cold)
 
-    dram_l_inputs = q_cold * q_mult + k_cold * k_mult
-    dram_a_inputs = v_cold * v_mult + out_cold * out_mult
+    dram_l_inputs = _traffic_sum(
+        q_on, q_cold * q_mult, q_cold * l_lhs,
+        k_on, k_cold * k_mult, k_cold * k_l2,
+    )
+    dram_a_inputs = (
+        np.where(v_on, v_cold * v_mult, v_cold * v_l2)
+        + out_cold * out_mult
+    )
     sg_base_l = sg_stream_words(macs_l, accel)
     sg_base_a = sg_stream_words(macs_a, accel) + out_cold
 
@@ -529,22 +576,21 @@ def _evaluate_operator(
     lhs_mult = _blend_passes(f.o_lhs, fit, lhs_p, extra)
     rhs_l2 = ceil_div(op.m, op.m) * rhs_p
     if op.rhs.role.is_weight:
-        rhs_mult = _blend_passes(f.o_rhs, fit, rhs_l2 * inst_passes, extra)
-    else:
-        rhs_mult = _blend_passes(f.o_rhs, fit, rhs_l2, extra)
+        rhs_l2 = rhs_l2 * inst_passes
+    rhs_mult = _blend_passes(f.o_rhs, fit, rhs_l2, extra)
     out_mult = _blend_passes(
         f.o_out, fit, np.maximum(out_p, out_l2).astype(float), extra
     )
 
-    dram_words = (
-        op.lhs.num_elements * lhs_mult
-        + op.rhs.num_elements * rhs_mult
-        + op.out.num_elements * out_mult
-    )
+    lhs_n, rhs_n = op.lhs.num_elements, op.rhs.num_elements
+    dram_words = _traffic_sum(
+        f.o_lhs, lhs_n * lhs_mult, lhs_n * lhs_p,
+        f.o_rhs, rhs_n * rhs_mult, rhs_n * rhs_l2,
+    ) + op.out.num_elements * out_mult
     if options.flexible_mapping:
         space = op.m * op.k * op.n * f.o_b_t
         pes = accel.pe_array.num_pes
-        eff = space / (pes * ceil_div(space, pes))
+        eff = _per_value(space, lambda v: v / (pes * ceil_div(v, pes)))
     else:
         eff = np.asarray([
             _strict_axis_eff(op.m, rows_pe) * _strict_axis_eff(op.n, cols_pe),
@@ -587,10 +633,9 @@ def evaluate_grid(
     operator costs in the same order with the same association, so the
     results equal the scalar path's bit for bit.
 
-    Raises :class:`BatchFallback` when the scope contains operator
-    shapes the vectorization does not cover, or when a workload is
-    large enough that float64 could round integer arithmetic Python
-    would keep exact.
+    Raises :class:`BatchFallback` when a workload is large enough that
+    the array path could round, or overflow, where Python's integers
+    stay exact (see the module docstring).
     """
     dataflows = list(dataflows)
     if not dataflows:
@@ -605,29 +650,19 @@ def evaluate_grid(
     i = 0
     while i < len(ops):
         op = ops[i]
+        if op.macs * accel.bytes_per_element >= _MAX_INT64_MAC_BYTES:
+            raise BatchFallback("operator exceeds the int64 headroom")
         if (
             op.kind is OperatorKind.LOGIT
             and i + 1 < len(ops)
             and ops[i + 1].kind is OperatorKind.ATTEND
         ):
-            plan.append(None)  # the L-A pair
-            if 2 * op.macs >= _MAX_EXACT_MACS:
-                raise BatchFallback(
-                    "L-A pair exceeds the float64-exact range"
-                )
+            plan.append(None)  # the L-A pair (A has L's MAC count)
             i += 2
             continue
-        if op.is_activation_activation or op.softmax_after:
-            # A standalone L or A (cross-scope slicing) never occurs in
-            # the enumerated scopes; keep the scalar path authoritative.
-            raise BatchFallback(
-                "standalone activation-activation operators take the "
-                "scalar path"
-            )
-        if op.macs >= _MAX_EXACT_MACS:
-            raise BatchFallback(
-                "operator exceeds the float64-exact range"
-            )
+        # Every scope lists L directly before A, so a standalone L or A
+        # (which only the scalar path costs) never reaches this point.
+        assert not (op.is_activation_activation or op.softmax_after), op
         plan.append(op)
         i += 1
 
@@ -656,10 +691,6 @@ def evaluate_grid(
         footprint = (
             res.footprint_bytes if footprint is None
             else np.maximum(footprint, res.footprint_bytes)
-        )
-    if float(np.max(dram_words)) >= _MAX_EXACT_SUM:
-        raise BatchFallback(
-            "aggregated DRAM traffic exceeds the float64-exact range"
         )
 
     replication = cfg.num_blocks if scope is Scope.MODEL else 1

@@ -61,7 +61,9 @@ __all__ = [
 #: Bump to invalidate every existing cache entry regardless of source
 #: changes (e.g. when the entry payload format itself changes).
 #: Version 2: one sqlite file per generation, one entry per search.
-CACHE_SCHEMA_VERSION = 2
+#: Version 3: a best-only search's entry holds its winning dataflow,
+#: cost and space size (was the winner's index and cost).
+CACHE_SCHEMA_VERSION = 3
 
 _ENV_VAR = "REPRO_CACHE_DIR"
 

@@ -17,8 +17,9 @@ paths, chosen by what the caller asks for:
   whose bound exceeds the incumbent is skipped without ever expanding
   its members.  Survivors are scored by the vectorized backend
   (:func:`repro.core.batch.evaluate_grid`).  When a scoring call raises
-  :class:`~repro.core.batch.BatchFallback` (a workload beyond the
-  float64-exact range), that call's members are scored one by one by
+  :class:`~repro.core.batch.BatchFallback` (a workload past the array
+  path's int64 headroom or float64-exact staged footprint, beyond
+  every paper workload), that call's members are scored one by one by
   the memoized scalar model instead, so family pruning and the winner
   memo cover those searches too.  A ``warm_start``
   :class:`~repro.core.candidates.Incumbent` (the neighboring sweep
@@ -41,11 +42,11 @@ first-in-order tie-break.  Three more optimizations sit under both:
 * **Cross-sweep memoization.**  Scalar evaluations are cached in a
   process-wide LRU keyed on ``(AttentionConfig, accelerator
   fingerprint, Dataflow, PerfOptions, Scope)``, and every search
-  remembers its answer — a best-only search its winner's index and
-  cost, an every-point search its costs — so a repeat search touches
-  one entry.  The cache stores only deterministic
-  :class:`~repro.core.perf.ScopeCost` values; energy is derived per
-  caller (it depends on the energy table).
+  remembers its answer — a best-only search its winning dataflow,
+  cost and space size, an every-point search its costs — so a repeat
+  search touches one entry and plans nothing.  The cache stores only
+  deterministic :class:`~repro.core.perf.ScopeCost` values; energy is
+  derived per caller (it depends on the energy table).
 * **Cross-run persistence.**  When a cache directory is configured
   (``--cache-dir`` / ``REPRO_CACHE_DIR``; see :mod:`repro.core.cache`),
   :func:`run_search`, :func:`evaluate_cost` and
@@ -392,12 +393,13 @@ def accelerator_fingerprint(accel: Accelerator) -> tuple:
 class _Evaluator:
     """Per-point costs of one search identity, memoized in the LRU only.
 
-    Every scalar evaluation inside a search — the every-point path,
-    ``BatchFallback`` scoring, the warm seed and the winner's breakdown
-    — goes through :meth:`resolve`, which reports its source (``"lru"``
-    or ``"model"``).  Results stay in the process-wide LRU; the disk
-    tier sits one level up and stores each search's answer
-    (:func:`_memoized`).
+    Every scalar evaluation inside a search — the every-point path, the
+    warm seed, the winner's breakdown and, past the array path's edge,
+    ``BatchFallback`` scoring — goes through :meth:`resolve`, which
+    reports its source (``"lru"`` or ``"model"``).  Results stay in the
+    process-wide LRU; the disk tier sits one level up and stores each
+    search's answer (:func:`_memoized`).  A memoized best-only answer
+    never reaches this class: it carries its winner's cost.
     """
 
     cfg: AttentionConfig
@@ -879,31 +881,31 @@ def _candidate_search(
 ) -> DSEResult:
     """Best-only path: the memoized answer, or :func:`_branch_and_bound`.
 
-    The answer — the winner's global enumeration index and its
-    ``ScopeCost`` — is keyed on the space, not the expanded grid: the
-    dse/candidates sources are in the disk-cache fingerprint, so an
-    index keeps its meaning.
+    The answer is the winner's ``Dataflow``, its ``ScopeCost`` and the
+    size of the space it was chosen from, keyed on the space rather
+    than the expanded grid.  Only a miss plans the space: an LRU or
+    disk hit neither calls ``plan_candidates`` nor expands a family,
+    and its stats book the recorded space size as hits.
     """
     cfg, scope, options = ev.cfg, ev.scope, ev.options
-    plan = plan_candidates(objective, cfg, scope, ev.accel, space,
-                           options=options, energy_table=energy_table)
-    if plan.total == 0:
-        raise ValueError("search space is empty")
     searched: List[SearchStats] = []
 
-    def _compute() -> Tuple[int, ScopeCost]:
-        index, cost, stats = _branch_and_bound(ev, plan, objective, space,
-                                               energy_table, start, warm)
+    def _compute() -> Tuple[Dataflow, ScopeCost, int]:
+        plan = plan_candidates(objective, cfg, scope, ev.accel, space,
+                               options=options, energy_table=energy_table)
+        if plan.total == 0:
+            raise ValueError("search space is empty")
+        dataflow, cost, stats = _branch_and_bound(
+            ev, plan, objective, space, energy_table, start, warm)
         searched.append(stats)
-        return index, cost
+        return dataflow, cost, plan.total
 
     key = ("search", cfg, ev.accel_fp, options, scope, objective,
            energy_table, space)
-    (index, cost), source = _memoized(key, _compute, store)
-    stats = searched[0] if searched else _answered(plan.total, source, start)
+    (dataflow, cost, total), source = _memoized(key, _compute, store)
+    stats = searched[0] if searched else _answered(total, source, start)
     _accumulate(stats)
-    best = DesignPoint(dataflow=_planned_dataflow(cfg, plan, space, index),
-                       cost=cost,
+    best = DesignPoint(dataflow=dataflow, cost=cost,
                        energy=energy_report(cost.counts, energy_table))
     return DSEResult(best=best, points=(), objective=objective, stats=stats)
 
@@ -933,8 +935,8 @@ def _branch_and_bound(
     energy_table: Optional[EnergyTable],
     start: float,
     warm: Optional[Incumbent],
-) -> Tuple[int, ScopeCost, SearchStats]:
-    """Plan families, branch-and-bound, score survivors: the winner.
+) -> Tuple[Dataflow, ScopeCost, SearchStats]:
+    """Branch-and-bound over a planned space, score survivors: the winner.
 
     Never expands the whole space.  :func:`repro.core.candidates.plan_candidates`
     derives one admissible bound per family from its cheapest
@@ -945,8 +947,9 @@ def _branch_and_bound(
     two scoring calls run per search (representatives, then surviving
     members), so the fixed batch-call overhead cannot erase the pruning
     win.  Each call is one :func:`~repro.core.batch.evaluate_grid`; on
-    :class:`~repro.core.batch.BatchFallback` the call's members go
-    through the scalar model instead (bit-equal, just slower).
+    :class:`~repro.core.batch.BatchFallback` (only past the array
+    path's edge) the call's members go through the scalar model instead
+    (bit-equal, just slower).
 
     Selection minimizes ``(value, global enumeration index)`` over
     every scored candidate.  A skipped candidate's true value strictly
@@ -1127,6 +1130,7 @@ def _branch_and_bound(
                candidates_skipped=family_skipped, scalar=evaluated)
 
     assert best_index is not None  # first family always scores someone
+    winner = _planned_dataflow(cfg, plan, space, best_index)
     if best_index in known:
         cost = known[best_index]
         batch_losers = batch_evaluations
@@ -1134,8 +1138,7 @@ def _branch_and_bound(
         # A grid-scored winner: build its scalar breakdown.  A cache
         # hit here means another thread raced the entry into the LRU
         # after the lookup missed it; book it as the hit it became.
-        cost, source = ev.resolve(
-            _planned_dataflow(cfg, plan, space, best_index))
+        cost, source = ev.resolve(winner)
         batch_losers = batch_evaluations - 1
         if source == "model":
             evaluated += 1
@@ -1153,7 +1156,7 @@ def _branch_and_bound(
         candidates_skipped=family_skipped,
         families_pruned=families_pruned,
     )
-    return best_index, cost, stats
+    return winner, cost, stats
 
 
 def _score_all(

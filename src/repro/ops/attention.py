@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import List
+from functools import lru_cache
+from typing import List, Tuple
 
 from repro.ops.operator import GemmOperator, OperatorKind
 
@@ -174,18 +175,25 @@ def build_model(cfg: AttentionConfig) -> List[GemmOperator]:
     return operators
 
 
-def operators_for_scope(cfg: AttentionConfig, scope: Scope) -> List[GemmOperator]:
-    """Return the operator list the given evaluation scope covers.
+# Small on purpose: the cost model, the batch backend and the engine's
+# bounds ask for the same few (config, scope) pairs back to back, and a
+# larger table only holds more operator lists alive.
+@lru_cache(maxsize=64)
+def operators_for_scope(
+    cfg: AttentionConfig, scope: Scope
+) -> Tuple[GemmOperator, ...]:
+    """Return the operators the given evaluation scope covers, in order.
 
     ``Scope.MODEL`` returns a *single* block — the caller multiplies cost
     by ``cfg.num_blocks`` — because all blocks are identical and the
-    paper's model-wise numbers are per-model run time.
+    paper's model-wise numbers are per-model run time.  Memoized: the
+    tuple and its frozen operators are shared between callers.
     """
     if scope is Scope.LA:
         ops = build_attention_layer(cfg)
-        return [op for op in ops if op.is_activation_activation]
+        return tuple(op for op in ops if op.is_activation_activation)
     if scope is Scope.BLOCK:
-        return build_attention_block(cfg)
+        return tuple(build_attention_block(cfg))
     if scope is Scope.MODEL:
-        return build_attention_block(cfg)
+        return tuple(build_attention_block(cfg))
     raise ValueError(f"unknown scope {scope!r}")

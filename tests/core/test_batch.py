@@ -8,15 +8,18 @@ exactly (``==``, not approx), and ``np.argmin`` over the score array
 must land on the same index as the engine's first-strictly-less scan,
 so tie-breaking survives vectorization.  The engine-level tests then
 check that ``run_search`` returns the exhaustive oracle's best point on
-both sides of the float64-exactness guard and that the accounting
+both sides of the array path's exactness edge and that the accounting
 fields behave.
 """
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
-from repro.arch.presets import cloud, edge
+from repro.analysis.utilization import default_buffer_sizes
+from repro.arch.presets import cloud, edge, get_platform
 from repro.core import batch as batch_backend
 from repro.core.batch import (
     BatchFallback,
@@ -29,10 +32,13 @@ from repro.core.dse import (
     enumerate_dataflows,
     search,
 )
+from repro.core.configs import attacc, flex_accel, flex_accel_m
 from repro.core.engine import clear_evaluation_cache
 from repro.core.dataflow import Granularity
 from repro.core.perf import cost_scope
 from repro.energy.model import energy_report
+from repro.experiments.fig8 import dse_lineup as fig8_dse_lineup
+from repro.models.configs import model_config, model_names
 from repro.ops.attention import AttentionConfig, Scope
 from tests.oracles import assert_matches_oracle, exhaustive_best
 
@@ -234,22 +240,58 @@ class TestStats:
 
 
 def _edge_cfg(batch: int) -> AttentionConfig:
-    """A workload whose L-A pair has ``2 * batch * 2**45`` MACs."""
+    """A workload whose L and A operators each have ``batch * 2**44`` MACs."""
     return AttentionConfig(
         name=f"edge-b{batch}", batch=batch, heads=16, d_model=1024,
         seq_q=2 ** 17, seq_kv=2 ** 17, d_ff=4096, num_blocks=1,
     )
 
 
+def _fallback_shapes(experiment):
+    """The grids whose L-A pair crossed the retired ``2 * macs >= 2**50``
+    guard in a registry pass: ``(cfg, scope, accel, dataflows)``.
+
+    Each shape enumerates the union of the spaces its experiment
+    searches, a superset of the members the pass scored.
+    """
+    zoo_seqs = [(model, 262144) for model in model_names()]
+    zoo_seqs.append(("xlm", 65536))
+    if experiment == "fig12a":
+        policies = (flex_accel_m(), flex_accel(), attacc())
+        for platform in ("edge", "cloud"):
+            accel = get_platform(platform)
+            for model, seq in zoo_seqs:
+                cfg = model_config(model, seq=seq)
+                yield cfg, Scope.MODEL, accel, [p.space for p in policies]
+    elif experiment == "fig12b":
+        policies = (flex_accel_m(), flex_accel(), attacc())
+        for seq in (131072, 524288):
+            for gbps in (1.0, 400.0, 100_000.0):
+                accel = cloud().with_offchip_bandwidth(gbps * 1e9)
+                yield (model_config("xlm", seq=seq), Scope.LA, accel,
+                       [p.space for p in policies])
+    else:  # fig8-cloud
+        rows = 2 * cloud().pe_array.rows
+        spaces = list(fig8_dse_lineup([rows // 4, rows, rows * 4,
+                                       rows * 16]).values())
+        for size in default_buffer_sizes():
+            accel = cloud().with_scratchpad_bytes(size)
+            for scope in (Scope.LA, Scope.BLOCK):
+                yield model_config("xlm", seq=65536), scope, accel, spaces
+
+
 class TestFallback:
-    """Workloads beyond the float64-exactness guard: scalar scoring."""
+    """Both sides of the old float64 edge and of the new int64 one."""
 
     # 64 * 16 * 262144^2 * 64 = 2^52 MACs in the logit operator alone,
-    # past the 2^50 static ceiling.
+    # four times past the retired 2^50 ceiling on the L-A pair.
     _HUGE = AttentionConfig(
         name="huge", batch=64, heads=16, d_model=1024,
         seq_q=262144, seq_kv=262144, d_ff=4096, num_blocks=1,
     )
+    # 2^13 * 2^44 MACs per operator at two bytes per element: exactly
+    # the int64-headroom ceiling of the array path.
+    _PAST = _edge_cfg(batch=2 ** 13)
     # A narrow space keeps the scalar oracle sweep fast.
     _SPACE = SearchSpace(
         allow_unfused=False, granularities=(Granularity.R,),
@@ -262,28 +304,41 @@ class TestFallback:
                           include_plain_base=False)
 
     def test_grid_raises(self, edge_accel):
-        dataflows = _grid(self._HUGE, edge_accel, self._SPACE)
-        with pytest.raises(BatchFallback):
-            evaluate_grid(self._HUGE, Scope.LA, edge_accel, dataflows)
+        cfg = self._PAST
+        macs = cfg.batch * cfg.heads * cfg.seq_q * cfg.seq_kv * cfg.d_head
+        assert macs * edge_accel.bytes_per_element == (
+            batch_backend._MAX_INT64_MAC_BYTES
+        )
+        dataflows = _grid(cfg, edge_accel, self._SPACE)
+        with pytest.raises(BatchFallback, match="int64 headroom"):
+            evaluate_grid(cfg, Scope.LA, edge_accel, dataflows)
+
+    def test_staged_footprint_past_float64_raises(self, edge_accel):
+        # An M-granular intermediate of 2^52 elements: 2^53 bytes enter
+        # the int / int staging-fit division, below the int64 ceiling.
+        cfg = AttentionConfig(
+            name="wide", batch=2 ** 14, heads=16, d_model=256,
+            seq_q=2 ** 17, seq_kv=2 ** 17, d_ff=1024, num_blocks=1,
+        )
+        space = SearchSpace(allow_unfused=False,
+                            granularities=(Granularity.M,),
+                            include_plain_base=False)
+        with pytest.raises(BatchFallback, match="staged footprint"):
+            evaluate_grid(cfg, Scope.LA, edge_accel,
+                          _grid(cfg, edge_accel, space))
 
     def test_engine_falls_back_to_scalar(self, edge_accel):
-        oracle = exhaustive_best(self._HUGE, edge_accel, scope=Scope.LA,
+        oracle = exhaustive_best(self._PAST, edge_accel, scope=Scope.LA,
                                  space=self._SPACE)
-        fast = search(self._HUGE, edge_accel, scope=Scope.LA,
+        fast = search(self._PAST, edge_accel, scope=Scope.LA,
                       space=self._SPACE, retain_points=False)
         assert_matches_oracle(fast, oracle)
         assert fast.stats.batch_evaluations == 0
 
     def test_edge_repeat_search_served_from_memo(self, edge_accel):
-        """At the exactness edge: oracle winner, balanced ledger, memo."""
-        cfg = _edge_cfg(batch=32)
-        assert 2 * cfg.batch * cfg.heads * cfg.seq_q * cfg.seq_kv * (
-            cfg.d_model // cfg.heads
-        ) == batch_backend._MAX_EXACT_MACS
+        """Past the edge: oracle winner, balanced ledger, memo."""
+        cfg = self._PAST
         dataflows = _grid(cfg, edge_accel, self._LADDER)
-        with pytest.raises(BatchFallback):
-            evaluate_grid(cfg, Scope.LA, edge_accel, dataflows)
-
         first = search(cfg, edge_accel, scope=Scope.LA, space=self._LADDER,
                        retain_points=False)
         assert_matches_oracle(
@@ -308,7 +363,9 @@ class TestFallback:
         assert again.stats.cache_hits == again.stats.enumerated
 
     def test_just_below_the_edge_takes_the_grid(self, edge_accel):
-        cfg = _edge_cfg(batch=16)
+        cfg = _edge_cfg(batch=2 ** 12)
+        _assert_grid_matches_scalar(cfg, Scope.LA, edge_accel,
+                                    _grid(cfg, edge_accel, self._LADDER))
         res = search(cfg, edge_accel, scope=Scope.LA, space=self._LADDER,
                      retain_points=False)
         assert_matches_oracle(
@@ -317,3 +374,59 @@ class TestFallback:
         )
         assert res.stats.batch_evaluations == res.stats.candidates_generated
         assert res.stats.evaluated == 1
+
+    @pytest.mark.parametrize("name", ["huge", "edge-b32"])
+    def test_past_the_old_edge_takes_the_grid(self, edge_accel, name):
+        cfg, space = {
+            "huge": (self._HUGE, self._SPACE),
+            "edge-b32": (_edge_cfg(batch=32), self._LADDER),
+        }[name]
+        _assert_grid_matches_scalar(cfg, Scope.LA, edge_accel,
+                                    _grid(cfg, edge_accel, space))
+        res = search(cfg, edge_accel, scope=Scope.LA, space=space,
+                     retain_points=False)
+        assert_matches_oracle(
+            res, exhaustive_best(cfg, edge_accel, scope=Scope.LA,
+                                 space=space),
+        )
+        assert res.stats.batch_evaluations == res.stats.candidates_generated
+        assert res.stats.evaluated == 1
+
+    def test_integer_traffic_sums_round_once(self):
+        """Two unstaged traffic terms past 2**53 add as exact ints.
+
+        A 4x4 array with a 4 KiB scratchpad re-streams K thousands of
+        times, so Q and K traffic are exact ints the scalar model adds
+        before rounding; adding their float64 roundings instead gives
+        a different last bit on some of these members.
+        """
+        cfg = AttentionConfig(
+            name="odd", batch=509, heads=9, d_model=9 * 129,
+            seq_q=262139, seq_kv=262139, d_ff=4 * 9 * 129, num_blocks=1,
+        )
+        small = edge().with_scratchpad_bytes(4096)
+        accel = dataclasses.replace(
+            small, pe_array=dataclasses.replace(small.pe_array, rows=4,
+                                                cols=4),
+        )
+        _assert_grid_matches_scalar(cfg, Scope.BLOCK, accel,
+                                    _grid(cfg, accel))
+
+    def test_traffic_sum_is_exact_past_float64(self):
+        big = np.array([2 ** 53 + 1, 2 ** 53 + 1])
+        one = np.array([1, 1])
+        off = np.array([False, False])
+        total = batch_backend._traffic_sum(off, big * 1.0, big,
+                                           off, one * 1.0, one)
+        assert total.tolist() == [float(2 ** 53 + 2)] * 2
+
+    @pytest.mark.parametrize("experiment", ["fig12a", "fig12b", "fig8-cloud"])
+    def test_captured_fallback_shapes_match_scalar(self, experiment):
+        """Every member the old guard sent to the scalar path now scores
+        on the grid, bit-equal to ``cost_scope`` on every field."""
+        for cfg, scope, accel, spaces in _fallback_shapes(experiment):
+            dataflows = list(dict.fromkeys(
+                df for space in spaces
+                for df in enumerate_dataflows(cfg, accel, space)
+            ))
+            _assert_grid_matches_scalar(cfg, scope, accel, dataflows)

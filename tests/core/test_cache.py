@@ -23,12 +23,15 @@ from repro.core.cache import (
     resolve_cache_dir,
     set_default_cache_dir,
 )
-from repro.core.dse import Objective, search
-from repro.core.engine import clear_evaluation_cache, evaluate_cost
-from repro.core.dataflow import flat_r
-from repro.core.perf import cost_scope
+from repro.core.dse import Objective, SearchSpace, search
+from repro.core.engine import (
+    accelerator_fingerprint,
+    clear_evaluation_cache,
+    evaluate_cost,
+)
+from repro.core.dataflow import Granularity, flat_r
+from repro.core.perf import PerfOptions, cost_scope
 from repro.core.scaleout import ScaleoutSystem, search_scaleout
-from repro.models.configs import model_config
 from repro.ops.attention import AttentionConfig, Scope
 
 
@@ -504,6 +507,30 @@ class TestEngineIntegration:
                                      corrupt=1, evictions=0)
 
 
+class TestSchemaUpgrade:
+    def test_v2_search_entry_is_a_miss(self, tmp_path, bert_512):
+        """A store written before the best-only answer became
+        ``(dataflow, cost, space size)`` holds ``(index, cost)`` rows;
+        the schema bump keeps the new code from ever reading them."""
+        accel = edge()
+        expected = search(bert_512, accel, retain_points=False)
+        key = ("search", bert_512, accelerator_fingerprint(accel),
+               PerfOptions(), Scope.LA, Objective.RUNTIME, None,
+               SearchSpace())
+        old = PersistentCache(tmp_path, fingerprint=cache_mod._fingerprint(2))
+        old.put(key, (0, expected.best.cost))
+        assert old.get(key) == (0, expected.best.cost)
+        old.close()
+        with default_cache_dir(str(tmp_path)):
+            clear_evaluation_cache()
+            result = search(bert_512, accel, retain_points=False)
+            store = get_default_cache()
+        assert store.stats.hits == 0 and store.stats.writes == 1
+        assert result.stats.disk_hits == 0 and result.stats.evaluated > 0
+        assert result.best == expected.best
+        assert not old.path.exists()  # the first write swept generation 2
+
+
 def _scaleout_system() -> ScaleoutSystem:
     return ScaleoutSystem(chip=edge())
 
@@ -545,11 +572,19 @@ class TestOneEntryPerSearch:
         ))
 
     def test_search_past_the_batch_float64_edge(self, tmp_path):
-        cfg = model_config("xlm", seq=65536)
-        cold, warm = self._cold_then_warm(
-            tmp_path, lambda: search(cfg, edge(), retain_points=False),
+        # Past the array path's int64 headroom (2**58 MAC-bytes per
+        # operator): every member is scored through the scalar fallback.
+        cfg = AttentionConfig(
+            name="past", batch=2 ** 13, heads=16, d_model=1024,
+            seq_q=2 ** 17, seq_kv=2 ** 17, d_ff=4096,
         )
-        # Every member scored through the scalar fallback.
+        space = SearchSpace(allow_unfused=False,
+                            granularities=(Granularity.R,),
+                            include_plain_base=False)
+        cold, warm = self._cold_then_warm(
+            tmp_path,
+            lambda: search(cfg, edge(), space=space, retain_points=False),
+        )
         assert cold.stats.batch_evaluations == 0
         assert cold.stats.evaluated > 1
         self._check_search(cold, warm)

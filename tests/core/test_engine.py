@@ -12,8 +12,12 @@ import dataclasses
 
 import pytest
 
+from repro.core import engine
+from repro.core.cache import default_cache_dir
+from repro.core.candidates import make_incumbent
 from repro.core.dse import Objective, SearchSpace, enumerate_dataflows, search
 from repro.core.engine import (
+    SearchStats,
     accelerator_fingerprint,
     clear_evaluation_cache,
     cycles_lower_bound,
@@ -163,6 +167,60 @@ class TestStats:
         with pytest.raises(ValueError):
             SearchStats(enumerated=3, evaluated=1, pruned=1, cache_hits=0,
                         wall_time_s=0.0)
+
+
+class TestMemoHitSkipsPlanning:
+    """A memoized best-only answer neither plans the space nor expands a
+    family: it carries its winner and the space size."""
+
+    @pytest.fixture()
+    def plans(self, monkeypatch):
+        calls = []
+        real = engine.plan_candidates
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "plan_candidates", counting)
+        return calls
+
+    @staticmethod
+    def _hit_stats(cold: SearchStats, hit: SearchStats,
+                   disk: bool) -> SearchStats:
+        n = cold.enumerated
+        return SearchStats(enumerated=n, evaluated=0, pruned=0,
+                           cache_hits=n, wall_time_s=hit.wall_time_s,
+                           disk_hits=n if disk else 0)
+
+    def test_lru_and_disk_hits_make_no_plans(self, plans, tmp_path,
+                                             bert_4k, edge_accel):
+        with default_cache_dir(str(tmp_path)):
+            cold = search(bert_4k, edge_accel, retain_points=False)
+            assert len(plans) == 1
+            lru = search(bert_4k, edge_accel, retain_points=False)
+            clear_evaluation_cache()
+            disk = search(bert_4k, edge_accel, retain_points=False)
+        assert len(plans) == 1
+        assert lru.best == disk.best == cold.best
+        assert lru.stats == self._hit_stats(cold.stats, lru.stats, False)
+        assert disk.stats == self._hit_stats(cold.stats, disk.stats, True)
+
+    def test_warm_started_sweep_point_hit_makes_no_plans(
+        self, plans, bert_4k, edge_accel
+    ):
+        small = edge_accel.with_scratchpad_bytes(edge_accel.sg_bytes // 4)
+        neighbor = search(bert_4k, small, retain_points=False)
+        warm = make_incumbent(neighbor, Scope.LA, small)
+        cold = search(bert_4k, edge_accel, retain_points=False,
+                      warm_start=warm)
+        assert len(plans) == 2
+        again = search(bert_4k, edge_accel, retain_points=False,
+                       warm_start=warm)
+        assert len(plans) == 2
+        assert again.best == cold.best
+        assert again.stats == self._hit_stats(cold.stats, again.stats, False)
+        assert_matches_oracle(cold, exhaustive_best(bert_4k, edge_accel))
 
 
 class TestRetainPoints:
