@@ -7,7 +7,14 @@ module does the same for the FLAT model: :func:`evaluate_grid` takes an
 :class:`~repro.arch.accelerator.Accelerator` and the entire enumerated
 candidate grid, lays the per-candidate dataflow features out as
 structure-of-arrays, and computes cycles / DRAM bytes / footprint /
-objective scores for all points in a handful of NumPy operations.
+objective scores for all points in a handful of NumPy operations.  The
+L-A pair is one pass over the candidates; the other operators of a
+BLOCK/MODEL scope (projections, FFN) are stacked into one
+(operator x candidate) pass, whose rows are summed in execution order,
+as ``ScopeCost`` sums its operators.  Per-operator values the scalar
+path computes in Python (``sg_stream_words(op.macs)``, the count
+constants, the mapping efficiencies) are still computed in Python and
+enter as per-operator columns.
 
 The contract is **bit-for-bit equality with the scalar path**: the same
 ceil quantization, the same spill accounting, the same phase-max
@@ -191,78 +198,70 @@ class _GridFeatures:
     ``o_*`` columns describe the *other* dataflow the engine's default
     ``cost_scope`` call would run the non-L-A operators with: the
     candidate itself when it is unfused with an L3 tile, otherwise
-    plain Base at the candidate's stationarity.
+    plain Base at the candidate's stationarity.  Each dataflow is read
+    once into one tuple; Base's columns are per-stationarity constants.
     """
 
     def __init__(self, cfg: AttentionConfig,
                  dataflows: Sequence[Dataflow]) -> None:
-        n = len(dataflows)
-        self.fused = np.empty(n, dtype=bool)
-        self.has_l3 = np.empty(n, dtype=bool)
-        self.b_t = np.empty(n, dtype=np.int64)
-        self.h_t = np.empty(n, dtype=np.int64)
-        self.r = np.empty(n, dtype=np.int64)
-        self.s_lhs = np.empty(n, dtype=bool)
-        self.s_rhs = np.empty(n, dtype=bool)
-        self.s_rhs2 = np.empty(n, dtype=bool)
-        self.s_out = np.empty(n, dtype=bool)
-        self.s_int = np.empty(n, dtype=bool)
-        self.s_any = np.empty(n, dtype=bool)
-        self.v_flash = np.empty(n, dtype=bool)
-        self.v_pipe = np.empty(n, dtype=bool)
-        self.stat_idx = np.empty(n, dtype=np.int64)
-        self.o_b_t = np.empty(n, dtype=np.int64)
-        self.o_gran = np.empty(n, dtype=bool)
-        self.o_any = np.empty(n, dtype=bool)
-        self.o_lhs = np.empty(n, dtype=bool)
-        self.o_rhs = np.empty(n, dtype=bool)
-        self.o_out = np.empty(n, dtype=bool)
-        for i, df in enumerate(dataflows):
-            self.fused[i] = df.fused
-            self.has_l3[i] = df.has_l3
+        bases: dict = {}
+        ints = []
+        flags = []
+        for df in dataflows:
             b_t, h_t, r = df.cross_tile(cfg.batch, cfg.heads, cfg.seq_q)
-            self.b_t[i] = b_t
-            self.h_t[i] = h_t
-            self.r[i] = r
             s = df.staging
-            self.s_lhs[i] = s.lhs
-            self.s_rhs[i] = s.rhs
-            self.s_rhs2[i] = s.rhs2
-            self.s_out[i] = s.out
-            self.s_int[i] = s.intermediate
-            self.s_any[i] = s.any_enabled
-            self.v_flash[i] = df.variant is AttentionVariant.FLASH_D
-            self.v_pipe[i] = df.variant is AttentionVariant.FUSEMAX
-            self.stat_idx[i] = _STAT_INDEX[df.stationarity]
             if df.fused or df.granularity is None:
-                other = base_dataflow(df.stationarity)
+                other = bases.get(df.stationarity)
+                if other is None:
+                    other = bases[df.stationarity] = _other_columns(
+                        cfg, base_dataflow(df.stationarity))
             else:
-                other = df
-            # ``other`` is never row-granular (row granularity requires
-            # fusion), so its cross tile is independent of the operator
-            # m it will slice.
-            o_b_t, _, _ = other.cross_tile(cfg.batch, cfg.heads, cfg.seq_q)
-            self.o_b_t[i] = o_b_t
-            self.o_gran[i] = other.granularity is not None
-            o_s = other.staging
-            self.o_any[i] = o_s.any_enabled
-            self.o_lhs[i] = o_s.lhs
-            self.o_rhs[i] = o_s.rhs
-            self.o_out[i] = o_s.out
+                other = (b_t, True, s.any_enabled, s.lhs, s.rhs, s.out)
+            ints.append((b_t, h_t, r, _STAT_INDEX[df.stationarity],
+                         other[0]))
+            flags.append((
+                df.fused, df.has_l3, s.lhs, s.rhs, s.rhs2, s.out,
+                s.intermediate, s.any_enabled,
+                df.variant is AttentionVariant.FLASH_D,
+                df.variant is AttentionVariant.FUSEMAX,
+            ) + other[1:])
+        (self.b_t, self.h_t, self.r, self.stat_idx,
+         self.o_b_t) = np.array(list(zip(*ints)), dtype=np.int64)
+        (self.fused, self.has_l3, self.s_lhs, self.s_rhs, self.s_rhs2,
+         self.s_out, self.s_int, self.s_any, self.v_flash, self.v_pipe,
+         self.o_gran, self.o_any, self.o_lhs, self.o_rhs,
+         self.o_out) = np.array(list(zip(*flags)), dtype=bool)
         self.is_output = self.stat_idx == 0
+
+
+def _other_columns(cfg: AttentionConfig, other: Dataflow) -> tuple:
+    """``(b_t, has L3 tile, any staged, lhs, rhs, out)`` of an *other*
+    dataflow.  ``other`` is never row-granular (row granularity requires
+    fusion), so its cross tile does not depend on the operator m it
+    will slice."""
+    s = other.staging
+    return (other.cross_tile(cfg.batch, cfg.heads, cfg.seq_q)[0],
+            other.granularity is not None, s.any_enabled, s.lhs, s.rhs,
+            s.out)
 
 
 @dataclass(frozen=True)
 class _OpArrays:
-    """One operator's cost over all candidates (plus count constants)."""
+    """Operator cost over all candidates (plus count constants).
+
+    The L-A pair fills each array field with one row per candidate;
+    the stacked non-L-A operators fill them with one row per operator
+    (shape ``operators x candidates``; ``sg_words`` is a per-operator
+    column) and the count fields with one float per operator.
+    """
 
     total_cycles: "np.ndarray"
     dram_bytes: "np.ndarray"
     dram_words: "np.ndarray"
-    sg_words: object  # ndarray, or a float constant across candidates
+    sg_words: "np.ndarray"
     footprint_bytes: "np.ndarray"
-    macs: float
-    sl_words: float
+    macs: object  # float, or one float per operator
+    sl_words: object  # float, or one float per operator
     sfu_ops: object  # ndarray (variant-dependent), or a float constant
 
 
@@ -282,8 +281,9 @@ def _per_value(values: "np.ndarray", fn) -> "np.ndarray":
     operands to float64 (inexact past 2**53).  A grid has only a
     handful of distinct values, so this costs next to nothing.
     """
-    keys, index = _unique_index(values.tolist())
-    return np.asarray([fn(v) for v in keys], dtype=float)[index]
+    keys, inverse = np.unique(values, return_inverse=True)
+    table = np.asarray([fn(v) for v in keys.tolist()], dtype=float)
+    return table[inverse].reshape(values.shape)
 
 
 def _traffic_sum(x_staged, x_float, x_int, y_staged, y_float, y_int):
@@ -299,35 +299,35 @@ def _traffic_sum(x_staged, x_float, x_int, y_staged, y_float, y_int):
     return np.where(x_staged | y_staged, x + y, (x_int + y_int).astype(float))
 
 
-def _tile_luts(unique_keys, lut_index, build):
-    """Fancy-index per-candidate arrays out of per-unique-key records.
+def _l2_budget_slots(budget, accel: Accelerator,
+                     options: PerfOptions) -> tuple:
+    """The two L2 budgets of ``partition_scratchpad`` and each lane's slot.
+
+    A lane's ``l2_budget_elements`` is the staging-idle budget (slot 0)
+    or the staging-active one (slot 1), so a tile lookup table needs at
+    most two entries per tile shape.  When both budgets coincide every
+    lane reads slot 1, which holds the same value.
+    """
+    values = (partition_scratchpad(0, False, accel, options)
+              .l2_budget_elements,
+              partition_scratchpad(1, True, accel, options)
+              .l2_budget_elements)
+    slots = (budget.l2_budget_elements == values[1]).astype(np.int64)
+    return values, slots
+
+
+def _tile_luts(codes: "np.ndarray", build) -> List["np.ndarray"]:
+    """Gather ``build(code)`` records out to the lanes of ``codes``.
 
     ``choose_l2_tile``/``reuse_passes`` are scalar (and lru-cached); a
-    grid has only a handful of distinct ``(r, l2_budget)`` keys, so the
-    tile search runs once per key and gathers back out to all lanes.
+    grid has only a handful of distinct tile keys, so the tile search
+    runs once per distinct code and gathers back out to all lanes.
     """
-    records = [build(key) for key in unique_keys]
-    columns = []
-    for j in range(len(records[0])):
-        dtype = np.int64 if isinstance(records[0][j], int) else float
-        columns.append(
-            np.asarray([rec[j] for rec in records], dtype=dtype)[lut_index]
-        )
-    return columns
-
-
-def _unique_index(keys: List) -> (
-    "tuple[List, np.ndarray]"
-):
-    order = {}
-    lut_index = np.empty(len(keys), dtype=np.intp)
-    for i, key in enumerate(keys):
-        slot = order.get(key)
-        if slot is None:
-            slot = len(order)
-            order[key] = slot
-        lut_index[i] = slot
-    return list(order), lut_index
+    keys, inverse = np.unique(codes, return_inverse=True)
+    inverse = inverse.reshape(codes.shape)
+    records = [build(code) for code in keys.tolist()]
+    return [np.asarray([rec[j] for rec in records])[inverse]
+            for j in range(len(records[0]))]
 
 
 # ----------------------------------------------------------------------
@@ -361,8 +361,10 @@ def _evaluate_la_pair(
     n_pass = ceil_div(b, f.b_t) * ceil_div(h, f.h_t) * row_passes
     n_pass_f = n_pass.astype(float)
 
-    def build(key):
-        r_i, l2_i = key
+    l2_values, slot = _l2_budget_slots(budget, accel, options)
+
+    def build(code):
+        r_i, l2_i = code >> 1, l2_values[code & 1]
         tile_l = choose_l2_tile(r_i, dk, nkv, l2_i, rows_pe, cols_pe)
         tile_a = choose_l2_tile(r_i, nkv, dk, l2_i, rows_pe, cols_pe)
         passes_l = reuse_passes(r_i, dk, nkv, tile_l)
@@ -378,12 +380,8 @@ def _evaluate_la_pair(
             ),
         )
 
-    unique_keys, lut_index = _unique_index(
-        list(zip(f.r.tolist(), budget.l2_budget_elements.tolist()))
-    )
-    l_lhs, l_rhs, a_rhs, ko_a, warmup_cap = _tile_luts(
-        unique_keys, lut_index, build
-    )
+    l_lhs, l_rhs, a_rhs, ko_a, warmup_cap = _tile_luts(f.r * 2 + slot,
+                                                       build)
 
     q_cold = b * h * nq * dk
     k_cold = b * h * nkv * dk
@@ -523,24 +521,42 @@ def _evaluate_la_pair(
 
 
 # ----------------------------------------------------------------------
-# non-L-A operators, vectorized (mirrors perf.cost_operator)
+# non-L-A operators, stacked and vectorized (mirrors perf.cost_operator)
 # ----------------------------------------------------------------------
-def _evaluate_operator(
-    cfg: AttentionConfig,
-    op: GemmOperator,
+def _column(values, dtype=np.int64) -> "np.ndarray":
+    """One value per stacked operator, as an ``operators x 1`` column."""
+    return np.asarray(values, dtype=dtype)[:, None]
+
+
+def _evaluate_operators(
+    ops: Sequence[GemmOperator],
     accel: Accelerator,
     options: PerfOptions,
     f: _GridFeatures,
 ) -> _OpArrays:
+    """Every non-L-A operator of a scope over every candidate at once.
+
+    Rows are operators and columns candidates.  Per-operator integers
+    enter as int64 columns, and per-operator values the scalar path
+    computes in Python (``sg_stream_words``, the count constants, the
+    mapping efficiencies) are computed in Python here too, so each
+    lane performs the scalar path's operations on its operand types.
+    """
     e = accel.bytes_per_element
     rows_pe, cols_pe = accel.pe_array.rows, accel.pe_array.cols
+    m = _column([op.m for op in ops])
+    k = _column([op.k for op in ops])
+    n = _column([op.n for op in ops])
+    is_weight = _column([op.rhs.role.is_weight for op in ops], bool)
 
     # The footprint is zero without an L3 tile or with staging fully
     # disabled (operator_l3_footprint's early return); blending below
-    # uses the raw staging flags, exactly like cost_operator.
+    # uses the raw staging flags, exactly like cost_operator.  Without
+    # row granularity an operator's pass covers all m rows, so its row
+    # pass count ``ceil_div(m, r)`` is 1.
     fp_mask = f.o_gran & f.o_any
     lhs_e, rhs_e, out_e = operator_l3_elements(
-        f.o_b_t, op.m, op.k, op.n, op.rhs.role.is_weight,
+        f.o_b_t, np.where(is_weight, 1, f.o_b_t), m, k, n,
         f.o_lhs & fp_mask, f.o_rhs & fp_mask, f.o_out & fp_mask,
     )
     fp_total = lhs_e + rhs_e + out_e
@@ -548,58 +564,75 @@ def _evaluate_operator(
     _check_footprint(fp_bytes)
     budget = partition_scratchpad(fp_bytes, f.o_any, accel, options)
 
-    inst_passes = ceil_div(op.instances, f.o_b_t)
-    n_pass = inst_passes * ceil_div(op.m, op.m)
-    n_pass_f = n_pass.astype(float)
+    inst_passes = ceil_div(_column([op.instances for op in ops]), f.o_b_t)
+    n_pass_f = inst_passes.astype(float)
 
-    def build(l2_i):
-        tile = choose_l2_tile(op.m, op.k, op.n, l2_i, rows_pe, cols_pe)
-        passes = reuse_passes(op.m, op.k, op.n, tile)
+    l2_values, slot = _l2_budget_slots(budget, accel, options)
+
+    # One tile key per (GEMM shape, budget slot): the Q/K/V/O
+    # projections of a block share theirs.
+    shapes: dict = {}
+    shape_index = _column([shapes.setdefault((op.m, op.k, op.n), len(shapes))
+                           for op in ops])
+    shape_list = list(shapes)
+
+    def build(code):
+        (m_i, k_i, n_i), l2_i = shape_list[code >> 1], l2_values[code & 1]
+        tile = choose_l2_tile(m_i, k_i, n_i, l2_i, rows_pe, cols_pe)
+        passes = reuse_passes(m_i, k_i, n_i, tile)
         return (
             passes.lhs_passes,
             passes.rhs_passes,
             passes.out_passes,
-            ceil_div(op.k, tile.tk),
+            ceil_div(k_i, tile.tk),
             float(tile.footprint_elements() * e),
         )
 
-    unique_keys, lut_index = _unique_index(
-        budget.l2_budget_elements.tolist()
-    )
-    lhs_p, rhs_p, out_p, ko, warmup_cap = _tile_luts(
-        unique_keys, lut_index, build
-    )
+    codes = shape_index * 2 + slot
+    lhs_p, rhs_p, out_p, ko, warmup_cap = _tile_luts(codes, build)
     out_l2 = _psum_passes_from_ko(ko, f.is_output)
 
     fit = budget.fit_fraction
     extra = options.spill_extra_pass_only
     lhs_mult = _blend_passes(f.o_lhs, fit, lhs_p, extra)
-    rhs_l2 = ceil_div(op.m, op.m) * rhs_p
-    if op.rhs.role.is_weight:
-        rhs_l2 = rhs_l2 * inst_passes
+    # Weights are re-streamed once per instance pass unless staged.
+    rhs_l2 = np.where(is_weight, rhs_p * inst_passes, rhs_p)
     rhs_mult = _blend_passes(f.o_rhs, fit, rhs_l2, extra)
     out_mult = _blend_passes(
         f.o_out, fit, np.maximum(out_p, out_l2).astype(float), extra
     )
 
-    lhs_n, rhs_n = op.lhs.num_elements, op.rhs.num_elements
+    lhs_n = _column([op.lhs.num_elements for op in ops])
+    rhs_n = _column([op.rhs.num_elements for op in ops])
+    out_n = _column([op.out.num_elements for op in ops], float)
     dram_words = _traffic_sum(
         f.o_lhs, lhs_n * lhs_mult, lhs_n * lhs_p,
         f.o_rhs, rhs_n * rhs_mult, rhs_n * rhs_l2,
-    ) + op.out.num_elements * out_mult
+    ) + out_n * out_mult
     if options.flexible_mapping:
-        space = op.m * op.k * op.n * f.o_b_t
         pes = accel.pe_array.num_pes
-        eff = _per_value(space, lambda v: v / (pes * ceil_div(v, pes)))
+        eff = _per_value(m * k * n * f.o_b_t,
+                         lambda v: v / (pes * ceil_div(v, pes)))
     else:
         eff = np.asarray([
-            _strict_axis_eff(op.m, rows_pe) * _strict_axis_eff(op.n, cols_pe),
-            _strict_axis_eff(op.k, rows_pe) * _strict_axis_eff(op.n, cols_pe),
-            _strict_axis_eff(op.m, rows_pe) * _strict_axis_eff(op.k, cols_pe),
-        ])[f.stat_idx]
-    compute = _compute_cycles_from_eff(op.macs, eff, n_pass_f, accel,
-                                       options)
-    sg_words = sg_stream_words(op.macs, accel) + op.out.num_elements
+            (
+                _strict_axis_eff(op.m, rows_pe)
+                * _strict_axis_eff(op.n, cols_pe),
+                _strict_axis_eff(op.k, rows_pe)
+                * _strict_axis_eff(op.n, cols_pe),
+                _strict_axis_eff(op.m, rows_pe)
+                * _strict_axis_eff(op.k, cols_pe),
+            )
+            for op in ops
+        ])[:, f.stat_idx]
+    compute = _compute_cycles_from_eff(
+        _column([float(op.macs) for op in ops], float), eff, n_pass_f,
+        accel, options,
+    )
+    sg_words = _column(
+        [sg_stream_words(op.macs, accel) + op.out.num_elements
+         for op in ops], float,
+    )
     steady = _phase_time(compute, dram_words, sg_words, accel)
     dram_bytes = dram_words * e
     warmup = _warmup_cycles(dram_bytes, n_pass_f, warmup_cap, False,
@@ -610,8 +643,8 @@ def _evaluate_operator(
         dram_words=dram_words,
         sg_words=sg_words,
         footprint_bytes=fp_bytes,
-        macs=float(op.macs),
-        sl_words=2.0 * op.macs + op.out.num_elements,
+        macs=[float(op.macs) for op in ops],
+        sl_words=[2.0 * op.macs + op.out.num_elements for op in ops],
         sfu_ops=0.0,
     )
 
@@ -646,7 +679,10 @@ def evaluate_grid(
         registry.histogram("batch.grid_points").observe(len(dataflows))
 
     ops = operators_for_scope(cfg, scope)
-    plan: List[Optional[GemmOperator]] = []
+    # The scope's cost rows in execution order: ``None`` is the L-A
+    # pair, an int is a row of the stacked non-L-A operators.
+    plan: List[Optional[int]] = []
+    others: List[GemmOperator] = []
     i = 0
     while i < len(ops):
         op = ops[i]
@@ -663,35 +699,47 @@ def evaluate_grid(
         # Every scope lists L directly before A, so a standalone L or A
         # (which only the scalar path costs) never reaches this point.
         assert not (op.is_activation_activation or op.softmax_after), op
-        plan.append(op)
+        plan.append(len(others))
+        others.append(op)
         i += 1
 
     f = _GridFeatures(cfg, dataflows)
+    la = _evaluate_la_pair(cfg, accel, options, f) if None in plan else None
+    stacked = (
+        _evaluate_operators(others, accel, options, f) if others else None
+    )
     n = len(dataflows)
-    total_cycles = np.zeros(n)
-    dram_bytes = np.zeros(n)
-    dram_words = np.zeros(n)
-    sg_words = np.zeros(n)
+    total_cycles = dram_bytes = dram_words = sg_words = None
     macs = 0.0
     sl_words = 0.0
     sfu_ops = 0.0
-    footprint: Optional["np.ndarray"] = None
-    for entry in plan:
-        if entry is None:
-            res = _evaluate_la_pair(cfg, accel, options, f)
+    footprint = la.footprint_bytes if la is not None else None
+    if stacked is not None:
+        op_fp = stacked.footprint_bytes.max(axis=0)
+        footprint = (op_fp if footprint is None
+                     else np.maximum(footprint, op_fp))
+    # Sum the rows in execution order, as ScopeCost sums its operators.
+    for row in plan:
+        if row is None:
+            rows = (la.total_cycles, la.dram_bytes, la.dram_words,
+                    la.sg_words)
+            row_macs, row_sl, row_sfu = la.macs, la.sl_words, la.sfu_ops
         else:
-            res = _evaluate_operator(cfg, entry, accel, options, f)
-        total_cycles = total_cycles + res.total_cycles
-        dram_bytes = dram_bytes + res.dram_bytes
-        dram_words = dram_words + res.dram_words
-        sg_words = sg_words + res.sg_words
-        macs = macs + res.macs
-        sl_words = sl_words + res.sl_words
-        sfu_ops = sfu_ops + res.sfu_ops
-        footprint = (
-            res.footprint_bytes if footprint is None
-            else np.maximum(footprint, res.footprint_bytes)
-        )
+            rows = (stacked.total_cycles[row], stacked.dram_bytes[row],
+                    stacked.dram_words[row], stacked.sg_words[row])
+            row_macs = stacked.macs[row]
+            row_sl = stacked.sl_words[row]
+            row_sfu = stacked.sfu_ops
+        if total_cycles is None:
+            total_cycles, dram_bytes, dram_words, sg_words = rows
+        else:
+            total_cycles = total_cycles + rows[0]
+            dram_bytes = dram_bytes + rows[1]
+            dram_words = dram_words + rows[2]
+            sg_words = sg_words + rows[3]
+        macs = macs + row_macs
+        sl_words = sl_words + row_sl
+        sfu_ops = sfu_ops + row_sfu
 
     replication = cfg.num_blocks if scope is Scope.MODEL else 1
     if isinstance(sfu_ops, np.ndarray):
@@ -704,7 +752,7 @@ def evaluate_grid(
         footprint_bytes=footprint,
         macs=np.full(n, macs * replication),
         sl_words=np.full(n, sl_words * replication),
-        sg_words=sg_words * replication,
+        sg_words=np.broadcast_to(sg_words, (n,)) * replication,
         dram_words=dram_words * replication,
         sfu_ops=sfu_col,
     )

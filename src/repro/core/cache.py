@@ -17,7 +17,9 @@ point.  Keys are hashed over their stable ``repr``.
   store degrades to a no-op.  A row that does not unpickle is deleted;
   a file that is not a database is deleted and rebuilt.  A lookup that
   meets either is a miss *and* ``corrupt``, so
-  ``hits + misses == lookups`` always.
+  ``hits + misses == lookups`` always.  A store deleted under an open
+  connection is reopened — recreated empty by the next operation —
+  never served from the unlinked file.
 * **Bounded.**  A process's first write, and every ``_EVICT_EVERY``-th
   after it, runs one ordered ``DELETE`` of the least recently used
   rows beyond ``max_entries``.
@@ -226,12 +228,25 @@ class PersistentCache:
         self.path = self.root / f"{self.fingerprint[:16]}.sqlite"
         self.stats = CacheStats()
         self._conn: Any = None  # this process's sqlite3.Connection
+        self._conn_file: Optional[Tuple[int, int]] = None  # its file id
         # Re-entrant because _put calls _evict while already held.
         self._lock = threading.RLock()
         _close_across_forks(self)
 
     # -- connection ------------------------------------------------------
+    def _file_id(self) -> Optional[Tuple[int, int]]:
+        """``(st_dev, st_ino)`` of the file ``self.path`` names, if any."""
+        try:
+            st = os.stat(self.path)
+        except OSError:
+            return None
+        return st.st_dev, st.st_ino
+
     def _connection(self) -> Any:
+        if self._conn is not None and self._file_id() != self._conn_file:
+            # The file was deleted or replaced under the open
+            # connection, which would keep serving the unlinked copy.
+            self.close()
         if self._conn is None:
             import sqlite3
 
@@ -247,6 +262,7 @@ class PersistentCache:
                 conn.close()
                 raise
             self._conn = conn
+            self._conn_file = self._file_id()
         return self._conn
 
     def _attempt(self, op: Callable[[Any], Any]) -> Any:

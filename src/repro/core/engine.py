@@ -7,25 +7,30 @@ platforms and several accelerator variants; a search takes one of two
 paths, chosen by what the caller asks for:
 
 * **Best only** (``retain_points=False``, any objective except
-  ``FOOTPRINT``): analytic candidate generation with branch-and-bound
-  (:mod:`repro.core.candidates`).  The space is planned as *families*
+  ``FOOTPRINT``): the space is sized from its *families*
   (stationarity x granularity x row count; see
-  :class:`repro.core.dse.DataflowFamily`) and never materialized as a
-  grid.  Each family gets an admissible lower bound from its cheapest
-  representative member, and families are scored best-bound-first:
-  the best families' scores seed the incumbent, then every family
-  whose bound exceeds the incumbent is skipped without ever expanding
-  its members.  Survivors are scored by the vectorized backend
-  (:func:`repro.core.batch.evaluate_grid`).  When a scoring call raises
+  :class:`repro.core.dse.DataflowFamily`) without expanding them.  A
+  space of at most ``_MERGE_BATCH_LIMIT`` candidates is expanded and
+  scored in one call of the vectorized backend
+  (:func:`repro.core.batch.evaluate_grid`): no plan, no bounds.  A
+  larger space takes analytic candidate generation with
+  branch-and-bound (:mod:`repro.core.candidates`) and is never
+  materialized as a grid: each family gets an admissible lower bound
+  from its cheapest representative member, and families are scored
+  best-bound-first — the best families' scores seed the incumbent,
+  then every family whose bound exceeds the incumbent is skipped
+  without ever expanding its members, and survivors are scored by the
+  vectorized backend.  When a scoring call raises
   :class:`~repro.core.batch.BatchFallback` (a workload past the array
   path's int64 headroom or float64-exact staged footprint, beyond
   every paper workload), that call's members are scored one by one by
   the memoized scalar model instead, so family pruning and the winner
-  memo cover those searches too.  A ``warm_start``
+  memo cover those searches too.  On a large space, a ``warm_start``
   :class:`~repro.core.candidates.Incumbent` (the neighboring sweep
   point's winner, re-evaluated under the current config/accelerator —
   its value is never trusted) seeds the incumbent before any family is
-  scored, turning most sweep searches into bound-confirmation passes.
+  scored, turning most sweep searches into bound-confirmation passes;
+  a small space ignores it.
 * **Every point** (``retain_points=True``, e.g. the Figure 10 scatter,
   and the ``FOOTPRINT`` objective, which has no cost bound): the space
   is enumerated and every dataflow is scored by the memoized scalar
@@ -72,6 +77,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import accumulate
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.arch.accelerator import Accelerator
@@ -81,6 +87,7 @@ from repro.core.candidates import (
     CandidatePlan,
     Incumbent,
     family_representative,
+    feasible_row_interval,
     locate_candidate,
     plan_candidates,
 )
@@ -88,10 +95,13 @@ from repro.core.dataflow import AttentionVariant, Dataflow, Stationarity
 from repro.core.dse import (
     DesignPoint,
     DSEResult,
+    DataflowFamily,
     Objective,
     SearchSpace,
     enumerate_dataflows,
+    enumerate_families,
     expand_family,
+    family_size,
 )
 from repro.core.footprint import fused_la_footprint
 from repro.core.perf import (
@@ -130,10 +140,10 @@ __all__ = [
 # ever nudging a bound above the true cost it underestimates.
 _BOUND_SLACK = 1.0 - 1e-9
 
-# Below this many live candidates the representative round of the
-# branch-and-bound cannot recoup the fixed overhead of an extra
-# vectorized batch call (~60 candidates' worth of marginal scoring):
-# expand and score the live families in one call instead.
+# Up to this many candidates, planning, bounds and the representative
+# round of the branch-and-bound cannot recoup their cost: a grid call
+# costs about the same for 9 rows as for 37, so a space (or, after warm
+# gating, a set of live families) this small is scored in one call.
 _MERGE_BATCH_LIMIT = 96
 
 
@@ -879,26 +889,40 @@ def _candidate_search(
     warm: Optional[Incumbent],
     store: Optional[PersistentCache],
 ) -> DSEResult:
-    """Best-only path: the memoized answer, or :func:`_branch_and_bound`.
+    """Best-only path: the memoized answer, or a search of the space.
 
-    The answer is the winner's ``Dataflow``, its ``ScopeCost`` and the
-    size of the space it was chosen from, keyed on the space rather
-    than the expanded grid.  Only a miss plans the space: an LRU or
-    disk hit neither calls ``plan_candidates`` nor expands a family,
-    and its stats book the recorded space size as hits.
+    A miss sizes the space from its families without expanding them.
+    A space of at most ``_MERGE_BATCH_LIMIT`` candidates gets a plan
+    without bounds (:func:`_unbounded_plan`) and no warm seed, so
+    :func:`_branch_and_bound` scores it whole in one call; a larger one
+    is planned with bounds by
+    :func:`~repro.core.candidates.plan_candidates`.  The answer is the
+    winner's ``Dataflow``, its ``ScopeCost`` and the size of the space
+    it was chosen from, keyed on the space rather than the expanded
+    grid.  An LRU or disk hit neither sizes, plans nor expands
+    anything, and its stats book the recorded space size as hits.
     """
     cfg, scope, options = ev.cfg, ev.scope, ev.options
     searched: List[SearchStats] = []
 
     def _compute() -> Tuple[Dataflow, ScopeCost, int]:
-        plan = plan_candidates(objective, cfg, scope, ev.accel, space,
-                               options=options, energy_table=energy_table)
-        if plan.total == 0:
+        families = tuple(enumerate_families(cfg, space))
+        sizes = tuple(family_size(family, space) for family in families)
+        total = sum(sizes)
+        if total == 0:
             raise ValueError("search space is empty")
+        if total <= _MERGE_BATCH_LIMIT:
+            plan = _unbounded_plan(ev, families, sizes)
+            seed = None
+        else:
+            plan = plan_candidates(objective, cfg, scope, ev.accel, space,
+                                   options=options,
+                                   energy_table=energy_table)
+            seed = warm
         dataflow, cost, stats = _branch_and_bound(
-            ev, plan, objective, space, energy_table, start, warm)
+            ev, plan, objective, space, energy_table, start, seed)
         searched.append(stats)
-        return dataflow, cost, plan.total
+        return dataflow, cost, total
 
     key = ("search", cfg, ev.accel_fp, options, scope, objective,
            energy_table, space)
@@ -908,6 +932,63 @@ def _candidate_search(
     best = DesignPoint(dataflow=dataflow, cost=cost,
                        energy=energy_report(cost.counts, energy_table))
     return DSEResult(best=best, points=(), objective=objective, stats=stats)
+
+
+def _objective_value(objective: Objective, cost: ScopeCost,
+                     energy_table: Optional[EnergyTable]) -> float:
+    """``objective.score`` of one scalar cost, energy derived on demand."""
+    energy = (
+        energy_report(cost.counts, energy_table)
+        if objective in (Objective.ENERGY, Objective.EDP) else None
+    )
+    return objective.score(cost, energy)
+
+
+def _scored(
+    ev: _Evaluator,
+    objective: Objective,
+    energy_table: Optional[EnergyTable],
+    dataflows: List[Dataflow],
+) -> Tuple[Any, Optional[List[Tuple[ScopeCost, str]]]]:
+    """Objective values of ``dataflows`` from one scoring call.
+
+    One :func:`~repro.core.batch.evaluate_grid` call, whose values equal
+    the scalar model's bit for bit; the second item is then ``None``.
+    When the call raises :class:`~repro.core.batch.BatchFallback` (only
+    past the array path's edge), every dataflow is resolved by the
+    memoized scalar model instead, and the second item lists each
+    ``(ScopeCost, source)`` in order.
+    """
+    try:
+        grid = evaluate_grid(ev.cfg, ev.scope, ev.accel, dataflows,
+                             options=ev.options)
+    except BatchFallback:
+        resolved = [ev.resolve(df) for df in dataflows]
+        values = [_objective_value(objective, cost, energy_table)
+                  for cost, _ in resolved]
+        return values, resolved
+    return grid.objective_scores(objective, energy_table), None
+
+
+def _unbounded_plan(ev: _Evaluator, families: Tuple[DataflowFamily, ...],
+                    sizes: Tuple[int, ...]) -> CandidatePlan:
+    """A plan of a small space whose bounds (``-inf``) gate nothing.
+
+    Bounds and a warm seed each cost about as much as the one grid call
+    over the whole space that they would try to shrink, so
+    :func:`_branch_and_bound` gets neither: every family stays live and
+    its one-call round scores the whole space.
+    """
+    offsets = tuple(accumulate(sizes, initial=0))[:-1]
+    return CandidatePlan(
+        families=families,
+        sizes=sizes,
+        offsets=offsets,
+        bounds=(float("-inf"),) * len(families),
+        order=tuple(range(len(families))),
+        total=sum(sizes),
+        resident_rows=feasible_row_interval(ev.cfg, ev.accel, ev.options),
+    )
 
 
 def _answered(n: int, source: str, start: float) -> SearchStats:
@@ -938,7 +1019,10 @@ def _branch_and_bound(
 ) -> Tuple[Dataflow, ScopeCost, SearchStats]:
     """Branch-and-bound over a planned space, score survivors: the winner.
 
-    Never expands the whole space.  :func:`repro.core.candidates.plan_candidates`
+    Never expands the whole space of more than ``_MERGE_BATCH_LIMIT``
+    candidates; a smaller space (whose plan gates nothing, see
+    :func:`_unbounded_plan`) is scored whole in one call.
+    :func:`repro.core.candidates.plan_candidates`
     derives one admissible bound per family from its cheapest
     representative member.  Families are gated twice — first against
     the ``warm_start`` incumbent (when one is supplied), then against the
@@ -958,16 +1042,8 @@ def _branch_and_bound(
     tie — the result is identical to an exhaustive loop, bytes
     included.
     """
-    cfg, scope, accel, options = ev.cfg, ev.scope, ev.accel, ev.options
+    cfg, scope, options = ev.cfg, ev.scope, ev.options
     n = plan.total
-    need_energy = objective in (Objective.ENERGY, Objective.EDP)
-
-    def _score(cost: ScopeCost) -> float:
-        energy = (
-            energy_report(cost.counts, energy_table) if need_energy else None
-        )
-        return objective.score(cost, energy)
-
     best_value: Optional[float] = None
     best_index: Optional[int] = None
 
@@ -984,14 +1060,15 @@ def _branch_and_bound(
     # Warm seed: re-evaluate the neighboring winner under *this*
     # config/accelerator (its carried value, if any, is never trusted)
     # and let it gate families before anything is expanded.  Not booked
-    # in the stats: with caching on it resurfaces as a cache hit of
-    # its own family, which can never be family-pruned (the family's
-    # bound is <= the seed's value).
+    # in the stats: its own family can never be family-pruned (the
+    # family's bound is <= the seed's value), so it is scored again
+    # there, and as the winner its cost comes back as an LRU hit.
     warm_index = _locate_warm_start(warm, cfg, scope, objective, space,
                                     options)
     if warm_index is not None:
         cost, _ = ev.resolve(_planned_dataflow(cfg, plan, space, warm_index))
-        _consider(_score(cost), warm_index)
+        _consider(_objective_value(objective, cost, energy_table),
+                  warm_index)
 
     generated = 0
     family_skipped = 0
@@ -1001,37 +1078,23 @@ def _branch_and_bound(
     batch_evaluations = 0
     known: dict = {}  # index -> ScopeCost for members with a scalar cost
 
-    def _scalar_scored(index: int, cost: ScopeCost) -> None:
-        known[index] = cost
-        _consider(_score(cost), index)
-
     def _score_members(members: List[Tuple[int, Dataflow]]) -> None:
-        """Score members: cache hits first, then one grid call over the
-        misses, or the scalar model when that call cannot be exact."""
+        """Score members in one call (see :func:`_scored`)."""
         nonlocal cache_hits, batch_evaluations, evaluated
-        misses: List[Tuple[int, Dataflow]] = []
-        for index, df in members:
-            cost = _CACHE.get(ev.key(df))
-            if cost is None:
-                misses.append((index, df))
-                continue
-            cache_hits += 1
-            _scalar_scored(index, cost)
-        if not misses:
+        if not members:
             return
-        try:
-            grid = evaluate_grid(
-                cfg, scope, accel, [df for _, df in misses],
-                options=options,
-            )
-        except BatchFallback:
-            for index, df in misses:
-                _scalar_scored(index, ev.resolve(df)[0])
-            evaluated += len(misses)
-            return
-        scores = grid.objective_scores(objective, energy_table)
-        batch_evaluations += len(misses)
-        for (index, _), value in zip(misses, scores):
+        values, resolved = _scored(ev, objective, energy_table,
+                                   [df for _, df in members])
+        if resolved is None:
+            batch_evaluations += len(members)
+        else:
+            for (index, _), (cost, source) in zip(members, resolved):
+                known[index] = cost
+                if source == "model":
+                    evaluated += 1
+                else:
+                    cache_hits += 1
+        for (index, _), value in zip(members, values):
             _consider(float(value), index)
 
     # Branch and bound in two rounds of gating and two scoring calls.
@@ -1077,18 +1140,17 @@ def _branch_and_bound(
         # bound is <= the seed's re-evaluated value), so `alive` is
         # never empty and the incumbent below is always established.
         #
-        # When a warm seed already gated the space down to a handful of
-        # members — typical for neighbor-seeded sweeps in the saturated
-        # regime — the representative round cannot pay for its own
-        # fixed batch-call overhead.  Score the survivors' full
-        # expansions in a single call instead; scoring a member that a
-        # rep round would have skipped is exact, so the selection is
-        # unchanged.  Cold searches always take the two-round path:
-        # with no incumbent yet, the representative round is the only
-        # thing standing between the grid and full expansion.
+        # When at most a handful of members are live — a small space,
+        # whose plan gates nothing, or a large one a warm seed already
+        # gated down, typical for neighbor-seeded sweeps in the
+        # saturated regime — the representative round cannot pay for
+        # its own fixed batch-call overhead.  Score the live families'
+        # full expansions in a single call instead; scoring a member
+        # that a rep round would have skipped is exact, so the
+        # selection is unchanged.
         total_live = sum(plan.sizes[fi] for fi in alive)
         members: List[Tuple[int, Dataflow]] = []
-        if best_value is not None and total_live <= _MERGE_BATCH_LIMIT:
+        if total_live <= _MERGE_BATCH_LIMIT:
             alive.sort()
             for fi in alive:
                 offset = plan.offsets[fi]
@@ -1135,9 +1197,10 @@ def _branch_and_bound(
         cost = known[best_index]
         batch_losers = batch_evaluations
     else:
-        # A grid-scored winner: build its scalar breakdown.  A cache
-        # hit here means another thread raced the entry into the LRU
-        # after the lookup missed it; book it as the hit it became.
+        # A grid-scored winner: build its scalar breakdown.  Grid
+        # scoring does not consult the LRU, so the winner's breakdown
+        # may already be cached (the warm seed, an earlier search);
+        # book it as the hit it is.
         cost, source = ev.resolve(winner)
         batch_losers = batch_evaluations - 1
         if source == "model":
@@ -1238,16 +1301,19 @@ def run_search(
 
     With ``retain_points=True`` (the historical default) every design
     point is evaluated, energy included, and returned.  With
-    ``retain_points=False`` only the optimum matters: candidates are
-    generated family-by-family with branch-and-bound, energy is
-    computed lazily, and ``DSEResult.points`` comes back empty.  The
+    ``retain_points=False`` only the optimum matters: a small space is
+    scored in one call, a larger one's candidates are generated
+    family-by-family with branch-and-bound, energy is computed lazily,
+    and ``DSEResult.points`` comes back empty.  The
     ``FOOTPRINT`` objective has no cost bound, so it always scores
     every point.
 
     ``warm_start`` optionally carries a neighboring search's winner
     (:class:`repro.core.candidates.Incumbent`); the best-only path
     re-evaluates that dataflow under the *current* config and
-    accelerator and uses the resulting value as the initial incumbent.
+    accelerator and uses the resulting value as the initial incumbent
+    of a branch-and-bound (a space small enough for one scoring call
+    ignores it).
     The incumbent's own recorded value is never reused — a stale seed
     can therefore never change the result, only the amount of work
     (see "Warm starts" in ``docs/search_engine.md``).

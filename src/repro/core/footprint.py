@@ -82,18 +82,16 @@ def fused_la_elements(b_t, h_t, r, d_head, n_kv, lhs, rhs, rhs2, out,
     )
 
 
-def operator_l3_elements(instances, m, k, n, rhs_is_weight, lhs, rhs, out):
+def operator_l3_elements(instances, rhs_instances, m, k, n, lhs, rhs, out):
     """Staged ``(lhs, rhs, out)`` elements of an unfused operator's L3 tile.
 
     Shape-polymorphic core of :func:`operator_l3_footprint` (same
-    conventions as :func:`fused_la_elements`).  ``rhs_is_weight`` is a
-    per-operator Python bool: a weight slice is shared across instances.
+    conventions as :func:`fused_la_elements`).  ``rhs_instances`` is the
+    number of rhs slices staged per pass: ``instances`` for an
+    activation, 1 for a weight (one slice is shared across instances).
     """
     lhs_elements = _DOUBLE_BUFFER * instances * m * k * lhs
-    if rhs_is_weight:
-        rhs_elements = _DOUBLE_BUFFER * k * n * rhs
-    else:
-        rhs_elements = _DOUBLE_BUFFER * instances * k * n * rhs
+    rhs_elements = _DOUBLE_BUFFER * rhs_instances * k * n * rhs
     out_elements = _DOUBLE_BUFFER * instances * m * n * out
     return lhs_elements, rhs_elements, out_elements
 
@@ -152,9 +150,9 @@ def operator_l3_footprint(
         # Projection/FC: instances are batch samples only.
         instances = b_t
     s = dataflow.staging
+    rhs_instances = 1 if op.rhs.role.is_weight else instances
     lhs, rhs, out = operator_l3_elements(
-        instances, r, op.k, op.n, op.rhs.role.is_weight,
-        s.lhs, s.rhs, s.out,
+        instances, rhs_instances, r, op.k, op.n, s.lhs, s.rhs, s.out,
     )
     return FootprintBreakdown(
         lhs_elements=lhs,

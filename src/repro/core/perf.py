@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+import numpy as _np
+
 from repro.arch.accelerator import Accelerator
 from repro.core.dataflow import AttentionVariant, Dataflow, Stationarity
 from repro.core.footprint import fused_la_footprint, operator_l3_footprint
@@ -41,16 +43,9 @@ from repro.energy.model import ActivityCounts
 from repro.ops.attention import AttentionConfig, Scope, operators_for_scope
 from repro.ops.operator import GemmOperator, OperatorKind
 
-try:  # numpy backs the batch evaluator; the scalar model runs without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
 
 def _any_array(*values) -> bool:
-    return _np is not None and any(
-        isinstance(v, _np.ndarray) for v in values
-    )
+    return any(isinstance(v, _np.ndarray) for v in values)
 
 
 def _where(cond, if_true, if_false):

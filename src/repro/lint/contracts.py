@@ -132,7 +132,6 @@ SCALAR_FLAG_PARAMS: FrozenSet[str] = frozenset({
     "accel",
     "options",
     "extra_pass_only",
-    "rhs_is_weight",
     "double_buffered",
 })
 

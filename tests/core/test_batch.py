@@ -33,13 +33,16 @@ from repro.core.dse import (
     search,
 )
 from repro.core.configs import attacc, flex_accel, flex_accel_m
+from repro.core import engine
 from repro.core.engine import clear_evaluation_cache
 from repro.core.dataflow import Granularity
-from repro.core.perf import cost_scope
+from repro.core.dataflow import base as base_dataflow
+from repro.core.footprint import operator_l3_footprint
+from repro.core.perf import PerfOptions, cost_scope, partition_scratchpad
 from repro.energy.model import energy_report
 from repro.experiments.fig8 import dse_lineup as fig8_dse_lineup
 from repro.models.configs import model_config, model_names
-from repro.ops.attention import AttentionConfig, Scope
+from repro.ops.attention import AttentionConfig, Scope, operators_for_scope
 from tests.oracles import assert_matches_oracle, exhaustive_best
 
 _SCOPES = (Scope.LA, Scope.BLOCK, Scope.MODEL)
@@ -78,11 +81,12 @@ def _first_min_index(scores):
     return best
 
 
-def _assert_grid_matches_scalar(cfg, scope, accel, dataflows):
-    grid = evaluate_grid(cfg, scope, accel, dataflows)
+def _assert_grid_matches_scalar(cfg, scope, accel, dataflows,
+                                options=PerfOptions()):
+    grid = evaluate_grid(cfg, scope, accel, dataflows, options=options)
     assert len(grid) == len(dataflows)
     for i, df in enumerate(dataflows):
-        cost = cost_scope(cfg, scope, accel, df)
+        cost = cost_scope(cfg, scope, accel, df, options=options)
         label = (df.name, df.staging, scope)
         assert float(grid.total_cycles[i]) == float(cost.total_cycles), label
         assert float(grid.dram_bytes[i]) == float(cost.dram_bytes), label
@@ -94,6 +98,25 @@ def _assert_grid_matches_scalar(cfg, scope, accel, dataflows):
         assert float(grid.dram_words[i]) == counts.dram_words, label
         assert float(grid.sfu_ops[i]) == counts.sfu_ops, label
     return grid
+
+
+def _operator_l2_budgets(cfg, scope, accel, dataflows, options):
+    """The L2 budgets the scalar model gives the non-L-A operators."""
+    budgets = set()
+    for df in dataflows:
+        if df.fused or df.granularity is None:
+            other = base_dataflow(df.stationarity)
+        else:
+            other = df
+        for op in operators_for_scope(cfg, scope):
+            if op.is_activation_activation:
+                continue
+            fp = operator_l3_footprint(op, other, cfg.batch, cfg.heads)
+            budgets.add(partition_scratchpad(
+                fp.total_bytes(accel.bytes_per_element),
+                other.staging.any_enabled, accel, options,
+            ).l2_budget_elements)
+    return budgets
 
 
 class TestGridEquivalence:
@@ -111,6 +134,32 @@ class TestGridEquivalence:
             bert_512, Scope.BLOCK, edge_accel,
             _grid(bert_512, edge_accel, space),
         )
+
+    @pytest.mark.parametrize(
+        "options",
+        [PerfOptions(flexible_mapping=False),
+         PerfOptions(spill_extra_pass_only=True)],
+        ids=["rigid", "extra-pass-only"],
+    )
+    @pytest.mark.parametrize("scope", [Scope.BLOCK, Scope.MODEL])
+    @pytest.mark.parametrize("workload", ["small", "bert512-exhaustive"])
+    def test_stacked_operators_under_options(self, small_cfg, bert_512,
+                                             edge_accel, workload, scope,
+                                             options):
+        """The stacked non-L-A operators mirror the non-default model
+        options too, on weight-rhs operators whose lanes see both L2
+        budgets."""
+        if workload == "small":
+            cfg, space = small_cfg, SearchSpace()
+        else:
+            cfg, space = bert_512, SearchSpace(exhaustive_staging=True)
+        dataflows = _grid(cfg, edge_accel, space)
+        _assert_grid_matches_scalar(cfg, scope, edge_accel, dataflows,
+                                    options)
+        assert any(op.rhs.role.is_weight
+                   for op in operators_for_scope(cfg, scope))
+        assert len(_operator_l2_budgets(cfg, scope, edge_accel, dataflows,
+                                        options)) == 2
 
     def test_bert4k_cloud(self, bert_4k, cloud_accel):
         _assert_grid_matches_scalar(
@@ -208,8 +257,12 @@ class TestStats:
         assert s.enumerated == s.cache_hits + s.pruned + s.evaluated
 
     def test_cold_candidate_accounting(self, small_cfg, edge_accel):
-        res = search(small_cfg, edge_accel, retain_points=False)
+        # A space above the one-call limit, so the search plans.
+        space = SearchSpace(exhaustive_staging=True)
+        res = search(small_cfg, edge_accel, space=space,
+                     retain_points=False)
         s = res.stats
+        assert s.enumerated > engine._MERGE_BATCH_LIMIT
         # The generated front end never expands skipped families, so
         # fewer candidates hit the array than were (virtually)
         # enumerated; the ledger invariant still balances.
@@ -302,6 +355,9 @@ class TestFallback:
     _LADDER = SearchSpace(allow_unfused=False,
                           granularities=(Granularity.R,),
                           include_plain_base=False)
+    # The ladder with every staging corner: above the one-call limit,
+    # so the search plans and gates families.
+    _WIDE_LADDER = dataclasses.replace(_LADDER, exhaustive_staging=True)
 
     def test_grid_raises(self, edge_accel):
         cfg = self._PAST
@@ -335,15 +391,40 @@ class TestFallback:
         assert_matches_oracle(fast, oracle)
         assert fast.stats.batch_evaluations == 0
 
+    def test_small_space_past_the_edge_scores_scalar(self, edge_accel,
+                                                     monkeypatch):
+        """A one-call space past the edge: one fallback, no plan."""
+        import repro.obs as obs
+
+        plans = []
+        monkeypatch.setattr(engine, "plan_candidates",
+                            lambda *a, **k: plans.append(a))
+        n = len(_grid(self._PAST, edge_accel, self._SPACE))
+        assert n <= engine._MERGE_BATCH_LIMIT
+        with obs.observed() as session:
+            res = search(self._PAST, edge_accel, scope=Scope.LA,
+                         space=self._SPACE, retain_points=False)
+            snap = session.registry.snapshot()
+        assert snap["batch.fallbacks"]["value"] == 1
+        assert plans == []
+        assert_matches_oracle(
+            res, exhaustive_best(self._PAST, edge_accel, scope=Scope.LA,
+                                 space=self._SPACE),
+        )
+        s = res.stats
+        assert s.batch_evaluations == 0
+        assert s.evaluated == s.enumerated == s.candidates_generated == n
+
     def test_edge_repeat_search_served_from_memo(self, edge_accel):
         """Past the edge: oracle winner, balanced ledger, memo."""
         cfg = self._PAST
-        dataflows = _grid(cfg, edge_accel, self._LADDER)
-        first = search(cfg, edge_accel, scope=Scope.LA, space=self._LADDER,
-                       retain_points=False)
+        dataflows = _grid(cfg, edge_accel, self._WIDE_LADDER)
+        assert len(dataflows) > engine._MERGE_BATCH_LIMIT
+        first = search(cfg, edge_accel, scope=Scope.LA,
+                       space=self._WIDE_LADDER, retain_points=False)
         assert_matches_oracle(
             first, exhaustive_best(cfg, edge_accel, scope=Scope.LA,
-                                   space=self._LADDER),
+                                   space=self._WIDE_LADDER),
         )
         s = first.stats
         assert s.enumerated == len(dataflows)
@@ -355,8 +436,8 @@ class TestFallback:
         assert s.families_pruned > 0
         assert s.pruned == s.candidates_skipped > 0
 
-        again = search(cfg, edge_accel, scope=Scope.LA, space=self._LADDER,
-                       retain_points=False)
+        again = search(cfg, edge_accel, scope=Scope.LA,
+                       space=self._WIDE_LADDER, retain_points=False)
         assert again.best == first.best
         assert again.stats.evaluated == 0
         assert again.stats.pruned == 0

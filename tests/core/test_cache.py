@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
+import shutil
 import sqlite3
 import sys
 import threading
-from contextlib import closing
+from contextlib import closing, suppress
 
 import pytest
 
@@ -199,15 +201,56 @@ class TestUnwritableStore:
             writer.path.chmod(0o644)
 
 
+class TestDeletedStore:
+    """A store deleted under an open connection is reopened, not served
+    from the unlinked file."""
+
+    @pytest.mark.parametrize("target", ["directory", "file"])
+    def test_deleted_store_misses_and_is_recreated(self, cache, target):
+        cache.put(("k",), 1)
+        assert cache.get(("k",)) == 1
+        if target == "directory":
+            shutil.rmtree(cache.root)
+        else:
+            for suffix in ("", "-wal", "-shm"):
+                with suppress(FileNotFoundError):
+                    os.unlink(f"{cache.path}{suffix}")
+        # The lookup itself reopens the store, recreating it empty.
+        assert cache.get(("k",)) is None
+        assert cache.path.exists()
+        cache.put(("k",), 2)
+        assert PersistentCache(cache.root).get(("k",)) == 2
+        stats = cache.stats
+        assert stats.hits + stats.misses == stats.lookups == 2
+        assert stats.hits == 1 and stats.writes == 2
+
+    def test_search_after_deletion_recomputes(self, tmp_path, bert_512):
+        root = tmp_path / "c"
+        clear_evaluation_cache()
+        with default_cache_dir(str(root)):
+            first = search(bert_512, edge(), retain_points=False)
+            shutil.rmtree(root)
+            clear_evaluation_cache()
+            again = search(bert_512, edge(), retain_points=False)
+        assert again.best == first.best
+        assert again.stats.disk_hits == 0
+        assert again.stats == dataclasses.replace(
+            first.stats, wall_time_s=again.stats.wall_time_s)
+        assert root.is_dir()
+
+
 class TestFingerprintInvalidation:
     def test_fingerprint_bump_invalidates_stale_hits(self, tmp_path):
         old = PersistentCache(tmp_path, fingerprint="a" * 64)
         old.put(("k",), "stale")
         bumped = PersistentCache(tmp_path, fingerprint="b" * 64)
         assert bumped.get(("k",)) is None, "stale generation must not hit"
+        assert old.get(("k",)) == "stale", "generations are independent"
         bumped.put(("k",), "fresh")
         assert bumped.get(("k",)) == "fresh"
-        assert old.get(("k",)) == "stale", "generations are independent"
+        # That first write swept the stale generation's file: the old
+        # instance reopens instead of serving the unlinked copy.
+        assert old.get(("k",)) is None
 
     def test_evict_sweeps_stale_generations(self, tmp_path):
         old = PersistentCache(tmp_path, fingerprint="a" * 64)

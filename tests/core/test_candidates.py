@@ -335,8 +335,11 @@ class TestWarmStart:
         import repro.obs as obs
 
         cfg = _small_cfg(seq=64)
+        # Above the one-call limit: only a planned search reads a seed.
+        space = SearchSpace(exhaustive_staging=True)
         clear_evaluation_cache()
-        donor = search(cfg, edge_accel, scope=Scope.LA, retain_points=False)
+        donor = search(cfg, edge_accel, scope=Scope.LA, space=space,
+                       retain_points=False)
         fields = dict(
             dataflow=donor.best.dataflow, objective=Objective.RUNTIME,
             scope=Scope.LA, options=PerfOptions(),
@@ -344,10 +347,11 @@ class TestWarmStart:
         fields.update(mutate)
         bad = Incumbent(**fields)
         clear_evaluation_cache()
-        baseline = search(cfg, edge_accel, scope=Scope.LA, retain_points=False)
+        baseline = search(cfg, edge_accel, scope=Scope.LA, space=space,
+                          retain_points=False)
         clear_evaluation_cache()
         with obs.observed() as session:
-            seeded = search(cfg, edge_accel, scope=Scope.LA,
+            seeded = search(cfg, edge_accel, scope=Scope.LA, space=space,
                             retain_points=False,
                             warm_start=bad)
             snap = session.registry.snapshot()

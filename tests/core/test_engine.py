@@ -15,6 +15,7 @@ import pytest
 from repro.core import engine
 from repro.core.cache import default_cache_dir
 from repro.core.candidates import make_incumbent
+from repro.core.dataflow import Granularity, Stationarity
 from repro.core.dse import Objective, SearchSpace, enumerate_dataflows, search
 from repro.core.engine import (
     SearchStats,
@@ -171,7 +172,10 @@ class TestStats:
 
 class TestMemoHitSkipsPlanning:
     """A memoized best-only answer neither plans the space nor expands a
-    family: it carries its winner and the space size."""
+    family: it carries its winner and the space size.  The space is
+    above the one-call limit, so a miss plans."""
+
+    _SPACE = SearchSpace(exhaustive_staging=True)
 
     @pytest.fixture()
     def plans(self, monkeypatch):
@@ -195,12 +199,16 @@ class TestMemoHitSkipsPlanning:
 
     def test_lru_and_disk_hits_make_no_plans(self, plans, tmp_path,
                                              bert_4k, edge_accel):
+        space = self._SPACE
         with default_cache_dir(str(tmp_path)):
-            cold = search(bert_4k, edge_accel, retain_points=False)
+            cold = search(bert_4k, edge_accel, space=space,
+                          retain_points=False)
             assert len(plans) == 1
-            lru = search(bert_4k, edge_accel, retain_points=False)
+            lru = search(bert_4k, edge_accel, space=space,
+                         retain_points=False)
             clear_evaluation_cache()
-            disk = search(bert_4k, edge_accel, retain_points=False)
+            disk = search(bert_4k, edge_accel, space=space,
+                          retain_points=False)
         assert len(plans) == 1
         assert lru.best == disk.best == cold.best
         assert lru.stats == self._hit_stats(cold.stats, lru.stats, False)
@@ -209,18 +217,109 @@ class TestMemoHitSkipsPlanning:
     def test_warm_started_sweep_point_hit_makes_no_plans(
         self, plans, bert_4k, edge_accel
     ):
+        space = self._SPACE
         small = edge_accel.with_scratchpad_bytes(edge_accel.sg_bytes // 4)
-        neighbor = search(bert_4k, small, retain_points=False)
+        neighbor = search(bert_4k, small, space=space, retain_points=False)
         warm = make_incumbent(neighbor, Scope.LA, small)
-        cold = search(bert_4k, edge_accel, retain_points=False,
+        cold = search(bert_4k, edge_accel, space=space, retain_points=False,
                       warm_start=warm)
         assert len(plans) == 2
-        again = search(bert_4k, edge_accel, retain_points=False,
+        again = search(bert_4k, edge_accel, space=space, retain_points=False,
                        warm_start=warm)
         assert len(plans) == 2
         assert again.best == cold.best
         assert again.stats == self._hit_stats(cold.stats, again.stats, False)
-        assert_matches_oracle(cold, exhaustive_best(bert_4k, edge_accel))
+        assert_matches_oracle(cold, exhaustive_best(bert_4k, edge_accel,
+                                                    space=space))
+
+
+class TestOneCallRoute:
+    """A best-only space of at most ``_MERGE_BATCH_LIMIT`` candidates is
+    scored whole in one grid call: no plan, no bounds, no warm seed."""
+
+    # Per stationarity: plain Base plus one R family with every staging
+    # corner (1 + 31), so exactly 96 candidates.
+    _SPACE = SearchSpace(
+        stationarities=tuple(Stationarity),
+        granularities=(Granularity.R,),
+        row_choices=(16,),
+        exhaustive_staging=True,
+    )
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = {"plan": 0, "grid": 0}
+        real_plan, real_grid = engine.plan_candidates, engine.evaluate_grid
+
+        def plan(*args, **kwargs):
+            calls["plan"] += 1
+            return real_plan(*args, **kwargs)
+
+        def grid(*args, **kwargs):
+            calls["grid"] += 1
+            return real_grid(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "plan_candidates", plan)
+        monkeypatch.setattr(engine, "evaluate_grid", grid)
+        return calls
+
+    @pytest.mark.parametrize("above", [False, True],
+                             ids=["at-limit", "limit-plus-one"])
+    @pytest.mark.parametrize("scope", [Scope.LA, Scope.BLOCK, Scope.MODEL])
+    @pytest.mark.parametrize(
+        "objective", [Objective.RUNTIME, Objective.ENERGY, Objective.EDP]
+    )
+    def test_boundary(self, calls, monkeypatch, small_cfg, edge_accel,
+                      above, scope, objective):
+        n = len(list(enumerate_dataflows(small_cfg, edge_accel,
+                                         self._SPACE)))
+        assert n == engine._MERGE_BATCH_LIMIT == 96
+        if above:
+            # No space has exactly 97 candidates; lowering the limit by
+            # one makes this one the limit plus one.
+            monkeypatch.setattr(engine, "_MERGE_BATCH_LIMIT", n - 1)
+        res = search(small_cfg, edge_accel, scope=scope,
+                     objective=objective, space=self._SPACE,
+                     retain_points=False)
+        assert_matches_oracle(
+            res, exhaustive_best(small_cfg, edge_accel, scope=scope,
+                                 objective=objective, space=self._SPACE),
+            objective,
+        )
+        s = res.stats
+        assert s.enumerated == n
+        assert s.enumerated == s.cache_hits + s.pruned + s.evaluated
+        if above:
+            assert calls["plan"] == 1
+        else:
+            assert calls == {"plan": 0, "grid": 1}
+            assert s.candidates_generated == s.batch_evaluations == n
+            assert s.evaluated == 1 and s.families_pruned == 0
+
+    def test_ledger_cold_and_warm_seeded(self, calls, bert_512, edge_accel):
+        space = SearchSpace()
+        n = len(list(enumerate_dataflows(bert_512, edge_accel, space)))
+        assert n <= engine._MERGE_BATCH_LIMIT
+        cold = search(bert_512, edge_accel, space=space,
+                      retain_points=False)
+        small = edge_accel.with_scratchpad_bytes(edge_accel.sg_bytes // 4)
+        warm = make_incumbent(
+            search(bert_512, small, space=space, retain_points=False),
+            Scope.LA, small,
+        )
+        clear_evaluation_cache()
+        seeded = search(bert_512, edge_accel, space=space,
+                        retain_points=False, warm_start=warm)
+        assert calls == {"plan": 0, "grid": 3}
+        assert seeded.best == cold.best
+        assert_matches_oracle(seeded, exhaustive_best(bert_512, edge_accel))
+        for s in (cold.stats, seeded.stats):
+            assert s.enumerated == n
+            assert s.enumerated == s.cache_hits + s.pruned + s.evaluated
+            assert s.batch_evaluations == s.candidates_generated == n
+            assert s.candidates_skipped == s.families_pruned == 0
+        assert seeded.stats == dataclasses.replace(
+            cold.stats, wall_time_s=seeded.stats.wall_time_s)
 
 
 class TestRetainPoints:

@@ -17,7 +17,7 @@ import repro.obs as obs
 from repro.arch.presets import edge
 from repro.core import cache as cache_mod
 from repro.core.cache import PersistentCache
-from repro.core.dse import Objective, search
+from repro.core.dse import Objective, SearchSpace, search
 from repro.core.engine import clear_evaluation_cache
 from repro.experiments.pipeline import run_pipeline, write_manifest
 from repro.experiments.runner import run_experiment
@@ -44,7 +44,9 @@ class TestEngineInstrumentation:
     def test_search_emits_phase_spans_and_counters(self, bert_512):
         clear_evaluation_cache()
         with obs.observed() as session:
+            # A space above the one-call limit, so the search plans.
             search(bert_512, edge(), objective=Objective.RUNTIME,
+                   space=SearchSpace(exhaustive_staging=True),
                    retain_points=False)
             names = {e["name"] for e in session.collector.events}
             snap = session.registry.snapshot()
@@ -60,6 +62,34 @@ class TestEngineInstrumentation:
             + snap["engine.disk_hits"]["value"]
         )
         assert stats_sum == snap["engine.enumerated"]["value"]
+
+    def test_one_call_search_emits_phase_spans_and_counters(self, bert_512):
+        clear_evaluation_cache()
+        with obs.observed() as session:
+            # The default space is at most the one-call limit.
+            result = search(bert_512, edge(), objective=Objective.RUNTIME,
+                            retain_points=False)
+            events = list(session.collector.events)
+            snap = session.registry.snapshot()
+        names = {e["name"] for e in events}
+        assert {"search", "candidate-search", "candidate-score"} <= names
+        assert snap["engine.searches"]["value"] == 1
+        assert snap["engine.candidates.generated"]["value"] == (
+            snap["engine.enumerated"]["value"]
+        )
+        assert (
+            snap["engine.lru_hits"]["value"]
+            + snap.get("engine.pruned", {"value": 0})["value"]
+            + snap["engine.evaluated"]["value"]
+            + snap["engine.disk_hits"]["value"]
+        ) == snap["engine.enumerated"]["value"]
+        (score_event,) = [e for e in events
+                          if e["name"] == "candidate-score"]
+        attrs = score_event["attrs"]
+        assert attrs["candidates"] == result.stats.enumerated
+        assert attrs["families"] > 0
+        assert attrs["families_pruned"] == attrs["candidates_skipped"] == 0
+        assert attrs["scalar"] == 0
 
     def test_every_point_path_skips_candidate_spans(self, bert_512):
         clear_evaluation_cache()
@@ -77,6 +107,7 @@ class TestEngineInstrumentation:
         clear_evaluation_cache()
         with obs.observed() as session:
             search(bert_512, edge(), objective=Objective.RUNTIME,
+                   space=SearchSpace(exhaustive_staging=True),
                    retain_points=False)
             events = list(session.collector.events)
         (score_event,) = [e for e in events
