@@ -273,6 +273,24 @@ def _check_footprint(fp_bytes: "np.ndarray") -> None:
         )
 
 
+def _distinct(values: "np.ndarray") -> tuple:
+    """``(keys, inverse)``: the distinct values as Python scalars, and
+    each lane's index among them (``inverse`` has ``values``' shape).
+
+    A dict, not ``np.unique``: grids here have at most a few hundred
+    lanes, where the dict is faster below ~100 lanes and at most tens
+    of microseconds slower above, and it keeps the GIL
+    (``np.unique``'s sort releases it, and a thread that hands the GIL
+    over mid-call can wait out a whole switch interval to get it back —
+    the serve daemon's executor threads share it with the event loop).
+    """
+    index: dict = {}
+    inverse = [index.setdefault(v, len(index))
+               for v in values.ravel().tolist()]
+    return (list(index),
+            np.asarray(inverse, dtype=np.intp).reshape(values.shape))
+
+
 def _per_value(values: "np.ndarray", fn) -> "np.ndarray":
     """``fn(v)`` for every lane, evaluated once per distinct int in Python.
 
@@ -281,9 +299,8 @@ def _per_value(values: "np.ndarray", fn) -> "np.ndarray":
     operands to float64 (inexact past 2**53).  A grid has only a
     handful of distinct values, so this costs next to nothing.
     """
-    keys, inverse = np.unique(values, return_inverse=True)
-    table = np.asarray([fn(v) for v in keys.tolist()], dtype=float)
-    return table[inverse].reshape(values.shape)
+    keys, inverse = _distinct(values)
+    return np.asarray([fn(v) for v in keys], dtype=float)[inverse]
 
 
 def _traffic_sum(x_staged, x_float, x_int, y_staged, y_float, y_int):
@@ -323,9 +340,8 @@ def _tile_luts(codes: "np.ndarray", build) -> List["np.ndarray"]:
     grid has only a handful of distinct tile keys, so the tile search
     runs once per distinct code and gathers back out to all lanes.
     """
-    keys, inverse = np.unique(codes, return_inverse=True)
-    inverse = inverse.reshape(codes.shape)
-    records = [build(code) for code in keys.tolist()]
+    keys, inverse = _distinct(codes)
+    records = [build(code) for code in keys]
     return [np.asarray([rec[j] for rec in records])[inverse]
             for j in range(len(records[0]))]
 

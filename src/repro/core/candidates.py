@@ -21,7 +21,9 @@ Three pieces:
   member — staging can only add traffic floors, fusion can only add
   serialized spill terms, and the compute floor is shared family-wide —
   so a family whose bound exceeds the incumbent provably contains no
-  winner.
+  winner.  A plan bounds all of its families in one array pass
+  (:func:`repro.core.engine.bound_table` over
+  :func:`family_bound_rows`).
 * **Footprint inversion** (:func:`feasible_row_interval`) — Table 2's
   R-granularity footprint is affine in the row count, so the largest
   fully resident FLAT-R tile for a given buffer is exact integer
@@ -43,7 +45,7 @@ source fingerprint (see :mod:`repro.lint.contracts`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.arch.accelerator import Accelerator
 from repro.core.dataflow import (
@@ -75,6 +77,7 @@ __all__ = [
     "CandidatePlan",
     "plan_candidates",
     "family_representative",
+    "family_bound_rows",
     "family_lower_bound",
     "feasible_row_interval",
     "locate_candidate",
@@ -166,6 +169,26 @@ def family_representative(
     return flat_x(family.granularity, staging=staging, stationarity=stat)
 
 
+def family_bound_rows(
+    families: Sequence[DataflowFamily], space: SearchSpace = SearchSpace()
+) -> List[Tuple[Dataflow, bool]]:
+    """Each family's bound row: its representative, and whether the
+    family may contain fused members.
+
+    The bound (:func:`repro.core.engine.bound_table`) is evaluated on
+    the representative (:func:`family_representative`) and widened to
+    the family: its warm-up credit and SG floor depend on whether any
+    member fuses (a plain-Base family never fuses, a row family always
+    does, and an M/B/H family fuses exactly when the space allows
+    fusion).
+    """
+    return [
+        (family_representative(family, space),
+         family.granularity is not None and space.allow_fused)
+        for family in families
+    ]
+
+
 def family_lower_bound(
     objective: Objective,
     cfg: AttentionConfig,
@@ -178,28 +201,16 @@ def family_lower_bound(
 ) -> float:
     """Admissible objective lower bound for every member of a family.
 
-    Evaluates the engine's per-candidate bound
-    (:func:`repro.core.engine.objective_lower_bound`) on the family's
-    representative; see :func:`family_representative` for why that
-    bounds all members.  The bound is told whether the family can
-    contain fused members (its warm-up credit and SG floor depend on
-    it; a plain-Base family never fuses, a row family always does, and
-    an M/B/H family fuses exactly when the space allows fusion).
+    The engine's bound (:func:`repro.core.engine.bound_table`) on the
+    family's :func:`family_bound_rows` row; see
+    :func:`family_representative` for why that bounds all members.
     ``FOOTPRINT`` has no bound and is rejected.
     """
-    from repro.core.engine import objective_lower_bound
+    from repro.core.engine import bound_table
 
-    fused_in_family = (
-        family.granularity is not None and space.allow_fused
-    )
-    bound = objective_lower_bound(
-        objective, cfg, scope, accel,
-        family_representative(family, space), options, energy_table,
-        fused_in_family=fused_in_family,
-    )
-    if bound is None:
-        raise ValueError("FOOTPRINT objective has no candidate bound")
-    return bound
+    [(rep, fused)] = family_bound_rows([family], space)
+    return float(bound_table(objective, scope, accel, [(cfg, rep, fused)],
+                             options, energy_table)[0])
 
 
 def feasible_row_interval(
@@ -261,10 +272,13 @@ def plan_candidates(
 ) -> CandidatePlan:
     """Plan a search without expanding a single candidate.
 
-    Cost: one :func:`family_lower_bound` per family — a handful of
-    closed-form evaluations, orders of magnitude below expanding and
+    Cost: one :func:`repro.core.engine.bound_table` call over the
+    families' :func:`family_bound_rows` — every family's closed-form
+    bound in one array pass, orders of magnitude below expanding and
     screening the full grid.
     """
+    from repro.core.engine import bound_table
+
     if objective is Objective.FOOTPRINT:
         raise ValueError("FOOTPRINT searches have no candidate bounds")
     families = tuple(enumerate_families(cfg, space))
@@ -274,11 +288,10 @@ def plan_candidates(
     for size in sizes:
         offsets_list.append(total)
         total += size
-    bounds = tuple(
-        family_lower_bound(objective, cfg, scope, accel, f, space,
-                           options, energy_table)
-        for f in families
-    )
+    rows = [(cfg, rep, fused)
+            for rep, fused in family_bound_rows(families, space)]
+    bounds = tuple(bound_table(objective, scope, accel, rows, options,
+                               energy_table).tolist())
     order = tuple(
         sorted(range(len(families)), key=lambda i: (bounds[i], i))
     )

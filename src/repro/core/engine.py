@@ -78,10 +78,20 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.arch.accelerator import Accelerator
-from repro.core.batch import BatchFallback, evaluate_grid
+from repro.core.batch import (
+    _MAX_INT64_MAC_BYTES,
+    BatchFallback,
+    GridEvaluation,
+    _l2_budget_slots,
+    _per_value,
+    _tile_luts,
+    evaluate_grid,
+)
 from repro.core.cache import PersistentCache, get_default_cache
 from repro.core.candidates import (
     CandidatePlan,
@@ -103,12 +113,14 @@ from repro.core.dse import (
     expand_family,
     family_size,
 )
-from repro.core.footprint import fused_la_footprint
+from repro.core.footprint import fused_la_elements
 from repro.core.perf import (
     PerfOptions,
     ScopeCost,
+    _compute_cycles_from_eff,
+    _strict_axis_eff,
+    _warmup_cycles,
     cost_scope,
-    la_pair_compute_cycles,
     partition_scratchpad,
     sg_stream_words,
 )
@@ -125,6 +137,7 @@ __all__ = [
     "SearchStats",
     "run_search",
     "accelerator_fingerprint",
+    "bound_table",
     "cycles_lower_bound",
     "objective_lower_bound",
     "clear_evaluation_cache",
@@ -579,217 +592,317 @@ def _scope_static_bound(
     return total, has_la, replication
 
 
-def _la_pair_bound(
-    cfg: AttentionConfig,
-    accel: Accelerator,
-    dataflow: Dataflow,
-    options: PerfOptions,
-    fused_in_family: Optional[bool] = None,
-) -> _BoundTerms:
-    """Bound for the L-A pair under one candidate dataflow.
+#: One row of :func:`bound_table`: a workload, a candidate dataflow,
+#: and whether the family it stands for may contain fused members
+#: (``None``: exactly this dataflow).
+BoundRow = Tuple[AttentionConfig, Dataflow, Optional[bool]]
 
-    A roofline over floors the pair can never beat, sharing the model's
-    own closed forms — the L2 tile choice, the staging-budget split,
-    the reuse-pass counts and the warm-up arithmetic are the very
-    functions :func:`~repro.core.perf.cost_la_pair` calls, and none of
-    them depend on the staging policy, so one evaluation of this bound
-    is admissible for a whole *family* of staging corners at once and
-    is *exact* (bit-equal to the model) whenever the binding constraint
-    is one this floor captures:
 
-    * **Serialized critical path.**  The *exact* compute-phase cycles
-      of both GEMM stages (:func:`~repro.core.perf.la_pair_compute_cycles`
-      — the very call :func:`~repro.core.perf.cost_la_pair` makes,
-      mapping efficiency and fill/drain included), plus the parts of
-      the softmax story that provably serialize with them: fused, the
-      softmax is on the interleaved phase's busy time and the spilled
-      intermediate's softmax round trip is a separate phase, so both
-      add; unfused, the softmax phase takes at least
-      ``max(softmax, spill round trip)``.
-    * **Compulsory traffic.**  Each tensor pays
-      ``min(l2_passes, fit_max + (1 - fit_max) * spill_passes)`` times
-      its cold volume: an unstaged tensor re-streams once per L2 reuse
-      pass (for K/V, once per *row pass* on top), while a staged tensor
-      blends one cold pass for the fitting fraction with the spill
-      accounting for the rest.  ``fit_max`` grants the single tensor
-      the whole staging budget — priority allocation can only grant
-      less, and the blend is decreasing in fit, so the min covers every
-      staging policy.  The off-chip intermediate fraction pays its four
-      passes (raw write, softmax read/write, re-read) using the exact
-      budget split.
-    * **Operand streaming** into the array on the SG port (plus the
-      intermediate's SG round trip when no member fuses).
-    * **Prefetch warm-up.**  The model's own
-      :func:`~repro.core.perf._warmup_cycles` arithmetic applied to the
-      traffic floor, with the fused overlap credit whenever any member
-      may fuse.
+def _flow_flags(df: Dataflow) -> tuple:
+    """The flags of one dataflow the L-A pair bound reads."""
+    s = df.staging
+    return (
+        df.fused, s.lhs, s.rhs, s.rhs2, s.out, s.intermediate,
+        s.any_enabled, df.variant is AttentionVariant.FLASH_D,
+        df.variant is AttentionVariant.FUSEMAX,
+        df.stationarity is Stationarity.OUTPUT,
+        df.stationarity is Stationarity.WEIGHT,
+        df.stationarity is Stationarity.INPUT,
+    )
 
-    ``fused_in_family`` widens the bound to a family that mixes fused
-    and unfused members (``None`` means "exactly this dataflow"): a
-    fused member takes the warm-up credit and skips the intermediate's
-    SG traffic, so those relaxations apply as soon as fusion is
-    possible, while the stronger fused *serial* chain is only used when
-    the representative itself fuses (then every member does).
+
+def _config_terms(cfg: AttentionConfig, scope: Scope,
+                  accel: Accelerator) -> Tuple[tuple, tuple]:
+    """The candidate-independent terms of one workload's bound.
+
+    Returns ``(ints, floats)``.  The integers (shape, MAC and cold
+    volumes, replication) become integer columns; the floats are the
+    terms Python computes once per workload — the SFU cycles, the SG
+    stream (an int / int division), the non-L-A operators' bound
+    (:func:`_scope_static_bound`) and the activity counts no dataflow
+    changes, summed and scaled as ``ActivityCounts`` sums and scales
+    them.
     """
+    if scope is Scope.LA:
+        # The pair is the whole scope: no other operator to bound (and
+        # no operator list to build, for a shard seen once).
+        static, replication = _BoundTerms(0.0, ActivityCounts()), 1
+    else:
+        static, has_la, replication = _scope_static_bound(cfg, scope,
+                                                          accel)
+        # Every scope lists L directly before A (see evaluate_grid).
+        assert has_la, scope
     b, h = cfg.batch, cfg.heads
     nq, nkv, dk = cfg.seq_q, cfg.seq_kv, cfg.d_head
-    e = accel.bytes_per_element
     macs_l = b * h * nq * nkv * dk
     macs = 2 * macs_l
     int_cold = b * h * nq * nkv
+    # Q and the output share one cold volume, as do K and V.
     q_cold = b * h * nq * dk
     k_cold = b * h * nkv * dk
-    v_cold = b * h * nkv * dk
-    out_cold = b * h * nq * dk
+    sfu = accel.sfu
+    sg_base_l = sg_stream_words(macs_l, accel)
+    sg_base_a = sg_stream_words(macs_l, accel) + q_cold
+    c = static.counts
+    ints = (b, h, nq, nkv, dk, macs_l, int_cold, q_cold, k_cold,
+            replication)
+    floats = (
+        sfu.softmax_cycles(int_cold),
+        sfu.flashd_cycles(int_cold, q_cold),
+        sg_base_l + sg_base_a,
+        (sg_base_l + int_cold) + (sg_base_a + int_cold),
+        static.cycles,
+        c.dram_words,
+        c.sg_words,
+        (c.macs + float(macs)) * replication,
+        (c.sl_words + (2.0 * macs + q_cold)) * replication,
+        (c.sfu_ops + float(sfu.softmax_flops(int_cold))) * replication,
+        (c.sfu_ops + float(sfu.flashd_flops(int_cold, q_cold)))
+        * replication,
+    )
+    return ints, floats
 
-    softmax = accel.sfu.softmax_cycles(int_cold)
-    compute_l, compute_a = la_pair_compute_cycles(cfg, dataflow, accel,
-                                                  options)
 
-    s = dataflow.staging
-    staged = dataflow.has_l3
-    may_fuse = dataflow.fused if fused_in_family is None else fused_in_family
-    b_t, h_t, r = dataflow.cross_tile(b, h, nq)
-    row_passes = ceil_div(nq, r)
-    n_pass = ceil_div(b, b_t) * ceil_div(h, h_t) * row_passes
+def bound_table(
+    objective: Objective,
+    scope: Scope,
+    accel: Accelerator,
+    rows: Sequence[BoundRow],
+    options: PerfOptions = PerfOptions(),
+    energy_table: Optional[EnergyTable] = None,
+) -> np.ndarray:
+    """Admissible objective lower bounds of many candidates, one pass.
 
-    # The model's own (staging-policy-independent) budget split, tile
-    # choice and reuse analysis.
-    footprint = fused_la_footprint(cfg, dataflow)
+    Each row ``(cfg, dataflow, fused_in_family)`` is bounded on its own
+    workload, so one call covers every family of a plan or every family
+    of every distinct shard of a partition grid.  The bound of a row is
+    a roofline over floors the L-A pair can never beat, sharing the
+    model's own closed forms — the L2 tile choice, the staging-budget
+    split, the reuse-pass counts and the warm-up arithmetic are the
+    very functions :func:`~repro.core.perf.cost_la_pair` calls, and none
+    of them depend on the staging policy, so one row is admissible for a
+    whole *family* of staging corners at once:
+
+    * **Serialized critical path.**  The exact compute-phase cycles of
+      both GEMM stages (mapping efficiency and fill/drain included),
+      plus the parts of the softmax story that provably serialize with
+      them: fused, the softmax is on the interleaved phase's busy time
+      and the spilled intermediate's softmax round trip is a separate
+      phase, so both add (FLASH-D swaps in its own serial term, FuseMax
+      takes the max with the GEMM stages); unfused, the softmax phase
+      takes at least ``max(softmax, spill round trip)``.
+    * **Compulsory traffic.**  Each tensor pays
+      ``min(l2_passes, fit_max + (1 - fit_max) * spill_passes)`` times
+      its cold volume, where ``fit_max`` grants the single tensor the
+      whole staging budget — priority allocation can only grant less,
+      and the blend is decreasing in fit, so the min covers every
+      staging policy.  The off-chip intermediate fraction pays its four
+      passes using the exact budget split.
+    * **Operand streaming** into the array on the SG port (plus the
+      intermediate's SG round trip when no member fuses).
+    * **Prefetch warm-up** on the traffic floor, with the fused overlap
+      credit whenever any member may fuse.
+
+    ``fused_in_family`` widens a row to a family that mixes fused and
+    unfused members (``None`` means "exactly this dataflow"): a fused
+    member takes the warm-up credit and skips the intermediate's SG
+    traffic, so those relaxations apply as soon as fusion is possible,
+    while the stronger fused *serial* chain is only used when the
+    dataflow itself fuses (then every member does).  The scope's other
+    operators add :func:`_scope_static_bound`, and ``ENERGY``/``EDP``
+    replay ``energy_report``'s arithmetic on the summed activity
+    counts (:meth:`~repro.core.batch.GridEvaluation.objective_scores`).
+
+    Every lane performs the scalar formulas' operations on their
+    operand types, so each bound is the one a per-row Python evaluation
+    gives, bit for bit: workload-level terms are computed in Python,
+    tile choices go through :func:`~repro.core.batch._tile_luts` and
+    the int / int mapping efficiencies through
+    :func:`~repro.core.batch._per_value`.  Integer columns are int64;
+    when a workload reaches the int64 headroom (``macs *
+    bytes_per_element >= 2**58``) they hold Python integers instead
+    (object dtype), which the same code runs on exactly.  ``FOOTPRINT``
+    has no bound and is rejected.
+    """
+    if objective is Objective.FOOTPRINT:
+        raise ValueError("FOOTPRINT objective has no candidate bound")
+    if not rows:
+        raise ValueError("bound_table needs at least one row")
+    configs: dict = {}  # workload -> index
+    index_rows = []
+    flag_rows = []
+    last = ci = None
+    for cfg, df, fused_in_family in rows:
+        if cfg is not last:  # rows usually come grouped by workload
+            ci = configs.setdefault(cfg, len(configs))
+            last = cfg
+        index_rows.append((ci,) + df.cross_tile(cfg.batch, cfg.heads,
+                                                 cfg.seq_q))
+        flag_rows.append(_flow_flags(df) + (
+            df.fused if fused_in_family is None else fused_in_family,
+        ))
+
+    e = accel.bytes_per_element
+    rows_pe, cols_pe = accel.pe_array.rows, accel.pe_array.cols
+    cfg_list = list(configs)
+    terms = [_config_terms(cfg, scope, accel) for cfg in cfg_list]
+    wide = any(t[0][5] * e >= _MAX_INT64_MAC_BYTES for t in terms)
+    idt = object if wide else np.int64
+    ci, b_t, h_t, r = np.array(index_rows, dtype=idt).T
+    ci = ci.astype(np.int64)
+    (fused, s_lhs, s_rhs, s_rhs2, s_out, s_int, s_any, v_flash, v_pipe,
+     output, weight, inputs, may_fuse) = np.array(flag_rows, dtype=bool).T
+    (b, h, nq, nkv, dk, macs_l, int_cold, q_cold, k_cold,
+     replication) = np.array([t[0] for t in terms], dtype=idt)[ci].T
+    (softmax, flashd, sg_fused, sg_unfused, static_cycles, static_dram,
+     static_sg, macs_total, sl_total, sfu_softmax,
+     sfu_flashd) = np.array([t[1] for t in terms], dtype=float)[ci].T
+
+    # A dataflow without an L3 tile stages nothing (Dataflow enforces
+    # it), so each staging flag already implies the tile.
+    fp = fused_la_elements(b_t, h_t, r, dk, nkv,
+                           s_lhs, s_rhs, s_rhs2, s_out, s_int)
     budget = partition_scratchpad(
-        footprint.total_bytes(e), staged and s.any_enabled, accel, options
+        (fp[0] + fp[1] + fp[2] + fp[3] + fp[4]) * e, s_any, accel, options,
     )
-    staging_bytes = float(budget.staging_budget_bytes)
-    tile_l = choose_l2_tile(
-        r, dk, nkv, budget.l2_budget_elements,
-        accel.pe_array.rows, accel.pe_array.cols,
-    )
-    tile_a = choose_l2_tile(
-        r, nkv, dk, budget.l2_budget_elements,
-        accel.pe_array.rows, accel.pe_array.cols,
-    )
-    passes_l = reuse_passes(r, dk, nkv, tile_l)
-    passes_a = reuse_passes(r, nkv, dk, tile_a)
+    staging_bytes = budget.staging_budget_bytes.astype(float)
+    row_passes = ceil_div(nq, r)
+    n_pass_f = (
+        ceil_div(b, b_t) * ceil_div(h, h_t) * row_passes
+    ).astype(float)
 
-    if staged and s.intermediate:
-        int_bytes = footprint.intermediate_elements * e
-        fit_int = (
-            1.0 if int_bytes <= 0
-            else min(1.0, staging_bytes / int_bytes)
+    # One tile record per (rows, seq_kv, d_head, L2 budget slot).
+    l2_values, slot = _l2_budget_slots(budget, accel, options)
+    shapes: dict = {}
+    shape_of = np.array(
+        [shapes.setdefault((cfg.seq_kv, cfg.d_head), len(shapes))
+         for cfg in cfg_list], dtype=np.int64,
+    )[ci]
+    shape_list = list(shapes)
+    n_shapes = len(shape_list)
+
+    def build(code):
+        rest, l2_i = code >> 1, l2_values[code & 1]
+        r_i, (nkv_i, dk_i) = rest // n_shapes, shape_list[rest % n_shapes]
+        tile_l = choose_l2_tile(r_i, dk_i, nkv_i, l2_i, rows_pe, cols_pe)
+        tile_a = choose_l2_tile(r_i, nkv_i, dk_i, l2_i, rows_pe, cols_pe)
+        passes_l = reuse_passes(r_i, dk_i, nkv_i, tile_l)
+        passes_a = reuse_passes(r_i, nkv_i, dk_i, tile_a)
+        return (
+            passes_l.lhs_passes,
+            passes_l.rhs_passes,
+            passes_a.rhs_passes,
+            passes_a.out_passes,
+            float(
+                (tile_l.footprint_elements() + tile_a.footprint_elements())
+                * e
+            ),
         )
-        int_offchip = 1.0 - fit_int
+
+    l_lhs, l_rhs, a_rhs, a_out, warmup_cap = _tile_luts(
+        (r * n_shapes + shape_of) * 2 + slot, build
+    )
+
+    # Each tensor's fit if it alone were granted the whole staging
+    # budget (for the intermediate, its fit under the exact budget
+    # split: it is first in the priority order), rows Q, K, V, O, I.
+    tile_bytes = np.stack(fp) * e
+    fit = np.where(
+        tile_bytes <= 0, 1.0,
+        np.minimum(1.0, staging_bytes / np.maximum(tile_bytes, 1)),
+    )
+    int_offchip = np.where(s_int, 1.0 - fit[4], 1.0)
+
+    # min over staging choices of each tensor's pass multiplier:
+    # unstaged pays its L2 passes; staged pays blend(fit) >=
+    # blend(fit_max) (the blend is decreasing in fit, and priority
+    # allocation can never grant more than the whole budget).
+    fit_max = fit[:4]
+    l2_passes = np.stack([
+        l_lhs,
+        row_passes * l_rhs,
+        row_passes * a_rhs,
+        np.where(output, 1, a_out),
+    ])
+    if options.spill_extra_pass_only:
+        blend = fit_max * 1.0 + (1.0 - fit_max) * 2.0
     else:
-        int_offchip = 1.0
-
-    def _tensor_floor(tile_bytes: float, l2_passes: float) -> float:
-        # min over staging choices of the model's pass multiplier:
-        # unstaged pays l2_passes; staged pays blend(fit) >=
-        # blend(fit_max) (the blend is decreasing in fit, and priority
-        # allocation can never grant more than the whole budget).
-        fit_max = (
-            1.0 if tile_bytes <= 0
-            else min(1.0, staging_bytes / tile_bytes)
-        )
-        if options.spill_extra_pass_only:
-            blend = fit_max * 1.0 + (1.0 - fit_max) * 2.0
-        else:
-            blend = fit_max * 1.0 + (1.0 - fit_max) * (l2_passes + 1.0)
-        return min(float(l2_passes), blend)
-
-    out_passes = (
-        1 if dataflow.stationarity is Stationarity.OUTPUT
-        else passes_a.out_passes
+        blend = fit_max * 1.0 + (1.0 - fit_max) * (l2_passes + 1.0)
+    q_mult, k_mult, v_mult, out_mult = np.minimum(
+        l2_passes.astype(float), blend
     )
-    q_mult = _tensor_floor(footprint.lhs_elements * e, passes_l.lhs_passes)
-    k_mult = _tensor_floor(
-        footprint.rhs_elements * e, row_passes * passes_l.rhs_passes
-    )
-    v_mult = _tensor_floor(
-        footprint.rhs2_elements * e, row_passes * passes_a.rhs_passes
-    )
-    out_mult = _tensor_floor(footprint.out_elements * e, float(out_passes))
 
     int_spill = int_cold * int_offchip
-    dram_l_inputs = q_cold * q_mult + k_cold * k_mult
-    dram_a_inputs = v_cold * v_mult + out_cold * out_mult
-    dram_elements = dram_l_inputs + dram_a_inputs + 4.0 * int_spill
-    spill_cycles = (
-        (2.0 * int_spill) * e / accel.offchip_bytes_per_cycle
+    dram_elements = (
+        (q_cold * q_mult + k_cold * k_mult)
+        + (k_cold * v_mult + q_cold * out_mult)
+        + 4.0 * int_spill
     )
-    if dataflow.fused:
-        # Every member fuses (the representative is the weakest corner
-        # in this respect): interleaved busy time plus the serialized
-        # spill round trip.  Attention variants mirror their own serial
-        # term exactly: FLASH-D's softmax has one pass fewer over the
-        # intermediate (plus the output rescale), FuseMax pipelines the
-        # softmax against the GEMM stages, so the busy floor is the max
-        # rather than the sum.
-        if dataflow.variant is AttentionVariant.FLASH_D:
-            sm_term = accel.sfu.flashd_cycles(int_cold, out_cold)
-            serial = compute_l + compute_a + sm_term + spill_cycles
-        elif dataflow.variant is AttentionVariant.FUSEMAX:
-            serial = max(compute_l + compute_a, softmax) + spill_cycles
-        else:
-            serial = compute_l + compute_a + softmax + spill_cycles
-    else:
-        # Mirrors the model's three-phase sum when each phase is
-        # compute-/softmax-bound; weaker than (hence admissible for)
-        # fused members of a mixed family.
-        serial = compute_l + max(softmax, spill_cycles) + compute_a
+    spill_cycles = (2.0 * int_spill) * e / accel.offchip_bytes_per_cycle
 
-    sg_base_l = sg_stream_words(macs_l, accel)
-    sg_base_a = sg_stream_words(macs_l, accel) + out_cold
-    if may_fuse:
-        sg_words = sg_base_l + sg_base_a
+    # Exact compute-phase cycles of both stages (la_pair_compute_cycles).
+    if options.flexible_mapping:
+        # Both stages fold the same iteration space.
+        pes = accel.pe_array.num_pes
+        eff_l = _per_value(r * dk * nkv * (b_t * h_t),
+                           lambda v: v / (pes * ceil_div(v, pes)))
+        eff_a = eff_l
     else:
-        sg_words = (sg_base_l + int_cold) + (sg_base_a + int_cold)
+        def eff(d1, d2):
+            return (
+                _per_value(d1, lambda v: _strict_axis_eff(v, rows_pe))
+                * _per_value(d2, lambda v: _strict_axis_eff(v, cols_pe))
+            )
 
+        eff_l = eff(np.where(weight, dk, r), np.where(inputs, dk, nkv))
+        eff_a = eff(np.where(weight, nkv, r), np.where(inputs, nkv, dk))
+    compute_l = _compute_cycles_from_eff(macs_l, eff_l, n_pass_f, accel,
+                                         options)
+    compute_a = (
+        compute_l if eff_a is eff_l
+        else _compute_cycles_from_eff(macs_l, eff_a, n_pass_f, accel,
+                                      options)
+    )
+    compute = compute_l + compute_a
+    # Fused: every member fuses (the dataflow is the weakest corner in
+    # this respect): interleaved busy time plus the serialized spill
+    # round trip.  Unfused: mirrors the model's three-phase sum when
+    # each phase is compute-/softmax-bound; weaker than (hence
+    # admissible for) fused members of a mixed family.
+    serial = np.where(
+        fused,
+        np.where(
+            v_pipe,
+            np.maximum(compute, softmax),
+            compute + np.where(v_flash, flashd, softmax),
+        ) + spill_cycles,
+        (compute_l + np.maximum(softmax, spill_cycles)) + compute_a,
+    )
+    sg_words = np.where(may_fuse, sg_fused, sg_unfused)
     dram_bytes = dram_elements * e
-    cycles = roofline_cycles(
-        serial,
-        dram_bytes / accel.offchip_bytes_per_cycle,
+    cycles = np.maximum(
+        np.maximum(serial, dram_bytes / accel.offchip_bytes_per_cycle),
         sg_words * e / accel.onchip_bytes_per_cycle,
     )
     # Exposed prefetch warm-up on the traffic floor (monotone in the
-    # DRAM bytes, so a floor in, a floor out); any possibly-fused
-    # member gets the overlap credit.
-    warmup_cap = float(
-        (tile_l.footprint_elements() + tile_a.footprint_elements()) * e
-    )
-    warmup_bytes = min(dram_bytes / max(float(n_pass), 1.0), warmup_cap)
-    warmup = warmup_bytes / accel.offchip_bytes_per_cycle
-    if may_fuse:
-        warmup = warmup * options.fused_warmup_credit
-    cycles = cycles + warmup
-    counts = ActivityCounts(
-        macs=float(macs),
-        sl_words=2.0 * macs + out_cold,
-        sg_words=sg_words,
-        dram_words=dram_elements,
-        sfu_ops=float(
-            accel.sfu.flashd_flops(int_cold, out_cold)
-            if dataflow.variant is AttentionVariant.FLASH_D
-            else accel.sfu.softmax_flops(int_cold)
-        ),
-    )
-    return _BoundTerms(cycles=cycles, counts=counts)
-
-
-def _candidate_bound(
-    cfg: AttentionConfig,
-    scope: Scope,
-    accel: Accelerator,
-    dataflow: Dataflow,
-    options: PerfOptions,
-    fused_in_family: Optional[bool] = None,
-) -> Tuple[float, ActivityCounts]:
-    static, has_la, replication = _scope_static_bound(cfg, scope, accel)
-    total = static
-    if has_la:
-        total = total + _la_pair_bound(
-            cfg, accel, dataflow, options, fused_in_family
-        )
-    return replication * total.cycles, total.counts.scaled(replication)
+    # DRAM bytes, so a floor in, a floor out).
+    warmup = _warmup_cycles(dram_bytes, n_pass_f, warmup_cap, may_fuse,
+                            accel, options)
+    total_cycles = replication * (static_cycles + (cycles + warmup))
+    if objective is Objective.RUNTIME:
+        return total_cycles.astype(float) * _BOUND_SLACK
+    dram_words = (static_dram + dram_elements) * replication
+    scores = GridEvaluation(
+        total_cycles=total_cycles,
+        dram_bytes=dram_words * e,
+        footprint_bytes=tile_bytes.sum(axis=0),
+        macs=macs_total,
+        sl_words=sl_total,
+        sg_words=(static_sg + sg_words) * replication,
+        dram_words=dram_words,
+        sfu_ops=np.where(v_flash, sfu_flashd, sfu_softmax),
+    ).objective_scores(objective, energy_table)
+    return scores.astype(float) * _BOUND_SLACK
 
 
 def cycles_lower_bound(
@@ -803,10 +916,11 @@ def cycles_lower_bound(
 
     Never exceeds the true cost (see ``test_engine.py``'s admissibility
     sweep), and costs ~an order of magnitude less to compute than the
-    full model because it needs no L2 tile search.
+    full model because it needs no L2 tile search.  A one-row
+    :func:`bound_table`.
     """
-    cycles, _ = _candidate_bound(cfg, scope, accel, dataflow, options)
-    return cycles * _BOUND_SLACK
+    return float(bound_table(Objective.RUNTIME, scope, accel,
+                             [(cfg, dataflow, None)], options)[0])
 
 
 def objective_lower_bound(
@@ -824,21 +938,15 @@ def objective_lower_bound(
     ``FOOTPRINT`` returns ``None`` — footprints need no cost bound and
     the engine disables pruning for that objective.
 
-    ``fused_in_family`` (see :func:`_la_pair_bound`) widens the bound
-    to cover a whole dataflow family that may mix fused and unfused
+    ``fused_in_family`` (see :func:`bound_table`) widens the bound to
+    cover a whole dataflow family that may mix fused and unfused
     members; ``None`` bounds exactly the given dataflow.
     """
     if objective is Objective.FOOTPRINT:
         return None
-    cycles, counts = _candidate_bound(
-        cfg, scope, accel, dataflow, options, fused_in_family
-    )
-    if objective is Objective.RUNTIME:
-        return cycles * _BOUND_SLACK
-    energy = energy_report(counts, energy_table).total_j
-    if objective is Objective.ENERGY:
-        return energy * _BOUND_SLACK
-    return energy * cycles * _BOUND_SLACK
+    return float(bound_table(objective, scope, accel,
+                             [(cfg, dataflow, fused_in_family)], options,
+                             energy_table)[0])
 
 
 
@@ -915,9 +1023,10 @@ def _candidate_search(
             plan = _unbounded_plan(ev, families, sizes)
             seed = None
         else:
-            plan = plan_candidates(objective, cfg, scope, ev.accel, space,
-                                   options=options,
-                                   energy_table=energy_table)
+            with _span("candidate-plan", families=len(families)):
+                plan = plan_candidates(objective, cfg, scope, ev.accel,
+                                       space, options=options,
+                                       energy_table=energy_table)
             seed = warm
         dataflow, cost, stats = _branch_and_bound(
             ev, plan, objective, space, energy_table, start, seed)

@@ -23,9 +23,10 @@ that survive branch-and-bound against the incumbent.
 
 The outer bound is admissible by construction:
 
-* **compute floor** — min over dataflow families of
-  :func:`repro.core.candidates.family_lower_bound` on the sharded
-  workload: no per-chip dataflow beats the best family floor;
+* **compute floor** — min over dataflow families of the family bound
+  on the sharded workload: no per-chip dataflow beats the best family
+  floor.  One :func:`repro.core.engine.bound_table` call bounds every
+  family of every distinct shard of the grid;
 * **fabric term** — the point's *exact* collective cycles (the
   schedule is fixed at the outer level, so nothing is unknown), which
   dominates the schedule-independent bisection floor
@@ -84,10 +85,15 @@ from repro.arch.fabric import (
     collective_floor_s,
     collective_time_s,
 )
-from repro.core.candidates import Incumbent, family_lower_bound, make_incumbent
+from repro.core.candidates import (
+    Incumbent,
+    family_bound_rows,
+    make_incumbent,
+)
 from repro.core.dataflow import Dataflow
 from repro.core.dse import Objective, SearchSpace, enumerate_families
 from repro.core.perf import PerfOptions, ScopeCost
+from repro.obs.trace import span as _span
 from repro.ops.attention import AttentionConfig, Scope
 
 __all__ = [
@@ -179,6 +185,38 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _outer_space(cfg: AttentionConfig, chips: int,
+                 schedules: Sequence[CollectiveSchedule]
+                 ) -> Tuple[Partition, ...]:
+    """The partitions of an outer level; rejects an empty one."""
+    partitions = enumerate_partitions(cfg, chips)
+    if not partitions:
+        raise ValueError(
+            f"no feasible partition of {cfg.name!r} across {chips} chips"
+        )
+    if not schedules:
+        raise ValueError("at least one collective schedule is required")
+    return partitions
+
+
+def _shard_extents(cfg: AttentionConfig,
+                   partition: Partition) -> Tuple[int, int, int, int]:
+    """``(batch, heads, d_ff, seq_q)`` of one shard: all a cut changes."""
+    return (
+        _ceil_div(cfg.batch, partition.batch_ways),
+        _ceil_div(cfg.heads, partition.head_ways),
+        _ceil_div(cfg.d_ff, partition.head_ways),
+        _ceil_div(cfg.seq_q, partition.seq_ways),
+    )
+
+
+def _shard(cfg: AttentionConfig, extents: Tuple[int, int, int, int],
+           name: str) -> AttentionConfig:
+    batch, heads, d_ff, seq_q = extents
+    return replace(cfg, name=name, batch=batch, heads=heads,
+                   d_model=heads * cfg.d_head, d_ff=d_ff, seq_q=seq_q)
+
+
 def shard_config(cfg: AttentionConfig, partition: Partition) -> AttentionConfig:
     """The per-chip workload one shard of ``partition`` computes.
 
@@ -188,16 +226,8 @@ def shard_config(cfg: AttentionConfig, partition: Partition) -> AttentionConfig:
     preserved); a sequence shard cuts Q rows only, leaving ``seq_kv``
     whole — the gathered K/V is what the induced all-gather pays for.
     """
-    heads = _ceil_div(cfg.heads, partition.head_ways)
-    return replace(
-        cfg,
-        name=f"{cfg.name}/{partition.label}",
-        batch=_ceil_div(cfg.batch, partition.batch_ways),
-        heads=heads,
-        d_model=heads * cfg.d_head,
-        d_ff=_ceil_div(cfg.d_ff, partition.head_ways),
-        seq_q=_ceil_div(cfg.seq_q, partition.seq_ways),
-    )
+    return _shard(cfg, _shard_extents(cfg, partition),
+                  f"{cfg.name}/{partition.label}")
 
 
 @dataclass(frozen=True)
@@ -220,25 +250,40 @@ def induced_collectives(
     aggregate bytes across the group, sized from the (ceil-divided)
     shard the group's chips actually hold.
     """
-    shard = shard_config(cfg, partition)
+    kv_bytes, out_bytes = _payload_bytes(
+        cfg, partition, shard_config(cfg, partition), bytes_per_element
+    )
     out: List[Collective] = []
     if partition.seq_ways > 1:
-        kv_elements = (
-            2 * shard.batch * shard.heads * cfg.seq_kv * cfg.d_head
-        )
-        kv_bytes = kv_elements * bytes_per_element
         out.append(
             Collective(CollectiveKind.ALL_GATHER, partition.seq_ways,
                        kv_bytes)
         )
     if partition.head_ways > 1:
-        out_elements = shard.batch * shard.seq_q * cfg.d_model
-        out_bytes = out_elements * bytes_per_element
         out.append(
             Collective(CollectiveKind.ALL_REDUCE, partition.head_ways,
                        out_bytes)
         )
     return tuple(out)
+
+
+def _payload_bytes(
+    cfg: AttentionConfig,
+    partition: Partition,
+    shard: AttentionConfig,
+    bytes_per_element: int,
+) -> Tuple[int, int]:
+    """``(all-gather, all-reduce)`` payload bytes; 0 when not induced."""
+    kv_bytes = out_bytes = 0
+    if partition.seq_ways > 1:
+        kv_elements = (
+            2 * shard.batch * shard.heads * cfg.seq_kv * cfg.d_head
+        )
+        kv_bytes = kv_elements * bytes_per_element
+    if partition.head_ways > 1:
+        out_elements = shard.batch * shard.seq_q * cfg.d_model
+        out_bytes = out_elements * bytes_per_element
+    return kv_bytes, out_bytes
 
 
 # ----------------------------------------------------------------------
@@ -321,22 +366,6 @@ class PartitionGrid:
         return len(self.partitions) * len(self.schedules)
 
 
-def _compute_floor_cycles(
-    cfg: AttentionConfig,
-    view: Accelerator,
-    scope: Scope,
-    space: SearchSpace,
-    options: PerfOptions,
-) -> float:
-    """Admissible floor on the best per-chip runtime for ``cfg``."""
-    return min(
-        family_lower_bound(
-            Objective.RUNTIME, cfg, scope, view, family, space, options
-        )
-        for family in enumerate_families(cfg, space)
-    )
-
-
 def evaluate_partition_grid(
     cfg: AttentionConfig,
     system: ScaleoutSystem,
@@ -349,86 +378,98 @@ def evaluate_partition_grid(
     """Batch-score the outer level without running any inner search.
 
     The fabric side is pure array arithmetic over the partition table
-    (payload bytes, group sizes -> alpha-beta terms per schedule); the
-    compute floors are closed-form family bounds, computed once per
-    *distinct* shard config (partitions that shard to the same
-    workload share one floor).
+    (payload bytes, group sizes -> alpha-beta terms per schedule).  The
+    compute floors are closed-form family bounds over the *distinct*
+    shard configs (partitions that shard to the same workload share
+    one floor).  One :func:`~repro.core.engine.bound_table` call
+    bounds every (shard, family) row, built by
+    :func:`~repro.core.candidates.family_bound_rows`, and a shard's
+    floor is the min of its rows.
     """
-    partitions = enumerate_partitions(cfg, chips)
-    if not partitions:
-        raise ValueError(
-            f"no feasible partition of {cfg.name!r} across {chips} chips"
-        )
-    if not schedules:
-        raise ValueError("at least one collective schedule is required")
+    from repro.core.engine import bound_table
+
+    partitions = _outer_space(cfg, chips, schedules)
     e = system.chip.bytes_per_element
     freq = system.chip.frequency_hz
     p = len(partitions)
 
-    seq_ways = np.array([t.seq_ways for t in partitions], dtype=np.float64)
-    head_ways = np.array([t.head_ways for t in partitions], dtype=np.float64)
+    # The distinct shards, built once; labels are dropped so that
+    # partitions cutting to the same workload share one shard.
+    shard_index: Dict[Tuple[int, int, int, int], int] = {}
+    shards: List[AttentionConfig] = []
+    shard_of = np.empty(p, dtype=np.int64)
     kv_bytes = np.zeros(p)
     out_bytes = np.zeros(p)
     for i, part in enumerate(partitions):
-        for coll in induced_collectives(cfg, part, e):
-            if coll.kind is CollectiveKind.ALL_GATHER:
-                kv_bytes[i] = coll.payload_bytes
-            else:
-                out_bytes[i] = coll.payload_bytes
+        extents = _shard_extents(cfg, part)
+        j = shard_index.get(extents)
+        if j is None:
+            j = shard_index[extents] = len(shards)
+            shards.append(_shard(cfg, extents, cfg.name))
+        shard_of[i] = j
+        kv_bytes[i], out_bytes[i] = _payload_bytes(cfg, part, shards[j], e)
+
+    seq_ways = np.array([t.seq_ways for t in partitions], dtype=np.float64)
+    head_ways = np.array([t.head_ways for t in partitions], dtype=np.float64)
 
     link = system.fabric.link_bytes_per_sec
     hop = system.fabric.hop_latency_s
 
-    def _time_s(schedule, payload, ways, phases):
-        frac = np.where(ways > 1, (ways - 1) / np.maximum(ways, 1), 0.0)
+    # Row 0 is the all-gather over the sequence group, row 1 the
+    # all-reduce over the head group (two phases).
+    payload = np.stack([kv_bytes, out_bytes])
+    ways = np.stack([seq_ways, head_ways])
+    phases = np.array([[1], [2]])
+    frac = np.where(ways > 1, (ways - 1) / np.maximum(ways, 1), 0.0)
+    log_steps = np.ceil(np.log2(np.maximum(ways, 1)))
+    active = (ways > 1) & (payload > 0)
+
+    fabric_cycles = np.empty((p, len(schedules)))
+    for si, schedule in enumerate(schedules):
         if schedule is CollectiveSchedule.RING:
             bw = frac * payload / (2.0 * link)
             steps = ways - 1
         else:
             bw = frac * payload / link
-            steps = np.ceil(np.log2(np.maximum(ways, 1)))
-        active = (ways > 1) & (payload > 0)
-        return np.where(active, phases * (bw + steps * hop), 0.0)
+            steps = log_steps
+        time_s = np.where(active, phases * (bw + steps * hop), 0.0)
+        fabric_cycles[:, si] = (time_s[0] + time_s[1]) * freq
 
-    def _floor_s(payload, ways, phases):
-        frac = np.where(ways > 1, (ways - 1) / np.maximum(ways, 1), 0.0)
-        link_floor = frac * payload / (2.0 * link)
-        bisect = np.array([
-            system.fabric.bisection_bytes_per_sec(int(w)) if w > 1 else 1.0
-            for w in ways
-        ])
-        bisect_floor = (payload / 2.0) / bisect
-        lat_floor = np.ceil(np.log2(np.maximum(ways, 1))) * hop
-        active = (ways > 1) & (payload > 0)
-        return np.where(
-            active,
-            phases * np.maximum(np.maximum(link_floor, bisect_floor),
-                                lat_floor),
-            0.0,
-        )
+    link_floor = frac * payload / (2.0 * link)
+    group_sizes = ways.ravel().tolist()
+    bisection = {
+        w: system.fabric.bisection_bytes_per_sec(int(w)) if w > 1 else 1.0
+        for w in dict.fromkeys(group_sizes)
+    }
+    bisect = np.array([bisection[w] for w in group_sizes]).reshape(
+        ways.shape
+    )
+    bisect_floor = (payload / 2.0) / bisect
+    floor_s = np.where(
+        active,
+        phases * np.maximum(np.maximum(link_floor, bisect_floor),
+                            log_steps * hop),
+        0.0,
+    )
+    fabric_floor_cycles = (floor_s[0] + floor_s[1]) * freq
 
-    fabric_cycles = np.empty((p, len(schedules)))
-    for si, schedule in enumerate(schedules):
-        total_s = (
-            _time_s(schedule, kv_bytes, seq_ways, 1)
-            + _time_s(schedule, out_bytes, head_ways, 2)
-        )
-        fabric_cycles[:, si] = total_s * freq
-    fabric_floor_cycles = (
-        _floor_s(kv_bytes, seq_ways, 1) + _floor_s(out_bytes, head_ways, 2)
-    ) * freq
-
-    view = system.chip_view()
-    floors: Dict[AttentionConfig, float] = {}
-    compute_floor = np.empty(p)
-    for i, part in enumerate(partitions):
-        shard = shard_config(cfg, part)
-        key = replace(shard, name=cfg.name)  # dedupe ignores the label
-        if key not in floors:
-            floors[key] = _compute_floor_cycles(
-                key, view, scope, space, options
-            )
-        compute_floor[i] = floors[key]
+    # Shards with the same family list share its representatives.
+    family_rows: Dict[tuple, list] = {}
+    rows = []
+    starts = []
+    for shard in shards:
+        families = tuple(enumerate_families(shard, space))
+        if not families:
+            raise ValueError("search space is empty")
+        listed = family_rows.get(families)
+        if listed is None:
+            listed = family_rows[families] = family_bound_rows(families,
+                                                               space)
+        starts.append(len(rows))
+        rows.extend((shard, rep, fused) for rep, fused in listed)
+    bounds = bound_table(Objective.RUNTIME, scope, system.chip_view(),
+                         rows, options)
+    compute_floor = np.minimum.reduceat(bounds, starts)[shard_of]
 
     return PartitionGrid(
         partitions=partitions,
@@ -536,7 +577,6 @@ class ScaleoutResult:
 
     best: ScaleoutPoint
     chips: int
-    grid: PartitionGrid
     stats: ScaleoutStats
     incumbent: Incumbent
 
@@ -559,18 +599,16 @@ def search_scaleout(
     cross-product's (see module docstring).  ``warm_start`` seeds the
     first inner search with a neighboring sweep's winner, and each inner
     search seeds the next; winners also land in the engine's LRU and the
-    persistent disk cache.
+    persistent disk cache.  The outer grid is built only when the memo
+    misses: a hit runs no bound and no inner search.
     """
     from repro.core.cache import get_default_cache
     from repro.core.engine import _memoized, _search, accelerator_fingerprint
 
     schedules = tuple(schedules)
-    stats = ScaleoutStats()
-    grid = evaluate_partition_grid(
-        cfg, system, chips, schedules, scope, space, options
-    )
+    partitions = _outer_space(cfg, chips, schedules)
     n_sched = len(schedules)
-    stats.outer_enumerated = grid.num_points
+    stats = ScaleoutStats(outer_enumerated=len(partitions) * n_sched)
 
     view = system.chip_view()
 
@@ -584,8 +622,8 @@ def search_scaleout(
             accel_fingerprint=accelerator_fingerprint(view),
             value=best.chip_cycles,
         )
-        return ScaleoutResult(best=best, chips=chips, grid=grid,
-                              stats=stats, incumbent=incumbent)
+        return ScaleoutResult(best=best, chips=chips, stats=stats,
+                              incumbent=incumbent)
 
     seed = warm_start
     inner_cache: Dict[int, tuple] = {}  # partition index -> (result, cycles)
@@ -596,7 +634,7 @@ def search_scaleout(
         if cached is not None:
             stats.inner_reused += 1
             return cached
-        shard = shard_config(cfg, grid.partitions[p_idx])
+        shard = shard_config(cfg, partitions[p_idx])
         result = _search(shard, view, scope, Objective.RUNTIME, space,
                          options, None, False, seed, None)
         stats.inner_searches += 1
@@ -606,6 +644,10 @@ def search_scaleout(
         return entry
 
     def _outer_search() -> ScaleoutPoint:
+        with _span("scaleout-outer"):
+            grid = evaluate_partition_grid(
+                cfg, system, chips, schedules, scope, space, options
+            )
         # Flat outer enumeration order: partition-major, schedule-minor.
         flat_bounds = grid.bound_cycles.reshape(-1)
         # Best-bound-first; index tie-break keeps the visit order
@@ -643,7 +685,9 @@ def search_scaleout(
 
     memo_key = ("scaleout-memo", cfg, system.fingerprint(), chips,
                 tuple(s.value for s in schedules), scope, space, options)
-    best, source = _memoized(memo_key, _outer_search, get_default_cache())
+    with _span("scaleout", chips=chips, partitions=len(partitions)):
+        best, source = _memoized(memo_key, _outer_search,
+                                 get_default_cache())
     if source != "model":
         stats.memo_hits = 1
     return _result(best)

@@ -413,6 +413,7 @@ BLOCKING_CALL_NAMES: FrozenSet[str] = frozenset({"open", "input"})
 #: silently turns "provably no winner pruned" into "maybe".
 BOUND_FUNCTIONS: Mapping[str, FrozenSet[str]] = _table({
     "repro.core.candidates": {"family_lower_bound"},
+    "repro.core.engine": {"bound_table"},
     "repro.arch.fabric": {"collective_floor_s"},
     "repro.core.scaleout": {"evaluate_partition_grid"},
 })

@@ -27,7 +27,7 @@ from repro.core.candidates import (
     make_incumbent,
     plan_candidates,
 )
-from repro.core.dataflow import Granularity, flat_r
+from repro.core.dataflow import AttentionVariant, Granularity, flat_r
 from repro.core.dse import (
     Objective,
     SearchSpace,
@@ -40,6 +40,7 @@ from repro.core.dse import (
 from repro.core.engine import _BOUND_SLACK, clear_evaluation_cache
 from repro.core.footprint import footprint_r_gran
 from repro.core.perf import PerfOptions, cost_scope, partition_scratchpad
+from repro.energy.model import energy_report
 from repro.ops.attention import AttentionConfig, Scope
 from tests.oracles import assert_matches_oracle, exhaustive_best
 
@@ -199,6 +200,50 @@ class TestBoundAdmissibility:
             for df in expand_family(cfg, fam, space):
                 value = cost_scope(cfg, Scope.BLOCK, edge_accel,
                                    df).total_cycles
+                assert bound <= value, (fam, df.name, bound, value)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        batch=st.integers(min_value=1, max_value=4),
+        heads=st.sampled_from([1, 2, 4]),
+        d_head=st.sampled_from([16, 32]),
+        # Decode (seq_q=1), cross-attention both ways, self-attention.
+        seq=st.sampled_from([(1, 64), (1, 257), (24, 96), (100, 33),
+                             (64, 64)]),
+        kb=buffer_kb,
+        objective=st.sampled_from([Objective.RUNTIME, Objective.ENERGY,
+                                   Objective.EDP]),
+        scope=st.sampled_from(list(Scope)),
+        rigid=st.booleans(),
+        strict_spill=st.booleans(),
+        variants=st.booleans(),
+    )
+    def test_generated_bounds_admissible(self, batch, heads, d_head, seq,
+                                         kb, objective, scope, rigid,
+                                         strict_spill, variants):
+        """Every plan bound sits at or below the objective score of
+        every member of its family, on the new axes: energy objectives,
+        MODEL scope, decode and cross-attention shapes, variant spaces,
+        rigid mapping and the strict spill accounting."""
+        seq_q, seq_kv = seq
+        cfg = AttentionConfig(
+            name="gen", batch=batch, heads=heads, d_model=heads * d_head,
+            seq_q=seq_q, seq_kv=seq_kv, d_ff=4 * heads * d_head,
+            num_blocks=3,
+        )
+        accel = edge().with_scratchpad_bytes(kb * 1024)
+        options = PerfOptions(flexible_mapping=not rigid,
+                              spill_extra_pass_only=not strict_spill)
+        space = SearchSpace(
+            variants=(tuple(AttentionVariant) if variants
+                      else (AttentionVariant.SOFTMAX,)),
+        )
+        plan = plan_candidates(objective, cfg, scope, accel, space,
+                               options)
+        for fam, bound in zip(plan.families, plan.bounds):
+            for df in expand_family(cfg, fam, space):
+                cost = cost_scope(cfg, scope, accel, df, options=options)
+                value = objective.score(cost, energy_report(cost.counts))
                 assert bound <= value, (fam, df.name, bound, value)
 
     @settings(max_examples=15, deadline=None)

@@ -18,7 +18,7 @@ Three bars, mirroring the candidate layer's contract one level up:
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.arch.fabric import (
@@ -29,8 +29,19 @@ from repro.arch.fabric import (
     collective_time_s,
 )
 from repro.arch.presets import edge
-from repro.core.dse import Objective, search
+from repro.core import engine
+from repro.core.cache import default_cache_dir
+from repro.core.candidates import family_lower_bound
+from repro.core.dataflow import AttentionVariant, Granularity, Stationarity
+from repro.core.dse import (
+    Objective,
+    SearchSpace,
+    enumerate_families,
+    expand_family,
+    search,
+)
 from repro.core.engine import clear_evaluation_cache
+from repro.core.perf import PerfOptions, cost_scope
 from repro.core.scaleout import (
     DEFAULT_SCHEDULES,
     Partition,
@@ -267,6 +278,61 @@ class TestBoundAdmissibility:
                 )
 
 
+class TestGeneratedAdmissibility:
+    """The new axes, drawn: BLOCK/MODEL scope, decode and
+    cross-attention shards, variant spaces and rigid mapping, on cuts
+    that divide neither the batch nor the sequence.  Every family bound
+    must sit at or below every member of that family on the shard, and
+    every partition floor at or below the shard's inner winner."""
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        batch=st.sampled_from([1, 3, 5]),
+        heads=st.sampled_from([2, 3, 4]),
+        seq=st.sampled_from([(1, 96), (33, 96), (100, 100)]),
+        chips=st.sampled_from([2, 6, 8]),
+        scope=st.sampled_from([Scope.BLOCK, Scope.MODEL]),
+        rigid=st.booleans(),
+        variants=st.booleans(),
+    )
+    def test_family_bounds_and_floors_admissible(
+        self, batch, heads, seq, chips, scope, rigid, variants
+    ):
+        seq_q, seq_kv = seq
+        cfg = AttentionConfig(
+            name="gen", batch=batch, heads=heads, d_model=heads * 16,
+            seq_q=seq_q, seq_kv=seq_kv, d_ff=4 * heads * 16, num_blocks=2,
+        )
+        assume(enumerate_partitions(cfg, chips))
+        system = _system(chips_per_channel=2)
+        view = system.chip_view()
+        options = PerfOptions(flexible_mapping=not rigid)
+        space = SearchSpace(
+            granularities=(Granularity.M, Granularity.H, Granularity.R),
+            row_choices=(1, 16, 64),
+            stationarities=(Stationarity.OUTPUT, Stationarity.WEIGHT),
+            variants=(tuple(AttentionVariant) if variants
+                      else (AttentionVariant.SOFTMAX,)),
+        )
+        grid = evaluate_partition_grid(cfg, system, chips, scope=scope,
+                                       space=space, options=options)
+        for i, part in enumerate(grid.partitions):
+            shard = shard_config(cfg, part)
+            for family in enumerate_families(shard, space):
+                bound = family_lower_bound(Objective.RUNTIME, shard, scope,
+                                           view, family, space, options)
+                for df in expand_family(shard, family, space):
+                    value = cost_scope(shard, scope, view, df,
+                                       options=options).total_cycles
+                    assert bound <= value, (part, df.name, bound, value)
+            winner = search(shard, view, scope=scope,
+                            objective=Objective.RUNTIME, space=space,
+                            options=options, retain_points=False)
+            assert grid.compute_floor_cycles[i] <= (
+                winner.best.cost.total_cycles
+            ), part
+
+
 class TestSearchEquivalence:
     """Pruned, memoized, warm-started — all byte-identical."""
 
@@ -326,6 +392,42 @@ class TestSearchEquivalence:
         again = search_scaleout(cfg, system, 4)
         assert again.stats.memo_hits == 1
         assert again.stats.inner_searches == 0
+        assert self._key(again) == self._key(first)
+        assert again.incumbent == first.incumbent
+
+    @pytest.mark.parametrize("disk", [False, True], ids=["lru", "disk"])
+    def test_memo_hit_builds_no_grid(self, monkeypatch, tmp_path, disk):
+        """A repeat search answers from the memo without bounding
+        anything; its stats and incumbent are the full search's."""
+        cfg = _cfg(batch=8, heads=8, seq=128)
+        system = _system()
+        clear_evaluation_cache()
+        with default_cache_dir(str(tmp_path) if disk else ""):
+            first = search_scaleout(cfg, system, 8)
+            if disk:
+                clear_evaluation_cache()
+            calls = []
+            real = engine.bound_table
+
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(engine, "bound_table", counted)
+            reset_scaleout_totals()
+            again = search_scaleout(cfg, system, 8)
+        assert calls == []
+        points = len(enumerate_partitions(cfg, 8)) * len(DEFAULT_SCHEDULES)
+        assert again.stats.as_dict() == {
+            "outer_enumerated": points,
+            "outer_evaluated": 0,
+            "partitions_pruned": 0,
+            "inner_searches": 0,
+            "inner_reused": 0,
+            "memo_hits": 1,
+        }
+        assert scaleout_totals() == again.stats.as_dict()
+        assert first.stats.outer_enumerated == points
         assert self._key(again) == self._key(first)
         assert again.incumbent == first.incumbent
 

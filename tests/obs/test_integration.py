@@ -17,8 +17,13 @@ import repro.obs as obs
 from repro.arch.presets import edge
 from repro.core import cache as cache_mod
 from repro.core.cache import PersistentCache
-from repro.core.dse import Objective, SearchSpace, search
+from repro.core.dse import Objective, SearchSpace, enumerate_families, search
 from repro.core.engine import clear_evaluation_cache
+from repro.core.scaleout import (
+    ScaleoutSystem,
+    enumerate_partitions,
+    search_scaleout,
+)
 from repro.experiments.pipeline import run_pipeline, write_manifest
 from repro.experiments.runner import run_experiment
 from repro.obs.summary import (
@@ -91,6 +96,23 @@ class TestEngineInstrumentation:
         assert attrs["families_pruned"] == attrs["candidates_skipped"] == 0
         assert attrs["scalar"] == 0
 
+    def test_planned_search_records_candidate_plan(self, bert_512):
+        clear_evaluation_cache()
+        space = SearchSpace(exhaustive_staging=True)
+        with obs.observed() as session:
+            search(bert_512, edge(), objective=Objective.RUNTIME,
+                   space=space, retain_points=False)
+            # The default space is scored in one call, never planned.
+            search(bert_512, edge(), objective=Objective.ENERGY,
+                   retain_points=False)
+            events = list(session.collector.events)
+        (plan,) = [e for e in events if e["name"] == "candidate-plan"]
+        parent = next(e for e in events if e["id"] == plan["parent"])
+        assert parent["name"] == "candidate-search"
+        assert plan["attrs"] == {
+            "families": len(list(enumerate_families(bert_512, space)))
+        }
+
     def test_every_point_path_skips_candidate_spans(self, bert_512):
         clear_evaluation_cache()
         with obs.observed() as session:
@@ -115,6 +137,34 @@ class TestEngineInstrumentation:
         assert score_event["attrs"]["candidates"] > 0
         assert score_event["attrs"]["families"] > 0
         assert score_event["attrs"]["families_pruned"] >= 0
+
+
+class TestScaleoutInstrumentation:
+    def test_outer_grid_and_inner_searches_nest_under_scaleout(
+        self, bert_512
+    ):
+        system = ScaleoutSystem(chip=edge())
+        clear_evaluation_cache()
+        with obs.observed() as session:
+            result = search_scaleout(bert_512, system, 8)
+            search_scaleout(bert_512, system, 8)  # a memo hit
+            events = list(session.collector.events)
+        first, hit = sorted(
+            (e for e in events if e["name"] == "scaleout"),
+            key=lambda e: e["start_s"],
+        )
+        partitions = len(enumerate_partitions(bert_512, 8))
+        assert first["attrs"] == {"chips": 8, "partitions": partitions}
+        assert hit["attrs"] == first["attrs"]
+        (outer,) = [e for e in events if e["name"] == "scaleout-outer"]
+        assert outer["parent"] == first["id"]
+        inner = [e for e in events
+                 if e["name"] == "search" and e["parent"] == first["id"]]
+        # Inner searches sit beside the outer grid, never inside it.
+        assert len(inner) == result.stats.inner_searches >= 1
+        assert not [e for e in events if e["parent"] == outer["id"]]
+        # The memo hit records its scaleout span and nothing under it.
+        assert not [e for e in events if e["parent"] == hit["id"]]
 
 
 class TestCacheInstrumentation:

@@ -7,14 +7,35 @@ bounds, no pruning, no caches, no vectorized backend.
 (partition, schedule) — that search is itself checked against
 ``exhaustive_best`` — and adds the scalar fabric time, with no outer
 bounds, pruning or memo.
+``scalar_objective_bound`` is the per-candidate admissible bound the
+engine's vectorized :func:`~repro.core.engine.bound_table` must equal
+bit for bit: the same closed forms, evaluated one candidate at a time
+in plain Python.
 """
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Tuple
 
+from repro.arch.accelerator import Accelerator
 from repro.arch.fabric import CollectiveSchedule, collective_time_s
-from repro.core.dataflow import Dataflow
-from repro.core.dse import Objective, SearchSpace, enumerate_dataflows, search
-from repro.core.perf import PerfOptions, ScopeCost, cost_scope
+from repro.core.candidates import family_representative
+from repro.core.dataflow import AttentionVariant, Dataflow, Stationarity
+from repro.core.dse import (
+    DataflowFamily,
+    Objective,
+    SearchSpace,
+    enumerate_dataflows,
+    search,
+)
+from repro.core.engine import _BOUND_SLACK, _BoundTerms, _scope_static_bound
+from repro.core.footprint import fused_la_footprint
+from repro.core.perf import (
+    PerfOptions,
+    ScopeCost,
+    cost_scope,
+    la_pair_compute_cycles,
+    partition_scratchpad,
+    sg_stream_words,
+)
 from repro.core.scaleout import (
     DEFAULT_SCHEDULES,
     Partition,
@@ -23,9 +44,11 @@ from repro.core.scaleout import (
     induced_collectives,
     shard_config,
 )
-from repro.energy.model import EnergyReport, energy_report
+from repro.core.tiling import ceil_div, choose_l2_tile, reuse_passes
+from repro.energy.model import ActivityCounts, EnergyReport, energy_report
 from repro.energy.tables import EnergyTable
 from repro.ops.attention import AttentionConfig, Scope
+from repro.ops.intensity import roofline_cycles
 
 
 class OracleBest(NamedTuple):
@@ -121,3 +144,259 @@ def exhaustive_scaleout_best(
             flat += 1
     assert best is not None, "no feasible partition"
     return best
+
+
+# ----------------------------------------------------------------------
+# the scalar admissible bound
+# ----------------------------------------------------------------------
+def la_pair_bound(
+    cfg: AttentionConfig,
+    accel: Accelerator,
+    dataflow: Dataflow,
+    options: PerfOptions,
+    fused_in_family: Optional[bool] = None,
+) -> _BoundTerms:
+    """Scalar bound for the L-A pair under one candidate dataflow.
+
+    A roofline over floors the pair can never beat, sharing the model's
+    own closed forms — the L2 tile choice, the staging-budget split,
+    the reuse-pass counts and the warm-up arithmetic are the very
+    functions :func:`~repro.core.perf.cost_la_pair` calls, and none of
+    them depend on the staging policy, so one evaluation of this bound
+    is admissible for a whole *family* of staging corners at once and
+    is *exact* (bit-equal to the model) whenever the binding constraint
+    is one this floor captures:
+
+    * **Serialized critical path.**  The *exact* compute-phase cycles
+      of both GEMM stages (:func:`~repro.core.perf.la_pair_compute_cycles`
+      — the very call :func:`~repro.core.perf.cost_la_pair` makes,
+      mapping efficiency and fill/drain included), plus the parts of
+      the softmax story that provably serialize with them: fused, the
+      softmax is on the interleaved phase's busy time and the spilled
+      intermediate's softmax round trip is a separate phase, so both
+      add; unfused, the softmax phase takes at least
+      ``max(softmax, spill round trip)``.
+    * **Compulsory traffic.**  Each tensor pays
+      ``min(l2_passes, fit_max + (1 - fit_max) * spill_passes)`` times
+      its cold volume: an unstaged tensor re-streams once per L2 reuse
+      pass (for K/V, once per *row pass* on top), while a staged tensor
+      blends one cold pass for the fitting fraction with the spill
+      accounting for the rest.  ``fit_max`` grants the single tensor
+      the whole staging budget — priority allocation can only grant
+      less, and the blend is decreasing in fit, so the min covers every
+      staging policy.  The off-chip intermediate fraction pays its four
+      passes (raw write, softmax read/write, re-read) using the exact
+      budget split.
+    * **Operand streaming** into the array on the SG port (plus the
+      intermediate's SG round trip when no member fuses).
+    * **Prefetch warm-up.**  The model's own
+      :func:`~repro.core.perf._warmup_cycles` arithmetic applied to the
+      traffic floor, with the fused overlap credit whenever any member
+      may fuse.
+
+    ``fused_in_family`` widens the bound to a family that mixes fused
+    and unfused members (``None`` means "exactly this dataflow"): a
+    fused member takes the warm-up credit and skips the intermediate's
+    SG traffic, so those relaxations apply as soon as fusion is
+    possible, while the stronger fused *serial* chain is only used when
+    the representative itself fuses (then every member does).
+    """
+    b, h = cfg.batch, cfg.heads
+    nq, nkv, dk = cfg.seq_q, cfg.seq_kv, cfg.d_head
+    e = accel.bytes_per_element
+    macs_l = b * h * nq * nkv * dk
+    macs = 2 * macs_l
+    int_cold = b * h * nq * nkv
+    q_cold = b * h * nq * dk
+    k_cold = b * h * nkv * dk
+    v_cold = b * h * nkv * dk
+    out_cold = b * h * nq * dk
+
+    softmax = accel.sfu.softmax_cycles(int_cold)
+    compute_l, compute_a = la_pair_compute_cycles(cfg, dataflow, accel,
+                                                  options)
+
+    s = dataflow.staging
+    staged = dataflow.has_l3
+    may_fuse = dataflow.fused if fused_in_family is None else fused_in_family
+    b_t, h_t, r = dataflow.cross_tile(b, h, nq)
+    row_passes = ceil_div(nq, r)
+    n_pass = ceil_div(b, b_t) * ceil_div(h, h_t) * row_passes
+
+    # The model's own (staging-policy-independent) budget split, tile
+    # choice and reuse analysis.
+    footprint = fused_la_footprint(cfg, dataflow)
+    budget = partition_scratchpad(
+        footprint.total_bytes(e), staged and s.any_enabled, accel, options
+    )
+    staging_bytes = float(budget.staging_budget_bytes)
+    tile_l = choose_l2_tile(
+        r, dk, nkv, budget.l2_budget_elements,
+        accel.pe_array.rows, accel.pe_array.cols,
+    )
+    tile_a = choose_l2_tile(
+        r, nkv, dk, budget.l2_budget_elements,
+        accel.pe_array.rows, accel.pe_array.cols,
+    )
+    passes_l = reuse_passes(r, dk, nkv, tile_l)
+    passes_a = reuse_passes(r, nkv, dk, tile_a)
+
+    if staged and s.intermediate:
+        int_bytes = footprint.intermediate_elements * e
+        fit_int = (
+            1.0 if int_bytes <= 0
+            else min(1.0, staging_bytes / int_bytes)
+        )
+        int_offchip = 1.0 - fit_int
+    else:
+        int_offchip = 1.0
+
+    def _tensor_floor(tile_bytes: float, l2_passes: float) -> float:
+        # min over staging choices of the model's pass multiplier:
+        # unstaged pays l2_passes; staged pays blend(fit) >=
+        # blend(fit_max) (the blend is decreasing in fit, and priority
+        # allocation can never grant more than the whole budget).
+        fit_max = (
+            1.0 if tile_bytes <= 0
+            else min(1.0, staging_bytes / tile_bytes)
+        )
+        if options.spill_extra_pass_only:
+            blend = fit_max * 1.0 + (1.0 - fit_max) * 2.0
+        else:
+            blend = fit_max * 1.0 + (1.0 - fit_max) * (l2_passes + 1.0)
+        return min(float(l2_passes), blend)
+
+    out_passes = (
+        1 if dataflow.stationarity is Stationarity.OUTPUT
+        else passes_a.out_passes
+    )
+    q_mult = _tensor_floor(footprint.lhs_elements * e, passes_l.lhs_passes)
+    k_mult = _tensor_floor(
+        footprint.rhs_elements * e, row_passes * passes_l.rhs_passes
+    )
+    v_mult = _tensor_floor(
+        footprint.rhs2_elements * e, row_passes * passes_a.rhs_passes
+    )
+    out_mult = _tensor_floor(footprint.out_elements * e, float(out_passes))
+
+    int_spill = int_cold * int_offchip
+    dram_l_inputs = q_cold * q_mult + k_cold * k_mult
+    dram_a_inputs = v_cold * v_mult + out_cold * out_mult
+    dram_elements = dram_l_inputs + dram_a_inputs + 4.0 * int_spill
+    spill_cycles = (
+        (2.0 * int_spill) * e / accel.offchip_bytes_per_cycle
+    )
+    if dataflow.fused:
+        # Every member fuses (the representative is the weakest corner
+        # in this respect): interleaved busy time plus the serialized
+        # spill round trip.  Attention variants mirror their own serial
+        # term exactly: FLASH-D's softmax has one pass fewer over the
+        # intermediate (plus the output rescale), FuseMax pipelines the
+        # softmax against the GEMM stages, so the busy floor is the max
+        # rather than the sum.
+        if dataflow.variant is AttentionVariant.FLASH_D:
+            sm_term = accel.sfu.flashd_cycles(int_cold, out_cold)
+            serial = compute_l + compute_a + sm_term + spill_cycles
+        elif dataflow.variant is AttentionVariant.FUSEMAX:
+            serial = max(compute_l + compute_a, softmax) + spill_cycles
+        else:
+            serial = compute_l + compute_a + softmax + spill_cycles
+    else:
+        # Mirrors the model's three-phase sum when each phase is
+        # compute-/softmax-bound; weaker than (hence admissible for)
+        # fused members of a mixed family.
+        serial = compute_l + max(softmax, spill_cycles) + compute_a
+
+    sg_base_l = sg_stream_words(macs_l, accel)
+    sg_base_a = sg_stream_words(macs_l, accel) + out_cold
+    if may_fuse:
+        sg_words = sg_base_l + sg_base_a
+    else:
+        sg_words = (sg_base_l + int_cold) + (sg_base_a + int_cold)
+
+    dram_bytes = dram_elements * e
+    cycles = roofline_cycles(
+        serial,
+        dram_bytes / accel.offchip_bytes_per_cycle,
+        sg_words * e / accel.onchip_bytes_per_cycle,
+    )
+    # Exposed prefetch warm-up on the traffic floor (monotone in the
+    # DRAM bytes, so a floor in, a floor out); any possibly-fused
+    # member gets the overlap credit.
+    warmup_cap = float(
+        (tile_l.footprint_elements() + tile_a.footprint_elements()) * e
+    )
+    warmup_bytes = min(dram_bytes / max(float(n_pass), 1.0), warmup_cap)
+    warmup = warmup_bytes / accel.offchip_bytes_per_cycle
+    if may_fuse:
+        warmup = warmup * options.fused_warmup_credit
+    cycles = cycles + warmup
+    counts = ActivityCounts(
+        macs=float(macs),
+        sl_words=2.0 * macs + out_cold,
+        sg_words=sg_words,
+        dram_words=dram_elements,
+        sfu_ops=float(
+            accel.sfu.flashd_flops(int_cold, out_cold)
+            if dataflow.variant is AttentionVariant.FLASH_D
+            else accel.sfu.softmax_flops(int_cold)
+        ),
+    )
+    return _BoundTerms(cycles=cycles, counts=counts)
+
+
+def candidate_bound(
+    cfg: AttentionConfig,
+    scope: Scope,
+    accel: Accelerator,
+    dataflow: Dataflow,
+    options: PerfOptions,
+    fused_in_family: Optional[bool] = None,
+) -> Tuple[float, ActivityCounts]:
+    static, has_la, replication = _scope_static_bound(cfg, scope, accel)
+    total = static
+    if has_la:
+        total = total + la_pair_bound(
+            cfg, accel, dataflow, options, fused_in_family
+        )
+    return replication * total.cycles, total.counts.scaled(replication)
+
+
+def scalar_objective_bound(
+    objective: Objective,
+    cfg: AttentionConfig,
+    scope: Scope,
+    accel,
+    dataflow: Dataflow,
+    options: PerfOptions = PerfOptions(),
+    energy_table: Optional[EnergyTable] = None,
+    fused_in_family: Optional[bool] = None,
+) -> float:
+    """One candidate's objective bound, computed scalarly."""
+    cycles, counts = candidate_bound(
+        cfg, scope, accel, dataflow, options, fused_in_family
+    )
+    if objective is Objective.RUNTIME:
+        return cycles * _BOUND_SLACK
+    energy = energy_report(counts, energy_table).total_j
+    if objective is Objective.ENERGY:
+        return energy * _BOUND_SLACK
+    return energy * cycles * _BOUND_SLACK
+
+
+def scalar_family_bound(
+    objective: Objective,
+    cfg: AttentionConfig,
+    scope: Scope,
+    accel,
+    family: DataflowFamily,
+    space: SearchSpace = SearchSpace(),
+    options: PerfOptions = PerfOptions(),
+    energy_table: Optional[EnergyTable] = None,
+) -> float:
+    """A family's bound: its representative's, widened to the family."""
+    return scalar_objective_bound(
+        objective, cfg, scope, accel, family_representative(family, space),
+        options, energy_table,
+        fused_in_family=family.granularity is not None and space.allow_fused,
+    )
