@@ -4,10 +4,13 @@ Timeloop-class cost models get their throughput from evaluating mapping
 spaces as *array programs* rather than one candidate at a time.  This
 module does the same for the FLAT model: :func:`evaluate_grid` takes an
 :class:`~repro.ops.attention.AttentionConfig`, an
-:class:`~repro.arch.accelerator.Accelerator` and the entire enumerated
-candidate grid, lays the per-candidate dataflow features out as
-structure-of-arrays, and computes cycles / DRAM bytes / footprint /
-objective scores for all points in a handful of NumPy operations.  The
+:class:`~repro.arch.accelerator.Accelerator` and a set of candidates —
+``Dataflow`` objects, whose features it lays out as structure-of-arrays
+(:class:`_GridFeatures`), or :class:`GridRows`, row indices into the
+prebuilt feature columns of a search space's table
+(:class:`repro.core.candidates.SpaceTable`) — and computes cycles /
+DRAM bytes / footprint / objective scores for all of them in a handful
+of NumPy operations.  Both kinds of candidate run the same kernel.  The
 L-A pair is one pass over the candidates; the other operators of a
 BLOCK/MODEL scope (projections, FFN) are stacked into one
 (operator x candidate) pass, whose rows are summed in execution order,
@@ -94,6 +97,7 @@ from repro.ops.operator import GemmOperator, OperatorKind
 __all__ = [
     "BatchFallback",
     "GridEvaluation",
+    "GridRows",
     "evaluate_grid",
     "best_index",
 ]
@@ -132,8 +136,9 @@ class BatchFallback(RuntimeError):
 class GridEvaluation:
     """Structure-of-arrays cost of every candidate, in enumeration order.
 
-    Each field is a length-``n`` ndarray aligned with the dataflow list
-    passed to :func:`evaluate_grid`.  The activity-count fields mirror
+    Each field is a length-``n`` ndarray aligned with the candidates
+    (dataflows or table rows) passed to :func:`evaluate_grid`.  The
+    activity-count fields mirror
     :class:`~repro.energy.model.ActivityCounts` (already scaled by the
     scope's replication, like ``ScopeCost.counts``).
     """
@@ -195,12 +200,25 @@ def best_index(scores: "np.ndarray") -> int:
 class _GridFeatures:
     """Columnar view of the candidate dataflows.
 
-    ``o_*`` columns describe the *other* dataflow the engine's default
-    ``cost_scope`` call would run the non-L-A operators with: the
-    candidate itself when it is unfused with an L3 tile, otherwise
+    Two 2-D arrays, one row per field and one column per candidate:
+    ``ints`` (int64) holds :data:`INT_FIELDS` and ``flags`` (bool)
+    holds :data:`FLAG_FIELDS`; each field is also an attribute (a row
+    view).  ``o_*`` columns describe the *other* dataflow the engine's
+    default ``cost_scope`` call would run the non-L-A operators with:
+    the candidate itself when it is unfused with an L3 tile, otherwise
     plain Base at the candidate's stationarity.  Each dataflow is read
     once into one tuple; Base's columns are per-stationarity constants.
+    A search space's table (:class:`repro.core.candidates.SpaceTable`)
+    builds the same columns from family fields, without any dataflow
+    (:meth:`from_columns`).
     """
+
+    INT_FIELDS = ("b_t", "h_t", "r", "stat_idx", "o_b_t")
+    FLAG_FIELDS = (
+        "fused", "has_l3", "s_lhs", "s_rhs", "s_rhs2", "s_out", "s_int",
+        "s_any", "v_flash", "v_pipe", "o_gran", "o_any", "o_lhs", "o_rhs",
+        "o_out",
+    )
 
     def __init__(self, cfg: AttentionConfig,
                  dataflows: Sequence[Dataflow]) -> None:
@@ -225,13 +243,53 @@ class _GridFeatures:
                 df.variant is AttentionVariant.FLASH_D,
                 df.variant is AttentionVariant.FUSEMAX,
             ) + other[1:])
-        (self.b_t, self.h_t, self.r, self.stat_idx,
-         self.o_b_t) = np.array(list(zip(*ints)), dtype=np.int64)
-        (self.fused, self.has_l3, self.s_lhs, self.s_rhs, self.s_rhs2,
-         self.s_out, self.s_int, self.s_any, self.v_flash, self.v_pipe,
-         self.o_gran, self.o_any, self.o_lhs, self.o_rhs,
-         self.o_out) = np.array(list(zip(*flags)), dtype=bool)
+        self._set(np.array(list(zip(*ints)), dtype=np.int64),
+                  np.array(list(zip(*flags)), dtype=bool))
+
+    @classmethod
+    def from_columns(cls, ints: "np.ndarray",
+                     flags: "np.ndarray") -> "_GridFeatures":
+        """Features over prebuilt ``ints``/``flags`` arrays."""
+        features = cls.__new__(cls)
+        features._set(ints, flags)
+        return features
+
+    def _set(self, ints: "np.ndarray", flags: "np.ndarray") -> None:
+        self.ints = ints
+        self.flags = flags
+        for names, rows in ((self.INT_FIELDS, ints),
+                            (self.FLAG_FIELDS, flags)):
+            for name, row in zip(names, rows, strict=True):
+                setattr(self, name, row)
         self.is_output = self.stat_idx == 0
+
+    def __len__(self) -> int:
+        return int(self.ints.shape[1])
+
+
+@dataclass(frozen=True)
+class GridRows:
+    """Candidates given as rows of a prebuilt column table.
+
+    ``index`` selects (and orders) columns of ``features``; ``None``
+    takes every column.  :func:`evaluate_grid` scores these exactly as
+    it scores the dataflows the columns were built from.
+    """
+
+    features: _GridFeatures
+    index: Optional["np.ndarray"] = None
+
+    def __len__(self) -> int:
+        if self.index is None:
+            return len(self.features)
+        return len(self.index)
+
+    def take(self) -> _GridFeatures:
+        if self.index is None:
+            return self.features
+        f = self.features
+        return _GridFeatures.from_columns(f.ints[:, self.index],
+                                          f.flags[:, self.index])
 
 
 def _other_columns(cfg: AttentionConfig, other: Dataflow) -> tuple:
@@ -672,7 +730,7 @@ def evaluate_grid(
     cfg: AttentionConfig,
     scope: Scope,
     accel: Accelerator,
-    dataflows: Sequence[Dataflow],
+    dataflows: "Sequence[Dataflow] | GridRows",
     options: PerfOptions = PerfOptions(),
 ) -> GridEvaluation:
     """Cost every candidate dataflow of a scope in one vectorized pass.
@@ -680,19 +738,24 @@ def evaluate_grid(
     Mirrors ``cost_scope(cfg, scope, accel, df, options=options)`` for
     each ``df`` (with the default *other* dataflow derivation), summing
     operator costs in the same order with the same association, so the
-    results equal the scalar path's bit for bit.
+    results equal the scalar path's bit for bit.  The candidates are
+    either ``Dataflow`` objects or :class:`GridRows` of a search
+    space's column table; both become the same :class:`_GridFeatures`
+    and run the same kernel.
 
     Raises :class:`BatchFallback` when a workload is large enough that
     the array path could round, or overflow, where Python's integers
     stay exact (see the module docstring).
     """
-    dataflows = list(dataflows)
-    if not dataflows:
+    if not isinstance(dataflows, GridRows):
+        dataflows = list(dataflows)
+    n = len(dataflows)
+    if not n:
         raise ValueError("evaluate_grid needs at least one candidate")
     registry = _metrics_active()
     if registry is not None:
         registry.counter("batch.grids").inc()
-        registry.histogram("batch.grid_points").observe(len(dataflows))
+        registry.histogram("batch.grid_points").observe(n)
 
     ops = operators_for_scope(cfg, scope)
     # The scope's cost rows in execution order: ``None`` is the L-A
@@ -719,12 +782,12 @@ def evaluate_grid(
         others.append(op)
         i += 1
 
-    f = _GridFeatures(cfg, dataflows)
+    f = (dataflows.take() if isinstance(dataflows, GridRows)
+         else _GridFeatures(cfg, dataflows))
     la = _evaluate_la_pair(cfg, accel, options, f) if None in plan else None
     stacked = (
         _evaluate_operators(others, accel, options, f) if others else None
     )
-    n = len(dataflows)
     total_cycles = dram_bytes = dram_words = sg_words = None
     macs = 0.0
     sl_words = 0.0

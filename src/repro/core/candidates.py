@@ -9,21 +9,29 @@ feasibility and win-ability analytically decidable per *family* of
 candidates, so whole families are expanded only if they can still beat
 the incumbent.
 
-Three pieces:
+Four pieces:
 
+* **The space table** (:class:`SpaceTable`, :func:`space_table`) —
+  the space's families with their sizes and offsets, plus the
+  vectorized backend's feature columns of every member in enumeration
+  order, generated from the family fields and the staging-corner table
+  without building a ``Dataflow``.  The engine memoizes one table per
+  ``(batch, heads, seq_q, space)`` and scores row indices of it;
+  :meth:`SpaceTable.dataflow` builds a single member (the winner) and
+  :meth:`SpaceTable.locate` finds one (a warm seed).
 * **Family planning** (:func:`plan_candidates`) — the space is listed
   as :class:`~repro.core.dse.DataflowFamily` units (stationarity x
   granularity x row count), each sized and offset against the global
   enumeration order without expanding anything, and each bounded by
-  its cheapest *representative member* (see
-  :func:`family_representative`): fully staged, unfused where the
-  space allows it.  Representative bounds are admissible for every
-  member — staging can only add traffic floors, fusion can only add
-  serialized spill terms, and the compute floor is shared family-wide —
+  its cheapest *representative member* (see :func:`bound_rows`): fully
+  staged, unfused where the space allows it.  Representative bounds
+  are admissible for every member — staging can only add traffic
+  floors, fusion can only add serialized spill terms, and the compute
+  floor is shared family-wide —
   so a family whose bound exceeds the incumbent provably contains no
   winner.  A plan bounds all of its families in one array pass
-  (:func:`repro.core.engine.bound_table` over
-  :func:`family_bound_rows`).
+  (:func:`repro.core.engine.bound_table` over :func:`bound_rows`, read
+  off the family fields).
 * **Footprint inversion** (:func:`feasible_row_interval`) — Table 2's
   R-granularity footprint is affine in the row count, so the largest
   fully resident FLAT-R tile for a given buffer is exact integer
@@ -44,10 +52,16 @@ source fingerprint (see :mod:`repro.lint.contracts`).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.arch.accelerator import Accelerator
+from repro.core.batch import _STAT_INDEX, _GridFeatures
 from repro.core.dataflow import (
     AttentionVariant,
     Dataflow,
@@ -62,8 +76,8 @@ from repro.core.dse import (
     DataflowFamily,
     Objective,
     SearchSpace,
+    _enabled_stagings,
     enumerate_families,
-    expand_family,
     family_size,
 )
 from repro.core.footprint import invert_r_gran_rows
@@ -76,11 +90,11 @@ __all__ = [
     "make_incumbent",
     "CandidatePlan",
     "plan_candidates",
-    "family_representative",
-    "family_bound_rows",
+    "bound_rows",
     "family_lower_bound",
     "feasible_row_interval",
-    "locate_candidate",
+    "SpaceTable",
+    "space_table",
 ]
 
 
@@ -132,59 +146,82 @@ def make_incumbent(
     )
 
 
-def family_representative(
-    family: DataflowFamily, space: SearchSpace = SearchSpace()
-) -> Dataflow:
-    """The member whose bound lower-bounds the whole family.
+def _family_tile(family: DataflowFamily, batch: int, heads: int,
+                seq_q: int) -> Tuple[int, int, int]:
+    """The cross-loop tile ``(b_t, h_t, r)`` every member of ``family``
+    has on a ``batch x heads x seq_q`` workload.
 
-    Fully enabled staging minimizes every traffic floor the bound
-    charges (staged K/V stream once instead of once per row pass; the
-    staged intermediate spills only its non-fitting fraction), and for
-    M/B/H families the unfused variant is used whenever the space
-    allows it (the unfused serialized-softmax term is never larger
-    than the fused one).  The compute floor is identical across a
-    family — it depends only on stationarity, granularity and row
-    count, which the family fixes.  Hence ``bound(representative) <=
-    bound(member) <= cost(member)`` for every member.
+    Members never set ``batch_tile``/``head_tile`` (both stay 1), so
+    this is :meth:`~repro.core.dataflow.Dataflow.cross_tile` read off
+    the family's granularity and row count alone.
+    """
+    granularity = family.granularity
+    if granularity is None or granularity is Granularity.M:
+        return batch, heads, seq_q
+    if granularity is Granularity.B:
+        return min(1, batch), heads, seq_q
+    if granularity is Granularity.H:
+        return 1, min(1, heads), seq_q
+    return 1, 1, min(family.rows, seq_q)
 
-    A family carrying a non-default attention variant contains only
-    fused members that all share the variant's (weakly smaller) serial
-    softmax term, so its representative is the fused all-staged member
-    with that variant — which is also member 0 of its expansion, the
+
+@lru_cache(maxsize=4096)
+def _family_flags(family: DataflowFamily, allow_unfused: bool,
+                  allow_fused: bool) -> Tuple[bool, ...]:
+    """The bound flags of a family's representative, widened to the
+    family (see :func:`bound_rows`)."""
+    from repro.core.engine import bound_flags
+
+    staged = family.granularity is not None
+    # The representative fuses in a row family, a variant family, and
+    # an M/B/H family when the space has no unfused members.
+    fused = staged and (
+        family.granularity is Granularity.R
+        or family.variant is not AttentionVariant.SOFTMAX
+        or not allow_unfused
+    )
+    staging = (StagingPolicy.all_enabled() if staged
+               else StagingPolicy.all_disabled())
+    return bound_flags(fused, staging, family.variant, family.stationarity,
+                       staged and allow_fused)
+
+
+def bound_rows(
+    cfg: AttentionConfig,
+    families: Sequence[DataflowFamily],
+    space: SearchSpace = SearchSpace(),
+) -> list:
+    """Each family's :func:`repro.core.engine.bound_table` row, read
+    straight off its fields.
+
+    The row is that of the family's *representative*, the member whose
+    bound lower-bounds the whole family: fully staged, and unfused
+    wherever the space allows it.  Fully enabled staging minimizes
+    every traffic floor the bound charges (staged K/V stream once
+    instead of once per row pass; the staged intermediate spills only
+    its non-fitting fraction), and the unfused serialized-softmax term
+    is never larger than the fused one.  The compute floor is identical
+    across a family — it depends only on stationarity, granularity and
+    row count, which the family fixes.  Hence ``bound(representative)
+    <= bound(member) <= cost(member)`` for every member.  A family with
+    a non-default attention variant contains only fused members that
+    all share the variant's (weakly smaller) serial softmax term, so
+    its representative is the fused all-staged member.  Every
+    representative is member 0 of its family's expansion, the
     invariant the engine's representative round depends on.
+
+    The row is widened to the family: its warm-up credit and SG floor
+    depend on whether any member fuses (a plain-Base family never
+    fuses, a row family always does, and an M/B/H family fuses exactly
+    when the space allows fusion).  No ``Dataflow`` is built; the rows
+    equal those of the representative ``Dataflow``
+    (``tests/oracles.py::family_bound_rows``).
     """
-    stat = family.stationarity
-    if family.granularity is None:
-        return base(stationarity=stat)
-    staging = StagingPolicy.all_enabled()
-    if family.granularity is Granularity.R:
-        return flat_r(family.rows, staging=staging, stationarity=stat,
-                      variant=family.variant)
-    if family.variant is not AttentionVariant.SOFTMAX:
-        return flat_x(family.granularity, staging=staging,
-                      stationarity=stat, variant=family.variant)
-    if space.allow_unfused:
-        return base_x(family.granularity, staging=staging,
-                      stationarity=stat)
-    return flat_x(family.granularity, staging=staging, stationarity=stat)
-
-
-def family_bound_rows(
-    families: Sequence[DataflowFamily], space: SearchSpace = SearchSpace()
-) -> List[Tuple[Dataflow, bool]]:
-    """Each family's bound row: its representative, and whether the
-    family may contain fused members.
-
-    The bound (:func:`repro.core.engine.bound_table`) is evaluated on
-    the representative (:func:`family_representative`) and widened to
-    the family: its warm-up credit and SG floor depend on whether any
-    member fuses (a plain-Base family never fuses, a row family always
-    does, and an M/B/H family fuses exactly when the space allows
-    fusion).
-    """
+    batch, heads, seq_q = cfg.batch, cfg.heads, cfg.seq_q
+    unfused, fused = space.allow_unfused, space.allow_fused
     return [
-        (family_representative(family, space),
-         family.granularity is not None and space.allow_fused)
+        (cfg, _family_tile(family, batch, heads, seq_q),
+         _family_flags(family, unfused, fused))
         for family in families
     ]
 
@@ -202,15 +239,15 @@ def family_lower_bound(
     """Admissible objective lower bound for every member of a family.
 
     The engine's bound (:func:`repro.core.engine.bound_table`) on the
-    family's :func:`family_bound_rows` row; see
-    :func:`family_representative` for why that bounds all members.
+    family's :func:`bound_rows` row; see
+    :func:`bound_rows` for why that bounds all members.
     ``FOOTPRINT`` has no bound and is rejected.
     """
     from repro.core.engine import bound_table
 
-    [(rep, fused)] = family_bound_rows([family], space)
-    return float(bound_table(objective, scope, accel, [(cfg, rep, fused)],
-                             options, energy_table)[0])
+    return float(bound_table(objective, scope, accel,
+                             bound_rows(cfg, [family], space), options,
+                             energy_table)[0])
 
 
 def feasible_row_interval(
@@ -273,7 +310,7 @@ def plan_candidates(
     """Plan a search without expanding a single candidate.
 
     Cost: one :func:`repro.core.engine.bound_table` call over the
-    families' :func:`family_bound_rows` — every family's closed-form
+    families' :func:`bound_rows` — every family's closed-form
     bound in one array pass, orders of magnitude below expanding and
     screening the full grid.
     """
@@ -288,9 +325,8 @@ def plan_candidates(
     for size in sizes:
         offsets_list.append(total)
         total += size
-    rows = [(cfg, rep, fused)
-            for rep, fused in family_bound_rows(families, space)]
-    bounds = tuple(bound_table(objective, scope, accel, rows, options,
+    bounds = tuple(bound_table(objective, scope, accel,
+                               bound_rows(cfg, families, space), options,
                                energy_table).tolist())
     order = tuple(
         sorted(range(len(families)), key=lambda i: (bounds[i], i))
@@ -306,29 +342,178 @@ def plan_candidates(
     )
 
 
-def locate_candidate(
-    cfg: AttentionConfig, space: SearchSpace, dataflow: Dataflow
-) -> Optional[int]:
-    """Global enumeration index of ``dataflow``, or ``None`` if absent.
+# ----------------------------------------------------------------------
+# the space table: every member as columns, no Dataflow objects
+# ----------------------------------------------------------------------
+@lru_cache(maxsize=None)
+def _staging_rows(exhaustive: bool) -> "np.ndarray":
+    """The enabled staging corners as ``(lhs, rhs, rhs2, out,
+    intermediate)`` rows in expansion order, plus a last all-disabled
+    row for the plain Base."""
+    corners = [s.as_tuple() for s in _enabled_stagings(exhaustive)]
+    table = np.array(corners + [(False,) * 5], dtype=bool)
+    table.flags.writeable = False
+    return table
 
-    Expands only the family the dataflow would belong to (everything a
-    family fixes is readable off the dataflow itself), so membership
-    costs one family expansion, not a grid enumeration.  Equality is
-    full dataclass equality — a hand-built dataflow with non-default
-    tiles or a foreign row count is simply not in the space.
+
+@lru_cache(maxsize=None)
+def _staging_positions(exhaustive: bool) -> dict:
+    """Staging policy -> its position among the enabled corners."""
+    return {s: i for i, s in enumerate(_enabled_stagings(exhaustive))}
+
+
+def _toggles(family: DataflowFamily, space: SearchSpace) -> int:
+    """Members per staging corner: the unfused and fused toggles an
+    M/B/H family expands (1 or 2); one for every other family."""
+    if family.granularity is None or family.granularity is Granularity.R:
+        return 1
+    variant_only = family.variant is not AttentionVariant.SOFTMAX
+    return int(space.allow_unfused and not variant_only) + int(
+        space.allow_fused)
+
+
+def _member(family: DataflowFamily, space: SearchSpace,
+            position: int) -> Dataflow:
+    """Member ``position`` of :func:`repro.core.dse.expand_family`,
+    built alone."""
+    stat = family.stationarity
+    if family.granularity is None:
+        return base(stationarity=stat)
+    stagings = _enabled_stagings(space.exhaustive_staging)
+    if family.granularity is Granularity.R:
+        return flat_r(family.rows, staging=stagings[position],
+                      stationarity=stat, variant=family.variant)
+    toggles = _toggles(family, space)
+    staging = stagings[position // toggles]
+    fused = position % 2 == 1 if toggles == 2 else space.allow_fused
+    if fused:
+        return flat_x(family.granularity, staging=staging,
+                      stationarity=stat, variant=family.variant)
+    return base_x(family.granularity, staging=staging, stationarity=stat)
+
+
+@dataclass(frozen=True, eq=False)
+class SpaceTable:
+    """A search space as one immutable column table.
+
+    ``families``, ``sizes`` and ``offsets`` list the space's families
+    in enumeration order (``offsets`` are prefix sums of ``sizes``), and
+    ``features`` holds the exact :class:`~repro.core.batch._GridFeatures`
+    columns of all ``total`` members in the order of
+    :func:`repro.core.dse.enumerate_dataflows`: column ``i`` is member
+    ``i``.  The columns are generated from the family fields and the
+    staging-corner table, without building a ``Dataflow``, and depend
+    only on ``(batch, heads, seq_q)`` and the space, so one table
+    serves every accelerator, scope, objective and option set.
+    Scoring takes row indices of ``features``
+    (:class:`~repro.core.batch.GridRows`); :meth:`dataflow` builds one
+    member, :meth:`locate` finds one.
     """
-    rows: Optional[int] = (
-        dataflow.rows if dataflow.granularity is Granularity.R else None
-    )
-    target = DataflowFamily(dataflow.stationarity, dataflow.granularity,
-                            rows, dataflow.variant)
-    offset = 0
-    for family in enumerate_families(cfg, space):
-        size = family_size(family, space)
-        if family == target:
-            for j, member in enumerate(expand_family(cfg, family, space)):
-                if member == dataflow:
-                    return offset + j
+
+    space: SearchSpace
+    families: Tuple[DataflowFamily, ...]
+    sizes: Tuple[int, ...]
+    offsets: Tuple[int, ...]
+    total: int
+    features: _GridFeatures
+    first_family: Dict[DataflowFamily, int]
+
+    def dataflow(self, index: int) -> Dataflow:
+        """The ``Dataflow`` of member ``index``, built alone."""
+        if not 0 <= index < self.total:
+            raise IndexError(index)
+        fi = bisect_right(self.offsets, index) - 1
+        return _member(self.families[fi], self.space,
+                       index - self.offsets[fi])
+
+    def locate(self, dataflow: Dataflow) -> Optional[int]:
+        """Enumeration index of ``dataflow``, or ``None`` if absent.
+
+        The family is read off the dataflow, the member position off
+        its staging corner and fused toggle; the one member built there
+        must equal ``dataflow`` (full dataclass equality — a hand-built
+        dataflow with non-default tiles or a foreign row count is
+        simply not in the space).
+        """
+        rows = (dataflow.rows if dataflow.granularity is Granularity.R
+                else None)
+        fi = self.first_family.get(DataflowFamily(
+            dataflow.stationarity, dataflow.granularity, rows,
+            dataflow.variant))
+        if fi is None:
             return None
-        offset += size
-    return None
+        family = self.families[fi]
+        position = 0
+        if family.granularity is not None:
+            corner = _staging_positions(self.space.exhaustive_staging).get(
+                dataflow.staging)
+            if corner is None:
+                return None
+            toggles = _toggles(family, self.space)
+            position = corner * toggles + (
+                int(dataflow.fused) if toggles == 2 else 0)
+        if position >= self.sizes[fi]:
+            return None
+        index = self.offsets[fi] + position
+        return index if self.dataflow(index) == dataflow else None
+
+
+def space_table(cfg: AttentionConfig,
+                space: SearchSpace = SearchSpace()) -> SpaceTable:
+    """Build the :class:`SpaceTable` of ``space`` on ``cfg``'s shape.
+
+    A handful of array operations for the whole space: per-family
+    values (cross tile, stationarity, fused toggles, variant) are
+    repeated over each family's members, and each member's staging
+    corner is its position divided by its family's toggle count.
+    """
+    batch, heads, seq_q = cfg.batch, cfg.heads, cfg.seq_q
+    families = tuple(enumerate_families(cfg, space))
+    sizes = tuple(family_size(f, space) for f in families)
+    offsets = tuple(accumulate(sizes, initial=0))[:-1]
+    total = sum(sizes)
+    corners = _staging_rows(space.exhaustive_staging)
+    plain = len(corners) - 1  # the all-disabled row
+    per_family = []
+    for family in families:
+        staged = family.granularity is not None
+        toggles = _toggles(family, space)
+        per_family.append(_family_tile(family, batch, heads, seq_q) + (
+            _STAT_INDEX[family.stationarity], toggles,
+            # every member's fused flag, in a one-toggle family
+            staged and toggles == 1 and space.allow_fused,
+            staged,
+            family.variant is AttentionVariant.FLASH_D,
+            family.variant is AttentionVariant.FUSEMAX,
+        ))
+    columns = np.repeat(np.array(per_family, dtype=np.int64).reshape(-1, 9),
+                        sizes, axis=0).T
+    b_t, h_t, r, stat_idx, toggles = columns[:5]
+    fused_one, has_l3, v_flash, v_pipe = columns[5:].astype(bool)
+    position = np.arange(total) - np.repeat(
+        np.array(offsets, dtype=np.int64), sizes)
+    fused = np.where(toggles == 2, position % 2 == 1, fused_one)
+    s = corners[np.where(has_l3, position // toggles, plain)].T
+    s_any = s.any(axis=0)
+    # The other dataflow is the candidate itself when it is unfused
+    # with an L3 tile, otherwise plain Base (cross tile b = batch,
+    # nothing staged).
+    own = has_l3 & ~fused
+    ints = np.stack([b_t, h_t, r, stat_idx, np.where(own, b_t, batch)])
+    flags = np.stack([
+        fused, has_l3, s[0], s[1], s[2], s[3], s[4], s_any, v_flash,
+        v_pipe, own, own & s_any, own & s[0], own & s[1], own & s[3],
+    ])
+    ints.flags.writeable = flags.flags.writeable = False
+    first: Dict[DataflowFamily, int] = {}
+    for fi, family in enumerate(families):
+        first.setdefault(family, fi)
+    return SpaceTable(
+        space=space,
+        families=families,
+        sizes=sizes,
+        offsets=offsets,
+        total=total,
+        features=_GridFeatures.from_columns(ints, flags),
+        first_family=first,
+    )

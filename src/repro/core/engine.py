@@ -6,35 +6,39 @@ is repeated across five models, sequence lengths 512 to 256K, two
 platforms and several accelerator variants; a search takes one of two
 paths, chosen by what the caller asks for:
 
-* **Best only** (``retain_points=False``, any objective except
-  ``FOOTPRINT``): the space is sized from its *families*
+* **Best only** (``retain_points=False``): the space is one
+  :class:`~repro.core.candidates.SpaceTable` — its *families*
   (stationarity x granularity x row count; see
-  :class:`repro.core.dse.DataflowFamily`) without expanding them.  A
-  space of at most ``_MERGE_BATCH_LIMIT`` candidates is expanded and
-  scored in one call of the vectorized backend
-  (:func:`repro.core.batch.evaluate_grid`): no plan, no bounds.  A
-  larger space takes analytic candidate generation with
-  branch-and-bound (:mod:`repro.core.candidates`) and is never
-  materialized as a grid: each family gets an admissible lower bound
-  from its cheapest representative member, and families are scored
-  best-bound-first — the best families' scores seed the incumbent,
-  then every family whose bound exceeds the incumbent is skipped
-  without ever expanding its members, and survivors are scored by the
-  vectorized backend.  When a scoring call raises
-  :class:`~repro.core.batch.BatchFallback` (a workload past the array
-  path's int64 headroom or float64-exact staged footprint, beyond
-  every paper workload), that call's members are scored one by one by
-  the memoized scalar model instead, so family pruning and the winner
-  memo cover those searches too.  On a large space, a ``warm_start``
+  :class:`repro.core.dse.DataflowFamily`), their sizes and offsets,
+  and the vectorized backend's feature columns of every member,
+  generated from family fields and memoized in the LRU per
+  ``(batch, heads, seq_q, space)``.  Candidates are rows of that
+  table: a ``Dataflow`` is built only for the winner, a warm seed and
+  members scored past a ``BatchFallback``.  A space of at most
+  ``_MERGE_BATCH_LIMIT`` candidates, and a ``FOOTPRINT`` search (no
+  cost bound exists) of any size, is scored whole in one call of the
+  vectorized backend (:func:`repro.core.batch.evaluate_grid`): no
+  plan, no bounds.  A larger space takes analytic candidate generation
+  with branch-and-bound (:mod:`repro.core.candidates`): each family
+  gets an admissible lower bound from its cheapest representative
+  member, and families are scored best-bound-first — the best
+  families' scores seed the incumbent, then every family whose bound
+  exceeds the incumbent is skipped without ever scoring its members,
+  and survivors' rows are scored by the vectorized backend.  When a
+  scoring call raises :class:`~repro.core.batch.BatchFallback` (a
+  workload past the array path's int64 headroom or float64-exact
+  staged footprint, beyond every paper workload), that call's members
+  are scored one by one by the memoized scalar model instead, so
+  family pruning and the winner memo cover those searches too.  On a
+  large space, a ``warm_start``
   :class:`~repro.core.candidates.Incumbent` (the neighboring sweep
   point's winner, re-evaluated under the current config/accelerator —
   its value is never trusted) seeds the incumbent before any family is
   scored, turning most sweep searches into bound-confirmation passes;
   a small space ignores it.
-* **Every point** (``retain_points=True``, e.g. the Figure 10 scatter,
-  and the ``FOOTPRINT`` objective, which has no cost bound): the space
-  is enumerated and every dataflow is scored by the memoized scalar
-  model.
+* **Every point** (``retain_points=True``, e.g. the Figure 10
+  scatter): the space is enumerated and every dataflow is scored by
+  the memoized scalar model.
 
 Both paths return the winner of a plain exhaustive loop: bounds are
 admissible, skipping is strict (``bound > incumbent``), and selection
@@ -49,9 +53,10 @@ first-in-order tie-break.  Three more optimizations sit under both:
   fingerprint, Dataflow, PerfOptions, Scope)``, and every search
   remembers its answer — a best-only search its winning dataflow,
   cost and space size, an every-point search its costs — so a repeat
-  search touches one entry and plans nothing.  The cache stores only
-  deterministic :class:`~repro.core.perf.ScopeCost` values; energy is
-  derived per caller (it depends on the energy table).
+  search touches one entry and plans nothing.  The same LRU holds each
+  space's table, shared by every search of that space.  Cached costs
+  are deterministic :class:`~repro.core.perf.ScopeCost` values; energy
+  is derived per caller (it depends on the energy table).
 * **Cross-run persistence.**  When a cache directory is configured
   (``--cache-dir`` / ``REPRO_CACHE_DIR``; see :mod:`repro.core.cache`),
   :func:`run_search`, :func:`evaluate_cost` and
@@ -77,7 +82,6 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import accumulate
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,6 +91,7 @@ from repro.core.batch import (
     _MAX_INT64_MAC_BYTES,
     BatchFallback,
     GridEvaluation,
+    GridRows,
     _l2_budget_slots,
     _per_value,
     _tile_luts,
@@ -96,22 +101,22 @@ from repro.core.cache import PersistentCache, get_default_cache
 from repro.core.candidates import (
     CandidatePlan,
     Incumbent,
-    family_representative,
-    feasible_row_interval,
-    locate_candidate,
+    SpaceTable,
     plan_candidates,
+    space_table,
 )
-from repro.core.dataflow import AttentionVariant, Dataflow, Stationarity
+from repro.core.dataflow import (
+    AttentionVariant,
+    Dataflow,
+    StagingPolicy,
+    Stationarity,
+)
 from repro.core.dse import (
     DesignPoint,
     DSEResult,
-    DataflowFamily,
     Objective,
     SearchSpace,
     enumerate_dataflows,
-    enumerate_families,
-    expand_family,
-    family_size,
 )
 from repro.core.footprint import fused_la_elements
 from repro.core.perf import (
@@ -138,6 +143,8 @@ __all__ = [
     "run_search",
     "accelerator_fingerprint",
     "bound_table",
+    "bound_flags",
+    "dataflow_bound_row",
     "cycles_lower_bound",
     "objective_lower_bound",
     "clear_evaluation_cache",
@@ -592,22 +599,40 @@ def _scope_static_bound(
     return total, has_la, replication
 
 
-#: One row of :func:`bound_table`: a workload, a candidate dataflow,
-#: and whether the family it stands for may contain fused members
-#: (``None``: exactly this dataflow).
-BoundRow = Tuple[AttentionConfig, Dataflow, Optional[bool]]
+#: One row of :func:`bound_table`: a workload, a candidate's cross-loop
+#: tile ``(b_t, h_t, r)`` on it, and the candidate's :func:`bound_flags`.
+BoundRow = Tuple[AttentionConfig, Tuple[int, int, int], Tuple[bool, ...]]
 
 
-def _flow_flags(df: Dataflow) -> tuple:
-    """The flags of one dataflow the L-A pair bound reads."""
-    s = df.staging
+def bound_flags(fused: bool, staging: StagingPolicy,
+                variant: AttentionVariant, stationarity: Stationarity,
+                may_fuse: bool) -> Tuple[bool, ...]:
+    """The flags of one :data:`BoundRow`: what the L-A pair bound reads
+    of a candidate, plus whether the family it stands for may contain
+    fused members."""
     return (
-        df.fused, s.lhs, s.rhs, s.rhs2, s.out, s.intermediate,
-        s.any_enabled, df.variant is AttentionVariant.FLASH_D,
-        df.variant is AttentionVariant.FUSEMAX,
-        df.stationarity is Stationarity.OUTPUT,
-        df.stationarity is Stationarity.WEIGHT,
-        df.stationarity is Stationarity.INPUT,
+        (fused,) + staging.as_tuple() + (
+            staging.any_enabled, variant is AttentionVariant.FLASH_D,
+            variant is AttentionVariant.FUSEMAX,
+            stationarity is Stationarity.OUTPUT,
+            stationarity is Stationarity.WEIGHT,
+            stationarity is Stationarity.INPUT, may_fuse,
+        )
+    )
+
+
+def dataflow_bound_row(cfg: AttentionConfig, dataflow: Dataflow,
+                       fused_in_family: Optional[bool] = None) -> BoundRow:
+    """The :data:`BoundRow` of one dataflow; ``fused_in_family`` widens
+    it to a family (``None``: exactly this dataflow)."""
+    return (
+        cfg,
+        dataflow.cross_tile(cfg.batch, cfg.heads, cfg.seq_q),
+        bound_flags(
+            dataflow.fused, dataflow.staging, dataflow.variant,
+            dataflow.stationarity,
+            dataflow.fused if fused_in_family is None else fused_in_family,
+        ),
     )
 
 
@@ -673,9 +698,12 @@ def bound_table(
 ) -> np.ndarray:
     """Admissible objective lower bounds of many candidates, one pass.
 
-    Each row ``(cfg, dataflow, fused_in_family)`` is bounded on its own
-    workload, so one call covers every family of a plan or every family
-    of every distinct shard of a partition grid.  The bound of a row is
+    Each :data:`BoundRow` ``(cfg, cross tile, flags)`` is bounded on
+    its own workload, so one call covers every family of a plan or
+    every family of every distinct shard of a partition grid.  A
+    family's row comes straight from its fields
+    (:func:`repro.core.candidates.bound_rows`), a dataflow's from
+    :func:`dataflow_bound_row`.  The bound of a row is
     a roofline over floors the L-A pair can never beat, sharing the
     model's own closed forms — the L2 tile choice, the staging-budget
     split, the reuse-pass counts and the warm-up arithmetic are the
@@ -732,15 +760,12 @@ def bound_table(
     index_rows = []
     flag_rows = []
     last = ci = None
-    for cfg, df, fused_in_family in rows:
+    for cfg, tile, flags in rows:
         if cfg is not last:  # rows usually come grouped by workload
             ci = configs.setdefault(cfg, len(configs))
             last = cfg
-        index_rows.append((ci,) + df.cross_tile(cfg.batch, cfg.heads,
-                                                 cfg.seq_q))
-        flag_rows.append(_flow_flags(df) + (
-            df.fused if fused_in_family is None else fused_in_family,
-        ))
+        index_rows.append((ci,) + tile)
+        flag_rows.append(flags)
 
     e = accel.bytes_per_element
     rows_pe, cols_pe = accel.pe_array.rows, accel.pe_array.cols
@@ -920,7 +945,8 @@ def cycles_lower_bound(
     :func:`bound_table`.
     """
     return float(bound_table(Objective.RUNTIME, scope, accel,
-                             [(cfg, dataflow, None)], options)[0])
+                             [dataflow_bound_row(cfg, dataflow)],
+                             options)[0])
 
 
 def objective_lower_bound(
@@ -944,21 +970,37 @@ def objective_lower_bound(
     """
     if objective is Objective.FOOTPRINT:
         return None
-    return float(bound_table(objective, scope, accel,
-                             [(cfg, dataflow, fused_in_family)], options,
-                             energy_table)[0])
+    return float(bound_table(
+        objective, scope, accel,
+        [dataflow_bound_row(cfg, dataflow, fused_in_family)], options,
+        energy_table,
+    )[0])
 
 
 
 # ----------------------------------------------------------------------
 # the two search paths
 # ----------------------------------------------------------------------
+def _space_table(cfg: AttentionConfig, space: SearchSpace) -> SpaceTable:
+    """The memoized :class:`~repro.core.candidates.SpaceTable` of a space.
+
+    Keyed on the only config fields the columns and the family list
+    depend on, so a search of the same space on another accelerator,
+    scope, objective, option set or key length finds it built.
+    """
+    key = ("space", cfg.batch, cfg.heads, cfg.seq_q, space)
+    table = _CACHE.get(key)
+    if table is None:
+        table = space_table(cfg, space)
+        _CACHE.put(key, table)
+    return table
+
+
 def _locate_warm_start(
     warm: Optional[Incumbent],
-    cfg: AttentionConfig,
+    table: SpaceTable,
     scope: Scope,
     objective: Objective,
-    space: SearchSpace,
     options: PerfOptions,
 ) -> Optional[int]:
     """Global enumeration index of a valid ``warm_start`` seed, or ``None``.
@@ -981,7 +1023,7 @@ def _locate_warm_start(
     ):
         _metric_inc("engine.warm_start.rejected")
         return None
-    index = locate_candidate(cfg, space, warm.dataflow)
+    index = table.locate(warm.dataflow)
     if index is None:
         _metric_inc("engine.warm_start.rejected")
         return None
@@ -999,39 +1041,37 @@ def _candidate_search(
 ) -> DSEResult:
     """Best-only path: the memoized answer, or a search of the space.
 
-    A miss sizes the space from its families without expanding them.
-    A space of at most ``_MERGE_BATCH_LIMIT`` candidates gets a plan
-    without bounds (:func:`_unbounded_plan`) and no warm seed, so
-    :func:`_branch_and_bound` scores it whole in one call; a larger one
-    is planned with bounds by
+    A miss takes the space's table (:func:`_space_table`, memoized).
+    A space of at most ``_MERGE_BATCH_LIMIT`` candidates, and a
+    ``FOOTPRINT`` search of any size (it has no bounds), gets no plan
+    and no warm seed, so :func:`_branch_and_bound` scores the whole
+    table in one call; a larger one is planned with bounds by
     :func:`~repro.core.candidates.plan_candidates`.  The answer is the
     winner's ``Dataflow``, its ``ScopeCost`` and the size of the space
     it was chosen from, keyed on the space rather than the expanded
-    grid.  An LRU or disk hit neither sizes, plans nor expands
-    anything, and its stats book the recorded space size as hits.
+    grid.  An LRU or disk hit neither builds a table nor plans, and its
+    stats book the recorded space size as hits.
     """
     cfg, scope, options = ev.cfg, ev.scope, ev.options
     searched: List[SearchStats] = []
 
     def _compute() -> Tuple[Dataflow, ScopeCost, int]:
-        families = tuple(enumerate_families(cfg, space))
-        sizes = tuple(family_size(family, space) for family in families)
-        total = sum(sizes)
-        if total == 0:
+        table = _space_table(cfg, space)
+        if table.total == 0:
             raise ValueError("search space is empty")
-        if total <= _MERGE_BATCH_LIMIT:
-            plan = _unbounded_plan(ev, families, sizes)
-            seed = None
-        else:
-            with _span("candidate-plan", families=len(families)):
+        plan: Optional[CandidatePlan] = None
+        seed = None
+        if (table.total > _MERGE_BATCH_LIMIT
+                and objective is not Objective.FOOTPRINT):
+            with _span("candidate-plan", families=len(table.families)):
                 plan = plan_candidates(objective, cfg, scope, ev.accel,
                                        space, options=options,
                                        energy_table=energy_table)
             seed = warm
         dataflow, cost, stats = _branch_and_bound(
-            ev, plan, objective, space, energy_table, start, seed)
+            ev, table, plan, objective, energy_table, start, seed)
         searched.append(stats)
-        return dataflow, cost, total
+        return dataflow, cost, table.total
 
     key = ("search", cfg, ev.accel_fp, options, scope, objective,
            energy_table, space)
@@ -1057,47 +1097,31 @@ def _scored(
     ev: _Evaluator,
     objective: Objective,
     energy_table: Optional[EnergyTable],
-    dataflows: List[Dataflow],
-) -> Tuple[Any, Optional[List[Tuple[ScopeCost, str]]]]:
-    """Objective values of ``dataflows`` from one scoring call.
+    table: SpaceTable,
+    index: Optional[np.ndarray],
+) -> Tuple[np.ndarray, Optional[List[Tuple[ScopeCost, str]]]]:
+    """Objective values of the table's members ``index`` (every member
+    for ``None``) from one scoring call.
 
-    One :func:`~repro.core.batch.evaluate_grid` call, whose values equal
-    the scalar model's bit for bit; the second item is then ``None``.
-    When the call raises :class:`~repro.core.batch.BatchFallback` (only
-    past the array path's edge), every dataflow is resolved by the
-    memoized scalar model instead, and the second item lists each
+    One :func:`~repro.core.batch.evaluate_grid` call over the table
+    rows, whose values equal the scalar model's bit for bit; the second
+    item is then ``None``.  When the call raises
+    :class:`~repro.core.batch.BatchFallback` (only past the array
+    path's edge), each member's ``Dataflow`` is built and resolved by
+    the memoized scalar model instead, and the second item lists each
     ``(ScopeCost, source)`` in order.
     """
     try:
-        grid = evaluate_grid(ev.cfg, ev.scope, ev.accel, dataflows,
+        grid = evaluate_grid(ev.cfg, ev.scope, ev.accel,
+                             GridRows(table.features, index),
                              options=ev.options)
     except BatchFallback:
-        resolved = [ev.resolve(df) for df in dataflows]
+        members = range(table.total) if index is None else index.tolist()
+        resolved = [ev.resolve(table.dataflow(i)) for i in members]
         values = [_objective_value(objective, cost, energy_table)
                   for cost, _ in resolved]
-        return values, resolved
+        return np.asarray(values, dtype=float), resolved
     return grid.objective_scores(objective, energy_table), None
-
-
-def _unbounded_plan(ev: _Evaluator, families: Tuple[DataflowFamily, ...],
-                    sizes: Tuple[int, ...]) -> CandidatePlan:
-    """A plan of a small space whose bounds (``-inf``) gate nothing.
-
-    Bounds and a warm seed each cost about as much as the one grid call
-    over the whole space that they would try to shrink, so
-    :func:`_branch_and_bound` gets neither: every family stays live and
-    its one-call round scores the whole space.
-    """
-    offsets = tuple(accumulate(sizes, initial=0))[:-1]
-    return CandidatePlan(
-        families=families,
-        sizes=sizes,
-        offsets=offsets,
-        bounds=(float("-inf"),) * len(families),
-        order=tuple(range(len(families))),
-        total=sum(sizes),
-        resident_rows=feasible_row_interval(ev.cfg, ev.accel, ev.options),
-    )
 
 
 def _answered(n: int, source: str, start: float) -> SearchStats:
@@ -1107,42 +1131,47 @@ def _answered(n: int, source: str, start: float) -> SearchStats:
                        disk_hits=n if source == "disk" else 0)
 
 
-def _planned_dataflow(cfg: AttentionConfig, plan: CandidatePlan,
-                      space: SearchSpace, index: int) -> Dataflow:
-    """The dataflow at global enumeration ``index`` of ``plan``."""
-    for fi in range(len(plan.families) - 1, -1, -1):
-        if plan.offsets[fi] <= index:
-            members = list(expand_family(cfg, plan.families[fi], space))
-            return members[index - plan.offsets[fi]]
-    raise IndexError(index)  # pragma: no cover - index always planned
+def _member_rows(table: SpaceTable, families: Sequence[int],
+                 skip_first: bool = False) -> np.ndarray:
+    """The members of ``families`` (ascending) as one index array;
+    ``skip_first`` leaves out each family's member 0."""
+    first = int(skip_first)
+    return np.concatenate([
+        np.arange(table.offsets[fi] + first,
+                  table.offsets[fi] + table.sizes[fi], dtype=np.int64)
+        for fi in families
+    ])
 
 
 def _branch_and_bound(
     ev: _Evaluator,
-    plan: CandidatePlan,
+    table: SpaceTable,
+    plan: Optional[CandidatePlan],
     objective: Objective,
-    space: SearchSpace,
     energy_table: Optional[EnergyTable],
     start: float,
     warm: Optional[Incumbent],
 ) -> Tuple[Dataflow, ScopeCost, SearchStats]:
     """Branch-and-bound over a planned space, score survivors: the winner.
 
-    Never expands the whole space of more than ``_MERGE_BATCH_LIMIT``
-    candidates; a smaller space (whose plan gates nothing, see
-    :func:`_unbounded_plan`) is scored whole in one call.
-    :func:`repro.core.candidates.plan_candidates`
-    derives one admissible bound per family from its cheapest
-    representative member.  Families are gated twice — first against
-    the ``warm_start`` incumbent (when one is supplied), then against the
+    Candidates are rows of the space's table: every scoring call is one
+    :func:`~repro.core.batch.evaluate_grid` over row indices, and a
+    ``Dataflow`` is built only for the winner, a located warm seed and
+    members scored past a :class:`~repro.core.batch.BatchFallback`.
+    Without a plan (a small space, or ``FOOTPRINT``) the whole table is
+    scored in one call.  With one,
+    :func:`repro.core.candidates.plan_candidates` has derived one
+    admissible bound per family from its cheapest representative
+    member.  Families are gated twice — first against the
+    ``warm_start`` incumbent (when one is supplied), then against the
     incumbent tightened by scoring the live families' *representatives*
-    — and only the final survivors are expanded and scored.  At most
-    two scoring calls run per search (representatives, then surviving
-    members), so the fixed batch-call overhead cannot erase the pruning
-    win.  Each call is one :func:`~repro.core.batch.evaluate_grid`; on
-    :class:`~repro.core.batch.BatchFallback` (only past the array
-    path's edge) the call's members go through the scalar model instead
-    (bit-equal, just slower).
+    (member 0 of each, the rows ``offsets[alive]``) — and only the
+    final survivors' remaining rows are scored.  At most two scoring
+    calls run per search (representatives, then surviving members), so
+    the fixed batch-call overhead cannot erase the pruning win.  On
+    ``BatchFallback`` (only past the array path's edge) a call's
+    members go through the scalar model instead (bit-equal, just
+    slower).
 
     Selection minimizes ``(value, global enumeration index)`` over
     every scored candidate.  A skipped candidate's true value strictly
@@ -1151,8 +1180,7 @@ def _branch_and_bound(
     tie — the result is identical to an exhaustive loop, bytes
     included.
     """
-    cfg, scope, options = ev.cfg, ev.scope, ev.options
-    n = plan.total
+    n = table.total
     best_value: Optional[float] = None
     best_index: Optional[int] = None
 
@@ -1168,14 +1196,14 @@ def _branch_and_bound(
 
     # Warm seed: re-evaluate the neighboring winner under *this*
     # config/accelerator (its carried value, if any, is never trusted)
-    # and let it gate families before anything is expanded.  Not booked
+    # and let it gate families before anything is scored.  Not booked
     # in the stats: its own family can never be family-pruned (the
     # family's bound is <= the seed's value), so it is scored again
     # there, and as the winner its cost comes back as an LRU hit.
-    warm_index = _locate_warm_start(warm, cfg, scope, objective, space,
-                                    options)
+    warm_index = _locate_warm_start(warm, table, ev.scope, objective,
+                                    ev.options)
     if warm_index is not None:
-        cost, _ = ev.resolve(_planned_dataflow(cfg, plan, space, warm_index))
+        cost, _ = ev.resolve(warm.dataflow)
         _consider(_objective_value(objective, cost, energy_table),
                   warm_index)
 
@@ -1187,35 +1215,40 @@ def _branch_and_bound(
     batch_evaluations = 0
     known: dict = {}  # index -> ScopeCost for members with a scalar cost
 
-    def _score_members(members: List[Tuple[int, Dataflow]]) -> None:
-        """Score members in one call (see :func:`_scored`)."""
-        nonlocal cache_hits, batch_evaluations, evaluated
+    def _score(index: Optional[np.ndarray]) -> None:
+        """Score the members ``index`` (ascending; ``None``: all) in one
+        call (see :func:`_scored`) and keep the first minimum."""
+        nonlocal cache_hits, batch_evaluations, evaluated, generated
+        members = n if index is None else len(index)
         if not members:
             return
-        values, resolved = _scored(ev, objective, energy_table,
-                                   [df for _, df in members])
+        generated += members
+        values, resolved = _scored(ev, objective, energy_table, table,
+                                   index)
         if resolved is None:
-            batch_evaluations += len(members)
+            batch_evaluations += members
         else:
-            for (index, _), (cost, source) in zip(members, resolved):
-                known[index] = cost
+            rows = range(n) if index is None else index.tolist()
+            for i, (cost, source) in zip(rows, resolved):
+                known[i] = cost
                 if source == "model":
                     evaluated += 1
                 else:
                     cache_hits += 1
-        for (index, _), value in zip(members, values):
-            _consider(float(value), index)
+        # Rows ascend, so the first minimum is the (value, index) one.
+        k = int(np.argmin(values))
+        _consider(float(values[k]), k if index is None else int(index[k]))
 
     # Branch and bound in two rounds of gating and two scoring calls.
     # Round one gates on the warm incumbent (when present); the
     # *representatives* of the live families — each one is member 0 of
-    # its family's expansion, see ``family_representative`` — are then
+    # its family's expansion, see ``candidates.bound_rows`` — are then
     # scored in a single call.  Representatives are the all-staged
     # (and, where allowed, unfused) corners, which in practice include
     # the optimum or something very near it, so the incumbent after
     # this round is tight.  Round two re-gates every remaining family
     # against it — those families are dropped without ever being
-    # expanded — and the survivors' remaining members are scored in one
+    # scored — and the survivors' remaining members are scored in one
     # further call.
     def _gated(fi: int) -> bool:
         # Strictly-beaten bound, or an exact tie the family cannot win:
@@ -1236,72 +1269,49 @@ def _branch_and_bound(
             and plan.offsets[fi] > best_index
         )
 
-    with _span("candidate-score", families=len(plan.families),
+    with _span("candidate-score", families=len(table.families),
                candidates=n) as sp:
-        alive: List[int] = []
-        for fi in plan.order:
-            if _gated(fi):
-                families_pruned += 1
-                family_skipped += plan.sizes[fi]
-                continue
-            alive.append(fi)
-        # The warm seed can never gate its own family (that family's
-        # bound is <= the seed's re-evaluated value), so `alive` is
-        # never empty and the incumbent below is always established.
-        #
-        # When at most a handful of members are live — a small space,
-        # whose plan gates nothing, or a large one a warm seed already
-        # gated down, typical for neighbor-seeded sweeps in the
-        # saturated regime — the representative round cannot pay for
-        # its own fixed batch-call overhead.  Score the live families'
-        # full expansions in a single call instead; scoring a member
-        # that a rep round would have skipped is exact, so the
-        # selection is unchanged.
-        total_live = sum(plan.sizes[fi] for fi in alive)
-        members: List[Tuple[int, Dataflow]] = []
-        if total_live <= _MERGE_BATCH_LIMIT:
-            alive.sort()
-            for fi in alive:
-                offset = plan.offsets[fi]
-                for j, df in enumerate(
-                    expand_family(cfg, plan.families[fi], space)
-                ):
-                    members.append((offset + j, df))
-            generated += len(members)
-            _score_members(members)
+        if plan is None:
+            _score(None)
         else:
-            reps = [
-                (plan.offsets[fi],
-                 family_representative(plan.families[fi], space))
-                for fi in alive
-            ]
-            generated += len(reps)
-            _score_members(reps)
-            survivors: List[int] = []
-            for fi in alive:
+            alive: List[int] = []
+            for fi in plan.order:
                 if _gated(fi):
                     families_pruned += 1
-                    family_skipped += plan.sizes[fi] - 1  # rep was scored
+                    family_skipped += plan.sizes[fi]
                     continue
-                survivors.append(fi)
-            # Expand in enumeration order for a deterministic grid
-            # layout (selection is order-independent anyway).
-            survivors.sort()
-            for fi in survivors:
-                offset = plan.offsets[fi]
-                for j, df in enumerate(
-                    expand_family(cfg, plan.families[fi], space)
-                ):
-                    if j == 0:
-                        continue  # the representative, scored above
-                    members.append((offset + j, df))
-            generated += len(members)
-            _score_members(members)
+                alive.append(fi)
+            # The warm seed can never gate its own family (that
+            # family's bound is <= the seed's re-evaluated value), so
+            # `alive` is never empty and the incumbent below is always
+            # established.
+            alive.sort()
+            # When at most a handful of members are live — typical for
+            # neighbor-seeded sweeps in the saturated regime — the
+            # representative round cannot pay for its own fixed
+            # batch-call overhead.  Score the live families' full
+            # expansions in a single call instead; scoring a member that
+            # a rep round would have skipped is exact, so the selection
+            # is unchanged.
+            if sum(plan.sizes[fi] for fi in alive) <= _MERGE_BATCH_LIMIT:
+                _score(_member_rows(table, alive))
+            else:
+                _score(np.array([plan.offsets[fi] for fi in alive],
+                                dtype=np.int64))
+                survivors: List[int] = []
+                for fi in alive:
+                    if _gated(fi):
+                        families_pruned += 1
+                        family_skipped += plan.sizes[fi] - 1  # rep scored
+                        continue
+                    survivors.append(fi)
+                if survivors:
+                    _score(_member_rows(table, survivors, skip_first=True))
         sp.set(families_pruned=families_pruned,
                candidates_skipped=family_skipped, scalar=evaluated)
 
     assert best_index is not None  # first family always scores someone
-    winner = _planned_dataflow(cfg, plan, space, best_index)
+    winner = table.dataflow(best_index)
     if best_index in known:
         cost = known[best_index]
         batch_losers = batch_evaluations
@@ -1411,11 +1421,11 @@ def run_search(
     With ``retain_points=True`` (the historical default) every design
     point is evaluated, energy included, and returned.  With
     ``retain_points=False`` only the optimum matters: a small space is
-    scored in one call, a larger one's candidates are generated
+    scored in one call, a larger one's candidates are gated
     family-by-family with branch-and-bound, energy is computed lazily,
-    and ``DSEResult.points`` comes back empty.  The
-    ``FOOTPRINT`` objective has no cost bound, so it always scores
-    every point.
+    and ``DSEResult.points`` comes back empty.  The ``FOOTPRINT``
+    objective has no cost bound, so its best-only search scores every
+    point in one call.
 
     ``warm_start`` optionally carries a neighboring search's winner
     (:class:`repro.core.candidates.Incumbent`); the best-only path
@@ -1452,7 +1462,7 @@ def _search(cfg: AttentionConfig, accel: Accelerator, scope: Scope,
         start = time.perf_counter()
         ev = _Evaluator(cfg, scope, accel, accelerator_fingerprint(accel),
                         options)
-        if retain_points or objective is Objective.FOOTPRINT:
+        if retain_points:
             return _score_all(ev, objective, space, energy_table,
                               retain_points, start, store)
         with _span("candidate-search"):

@@ -87,7 +87,7 @@ from repro.arch.fabric import (
 )
 from repro.core.candidates import (
     Incumbent,
-    family_bound_rows,
+    bound_rows,
     make_incumbent,
 )
 from repro.core.dataflow import Dataflow
@@ -382,9 +382,10 @@ def evaluate_partition_grid(
     compute floors are closed-form family bounds over the *distinct*
     shard configs (partitions that shard to the same workload share
     one floor).  One :func:`~repro.core.engine.bound_table` call
-    bounds every (shard, family) row, built by
-    :func:`~repro.core.candidates.family_bound_rows`, and a shard's
-    floor is the min of its rows.
+    bounds every (shard, family) row, read off the family fields by
+    :func:`~repro.core.candidates.bound_rows` (no ``Dataflow`` is
+    built, and no member is expanded), and a shard's floor is the min
+    of its rows.
     """
     from repro.core.engine import bound_table
 
@@ -453,20 +454,14 @@ def evaluate_partition_grid(
     )
     fabric_floor_cycles = (floor_s[0] + floor_s[1]) * freq
 
-    # Shards with the same family list share its representatives.
-    family_rows: Dict[tuple, list] = {}
     rows = []
     starts = []
     for shard in shards:
         families = tuple(enumerate_families(shard, space))
         if not families:
             raise ValueError("search space is empty")
-        listed = family_rows.get(families)
-        if listed is None:
-            listed = family_rows[families] = family_bound_rows(families,
-                                                               space)
         starts.append(len(rows))
-        rows.extend((shard, rep, fused) for rep, fused in listed)
+        rows.extend(bound_rows(shard, families, space))
     bounds = bound_table(Objective.RUNTIME, scope, system.chip_view(),
                          rows, options)
     compute_floor = np.minimum.reduceat(bounds, starts)[shard_of]

@@ -15,11 +15,7 @@ import pytest
 
 from repro.arch.presets import cloud, edge
 from repro.core import engine
-from repro.core.candidates import (
-    family_lower_bound,
-    family_representative,
-    plan_candidates,
-)
+from repro.core.candidates import family_lower_bound, plan_candidates
 from repro.core.dataflow import AttentionVariant, Stationarity
 from repro.core.dse import (
     Objective,
@@ -30,6 +26,7 @@ from repro.core.dse import (
 from repro.core.engine import (
     bound_table,
     cycles_lower_bound,
+    dataflow_bound_row,
     objective_lower_bound,
 )
 from repro.core.perf import PerfOptions
@@ -40,7 +37,11 @@ from repro.core.scaleout import (
     shard_config,
 )
 from repro.ops.attention import AttentionConfig, Scope
-from tests.oracles import scalar_family_bound, scalar_objective_bound
+from tests.oracles import (
+    family_representative,
+    scalar_family_bound,
+    scalar_objective_bound,
+)
 
 OBJECTIVES = (Objective.RUNTIME, Objective.ENERGY, Objective.EDP)
 OPTIONS = {
@@ -94,7 +95,8 @@ def _rows(configs, space=WIDE_SPACE, accel=None, stride=5):
 
 def _assert_rows_equal(objective, scope, accel, rows, options,
                        energy_table=None):
-    table = bound_table(objective, scope, accel, rows, options,
+    table = bound_table(objective, scope, accel,
+                        [dataflow_bound_row(*row) for row in rows], options,
                         energy_table)
     assert table.shape == (len(rows),)
     for (cfg, df, fused_in_family), got in zip(rows, table.tolist()):
@@ -169,7 +171,8 @@ class TestBitEquality:
     def test_footprint_and_empty_rejected(self):
         rows = _rows(CONFIGS[:1])
         with pytest.raises(ValueError):
-            bound_table(Objective.FOOTPRINT, Scope.LA, edge(), rows)
+            bound_table(Objective.FOOTPRINT, Scope.LA, edge(),
+                        [dataflow_bound_row(*row) for row in rows])
         with pytest.raises(ValueError):
             bound_table(Objective.RUNTIME, Scope.LA, edge(), [])
         assert objective_lower_bound(

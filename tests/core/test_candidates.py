@@ -21,11 +21,10 @@ from repro.arch.presets import cloud, edge
 from repro.core.candidates import (
     Incumbent,
     family_lower_bound,
-    family_representative,
     feasible_row_interval,
-    locate_candidate,
     make_incumbent,
     plan_candidates,
+    space_table,
 )
 from repro.core.dataflow import AttentionVariant, Granularity, flat_r
 from repro.core.dse import (
@@ -42,7 +41,11 @@ from repro.core.footprint import footprint_r_gran
 from repro.core.perf import PerfOptions, cost_scope, partition_scratchpad
 from repro.energy.model import energy_report
 from repro.ops.attention import AttentionConfig, Scope
-from tests.oracles import assert_matches_oracle, exhaustive_best
+from tests.oracles import (
+    assert_matches_oracle,
+    exhaustive_best,
+    family_representative,
+)
 
 SPACES = {
     "default": SearchSpace(),
@@ -137,10 +140,10 @@ class TestLocate:
         for i, df in enumerate(
             enumerate_dataflows(bert_512, edge(), space)
         ):
-            assert locate_candidate(bert_512, space, df) == i
+            assert space_table(bert_512, space).locate(df) == i
 
     def test_foreign_row_count_absent(self, bert_512):
-        assert locate_candidate(bert_512, SearchSpace(), flat_r(3)) is None
+        assert space_table(bert_512, SearchSpace()).locate(flat_r(3)) is None
 
 
 class TestIntervalInversion:
@@ -306,15 +309,17 @@ class TestSearchEquivalence:
                           retain_points=False)
             assert_matches_oracle(fast, oracle, objective)
 
-    def test_footprint_objective_uses_exhaustive_path(self, small_cfg,
-                                                      edge_accel):
-        """FOOTPRINT has no bound; the engine scores every point
-        rather than reject the search."""
+    def test_footprint_objective_scores_the_whole_table(self, small_cfg,
+                                                        edge_accel):
+        """FOOTPRINT has no bound; the engine scores every point on the
+        grid rather than reject the search, and prunes no family."""
         clear_evaluation_cache()
         res = search(small_cfg, edge_accel, objective=Objective.FOOTPRINT,
                      retain_points=False)
-        assert res.stats.candidates_generated == 0
-        assert res.stats.evaluated == res.stats.enumerated
+        s = res.stats
+        assert s.candidates_generated == s.batch_evaluations == s.enumerated
+        assert s.families_pruned == s.candidates_skipped == 0
+        assert s.evaluated == 1  # the winner's breakdown
         assert_matches_oracle(
             res, exhaustive_best(small_cfg, edge_accel,
                                  objective=Objective.FOOTPRINT),

@@ -144,9 +144,15 @@ class TestStats:
         assert len(res.points) == res.stats.enumerated
 
     def test_no_pruning_for_footprint(self, small_cfg, edge_accel):
+        """FOOTPRINT has no bound: no family or candidate is skipped;
+        every candidate is scored on the grid, and ``pruned`` books only
+        the batch-scored losers."""
         res = search(small_cfg, edge_accel, objective=Objective.FOOTPRINT,
                      retain_points=False)
-        assert res.stats.pruned == 0
+        s = res.stats
+        assert s.families_pruned == s.candidates_skipped == 0
+        assert s.batch_evaluations == s.enumerated
+        assert s.pruned == s.batch_evaluations - 1
 
     def test_repeat_search_is_all_cache_hits(self, small_cfg, edge_accel):
         first = search(small_cfg, edge_accel, retain_points=False)
@@ -320,6 +326,150 @@ class TestOneCallRoute:
             assert s.candidates_skipped == s.families_pruned == 0
         assert seeded.stats == dataclasses.replace(
             cold.stats, wall_time_s=seeded.stats.wall_time_s)
+
+
+class TestFootprintOnTheGrid:
+    """A best-only ``FOOTPRINT`` search has no bounds: at any size it is
+    one grid call over the whole space table, plus the winner's
+    breakdown."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = {"plan": 0, "grid": 0}
+        real_plan, real_grid = engine.plan_candidates, engine.evaluate_grid
+
+        def plan(*args, **kwargs):
+            calls["plan"] += 1
+            return real_plan(*args, **kwargs)
+
+        def grid(*args, **kwargs):
+            calls["grid"] += 1
+            return real_grid(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "plan_candidates", plan)
+        monkeypatch.setattr(engine, "evaluate_grid", grid)
+        return calls
+
+    @pytest.mark.parametrize("scope", [Scope.LA, Scope.BLOCK, Scope.MODEL])
+    @pytest.mark.parametrize("large", [False, True],
+                             ids=["small", "past-merge-limit"])
+    def test_one_call_matches_oracle(self, calls, small_cfg, edge_accel,
+                                     scope, large):
+        space = (SearchSpace(exhaustive_staging=True,
+                             stationarities=tuple(Stationarity))
+                 if large else SearchSpace())
+        n = len(list(enumerate_dataflows(small_cfg, edge_accel, space)))
+        assert (n > engine._MERGE_BATCH_LIMIT) == large
+        res = search(small_cfg, edge_accel, scope=scope,
+                     objective=Objective.FOOTPRINT, space=space,
+                     retain_points=False)
+        assert_matches_oracle(
+            res, exhaustive_best(small_cfg, edge_accel, scope=scope,
+                                 objective=Objective.FOOTPRINT, space=space),
+            Objective.FOOTPRINT,
+        )
+        assert calls == {"plan": 0, "grid": 1}
+        s = res.stats
+        assert s.enumerated == s.batch_evaluations == n
+        assert s.evaluated == 1 and s.families_pruned == 0
+
+
+class TestSpaceTableReuse:
+    """One table per ``(batch, heads, seq_q, space)``: a search of the
+    same space on another accelerator builds none, and builds a
+    ``Dataflow`` only for its winner and its warm seed."""
+
+    _SPACE = SearchSpace(exhaustive_staging=True)
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        from repro.core.dataflow import Dataflow
+
+        counts = {"tables": 0, "dataflows": 0}
+        real_table = engine.space_table
+        real_init = Dataflow.__post_init__
+        real_cost = engine.cost_scope
+        scalar = []
+
+        def table(*args, **kwargs):
+            counts["tables"] += 1
+            return real_table(*args, **kwargs)
+
+        def init(self):
+            # The scalar model's own helpers (cost_scope builds the
+            # plain Base it runs non-L-A operators with) are not the
+            # engine's doing.
+            if not scalar:
+                counts["dataflows"] += 1
+            real_init(self)
+
+        def cost(*args, **kwargs):
+            scalar.append(1)
+            try:
+                return real_cost(*args, **kwargs)
+            finally:
+                scalar.pop()
+
+        monkeypatch.setattr(engine, "space_table", table)
+        monkeypatch.setattr(Dataflow, "__post_init__", init)
+        monkeypatch.setattr(engine, "cost_scope", cost)
+        return counts
+
+    def test_other_accelerator_builds_no_table(self, counts, bert_4k,
+                                               edge_accel, cloud_accel):
+        space = self._SPACE
+        first = search(bert_4k, edge_accel, space=space, retain_points=False)
+        assert counts["tables"] == 1
+        warm = make_incumbent(first, Scope.LA, edge_accel)
+        counts["dataflows"] = 0
+        again = search(bert_4k, cloud_accel, space=space,
+                       retain_points=False, warm_start=warm)
+        assert counts["tables"] == 1
+        assert counts["dataflows"] <= 2  # the winner and the warm seed
+        assert_matches_oracle(again, exhaustive_best(bert_4k, cloud_accel,
+                                                     space=space))
+
+    def test_one_call_route_builds_only_the_winner(self, counts, bert_512,
+                                                   edge_accel, cloud_accel):
+        search(bert_512, edge_accel, retain_points=False)
+        counts["dataflows"] = 0
+        res = search(bert_512, cloud_accel, scope=Scope.BLOCK,
+                     retain_points=False)
+        assert counts == {"tables": 1, "dataflows": 1}
+        assert_matches_oracle(res, exhaustive_best(bert_512, cloud_accel,
+                                                   scope=Scope.BLOCK))
+
+    def test_threads_on_one_new_space(self, bert_4k, edge_accel):
+        """Threads racing on a space no search has seen may each build
+        its table; every one gets the oracle's answer."""
+        import sys
+        import threading
+
+        space = self._SPACE
+        workers = 4  # more than the cores of a CI runner
+        barrier = threading.Barrier(workers)
+        results = [None] * workers
+
+        def run(slot):
+            barrier.wait(timeout=60)
+            results[slot] = search(bert_4k, edge_accel, space=space,
+                                   retain_points=False)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        oracle = exhaustive_best(bert_4k, edge_accel, space=space)
+        for result in results:
+            assert_matches_oracle(result, oracle)
 
 
 class TestRetainPoints:

@@ -10,15 +10,27 @@ bounds, pruning or memo.
 ``scalar_objective_bound`` is the per-candidate admissible bound the
 engine's vectorized :func:`~repro.core.engine.bound_table` must equal
 bit for bit: the same closed forms, evaluated one candidate at a time
-in plain Python.
+in plain Python.  ``family_bound_rows`` builds each family's bound row
+from its representative ``Dataflow`` (``family_representative``), the
+route the engine's field-read :func:`~repro.core.candidates.bound_rows`
+must equal.
 """
 
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.arch.accelerator import Accelerator
 from repro.arch.fabric import CollectiveSchedule, collective_time_s
-from repro.core.candidates import family_representative
-from repro.core.dataflow import AttentionVariant, Dataflow, Stationarity
+from repro.core.dataflow import (
+    AttentionVariant,
+    Dataflow,
+    Granularity,
+    StagingPolicy,
+    Stationarity,
+    base,
+    base_x,
+    flat_r,
+    flat_x,
+)
 from repro.core.dse import (
     DataflowFamily,
     Objective,
@@ -26,7 +38,13 @@ from repro.core.dse import (
     enumerate_dataflows,
     search,
 )
-from repro.core.engine import _BOUND_SLACK, _BoundTerms, _scope_static_bound
+from repro.core.engine import (
+    _BOUND_SLACK,
+    BoundRow,
+    _BoundTerms,
+    _scope_static_bound,
+    dataflow_bound_row,
+)
 from repro.core.footprint import fused_la_footprint
 from repro.core.perf import (
     PerfOptions,
@@ -400,3 +418,58 @@ def scalar_family_bound(
         options, energy_table,
         fused_in_family=family.granularity is not None and space.allow_fused,
     )
+
+
+def family_representative(
+    family: DataflowFamily, space: SearchSpace = SearchSpace()
+) -> Dataflow:
+    """The member whose bound lower-bounds the whole family, as a
+    ``Dataflow`` (see :func:`repro.core.candidates.bound_rows`, which
+    reads its row off the family fields instead).
+
+    Fully enabled staging minimizes every traffic floor the bound
+    charges (staged K/V stream once instead of once per row pass; the
+    staged intermediate spills only its non-fitting fraction), and for
+    M/B/H families the unfused variant is used whenever the space
+    allows it (the unfused serialized-softmax term is never larger
+    than the fused one).  The compute floor is identical across a
+    family — it depends only on stationarity, granularity and row
+    count, which the family fixes.  Hence ``bound(representative) <=
+    bound(member) <= cost(member)`` for every member.
+
+    A family carrying a non-default attention variant contains only
+    fused members that all share the variant's (weakly smaller) serial
+    softmax term, so its representative is the fused all-staged member
+    with that variant — which is also member 0 of its expansion, the
+    invariant the engine's representative round depends on.
+    """
+    stat = family.stationarity
+    if family.granularity is None:
+        return base(stationarity=stat)
+    staging = StagingPolicy.all_enabled()
+    if family.granularity is Granularity.R:
+        return flat_r(family.rows, staging=staging, stationarity=stat,
+                      variant=family.variant)
+    if family.variant is not AttentionVariant.SOFTMAX:
+        return flat_x(family.granularity, staging=staging,
+                      stationarity=stat, variant=family.variant)
+    if space.allow_unfused:
+        return base_x(family.granularity, staging=staging,
+                      stationarity=stat)
+    return flat_x(family.granularity, staging=staging, stationarity=stat)
+
+
+def family_bound_rows(
+    cfg: AttentionConfig,
+    families: Sequence[DataflowFamily],
+    space: SearchSpace = SearchSpace(),
+) -> List[BoundRow]:
+    """Each family's bound row through its representative ``Dataflow``,
+    widened to the family's fused members."""
+    return [
+        dataflow_bound_row(
+            cfg, family_representative(family, space),
+            family.granularity is not None and space.allow_fused,
+        )
+        for family in families
+    ]
