@@ -8,13 +8,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.arch.accelerator import Accelerator
 from repro.core.candidates import Incumbent, make_incumbent
 from repro.core.dataflow import Dataflow
-from repro.core.dse import Objective, SearchSpace, search
-from repro.core.engine import evaluate_cost
+from repro.core.dse import Objective, SearchSpace
+from repro.core.engine import SearchRequest, evaluate_cost, run_searches
 from repro.core.perf import PerfOptions, ScopeCost
 from repro.energy.model import EnergyReport, energy_report
 from repro.ops.attention import AttentionConfig, Scope
 
-__all__ = ["SweepPoint", "buffer_sweep", "default_buffer_sizes"]
+__all__ = [
+    "SweepCase",
+    "SweepPoint",
+    "buffer_sweep",
+    "buffer_sweeps",
+    "default_buffer_sizes",
+]
 
 KB = 1024
 MB = 1024 * KB
@@ -47,6 +53,13 @@ class SweepPoint:
         return self.energy.total_j
 
 
+#: One sweep of :func:`buffer_sweeps`: a workload, a scope, the fixed
+#: dataflows to evaluate and the DSE entries (display name -> space) to
+#: re-search at every buffer size.
+SweepCase = Tuple[AttentionConfig, Scope, Sequence[Dataflow],
+                  Optional[Dict[str, SearchSpace]]]
+
+
 def buffer_sweep(
     cfg: AttentionConfig,
     scope: Scope,
@@ -61,35 +74,60 @@ def buffer_sweep(
     ``dse_spaces`` maps a display name (e.g. ``"Base-opt"``) to a
     :class:`SearchSpace`; for those entries the optimum is re-searched
     at every buffer size, exactly how Figure 8's ``*-opt`` curves are
-    produced.
+    produced.  One case of :func:`buffer_sweeps`.
+    """
+    (points,) = buffer_sweeps([(cfg, scope, dataflows, dse_spaces)], accel,
+                              buffer_sizes, options)
+    return points
+
+
+def buffer_sweeps(
+    cases: Sequence[SweepCase],
+    accel: Accelerator,
+    buffer_sizes: Optional[Sequence[int]] = None,
+    options: PerfOptions = PerfOptions(),
+) -> List[List[SweepPoint]]:
+    """:func:`buffer_sweep` of every case, one buffer size at a time.
+
+    At each size every case's fixed dataflows are evaluated, then every
+    case's DSE entries are searched together in one
+    :func:`~repro.core.engine.run_searches` call, so their small spaces
+    share grid calls.  Returns each case's points, size-major, fixed
+    dataflows before DSE entries at every size.
 
     Each re-search is seeded with the previous buffer size's winner for
-    the same curve — neighboring sweep points usually share their
-    optimum, so the seed lets branch-and-bound gate most families
+    the same case and curve — neighboring sweep points usually share
+    their optimum, so the seed lets branch-and-bound gate most families
     immediately.  The seed changes only the amount of work: the engine
     re-evaluates it under the current buffer size.
     """
     sizes = tuple(buffer_sizes) if buffer_sizes is not None else (
         default_buffer_sizes()
     )
-    incumbents: Dict[str, Incumbent] = {}
-    points: List[SweepPoint] = []
+    incumbents: Dict[Tuple[int, str], Incumbent] = {}
+    points: List[List[SweepPoint]] = [[] for _ in cases]
     for size in sizes:
         sized = accel.with_scratchpad_bytes(size)
-        for dataflow in dataflows:
-            # Memoized (LRU + persistent cache) fixed-point evaluation.
-            cost = evaluate_cost(cfg, scope, sized, dataflow, options=options)
-            points.append(_point(dataflow.name, size, cost))
-        for name, space in (dse_spaces or {}).items():
-            # Only the optimum matters here: let the engine prune and
-            # defer energy to the winner.
-            result = search(
-                cfg, sized, scope=scope, objective=Objective.RUNTIME,
-                space=space, options=options, retain_points=False,
-                warm_start=incumbents.get(name),
-            )
-            incumbents[name] = make_incumbent(result, scope, sized, options)
-            points.append(_point(name, size, result.best.cost))
+        curves = []
+        for c, (cfg, scope, dataflows, dse_spaces) in enumerate(cases):
+            for dataflow in dataflows:
+                # Memoized (LRU + persistent cache) fixed-point evaluation.
+                cost = evaluate_cost(cfg, scope, sized, dataflow,
+                                     options=options)
+                points[c].append(_point(dataflow.name, size, cost))
+            curves += [(c, name, cfg, scope, space)
+                       for name, space in (dse_spaces or {}).items()]
+        # Only the optimum matters here: let the engine prune and defer
+        # energy to the winner.
+        results = run_searches([
+            SearchRequest(cfg, sized, scope, Objective.RUNTIME, space,
+                          options, warm_start=incumbents.get((c, name)))
+            for c, name, cfg, scope, space in curves
+        ])
+        for (c, name, _, scope, _), result in zip(curves, results):
+            incumbents[c, name] = make_incumbent(result, scope, sized,
+                                                 options)
+            points[c].append(_point(name, size, result.best.cost))
     return points
 
 

@@ -10,7 +10,11 @@ module does the same for the FLAT model: :func:`evaluate_grid` takes an
 prebuilt feature columns of a search space's table
 (:class:`repro.core.candidates.SpaceTable`) — and computes cycles /
 DRAM bytes / footprint / objective scores for all of them in a handful
-of NumPy operations.  Both kinds of candidate run the same kernel.  The
+of NumPy operations.  Both kinds of candidate run the same kernel, and
+so does a third: :class:`GridLanes`, the rows of several searches'
+tables, one segment per search, each scored on its own workload, so
+one call answers many searches whose workloads differ
+(:func:`repro.core.engine.run_searches`).  The
 L-A pair is one pass over the candidates; the other operators of a
 BLOCK/MODEL scope (projections, FFN) are stacked into one
 (operator x candidate) pass, whose rows are summed in execution order,
@@ -33,8 +37,18 @@ order with the same operands in both paths, and each operand has the
 same type — a Python ``int`` in the scalar path is an int64 lane here,
 a ``float`` is a float64 lane.  Float operations then round alike
 (IEEE-754), int operations are exact in both, and an int meets a float
-through the same single correctly-rounded conversion.  Three places
-need care, because there the two paths could still part:
+through the same single correctly-rounded conversion.  The argument is
+per lane, so it spans workloads: the terms that depend only on the
+workload (cold volumes, MAC counts, SFU cycles and flops, the SG
+stream, the strict-axis efficiencies, the MODEL replication, each
+operator's shape and counts) are computed in Python once per distinct
+workload of a call, exactly as the scalar path computes them, and
+gathered to the lanes by workload index (:class:`_Workloads`).  A
+one-workload call keeps them as Python scalars, which broadcast; a
+merged call holds the same values in int64 / float64 lanes.  Tile
+lookup tables are keyed on the workload's shape as well, so every lane
+of a merged call equals its one-workload call bit for bit.  Three
+places need care, because there the two paths could still part:
 
 * **Integer traffic terms.**  An unstaged tensor's pass multiplier is
   an int in the scalar model, so ``cold * passes`` is an exact int,
@@ -57,7 +71,10 @@ need care, because there the two paths could still part:
 :class:`BatchFallback` is raised only at those two checks.  The paper
 registry stays below both: its largest operators (XLM at 512K tokens,
 fig12b) reach 2**56 MAC-bytes and ~2**49 staged footprint bytes.
-Workloads beyond them take the scalar path.
+Workloads beyond them take the scalar path.  The headroom check is
+per workload, so the engine scores a workload past it alone; the
+footprint check depends on the candidates, and the engine reruns a
+merged call that raises it one segment at a time.
 
 The scalar model still exists for two reasons: it produces the full
 :class:`~repro.core.perf.OperatorCost` breakdown (the batch path keeps
@@ -67,7 +84,7 @@ only what the objectives need), and it has no exactness ceiling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,6 +114,7 @@ from repro.ops.operator import GemmOperator, OperatorKind
 __all__ = [
     "BatchFallback",
     "GridEvaluation",
+    "GridLanes",
     "GridRows",
     "evaluate_grid",
     "best_index",
@@ -336,8 +354,9 @@ def _distinct(values: "np.ndarray") -> tuple:
     each lane's index among them (``inverse`` has ``values``' shape).
 
     A dict, not ``np.unique``: grids here have at most a few hundred
-    lanes, where the dict is faster below ~100 lanes and at most tens
-    of microseconds slower above, and it keeps the GIL
+    lanes (the engine caps a merged call at 256), where the dict is
+    faster below ~100 lanes and at most tens of microseconds slower
+    above, and it keeps the GIL
     (``np.unique``'s sort releases it, and a thread that hands the GIL
     over mid-call can wait out a whole switch interval to get it back —
     the serve daemon's executor threads share it with the event loop).
@@ -395,8 +414,9 @@ def _tile_luts(codes: "np.ndarray", build) -> List["np.ndarray"]:
     """Gather ``build(code)`` records out to the lanes of ``codes``.
 
     ``choose_l2_tile``/``reuse_passes`` are scalar (and lru-cached); a
-    grid has only a handful of distinct tile keys, so the tile search
-    runs once per distinct code and gathers back out to all lanes.
+    grid has only a handful of distinct tile keys per workload, so the
+    tile search runs once per distinct code and gathers back out to all
+    lanes.
     """
     keys, inverse = _distinct(codes)
     records = [build(code) for code in keys]
@@ -405,18 +425,101 @@ def _tile_luts(codes: "np.ndarray", build) -> List["np.ndarray"]:
 
 
 # ----------------------------------------------------------------------
+# the workloads of a call
+# ----------------------------------------------------------------------
+class _Workloads:
+    """The distinct workloads of a grid call, and each lane's one.
+
+    ``configs`` lists the distinct workloads in first-seen order;
+    ``lane`` maps each lane to its index there, or is ``None`` when the
+    call has a single workload.  Workload-level terms are computed in
+    Python once per workload, as the scalar path computes them, and
+    :meth:`gather` hands them to the lanes: a single workload's terms
+    stay Python scalars (they broadcast, so a one-workload call costs
+    what it always did), several workloads' become one array per term,
+    gathered by ``lane``.  Either way each lane meets the same value of
+    the same type — an ``int`` as an int64, a ``float`` as a float64.
+    """
+
+    def __init__(self, configs: List[AttentionConfig],
+                 lane: Optional["np.ndarray"]) -> None:
+        self.configs = configs
+        self.lane = lane
+
+    def gather(self, rows: Sequence[tuple], dtype) -> tuple:
+        """One tuple of terms per workload -> one value per term."""
+        if self.lane is None:
+            return rows[0]
+        return tuple(np.array(rows, dtype=dtype)[self.lane].T)
+
+    def gather_slots(self, rows: Sequence[Sequence[tuple]],
+                     dtype) -> "np.ndarray":
+        """Per-operator terms, ``rows[workload][slot][term]``, as
+        ``terms x operators x lanes`` (one lane column for a single
+        workload)."""
+        if self.lane is None:
+            return np.array(rows[0], dtype=dtype).T[:, :, None]
+        return np.array(rows, dtype=dtype)[self.lane].transpose(2, 1, 0)
+
+
+# ----------------------------------------------------------------------
 # the L-A pair, vectorized (mirrors perf.cost_la_pair line by line)
 # ----------------------------------------------------------------------
+def _la_terms(cfg: AttentionConfig, accel: Accelerator,
+              rigid: bool) -> Tuple[tuple, tuple]:
+    """One workload's candidate-independent L-A terms, ``(ints,
+    floats)``, computed in Python as ``cost_la_pair`` computes them.
+
+    The floats include the int / int divisions (the SG stream, the
+    strict-axis efficiencies of a rigid array) and the SFU terms, which
+    an int64 lane would round differently or cannot run at all.
+    """
+    rows_pe, cols_pe = accel.pe_array.rows, accel.pe_array.cols
+    b, h = cfg.batch, cfg.heads
+    nq, nkv, dk = cfg.seq_q, cfg.seq_kv, cfg.d_head
+    # Q and the output share one cold volume, as do K and V; A has L's
+    # MAC count.
+    q_cold = b * h * nq * dk
+    k_cold = b * h * nkv * dk
+    int_cold = b * h * nq * nkv
+    macs_l = b * h * nq * nkv * dk
+    macs = macs_l + macs_l
+    sfu = accel.sfu
+    floats = (
+        sfu.softmax_cycles(int_cold),
+        sfu.flashd_cycles(int_cold, q_cold),
+        sg_stream_words(macs_l, accel),
+        sg_stream_words(macs_l, accel) + q_cold,
+        float(macs),
+        2.0 * macs + q_cold,
+        float(sfu.flashd_flops(int_cold, q_cold)),
+        float(sfu.softmax_flops(int_cold)),
+    )
+    if rigid:
+        floats += (
+            _strict_axis_eff(nkv, cols_pe),
+            _strict_axis_eff(dk, cols_pe),
+            _strict_axis_eff(dk, rows_pe) * _strict_axis_eff(nkv, cols_pe),
+            _strict_axis_eff(nkv, rows_pe) * _strict_axis_eff(dk, cols_pe),
+        )
+    return (b, h, nq, nkv, dk, q_cold, k_cold, int_cold, macs_l), floats
+
+
 def _evaluate_la_pair(
-    cfg: AttentionConfig,
+    w: _Workloads,
     accel: Accelerator,
     options: PerfOptions,
     f: _GridFeatures,
 ) -> _OpArrays:
-    b, h = cfg.batch, cfg.heads
-    nq, nkv, dk = cfg.seq_q, cfg.seq_kv, cfg.d_head
     e = accel.bytes_per_element
     rows_pe, cols_pe = accel.pe_array.rows, accel.pe_array.cols
+    rigid = not options.flexible_mapping
+    terms = [_la_terms(cfg, accel, rigid) for cfg in w.configs]
+    b, h, nq, nkv, dk, q_cold, k_cold, int_cold, macs_l = w.gather(
+        [t[0] for t in terms], np.int64)
+    floats = w.gather([t[1] for t in terms], float)
+    (softmax_cycles, flashd, sg_base_l, sg_base_a, macs, sl_words,
+     flashd_flops, softmax_flops) = floats[:8]
 
     staged = f.has_l3
     fp_lhs, fp_rhs, fp_rhs2, fp_out, fp_int = fused_la_elements(
@@ -437,31 +540,35 @@ def _evaluate_la_pair(
 
     l2_values, slot = _l2_budget_slots(budget, accel, options)
 
+    # One tile record per (rows, (seq_kv, d_head), L2 budget slot).
+    shapes: dict = {}
+    shape_of = [shapes.setdefault((cfg.seq_kv, cfg.d_head), len(shapes))
+                for cfg in w.configs]
+    shape_list = list(shapes)
+    n_shapes = len(shape_list)
+
     def build(code):
-        r_i, l2_i = code >> 1, l2_values[code & 1]
-        tile_l = choose_l2_tile(r_i, dk, nkv, l2_i, rows_pe, cols_pe)
-        tile_a = choose_l2_tile(r_i, nkv, dk, l2_i, rows_pe, cols_pe)
-        passes_l = reuse_passes(r_i, dk, nkv, tile_l)
-        passes_a = reuse_passes(r_i, nkv, dk, tile_a)
+        rest, l2_i = code >> 1, l2_values[code & 1]
+        r_i, (nkv_i, dk_i) = rest // n_shapes, shape_list[rest % n_shapes]
+        tile_l = choose_l2_tile(r_i, dk_i, nkv_i, l2_i, rows_pe, cols_pe)
+        tile_a = choose_l2_tile(r_i, nkv_i, dk_i, l2_i, rows_pe, cols_pe)
+        passes_l = reuse_passes(r_i, dk_i, nkv_i, tile_l)
+        passes_a = reuse_passes(r_i, nkv_i, dk_i, tile_a)
         return (
             passes_l.lhs_passes,
             passes_l.rhs_passes,
             passes_a.rhs_passes,
-            ceil_div(nkv, tile_a.tk),
+            ceil_div(nkv_i, tile_a.tk),
             float(
                 (tile_l.footprint_elements() + tile_a.footprint_elements())
                 * e
             ),
         )
 
-    l_lhs, l_rhs, a_rhs, ko_a, warmup_cap = _tile_luts(f.r * 2 + slot,
+    key = f.r if n_shapes == 1 else (
+        f.r * n_shapes + np.asarray(shape_of, dtype=np.int64)[w.lane])
+    l_lhs, l_rhs, a_rhs, ko_a, warmup_cap = _tile_luts(key * 2 + slot,
                                                        build)
-
-    q_cold = b * h * nq * dk
-    k_cold = b * h * nkv * dk
-    v_cold = b * h * nkv * dk
-    out_cold = b * h * nq * dk
-    int_cold = b * h * nq * nkv
 
     fit_int, fit_k, fit_v, fit_q, fit_out = _allocate_staging(
         [
@@ -487,9 +594,7 @@ def _evaluate_la_pair(
     )
     int_offchip = np.where(staged & f.s_int, 1.0 - fit_int, 1.0)
 
-    macs_l = b * h * nq * nkv * dk
-    macs_a = b * h * nq * nkv * dk
-    if options.flexible_mapping:
+    if not rigid:
         # Both stages fold the same iteration space (r*dk*nkv per
         # instance), so they share one quantization efficiency.
         space = f.r * dk * nkv * (f.b_t * f.h_t)
@@ -497,43 +602,31 @@ def _evaluate_la_pair(
         eff_l = _per_value(space, lambda v: v / (pes * ceil_div(v, pes)))
         eff_a = eff_l
     else:
+        nkv_cols, dk_cols, weight_l, weight_a = floats[8:]
         eff_r_rows = _per_value(f.r, lambda v: _strict_axis_eff(v, rows_pe))
         eff_l = np.where(
             f.stat_idx == 0,
-            eff_r_rows * _strict_axis_eff(nkv, cols_pe),
-            np.where(
-                f.stat_idx == 1,
-                _strict_axis_eff(dk, rows_pe)
-                * _strict_axis_eff(nkv, cols_pe),
-                eff_r_rows * _strict_axis_eff(dk, cols_pe),
-            ),
+            eff_r_rows * nkv_cols,
+            np.where(f.stat_idx == 1, weight_l, eff_r_rows * dk_cols),
         )
         eff_a = np.where(
             f.stat_idx == 0,
-            eff_r_rows * _strict_axis_eff(dk, cols_pe),
-            np.where(
-                f.stat_idx == 1,
-                _strict_axis_eff(nkv, rows_pe)
-                * _strict_axis_eff(dk, cols_pe),
-                eff_r_rows * _strict_axis_eff(nkv, cols_pe),
-            ),
+            eff_r_rows * dk_cols,
+            np.where(f.stat_idx == 1, weight_a, eff_r_rows * nkv_cols),
         )
     compute_l = _compute_cycles_from_eff(macs_l, eff_l, n_pass_f, accel,
                                          options)
-    compute_a = _compute_cycles_from_eff(macs_a, eff_a, n_pass_f, accel,
+    compute_a = _compute_cycles_from_eff(macs_l, eff_a, n_pass_f, accel,
                                          options)
-    softmax_cycles = accel.sfu.softmax_cycles(int_cold)
 
     dram_l_inputs = _traffic_sum(
         q_on, q_cold * q_mult, q_cold * l_lhs,
         k_on, k_cold * k_mult, k_cold * k_l2,
     )
     dram_a_inputs = (
-        np.where(v_on, v_cold * v_mult, v_cold * v_l2)
-        + out_cold * out_mult
+        np.where(v_on, k_cold * v_mult, k_cold * v_l2)
+        + q_cold * out_mult
     )
-    sg_base_l = sg_stream_words(macs_l, accel)
-    sg_base_a = sg_stream_words(macs_a, accel) + out_cold
 
     # Fused: one interleaved phase plus the softmax spill phase.  The
     # spill phase contributes exactly zero time/traffic when nothing
@@ -542,7 +635,6 @@ def _evaluate_la_pair(
     # each np.where branch computed by the exact scalar-path operations
     # (FLASH-D swaps in flashd_cycles; FuseMax takes max instead of
     # sum), so bit-equality with cost_la_pair is preserved per lane.
-    flashd = accel.sfu.flashd_cycles(int_cold, out_cold)
     sm_fused = np.where(f.v_flash, flashd, softmax_cycles)
     int_spill = int_cold * int_offchip
     fused_dram_main = dram_l_inputs + dram_a_inputs + 2.0 * int_spill
@@ -574,54 +666,80 @@ def _evaluate_la_pair(
     dram_bytes = dram_words * e
     warmup = _warmup_cycles(dram_bytes, n_pass_f, warmup_cap, f.fused,
                             accel, options)
-    macs = macs_l + macs_a
-    # FLASH-D does less SFU arithmetic; the energy accounting mirrors
-    # the scalar path's per-variant flop count (floats either way).
-    sfu_ops = np.where(
-        f.v_flash,
-        float(accel.sfu.flashd_flops(int_cold, out_cold)),
-        float(accel.sfu.softmax_flops(int_cold)),
-    )
     return _OpArrays(
         total_cycles=steady + warmup,
         dram_bytes=dram_bytes,
         dram_words=dram_words,
         sg_words=sg_words,
         footprint_bytes=fp_bytes,
-        macs=float(macs),
-        sl_words=2.0 * macs + out_cold,
-        sfu_ops=sfu_ops,
+        macs=macs,
+        sl_words=sl_words,
+        # FLASH-D does less SFU arithmetic; the energy accounting
+        # mirrors the scalar path's per-variant flop count.
+        sfu_ops=np.where(f.v_flash, flashd_flops, softmax_flops),
     )
 
 
 # ----------------------------------------------------------------------
 # non-L-A operators, stacked and vectorized (mirrors perf.cost_operator)
 # ----------------------------------------------------------------------
-def _column(values, dtype=np.int64) -> "np.ndarray":
-    """One value per stacked operator, as an ``operators x 1`` column."""
-    return np.asarray(values, dtype=dtype)[:, None]
+def _operator_terms(ops: Sequence[GemmOperator], accel: Accelerator,
+                    rigid: bool) -> Tuple[list, list, Optional[list]]:
+    """One workload's per-operator terms, ``(ints, floats, effs)``:
+    one tuple per operator, computed in Python as ``cost_operator``
+    computes them (``effs`` is the rigid array's strict-axis efficiency
+    per stationarity, ``None`` for a flexible one)."""
+    rows_pe, cols_pe = accel.pe_array.rows, accel.pe_array.cols
+    ints = [(op.m, op.k, op.n, op.rhs.role.is_weight, op.instances,
+             op.lhs.num_elements, op.rhs.num_elements) for op in ops]
+    floats = [(float(op.out.num_elements), float(op.macs),
+               sg_stream_words(op.macs, accel) + op.out.num_elements,
+               2.0 * op.macs + op.out.num_elements) for op in ops]
+    effs = [
+        (
+            _strict_axis_eff(op.m, rows_pe) * _strict_axis_eff(op.n, cols_pe),
+            _strict_axis_eff(op.k, rows_pe) * _strict_axis_eff(op.n, cols_pe),
+            _strict_axis_eff(op.m, rows_pe) * _strict_axis_eff(op.k, cols_pe),
+        )
+        for op in ops
+    ] if rigid else None
+    return ints, floats, effs
 
 
 def _evaluate_operators(
-    ops: Sequence[GemmOperator],
+    w: _Workloads,
+    ops: Sequence[Sequence[GemmOperator]],
     accel: Accelerator,
     options: PerfOptions,
     f: _GridFeatures,
 ) -> _OpArrays:
     """Every non-L-A operator of a scope over every candidate at once.
 
-    Rows are operators and columns candidates.  Per-operator integers
-    enter as int64 columns, and per-operator values the scalar path
-    computes in Python (``sg_stream_words``, the count constants, the
-    mapping efficiencies) are computed in Python here too, so each
-    lane performs the scalar path's operations on its operand types.
+    Rows are operator slots and columns candidates; ``ops[i]`` is the
+    slot list of workload ``i`` of ``w``.  Per-operator integers enter
+    as int64 rows, and per-operator values the scalar path computes in
+    Python (``sg_stream_words``, the count constants, the mapping
+    efficiencies) are computed in Python here too, so each lane
+    performs the scalar path's operations on its operand types.
     """
     e = accel.bytes_per_element
     rows_pe, cols_pe = accel.pe_array.rows, accel.pe_array.cols
-    m = _column([op.m for op in ops])
-    k = _column([op.k for op in ops])
-    n = _column([op.n for op in ops])
-    is_weight = _column([op.rhs.role.is_weight for op in ops], bool)
+    rigid = not options.flexible_mapping
+    terms = [_operator_terms(slots, accel, rigid) for slots in ops]
+
+    # One tile key per (GEMM shape, budget slot): the Q/K/V/O
+    # projections of a block share theirs, and so do workloads that
+    # share a shape.
+    shapes: dict = {}
+    ints = [
+        [row + (shapes.setdefault(row[:3], len(shapes)),) for row in t[0]]
+        for t in terms
+    ]
+    m, k, n, is_weight, instances, lhs_n, rhs_n, shape_index = (
+        w.gather_slots(ints, np.int64))
+    out_n, op_macs, sg_words, op_sl = w.gather_slots(
+        [t[1] for t in terms], float)
+    shape_list = list(shapes)
 
     # The footprint is zero without an L3 tile or with staging fully
     # disabled (operator_l3_footprint's early return); blending below
@@ -638,17 +756,10 @@ def _evaluate_operators(
     _check_footprint(fp_bytes)
     budget = partition_scratchpad(fp_bytes, f.o_any, accel, options)
 
-    inst_passes = ceil_div(_column([op.instances for op in ops]), f.o_b_t)
+    inst_passes = ceil_div(instances, f.o_b_t)
     n_pass_f = inst_passes.astype(float)
 
     l2_values, slot = _l2_budget_slots(budget, accel, options)
-
-    # One tile key per (GEMM shape, budget slot): the Q/K/V/O
-    # projections of a block share theirs.
-    shapes: dict = {}
-    shape_index = _column([shapes.setdefault((op.m, op.k, op.n), len(shapes))
-                           for op in ops])
-    shape_list = list(shapes)
 
     def build(code):
         (m_i, k_i, n_i), l2_i = shape_list[code >> 1], l2_values[code & 1]
@@ -662,8 +773,8 @@ def _evaluate_operators(
             float(tile.footprint_elements() * e),
         )
 
-    codes = shape_index * 2 + slot
-    lhs_p, rhs_p, out_p, ko, warmup_cap = _tile_luts(codes, build)
+    lhs_p, rhs_p, out_p, ko, warmup_cap = _tile_luts(
+        shape_index * 2 + slot, build)
     out_l2 = _psum_passes_from_ko(ko, f.is_output)
 
     fit = budget.fit_fraction
@@ -676,49 +787,39 @@ def _evaluate_operators(
         f.o_out, fit, np.maximum(out_p, out_l2).astype(float), extra
     )
 
-    lhs_n = _column([op.lhs.num_elements for op in ops])
-    rhs_n = _column([op.rhs.num_elements for op in ops])
-    out_n = _column([op.out.num_elements for op in ops], float)
     dram_words = _traffic_sum(
         f.o_lhs, lhs_n * lhs_mult, lhs_n * lhs_p,
         f.o_rhs, rhs_n * rhs_mult, rhs_n * rhs_l2,
     ) + out_n * out_mult
-    if options.flexible_mapping:
+    if not rigid:
         pes = accel.pe_array.num_pes
         eff = _per_value(m * k * n * f.o_b_t,
                          lambda v: v / (pes * ceil_div(v, pes)))
+    elif w.lane is None:
+        eff = np.asarray(terms[0][2])[:, f.stat_idx]
     else:
-        eff = np.asarray([
-            (
-                _strict_axis_eff(op.m, rows_pe)
-                * _strict_axis_eff(op.n, cols_pe),
-                _strict_axis_eff(op.k, rows_pe)
-                * _strict_axis_eff(op.n, cols_pe),
-                _strict_axis_eff(op.m, rows_pe)
-                * _strict_axis_eff(op.k, cols_pe),
-            )
-            for op in ops
-        ])[:, f.stat_idx]
-    compute = _compute_cycles_from_eff(
-        _column([float(op.macs) for op in ops], float), eff, n_pass_f,
-        accel, options,
-    )
-    sg_words = _column(
-        [sg_stream_words(op.macs, accel) + op.out.num_elements
-         for op in ops], float,
-    )
+        table = np.asarray([t[2] for t in terms])
+        eff = table[w.lane, np.arange(table.shape[1])[:, None], f.stat_idx]
+    compute = _compute_cycles_from_eff(op_macs, eff, n_pass_f, accel,
+                                       options)
     steady = _phase_time(compute, dram_words, sg_words, accel)
     dram_bytes = dram_words * e
     warmup = _warmup_cycles(dram_bytes, n_pass_f, warmup_cap, False,
                             accel, options)
+    if w.lane is None:
+        # Python floats, summed per operator as ScopeCost sums them.
+        macs = [row[1] for row in terms[0][1]]
+        sl_words = [row[3] for row in terms[0][1]]
+    else:
+        macs, sl_words = op_macs, op_sl
     return _OpArrays(
         total_cycles=steady + warmup,
         dram_bytes=dram_bytes,
         dram_words=dram_words,
         sg_words=sg_words,
         footprint_bytes=fp_bytes,
-        macs=[float(op.macs) for op in ops],
-        sl_words=[2.0 * op.macs + op.out.num_elements for op in ops],
+        macs=macs,
+        sl_words=sl_words,
         sfu_ops=0.0,
     )
 
@@ -726,46 +827,44 @@ def _evaluate_operators(
 # ----------------------------------------------------------------------
 # whole-scope grid evaluation
 # ----------------------------------------------------------------------
-def evaluate_grid(
-    cfg: AttentionConfig,
-    scope: Scope,
-    accel: Accelerator,
-    dataflows: "Sequence[Dataflow] | GridRows",
-    options: PerfOptions = PerfOptions(),
-) -> GridEvaluation:
-    """Cost every candidate dataflow of a scope in one vectorized pass.
+@dataclass(frozen=True)
+class GridLanes:
+    """The candidates of several searches, segment after segment.
 
-    Mirrors ``cost_scope(cfg, scope, accel, df, options=options)`` for
-    each ``df`` (with the default *other* dataflow derivation), summing
-    operator costs in the same order with the same association, so the
-    results equal the scalar path's bit for bit.  The candidates are
-    either ``Dataflow`` objects or :class:`GridRows` of a search
-    space's column table; both become the same :class:`_GridFeatures`
-    and run the same kernel.
-
-    Raises :class:`BatchFallback` when a workload is large enough that
-    the array path could round, or overflow, where Python's integers
-    stay exact (see the module docstring).
+    Each segment is :class:`GridRows` of one search's table; segment
+    ``s`` is scored on the workload ``cfg[s]`` passed to
+    :func:`evaluate_grid` alongside.  ``len`` is the total lane count.
     """
-    if not isinstance(dataflows, GridRows):
-        dataflows = list(dataflows)
-    n = len(dataflows)
-    if not n:
-        raise ValueError("evaluate_grid needs at least one candidate")
-    registry = _metrics_active()
-    if registry is not None:
-        registry.counter("batch.grids").inc()
-        registry.histogram("batch.grid_points").observe(n)
 
-    ops = operators_for_scope(cfg, scope)
-    # The scope's cost rows in execution order: ``None`` is the L-A
-    # pair, an int is a row of the stacked non-L-A operators.
+    segments: Tuple[GridRows, ...]
+
+    def __len__(self) -> int:
+        return sum(len(s) for s in self.segments)
+
+    def take(self) -> _GridFeatures:
+        parts = [s.take() for s in self.segments]
+        if len(parts) == 1:
+            return parts[0]
+        return _GridFeatures.from_columns(
+            np.concatenate([p.ints for p in parts], axis=1),
+            np.concatenate([p.flags for p in parts], axis=1),
+        )
+
+
+def _scope_plan(ops: Sequence[GemmOperator],
+                e: int) -> Tuple[Tuple[Optional[int], ...],
+                                 List[GemmOperator]]:
+    """A scope's cost rows in execution order, and its non-L-A operators.
+
+    ``None`` is the L-A pair, an int is a row of the stacked non-L-A
+    operators.  Raises :class:`BatchFallback` past the int64 headroom.
+    """
     plan: List[Optional[int]] = []
     others: List[GemmOperator] = []
     i = 0
     while i < len(ops):
         op = ops[i]
-        if op.macs * accel.bytes_per_element >= _MAX_INT64_MAC_BYTES:
+        if op.macs * e >= _MAX_INT64_MAC_BYTES:
             raise BatchFallback("operator exceeds the int64 headroom")
         if (
             op.kind is OperatorKind.LOGIT
@@ -781,12 +880,78 @@ def evaluate_grid(
         plan.append(len(others))
         others.append(op)
         i += 1
+    return tuple(plan), others
 
-    f = (dataflows.take() if isinstance(dataflows, GridRows)
-         else _GridFeatures(cfg, dataflows))
-    la = _evaluate_la_pair(cfg, accel, options, f) if None in plan else None
+
+def evaluate_grid(
+    cfg: "AttentionConfig | Sequence[AttentionConfig]",
+    scope: Scope,
+    accel: Accelerator,
+    dataflows: "Sequence[Dataflow] | GridRows | GridLanes",
+    options: PerfOptions = PerfOptions(),
+) -> GridEvaluation:
+    """Cost every candidate dataflow of a scope in one vectorized pass.
+
+    Mirrors ``cost_scope(cfg, scope, accel, df, options=options)`` for
+    each ``df`` (with the default *other* dataflow derivation), summing
+    operator costs in the same order with the same association, so the
+    results equal the scalar path's bit for bit.  The candidates are
+    either ``Dataflow`` objects or :class:`GridRows` of a search
+    space's column table; both become the same :class:`_GridFeatures`
+    and run the same kernel.  For :class:`GridLanes` — the rows of
+    several searches — ``cfg`` is a sequence with one workload per
+    segment, and each lane is scored on its segment's workload, equal
+    to a one-segment call on that workload.  The workloads must share
+    their operator plan (every scope lists the same operator kinds for
+    every model).
+
+    Raises :class:`BatchFallback` when a workload is large enough that
+    the array path could round, or overflow, where Python's integers
+    stay exact (see the module docstring).
+    """
+    lane = None
+    if isinstance(dataflows, GridLanes):
+        seg_configs = tuple(cfg)
+        if len(seg_configs) != len(dataflows.segments):
+            raise ValueError("GridLanes needs one workload per segment")
+        index: dict = {}
+        seg_workload = [index.setdefault(c, len(index))
+                        for c in seg_configs]
+        configs = list(index)
+        if len(configs) > 1:
+            lane = np.repeat(np.asarray(seg_workload, dtype=np.intp),
+                             [len(s) for s in dataflows.segments])
+        segments = len(seg_configs)
+    else:
+        if not isinstance(dataflows, GridRows):
+            dataflows = list(dataflows)
+        configs = [cfg]
+        segments = 1
+    n = len(dataflows)
+    if not n:
+        raise ValueError("evaluate_grid needs at least one candidate")
+    registry = _metrics_active()
+    if registry is not None:
+        registry.counter("batch.grids").inc()
+        registry.histogram("batch.grid_points").observe(n)
+        registry.histogram("batch.grid_segments").observe(segments)
+
+    e = accel.bytes_per_element
+    plans = [_scope_plan(operators_for_scope(c, scope), e) for c in configs]
+    plan = plans[0][0]
+    if any(p != plan for p, _ in plans):
+        raise ValueError("grid workloads must share one operator plan")
+    w = _Workloads(configs, lane)
+
+    if isinstance(dataflows, (GridRows, GridLanes)):
+        f = dataflows.take()
+    else:
+        f = _GridFeatures(cfg, dataflows)
+    la = _evaluate_la_pair(w, accel, options, f) if None in plan else None
     stacked = (
-        _evaluate_operators(others, accel, options, f) if others else None
+        _evaluate_operators(w, [others for _, others in plans], accel,
+                            options, f)
+        if plans[0][1] else None
     )
     total_cycles = dram_bytes = dram_words = sg_words = None
     macs = 0.0
@@ -820,7 +985,10 @@ def evaluate_grid(
         sl_words = sl_words + row_sl
         sfu_ops = sfu_ops + row_sfu
 
-    replication = cfg.num_blocks if scope is Scope.MODEL else 1
+    replication = 1
+    if scope is Scope.MODEL:
+        (replication,) = w.gather([(c.num_blocks,) for c in configs],
+                                  np.int64)
     if isinstance(sfu_ops, np.ndarray):
         sfu_col = sfu_ops * replication
     else:

@@ -23,7 +23,7 @@ Accelerators
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.arch.accelerator import Accelerator
 from repro.core.dataflow import Granularity
@@ -34,6 +34,7 @@ from repro.core.dse import (
     SearchSpace,
     search,
 )
+from repro.core.engine import SearchRequest, run_searches
 from repro.core.perf import PerfOptions
 from repro.energy.tables import EnergyTable
 from repro.ops.attention import AttentionConfig, Scope
@@ -55,7 +56,9 @@ class AcceleratorPolicy:
     """An accelerator category of Figure 7(c): HW flexibility + DSE scope.
 
     ``evaluate`` runs the policy's DSE (or fixed dataflow) for one
-    workload on one platform and returns the chosen design point.
+    workload on one platform and returns the chosen design point;
+    ``evaluate_many`` does the same for many (policy, workload,
+    platform) jobs at once.
     """
 
     name: str
@@ -74,6 +77,28 @@ class AcceleratorPolicy:
         return self.search(
             cfg, accel, scope, objective, energy_table, retain_points=False,
         ).best
+
+    @staticmethod
+    def evaluate_many(
+        jobs: Iterable[Tuple["AcceleratorPolicy", AttentionConfig,
+                             Accelerator]],
+        scope: Scope = Scope.LA,
+        objective: Objective = Objective.RUNTIME,
+        energy_table: Optional[EnergyTable] = None,
+    ) -> List[DesignPoint]:
+        """:meth:`evaluate` of every ``(policy, cfg, accel)`` job, in order.
+
+        One :func:`~repro.core.engine.run_searches` call answers them
+        all, so the small spaces of jobs sharing a platform and model
+        options are scored together; each point equals the job's own
+        :meth:`evaluate`.
+        """
+        results = run_searches([
+            SearchRequest(cfg, accel, scope, objective, policy.space,
+                          policy.options, energy_table)
+            for policy, cfg, accel in jobs
+        ])
+        return [result.best for result in results]
 
     def search(
         self,

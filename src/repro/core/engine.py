@@ -1,10 +1,12 @@
 """Search engine for the dataflow DSE: generated, pruned, memoized.
 
 :func:`repro.core.dse.search` delegates the actual work to
-:func:`run_search` here.  The paper's exhaustive sweep (section 5.3.3)
-is repeated across five models, sequence lengths 512 to 256K, two
-platforms and several accelerator variants; a search takes one of two
-paths, chosen by what the caller asks for:
+:func:`run_search` here, and :func:`run_searches` answers a whole list
+of searches (a :class:`SearchRequest` each) at once.  The paper's
+exhaustive sweep (section 5.3.3) is repeated across five models,
+sequence lengths 512 to 256K, two platforms and several accelerator
+variants; a search takes one of two paths, chosen by what the caller
+asks for:
 
 * **Best only** (``retain_points=False``): the space is one
   :class:`~repro.core.candidates.SpaceTable` — its *families*
@@ -40,6 +42,18 @@ paths, chosen by what the caller asks for:
   scatter): the space is enumerated and every dataflow is scored by
   the memoized scalar model.
 
+**Many searches, one call.**  :func:`run_searches` checks every
+request's memo first, in list order, then scores the small missed
+spaces (and ``FOOTPRINT`` misses) of all requests sharing a scope,
+model options and accelerator in one
+:func:`~repro.core.batch.evaluate_grid` call per group — whatever
+their workloads, up to ``_MERGE_LANE_LIMIT`` lanes per call — and
+finishes each request in list order; larger spaces keep the
+one-search branch-and-bound with their warm seed.  Each result, its
+stats and the cache traffic equal those of a loop of
+:func:`run_search` calls over the list; :func:`run_search` is a
+one-request list.
+
 Both paths return the winner of a plain exhaustive loop: bounds are
 admissible, skipping is strict (``bound > incumbent``), and selection
 minimizes ``(value, global enumeration index)`` — the exhaustive
@@ -59,7 +73,7 @@ first-in-order tie-break.  Three more optimizations sit under both:
   is derived per caller (it depends on the energy table).
 * **Cross-run persistence.**  When a cache directory is configured
   (``--cache-dir`` / ``REPRO_CACHE_DIR``; see :mod:`repro.core.cache`),
-  :func:`run_search`, :func:`evaluate_cost` and
+  every search, :func:`evaluate_cost` and
   :func:`repro.core.scaleout.search_scaleout` look their answer up on
   disk after an LRU miss and write a fresh answer back — one entry per
   call (:func:`_memoized`).  A re-run of any sweep, in any process,
@@ -91,6 +105,7 @@ from repro.core.batch import (
     _MAX_INT64_MAC_BYTES,
     BatchFallback,
     GridEvaluation,
+    GridLanes,
     GridRows,
     _l2_budget_slots,
     _per_value,
@@ -139,8 +154,10 @@ from repro.ops.intensity import roofline_cycles
 from repro.ops.operator import GemmOperator, OperatorKind
 
 __all__ = [
+    "SearchRequest",
     "SearchStats",
     "run_search",
+    "run_searches",
     "accelerator_fingerprint",
     "bound_table",
     "bound_flags",
@@ -453,16 +470,10 @@ class _Evaluator:
         return cost, "model"
 
 
-def _memoized(key: tuple, compute: Callable[[], Any],
-              store: Optional[PersistentCache]) -> Tuple[Any, str]:
-    """The one LRU -> disk -> ``compute()`` lookup of a re-asked answer.
-
-    :func:`run_search`, :func:`evaluate_cost` and
-    :func:`repro.core.scaleout.search_scaleout` answer through here, so
-    each call makes at most one disk lookup and one disk write.
-    Returns the value and its source: ``"lru"``, ``"disk"`` or
-    ``"model"`` (computed).
-    """
+def _lookup(key: tuple,
+            store: Optional[PersistentCache]) -> Tuple[Any, Optional[str]]:
+    """The LRU, then the disk: ``(value, "lru" | "disk")``, or
+    ``(None, None)`` when neither holds ``key``."""
     value = _CACHE.get(key)
     if value is not None:
         return value, "lru"
@@ -471,10 +482,32 @@ def _memoized(key: tuple, compute: Callable[[], Any],
         if value is not None:
             _CACHE.put(key, value)
             return value, "disk"
-    value = compute()
+    return None, None
+
+
+def _remember(key: tuple, value: Any,
+              store: Optional[PersistentCache]) -> None:
+    """Keep a computed answer in the LRU and on disk."""
     _CACHE.put(key, value)
     if store is not None:
         store.put(key, value)
+
+
+def _memoized(key: tuple, compute: Callable[[], Any],
+              store: Optional[PersistentCache]) -> Tuple[Any, str]:
+    """The one LRU -> disk -> ``compute()`` lookup of a re-asked answer.
+
+    :func:`run_searches`, :func:`evaluate_cost` and
+    :func:`repro.core.scaleout.search_scaleout` answer through
+    :func:`_lookup` and :func:`_remember`, so each answer costs at most
+    one disk lookup and one disk write.  Returns the value and its
+    source: ``"lru"``, ``"disk"`` or ``"model"`` (computed).
+    """
+    value, source = _lookup(key, store)
+    if value is not None:
+        return value, source
+    value = compute()
+    _remember(key, value, store)
     return value, "model"
 
 
@@ -1030,59 +1063,6 @@ def _locate_warm_start(
     return index
 
 
-def _candidate_search(
-    ev: _Evaluator,
-    objective: Objective,
-    space: SearchSpace,
-    energy_table: Optional[EnergyTable],
-    start: float,
-    warm: Optional[Incumbent],
-    store: Optional[PersistentCache],
-) -> DSEResult:
-    """Best-only path: the memoized answer, or a search of the space.
-
-    A miss takes the space's table (:func:`_space_table`, memoized).
-    A space of at most ``_MERGE_BATCH_LIMIT`` candidates, and a
-    ``FOOTPRINT`` search of any size (it has no bounds), gets no plan
-    and no warm seed, so :func:`_branch_and_bound` scores the whole
-    table in one call; a larger one is planned with bounds by
-    :func:`~repro.core.candidates.plan_candidates`.  The answer is the
-    winner's ``Dataflow``, its ``ScopeCost`` and the size of the space
-    it was chosen from, keyed on the space rather than the expanded
-    grid.  An LRU or disk hit neither builds a table nor plans, and its
-    stats book the recorded space size as hits.
-    """
-    cfg, scope, options = ev.cfg, ev.scope, ev.options
-    searched: List[SearchStats] = []
-
-    def _compute() -> Tuple[Dataflow, ScopeCost, int]:
-        table = _space_table(cfg, space)
-        if table.total == 0:
-            raise ValueError("search space is empty")
-        plan: Optional[CandidatePlan] = None
-        seed = None
-        if (table.total > _MERGE_BATCH_LIMIT
-                and objective is not Objective.FOOTPRINT):
-            with _span("candidate-plan", families=len(table.families)):
-                plan = plan_candidates(objective, cfg, scope, ev.accel,
-                                       space, options=options,
-                                       energy_table=energy_table)
-            seed = warm
-        dataflow, cost, stats = _branch_and_bound(
-            ev, table, plan, objective, energy_table, start, seed)
-        searched.append(stats)
-        return dataflow, cost, table.total
-
-    key = ("search", cfg, ev.accel_fp, options, scope, objective,
-           energy_table, space)
-    (dataflow, cost, total), source = _memoized(key, _compute, store)
-    stats = searched[0] if searched else _answered(total, source, start)
-    _accumulate(stats)
-    best = DesignPoint(dataflow=dataflow, cost=cost,
-                       energy=energy_report(cost.counts, energy_table))
-    return DSEResult(best=best, points=(), objective=objective, stats=stats)
-
-
 def _objective_value(objective: Objective, cost: ScopeCost,
                      energy_table: Optional[EnergyTable]) -> float:
     """``objective.score`` of one scalar cost, energy derived on demand."""
@@ -1107,21 +1087,32 @@ def _scored(
     rows, whose values equal the scalar model's bit for bit; the second
     item is then ``None``.  When the call raises
     :class:`~repro.core.batch.BatchFallback` (only past the array
-    path's edge), each member's ``Dataflow`` is built and resolved by
-    the memoized scalar model instead, and the second item lists each
-    ``(ScopeCost, source)`` in order.
+    path's edge), the members are scored by :func:`_scalar_scored`.
     """
     try:
         grid = evaluate_grid(ev.cfg, ev.scope, ev.accel,
                              GridRows(table.features, index),
                              options=ev.options)
     except BatchFallback:
-        members = range(table.total) if index is None else index.tolist()
-        resolved = [ev.resolve(table.dataflow(i)) for i in members]
-        values = [_objective_value(objective, cost, energy_table)
-                  for cost, _ in resolved]
-        return np.asarray(values, dtype=float), resolved
+        return _scalar_scored(ev, objective, energy_table, table, index)
     return grid.objective_scores(objective, energy_table), None
+
+
+def _scalar_scored(
+    ev: _Evaluator,
+    objective: Objective,
+    energy_table: Optional[EnergyTable],
+    table: SpaceTable,
+    index: Optional[np.ndarray],
+) -> Tuple[np.ndarray, List[Tuple[ScopeCost, str]]]:
+    """:func:`_scored` by the memoized scalar model: each member's
+    ``Dataflow`` is built and resolved, and the second item lists each
+    ``(ScopeCost, source)`` in order."""
+    members = range(table.total) if index is None else index.tolist()
+    resolved = [ev.resolve(table.dataflow(i)) for i in members]
+    values = [_objective_value(objective, cost, energy_table)
+              for cost, _ in resolved]
+    return np.asarray(values, dtype=float), resolved
 
 
 def _answered(n: int, source: str, start: float) -> SearchStats:
@@ -1151,6 +1142,7 @@ def _branch_and_bound(
     energy_table: Optional[EnergyTable],
     start: float,
     warm: Optional[Incumbent],
+    whole: Optional[Callable[[], tuple]] = None,
 ) -> Tuple[Dataflow, ScopeCost, SearchStats]:
     """Branch-and-bound over a planned space, score survivors: the winner.
 
@@ -1159,7 +1151,9 @@ def _branch_and_bound(
     ``Dataflow`` is built only for the winner, a located warm seed and
     members scored past a :class:`~repro.core.batch.BatchFallback`.
     Without a plan (a small space, or ``FOOTPRINT``) the whole table is
-    scored in one call.  With one,
+    scored in one call, or taken from ``whole()`` — :func:`_scored`'s
+    result for the whole table, from a call that scored several
+    searches' tables at once (see :func:`run_searches`).  With one,
     :func:`repro.core.candidates.plan_candidates` has derived one
     admissible bound per family from its cheapest representative
     member.  Families are gated twice — first against the
@@ -1223,8 +1217,11 @@ def _branch_and_bound(
         if not members:
             return
         generated += members
-        values, resolved = _scored(ev, objective, energy_table, table,
-                                   index)
+        if index is None and whole is not None:
+            values, resolved = whole()
+        else:
+            values, resolved = _scored(ev, objective, energy_table, table,
+                                       index)
         if resolved is None:
             batch_evaluations += members
         else:
@@ -1405,6 +1402,287 @@ def _score_all(
                      stats=stats)
 
 
+# ----------------------------------------------------------------------
+# many searches, one call
+# ----------------------------------------------------------------------
+# The most lanes (candidates of several small spaces) one merged scoring
+# call holds.  Past a few hundred lanes a call's rows dominate its fixed
+# cost (~6-7 us per MODEL row against ~0.3-0.5 ms per call), and the
+# kernel's transient arrays grow ~2.3 KB per lane: a paper pass peaks
+# +3.4% higher in RSS with 512 lanes, +1.9% with 256, for 10 fewer grid
+# calls (see "Many searches, one call" in docs/search_engine.md).
+_MERGE_LANE_LIMIT = 256
+
+
+@dataclass(frozen=True)
+class SearchRequest:
+    """One search of a :func:`run_searches` list.
+
+    The fields are :func:`run_search`'s arguments, except that
+    ``retain_points`` defaults to ``False``: a list of searches is
+    answered best-only unless a request asks for every point.
+    """
+
+    cfg: AttentionConfig
+    accel: Accelerator
+    scope: Scope = Scope.LA
+    objective: Objective = Objective.RUNTIME
+    space: SearchSpace = SearchSpace()
+    options: PerfOptions = PerfOptions()
+    energy_table: Optional[EnergyTable] = None
+    retain_points: bool = False
+    warm_start: Optional[Incumbent] = None
+
+
+class _Job:
+    """One request of a :func:`run_searches` call, in flight.
+
+    ``answer`` is a memo hit's ``(dataflow, cost, space size)`` and
+    ``source`` where it came from; a miss holds its space ``table``.
+    A space scored whole shares a ``chunk`` — the jobs scored by one
+    grid call — and gets its objective values in ``scores`` when the
+    chunk is first used (:data:`_PAST_EDGE` when the grid cannot score
+    it).  A job with none of these repeats an earlier miss's key.
+    """
+
+    __slots__ = ("request", "ev", "start", "key", "answer", "source",
+                 "table", "chunk", "scores")
+
+    def __init__(self, request: SearchRequest, ev: _Evaluator,
+                 start: float) -> None:
+        self.request = request
+        self.ev = ev
+        self.start = start
+        self.key: Optional[tuple] = None
+        self.answer: Optional[tuple] = None
+        self.source: Optional[str] = None
+        self.table: Optional[SpaceTable] = None
+        self.chunk: Optional[List["_Job"]] = None
+        self.scores: Any = None
+
+
+_PAST_EDGE = "past-edge"  # a job's scores: the scalar model scores it
+
+
+def _chunks(small: List[_Job]) -> None:
+    """Assign each small missed space the chunk it is scored with.
+
+    Spaces merge when they share the scope, the model options, the
+    accelerator and the scope's operator kinds; each chunk holds at
+    most :data:`_MERGE_LANE_LIMIT` lanes (a larger single space gets a
+    chunk of its own).  A workload past the int64 headroom is scored
+    alone, so its :class:`~repro.core.batch.BatchFallback` keeps the
+    other spaces on the grid.
+    """
+    groups: dict = {}
+    for job in small:
+        req = job.request
+        ops = operators_for_scope(req.cfg, req.scope)
+        if (max(op.macs for op in ops) * req.accel.bytes_per_element
+                >= _MAX_INT64_MAC_BYTES):
+            group: Any = job
+        else:
+            group = (req.scope, req.options, job.ev.accel_fp,
+                     tuple(op.kind for op in ops))
+        groups.setdefault(group, []).append(job)
+    for members in groups.values():
+        chunk: List[_Job] = []
+        lanes = 0
+        for job in members:
+            if chunk and lanes + job.table.total > _MERGE_LANE_LIMIT:
+                chunk, lanes = [], 0
+            chunk.append(job)
+            lanes += job.table.total
+            job.chunk = chunk
+
+
+def _score_chunk(chunk: List[_Job], tally: dict) -> None:
+    """Score every table of ``chunk`` in one grid call.
+
+    Each job's values come from its own segment of the call, under its
+    own objective and energy table, and equal a call on its table alone.
+    When the call raises :class:`~repro.core.batch.BatchFallback` (the
+    staged-footprint check, which depends on the candidates) each
+    segment is scored alone, so only the offending one leaves the grid.
+    """
+    ev = chunk[0].ev
+    tally["grid_calls"] += 1
+    try:
+        grid = evaluate_grid(
+            [job.request.cfg for job in chunk], ev.scope, ev.accel,
+            GridLanes(tuple(GridRows(job.table.features) for job in chunk)),
+            options=ev.options,
+        )
+    except BatchFallback:
+        if len(chunk) == 1:
+            chunk[0].scores = _PAST_EDGE
+        else:
+            for job in chunk:
+                _score_chunk([job], tally)
+        return
+    tally["segments"] += len(chunk)
+    scores: dict = {}
+    lo = 0
+    for job in chunk:
+        objective = (job.request.objective, job.request.energy_table)
+        values = scores.get(objective)
+        if values is None:
+            values = scores[objective] = grid.objective_scores(*objective)
+        job.scores = values[lo:lo + job.table.total]
+        lo += job.table.total
+
+
+def _solve(job: _Job, tally: dict) -> Tuple[tuple, SearchStats]:
+    """A missed best-only search: ``(dataflow, cost, space size)`` and
+    its stats.
+
+    A space in a chunk is scored whole, from its chunk's grid call; any
+    other takes the one-search route — a space of at most
+    ``_MERGE_BATCH_LIMIT`` candidates, or a ``FOOTPRINT`` search, in one
+    call of its own, a larger one planned with bounds by
+    :func:`~repro.core.candidates.plan_candidates` and seeded with its
+    ``warm_start``.
+    """
+    req, ev = job.request, job.ev
+    table = (job.table if job.table is not None
+             else _space_table(req.cfg, req.space))
+    if table.total == 0:
+        raise ValueError("search space is empty")
+    plan: Optional[CandidatePlan] = None
+    seed = whole = None
+    if job.chunk is not None:
+        def whole() -> tuple:
+            if job.scores is None:
+                _score_chunk(job.chunk, tally)
+            if job.scores is _PAST_EDGE:
+                return _scalar_scored(ev, req.objective, req.energy_table,
+                                      table, None)
+            return job.scores, None
+    elif (table.total > _MERGE_BATCH_LIMIT
+          and req.objective is not Objective.FOOTPRINT):
+        with _span("candidate-plan", families=len(table.families)):
+            plan = plan_candidates(req.objective, req.cfg, req.scope,
+                                   req.accel, req.space,
+                                   options=req.options,
+                                   energy_table=req.energy_table)
+        seed = req.warm_start
+    dataflow, cost, stats = _branch_and_bound(
+        ev, table, plan, req.objective, req.energy_table, job.start, seed,
+        whole)
+    return (dataflow, cost, table.total), stats
+
+
+def _finish(job: _Job, store: Optional[PersistentCache],
+            tally: dict) -> DSEResult:
+    """The result of one request, produced in list order."""
+    req, ev = job.request, job.ev
+    with _span("search", scope=req.scope.name,
+               objective=req.objective.name):
+        if req.retain_points:
+            return _score_all(ev, req.objective, req.space,
+                              req.energy_table, True, job.start, store)
+        with _span("candidate-search"):
+            searched: List[SearchStats] = []
+
+            def _compute() -> tuple:
+                answer, stats = _solve(job, tally)
+                searched.append(stats)
+                return answer
+
+            if job.answer is not None:
+                answer, source = job.answer, job.source
+            elif job.table is None:
+                # A repeat of an earlier miss: by now the LRU hit it
+                # is in a loop of run_search calls.
+                answer, source = _memoized(job.key, _compute, store)
+            else:
+                answer = _compute()
+                _remember(job.key, answer, store)
+            dataflow, cost, total = answer
+            stats = (searched[0] if searched
+                     else _answered(total, source, job.start))
+            _accumulate(stats)
+            best = DesignPoint(dataflow=dataflow, cost=cost,
+                               energy=energy_report(cost.counts,
+                                                    req.energy_table))
+            return DSEResult(best=best, points=(), objective=req.objective,
+                             stats=stats)
+
+
+def _run_searches(requests: Sequence[SearchRequest],
+                  store: Optional[PersistentCache],
+                  batch_span: Any = None) -> List[DSEResult]:
+    """:func:`run_searches` against an explicit disk ``store`` (or none).
+
+    First every best-only request checks its memo (LRU, then disk) in
+    list order; a miss takes its space table, and a repeat of an earlier
+    miss waits for that answer.  Then each request is finished in list
+    order; a small space's chunk is scored when its first job needs it.
+    :func:`repro.core.scaleout.search_scaleout` runs its inner searches
+    with ``store=None``: it persists its own answer, one entry per call.
+    """
+    jobs: List[_Job] = []
+    # Memo keys of the misses, when a later request may repeat one (a
+    # probe hashes the whole key).
+    pending: Optional[set] = set() if len(requests) > 1 else None
+    small: List[_Job] = []
+    memo_hits = 0
+    for req in requests:
+        ev = _Evaluator(req.cfg, req.scope, req.accel,
+                        accelerator_fingerprint(req.accel), req.options)
+        job = _Job(req, ev, time.perf_counter())
+        jobs.append(job)
+        if req.retain_points:
+            continue
+        job.key = ("search", req.cfg, ev.accel_fp, req.options, req.scope,
+                   req.objective, req.energy_table, req.space)
+        if pending and job.key in pending:
+            memo_hits += 1
+            continue
+        job.answer, job.source = _lookup(job.key, store)
+        if job.answer is not None:
+            memo_hits += 1
+            continue
+        if pending is not None:
+            pending.add(job.key)
+        job.table = _space_table(req.cfg, req.space)
+        if job.table.total and (
+                job.table.total <= _MERGE_BATCH_LIMIT
+                or req.objective is Objective.FOOTPRINT):
+            small.append(job)
+    _chunks(small)
+    tally = {"grid_calls": 0, "segments": 0}
+    results = [_finish(job, store, tally) for job in jobs]
+    if batch_span is not None:
+        batch_span.set(memo_hits=memo_hits, segments=tally["segments"],
+                       grid_calls=tally["grid_calls"])
+    return results
+
+
+def run_searches(requests: Sequence[SearchRequest]) -> List[DSEResult]:
+    """Answer a list of searches, scoring small spaces together.
+
+    Each result equals what :func:`run_search` returns for that request
+    when the requests are run one by one in list order: the same winner
+    and cost, the same :class:`SearchStats` (except ``wall_time_s``),
+    the same :func:`search_totals` and the same LRU and disk entries; a
+    request repeating an earlier one is booked as the LRU hit it would
+    be.  The difference is the number of grid calls: every missed
+    best-only space of at most ``_MERGE_BATCH_LIMIT`` candidates, and
+    every missed ``FOOTPRINT`` search, is scored in one
+    :func:`~repro.core.batch.evaluate_grid` call per group of searches
+    sharing a scope, model options and accelerator (up to
+    :data:`_MERGE_LANE_LIMIT` lanes per call), whatever their workloads;
+    each search's winner is the first minimum of its own segment.
+    Larger spaces take the one-search branch-and-bound with their
+    ``warm_start``, and ``retain_points=True`` requests score every
+    point, each in its turn.
+    """
+    requests = list(requests)
+    with _span("search-batch", requests=len(requests)) as sp:
+        return _run_searches(requests, get_default_cache(), sp)
+
+
 def run_search(
     cfg: AttentionConfig,
     accel: Accelerator,
@@ -1425,7 +1703,7 @@ def run_search(
     family-by-family with branch-and-bound, energy is computed lazily,
     and ``DSEResult.points`` comes back empty.  The ``FOOTPRINT``
     objective has no cost bound, so its best-only search scores every
-    point in one call.
+    point in one call.  A one-request :func:`run_searches`.
 
     ``warm_start`` optionally carries a neighboring search's winner
     (:class:`repro.core.candidates.Incumbent`); the best-only path
@@ -1443,28 +1721,6 @@ def run_search(
     pruning is strict, and ties resolve to the first candidate in
     enumeration order.
     """
-    return _search(cfg, accel, scope, objective, space, options,
-                   energy_table, retain_points, warm_start,
-                   get_default_cache())
-
-
-def _search(cfg: AttentionConfig, accel: Accelerator, scope: Scope,
-            objective: Objective, space: SearchSpace, options: PerfOptions,
-            energy_table: Optional[EnergyTable], retain_points: bool,
-            warm_start: Optional[Incumbent],
-            store: Optional[PersistentCache]) -> DSEResult:
-    """:func:`run_search` against an explicit disk ``store`` (or none).
-
-    :func:`repro.core.scaleout.search_scaleout` runs its inner searches
-    with ``store=None``: it persists its own answer, one entry per call.
-    """
-    with _span("search", scope=scope.name, objective=objective.name):
-        start = time.perf_counter()
-        ev = _Evaluator(cfg, scope, accel, accelerator_fingerprint(accel),
-                        options)
-        if retain_points:
-            return _score_all(ev, objective, space, energy_table,
-                              retain_points, start, store)
-        with _span("candidate-search"):
-            return _candidate_search(ev, objective, space, energy_table,
-                                     start, warm_start, store)
+    request = SearchRequest(cfg, accel, scope, objective, space, options,
+                            energy_table, retain_points, warm_start)
+    return _run_searches([request], get_default_cache())[0]

@@ -598,7 +598,12 @@ def search_scaleout(
     misses: a hit runs no bound and no inner search.
     """
     from repro.core.cache import get_default_cache
-    from repro.core.engine import _memoized, _search, accelerator_fingerprint
+    from repro.core.engine import (
+        SearchRequest,
+        _memoized,
+        _run_searches,
+        accelerator_fingerprint,
+    )
 
     schedules = tuple(schedules)
     partitions = _outer_space(cfg, chips, schedules)
@@ -630,8 +635,9 @@ def search_scaleout(
             stats.inner_reused += 1
             return cached
         shard = shard_config(cfg, partitions[p_idx])
-        result = _search(shard, view, scope, Objective.RUNTIME, space,
-                         options, None, False, seed, None)
+        (result,) = _run_searches([SearchRequest(
+            shard, view, scope, space=space, options=options,
+            warm_start=seed)], None)
         stats.inner_searches += 1
         seed = make_incumbent(result, scope, view, options)
         entry = (result, float(result.best.cost.total_cycles))

@@ -30,11 +30,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.analysis.reports import format_bytes, format_float, format_table
+from repro.arch.accelerator import Accelerator
 from repro.arch.presets import get_platform
 from repro.core.dataflow import AttentionVariant
-from repro.core.dse import SearchSpace, search
+from repro.core.dse import DesignPoint, SearchSpace
+from repro.core.engine import SearchRequest, run_searches
 from repro.models.configs import model_config
-from repro.ops.attention import Scope
+from repro.ops.attention import AttentionConfig, Scope
 from repro.ops.decode import decode_config
 
 __all__ = [
@@ -77,23 +79,30 @@ class DecodeVariantRow:
         return self.softmax_cycles / self.variant_cycles
 
 
+def _best_points(decodes: Sequence[AttentionConfig], accel: Accelerator,
+                 spaces: Sequence[SearchSpace]) -> List[DesignPoint]:
+    """The L-A optimum of every decode workload in every space, in that
+    order, from one :func:`~repro.core.engine.run_searches` call."""
+    results = run_searches([
+        SearchRequest(decode, accel, Scope.LA, space=space)
+        for decode in decodes for space in spaces
+    ])
+    return [result.best for result in results]
+
+
 def run(
     platform: str = "cloud",
     model: str = "xlm",
     kv_lens: Sequence[int] = (2048, 16384, 131072),
 ) -> List[DecodeRow]:
     accel = get_platform(platform)
+    decodes = [decode_config(model_config(model, seq=kv), kv)
+               for kv in kv_lens]
+    points = iter(_best_points(decodes, accel,
+                               (_UNFUSED_SPACE, _FLAT_SPACE)))
     rows: List[DecodeRow] = []
-    for kv in kv_lens:
-        decode = decode_config(model_config(model, seq=kv), kv)
-        base_point = search(
-            decode, accel, scope=Scope.LA, space=_UNFUSED_SPACE,
-            retain_points=False,
-        ).best
-        flat_point = search(
-            decode, accel, scope=Scope.LA, space=_FLAT_SPACE,
-            retain_points=False,
-        ).best
+    for kv, decode in zip(kv_lens, decodes):
+        base_point, flat_point = next(points), next(points)
         rows.append(
             DecodeRow(
                 kv_len=kv,
@@ -119,17 +128,13 @@ def run_variants(
 ) -> List[DecodeVariantRow]:
     """The FLAT-side search re-run with the attention-variant zoo."""
     accel = get_platform(platform)
+    decodes = [decode_config(model_config(model, seq=kv), kv)
+               for kv in kv_lens]
+    points = iter(_best_points(decodes, accel,
+                               (_FLAT_SPACE, _VARIANT_SPACE)))
     rows: List[DecodeVariantRow] = []
     for kv in kv_lens:
-        decode = decode_config(model_config(model, seq=kv), kv)
-        softmax_best = search(
-            decode, accel, scope=Scope.LA, space=_FLAT_SPACE,
-            retain_points=False,
-        ).best
-        variant_best = search(
-            decode, accel, scope=Scope.LA, space=_VARIANT_SPACE,
-            retain_points=False,
-        ).best
+        softmax_best, variant_best = next(points), next(points)
         rows.append(
             DecodeVariantRow(
                 kv_len=kv,

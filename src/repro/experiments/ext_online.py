@@ -17,10 +17,9 @@ from typing import List, Sequence
 
 from repro.analysis.reports import format_bytes, format_float, format_table
 from repro.arch.presets import get_platform
-from repro.core.configs import attacc, flex_accel
+from repro.core.configs import AcceleratorPolicy, attacc, flex_accel
 from repro.core.online import choose_online_tile, cost_online_la
 from repro.models.configs import model_config
-from repro.ops.attention import Scope
 
 __all__ = ["OnlineRow", "run", "format_report"]
 
@@ -45,10 +44,12 @@ def run(
     flex = flex_accel()
     att = attacc()
     rows: List[OnlineRow] = []
-    for seq in seqs:
-        cfg = model_config(model, seq=seq)
-        base_point = flex.evaluate(cfg, accel, scope=Scope.LA)
-        flat_point = att.evaluate(cfg, accel, scope=Scope.LA)
+    configs = [model_config(model, seq=seq) for seq in seqs]
+    points = iter(AcceleratorPolicy.evaluate_many(
+        [(policy, cfg, accel) for cfg in configs for policy in (flex, att)]
+    ))
+    for seq, cfg in zip(seqs, configs):
+        base_point, flat_point = next(points), next(points)
         tile = choose_online_tile(cfg, accel)
         online = cost_online_la(cfg, tile, accel)
         rows.append(

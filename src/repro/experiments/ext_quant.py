@@ -16,9 +16,8 @@ from typing import List, Sequence
 
 from repro.analysis.reports import format_bytes, format_float, format_table
 from repro.arch.presets import get_platform
-from repro.core.configs import attacc, flex_accel
+from repro.core.configs import AcceleratorPolicy, attacc, flex_accel
 from repro.models.configs import model_config
-from repro.ops.attention import Scope
 
 __all__ = ["QuantRow", "run", "format_report"]
 
@@ -43,12 +42,14 @@ def run(
     flex = flex_accel()
     att = attacc()
     rows: List[QuantRow] = []
+    if any(bits % 8 != 0 for bits in widths):
+        raise ValueError("widths must be multiples of 8 bits")
+    points = iter(AcceleratorPolicy.evaluate_many(
+        [(policy, cfg, replace(reference, bytes_per_element=bits // 8))
+         for bits in widths for policy in (flex, att)]
+    ))
     for bits in widths:
-        if bits % 8 != 0:
-            raise ValueError("widths must be multiples of 8 bits")
-        accel = replace(reference, bytes_per_element=bits // 8)
-        base_point = flex.evaluate(cfg, accel, scope=Scope.LA)
-        flat_point = att.evaluate(cfg, accel, scope=Scope.LA)
+        base_point, flat_point = next(points), next(points)
         rows.append(
             QuantRow(
                 bits=bits,

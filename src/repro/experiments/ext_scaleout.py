@@ -31,7 +31,8 @@ from typing import List, Sequence
 from repro.analysis.reports import format_float, format_table
 from repro.arch.fabric import FabricKind, FabricSpec
 from repro.arch.presets import get_platform
-from repro.core.dse import Objective, SearchSpace, search
+from repro.core.dse import Objective, SearchSpace
+from repro.core.engine import SearchRequest, run_searches
 from repro.core.scaleout import (
     ScaleoutSystem,
     shard_config,
@@ -152,20 +153,18 @@ def run(
     view = system.chip_view()
     freq = system.chip.frequency_hz
     channel_bytes_per_cycle = view.offchip.bandwidth_bytes_per_sec / freq
+    results = sweep_chip_counts(cfg, system, chip_counts)
+    unfused_results = run_searches([
+        SearchRequest(shard_config(cfg, result.best.partition), view,
+                      Scope.LA, Objective.RUNTIME, _UNFUSED)
+        for result in results
+    ])
     rows: List[ScaleoutRow] = []
-    for result in sweep_chip_counts(cfg, system, chip_counts):
+    for result, unfused in zip(results, unfused_results):
         best = result.best
         cost = best.chip_cost
         time_s = best.total_cycles / freq
         tops = 2.0 * result.chips * cost.counts.macs / time_s / 1e12
-        unfused = search(
-            shard_config(cfg, best.partition),
-            view,
-            scope=Scope.LA,
-            objective=Objective.RUNTIME,
-            space=_UNFUSED,
-            retain_points=False,
-        )
         rows.append(
             ScaleoutRow(
                 chips=result.chips,

@@ -16,10 +16,9 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.reports import format_float, format_table
 from repro.arch.presets import get_platform
-from repro.core.configs import attacc, flex_accel
+from repro.core.configs import AcceleratorPolicy, attacc, flex_accel
 from repro.core.sparse_adapter import sparse_equivalent_config
 from repro.models.configs import model_config
-from repro.ops.attention import Scope
 from repro.ops.sparse import SparsePatternKind, SparsityPattern
 
 __all__ = ["SparseRow", "run", "format_report"]
@@ -55,10 +54,12 @@ def run(
     flex = flex_accel()
     att = attacc()
     rows: List[SparseRow] = []
+    points = iter(AcceleratorPolicy.evaluate_many(
+        [(policy, sparse_equivalent_config(cfg, pattern), accel)
+         for pattern in patterns for policy in (flex, att)]
+    ))
     for pattern in patterns:
-        equivalent = sparse_equivalent_config(cfg, pattern)
-        base_point = flex.evaluate(equivalent, accel, scope=Scope.LA)
-        flat_point = att.evaluate(equivalent, accel, scope=Scope.LA)
+        base_point, flat_point = next(points), next(points)
         rows.append(
             SparseRow(
                 pattern=pattern.describe(seq).split(":")[0],

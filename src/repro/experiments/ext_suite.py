@@ -14,14 +14,13 @@ from typing import List
 
 from repro.analysis.reports import format_float, format_table
 from repro.arch.presets import get_platform
-from repro.core.configs import attacc, flex_accel
+from repro.core.configs import AcceleratorPolicy, attacc, flex_accel
 from repro.models.lra import (
     INTRO_APPLICATIONS,
     LRA_TASKS,
     intro_application_config,
     lra_config,
 )
-from repro.ops.attention import Scope
 
 __all__ = ["SuiteRow", "run", "format_report"]
 
@@ -47,9 +46,11 @@ def run(platform: str = "cloud") -> List[SuiteRow]:
     configs += [
         intro_application_config(name) for name in sorted(INTRO_APPLICATIONS)
     ]
+    points = iter(AcceleratorPolicy.evaluate_many(
+        [(policy, cfg, accel) for cfg in configs for policy in (flex, att)]
+    ))
     for cfg in configs:
-        base_point = flex.evaluate(cfg, accel, scope=Scope.LA)
-        flat_point = att.evaluate(cfg, accel, scope=Scope.LA)
+        base_point, flat_point = next(points), next(points)
         rows.append(
             SuiteRow(
                 workload=cfg.name,

@@ -69,11 +69,15 @@ def run(
         model = "bert" if platform == "edge" else "xlm"
     if policies is None:
         policies = (base_accel(), flex_accel(), attacc())
+    points = iter(AcceleratorPolicy.evaluate_many(
+        [(policy, model_config(model, seq=seq), accel)
+         for seq in seqs for policy in policies],
+        scope=Scope.BLOCK,
+    ))
     rows: List[Fig11Row] = []
     for seq in seqs:
-        cfg = model_config(model, seq=seq)
         for policy in policies:
-            best = policy.evaluate(cfg, accel, scope=Scope.BLOCK)
+            best = next(points)
             by_cat: Dict[str, float] = {c: 0.0 for c in _CATEGORIES}
             for op_cost in best.cost.operator_costs:
                 by_cat[_category_of(op_cost.name)] += op_cost.total_cycles

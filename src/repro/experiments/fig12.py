@@ -15,7 +15,7 @@ ATTACC cuts the BW requirement by ~88%/82% (cloud) and ~76%/71% (edge).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.analysis.reports import format_float, format_table
 from repro.arch.accelerator import Accelerator
@@ -62,34 +62,37 @@ def run_speedup_grid(
     """Panel (a): ATTACC vs FlexAccel-M / FlexAccel across the zoo."""
     if models is None:
         models = model_names()
+    policies = (flex_accel_m(), flex_accel(), attacc())
     rows: List[Fig12aRow] = []
     for platform in platforms:
         accel = get_platform(platform)
-        for model in models:
-            for seq in seqs:
-                cfg = model_config(model, seq=seq)
-                flex_m = flex_accel_m().evaluate(cfg, accel, scope=scope)
-                flex = flex_accel().evaluate(cfg, accel, scope=scope)
-                att = attacc().evaluate(cfg, accel, scope=scope)
-                rows.append(
-                    Fig12aRow(
-                        platform=platform,
-                        model=model,
-                        seq=seq,
-                        speedup_vs_flex_m=(
-                            flex_m.cost.total_cycles / att.cost.total_cycles
-                        ),
-                        speedup_vs_flex=(
-                            flex.cost.total_cycles / att.cost.total_cycles
-                        ),
-                        energy_ratio_vs_flex_m=(
-                            att.energy.total_j / flex_m.energy.total_j
-                        ),
-                        energy_ratio_vs_flex=(
-                            att.energy.total_j / flex.energy.total_j
-                        ),
-                    )
+        cells = [(model, seq) for model in models for seq in seqs]
+        points = iter(AcceleratorPolicy.evaluate_many(
+            [(policy, model_config(model, seq=seq), accel)
+             for model, seq in cells for policy in policies],
+            scope=scope,
+        ))
+        for model, seq in cells:
+            flex_m, flex, att = next(points), next(points), next(points)
+            rows.append(
+                Fig12aRow(
+                    platform=platform,
+                    model=model,
+                    seq=seq,
+                    speedup_vs_flex_m=(
+                        flex_m.cost.total_cycles / att.cost.total_cycles
+                    ),
+                    speedup_vs_flex=(
+                        flex.cost.total_cycles / att.cost.total_cycles
+                    ),
+                    energy_ratio_vs_flex_m=(
+                        att.energy.total_j / flex_m.energy.total_j
+                    ),
+                    energy_ratio_vs_flex=(
+                        att.energy.total_j / flex.energy.total_j
+                    ),
                 )
+            )
     return rows
 
 
@@ -119,6 +122,60 @@ class Fig12bRow:
     required_gbps: Optional[float]  # None = target unreachable
 
 
+def _bisection(target_util: float, max_gbps: float,
+               tolerance: float) -> Generator[float, float, Optional[float]]:
+    """Geometric bisection over bandwidth, one probe at a time.
+
+    Yields each bandwidth (GB/s) to probe and is sent the utilization
+    measured there; returns the answer of :func:`required_bandwidth`.
+    """
+    if (yield max_gbps) < target_util:
+        return None
+    lo, hi = 0.001, max_gbps
+    while hi / lo > 1.0 + tolerance:
+        mid = (lo * hi) ** 0.5  # geometric bisection over decades
+        if (yield mid) >= target_util:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _bisect_all(
+    problems: Sequence[Tuple[AcceleratorPolicy, Accelerator, object]],
+    target_util: float,
+    max_gbps: float = 100_000.0,
+    tolerance: float = 0.02,
+) -> List[Optional[float]]:
+    """:func:`required_bandwidth` of every ``(policy, accel, cfg)``.
+
+    The bisections advance in lockstep, one probe each per round, and
+    each round's probes are one
+    :meth:`~repro.core.configs.AcceleratorPolicy.evaluate_many` call.
+    Every bisection sees the utilizations its own probes give, so each
+    answer equals the bisection run alone.
+    """
+    runs = [_bisection(target_util, max_gbps, tolerance) for _ in problems]
+    probes = {i: next(run) for i, run in enumerate(runs)}
+    answers: List[Optional[float]] = [None] * len(problems)
+    while probes:
+        live = list(probes)
+        points = AcceleratorPolicy.evaluate_many(
+            [(problems[i][0],
+              problems[i][2],
+              problems[i][1].with_offchip_bandwidth(probes[i] * 1e9))
+             for i in live],
+            scope=Scope.LA,
+        )
+        for i, point in zip(live, points):
+            try:
+                probes[i] = runs[i].send(point.cost.utilization)
+            except StopIteration as done:
+                answers[i] = done.value
+                del probes[i]
+    return answers
+
+
 def required_bandwidth(
     policy: AcceleratorPolicy,
     accel: Accelerator,
@@ -134,20 +191,8 @@ def required_bandwidth(
     if the target is unreachable even at ``max_gbps`` — e.g. a baseline
     whose softmax serialization caps its utilization below the target.
     """
-    def util_at(gbps: float) -> float:
-        sized = accel.with_offchip_bandwidth(gbps * 1e9)
-        return policy.evaluate(cfg, sized, scope=Scope.LA).cost.utilization
-
-    if util_at(max_gbps) < target_util:
-        return None
-    lo, hi = 0.001, max_gbps
-    while hi / lo > 1.0 + tolerance:
-        mid = (lo * hi) ** 0.5  # geometric bisection over decades
-        if util_at(mid) >= target_util:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect_all([(policy, accel, cfg)], target_util, max_gbps,
+                       tolerance)[0]
 
 
 def run_bw_requirement(
@@ -158,26 +203,26 @@ def run_bw_requirement(
     target_util: float = 0.95,
     policies: Optional[Sequence[AcceleratorPolicy]] = None,
 ) -> List[Fig12bRow]:
-    """Panel (b): BW needed for Util >= target on the L-A operator."""
+    """Panel (b): BW needed for Util >= target on the L-A operator.
+
+    Every (seq, policy) bisection runs in lockstep (see
+    :func:`_bisect_all`).
+    """
     accel = get_platform(platform)
     if model is None:
         model = "xlm" if platform == "cloud" else "bert"
     if policies is None:
         policies = (flex_accel_m(), flex_accel(), attacc())
-    rows: List[Fig12bRow] = []
-    for seq in seqs:
-        cfg = model_config(model, seq=seq)
-        for policy in policies:
-            rows.append(
-                Fig12bRow(
-                    seq=seq,
-                    accelerator=policy.name,
-                    required_gbps=required_bandwidth(
-                        policy, accel, cfg, target_util=target_util
-                    ),
-                )
-            )
-    return rows
+    cases = [(seq, policy) for seq in seqs for policy in policies]
+    answers = _bisect_all(
+        [(policy, accel, model_config(model, seq=seq))
+         for seq, policy in cases],
+        target_util,
+    )
+    return [
+        Fig12bRow(seq=seq, accelerator=policy.name, required_gbps=gbps)
+        for (seq, policy), gbps in zip(cases, answers)
+    ]
 
 
 def format_speedup_report(rows: List[Fig12aRow]) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.reports import format_bytes, format_float, format_table
-from repro.analysis.utilization import buffer_sweep, default_buffer_sizes
+from repro.analysis.utilization import buffer_sweeps, default_buffer_sizes
 from repro.arch.presets import get_platform
 from repro.core.dataflow import Dataflow, Granularity, base, base_x, flat_r, flat_x
 from repro.core.dse import SearchSpace
@@ -109,29 +109,34 @@ def run(
     row_choices = sorted(
         {max(1, flat_rows // 4), flat_rows, flat_rows * 4, flat_rows * 16}
     )
-    cells: List[Fig8Cell] = []
+    keys = []
+    cases = []
     for seq in seqs:
         cfg = model_config(model, seq=seq)
         lineup = dataflow_lineup(seq, flat_rows)
         spaces = dse_lineup([r for r in row_choices if r <= seq]) \
             if include_dse else None
         for scope in scopes:
-            points = buffer_sweep(
-                cfg, scope, accel, lineup, buffer_sizes=sizes,
-                options=PerfOptions(), dse_spaces=spaces,
-            )
-            for p in points:
-                cells.append(
-                    Fig8Cell(
-                        scope=scope.value,
-                        seq=seq,
-                        dataflow_name=p.dataflow_name,
-                        buffer_bytes=p.buffer_bytes,
-                        utilization=p.utilization,
-                        total_cycles=p.total_cycles,
-                        energy_j=p.energy_j,
-                    )
+            keys.append((seq, scope))
+            cases.append((cfg, scope, lineup, spaces))
+    # Size-major: at each buffer size, every (seq, scope) DSE search is
+    # submitted together.
+    sweeps = buffer_sweeps(cases, accel, buffer_sizes=sizes,
+                           options=PerfOptions())
+    cells: List[Fig8Cell] = []
+    for (seq, scope), points in zip(keys, sweeps):
+        for p in points:
+            cells.append(
+                Fig8Cell(
+                    scope=scope.value,
+                    seq=seq,
+                    dataflow_name=p.dataflow_name,
+                    buffer_bytes=p.buffer_bytes,
+                    utilization=p.utilization,
+                    total_cycles=p.total_cycles,
+                    energy_j=p.energy_j,
                 )
+            )
     return cells
 
 

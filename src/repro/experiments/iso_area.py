@@ -21,9 +21,8 @@ from typing import List, Optional, Sequence
 from repro.analysis.reports import format_bytes, format_float, format_table
 from repro.arch.area import AreaModel, accelerator_area_mm2, iso_area_designs
 from repro.arch.presets import get_platform
-from repro.core.configs import attacc, flex_accel
+from repro.core.configs import AcceleratorPolicy, attacc, flex_accel
 from repro.models.configs import model_config
-from repro.ops.attention import Scope
 
 __all__ = ["IsoAreaRow", "run", "format_report", "optimal_split"]
 
@@ -55,9 +54,11 @@ def run(
     flex = flex_accel()
     att = attacc()
     rows: List[IsoAreaRow] = []
+    points = iter(AcceleratorPolicy.evaluate_many(
+        [(policy, cfg, accel) for accel in designs for policy in (flex, att)]
+    ))
     for fraction, accel in zip(sram_fractions, designs):
-        unfused = flex.evaluate(cfg, accel, scope=Scope.LA)
-        flat = att.evaluate(cfg, accel, scope=Scope.LA)
+        unfused, flat = next(points), next(points)
         peak_tops = 2.0 * accel.peak_macs_per_cycle * accel.frequency_hz / 1e12
         rows.append(
             IsoAreaRow(

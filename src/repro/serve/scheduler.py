@@ -22,8 +22,11 @@ then:
 
 3. **Dispatch.**  A cost group with several distinct dataflows becomes
    one :func:`~repro.core.batch.evaluate_grid` call
-   (:func:`~repro.serve.service.execute_cost_group`); singletons and
-   search queries take the scalar reference path.  Evaluation runs on
+   (:func:`~repro.serve.service.execute_cost_group`); a single cost
+   query takes the memoized scalar model, and a search query the
+   engine's search — grid scoring of its space plus one scalar
+   breakdown of the winner
+   (:func:`~repro.serve.service.execute_query`).  Evaluation runs on
    a thread-pool executor (default: one worker, so engine state is
    never contended) while the event loop keeps accepting and batching
    — group dispatches are tracked as in-flight tasks, not awaited

@@ -1,0 +1,413 @@
+"""``run_searches``: many searches, one grid call.
+
+A list of searches is answered with one
+:func:`~repro.core.batch.evaluate_grid` call per group of small missed
+spaces, whatever their workloads.  These tests check three things:
+
+* every answer is the exhaustive oracle's (``tests/oracles.py``), and
+  every lane of a multi-workload grid call equals the one-workload call
+  on every :class:`~repro.core.batch.GridEvaluation` field;
+* a segment the grid cannot score (past the int64 headroom, or raising
+  the staged-footprint :class:`~repro.core.batch.BatchFallback`) takes
+  the scalar route alone, and the other segments stay on the grid;
+* the answers, stats and cache traffic equal those of a
+  :func:`~repro.core.engine.run_search` loop over the same list.
+
+Draws are seeded and the workloads are small, so the module runs in a
+few seconds.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+import threading
+
+import numpy as np
+import pytest
+
+from repro.analysis.utilization import buffer_sweep, buffer_sweeps
+from repro.arch.presets import cloud, edge
+from repro.core import batch as batch_backend
+from repro.core import engine
+from repro.core.batch import GridLanes, GridRows, evaluate_grid
+from repro.core.cache import default_cache_dir, get_default_cache
+from repro.core.configs import (
+    AcceleratorPolicy,
+    attacc,
+    flex_accel,
+    flex_accel_m,
+)
+from repro.core.dataflow import AttentionVariant, Granularity, flat_r
+from repro.core.dse import Objective, SearchSpace
+from repro.core.engine import (
+    SearchRequest,
+    clear_evaluation_cache,
+    evaluation_cache_info,
+    run_search,
+    run_searches,
+    search_totals,
+)
+from repro.core.perf import PerfOptions
+from repro.experiments import fig12
+from repro.models.configs import model_config
+from repro.ops.attention import AttentionConfig, Scope
+from tests.oracles import assert_matches_oracle, exhaustive_best
+
+_TINY = AttentionConfig(name="tiny", batch=2, heads=4, d_model=64,
+                        seq_q=32, seq_kv=32, d_ff=128, num_blocks=2)
+# Decode: one query token against a KV cache.
+_DECODE = dataclasses.replace(_TINY, name="decode", seq_q=1, seq_kv=96)
+# Cross-attention, with lengths that leave remainder tiles.
+_CROSS = AttentionConfig(name="cross", batch=3, heads=2, d_model=64,
+                         seq_q=48, seq_kv=80, d_ff=96, num_blocks=3)
+_WORKLOADS = (_TINY, _DECODE, _CROSS)
+
+_FLASHD = SearchSpace(variants=(AttentionVariant.SOFTMAX,
+                                AttentionVariant.FLASH_D))
+_FUSEMAX = SearchSpace(variants=(AttentionVariant.SOFTMAX,
+                                 AttentionVariant.FUSEMAX))
+# Spaces at most _MERGE_BATCH_LIMIT candidates large (merged), and
+# larger ones (branch-and-bound, unless the objective is FOOTPRINT).
+_SMALL_SPACES = (SearchSpace(), flex_accel_m().space, flex_accel().space)
+_LARGE_SPACES = (_FLASHD, _FUSEMAX, SearchSpace(exhaustive_staging=True))
+_OPTIONS = (PerfOptions(), PerfOptions(flexible_mapping=False))
+
+
+@pytest.fixture(autouse=True)
+def _fresh_cache():
+    """No memo or disk store leaks between tests."""
+    clear_evaluation_cache()
+    with default_cache_dir(""):
+        yield
+    clear_evaluation_cache()
+
+
+def _counting_grid(monkeypatch) -> list:
+    """Record the segment count of every ``evaluate_grid`` call the
+    engine makes."""
+    calls = []
+    real = engine.evaluate_grid
+
+    def counting(cfg, scope, accel, dataflows, options=PerfOptions()):
+        calls.append(len(dataflows.segments)
+                     if isinstance(dataflows, GridLanes) else 1)
+        return real(cfg, scope, accel, dataflows, options)
+
+    monkeypatch.setattr(engine, "evaluate_grid", counting)
+    return calls
+
+
+def _draw_requests(rng: random.Random, n: int) -> list:
+    requests = []
+    for _ in range(n):
+        spaces = _LARGE_SPACES if rng.random() < 0.2 else _SMALL_SPACES
+        requests.append(SearchRequest(
+            cfg=rng.choice(_WORKLOADS),
+            accel=edge(),
+            scope=rng.choice(list(Scope)),
+            objective=rng.choice(list(Objective)),
+            space=rng.choice(spaces),
+            options=rng.choice(_OPTIONS),
+        ))
+    return requests
+
+
+def _oracle(req: SearchRequest):
+    return exhaustive_best(req.cfg, req.accel, scope=req.scope,
+                           objective=req.objective, space=req.space,
+                           options=req.options,
+                           energy_table=req.energy_table)
+
+
+class TestOracle:
+    def test_mixed_list_matches_exhaustive_search(self, monkeypatch):
+        requests = _draw_requests(random.Random(21), 40)
+        # Every kind of request at least once, whatever the draw.
+        requests += [
+            SearchRequest(_DECODE, edge(), Scope.MODEL, Objective.FOOTPRINT,
+                          _FUSEMAX),
+            SearchRequest(_CROSS, cloud(), Scope.BLOCK, Objective.EDP,
+                          _FLASHD, PerfOptions(flexible_mapping=False)),
+            SearchRequest(_TINY, edge(), Scope.LA, Objective.ENERGY,
+                          SearchSpace(exhaustive_staging=True)),
+        ]
+        calls = _counting_grid(monkeypatch)
+        results = run_searches(requests)
+        merged = [n for n in calls if n > 1]
+        assert merged, "no grid call scored several searches"
+        for req, result in zip(requests, results):
+            assert_matches_oracle(result, _oracle(req), req.objective)
+            assert result.points == ()
+
+    def test_run_search_is_a_one_request_list(self):
+        req = SearchRequest(_CROSS, edge(), Scope.BLOCK, Objective.ENERGY)
+        (batched,) = run_searches([req])
+        clear_evaluation_cache()
+        alone = run_search(_CROSS, edge(), Scope.BLOCK, Objective.ENERGY,
+                           retain_points=False)
+        assert batched.best == alone.best
+        assert (dataclasses.replace(batched.stats, wall_time_s=0.0)
+                == dataclasses.replace(alone.stats, wall_time_s=0.0))
+
+    def test_retain_points_request_scores_every_point(self):
+        req = SearchRequest(_TINY, edge(), space=flex_accel().space,
+                            retain_points=True)
+        (result,) = run_searches([req])
+        assert len(result.points) == result.stats.enumerated
+        assert_matches_oracle(result, _oracle(req))
+
+
+class TestLanes:
+    @pytest.mark.parametrize("scope", list(Scope))
+    @pytest.mark.parametrize("options", _OPTIONS)
+    def test_every_lane_equals_its_one_workload_call(self, scope, options):
+        rng = random.Random(7)
+        segments = []
+        configs = []
+        for _ in range(8):
+            cfg = rng.choice(_WORKLOADS)
+            table = engine._space_table(
+                cfg, rng.choice(_SMALL_SPACES + _LARGE_SPACES))
+            index = np.sort(rng.sample(range(table.total),
+                                       rng.randint(1, table.total)))
+            segments.append(GridRows(table.features, index))
+            configs.append(cfg)
+        merged = evaluate_grid(configs, scope, cloud(),
+                               GridLanes(tuple(segments)), options)
+        assert len(merged) == sum(len(s) for s in segments)
+        lo = 0
+        for cfg, rows in zip(configs, segments):
+            alone = evaluate_grid(cfg, scope, cloud(), rows, options)
+            for field in dataclasses.fields(alone):
+                want = getattr(alone, field.name)
+                got = getattr(merged, field.name)[lo:lo + len(rows)]
+                assert got.dtype == want.dtype, field.name
+                assert np.array_equal(got, want), field.name
+            lo += len(rows)
+
+    def test_one_workload_per_segment(self):
+        table = engine._space_table(_TINY, SearchSpace())
+        rows = GridRows(table.features)
+        with pytest.raises(ValueError, match="one workload per segment"):
+            evaluate_grid([_TINY], Scope.LA, edge(),
+                          GridLanes((rows, rows)))
+
+
+class TestFallbackIsolation:
+    # Past the int64 headroom: 2^13 * 2^44 MACs per operator at two
+    # bytes per element.
+    _PAST = AttentionConfig(name="past", batch=2 ** 13, heads=16,
+                            d_model=1024, seq_q=2 ** 17, seq_kv=2 ** 17,
+                            d_ff=4096)
+    # Below the headroom, but an M-granular intermediate of 2^52
+    # elements stages 2^53 bytes: the footprint check raises.
+    _WIDE = AttentionConfig(name="wide", batch=2 ** 14, heads=16,
+                            d_model=256, seq_q=2 ** 17, seq_kv=2 ** 17,
+                            d_ff=1024)
+    _R64 = SearchSpace(allow_unfused=False, granularities=(Granularity.R,),
+                       row_choices=(64,), include_plain_base=False)
+    _M = SearchSpace(allow_unfused=False, granularities=(Granularity.M,),
+                     include_plain_base=False)
+
+    def _check(self, monkeypatch, edge_case: SearchRequest):
+        normal = [SearchRequest(cfg, edge(), space=space)
+                  for cfg in (_TINY, _CROSS)
+                  for space in (SearchSpace(), flex_accel().space)]
+        requests = normal[:2] + [edge_case] + normal[2:]
+        calls = _counting_grid(monkeypatch)
+        results = run_searches(requests)
+        for req, result in zip(requests, results):
+            assert_matches_oracle(result, _oracle(req), req.objective)
+        scored = [r.stats for req, r in zip(requests, results)
+                  if req is not edge_case]
+        assert all(s.batch_evaluations == s.enumerated for s in scored)
+        assert results[2].stats.batch_evaluations == 0
+        assert results[2].stats.evaluated == results[2].stats.enumerated
+        return calls
+
+    def test_past_the_int64_headroom_is_scored_alone(self, monkeypatch):
+        edge_case = SearchRequest(self._PAST, edge(), space=self._R64)
+        calls = self._check(monkeypatch, edge_case)
+        # The four normal spaces in one call, the edge case alone.
+        assert sorted(calls) == [1, 4]
+
+    def test_footprint_fallback_leaves_the_others_on_the_grid(
+            self, monkeypatch):
+        edge_case = SearchRequest(self._WIDE, edge(), space=self._M)
+        ops = engine.operators_for_scope(self._WIDE, Scope.LA)
+        assert max(op.macs for op in ops) * 2 < (
+            batch_backend._MAX_INT64_MAC_BYTES)
+        calls = self._check(monkeypatch, edge_case)
+        # The merged call raises; then each segment is scored alone.
+        assert calls == [5, 1, 1, 1, 1, 1]
+
+
+def _snapshot() -> tuple:
+    store = get_default_cache()
+    return (search_totals(), evaluation_cache_info(), store.stats.copy())
+
+
+def _delta(before: tuple, after: tuple) -> dict:
+    totals = {k: after[0][k] - before[0][k] for k in after[0]
+              if k != "wall_time_s"}
+    lru = {k: after[1][k] - before[1][k] for k in ("entries", "hits",
+                                                  "misses")}
+    return {"totals": totals, "lru": lru,
+            "disk": (after[2] - before[2]).as_dict()}
+
+
+class TestSequentialEquivalence:
+    """A list equals a ``run_search`` loop over it, stats and traffic."""
+
+    _ON_DISK = (SearchRequest(_TINY, edge(), Scope.BLOCK),
+                SearchRequest(_DECODE, cloud(), Scope.LA, Objective.ENERGY,
+                              flex_accel().space))
+    _IN_LRU = (SearchRequest(_CROSS, edge(), Scope.MODEL,
+                             space=flex_accel_m().space),
+               SearchRequest(_TINY, edge(), Scope.LA, Objective.EDP,
+                             _FLASHD))
+
+    def _requests(self) -> list:
+        misses = [
+            SearchRequest(_CROSS, edge(), Scope.BLOCK, Objective.ENERGY),
+            SearchRequest(_DECODE, edge(), Scope.BLOCK,
+                          space=flex_accel().space),
+            SearchRequest(_TINY, edge(), Scope.LA, space=_FUSEMAX),
+            SearchRequest(_CROSS, edge(), Scope.LA, Objective.FOOTPRINT,
+                          SearchSpace(exhaustive_staging=True)),
+            SearchRequest(_TINY, edge(), Scope.BLOCK,
+                          space=flex_accel_m().space),
+        ]
+        return [
+            misses[0], self._ON_DISK[0], misses[1], self._IN_LRU[0],
+            misses[2], misses[0],  # a repeat of a miss
+            SearchRequest(_TINY, edge(), space=flex_accel().space,
+                          retain_points=True),
+            misses[3], self._ON_DISK[0],  # a repeat of a disk hit
+            self._ON_DISK[1], misses[4], self._IN_LRU[1], misses[3],
+        ]
+
+    def _run(self, tmp_path, batched: bool):
+        clear_evaluation_cache()
+        with default_cache_dir(str(tmp_path)):
+            for req in self._ON_DISK:
+                run_searches([req])
+            clear_evaluation_cache()  # the disk keeps them
+            for req in self._IN_LRU:
+                run_searches([req])
+            before = _snapshot()
+            requests = self._requests()
+            if batched:
+                results = run_searches(requests)
+            else:
+                results = [
+                    run_search(r.cfg, r.accel, r.scope, r.objective,
+                               r.space, r.options, r.energy_table,
+                               r.retain_points, r.warm_start)
+                    for r in requests
+                ]
+            after = _snapshot()
+            get_default_cache().close()
+        return results, _delta(before, after)
+
+    def test_list_equals_a_run_search_loop(self, tmp_path):
+        looped, loop_delta = self._run(tmp_path / "loop", batched=False)
+        batched, batch_delta = self._run(tmp_path / "batch", batched=True)
+        for a, b in zip(looped, batched):
+            assert a.best == b.best
+            assert a.points == b.points
+            assert (dataclasses.replace(a.stats, wall_time_s=0.0)
+                    == dataclasses.replace(b.stats, wall_time_s=0.0))
+        assert batch_delta == loop_delta
+        disk = batch_delta["disk"]
+        assert disk["hits"] + disk["misses"] == disk["lookups"]
+        # One put per computed answer, one lookup per LRU miss.
+        assert disk["writes"] == 6
+        assert disk["lookups"] == 8 and disk["hits"] == 2
+        sources = [r.stats.disk_hits for r in batched]
+        assert sources[1] and sources[9] and not sources[8]
+
+    def test_overlapping_lists_on_two_threads(self):
+        requests = self._requests()
+        expected = [r.best for r in run_searches(requests)]
+        clear_evaluation_cache()
+        lists = (requests, requests[::-1])
+        answers = [None, None]
+        barrier = threading.Barrier(2)
+
+        def worker(i: int) -> None:
+            barrier.wait()
+            answers[i] = [r.best for r in run_searches(lists[i])]
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert answers[0] == expected
+        assert answers[1] == expected[::-1]
+
+
+class TestConsumers:
+    """The sweeps that submit lists answer what their loops answered."""
+
+    def test_evaluate_many_equals_evaluate(self):
+        jobs = [(policy, cfg, accel)
+                for accel in (edge(), cloud())
+                for cfg in _WORKLOADS
+                for policy in (flex_accel_m(), flex_accel(), attacc())]
+        points = AcceleratorPolicy.evaluate_many(jobs, scope=Scope.BLOCK,
+                                                 objective=Objective.EDP)
+        clear_evaluation_cache()
+        assert points == [
+            policy.evaluate(cfg, accel, Scope.BLOCK, Objective.EDP)
+            for policy, cfg, accel in jobs
+        ]
+
+    def test_buffer_sweeps_equal_one_sweep_per_case(self, monkeypatch):
+        spaces = {"small": flex_accel().space, "large": _FLASHD}
+        cases = [(cfg, scope, [flat_r(16)], spaces)
+                 for cfg in (_TINY, _CROSS) for scope in (Scope.LA,
+                                                          Scope.MODEL)]
+        sizes = (20 * 1024, 64 * 1024, 512 * 1024)
+        calls = _counting_grid(monkeypatch)
+        swept = buffer_sweeps(cases, edge(), sizes)
+        # One merged call per (size, scope) scores the small curves.
+        assert calls.count(2) == len(sizes) * 2
+        clear_evaluation_cache()
+        assert swept == [buffer_sweep(cfg, scope, edge(), lineup, sizes,
+                                      dse_spaces=dse)
+                         for cfg, scope, lineup, dse in cases]
+
+    def test_lockstep_bisections_equal_one_at_a_time(self):
+        accel = edge()
+        policies = (flex_accel(), attacc())
+        rows = fig12.run_bw_requirement(platform="edge", model="bert",
+                                        seqs=(512, 2048),
+                                        policies=policies)
+        assert any(r.required_gbps is not None for r in rows)
+        clear_evaluation_cache()
+
+        def bisect(policy, cfg, target=0.95, max_gbps=100_000.0,
+                   tolerance=0.02):
+            def util_at(gbps):
+                sized = accel.with_offchip_bandwidth(gbps * 1e9)
+                return policy.evaluate(cfg, sized).cost.utilization
+
+            if util_at(max_gbps) < target:
+                return None
+            lo, hi = 0.001, max_gbps
+            while hi / lo > 1.0 + tolerance:
+                mid = (lo * hi) ** 0.5
+                if util_at(mid) >= target:
+                    hi = mid
+                else:
+                    lo = mid
+            return hi
+
+        assert [(r.seq, r.accelerator, r.required_gbps) for r in rows] == [
+            (seq, policy.name, bisect(policy, model_config("bert", seq=seq)))
+            for seq in (512, 2048) for policy in policies
+        ]

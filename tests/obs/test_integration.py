@@ -17,8 +17,13 @@ import repro.obs as obs
 from repro.arch.presets import edge
 from repro.core import cache as cache_mod
 from repro.core.cache import PersistentCache
+from repro.core.configs import flex_accel, flex_accel_m
 from repro.core.dse import Objective, SearchSpace, enumerate_families, search
-from repro.core.engine import clear_evaluation_cache
+from repro.core.engine import (
+    SearchRequest,
+    clear_evaluation_cache,
+    run_searches,
+)
 from repro.core.scaleout import (
     ScaleoutSystem,
     enumerate_partitions,
@@ -26,6 +31,7 @@ from repro.core.scaleout import (
 )
 from repro.experiments.pipeline import run_pipeline, write_manifest
 from repro.experiments.runner import run_experiment
+from repro.models.configs import model_config
 from repro.obs.summary import (
     cache_invariant,
     format_summary,
@@ -137,6 +143,31 @@ class TestEngineInstrumentation:
         assert score_event["attrs"]["candidates"] > 0
         assert score_event["attrs"]["families"] > 0
         assert score_event["attrs"]["families_pruned"] >= 0
+
+    def test_search_batch_scores_small_misses_in_one_grid_call(self):
+        configs = [model_config(m, seq=512) for m in ("bert", "xlm", "t5")]
+        requests = [SearchRequest(cfg, edge(), space=policy.space)
+                    for cfg in configs
+                    for policy in (flex_accel_m(), flex_accel())]
+        clear_evaluation_cache()
+        with obs.observed() as session:
+            results = run_searches(requests)
+            events = list(session.collector.events)
+            snap = session.registry.snapshot()
+        (batch,) = [e for e in events if e["name"] == "search-batch"]
+        n = len(requests)
+        assert batch["attrs"] == {"requests": n, "memo_hits": 0,
+                                  "segments": n, "grid_calls": 1}
+        assert snap["batch.grids"]["value"] == 1
+        assert snap["batch.grid_segments"]["max"] == n
+        # One ledger per search, each booking its own space.
+        scores = [e for e in events if e["name"] == "candidate-score"]
+        assert [e["attrs"]["candidates"] for e in scores] == [
+            r.stats.enumerated for r in results]
+        assert all(e["attrs"]["families_pruned"] == 0 for e in scores)
+        searches = [e for e in events if e["name"] == "search"]
+        assert len(searches) == n
+        assert all(e["parent"] == batch["id"] for e in searches)
 
 
 class TestScaleoutInstrumentation:
