@@ -9,7 +9,12 @@ from repro.arch.accelerator import Accelerator
 from repro.core.candidates import Incumbent, make_incumbent
 from repro.core.dataflow import Dataflow
 from repro.core.dse import Objective, SearchSpace
-from repro.core.engine import SearchRequest, evaluate_cost, run_searches
+from repro.core.engine import (
+    CostRequest,
+    SearchRequest,
+    evaluate_costs,
+    run_searches,
+)
 from repro.core.perf import PerfOptions, ScopeCost
 from repro.energy.model import EnergyReport, energy_report
 from repro.ops.attention import AttentionConfig, Scope
@@ -89,11 +94,12 @@ def buffer_sweeps(
 ) -> List[List[SweepPoint]]:
     """:func:`buffer_sweep` of every case, one buffer size at a time.
 
-    At each size every case's fixed dataflows are evaluated, then every
+    At each size every case's fixed dataflows are evaluated together in
+    one :func:`~repro.core.engine.evaluate_costs` call, then every
     case's DSE entries are searched together in one
-    :func:`~repro.core.engine.run_searches` call, so their small spaces
-    share grid calls.  Returns each case's points, size-major, fixed
-    dataflows before DSE entries at every size.
+    :func:`~repro.core.engine.run_searches` call, so the lineups' misses
+    and the small spaces share grid calls.  Returns each case's points,
+    size-major, fixed dataflows before DSE entries at every size.
 
     Each re-search is seeded with the previous buffer size's winner for
     the same case and curve — neighboring sweep points usually share
@@ -108,15 +114,19 @@ def buffer_sweeps(
     points: List[List[SweepPoint]] = [[] for _ in cases]
     for size in sizes:
         sized = accel.with_scratchpad_bytes(size)
-        curves = []
-        for c, (cfg, scope, dataflows, dse_spaces) in enumerate(cases):
-            for dataflow in dataflows:
-                # Memoized (LRU + persistent cache) fixed-point evaluation.
-                cost = evaluate_cost(cfg, scope, sized, dataflow,
-                                     options=options)
-                points[c].append(_point(dataflow.name, size, cost))
-            curves += [(c, name, cfg, scope, space)
-                       for name, space in (dse_spaces or {}).items()]
+        lineup = [(c, cfg, scope, dataflow)
+                  for c, (cfg, scope, dataflows, _) in enumerate(cases)
+                  for dataflow in dataflows]
+        # Memoized (LRU + persistent cache) fixed-point evaluations.
+        costs = evaluate_costs([
+            CostRequest(cfg, scope, sized, dataflow, options)
+            for _, cfg, scope, dataflow in lineup
+        ])
+        for (c, _, _, dataflow), cost in zip(lineup, costs):
+            points[c].append(_point(dataflow.name, size, cost))
+        curves = [(c, name, cfg, scope, space)
+                  for c, (cfg, scope, _, dse_spaces) in enumerate(cases)
+                  for name, space in (dse_spaces or {}).items()]
         # Only the optimum matters here: let the engine prune and defer
         # energy to the winner.
         results = run_searches([

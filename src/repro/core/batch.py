@@ -76,14 +76,19 @@ per workload, so the engine scores a workload past it alone; the
 footprint check depends on the candidates, and the engine reruns a
 merged call that raises it one segment at a time.
 
-The scalar model still exists for two reasons: it produces the full
-:class:`~repro.core.perf.OperatorCost` breakdown (the batch path keeps
-only what the objectives need), and it has no exactness ceiling.
+The kernel keeps its per-operator arrays (:class:`_OpArrays`) on the
+:class:`GridEvaluation`, so :meth:`GridEvaluation.scope_cost` rebuilds
+any lane's full :class:`~repro.core.perf.ScopeCost` — every
+:class:`~repro.core.perf.OperatorCost` field, as Python scalars, equal
+to ``cost_scope``'s and pickled to the same bytes — without running
+the scalar model.  The scalar model remains the reference the kernel
+mirrors, the path past the exactness ceiling, and the cheaper route for
+a single point (one ``cost_scope`` call beats a one-row grid call).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,7 +98,9 @@ from repro.core.dataflow import AttentionVariant, Dataflow, Stationarity
 from repro.core.dataflow import base as base_dataflow
 from repro.core.footprint import fused_la_elements, operator_l3_elements
 from repro.core.perf import (
+    OperatorCost,
     PerfOptions,
+    ScopeCost,
     _allocate_staging,
     _blend_passes,
     _compute_cycles_from_eff,
@@ -105,7 +112,7 @@ from repro.core.perf import (
     sg_stream_words,
 )
 from repro.core.tiling import ceil_div, choose_l2_tile, reuse_passes
-from repro.energy.model import _PJ
+from repro.energy.model import _PJ, ActivityCounts
 from repro.energy.tables import EnergyTable, default_table
 from repro.obs.metrics import active as _metrics_active
 from repro.ops.attention import AttentionConfig, Scope, operators_for_scope
@@ -158,7 +165,9 @@ class GridEvaluation:
     (dataflows or table rows) passed to :func:`evaluate_grid`.  The
     activity-count fields mirror
     :class:`~repro.energy.model.ActivityCounts` (already scaled by the
-    scope's replication, like ``ScopeCost.counts``).
+    scope's replication, like ``ScopeCost.counts``).  An evaluation
+    made by :func:`evaluate_grid` also keeps its per-operator arrays,
+    from which :meth:`scope_cost` rebuilds any lane's full breakdown.
     """
 
     total_cycles: "np.ndarray"
@@ -169,9 +178,24 @@ class GridEvaluation:
     sg_words: "np.ndarray"
     dram_words: "np.ndarray"
     sfu_ops: "np.ndarray"
+    # Not a field: equality, repr and ``dataclasses.fields`` see the
+    # arrays only.
+    breakdown: InitVar[Optional["_Breakdown"]] = None
+
+    def __post_init__(self, breakdown: Optional["_Breakdown"]) -> None:
+        object.__setattr__(self, "_breakdown", breakdown)
 
     def __len__(self) -> int:
         return int(self.total_cycles.shape[0])
+
+    def scope_cost(self, i: int, dataflow: Dataflow) -> ScopeCost:
+        """Lane ``i``'s :class:`~repro.core.perf.ScopeCost`, equal to
+        ``cost_scope`` of ``dataflow`` (the lane's candidate) on the
+        lane's workload: every field, with the same Python types, so the
+        pickled bytes match too."""
+        if self._breakdown is None:
+            raise ValueError("this evaluation keeps no per-operator arrays")
+        return self._breakdown.scope_cost(i, dataflow)
 
     def objective_scores(
         self,
@@ -336,6 +360,8 @@ class _OpArrays:
     dram_words: "np.ndarray"
     sg_words: "np.ndarray"
     footprint_bytes: "np.ndarray"
+    compute_cycles: "np.ndarray"
+    softmax_cycles: object  # ndarray for the L-A pair, 0.0 otherwise
     macs: object  # float, or one float per operator
     sl_words: object  # float, or one float per operator
     sfu_ops: object  # ndarray (variant-dependent), or a float constant
@@ -639,10 +665,11 @@ def _evaluate_la_pair(
     int_spill = int_cold * int_offchip
     fused_dram_main = dram_l_inputs + dram_a_inputs + 2.0 * int_spill
     fused_sg = sg_base_l + sg_base_a
+    compute = compute_l + compute_a
     fused_busy = np.where(
         f.v_pipe,
-        np.maximum(compute_l + compute_a, sm_fused),
-        (compute_l + compute_a) + sm_fused,
+        np.maximum(compute, sm_fused),
+        compute + sm_fused,
     )
     fused_steady = _phase_time(
         fused_busy, fused_dram_main, fused_sg, accel,
@@ -672,6 +699,12 @@ def _evaluate_la_pair(
         dram_words=dram_words,
         sg_words=sg_words,
         footprint_bytes=fp_bytes,
+        # Both the fused phase and the unfused L and A phases sum to
+        # ``compute_l + compute_a``.  Only a fused dataflow carries a
+        # variant (``Dataflow`` rejects the rest), so ``sm_fused`` is
+        # the unfused softmax phase too.
+        compute_cycles=compute,
+        softmax_cycles=sm_fused,
         macs=macs,
         sl_words=sl_words,
         # FLASH-D does less SFU arithmetic; the energy accounting
@@ -818,10 +851,140 @@ def _evaluate_operators(
         dram_words=dram_words,
         sg_words=sg_words,
         footprint_bytes=fp_bytes,
+        compute_cycles=compute,
+        softmax_cycles=0.0,
         macs=macs,
         sl_words=sl_words,
         sfu_ops=0.0,
     )
+
+
+# ----------------------------------------------------------------------
+# one lane's full breakdown
+# ----------------------------------------------------------------------
+def _lane_values(rows: "np.ndarray", i: int) -> list:
+    """Lane ``i`` of an ``operators x lanes`` array (a one-lane-column
+    array serves every lane) as Python scalars."""
+    return rows[:, i if rows.shape[1] > 1 else 0].tolist()
+
+
+class _Breakdown:
+    """What :meth:`GridEvaluation.scope_cost` reads: the scope's cost
+    rows (``plan``), the L-A pair's and the stacked operators'
+    :class:`_OpArrays`, the call's workloads and each one's non-L-A
+    operators.
+
+    A lane's :class:`~repro.core.perf.OperatorCost` takes the values
+    the kernel computed (cycles, traffic, footprint) from the arrays,
+    and derives the rest in Python from them and the workload, as
+    ``perf._assemble`` derives them — so every field is the scalar
+    path's value, of the scalar path's type.
+    """
+
+    __slots__ = ("plan", "la", "stacked", "workloads", "others", "scope",
+                 "accel", "_la_terms")
+
+    def __init__(self, plan: Tuple[Optional[int], ...],
+                 la: Optional[_OpArrays], stacked: Optional[_OpArrays],
+                 workloads: _Workloads,
+                 others: List[List[GemmOperator]], scope: Scope,
+                 accel: Accelerator) -> None:
+        self.plan = plan
+        self.la = la
+        self.stacked = stacked
+        self.workloads = workloads
+        self.others = others
+        self.scope = scope
+        self.accel = accel
+        self._la_terms: dict = {}
+
+    def _la_counts(self, wi: int) -> tuple:
+        """Workload ``wi``'s dataflow-independent pair terms, as
+        ``cost_la_pair`` computes them: ``(macs, out elements, softmax
+        flops, FLASH-D flops)``."""
+        terms = self._la_terms.get(wi)
+        if terms is None:
+            cfg = self.workloads.configs[wi]
+            b, h, nq = cfg.batch, cfg.heads, cfg.seq_q
+            out_cold = b * h * nq * cfg.d_head
+            int_cold = b * h * nq * cfg.seq_kv
+            macs_l = b * h * nq * cfg.seq_kv * cfg.d_head
+            sfu = self.accel.sfu
+            # Every phase list sums its softmax elements to this float.
+            terms = self._la_terms[wi] = (
+                macs_l + macs_l, out_cold,
+                float(sfu.softmax_flops(int(float(int_cold)))),
+                float(sfu.flashd_flops(int_cold, out_cold)),
+            )
+        return terms
+
+    def _operator_cost(self, name: str, macs: int, out_elements: int,
+                       total: float, compute: float, softmax: float,
+                       dram_bytes: float, dram_words: float,
+                       sg_words: float, footprint: int,
+                       sfu_ops: float) -> OperatorCost:
+        accel = self.accel
+        sg_bytes = sg_words * accel.bytes_per_element
+        return OperatorCost(
+            name=name,
+            total_cycles=total,
+            ideal_cycles=macs / accel.peak_macs_per_cycle,
+            compute_cycles=compute,
+            softmax_cycles=softmax,
+            dram_cycles=dram_bytes / accel.offchip_bytes_per_cycle,
+            sg_cycles=sg_bytes / accel.onchip_bytes_per_cycle,
+            dram_bytes=dram_bytes,
+            sg_bytes=sg_bytes,
+            footprint_bytes=footprint,
+            counts=ActivityCounts(
+                macs=float(macs),
+                sl_words=2.0 * macs + out_elements,
+                sg_words=sg_words,
+                dram_words=dram_words,
+                sfu_ops=sfu_ops,
+            ),
+        )
+
+    def scope_cost(self, i: int, dataflow: Dataflow) -> ScopeCost:
+        w = self.workloads
+        wi = 0 if w.lane is None else int(w.lane[i])
+        cfg = w.configs[wi]
+        costs: List[OperatorCost] = []
+        st = self.stacked
+        if st is not None:
+            columns = [_lane_values(rows, i) for rows in (
+                st.total_cycles, st.compute_cycles, st.dram_bytes,
+                st.dram_words, st.sg_words, st.footprint_bytes)]
+            ops = self.others[wi]
+            # cost_scope's default *other* dataflow (see _GridFeatures).
+            other = ("Base" if dataflow.fused or dataflow.granularity is None
+                     else dataflow.name)
+        for row in self.plan:
+            if row is None:
+                la = self.la
+                macs, out_cold, sfu_softmax, sfu_flashd = self._la_counts(wi)
+                flashd = dataflow.variant is AttentionVariant.FLASH_D
+                costs.append(self._operator_cost(
+                    f"{cfg.name}.logit+attend[{dataflow.name}]", macs,
+                    out_cold, la.total_cycles.item(i),
+                    la.compute_cycles.item(i), la.softmax_cycles.item(i),
+                    la.dram_bytes.item(i), la.dram_words.item(i),
+                    la.sg_words.item(i), la.footprint_bytes.item(i),
+                    sfu_flashd if flashd else sfu_softmax,
+                ))
+            else:
+                op = ops[row]
+                total, compute, dram_bytes, dram_words, sg_words, fp = (
+                    column[row] for column in columns)
+                costs.append(self._operator_cost(
+                    f"{op.name}[{other}]", op.macs, op.out.num_elements,
+                    total, compute, 0.0, dram_bytes, dram_words, sg_words,
+                    fp, 0.0,
+                ))
+        return ScopeCost(
+            operator_costs=costs,
+            replication=cfg.num_blocks if self.scope is Scope.MODEL else 1,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -1002,4 +1165,6 @@ def evaluate_grid(
         sg_words=np.broadcast_to(sg_words, (n,)) * replication,
         dram_words=dram_words * replication,
         sfu_ops=sfu_col,
+        breakdown=_Breakdown(plan, la, stacked, w,
+                             [others for _, others in plans], scope, accel),
     )

@@ -39,8 +39,15 @@ asks for:
   scored, turning most sweep searches into bound-confirmation passes;
   a small space ignores it.
 * **Every point** (``retain_points=True``, e.g. the Figure 10
-  scatter): the space is enumerated and every dataflow is scored by
-  the memoized scalar model.
+  scatter): the space is enumerated and every point checks the
+  per-point LRU; the misses take their breakdowns from one grid call
+  over the space (:meth:`~repro.core.batch.GridEvaluation.scope_cost`).
+
+On both paths a grid-scored point's full ``ScopeCost`` — a best-only
+winner's, every point's — is built from its grid lane, equal to the
+scalar model's on every field, so the scalar model runs only for warm
+seeds, lone fixed-dataflow misses (:func:`evaluate_costs`) and past
+the array path's edge.
 
 **Many searches, one call.**  :func:`run_searches` checks every
 request's memo first, in list order, then scores the small missed
@@ -107,6 +114,7 @@ from repro.core.batch import (
     GridEvaluation,
     GridLanes,
     GridRows,
+    _GridFeatures,
     _l2_budget_slots,
     _per_value,
     _tile_luts,
@@ -166,7 +174,9 @@ __all__ = [
     "objective_lower_bound",
     "clear_evaluation_cache",
     "evaluation_cache_info",
+    "CostRequest",
     "evaluate_cost",
+    "evaluate_costs",
     "reset_search_totals",
     "search_totals",
     "scoped_search_totals",
@@ -193,10 +203,11 @@ class SearchStats:
     never reached the cost model.  ``disk_hits`` is the subset of
     ``cache_hits`` served by the persistent cross-run cache rather than
     the in-process LRU: a search answered from disk books its whole
-    space there.  ``evaluated`` counts scalar cost-model runs:
-    every point of an every-point search that missed the LRU, every
-    member a best-only search scored through the scalar fallback, and
-    the winner's scalar breakdown.  ``batch_evaluations`` counts
+    space there.  ``evaluated`` counts the full breakdowns a search
+    built, from a grid lane or by the scalar model: every point of an
+    every-point search that missed the LRU, every member a best-only
+    search scored through the scalar fallback, and the winner's
+    breakdown when the LRU did not hold it.  ``batch_evaluations`` counts
     candidates scored by the vectorized backend only; it sits outside
     the invariant — a batch-scored loser is accounted as ``pruned`` (it
     provably cannot win).
@@ -440,13 +451,18 @@ def accelerator_fingerprint(accel: Accelerator) -> tuple:
 class _Evaluator:
     """Per-point costs of one search identity, memoized in the LRU only.
 
-    Every scalar evaluation inside a search — the every-point path, the
-    warm seed, the winner's breakdown and, past the array path's edge,
-    ``BatchFallback`` scoring — goes through :meth:`resolve`, which
-    reports its source (``"lru"`` or ``"model"``).  Results stay in the
-    process-wide LRU; the disk tier sits one level up and stores each
-    search's answer (:func:`_memoized`).  A memoized best-only answer
-    never reaches this class: it carries its winner's cost.
+    Every per-point ``ScopeCost`` the engine hands out — a best-only
+    winner's breakdown, each point of the every-point path and of a
+    fixed lineup (:func:`evaluate_costs`), the warm seed and, past the
+    array path's edge, ``BatchFallback`` scoring — goes through
+    :meth:`cached` and, on a miss, :meth:`evaluate`, which builds it
+    from a grid lane (:meth:`~repro.core.batch.GridEvaluation.scope_cost`)
+    when the point was grid-scored and runs the scalar model otherwise.
+    Both give the same value, so the source shows only in the
+    ``engine.breakdowns[grid|lru|scalar]`` counters.  Results stay in
+    the process-wide LRU; the disk tier sits one level up and stores
+    each search's answer (:func:`_memoized`).  A memoized best-only
+    answer never reaches this class: it carries its winner's cost.
     """
 
     cfg: AttentionConfig
@@ -458,16 +474,37 @@ class _Evaluator:
     def key(self, dataflow: Dataflow) -> tuple:
         return (self.cfg, self.accel_fp, dataflow, self.options, self.scope)
 
-    def resolve(self, dataflow: Dataflow) -> Tuple[ScopeCost, str]:
-        """Cached cost of ``dataflow``, evaluating (and caching) a miss."""
-        key = self.key(dataflow)
-        cost = _CACHE.get(key)
+    def cached(self, dataflow: Dataflow) -> Optional[ScopeCost]:
+        """The LRU's cost of ``dataflow``, or ``None``."""
+        cost = _CACHE.get(self.key(dataflow))
+        if cost is not None:
+            _metric_inc("engine.breakdowns[lru]")
+        return cost
+
+    def evaluate(self, dataflow: Dataflow,
+                 lane: Optional[Tuple[GridEvaluation, int]] = None,
+                 ) -> ScopeCost:
+        """Cost a missed ``dataflow`` and cache it: lane ``lane[1]`` of
+        the grid call ``lane[0]`` that scored it, or the scalar model."""
+        if lane is None:
+            cost = cost_scope(self.cfg, self.scope, self.accel, dataflow,
+                              options=self.options)
+            _metric_inc("engine.breakdowns[scalar]")
+        else:
+            cost = lane[0].scope_cost(lane[1], dataflow)
+            _metric_inc("engine.breakdowns[grid]")
+        _CACHE.put(self.key(dataflow), cost)
+        return cost
+
+    def resolve(self, dataflow: Dataflow,
+                lane: Optional[Tuple[GridEvaluation, int]] = None,
+                ) -> Tuple[ScopeCost, str]:
+        """Cached cost of ``dataflow``, evaluating (and caching) a miss;
+        the source is ``"lru"`` or ``"model"``."""
+        cost = self.cached(dataflow)
         if cost is not None:
             return cost, "lru"
-        cost = cost_scope(self.cfg, self.scope, self.accel, dataflow,
-                          options=self.options)
-        _CACHE.put(key, cost)
-        return cost, "model"
+        return self.evaluate(dataflow, lane), "model"
 
 
 def _lookup(key: tuple,
@@ -518,6 +555,150 @@ _SOURCE_METRIC = {
 }
 
 
+# The most lanes (candidates of several small spaces, or fixed
+# dataflows) one merged scoring call holds.  Past a few hundred lanes a
+# call's rows dominate its fixed cost (~6-7 us per MODEL row against
+# ~0.3-0.5 ms per call), and the kernel's transient arrays grow ~2.3 KB
+# per lane: a paper pass peaks +3.4% higher in RSS with 512 lanes, +1.9%
+# with 256, for 10 fewer grid calls (see "Many searches, one call" in
+# docs/search_engine.md).
+_MERGE_LANE_LIMIT = 256
+
+
+def _merge_group(cfg: AttentionConfig, scope: Scope, options: PerfOptions,
+                 accel: Accelerator, accel_fp: tuple) -> Optional[tuple]:
+    """The key under which grid calls on ``cfg`` merge with others', or
+    ``None`` for a workload past the int64 headroom (scored alone, so
+    its :class:`~repro.core.batch.BatchFallback` keeps the others on
+    the grid).
+
+    Lanes merge when they share the scope, the model options, the
+    accelerator and the scope's operator kinds (one operator plan).
+    """
+    ops = operators_for_scope(cfg, scope)
+    if (max(op.macs for op in ops) * accel.bytes_per_element
+            >= _MAX_INT64_MAC_BYTES):
+        return None
+    return (scope, options, accel_fp, tuple(op.kind for op in ops))
+
+
+@dataclass(frozen=True)
+class CostRequest:
+    """One fixed dataflow of an :func:`evaluate_costs` list: the
+    arguments of :func:`evaluate_cost`."""
+
+    cfg: AttentionConfig
+    scope: Scope
+    accel: Accelerator
+    dataflow: Dataflow
+    options: PerfOptions = PerfOptions()
+
+
+def _lineup_lanes(chunk: List[int], requests: Sequence[CostRequest],
+                  evs: Sequence[_Evaluator]) -> dict:
+    """Score the missed requests ``chunk`` (one merge group) in one grid
+    call, one segment per workload: each request's ``(grid, lane)``.
+
+    A lone miss is left to the scalar model (no lanes): one
+    ``cost_scope`` call is cheaper than a one-row grid call.  So is a
+    chunk whose call raises :class:`~repro.core.batch.BatchFallback`.
+    """
+    if len(chunk) < 2:
+        return {}
+    by_cfg: dict = {}
+    for r in chunk:
+        by_cfg.setdefault(requests[r].cfg, []).append(r)
+    ev = evs[chunk[0]]
+    try:
+        grid = evaluate_grid(
+            list(by_cfg), ev.scope, ev.accel,
+            GridLanes(tuple(
+                GridRows(_GridFeatures(cfg, [requests[r].dataflow
+                                             for r in members]))
+                for cfg, members in by_cfg.items())),
+            options=ev.options,
+        )
+    except BatchFallback:
+        return {}
+    order = [r for members in by_cfg.values() for r in members]
+    return {r: (grid, lane) for lane, r in enumerate(order)}
+
+
+def evaluate_costs(requests: Sequence[CostRequest]) -> List[ScopeCost]:
+    """Memoized :func:`~repro.core.perf.cost_scope` of a fixed lineup.
+
+    The caching entry point for callers outside the search loop (the
+    figure harnesses evaluate fixed dataflow lineups): each request
+    checks its answer memo — the in-process LRU, then the persistent
+    cross-run cache — and then the per-point LRU, in list order.  The
+    misses are grouped like the small spaces of :func:`run_searches`
+    (scope, model options, accelerator, operator kinds), and each group
+    of two or more is scored in one
+    :func:`~repro.core.batch.evaluate_grid` call (at most
+    :data:`_MERGE_LANE_LIMIT` lanes, one segment per workload), whose
+    lanes give the breakdowns
+    (:meth:`~repro.core.batch.GridEvaluation.scope_cost`); a lone miss,
+    or a group the grid cannot score, takes the scalar model.  Each
+    value is stored in both tiers.
+
+    The result equals a loop of :func:`evaluate_cost` over the list:
+    the same values, the same ``engine.lru_hits`` /
+    ``engine.disk_hits`` / ``engine.evaluated`` counts, and the same LRU
+    and disk entries; a request repeating an earlier miss is booked as
+    the LRU hit it would be.
+    """
+    requests = list(requests)
+    store = get_default_cache()
+    costs: List[Optional[ScopeCost]] = [None] * len(requests)
+    evs: List[_Evaluator] = []
+    pending: set = set()  # answer memo keys of the misses
+    missed: set = set()
+    groups: dict = {}
+    for r, req in enumerate(requests):
+        ev = _Evaluator(req.cfg, req.scope, req.accel,
+                        accelerator_fingerprint(req.accel), req.options)
+        evs.append(ev)
+        key = ("cost",) + ev.key(req.dataflow)
+        if pending and key in pending:
+            continue  # a repeat, answered after the miss it repeats
+        cost, source = _lookup(key, store)
+        if cost is None:
+            # A search may already hold this point in the LRU; the
+            # answer's own key keeps its disk entry independent of that.
+            cost = ev.cached(req.dataflow)
+            if cost is None:
+                pending.add(key)
+                missed.add(r)
+                group = _merge_group(req.cfg, req.scope, req.options,
+                                     req.accel, ev.accel_fp)
+                groups.setdefault(r if group is None else group,
+                                  []).append(r)
+                continue
+            source = "lru"
+            _remember(key, cost, store)
+        _metric_inc(_SOURCE_METRIC[source])
+        costs[r] = cost
+    lanes: dict = {}  # a grid-scored miss -> (grid, lane)
+    for members in groups.values():
+        for lo in range(0, len(members), _MERGE_LANE_LIMIT):
+            lanes.update(_lineup_lanes(members[lo:lo + _MERGE_LANE_LIMIT],
+                                       requests, evs))
+    for r, req in enumerate(requests):
+        if costs[r] is not None:
+            continue
+        if r in missed:
+            ev = evs[r]
+            cost = ev.evaluate(req.dataflow, lanes.pop(r, None))
+            _remember(("cost",) + ev.key(req.dataflow), cost, store)
+            _metric_inc("engine.evaluated")
+            costs[r] = cost
+        else:
+            # By now the repeated miss is answered: as in a loop of
+            # evaluate_cost calls, this is its memo's LRU hit.
+            (costs[r],) = evaluate_costs([req])
+    return costs
+
+
 def evaluate_cost(
     cfg: AttentionConfig,
     scope: Scope,
@@ -525,29 +706,15 @@ def evaluate_cost(
     dataflow: Dataflow,
     options: PerfOptions = PerfOptions(),
 ) -> ScopeCost:
-    """Memoized :func:`~repro.core.perf.cost_scope` for fixed dataflows.
+    """Memoized :func:`~repro.core.perf.cost_scope` for one fixed dataflow.
 
-    The caching entry point for callers outside the search loop (the
-    figure harnesses evaluate fixed dataflow lineups point by point):
-    checks the in-process LRU, then the persistent cross-run cache,
-    and only then runs the cost model — storing the result in both.
-    Semantically identical to calling ``cost_scope`` directly.
+    Checks the in-process LRU, then the persistent cross-run cache, and
+    only then runs the cost model — storing the result in both.
+    Semantically identical to calling ``cost_scope`` directly.  A
+    one-request :func:`evaluate_costs`.
     """
-    ev = _Evaluator(cfg, scope, accel, accelerator_fingerprint(accel),
-                    options)
-    sources: List[str] = []
-
-    def _cost() -> ScopeCost:
-        # A search may already hold this point in the LRU; the answer's
-        # own key keeps its disk entry independent of that.
-        cost, source = ev.resolve(dataflow)
-        sources.append(source)
-        return cost
-
-    cost, source = _memoized(("cost",) + ev.key(dataflow), _cost,
-                             get_default_cache())
-    _metric_inc(_SOURCE_METRIC[sources[0] if sources else source])
-    return cost
+    return evaluate_costs([CostRequest(cfg, scope, accel, dataflow,
+                                       options)])[0]
 
 
 # ----------------------------------------------------------------------
@@ -1073,19 +1240,27 @@ def _objective_value(objective: Objective, cost: ScopeCost,
     return objective.score(cost, energy)
 
 
+#: What a scoring call returns: the objective values of its members;
+#: for a grid call, ``None`` and ``(grid, lane of the first member)``;
+#: for the scalar model, each member's ``(ScopeCost, source)`` and
+#: ``None``.
+_Scores = Tuple[np.ndarray, Optional[List[Tuple[ScopeCost, str]]],
+                Optional[Tuple[GridEvaluation, int]]]
+
+
 def _scored(
     ev: _Evaluator,
     objective: Objective,
     energy_table: Optional[EnergyTable],
     table: SpaceTable,
     index: Optional[np.ndarray],
-) -> Tuple[np.ndarray, Optional[List[Tuple[ScopeCost, str]]]]:
+) -> _Scores:
     """Objective values of the table's members ``index`` (every member
     for ``None``) from one scoring call.
 
     One :func:`~repro.core.batch.evaluate_grid` call over the table
-    rows, whose values equal the scalar model's bit for bit; the second
-    item is then ``None``.  When the call raises
+    rows, whose values equal the scalar model's bit for bit, and which
+    can rebuild any member's breakdown.  When the call raises
     :class:`~repro.core.batch.BatchFallback` (only past the array
     path's edge), the members are scored by :func:`_scalar_scored`.
     """
@@ -1095,7 +1270,7 @@ def _scored(
                              options=ev.options)
     except BatchFallback:
         return _scalar_scored(ev, objective, energy_table, table, index)
-    return grid.objective_scores(objective, energy_table), None
+    return grid.objective_scores(objective, energy_table), None, (grid, 0)
 
 
 def _scalar_scored(
@@ -1104,7 +1279,7 @@ def _scalar_scored(
     energy_table: Optional[EnergyTable],
     table: SpaceTable,
     index: Optional[np.ndarray],
-) -> Tuple[np.ndarray, List[Tuple[ScopeCost, str]]]:
+) -> _Scores:
     """:func:`_scored` by the memoized scalar model: each member's
     ``Dataflow`` is built and resolved, and the second item lists each
     ``(ScopeCost, source)`` in order."""
@@ -1112,7 +1287,7 @@ def _scalar_scored(
     resolved = [ev.resolve(table.dataflow(i)) for i in members]
     values = [_objective_value(objective, cost, energy_table)
               for cost, _ in resolved]
-    return np.asarray(values, dtype=float), resolved
+    return np.asarray(values, dtype=float), resolved, None
 
 
 def _answered(n: int, source: str, start: float) -> SearchStats:
@@ -1142,7 +1317,7 @@ def _branch_and_bound(
     energy_table: Optional[EnergyTable],
     start: float,
     warm: Optional[Incumbent],
-    whole: Optional[Callable[[], tuple]] = None,
+    whole: Optional[Callable[[], _Scores]] = None,
 ) -> Tuple[Dataflow, ScopeCost, SearchStats]:
     """Branch-and-bound over a planned space, score survivors: the winner.
 
@@ -1150,6 +1325,10 @@ def _branch_and_bound(
     :func:`~repro.core.batch.evaluate_grid` over row indices, and a
     ``Dataflow`` is built only for the winner, a located warm seed and
     members scored past a :class:`~repro.core.batch.BatchFallback`.
+    The incumbent remembers the grid call and lane that scored it, so a
+    winner that misses the LRU gets its breakdown from that lane
+    (:meth:`~repro.core.batch.GridEvaluation.scope_cost`), equal to the
+    scalar model's; a warm-seed winner's comes from the LRU.
     Without a plan (a small space, or ``FOOTPRINT``) the whole table is
     scored in one call, or taken from ``whole()`` — :func:`_scored`'s
     result for the whole table, from a call that scored several
@@ -1177,9 +1356,11 @@ def _branch_and_bound(
     n = table.total
     best_value: Optional[float] = None
     best_index: Optional[int] = None
+    best_lane: Optional[Tuple[GridEvaluation, int]] = None
 
-    def _consider(value: float, index: int) -> None:
-        nonlocal best_value, best_index
+    def _consider(value: float, index: int,
+                  lane: Optional[Tuple[GridEvaluation, int]] = None) -> None:
+        nonlocal best_value, best_index, best_lane
         if (
             best_value is None
             or value < best_value
@@ -1187,6 +1368,7 @@ def _branch_and_bound(
         ):
             best_value = value
             best_index = index
+            best_lane = lane
 
     # Warm seed: re-evaluate the neighboring winner under *this*
     # config/accelerator (its carried value, if any, is never trusted)
@@ -1218,10 +1400,10 @@ def _branch_and_bound(
             return
         generated += members
         if index is None and whole is not None:
-            values, resolved = whole()
+            values, resolved, origin = whole()
         else:
-            values, resolved = _scored(ev, objective, energy_table, table,
-                                       index)
+            values, resolved, origin = _scored(ev, objective, energy_table,
+                                               table, index)
         if resolved is None:
             batch_evaluations += members
         else:
@@ -1234,7 +1416,8 @@ def _branch_and_bound(
                     cache_hits += 1
         # Rows ascend, so the first minimum is the (value, index) one.
         k = int(np.argmin(values))
-        _consider(float(values[k]), k if index is None else int(index[k]))
+        _consider(float(values[k]), k if index is None else int(index[k]),
+                  None if origin is None else (origin[0], origin[1] + k))
 
     # Branch and bound in two rounds of gating and two scoring calls.
     # Round one gates on the warm incumbent (when present); the
@@ -1313,11 +1496,11 @@ def _branch_and_bound(
         cost = known[best_index]
         batch_losers = batch_evaluations
     else:
-        # A grid-scored winner: build its scalar breakdown.  Grid
-        # scoring does not consult the LRU, so the winner's breakdown
-        # may already be cached (the warm seed, an earlier search);
-        # book it as the hit it is.
-        cost, source = ev.resolve(winner)
+        # A grid-scored winner: its breakdown comes from its grid lane.
+        # Grid scoring does not consult the LRU, so the breakdown may
+        # already be cached (the warm seed, an earlier search); book it
+        # as the hit it is.
+        cost, source = ev.resolve(winner, best_lane)
         batch_losers = batch_evaluations - 1
         if source == "model":
             evaluated += 1
@@ -1347,12 +1530,17 @@ def _score_all(
     start: float,
     store: Optional[PersistentCache],
 ) -> DSEResult:
-    """Every-point path: enumerate the space, score each point scalarly.
+    """Every-point path: enumerate the space, cost every point.
 
-    The answer is the tuple of costs in enumeration order, memoized
-    whole (:func:`_memoized`); the objective and energy are derived
-    from it per caller.  Selection keeps the first point attaining the
-    minimum — exactly ``min(points, key=...)`` over the enumeration.
+    Each point checks the per-point LRU in enumeration order; at the
+    first miss the whole space is scored in one
+    :func:`~repro.core.batch.evaluate_grid` call, and each missed point
+    gets its breakdown from its lane (the scalar model past a
+    :class:`~repro.core.batch.BatchFallback`).  The answer is the tuple
+    of costs in enumeration order, memoized whole (:func:`_memoized`);
+    the objective and energy are derived from it per caller.  Selection
+    keeps the first point attaining the minimum — exactly
+    ``min(points, key=...)`` over the enumeration.
     """
     dataflows = list(enumerate_dataflows(ev.cfg, ev.accel, space))
     if not dataflows:
@@ -1363,9 +1551,20 @@ def _score_all(
     def _costs() -> Tuple[ScopeCost, ...]:
         nonlocal lru_hits
         costs = []
-        for dataflow in dataflows:
-            cost, source = ev.resolve(dataflow)
-            lru_hits += source == "lru"
+        grid: Any = None  # the space's grid call, made at the first miss
+        for i, dataflow in enumerate(dataflows):
+            cost = ev.cached(dataflow)
+            if cost is None:
+                if grid is None:
+                    try:
+                        grid = evaluate_grid(ev.cfg, ev.scope, ev.accel,
+                                             dataflows, options=ev.options)
+                    except BatchFallback:
+                        grid = _PAST_EDGE
+                cost = ev.evaluate(
+                    dataflow, None if grid is _PAST_EDGE else (grid, i))
+            else:
+                lru_hits += 1
             costs.append(cost)
         return tuple(costs)
 
@@ -1405,15 +1604,6 @@ def _score_all(
 # ----------------------------------------------------------------------
 # many searches, one call
 # ----------------------------------------------------------------------
-# The most lanes (candidates of several small spaces) one merged scoring
-# call holds.  Past a few hundred lanes a call's rows dominate its fixed
-# cost (~6-7 us per MODEL row against ~0.3-0.5 ms per call), and the
-# kernel's transient arrays grow ~2.3 KB per lane: a paper pass peaks
-# +3.4% higher in RSS with 512 lanes, +1.9% with 256, for 10 fewer grid
-# calls (see "Many searches, one call" in docs/search_engine.md).
-_MERGE_LANE_LIMIT = 256
-
-
 @dataclass(frozen=True)
 class SearchRequest:
     """One search of a :func:`run_searches` list.
@@ -1440,13 +1630,16 @@ class _Job:
     ``answer`` is a memo hit's ``(dataflow, cost, space size)`` and
     ``source`` where it came from; a miss holds its space ``table``.
     A space scored whole shares a ``chunk`` — the jobs scored by one
-    grid call — and gets its objective values in ``scores`` when the
-    chunk is first used (:data:`_PAST_EDGE` when the grid cannot score
-    it).  A job with none of these repeats an earlier miss's key.
+    grid call — and gets its objective values in ``scores`` and its
+    segment of the call in ``grid`` (``(grid, first lane)``, for the
+    winner's breakdown) when the chunk is first used (``scores`` is
+    :data:`_PAST_EDGE` when the grid cannot score it).  A solved job
+    drops both, so the chunk's call is freed with its last job.  A job
+    with none of these repeats an earlier miss's key.
     """
 
     __slots__ = ("request", "ev", "start", "key", "answer", "source",
-                 "table", "chunk", "scores")
+                 "table", "chunk", "scores", "grid")
 
     def __init__(self, request: SearchRequest, ev: _Evaluator,
                  start: float) -> None:
@@ -1459,32 +1652,25 @@ class _Job:
         self.table: Optional[SpaceTable] = None
         self.chunk: Optional[List["_Job"]] = None
         self.scores: Any = None
+        self.grid: Optional[Tuple[GridEvaluation, int]] = None
 
 
-_PAST_EDGE = "past-edge"  # a job's scores: the scalar model scores it
+_PAST_EDGE = "past-edge"  # a grid call raised BatchFallback: go scalar
 
 
 def _chunks(small: List[_Job]) -> None:
     """Assign each small missed space the chunk it is scored with.
 
-    Spaces merge when they share the scope, the model options, the
-    accelerator and the scope's operator kinds; each chunk holds at
-    most :data:`_MERGE_LANE_LIMIT` lanes (a larger single space gets a
-    chunk of its own).  A workload past the int64 headroom is scored
-    alone, so its :class:`~repro.core.batch.BatchFallback` keeps the
-    other spaces on the grid.
+    Spaces merge by :func:`_merge_group`; each chunk holds at most
+    :data:`_MERGE_LANE_LIMIT` lanes (a larger single space gets a chunk
+    of its own).  A workload past the int64 headroom is scored alone.
     """
     groups: dict = {}
     for job in small:
         req = job.request
-        ops = operators_for_scope(req.cfg, req.scope)
-        if (max(op.macs for op in ops) * req.accel.bytes_per_element
-                >= _MAX_INT64_MAC_BYTES):
-            group: Any = job
-        else:
-            group = (req.scope, req.options, job.ev.accel_fp,
-                     tuple(op.kind for op in ops))
-        groups.setdefault(group, []).append(job)
+        group = _merge_group(req.cfg, req.scope, req.options, req.accel,
+                             job.ev.accel_fp)
+        groups.setdefault(job if group is None else group, []).append(job)
     for members in groups.values():
         chunk: List[_Job] = []
         lanes = 0
@@ -1529,6 +1715,7 @@ def _score_chunk(chunk: List[_Job], tally: dict) -> None:
         if values is None:
             values = scores[objective] = grid.objective_scores(*objective)
         job.scores = values[lo:lo + job.table.total]
+        job.grid = (grid, lo)
         lo += job.table.total
 
 
@@ -1551,13 +1738,13 @@ def _solve(job: _Job, tally: dict) -> Tuple[tuple, SearchStats]:
     plan: Optional[CandidatePlan] = None
     seed = whole = None
     if job.chunk is not None:
-        def whole() -> tuple:
+        def whole() -> _Scores:
             if job.scores is None:
                 _score_chunk(job.chunk, tally)
             if job.scores is _PAST_EDGE:
                 return _scalar_scored(ev, req.objective, req.energy_table,
                                       table, None)
-            return job.scores, None
+            return job.scores, None, job.grid
     elif (table.total > _MERGE_BATCH_LIMIT
           and req.objective is not Objective.FOOTPRINT):
         with _span("candidate-plan", families=len(table.families)):
@@ -1569,6 +1756,7 @@ def _solve(job: _Job, tally: dict) -> Tuple[tuple, SearchStats]:
     dataflow, cost, stats = _branch_and_bound(
         ev, table, plan, req.objective, req.energy_table, job.start, seed,
         whole)
+    job.scores = job.grid = None  # the chunk's call lives while it is used
     return (dataflow, cost, table.total), stats
 
 

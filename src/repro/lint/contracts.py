@@ -120,9 +120,14 @@ SCALAR_LUT_HELPERS: Mapping[str, FrozenSet[str]] = _table({
     "repro.core.tiling": {"choose_l2_tile", "reuse_passes"},
 })
 
-#: R2 — non-formula names (config classes, constants) batch.py may
-#: import from the formula modules without a polymorphism obligation.
-NON_FORMULA_IMPORTS: FrozenSet[str] = frozenset({"PerfOptions"})
+#: R2 — non-formula names (config and result classes, constants)
+#: batch.py may import from the formula modules without a polymorphism
+#: obligation.
+NON_FORMULA_IMPORTS: FrozenSet[str] = frozenset({
+    "OperatorCost",
+    "PerfOptions",
+    "ScopeCost",
+})
 
 #: R2 — parameters the cores' docstrings pin as plain Python scalars:
 #: per-operator flags and the config/hardware objects.  Everything

@@ -34,10 +34,11 @@ then:
 
 Completed payloads also land in a bounded **response memo** keyed by
 the dedupe key: a warm repeat is answered inline at submit time
-without touching the queue.  (Grid-evaluated rows cannot be written
-back to the engine's ScopeCost caches — a grid row has no operator
-breakdown — so this memo is the serving tier's warm store; scalar
-evaluations additionally warm the engine LRU and the disk cache.)
+without touching the queue.  (A coalesced cost group's payloads are
+read straight off the grid arrays and written back to none of the
+engine's ScopeCost caches, so this memo is the serving tier's warm
+store; scalar evaluations additionally warm the engine LRU and the
+disk cache.)
 
 Admission control sheds with ``overloaded`` when the queue is full,
 and :meth:`CoalescingScheduler.drain` finishes queued + in-flight work

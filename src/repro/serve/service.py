@@ -4,12 +4,12 @@ Two routes produce one set of bytes:
 
 * :func:`execute_query` — the *reference* path: one query, answered
   with the engine's memoized entry points.  A cost query runs the
-  scalar model (:func:`~repro.core.engine.evaluate_cost`); a search
-  query (:func:`~repro.core.dse.search`) scores its space with
-  :func:`~repro.core.batch.evaluate_grid` — one call for a small space,
-  a branch-and-bound of a few calls for a larger one — and runs the
-  scalar model once, for the winner's breakdown.  :func:`answer_direct`
-  wraps it into
+  scalar model (:func:`~repro.core.engine.evaluate_cost`, a lone
+  miss); a search query (:func:`~repro.core.dse.search`) scores its
+  space with :func:`~repro.core.batch.evaluate_grid` — one call for a
+  small space, a branch-and-bound of a few calls for a larger one —
+  and builds the winner's breakdown from its grid lane.
+  :func:`answer_direct` wraps it into
   a full response envelope for in-process replay (``repro-flat query
   --direct``), which is what the ``serving-equivalence`` CI job diffs
   served responses against.
@@ -54,8 +54,8 @@ _OPTIONS = PerfOptions()
 
 def execute_query(query: Query) -> Dict[str, Any]:
     """Answer one query through the reference path: the memoized
-    scalar model for a cost query, the engine's search (grid scoring
-    plus the winner's scalar breakdown) for the others."""
+    scalar model for a cost query, the engine's search (grid scoring,
+    the winner's breakdown from its grid lane) for the others."""
     if query.kind == "cost":
         cost = evaluate_cost(
             query.cfg, query.scope, query.accel, query.dataflow,

@@ -13,7 +13,9 @@ fields behave.
 """
 
 import dataclasses
+import pickle
 import random
+import time
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from repro.core.dse import (
 from repro.core.configs import attacc, flex_accel, flex_accel_m
 from repro.core import engine
 from repro.core.engine import clear_evaluation_cache
-from repro.core.dataflow import Granularity
+from repro.core.dataflow import AttentionVariant, Granularity
 from repro.core.dataflow import base as base_dataflow
 from repro.core.footprint import operator_l3_footprint
 from repro.core.perf import PerfOptions, cost_scope, partition_scratchpad
@@ -511,3 +513,137 @@ class TestFallback:
                 for df in enumerate_dataflows(cfg, accel, space)
             ))
             _assert_grid_matches_scalar(cfg, scope, accel, dataflows)
+
+
+# ----------------------------------------------------------------------
+# a lane's full breakdown (GridEvaluation.scope_cost)
+# ----------------------------------------------------------------------
+_TINY = AttentionConfig(name="tiny", batch=2, heads=4, d_model=64,
+                        seq_q=32, seq_kv=32, d_ff=128, num_blocks=2)
+_BREAKDOWN_WORKLOADS = (
+    _TINY,
+    # Decode: one query token against a KV cache.
+    dataclasses.replace(_TINY, name="decode", seq_q=1, seq_kv=96),
+    # Cross-attention, with lengths that leave remainder tiles.
+    AttentionConfig(name="cross", batch=3, heads=2, d_model=64, seq_q=48,
+                    seq_kv=80, d_ff=96, num_blocks=3),
+    model_config("bert", seq=512),
+)
+_BREAKDOWN_SPACES = (
+    SearchSpace(),
+    SearchSpace(variants=(AttentionVariant.SOFTMAX,
+                          AttentionVariant.FLASH_D)),
+    SearchSpace(variants=(AttentionVariant.SOFTMAX,
+                          AttentionVariant.FUSEMAX)),
+    SearchSpace(exhaustive_staging=True),
+)
+_BREAKDOWN_OPTIONS = (PerfOptions(), PerfOptions(flexible_mapping=False))
+# Seconds each test may spend drawing (seeded: a slower machine checks
+# a prefix of the same draws).
+_DRAW_BUDGET_S = 1.0
+
+
+def _breakdown_accels():
+    # The small scratchpad spills staged tensors.
+    return (edge(), cloud(), edge().with_scratchpad_bytes(20 * 1024))
+
+
+def _assert_python_leaves(got, want):
+    """Every leaf of ``got`` is a Python ``float``/``int``/``str`` of
+    the scalar leaf's type — never a numpy scalar."""
+    assert type(got.replication) is int
+    for g, w in zip(got.operator_costs, want.operator_costs,
+                    strict=True):
+        for f in dataclasses.fields(g):
+            value = getattr(g, f.name)
+            if f.name == "counts":
+                for c in dataclasses.fields(value):
+                    assert type(getattr(value, c.name)) is float, c.name
+                continue
+            assert type(value) in (float, int, str), f.name
+            assert type(value) is type(getattr(w, f.name)), f.name
+
+
+def _assert_lane_is_scalar(grid, i, cfg, scope, accel, dataflow, options):
+    got = grid.scope_cost(i, dataflow)
+    want = cost_scope(cfg, scope, accel, dataflow, options=options)
+    label = (cfg.name, scope, dataflow.name, dataflow.staging)
+    assert got == want, label
+    assert pickle.dumps(got) == pickle.dumps(want), label
+    _assert_python_leaves(got, want)
+
+
+def _draws(seed: int):
+    """Draws of (workload, accelerator, space): first a fixed round
+    that uses every workload, accelerator and space at least once, then
+    seeded random ones until the time box closes."""
+    rng = random.Random(seed)
+    accels = _breakdown_accels()
+    for k, (cfg, space) in enumerate(zip(_BREAKDOWN_WORKLOADS,
+                                         _BREAKDOWN_SPACES, strict=True)):
+        yield cfg, accels[k % len(accels)], space, rng
+    deadline = time.perf_counter() + _DRAW_BUDGET_S
+    while time.perf_counter() < deadline:
+        yield (rng.choice(_BREAKDOWN_WORKLOADS), rng.choice(accels),
+               rng.choice(_BREAKDOWN_SPACES), rng)
+
+
+class TestScopeCost:
+    """``GridEvaluation.scope_cost(i)`` is ``cost_scope`` of lane ``i``:
+    ``==`` on every field, the same pickle bytes, Python leaves."""
+
+    @pytest.mark.parametrize("options", _BREAKDOWN_OPTIONS,
+                             ids=["flexible", "rigid"])
+    @pytest.mark.parametrize("scope", _SCOPES)
+    def test_dataflow_grids(self, scope, options):
+        for cfg, accel, space, _ in _draws(0xB4D + _SCOPES.index(scope)):
+            dataflows = _grid(cfg, accel, space)
+            grid = evaluate_grid(cfg, scope, accel, dataflows, options)
+            for i, dataflow in enumerate(dataflows):
+                _assert_lane_is_scalar(grid, i, cfg, scope, accel,
+                                       dataflow, options)
+
+    @pytest.mark.parametrize("options", _BREAKDOWN_OPTIONS,
+                             ids=["flexible", "rigid"])
+    @pytest.mark.parametrize("scope", _SCOPES)
+    def test_every_lane_of_merged_calls(self, scope, options):
+        """Every lane of 8-segment multi-workload calls, each on its
+        own segment's workload."""
+        for _, accel, _, rng in _draws(0x5E6 + _SCOPES.index(scope)):
+            configs, segments, members = [], [], []
+            for _ in range(8):
+                cfg = rng.choice(_BREAKDOWN_WORKLOADS)
+                table = engine._space_table(cfg,
+                                            rng.choice(_BREAKDOWN_SPACES))
+                index = np.sort(rng.sample(range(table.total),
+                                           rng.randint(1, 6)))
+                configs.append(cfg)
+                segments.append(batch_backend.GridRows(table.features,
+                                                       index))
+                members += [(cfg, table.dataflow(int(i))) for i in index]
+            grid = evaluate_grid(configs, scope, accel,
+                                 batch_backend.GridLanes(tuple(segments)),
+                                 options)
+            assert len(grid) == len(members)
+            for i, (cfg, dataflow) in enumerate(members):
+                _assert_lane_is_scalar(grid, i, cfg, scope, accel,
+                                       dataflow, options)
+
+    def test_single_lane_and_table_rows(self, edge_accel):
+        """A one-row call, and rows of a space table, agree too."""
+        cfg = _BREAKDOWN_WORKLOADS[2]
+        table = engine._space_table(cfg, SearchSpace())
+        for scope in _SCOPES:
+            for i in (0, table.total - 1):
+                grid = evaluate_grid(
+                    cfg, scope, edge_accel,
+                    batch_backend.GridRows(table.features,
+                                           np.array([i], dtype=np.int64)))
+                _assert_lane_is_scalar(grid, 0, cfg, scope, edge_accel,
+                                       table.dataflow(i), PerfOptions())
+
+    def test_without_arrays_raises(self, small_cfg, edge_accel):
+        df = _grid(small_cfg, edge_accel)[0]
+        scores = batch_backend.GridEvaluation(*([np.zeros(1)] * 8))
+        with pytest.raises(ValueError, match="per-operator"):
+            scores.scope_cost(0, df)

@@ -9,19 +9,22 @@ guarantee.
 """
 
 import dataclasses
+import pickle
 
 import pytest
 
 from repro.core import engine
 from repro.core.cache import default_cache_dir
+from repro.core.batch import BatchFallback
 from repro.core.candidates import make_incumbent
-from repro.core.dataflow import Granularity, Stationarity
+from repro.core.dataflow import AttentionVariant, Granularity, Stationarity
 from repro.core.dse import Objective, SearchSpace, enumerate_dataflows, search
 from repro.core.engine import (
     SearchStats,
     accelerator_fingerprint,
     clear_evaluation_cache,
     cycles_lower_bound,
+    evaluate_cost,
     evaluation_cache_info,
     objective_lower_bound,
 )
@@ -472,6 +475,54 @@ class TestSpaceTableReuse:
             assert_matches_oracle(result, oracle)
 
 
+class TestWinnerBreakdown:
+    """A grid-scored winner's breakdown comes from its grid lane: equal
+    to ``cost_scope``, pickled bytes included, with no scalar run."""
+
+    @pytest.fixture()
+    def scalar(self, monkeypatch):
+        calls = []
+        real = engine.cost_scope
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "cost_scope", counting)
+        return calls
+
+    @pytest.mark.parametrize("scope", [Scope.LA, Scope.BLOCK, Scope.MODEL])
+    @pytest.mark.parametrize(
+        "space", [SearchSpace(), SearchSpace(exhaustive_staging=True)],
+        ids=["one-call", "planned"])
+    def test_winner_from_its_lane(self, scalar, bert_512, edge_accel,
+                                  scope, space):
+        res = search(bert_512, edge_accel, scope=scope, space=space,
+                     objective=Objective.EDP, retain_points=False)
+        want = cost_scope(bert_512, scope, edge_accel, res.best.dataflow)
+        assert res.best.cost == want
+        assert pickle.dumps(res.best.cost) == pickle.dumps(want)
+        assert scalar == []
+        assert res.stats.evaluated == 1 and res.stats.cache_hits == 0
+
+    def test_warm_seed_keeps_its_scalar_cost(self, scalar, bert_512,
+                                             edge_accel, cloud_accel):
+        space = SearchSpace(exhaustive_staging=True)
+        seed = make_incumbent(
+            search(bert_512, cloud_accel, space=space, retain_points=False),
+            Scope.LA, cloud_accel)
+        assert scalar == []
+        res = search(bert_512, edge_accel, space=space, retain_points=False,
+                     warm_start=seed)
+        # The seed is re-evaluated by the scalar model; a seed that wins
+        # is the LRU hit it was before.
+        assert len(scalar) == 1
+        assert_matches_oracle(res, exhaustive_best(bert_512, edge_accel,
+                                                   space=space))
+        if res.best.dataflow == seed.dataflow:
+            assert res.stats.evaluated == 0 and res.stats.cache_hits == 1
+
+
 class TestRetainPoints:
     def test_fast_path_returns_no_points(self, small_cfg, edge_accel):
         res = search(small_cfg, edge_accel, retain_points=False)
@@ -482,6 +533,49 @@ class TestRetainPoints:
         res = search(small_cfg, edge_accel)
         assert res.points
         assert all(p.energy is not None for p in res.points)
+
+    @pytest.mark.parametrize("scope", [Scope.LA, Scope.BLOCK, Scope.MODEL])
+    def test_grid_points_equal_the_scalar_route(self, monkeypatch,
+                                                small_cfg, edge_accel,
+                                                scope):
+        """Points, stats and winner equal the route that costs every
+        point with the scalar model (forced by a grid that always falls
+        back), with per-point LRU hits booked alike."""
+        space = SearchSpace(variants=(AttentionVariant.SOFTMAX,
+                                      AttentionVariant.FLASH_D))
+        dataflows = list(enumerate_dataflows(small_cfg, edge_accel, space))
+
+        def run():
+            clear_evaluation_cache()
+            for df in dataflows[2:4]:  # two points already in the LRU
+                evaluate_cost(small_cfg, scope, edge_accel, df)
+            return search(small_cfg, edge_accel, scope=scope, space=space,
+                          objective=Objective.EDP)
+
+        grids = []
+        real_grid = engine.evaluate_grid
+
+        def counting(*args, **kwargs):
+            grids.append(1)
+            return real_grid(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "evaluate_grid", counting)
+        on_grid = run()
+        assert len(grids) == 1
+
+        def past_edge(*args, **kwargs):
+            raise BatchFallback("forced")
+
+        monkeypatch.setattr(engine, "evaluate_grid", past_edge)
+        scalar = run()
+        assert [p.dataflow for p in on_grid.points] == dataflows
+        assert on_grid.points == scalar.points
+        assert pickle.dumps(on_grid.points) == pickle.dumps(scalar.points)
+        assert on_grid.best == scalar.best
+        assert (dataclasses.replace(on_grid.stats, wall_time_s=0.0)
+                == dataclasses.replace(scalar.stats, wall_time_s=0.0))
+        assert on_grid.stats.cache_hits == 2
+        assert on_grid.stats.evaluated == len(dataflows) - 2
 
 
 class TestFingerprint:

@@ -20,8 +20,11 @@ few seconds.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import random
+import sqlite3
 import threading
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -38,17 +41,25 @@ from repro.core.configs import (
     flex_accel,
     flex_accel_m,
 )
-from repro.core.dataflow import AttentionVariant, Granularity, flat_r
-from repro.core.dse import Objective, SearchSpace
+from repro.core.dataflow import (
+    AttentionVariant,
+    Granularity,
+    base,
+    flat_r,
+    flat_x,
+)
+from repro.core.dse import Objective, SearchSpace, enumerate_dataflows
 from repro.core.engine import (
+    CostRequest,
     SearchRequest,
     clear_evaluation_cache,
+    evaluate_costs,
     evaluation_cache_info,
     run_search,
     run_searches,
     search_totals,
 )
-from repro.core.perf import PerfOptions
+from repro.core.perf import PerfOptions, cost_scope
 from repro.experiments import fig12
 from repro.models.configs import model_config
 from repro.ops.attention import AttentionConfig, Scope
@@ -139,6 +150,12 @@ class TestOracle:
         for req, result in zip(requests, results):
             assert_matches_oracle(result, _oracle(req), req.objective)
             assert result.points == ()
+            # The winner's breakdown, from its grid lane, is the
+            # scalar model's, pickled bytes included.
+            want = cost_scope(req.cfg, req.scope, req.accel,
+                              result.best.dataflow, options=req.options)
+            assert result.best.cost == want
+            assert pickle.dumps(result.best.cost) == pickle.dumps(want)
 
     def test_run_search_is_a_one_request_list(self):
         req = SearchRequest(_CROSS, edge(), Scope.BLOCK, Objective.ENERGY)
@@ -374,8 +391,9 @@ class TestConsumers:
         sizes = (20 * 1024, 64 * 1024, 512 * 1024)
         calls = _counting_grid(monkeypatch)
         swept = buffer_sweeps(cases, edge(), sizes)
-        # One merged call per (size, scope) scores the small curves.
-        assert calls.count(2) == len(sizes) * 2
+        # Per (size, scope), one merged call scores the small curves and
+        # one the two workloads' fixed lineups.
+        assert calls.count(2) == len(sizes) * 2 * 2
         clear_evaluation_cache()
         assert swept == [buffer_sweep(cfg, scope, edge(), lineup, sizes,
                                       dse_spaces=dse)
@@ -411,3 +429,128 @@ class TestConsumers:
             (seq, policy.name, bisect(policy, model_config("bert", seq=seq)))
             for seq in (512, 2048) for policy in policies
         ]
+
+
+def _evaluate_cost_loop(requests) -> list:
+    """The reference for ``evaluate_costs``: per request, in list
+    order, one memo lookup (LRU, then disk) and, on a miss, the
+    per-point LRU or the scalar model — ``evaluate_cost`` as it was
+    before fixed lineups were scored together."""
+    costs = []
+    for req in requests:
+        ev = engine._Evaluator(req.cfg, req.scope, req.accel,
+                               engine.accelerator_fingerprint(req.accel),
+                               req.options)
+        sources = []
+
+        def compute():
+            cost, source = ev.resolve(req.dataflow)
+            sources.append(source)
+            return cost
+
+        cost, source = engine._memoized(("cost",) + ev.key(req.dataflow),
+                                        compute, get_default_cache())
+        engine._metric_inc(
+            engine._SOURCE_METRIC[sources[0] if sources else source])
+        costs.append(cost)
+    return costs
+
+
+class TestEvaluateCosts:
+    """A fixed lineup: ``evaluate_costs`` equals a loop of one-point
+    lookups — values, metric deltas, LRU and disk entries — while its
+    misses share grid calls."""
+
+    _PAST = TestFallbackIsolation._PAST
+    _ON_DISK = (CostRequest(_TINY, Scope.LA, edge(), flat_r(16)),
+                CostRequest(_CROSS, Scope.BLOCK, edge(), base()))
+    _IN_LRU = (CostRequest(_DECODE, Scope.LA, edge(), flat_r(16)),)
+    # Every point of this space lands in the per-point LRU.
+    _POINTS = SearchRequest(_TINY, edge(), Scope.BLOCK, retain_points=True)
+
+    def _requests(self) -> list:
+        point = list(enumerate_dataflows(_TINY, edge(), SearchSpace()))[3]
+        misses = [
+            CostRequest(_TINY, Scope.LA, edge(), flat_r(32)),
+            CostRequest(_CROSS, Scope.LA, edge(), flat_r(16)),
+            CostRequest(_DECODE, Scope.LA, edge(), base()),
+            CostRequest(_TINY, Scope.MODEL, edge(), flat_r(16)),
+            CostRequest(_CROSS, Scope.MODEL, edge(),
+                        flat_x(Granularity.H)),
+            CostRequest(_CROSS, Scope.LA, edge(), flat_r(16),
+                        PerfOptions(flexible_mapping=False)),
+            CostRequest(_DECODE, Scope.LA, edge(), flat_r(8),
+                        PerfOptions(flexible_mapping=False)),
+        ]
+        lone = CostRequest(_CROSS, Scope.LA, cloud(), flat_r(16))
+        # Past the int64 headroom: scalar, the others stay on the grid.
+        past = [CostRequest(self._PAST, Scope.LA, edge(), df)
+                for df in (flat_r(64), base())]
+        return [
+            misses[0], self._ON_DISK[0], misses[1], self._IN_LRU[0],
+            past[0], misses[2], misses[0],  # a repeat of a miss
+            CostRequest(_TINY, Scope.BLOCK, edge(), point),  # point hit
+            misses[3], lone, self._ON_DISK[0],  # a repeat of a disk hit
+            misses[4], past[1], self._ON_DISK[1], misses[5], misses[6],
+            misses[3],
+        ]
+
+    def _run(self, tmp_path, batched: bool, monkeypatch):
+        import repro.obs as obs
+
+        calls = _counting_grid(monkeypatch)
+        scalar = []
+        real_cost = engine.cost_scope
+        monkeypatch.setattr(engine, "cost_scope", lambda *a, **k: (
+            scalar.append(1) or real_cost(*a, **k)))
+        clear_evaluation_cache()
+        with default_cache_dir(str(tmp_path)):
+            store = get_default_cache()
+            evaluate_costs(self._ON_DISK)
+            clear_evaluation_cache()  # the disk keeps them
+            evaluate_costs(self._IN_LRU)
+            run_searches([self._POINTS])
+            before = _snapshot()
+            keys_before = set(engine._CACHE._data)
+            calls.clear()
+            scalar.clear()
+            requests = self._requests()
+            with obs.observed() as session:
+                costs = (evaluate_costs(requests) if batched
+                         else _evaluate_cost_loop(requests))
+                snap = session.registry.snapshot()
+            after = _snapshot()
+            metrics = {name: snap.get(name, {"value": 0})["value"]
+                       for name in ("engine.lru_hits", "engine.disk_hits",
+                                    "engine.evaluated")}
+            lru_keys = set(engine._CACHE._data) - keys_before
+            with closing(sqlite3.connect(store.path)) as conn:
+                disk = conn.execute(
+                    "SELECT key, value FROM entries ORDER BY key").fetchall()
+            store.close()
+        return (costs, metrics, _delta(before, after), lru_keys, disk,
+                list(calls), len(scalar))
+
+    def test_list_equals_a_lookup_loop(self, tmp_path, monkeypatch):
+        looped = self._run(tmp_path / "loop", False, monkeypatch)
+        batched = self._run(tmp_path / "batch", True, monkeypatch)
+        requests = self._requests()
+        for got, want, req in zip(batched[0], looped[0], requests,
+                                  strict=True):
+            assert got == want
+            assert pickle.dumps(got) == pickle.dumps(want)
+            assert got == cost_scope(req.cfg, req.scope, req.accel,
+                                     req.dataflow, options=req.options)
+        assert batched[1:5] == looped[1:5]
+        # Five LRU hits (a memo, a repeated miss, a repeated disk hit,
+        # a per-point entry, a second repeat), two disk hits and ten
+        # distinct misses.
+        assert looped[1] == {"engine.lru_hits": 5, "engine.disk_hits": 2,
+                             "engine.evaluated": 10}
+        # The loop runs the scalar model per miss and no grid; the list
+        # scores the LA misses (flexible and rigid) and the MODEL
+        # misses on the grid, one segment per workload, and leaves the
+        # lone miss and the two past the headroom to the scalar model.
+        assert looped[5:] == ([], 10)
+        assert sorted(batched[5]) == [2, 2, 3]
+        assert batched[6] == 3

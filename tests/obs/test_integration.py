@@ -102,6 +102,37 @@ class TestEngineInstrumentation:
         assert attrs["families_pruned"] == attrs["candidates_skipped"] == 0
         assert attrs["scalar"] == 0
 
+    def test_breakdown_sources(self, bert_512):
+        """``engine.breakdowns[grid|lru|scalar]`` says where each
+        winner's and point's cost came from."""
+        def sources(snap):
+            return {
+                src: snap.get(f"engine.breakdowns[{src}]",
+                              {"value": 0})["value"]
+                for src in ("grid", "lru", "scalar")
+            }
+
+        clear_evaluation_cache()
+        with obs.observed() as session:
+            # A small space: one grid call, the winner from its lane.
+            first = search(bert_512, edge(), objective=Objective.RUNTIME,
+                           retain_points=False)
+            missed = session.registry.snapshot()
+            # Another objective misses the search memo; its winner is
+            # the same dataflow, whose breakdown the LRU holds.
+            again = search(bert_512, edge(), objective=Objective.ENERGY,
+                           retain_points=False)
+            repeated = session.registry.snapshot()
+            # Every point: the winner from the LRU, the rest from the
+            # space's grid call.
+            every = search(bert_512, edge(), objective=Objective.RUNTIME)
+            snap = session.registry.snapshot()
+        assert again.best.dataflow == first.best.dataflow
+        assert sources(missed) == {"grid": 1, "lru": 0, "scalar": 0}
+        assert sources(repeated) == {"grid": 1, "lru": 1, "scalar": 0}
+        n = len(every.points)
+        assert sources(snap) == {"grid": n, "lru": 2, "scalar": 0}
+
     def test_planned_search_records_candidate_plan(self, bert_512):
         clear_evaluation_cache()
         space = SearchSpace(exhaustive_staging=True)
