@@ -5,24 +5,34 @@ across processes and runs.  It holds one entry per *answer* of the
 calls users ask again — :func:`~repro.core.engine.run_search`,
 :func:`~repro.core.scaleout.search_scaleout` and
 :func:`~repro.core.engine.evaluate_cost` — never one per evaluated
-point.  Keys are hashed over their stable ``repr``.
+point.  A key is hashed from the digests of its top-level parts, each
+computed once per distinct part (``_part_digest``), never from the
+whole key's nested ``repr``.
 
 * **Versioned.**  One stdlib :mod:`sqlite3` database in WAL mode per
   :func:`cost_model_fingerprint` (cost-model sources plus
   ``CACHE_SCHEMA_VERSION``): ``<root>/<fingerprint[:16]>.sqlite``.
   Eviction deletes other generations and old one-file-per-entry trees.
+* **Batched.**  ``put`` stages its row and a hit stages its ``used``
+  touch; a flush commits both in one transaction.  Outside a
+  :meth:`PersistentCache.batch` scope every operation flushes at once;
+  inside one, flushes wait for the outermost scope to exit, for
+  ``_PENDING_LIMIT`` staged rows, for ``close``, for a ``fork`` or for
+  a maintenance call.  A lookup reads the staged rows first.
 * **Safe.**  sqlite's locks serialize the writers of every process; a
-  per-instance lock guards the connection and counters for threads.  A
-  connection never crosses a ``fork``.  A locked, full or read-only
-  store degrades to a no-op.  A row that does not unpickle is deleted;
-  a file that is not a database is deleted and rebuilt.  A lookup that
-  meets either is a miss *and* ``corrupt``, so
-  ``hits + misses == lookups`` always.  A store deleted under an open
-  connection is reopened — recreated empty by the next operation —
-  never served from the unlinked file.
-* **Bounded.**  A process's first write, and every ``_EVICT_EVERY``-th
-  after it, runs one ordered ``DELETE`` of the least recently used
-  rows beyond ``max_entries``.
+  per-instance lock guards the connection, staged rows and counters for
+  threads.  A connection never crosses a ``fork`` and a forked child
+  starts with nothing staged.  A locked, full or read-only store
+  degrades to a no-op: lookups miss and a flush drops its rows.  A row
+  that does not unpickle is deleted; a file that is not a database is
+  deleted and rebuilt.  A lookup that meets either is a miss *and*
+  ``corrupt``, so ``hits + misses == lookups`` always.  A store deleted
+  under an open connection is reopened — recreated empty by the next
+  operation — never served from the unlinked file.
+* **Bounded.**  The flush that commits a process's first write, and
+  each flush that crosses a multiple of ``_EVICT_EVERY`` writes, runs
+  one ordered ``DELETE`` of the least recently used rows beyond
+  ``max_entries``.
 
 :func:`get_default_cache` resolves ``--cache-dir`` /
 ``REPRO_CACHE_DIR`` to a per-process singleton; :mod:`sqlite3` is
@@ -65,7 +75,8 @@ __all__ = [
 #: Version 2: one sqlite file per generation, one entry per search.
 #: Version 3: a best-only search's entry holds its winning dataflow,
 #: cost and space size (was the winner's index and cost).
-CACHE_SCHEMA_VERSION = 3
+#: Version 4: a key's digest is hashed from its parts' digests.
+CACHE_SCHEMA_VERSION = 4
 
 _ENV_VAR = "REPRO_CACHE_DIR"
 
@@ -74,6 +85,14 @@ _ENV_VAR = "REPRO_CACHE_DIR"
 _BUSY_TIMEOUT_S = 2.0
 
 _EVICT_EVERY = 512
+
+# Staged rows (puts plus touches) that force a flush inside a batch()
+# scope: bounds the memory and the work a dying process can lose.
+_PENDING_LIMIT = 256
+
+# Distinct key parts whose digests stay memoized; a paper registry pass
+# uses ~160 among ~6200 part references.
+_PART_MEMO = 1024
 
 # synchronous=OFF: a power cut may lose recent writes or tear the file,
 # which a cache can afford — a torn file is dropped and rebuilt.  Point
@@ -159,7 +178,9 @@ class CacheStats:
     exactly one of hit or miss, so ``hits + misses == lookups`` always.
     ``corrupt`` counts dropped rows that do not unpickle and dropped
     files that are not databases; a lookup that meets either also
-    counts a miss — corruption is never a third outcome.
+    counts a miss — corruption is never a third outcome.  ``writes``
+    counts committed rows and ``flushes`` the write transactions that
+    committed them.
     """
 
     lookups: int = 0
@@ -168,6 +189,7 @@ class CacheStats:
     writes: int = 0
     corrupt: int = 0
     evictions: int = 0
+    flushes: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
@@ -180,14 +202,22 @@ class CacheStats:
         return CacheStats(**self.as_dict())
 
 
+@lru_cache(maxsize=_PART_MEMO)
+def _part_digest(part: object) -> bytes:
+    return hashlib.sha256(repr(part).encode()).digest()
+
+
 @lru_cache(maxsize=256)  # a miss's put reuses its get's digest
 def _digest(key: tuple) -> bytes:
-    return hashlib.sha256(repr(key).encode()).digest()
+    """sha256 over the sha256 digests of the ``repr`` of ``key``'s parts."""
+    return hashlib.sha256(b"".join(map(_part_digest, key))).digest()
 
 
 def _close_across_forks(store: "PersistentCache") -> None:
-    """Close ``store``'s connection before every ``fork``, holding its
-    lock until the fork is done so no thread reopens it in between."""
+    """Flush and close ``store``'s connection before every ``fork``,
+    holding its lock until the fork is done so no thread reopens it in
+    between; the child starts with nothing staged and outside every
+    :meth:`~PersistentCache.batch` scope."""
     ref = weakref.ref(store)
 
     def before() -> None:
@@ -196,13 +226,19 @@ def _close_across_forks(store: "PersistentCache") -> None:
             live._lock.acquire()
             live.close()
 
-    def after() -> None:
+    def after_in_parent() -> None:
         live = ref()
         if live is not None:
             live._lock.release()
 
-    os.register_at_fork(before=before, after_in_parent=after,
-                        after_in_child=after)
+    def after_in_child() -> None:
+        live = ref()
+        if live is not None:
+            live._depth = 0  # ``before`` left nothing staged
+            live._lock.release()
+
+    os.register_at_fork(before=before, after_in_parent=after_in_parent,
+                        after_in_child=after_in_child)
 
 
 class PersistentCache:
@@ -229,7 +265,11 @@ class PersistentCache:
         self.stats = CacheStats()
         self._conn: Any = None  # this process's sqlite3.Connection
         self._conn_file: Optional[Tuple[int, int]] = None  # its file id
-        # Re-entrant because _put calls _evict while already held.
+        # Staged rows: digest -> (pickled value, used) and digest -> used.
+        self._puts: Dict[bytes, Tuple[bytes, int]] = {}
+        self._touches: Dict[bytes, int] = {}
+        self._depth = 0  # open batch() scopes
+        # Re-entrant: public operations flush, and close, while held.
         self._lock = threading.RLock()
         _close_across_forks(self)
 
@@ -246,7 +286,7 @@ class PersistentCache:
         if self._conn is not None and self._file_id() != self._conn_file:
             # The file was deleted or replaced under the open
             # connection, which would keep serving the unlinked copy.
-            self.close()
+            self._disconnect()
         if self._conn is None:
             import sqlite3
 
@@ -281,29 +321,58 @@ class PersistentCache:
             raise  # a bug here, not a damaged file
         except sqlite3.DatabaseError:
             self.stats.corrupt += 1
-            self.close()
+            self._disconnect()
             for suffix in ("", "-wal", "-shm"):
                 with suppress(OSError):
                     os.unlink(f"{self.path}{suffix}")
             return None
 
     def close(self) -> None:
-        """Close this process's connection; the next operation reopens it."""
+        """Flush, then close this process's connection; the next
+        operation reopens it."""
         with self._lock:
-            conn, self._conn = self._conn, None
-            if conn is not None:
-                conn.close()
+            self._flush_pending()
+            self._disconnect()
+
+    def _disconnect(self) -> None:
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            conn.close()
 
     # -- core operations -----------------------------------------------
     def get(self, key: tuple) -> Optional[object]:
         """Stored value for ``key``, or ``None`` on miss/corruption."""
         with self._lock:
-            return self._observed("get", self._get, key)
+            value = self._observed("get", self._get, key)
+            self._flush_due()
+            return value
 
     def put(self, key: tuple, value: object) -> None:
         """Store ``value`` under ``key`` (last-writer-wins)."""
         with self._lock:
             self._observed("put", self._put, key, value)
+            self._flush_due()
+
+    @contextmanager
+    def batch(self) -> Iterator["PersistentCache"]:
+        """Defer flushes until the outermost ``batch()`` scope exits.
+
+        Re-entrant.  Staged rows still flush early at
+        ``_PENDING_LIMIT``, ``close``, a ``fork`` and the maintenance
+        calls; a process that dies inside the scope loses only what it
+        had staged.
+        """
+        pid = os.getpid()
+        with self._lock:
+            self._depth += 1
+        try:
+            yield self
+        finally:
+            with self._lock:
+                if os.getpid() == pid:  # a forked child left every scope
+                    self._depth -= 1
+                    if not self._depth:
+                        self._flush_pending()
 
     def _observed(self, op: str, fn: Callable[..., Any], *args: Any) -> Any:
         """``fn(*args)``, booking its time and counter deltas as metrics."""
@@ -329,6 +398,11 @@ class PersistentCache:
     def _get(self, key: tuple) -> Optional[object]:
         self.stats.lookups += 1
         digest = _digest(key)
+        staged = self._puts.get(digest)
+        if staged is not None:
+            self.stats.hits += 1
+            self._puts[digest] = (staged[0], time.time_ns())
+            return pickle.loads(staged[0])
         rows = self._attempt(lambda conn: conn.execute(
             "SELECT value FROM entries WHERE key = ?", (digest,)
         ).fetchall())
@@ -342,28 +416,64 @@ class PersistentCache:
                     "DELETE FROM entries WHERE key = ?", (digest,)))
             else:
                 self.stats.hits += 1
-                self._attempt(lambda conn: conn.execute(
-                    "UPDATE entries SET used = ? WHERE key = ?",
-                    (time.time_ns(), digest)))
+                self._touches[digest] = time.time_ns()
                 return value
         self.stats.misses += 1
         return None
 
     def _put(self, key: tuple, value: object) -> None:
-        row = (_digest(key), pickle.dumps(value, pickle.HIGHEST_PROTOCOL),
-               time.time_ns())
-        if self._attempt(lambda conn: conn.execute(
-            "INSERT OR REPLACE INTO entries VALUES (?, ?, ?)", row
-        )) is None:
+        digest = _digest(key)
+        self._touches.pop(digest, None)
+        self._puts[digest] = (pickle.dumps(value, pickle.HIGHEST_PROTOCOL),
+                              time.time_ns())
+
+    # -- flushing ------------------------------------------------------
+    def _flush_due(self) -> None:
+        """Flush when no scope defers it or the staged rows hit the limit."""
+        staged = len(self._puts) + len(self._touches)
+        if staged and (not self._depth or staged >= _PENDING_LIMIT):
+            self._observed("flush", self._flush)
+
+    def _flush_pending(self) -> None:
+        if self._puts or self._touches:
+            self._observed("flush", self._flush)
+
+    def _flush(self) -> None:
+        """Commit the staged rows and touches in one transaction.
+
+        A store that cannot take them (locked, full, read-only) drops
+        them.  The flush whose writes cross a multiple of
+        ``_EVICT_EVERY`` (the first write included) then evicts.
+        """
+        puts = [(digest, value, used)
+                for digest, (value, used) in self._puts.items()]
+        touches = [(used, digest) for digest, used in self._touches.items()]
+        self._puts.clear()
+        self._touches.clear()
+
+        def commit(conn: Any) -> bool:
+            with conn:  # commits, or rolls back on an error
+                conn.execute("BEGIN IMMEDIATE")
+                conn.executemany(
+                    "INSERT OR REPLACE INTO entries VALUES (?, ?, ?)", puts)
+                conn.executemany(
+                    "UPDATE entries SET used = ? WHERE key = ?", touches)
+            return True
+
+        if self._attempt(commit) is None:
             return
-        self.stats.writes += 1
-        if self.stats.writes % _EVICT_EVERY == 1:
+        before = self.stats.writes
+        self.stats.writes += len(puts)
+        self.stats.flushes += 1
+        if (self.stats.writes - 1) // _EVICT_EVERY != (
+                before - 1) // _EVICT_EVERY:
             self._evict()
 
     # -- maintenance ---------------------------------------------------
     def entry_count(self) -> int:
         """Number of entries in the live generation."""
         with self._lock:
+            self._flush_pending()
             rows = self._attempt(lambda conn: conn.execute(
                 "SELECT count(*) FROM entries").fetchall())
             return rows[0][0] if rows else 0
@@ -375,6 +485,7 @@ class PersistentCache:
         generations are deleted wholesale.
         """
         with self._lock:
+            self._flush_pending()
             return self._observed("evict", self._evict)
 
     def _evict(self) -> int:
@@ -398,8 +509,10 @@ class PersistentCache:
                     path.unlink()
 
     def clear(self) -> None:
-        """Delete every entry of the live generation."""
+        """Delete every entry of the live generation, staged rows included."""
         with self._lock:
+            self._puts.clear()
+            self._touches.clear()
             self._attempt(lambda conn: conn.execute("DELETE FROM entries"))
 
 

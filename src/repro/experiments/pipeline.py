@@ -26,6 +26,7 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -35,6 +36,7 @@ from repro.core.cache import (
     cost_model_fingerprint,
     default_cache_dir,
     get_default_cache,
+    open_cache,
     resolve_cache_dir,
 )
 from repro.core.engine import scoped_search_totals, search_totals
@@ -125,6 +127,9 @@ def _execute(name: str,
     (not inherited) so the pipeline behaves identically under fork and
     spawn start methods.  The search-totals accumulator is scoped: measuring
     this experiment's DSE work leaves the caller's totals untouched.
+    The experiment runs inside one :meth:`PersistentCache.batch` scope,
+    so its disk writes commit together when it ends; its cache traffic
+    is read after that flush.
     """
     ship_obs = False
     if trace:
@@ -140,12 +145,13 @@ def _execute(name: str,
         pcache = get_default_cache()
         cache_before = pcache.stats.copy() if pcache is not None else None
         start = time.perf_counter()
-        try:
-            report = run_experiment(name)
-            status = "ok"
-        except Exception as exc:  # noqa: BLE001 - one job must not kill the run
-            report = f"{type(exc).__name__}: {exc}"
-            status = "error"
+        with pcache.batch() if pcache is not None else nullcontext():
+            try:
+                report = run_experiment(name)
+                status = "ok"
+            except Exception as exc:  # noqa: BLE001 - one job must not kill the run
+                report = f"{type(exc).__name__}: {exc}"
+                status = "error"
         wall = time.perf_counter() - start
         cache_stats = (
             (pcache.stats - cache_before).as_dict()
@@ -192,7 +198,9 @@ def run_pipeline(
     is detected, survivors are re-run on fresh single-job pools, and
     only the job that actually killed its worker is reported as an
     error.  ``progress`` is invoked in the parent, in completion order,
-    as each experiment finishes.
+    as each experiment finishes.  On return this process's store for
+    ``cache_dir`` is flushed and its connection closed, so a directory
+    removed afterwards holds no open descriptors.
     """
     selected = list(names) if names is not None else experiment_names()
     known = set(experiment_names())
@@ -211,13 +219,30 @@ def run_pipeline(
     if cache_dir is None:
         cache_dir = resolve_cache_dir()
     trace = obs.is_enabled()
+    start = time.perf_counter()
+    try:
+        outcomes = _run_jobs(selected, workers, cache_dir, trace, progress)
+    finally:
+        if cache_dir:
+            open_cache(cache_dir).close()
+    return PipelineResult(
+        runs=tuple(outcomes[name] for name in selected),
+        wall_time_s=time.perf_counter() - start,
+        workers=workers,
+        cache_dir=cache_dir,
+    )
+
+
+def _run_jobs(selected: List[str], workers: int, cache_dir: Optional[str],
+              trace: bool,
+              progress: Optional[ProgressFn]) -> Dict[str, ExperimentRun]:
+    """Run the selected jobs in-process or on a pool; runs by name."""
 
     def _merge_obs(run: ExperimentRun) -> None:
         session = obs.session()
         if session is not None:
             session.merge(list(run.trace), run.metrics)
 
-    start = time.perf_counter()
     outcomes: Dict[str, ExperimentRun] = {}
     done = 0
     if workers == 1:
@@ -261,12 +286,7 @@ def run_pipeline(
             done += 1
             if progress is not None:
                 progress(run, done, len(selected))
-    return PipelineResult(
-        runs=tuple(outcomes[name] for name in selected),
-        wall_time_s=time.perf_counter() - start,
-        workers=workers,
-        cache_dir=cache_dir,
-    )
+    return outcomes
 
 
 def run_pipeline_via_server(

@@ -306,6 +306,9 @@ LOCK_INVENTORY: Mapping[str, Mapping[str, object]] = {
         "locks": {
             "self.stats": "self._lock",
             "self._conn": "self._lock",
+            "self._puts": "self._lock",
+            "self._touches": "self._lock",
+            "self._depth": "self._lock",
             "_instances": "_INSTANCES_LOCK",
             "_default_dir": "_DEFAULT_DIR_LOCK",
         },
@@ -317,6 +320,10 @@ LOCK_INVENTORY: Mapping[str, Mapping[str, object]] = {
             "PersistentCache._get",
             "PersistentCache._put",
             "PersistentCache._evict",
+            "PersistentCache._disconnect",
+            "PersistentCache._flush_due",
+            "PersistentCache._flush_pending",
+            "PersistentCache._flush",
         ),
         "loop_confined": (),
         "executor_only": (),

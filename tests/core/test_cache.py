@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import multiprocessing
 import os
 import shutil
@@ -649,3 +650,238 @@ class TestOneEntryPerSearch:
         assert cold.stats.inner_searches > 0
         assert warm.stats.memo_hits == 1 and warm.stats.inner_searches == 0
         assert warm.best == cold.best
+
+
+def _balanced(stats: CacheStats) -> bool:
+    return stats.hits + stats.misses == stats.lookups
+
+
+def _used(cache: PersistentCache, key) -> int:
+    with closing(sqlite3.connect(cache.path)) as conn:
+        (used,) = conn.execute("SELECT used FROM entries WHERE key = ?",
+                               (cache_mod._digest(key),)).fetchone()
+    return used
+
+
+class TestKeyDigest:
+    def test_digest_of_part_digests(self):
+        key = ("search", ("nested", 1), 2.5, None)
+        parts = b"".join(hashlib.sha256(repr(part).encode()).digest()
+                         for part in key)
+        assert cache_mod._digest(key) == hashlib.sha256(parts).digest()
+
+    def test_part_digests_are_memoized_across_keys(self):
+        cache_mod._part_digest.cache_clear()
+        shared = ("a shared part", 7)
+        for i in range(5):
+            cache_mod._digest(("k", shared, i))
+        info = cache_mod._part_digest.cache_info()
+        # "k" and ``shared`` are digested once and reused four times.
+        assert info.misses == 2 + 5 and info.hits == 2 * 4
+
+
+class TestBatchedWrites:
+    """Inside ``batch()`` puts and touches are staged and committed in
+    one transaction; outside it every operation commits at once."""
+
+    def test_scope_defers_writes_to_one_flush(self, cache):
+        reader = PersistentCache(cache.root)
+        with cache.batch():
+            for i in range(5):
+                cache.put(("k", i), i)
+            assert reader.get(("k", 0)) is None, "staged, not committed"
+            assert cache.stats.writes == 0 and cache.stats.flushes == 0
+        assert cache.stats.writes == 5 and cache.stats.flushes == 1
+        assert [reader.get(("k", i)) for i in range(5)] == list(range(5))
+        assert _balanced(cache.stats) and _balanced(reader.stats)
+
+    def test_outside_a_scope_each_put_commits(self, cache):
+        for i in range(3):
+            cache.put(("k", i), i)
+            assert cache.stats.writes == cache.stats.flushes == i + 1
+        assert PersistentCache(cache.root).get(("k", 2)) == 2
+
+    def test_nested_scopes_flush_at_the_outermost_exit(self, cache):
+        with cache.batch():
+            with cache.batch():
+                cache.put(("k",), 1)
+            assert cache.stats.flushes == 0
+        assert cache.stats.flushes == 1 and cache.stats.writes == 1
+
+    def test_pending_limit_flushes_inside_a_scope(self, cache,
+                                                  monkeypatch):
+        monkeypatch.setattr(cache_mod, "_PENDING_LIMIT", 4)
+        with cache.batch():
+            for i in range(6):
+                cache.put(("k", i), i)
+            assert cache.stats.flushes == 1 and cache.stats.writes == 4
+        assert cache.stats.flushes == 2 and cache.stats.writes == 6
+
+    def test_hit_touch_is_written_at_flush(self, cache):
+        cache.put(("k",), 1)
+        stamped = _used(cache, ("k",))
+        with cache.batch():
+            assert cache.get(("k",)) == 1
+            assert _used(cache, ("k",)) == stamped
+        assert _used(cache, ("k",)) > stamped
+        assert cache.stats.writes == 1 and cache.stats.flushes == 2
+        assert _balanced(cache.stats)
+
+    def test_hit_on_a_staged_row_returns_an_equal_fresh_object(self,
+                                                               cache):
+        value = {"cost": [1, 2, 3]}
+        with cache.batch():
+            cache.put(("k",), value)
+            first = cache.get(("k",))
+            second = cache.get(("k",))
+            assert first == value and first is not value
+            assert second == value and second is not first
+            first["cost"].append(4)
+            assert cache.get(("k",)) == value, "staged bytes, not objects"
+            assert cache.stats.hits == 3 and cache.stats.writes == 0
+        assert PersistentCache(cache.root).get(("k",)) == value
+        assert _balanced(cache.stats)
+
+    def test_close_and_maintenance_flush_clear_drops(self, cache):
+        with cache.batch():
+            cache.put(("a",), 1)
+            assert cache.entry_count() == 1
+            cache.put(("b",), 2)
+            cache.evict()
+            cache.put(("c",), 3)
+            cache.close()
+            assert cache.stats.flushes == 3 and cache.stats.writes == 3
+            cache.put(("d",), 4)
+            cache.clear()
+        assert cache.stats.flushes == 3
+        assert cache.entry_count() == 0
+        assert cache.get(("d",)) is None
+
+
+def _check_child_buffers(cache: PersistentCache) -> None:
+    # Runs in a child forked inside its parent's batch() scope.
+    assert not cache._puts and not cache._touches
+    assert cache._depth == 0, "the child starts outside every scope"
+    assert cache.get(("parent",)) == "p"  # its touch commits at once
+    cache.put(("child",), "c")  # and so does this row
+    assert cache.stats.writes == 2 and cache.stats.flushes == 3
+    os._exit(0)
+
+
+def _kill_before_flush(name, **kwargs):
+    from repro.experiments.runner import run_experiment
+
+    report = run_experiment(name, **kwargs)
+    if name == "ext-quant":
+        os._exit(13)  # its answers are staged, not committed
+    return report
+
+
+class TestBatchedFaults:
+    """The batched write path under the store's failure modes."""
+
+    def test_locked_store_at_flush_drops_rows(self, cache, monkeypatch):
+        cache.put(("k",), 1)
+        cache.close()
+        monkeypatch.setattr(cache_mod, "_BUSY_TIMEOUT_S", 0.01)
+        with closing(sqlite3.connect(cache.path)) as holder:
+            holder.execute("PRAGMA journal_mode=DELETE")
+            with cache.batch():
+                cache.put(("k2",), 2)
+                holder.execute("BEGIN EXCLUSIVE")
+            holder.rollback()
+        stats = cache.stats
+        assert stats.writes == 1 and stats.flushes == 1
+        assert stats.corrupt == 0
+        assert cache.get(("k2",)) is None, "the dropped row stays dropped"
+        assert cache.get(("k",)) == 1, "the store works once unlocked"
+        assert _balanced(cache.stats)
+
+    def test_flush_failing_mid_transaction_rolls_back(self, cache):
+        cache.put(("a",), 1)
+        real = cache._conn
+
+        class _FailsOnTouches:
+            def __getattr__(self, name):
+                return getattr(real, name)
+
+            def __enter__(self):
+                return real.__enter__()
+
+            def __exit__(self, *exc):
+                return real.__exit__(*exc)
+
+            def executemany(self, sql, rows):
+                if sql.startswith("UPDATE"):
+                    raise sqlite3.OperationalError("disk I/O error")
+                return real.executemany(sql, rows)
+
+        cache._conn = _FailsOnTouches()
+        with cache.batch():
+            assert cache.get(("a",)) == 1
+            cache.put(("b",), 2)
+        assert not real.in_transaction
+        assert cache.stats.writes == 1 and cache.stats.flushes == 1
+        cache._conn = real
+        assert PersistentCache(cache.root).get(("b",)) is None, (
+            "the failed transaction's rows were rolled back"
+        )
+        cache.put(("c",), 3)
+        assert cache.stats.writes == 2 and cache.get(("c",)) == 3
+        assert _balanced(cache.stats)
+
+    def test_store_deleted_before_flush_is_recreated(self, cache):
+        cache.put(("a",), 1)
+        with cache.batch():
+            cache.put(("k",), 2)
+            shutil.rmtree(cache.root)
+        assert cache.path.exists()
+        reader = PersistentCache(cache.root)
+        assert reader.get(("k",)) == 2
+        assert reader.get(("a",)) is None
+        assert cache.stats.writes == 2 and cache.stats.flushes == 2
+        assert _balanced(cache.stats) and _balanced(reader.stats)
+
+    def test_fork_inside_a_scope(self, cache):
+        ctx = multiprocessing.get_context("fork")
+        with cache.batch():
+            cache.put(("parent",), "p")
+            child = ctx.Process(target=_check_child_buffers, args=(cache,))
+            child.start()
+            # The fork flushed the parent's row; nothing is left staged.
+            assert cache.stats.writes == cache.stats.flushes == 1
+            child.join(timeout=60)
+            assert child.exitcode == 0
+        assert cache.stats.writes == cache.stats.flushes == 1, (
+            "the parent's rows are committed once"
+        )
+        assert cache.entry_count() == 2
+        assert cache.get(("child",)) == "c"
+        assert _balanced(cache.stats)
+
+    def test_dead_worker_loses_only_its_answers(self, tmp_path,
+                                                monkeypatch):
+        from repro.experiments import pipeline as pipeline_mod
+        from repro.experiments.pipeline import run_pipeline
+
+        names = ("ext-quant", "ext-online")
+        reference = run_pipeline(names=names, workers=1, cache_dir="")
+        root = str(tmp_path / "c")
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline_mod, "run_experiment", _kill_before_flush)
+            clear_evaluation_cache()
+            first = run_pipeline(names=names, workers=2, cache_dir=root)
+        died, survived = first.runs
+        assert died.status == "error" and survived.ok
+        assert PersistentCache(root).entry_count() == survived.cache["writes"]
+        clear_evaluation_cache()
+        second = run_pipeline(names=names, workers=2, cache_dir=root)
+        redo, warm = (run.cache for run in second.runs)
+        assert redo["hits"] == 0 and redo["writes"] == redo["lookups"] > 0
+        assert warm["misses"] == 0 and warm["hits"] == warm["lookups"] > 0
+        assert [r.report for r in second.runs] == [
+            r.report for r in reference.runs]
+        for run in first.runs + second.runs:
+            if run.cache:
+                assert run.cache["hits"] + run.cache["misses"] == (
+                    run.cache["lookups"])

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -156,3 +158,26 @@ class TestManifest:
         # get comes from the persistent cache written by the first run.
         assert second.aggregate_cache().get("hits", 0) > 0
         assert second.aggregate_search()["disk_hits"] > 0
+
+
+class TestStoreLifetime:
+    def test_run_pipeline_closes_its_store(self, tmp_path):
+        from repro.core.cache import open_cache
+
+        fds = Path("/proc/self/fd")
+        if not fds.is_dir():
+            pytest.skip("no /proc/self/fd to list open descriptors")
+        root = tmp_path / "cache"
+        result = run_pipeline(names=("ext-quant",), workers=1,
+                              cache_dir=str(root))
+        assert result.runs[0].cache["writes"] > 0
+        store = open_cache(str(root))
+        assert store._conn is None and not store._puts
+        shutil.rmtree(root)
+        held = []
+        for fd in fds.iterdir():
+            try:
+                held.append(os.readlink(fd))
+            except OSError:
+                continue  # closed while listing (the listing's own fd)
+        assert not [path for path in held if str(root) in path], held

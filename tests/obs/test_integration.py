@@ -261,6 +261,22 @@ class TestCacheInstrumentation:
         assert snap["cache.put_s"]["count"] == 1
 
 
+class TestFlushBooking:
+    def test_an_experiments_puts_land_in_one_flush(self, tmp_path):
+        clear_evaluation_cache()
+        with obs.observed() as session:
+            result = run_pipeline(names=("iso-area",), workers=1,
+                                  cache_dir=str(tmp_path / "c"))
+            snap = session.registry.snapshot()
+        (run,) = result.runs
+        assert run.cache["writes"] == snap["cache.put_s"]["count"] > 1
+        assert run.cache["flushes"] == 1
+        assert snap["cache.flushes"]["value"] == 1
+        assert snap["cache.flush_s"]["count"] == 1
+        assert snap["cache.writes"]["value"] == run.cache["writes"]
+        assert cache_invariant(snap)[3]
+
+
 class TestPipelineShipping:
     def test_workers_ship_events_and_metrics_home(self):
         import os
