@@ -35,7 +35,8 @@ def test_full_dse(benchmark):
     """One exhaustive DSE (the paper's per-point search)."""
     cfg = model_config("bert", seq=4096)
     result = benchmark.pedantic(
-        lambda: search(cfg, _EDGE, scope=Scope.LA), rounds=3, iterations=1
+        lambda: search(cfg, _EDGE, scope=Scope.LA, retain_points=True),
+        rounds=3, iterations=1
     )
     assert result.num_points > 50
     benchmark.extra_info["points_searched"] = result.num_points

@@ -28,7 +28,7 @@ def main() -> None:
     results = {}
     for objective in Objective:
         result = search(cfg, accel, scope=Scope.LA, objective=objective,
-                        space=space)
+                        space=space, retain_points=True)
         results[objective] = result
         best = result.best
         rows.append(

@@ -64,6 +64,7 @@ __all__ = [
     "PersistentCache",
     "cost_model_fingerprint",
     "open_cache",
+    "close_cache",
     "get_default_cache",
     "set_default_cache_dir",
     "default_cache_dir",
@@ -213,32 +214,41 @@ def _digest(key: tuple) -> bytes:
     return hashlib.sha256(b"".join(map(_part_digest, key))).digest()
 
 
-def _close_across_forks(store: "PersistentCache") -> None:
-    """Flush and close ``store``'s connection before every ``fork``,
+# Every live store, for the one at-fork hook below.  Re-entrant: the
+# hook holds it across the fork, so no store joins the set meanwhile,
+# and still reads the set under ``with``.
+_live: "weakref.WeakSet[PersistentCache]" = weakref.WeakSet()
+_LIVE_LOCK = threading.RLock()
+
+
+def _before_fork() -> None:
+    """Flush and close every live store's connection before a ``fork``,
     holding its lock until the fork is done so no thread reopens it in
-    between; the child starts with nothing staged and outside every
-    :meth:`~PersistentCache.batch` scope."""
-    ref = weakref.ref(store)
+    between."""
+    _LIVE_LOCK.acquire()
+    with _LIVE_LOCK:
+        stores = list(_live)
+    for store in stores:
+        store._lock.acquire()
+        store.close()
 
-    def before() -> None:
-        live = ref()
-        if live is not None:
-            live._lock.acquire()
-            live.close()
 
-    def after_in_parent() -> None:
-        live = ref()
-        if live is not None:
-            live._lock.release()
+def _after_fork(child: bool) -> None:
+    """Release what :func:`_before_fork` holds; the child starts with
+    nothing staged and outside every :meth:`~PersistentCache.batch`
+    scope."""
+    with _LIVE_LOCK:
+        stores = list(_live)
+    for store in stores:
+        if child:
+            store._depth = 0  # ``_before_fork`` left nothing staged
+        store._lock.release()
+    _LIVE_LOCK.release()
 
-    def after_in_child() -> None:
-        live = ref()
-        if live is not None:
-            live._depth = 0  # ``before`` left nothing staged
-            live._lock.release()
 
-    os.register_at_fork(before=before, after_in_parent=after_in_parent,
-                        after_in_child=after_in_child)
+os.register_at_fork(before=_before_fork,
+                    after_in_parent=lambda: _after_fork(False),
+                    after_in_child=lambda: _after_fork(True))
 
 
 class PersistentCache:
@@ -271,7 +281,8 @@ class PersistentCache:
         self._depth = 0  # open batch() scopes
         # Re-entrant: public operations flush, and close, while held.
         self._lock = threading.RLock()
-        _close_across_forks(self)
+        with _LIVE_LOCK:
+            _live.add(self)
 
     # -- connection ------------------------------------------------------
     def _file_id(self) -> Optional[Tuple[int, int]]:
@@ -546,6 +557,16 @@ def open_cache(path: os.PathLike) -> PersistentCache:
             cache = PersistentCache(key[0], fingerprint=key[1])
             _instances[key] = cache
     return cache
+
+
+def close_cache(path: os.PathLike) -> None:
+    """Flush and close this process's store for ``path``, and forget
+    it: the next :func:`open_cache` makes a new one."""
+    key = (os.path.abspath(os.fspath(path)), cost_model_fingerprint())
+    with _INSTANCES_LOCK:
+        cache = _instances.pop(key, None)
+    if cache is not None:
+        cache.close()
 
 
 def get_default_cache() -> Optional[PersistentCache]:

@@ -107,7 +107,7 @@ class AcceleratorPolicy:
         scope: Scope = Scope.LA,
         objective: Objective = Objective.RUNTIME,
         energy_table: Optional[EnergyTable] = None,
-        retain_points: bool = True,
+        retain_points: bool = False,
     ) -> DSEResult:
         return search(
             cfg,

@@ -107,8 +107,8 @@ class DSEResult:
     """Outcome of one exhaustive search.
 
     ``points`` holds every evaluated design point when the search was
-    asked to retain them (the default); a ``retain_points=False``
-    search returns only ``best`` and an empty tuple.  ``stats`` carries
+    asked to retain them (``retain_points=True``); a best-only search
+    (the default) returns only ``best`` and an empty tuple.  ``stats`` carries
     the engine's work accounting (see
     :class:`~repro.core.engine.SearchStats`) when the search ran
     through the engine.
@@ -391,7 +391,7 @@ def search(
     space: SearchSpace = SearchSpace(),
     options: PerfOptions = PerfOptions(),
     energy_table: Optional[EnergyTable] = None,
-    retain_points: bool = True,
+    retain_points: bool = False,
     warm_start: Optional["Incumbent"] = None,
 ) -> DSEResult:
     """Exhaustively evaluate the space and return the optimum.
@@ -401,9 +401,10 @@ def search(
     :func:`~repro.core.perf.cost_scope` via the ``other_dataflow``
     default).
 
-    Evaluation runs through :mod:`repro.core.engine`:
-    ``retain_points=False`` drops everything but the winner, enabling
-    branch-and-bound pruning and lazy energy accounting.  ``warm_start``
+    Evaluation runs through :mod:`repro.core.engine`: by default
+    (``retain_points=False``) everything but the winner is dropped,
+    enabling branch-and-bound pruning and lazy energy accounting;
+    ``retain_points=True`` returns every point.  ``warm_start``
     optionally seeds the candidate-generation path with a neighboring search's
     winner (see :class:`repro.core.candidates.Incumbent`).  The best
     point is identical either way; see

@@ -8,7 +8,7 @@ sequence lengths 512 to 256K, two platforms and several accelerator
 variants; a search takes one of two paths, chosen by what the caller
 asks for:
 
-* **Best only** (``retain_points=False``): the space is one
+* **Best only** (``retain_points=False``, the default): the space is one
   :class:`~repro.core.candidates.SpaceTable` — its *families*
   (stationarity x granularity x row count; see
   :class:`repro.core.dse.DataflowFamily`), their sizes and offsets,
@@ -39,9 +39,9 @@ asks for:
   scored, turning most sweep searches into bound-confirmation passes;
   a small space ignores it.
 * **Every point** (``retain_points=True``, e.g. the Figure 10
-  scatter): the space is enumerated and every point checks the
-  per-point LRU; the misses take their breakdowns from one grid call
-  over the space (:meth:`~repro.core.batch.GridEvaluation.scope_cost`).
+  scatter): the space is enumerated and scored in one grid call, and
+  every point takes its breakdown from its lane
+  (:meth:`~repro.core.batch.GridEvaluation.scope_cost`).
 
 On both paths a grid-scored point's full ``ScopeCost`` — a best-only
 winner's, every point's — is built from its grid lane, equal to the
@@ -69,15 +69,16 @@ first-in-order tie-break.  Three more optimizations sit under both:
 * **Lazy energy.**  ``energy_report`` runs only when the objective
   (``ENERGY``/``EDP``) or a ``retain_points=True`` caller actually
   needs it; a pure-runtime search computes energy once, for the winner.
-* **Cross-sweep memoization.**  Scalar evaluations are cached in a
-  process-wide LRU keyed on ``(AttentionConfig, accelerator
-  fingerprint, Dataflow, PerfOptions, Scope)``, and every search
-  remembers its answer — a best-only search its winning dataflow,
-  cost and space size, an every-point search its costs — so a repeat
-  search touches one entry and plans nothing.  The same LRU holds each
-  space's table, shared by every search of that space.  Cached costs
-  are deterministic :class:`~repro.core.perf.ScopeCost` values; energy
-  is derived per caller (it depends on the energy table).
+* **Cross-sweep memoization.**  A process-wide LRU remembers
+  answers, not points: a best-only search its winning dataflow, cost
+  and space size, an every-point search its costs, an
+  :func:`evaluate_cost` its cost — so a repeated question touches one
+  entry and plans nothing.  The same LRU holds each space's table,
+  shared by every search of that space.  A point's ``ScopeCost`` comes
+  from the grid lane that scored it or from the scalar model, never
+  from a per-point entry.  Cached costs are deterministic
+  :class:`~repro.core.perf.ScopeCost` values; energy is derived per
+  caller (it depends on the energy table).
 * **Cross-run persistence.**  When a cache directory is configured
   (``--cache-dir`` / ``REPRO_CACHE_DIR``; see :mod:`repro.core.cache`),
   every search, :func:`evaluate_cost` and
@@ -101,7 +102,7 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -203,11 +204,11 @@ class SearchStats:
     never reached the cost model.  ``disk_hits`` is the subset of
     ``cache_hits`` served by the persistent cross-run cache rather than
     the in-process LRU: a search answered from disk books its whole
-    space there.  ``evaluated`` counts the full breakdowns a search
-    built, from a grid lane or by the scalar model: every point of an
-    every-point search that missed the LRU, every member a best-only
-    search scored through the scalar fallback, and the winner's
-    breakdown when the LRU did not hold it.  ``batch_evaluations`` counts
+    space there.  A search that misses its memo books no hits, and its
+    ``evaluated`` counts the full breakdowns it built, from a grid lane
+    or by the scalar model: every point of an every-point search, every
+    member a best-only search scored through the scalar fallback, and
+    otherwise the winner's breakdown.  ``batch_evaluations`` counts
     candidates scored by the vectorized backend only; it sits outside
     the invariant — a batch-scored loser is accounted as ``pruned`` (it
     provably cannot win).
@@ -447,64 +448,24 @@ def accelerator_fingerprint(accel: Accelerator) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class _Evaluator:
-    """Per-point costs of one search identity, memoized in the LRU only.
+def _breakdown(q: Any, dataflow: Dataflow,
+               lane: Optional[Tuple[GridEvaluation, int]] = None,
+               ) -> ScopeCost:
+    """The ``ScopeCost`` of ``dataflow`` under ``q``'s workload, scope,
+    accelerator and model options (a :class:`SearchRequest` or a
+    :class:`CostRequest`): lane ``lane[1]`` of the grid call ``lane[0]``
+    that scored it, or the scalar model.
 
-    Every per-point ``ScopeCost`` the engine hands out — a best-only
-    winner's breakdown, each point of the every-point path and of a
-    fixed lineup (:func:`evaluate_costs`), the warm seed and, past the
-    array path's edge, ``BatchFallback`` scoring — goes through
-    :meth:`cached` and, on a miss, :meth:`evaluate`, which builds it
-    from a grid lane (:meth:`~repro.core.batch.GridEvaluation.scope_cost`)
-    when the point was grid-scored and runs the scalar model otherwise.
     Both give the same value, so the source shows only in the
-    ``engine.breakdowns[grid|lru|scalar]`` counters.  Results stay in
-    the process-wide LRU; the disk tier sits one level up and stores
-    each search's answer (:func:`_memoized`).  A memoized best-only
-    answer never reaches this class: it carries its winner's cost.
+    ``engine.breakdowns[grid|scalar]`` counters.  Nothing is cached
+    here: the answer the breakdown belongs to is (:func:`_memoized`).
     """
-
-    cfg: AttentionConfig
-    scope: Scope
-    accel: Accelerator
-    accel_fp: tuple
-    options: PerfOptions
-
-    def key(self, dataflow: Dataflow) -> tuple:
-        return (self.cfg, self.accel_fp, dataflow, self.options, self.scope)
-
-    def cached(self, dataflow: Dataflow) -> Optional[ScopeCost]:
-        """The LRU's cost of ``dataflow``, or ``None``."""
-        cost = _CACHE.get(self.key(dataflow))
-        if cost is not None:
-            _metric_inc("engine.breakdowns[lru]")
-        return cost
-
-    def evaluate(self, dataflow: Dataflow,
-                 lane: Optional[Tuple[GridEvaluation, int]] = None,
-                 ) -> ScopeCost:
-        """Cost a missed ``dataflow`` and cache it: lane ``lane[1]`` of
-        the grid call ``lane[0]`` that scored it, or the scalar model."""
-        if lane is None:
-            cost = cost_scope(self.cfg, self.scope, self.accel, dataflow,
-                              options=self.options)
-            _metric_inc("engine.breakdowns[scalar]")
-        else:
-            cost = lane[0].scope_cost(lane[1], dataflow)
-            _metric_inc("engine.breakdowns[grid]")
-        _CACHE.put(self.key(dataflow), cost)
-        return cost
-
-    def resolve(self, dataflow: Dataflow,
-                lane: Optional[Tuple[GridEvaluation, int]] = None,
-                ) -> Tuple[ScopeCost, str]:
-        """Cached cost of ``dataflow``, evaluating (and caching) a miss;
-        the source is ``"lru"`` or ``"model"``."""
-        cost = self.cached(dataflow)
-        if cost is not None:
-            return cost, "lru"
-        return self.evaluate(dataflow, lane), "model"
+    if lane is None:
+        _metric_inc("engine.breakdowns[scalar]")
+        return cost_scope(q.cfg, q.scope, q.accel, dataflow,
+                          options=q.options)
+    _metric_inc("engine.breakdowns[grid]")
+    return lane[0].scope_cost(lane[1], dataflow)
 
 
 def _lookup(key: tuple,
@@ -594,8 +555,7 @@ class CostRequest:
     options: PerfOptions = PerfOptions()
 
 
-def _lineup_lanes(chunk: List[int], requests: Sequence[CostRequest],
-                  evs: Sequence[_Evaluator]) -> dict:
+def _lineup_lanes(chunk: List[int], requests: Sequence[CostRequest]) -> dict:
     """Score the missed requests ``chunk`` (one merge group) in one grid
     call, one segment per workload: each request's ``(grid, lane)``.
 
@@ -608,15 +568,15 @@ def _lineup_lanes(chunk: List[int], requests: Sequence[CostRequest],
     by_cfg: dict = {}
     for r in chunk:
         by_cfg.setdefault(requests[r].cfg, []).append(r)
-    ev = evs[chunk[0]]
+    first = requests[chunk[0]]
     try:
         grid = evaluate_grid(
-            list(by_cfg), ev.scope, ev.accel,
+            list(by_cfg), first.scope, first.accel,
             GridLanes(tuple(
                 GridRows(_GridFeatures(cfg, [requests[r].dataflow
                                              for r in members]))
                 for cfg, members in by_cfg.items())),
-            options=ev.options,
+            options=first.options,
         )
     except BatchFallback:
         return {}
@@ -630,11 +590,10 @@ def evaluate_costs(requests: Sequence[CostRequest]) -> List[ScopeCost]:
     The caching entry point for callers outside the search loop (the
     figure harnesses evaluate fixed dataflow lineups): each request
     checks its answer memo — the in-process LRU, then the persistent
-    cross-run cache — and then the per-point LRU, in list order.  The
-    misses are grouped like the small spaces of :func:`run_searches`
-    (scope, model options, accelerator, operator kinds), and each group
-    of two or more is scored in one
-    :func:`~repro.core.batch.evaluate_grid` call (at most
+    cross-run cache — in list order.  The misses are grouped like the
+    small spaces of :func:`run_searches` (scope, model options,
+    accelerator, operator kinds), and each group of two or more is
+    scored in one :func:`~repro.core.batch.evaluate_grid` call (at most
     :data:`_MERGE_LANE_LIMIT` lanes, one segment per workload), whose
     lanes give the breakdowns
     (:meth:`~repro.core.batch.GridEvaluation.scope_cost`); a lone miss,
@@ -650,48 +609,39 @@ def evaluate_costs(requests: Sequence[CostRequest]) -> List[ScopeCost]:
     requests = list(requests)
     store = get_default_cache()
     costs: List[Optional[ScopeCost]] = [None] * len(requests)
-    evs: List[_Evaluator] = []
+    keys: List[tuple] = []
     pending: set = set()  # answer memo keys of the misses
     missed: set = set()
     groups: dict = {}
     for r, req in enumerate(requests):
-        ev = _Evaluator(req.cfg, req.scope, req.accel,
-                        accelerator_fingerprint(req.accel), req.options)
-        evs.append(ev)
-        key = ("cost",) + ev.key(req.dataflow)
+        accel_fp = accelerator_fingerprint(req.accel)
+        key = ("cost", req.cfg, accel_fp, req.dataflow, req.options,
+               req.scope)
+        keys.append(key)
         if pending and key in pending:
             continue  # a repeat, answered after the miss it repeats
         cost, source = _lookup(key, store)
         if cost is None:
-            # A search may already hold this point in the LRU; the
-            # answer's own key keeps its disk entry independent of that.
-            cost = ev.cached(req.dataflow)
-            if cost is None:
-                pending.add(key)
-                missed.add(r)
-                group = _merge_group(req.cfg, req.scope, req.options,
-                                     req.accel, ev.accel_fp)
-                groups.setdefault(r if group is None else group,
-                                  []).append(r)
-                continue
-            source = "lru"
-            _remember(key, cost, store)
+            pending.add(key)
+            missed.add(r)
+            group = _merge_group(req.cfg, req.scope, req.options,
+                                 req.accel, accel_fp)
+            groups.setdefault(r if group is None else group, []).append(r)
+            continue
         _metric_inc(_SOURCE_METRIC[source])
         costs[r] = cost
     lanes: dict = {}  # a grid-scored miss -> (grid, lane)
     for members in groups.values():
         for lo in range(0, len(members), _MERGE_LANE_LIMIT):
             lanes.update(_lineup_lanes(members[lo:lo + _MERGE_LANE_LIMIT],
-                                       requests, evs))
+                                       requests))
     for r, req in enumerate(requests):
         if costs[r] is not None:
             continue
         if r in missed:
-            ev = evs[r]
-            cost = ev.evaluate(req.dataflow, lanes.pop(r, None))
-            _remember(("cost",) + ev.key(req.dataflow), cost, store)
+            costs[r] = _breakdown(req, req.dataflow, lanes.pop(r, None))
+            _remember(keys[r], costs[r], store)
             _metric_inc("engine.evaluated")
-            costs[r] = cost
         else:
             # By now the repeated miss is answered: as in a loop of
             # evaluate_cost calls, this is its memo's LRU hit.
@@ -1242,16 +1192,13 @@ def _objective_value(objective: Objective, cost: ScopeCost,
 
 #: What a scoring call returns: the objective values of its members;
 #: for a grid call, ``None`` and ``(grid, lane of the first member)``;
-#: for the scalar model, each member's ``(ScopeCost, source)`` and
-#: ``None``.
-_Scores = Tuple[np.ndarray, Optional[List[Tuple[ScopeCost, str]]],
+#: for the scalar model, each member's ``ScopeCost`` and ``None``.
+_Scores = Tuple[np.ndarray, Optional[List[ScopeCost]],
                 Optional[Tuple[GridEvaluation, int]]]
 
 
 def _scored(
-    ev: _Evaluator,
-    objective: Objective,
-    energy_table: Optional[EnergyTable],
+    req: SearchRequest,
     table: SpaceTable,
     index: Optional[np.ndarray],
 ) -> _Scores:
@@ -1265,29 +1212,28 @@ def _scored(
     path's edge), the members are scored by :func:`_scalar_scored`.
     """
     try:
-        grid = evaluate_grid(ev.cfg, ev.scope, ev.accel,
+        grid = evaluate_grid(req.cfg, req.scope, req.accel,
                              GridRows(table.features, index),
-                             options=ev.options)
+                             options=req.options)
     except BatchFallback:
-        return _scalar_scored(ev, objective, energy_table, table, index)
-    return grid.objective_scores(objective, energy_table), None, (grid, 0)
+        return _scalar_scored(req, table, index)
+    return (grid.objective_scores(req.objective, req.energy_table), None,
+            (grid, 0))
 
 
 def _scalar_scored(
-    ev: _Evaluator,
-    objective: Objective,
-    energy_table: Optional[EnergyTable],
+    req: SearchRequest,
     table: SpaceTable,
     index: Optional[np.ndarray],
 ) -> _Scores:
-    """:func:`_scored` by the memoized scalar model: each member's
-    ``Dataflow`` is built and resolved, and the second item lists each
-    ``(ScopeCost, source)`` in order."""
+    """:func:`_scored` by the scalar model: each member's ``Dataflow``
+    is built and costed, and the second item lists the costs in
+    order."""
     members = range(table.total) if index is None else index.tolist()
-    resolved = [ev.resolve(table.dataflow(i)) for i in members]
-    values = [_objective_value(objective, cost, energy_table)
-              for cost, _ in resolved]
-    return np.asarray(values, dtype=float), resolved, None
+    costs = [_breakdown(req, table.dataflow(i)) for i in members]
+    values = [_objective_value(req.objective, cost, req.energy_table)
+              for cost in costs]
+    return np.asarray(values, dtype=float), costs, None
 
 
 def _answered(n: int, source: str, start: float) -> SearchStats:
@@ -1310,11 +1256,9 @@ def _member_rows(table: SpaceTable, families: Sequence[int],
 
 
 def _branch_and_bound(
-    ev: _Evaluator,
+    req: SearchRequest,
     table: SpaceTable,
     plan: Optional[CandidatePlan],
-    objective: Objective,
-    energy_table: Optional[EnergyTable],
     start: float,
     warm: Optional[Incumbent],
     whole: Optional[Callable[[], _Scores]] = None,
@@ -1325,10 +1269,10 @@ def _branch_and_bound(
     :func:`~repro.core.batch.evaluate_grid` over row indices, and a
     ``Dataflow`` is built only for the winner, a located warm seed and
     members scored past a :class:`~repro.core.batch.BatchFallback`.
-    The incumbent remembers the grid call and lane that scored it, so a
-    winner that misses the LRU gets its breakdown from that lane
-    (:meth:`~repro.core.batch.GridEvaluation.scope_cost`), equal to the
-    scalar model's; a warm-seed winner's comes from the LRU.
+    The incumbent remembers where it was scored, so the winner gets its
+    breakdown from the grid lane that scored it
+    (:meth:`~repro.core.batch.GridEvaluation.scope_cost`, equal to the
+    scalar model's) or keeps the scalar cost it was scored with.
     Without a plan (a small space, or ``FOOTPRINT``) the whole table is
     scored in one call, or taken from ``whole()`` — :func:`_scored`'s
     result for the whole table, from a call that scored several
@@ -1356,68 +1300,63 @@ def _branch_and_bound(
     n = table.total
     best_value: Optional[float] = None
     best_index: Optional[int] = None
-    best_lane: Optional[Tuple[GridEvaluation, int]] = None
+    # Where the incumbent was scored: its scalar ScopeCost, or the
+    # (grid, lane) that scored it.
+    best_origin: Any = None
 
-    def _consider(value: float, index: int,
-                  lane: Optional[Tuple[GridEvaluation, int]] = None) -> None:
-        nonlocal best_value, best_index, best_lane
+    def _consider(value: float, index: int, origin: Any) -> None:
+        nonlocal best_value, best_index, best_origin
+        # ``<=`` on the index: the warm seed's re-score takes its place.
         if (
             best_value is None
             or value < best_value
-            or (value == best_value and index < best_index)
+            or (value == best_value and index <= best_index)
         ):
             best_value = value
             best_index = index
-            best_lane = lane
+            best_origin = origin
 
     # Warm seed: re-evaluate the neighboring winner under *this*
     # config/accelerator (its carried value, if any, is never trusted)
     # and let it gate families before anything is scored.  Not booked
     # in the stats: its own family can never be family-pruned (the
     # family's bound is <= the seed's value), so it is scored again
-    # there, and as the winner its cost comes back as an LRU hit.
-    warm_index = _locate_warm_start(warm, table, ev.scope, objective,
-                                    ev.options)
+    # there, and that score (equal value, equal index) replaces it.
+    warm_index = _locate_warm_start(warm, table, req.scope, req.objective,
+                                    req.options)
     if warm_index is not None:
-        cost, _ = ev.resolve(warm.dataflow)
-        _consider(_objective_value(objective, cost, energy_table),
-                  warm_index)
+        cost = _breakdown(req, warm.dataflow)
+        _consider(_objective_value(req.objective, cost, req.energy_table),
+                  warm_index, None)
 
     generated = 0
     family_skipped = 0
     families_pruned = 0
-    cache_hits = 0
     evaluated = 0
     batch_evaluations = 0
-    known: dict = {}  # index -> ScopeCost for members with a scalar cost
 
     def _score(index: Optional[np.ndarray]) -> None:
         """Score the members ``index`` (ascending; ``None``: all) in one
         call (see :func:`_scored`) and keep the first minimum."""
-        nonlocal cache_hits, batch_evaluations, evaluated, generated
+        nonlocal batch_evaluations, evaluated, generated
         members = n if index is None else len(index)
         if not members:
             return
         generated += members
         if index is None and whole is not None:
-            values, resolved, origin = whole()
+            values, costs, grid = whole()
         else:
-            values, resolved, origin = _scored(ev, objective, energy_table,
-                                               table, index)
-        if resolved is None:
-            batch_evaluations += members
-        else:
-            rows = range(n) if index is None else index.tolist()
-            for i, (cost, source) in zip(rows, resolved):
-                known[i] = cost
-                if source == "model":
-                    evaluated += 1
-                else:
-                    cache_hits += 1
+            values, costs, grid = _scored(req, table, index)
         # Rows ascend, so the first minimum is the (value, index) one.
         k = int(np.argmin(values))
+        if costs is None:
+            batch_evaluations += members
+            origin: Any = (grid[0], grid[1] + k)
+        else:
+            evaluated += members
+            origin = costs[k]
         _consider(float(values[k]), k if index is None else int(index[k]),
-                  None if origin is None else (origin[0], origin[1] + k))
+                  origin)
 
     # Branch and bound in two rounds of gating and two scoring calls.
     # Round one gates on the warm incumbent (when present); the
@@ -1490,28 +1429,21 @@ def _branch_and_bound(
         sp.set(families_pruned=families_pruned,
                candidates_skipped=family_skipped, scalar=evaluated)
 
-    assert best_index is not None  # first family always scores someone
+    assert best_origin is not None  # the winner was scored by a call
     winner = table.dataflow(best_index)
-    if best_index in known:
-        cost = known[best_index]
+    if isinstance(best_origin, ScopeCost):
+        cost = best_origin  # booked with its scalar call
         batch_losers = batch_evaluations
     else:
-        # A grid-scored winner: its breakdown comes from its grid lane.
-        # Grid scoring does not consult the LRU, so the breakdown may
-        # already be cached (the warm seed, an earlier search); book it
-        # as the hit it is.
-        cost, source = ev.resolve(winner, best_lane)
+        cost = _breakdown(req, winner, best_origin)
+        evaluated += 1
         batch_losers = batch_evaluations - 1
-        if source == "model":
-            evaluated += 1
-        else:
-            cache_hits += 1
 
     stats = SearchStats(
         enumerated=n,
         evaluated=evaluated,
         pruned=family_skipped + batch_losers,
-        cache_hits=cache_hits,
+        cache_hits=0,
         wall_time_s=time.perf_counter() - start,
         batch_evaluations=batch_evaluations,
         candidates_generated=generated,
@@ -1521,84 +1453,56 @@ def _branch_and_bound(
     return winner, cost, stats
 
 
-def _score_all(
-    ev: _Evaluator,
-    objective: Objective,
-    space: SearchSpace,
-    energy_table: Optional[EnergyTable],
-    retain_points: bool,
-    start: float,
-    store: Optional[PersistentCache],
-) -> DSEResult:
+def _score_all(req: SearchRequest, accel_fp: tuple, start: float,
+               store: Optional[PersistentCache]) -> DSEResult:
     """Every-point path: enumerate the space, cost every point.
 
-    Each point checks the per-point LRU in enumeration order; at the
-    first miss the whole space is scored in one
-    :func:`~repro.core.batch.evaluate_grid` call, and each missed point
-    gets its breakdown from its lane (the scalar model past a
+    The whole space is scored in one
+    :func:`~repro.core.batch.evaluate_grid` call, and each point gets
+    its breakdown from its lane (the scalar model past a
     :class:`~repro.core.batch.BatchFallback`).  The answer is the tuple
     of costs in enumeration order, memoized whole (:func:`_memoized`);
     the objective and energy are derived from it per caller.  Selection
     keeps the first point attaining the minimum — exactly
     ``min(points, key=...)`` over the enumeration.
     """
-    dataflows = list(enumerate_dataflows(ev.cfg, ev.accel, space))
+    dataflows = list(enumerate_dataflows(req.cfg, req.accel, req.space))
     if not dataflows:
         raise ValueError("search space is empty")
     n = len(dataflows)
-    lru_hits = 0
 
     def _costs() -> Tuple[ScopeCost, ...]:
-        nonlocal lru_hits
-        costs = []
-        grid: Any = None  # the space's grid call, made at the first miss
-        for i, dataflow in enumerate(dataflows):
-            cost = ev.cached(dataflow)
-            if cost is None:
-                if grid is None:
-                    try:
-                        grid = evaluate_grid(ev.cfg, ev.scope, ev.accel,
-                                             dataflows, options=ev.options)
-                    except BatchFallback:
-                        grid = _PAST_EDGE
-                cost = ev.evaluate(
-                    dataflow, None if grid is _PAST_EDGE else (grid, i))
-            else:
-                lru_hits += 1
-            costs.append(cost)
-        return tuple(costs)
+        try:
+            grid = evaluate_grid(req.cfg, req.scope, req.accel, dataflows,
+                                 options=req.options)
+        except BatchFallback:
+            return tuple(_breakdown(req, df) for df in dataflows)
+        return tuple(_breakdown(req, df, (grid, i))
+                     for i, df in enumerate(dataflows))
 
-    key = ("points", ev.cfg, ev.accel_fp, ev.options, ev.scope, space)
+    key = ("points", req.cfg, accel_fp, req.options, req.scope, req.space)
     costs, source = _memoized(key, _costs, store)
-    need_energy = retain_points or objective in (
-        Objective.ENERGY, Objective.EDP
-    )
     points: List[DesignPoint] = []
     best: Optional[DesignPoint] = None
     best_value = 0.0
     for dataflow, cost in zip(dataflows, costs):
-        energy = (
-            energy_report(cost.counts, energy_table) if need_energy else None
-        )
-        point = DesignPoint(dataflow=dataflow, cost=cost, energy=energy)
-        value = objective.score(cost, energy)
+        point = DesignPoint(dataflow=dataflow, cost=cost,
+                            energy=energy_report(cost.counts,
+                                                 req.energy_table))
+        value = req.objective.score(cost, point.energy)
         if best is None or value < best_value:
             best, best_value = point, value
-        if retain_points:
-            points.append(point)
+        points.append(point)
     assert best is not None
-    if best.energy is None:
-        best = replace(best, energy=energy_report(best.cost.counts,
-                                                  energy_table))
     if source == "model":
-        stats = SearchStats(enumerated=n, evaluated=n - lru_hits, pruned=0,
-                            cache_hits=lru_hits,
+        stats = SearchStats(enumerated=n, evaluated=n, pruned=0,
+                            cache_hits=0,
                             wall_time_s=time.perf_counter() - start)
     else:
         stats = _answered(n, source, start)
     _accumulate(stats)
-    return DSEResult(best=best, points=tuple(points), objective=objective,
-                     stats=stats)
+    return DSEResult(best=best, points=tuple(points),
+                     objective=req.objective, stats=stats)
 
 
 # ----------------------------------------------------------------------
@@ -1606,12 +1510,9 @@ def _score_all(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SearchRequest:
-    """One search of a :func:`run_searches` list.
-
-    The fields are :func:`run_search`'s arguments, except that
-    ``retain_points`` defaults to ``False``: a list of searches is
-    answered best-only unless a request asks for every point.
-    """
+    """One search of a :func:`run_searches` list: the arguments of
+    :func:`run_search`, best-only unless ``retain_points`` asks for
+    every point."""
 
     cfg: AttentionConfig
     accel: Accelerator
@@ -1638,13 +1539,13 @@ class _Job:
     with none of these repeats an earlier miss's key.
     """
 
-    __slots__ = ("request", "ev", "start", "key", "answer", "source",
-                 "table", "chunk", "scores", "grid")
+    __slots__ = ("request", "accel_fp", "start", "key", "answer",
+                 "source", "table", "chunk", "scores", "grid")
 
-    def __init__(self, request: SearchRequest, ev: _Evaluator,
+    def __init__(self, request: SearchRequest, accel_fp: tuple,
                  start: float) -> None:
         self.request = request
-        self.ev = ev
+        self.accel_fp = accel_fp
         self.start = start
         self.key: Optional[tuple] = None
         self.answer: Optional[tuple] = None
@@ -1669,7 +1570,7 @@ def _chunks(small: List[_Job]) -> None:
     for job in small:
         req = job.request
         group = _merge_group(req.cfg, req.scope, req.options, req.accel,
-                             job.ev.accel_fp)
+                             job.accel_fp)
         groups.setdefault(job if group is None else group, []).append(job)
     for members in groups.values():
         chunk: List[_Job] = []
@@ -1691,13 +1592,13 @@ def _score_chunk(chunk: List[_Job], tally: dict) -> None:
     staged-footprint check, which depends on the candidates) each
     segment is scored alone, so only the offending one leaves the grid.
     """
-    ev = chunk[0].ev
+    first = chunk[0].request
     tally["grid_calls"] += 1
     try:
         grid = evaluate_grid(
-            [job.request.cfg for job in chunk], ev.scope, ev.accel,
+            [job.request.cfg for job in chunk], first.scope, first.accel,
             GridLanes(tuple(GridRows(job.table.features) for job in chunk)),
-            options=ev.options,
+            options=first.options,
         )
     except BatchFallback:
         if len(chunk) == 1:
@@ -1730,7 +1631,7 @@ def _solve(job: _Job, tally: dict) -> Tuple[tuple, SearchStats]:
     :func:`~repro.core.candidates.plan_candidates` and seeded with its
     ``warm_start``.
     """
-    req, ev = job.request, job.ev
+    req = job.request
     table = (job.table if job.table is not None
              else _space_table(req.cfg, req.space))
     if table.total == 0:
@@ -1742,8 +1643,7 @@ def _solve(job: _Job, tally: dict) -> Tuple[tuple, SearchStats]:
             if job.scores is None:
                 _score_chunk(job.chunk, tally)
             if job.scores is _PAST_EDGE:
-                return _scalar_scored(ev, req.objective, req.energy_table,
-                                      table, None)
+                return _scalar_scored(req, table, None)
             return job.scores, None, job.grid
     elif (table.total > _MERGE_BATCH_LIMIT
           and req.objective is not Objective.FOOTPRINT):
@@ -1753,9 +1653,8 @@ def _solve(job: _Job, tally: dict) -> Tuple[tuple, SearchStats]:
                                    options=req.options,
                                    energy_table=req.energy_table)
         seed = req.warm_start
-    dataflow, cost, stats = _branch_and_bound(
-        ev, table, plan, req.objective, req.energy_table, job.start, seed,
-        whole)
+    dataflow, cost, stats = _branch_and_bound(req, table, plan, job.start,
+                                              seed, whole)
     job.scores = job.grid = None  # the chunk's call lives while it is used
     return (dataflow, cost, table.total), stats
 
@@ -1763,12 +1662,11 @@ def _solve(job: _Job, tally: dict) -> Tuple[tuple, SearchStats]:
 def _finish(job: _Job, store: Optional[PersistentCache],
             tally: dict) -> DSEResult:
     """The result of one request, produced in list order."""
-    req, ev = job.request, job.ev
+    req = job.request
     with _span("search", scope=req.scope.name,
                objective=req.objective.name):
         if req.retain_points:
-            return _score_all(ev, req.objective, req.space,
-                              req.energy_table, True, job.start, store)
+            return _score_all(req, job.accel_fp, job.start, store)
         with _span("candidate-search"):
             searched: List[SearchStats] = []
 
@@ -1816,13 +1714,12 @@ def _run_searches(requests: Sequence[SearchRequest],
     small: List[_Job] = []
     memo_hits = 0
     for req in requests:
-        ev = _Evaluator(req.cfg, req.scope, req.accel,
-                        accelerator_fingerprint(req.accel), req.options)
-        job = _Job(req, ev, time.perf_counter())
+        job = _Job(req, accelerator_fingerprint(req.accel),
+                   time.perf_counter())
         jobs.append(job)
         if req.retain_points:
             continue
-        job.key = ("search", req.cfg, ev.accel_fp, req.options, req.scope,
+        job.key = ("search", req.cfg, job.accel_fp, req.options, req.scope,
                    req.objective, req.energy_table, req.space)
         if pending and job.key in pending:
             memo_hits += 1
@@ -1879,17 +1776,17 @@ def run_search(
     space: SearchSpace = SearchSpace(),
     options: PerfOptions = PerfOptions(),
     energy_table: Optional[EnergyTable] = None,
-    retain_points: bool = True,
+    retain_points: bool = False,
     warm_start: Optional[Incumbent] = None,
 ) -> DSEResult:
     """Evaluate the search space and return the optimum plus stats.
 
-    With ``retain_points=True`` (the historical default) every design
-    point is evaluated, energy included, and returned.  With
-    ``retain_points=False`` only the optimum matters: a small space is
-    scored in one call, a larger one's candidates are gated
-    family-by-family with branch-and-bound, energy is computed lazily,
-    and ``DSEResult.points`` comes back empty.  The ``FOOTPRINT``
+    With ``retain_points=False`` (the default) only the optimum
+    matters: a small space is scored in one call, a larger one's
+    candidates are gated family-by-family with branch-and-bound, energy
+    is computed lazily, and ``DSEResult.points`` comes back empty.
+    With ``retain_points=True`` every design point is evaluated, energy
+    included, and returned.  The ``FOOTPRINT``
     objective has no cost bound, so its best-only search scores every
     point in one call.  A one-request :func:`run_searches`.
 

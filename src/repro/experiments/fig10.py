@@ -56,7 +56,7 @@ def run(
     )
     result = search(
         cfg, accel, scope=scope, objective=Objective.RUNTIME, space=space,
-        options=PerfOptions(),
+        options=PerfOptions(), retain_points=True,
     )
     front = {id(p) for p in result.pareto_front()}
     points = [

@@ -33,10 +33,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro.obs as obs
 from repro.core.cache import (
+    close_cache,
     cost_model_fingerprint,
     default_cache_dir,
     get_default_cache,
-    open_cache,
     resolve_cache_dir,
 )
 from repro.core.engine import scoped_search_totals, search_totals
@@ -199,8 +199,9 @@ def run_pipeline(
     only the job that actually killed its worker is reported as an
     error.  ``progress`` is invoked in the parent, in completion order,
     as each experiment finishes.  On return this process's store for
-    ``cache_dir`` is flushed and its connection closed, so a directory
-    removed afterwards holds no open descriptors.
+    ``cache_dir`` is flushed, its connection closed and the store
+    forgotten (:func:`~repro.core.cache.close_cache`), so a directory
+    removed afterwards holds no open descriptors and no store.
     """
     selected = list(names) if names is not None else experiment_names()
     known = set(experiment_names())
@@ -224,7 +225,7 @@ def run_pipeline(
         outcomes = _run_jobs(selected, workers, cache_dir, trace, progress)
     finally:
         if cache_dir:
-            open_cache(cache_dir).close()
+            close_cache(cache_dir)
     return PipelineResult(
         runs=tuple(outcomes[name] for name in selected),
         wall_time_s=time.perf_counter() - start,

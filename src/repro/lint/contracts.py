@@ -310,6 +310,7 @@ LOCK_INVENTORY: Mapping[str, Mapping[str, object]] = {
             "self._touches": "self._lock",
             "self._depth": "self._lock",
             "_instances": "_INSTANCES_LOCK",
+            "_live": "_LIVE_LOCK",
             "_default_dir": "_DEFAULT_DIR_LOCK",
         },
         "write_only": (),

@@ -281,7 +281,7 @@ class TestStats:
         assert second.stats.cache_hits == second.stats.enumerated
 
     def test_retain_points_stays_scalar(self, small_cfg, edge_accel):
-        res = search(small_cfg, edge_accel)  # retain default
+        res = search(small_cfg, edge_accel, retain_points=True)
         assert res.stats.batch_evaluations == 0
         assert len(res.points) == res.stats.enumerated
         assert all(p.energy is not None for p in res.points)

@@ -202,6 +202,28 @@ class TestUnwritableStore:
             writer.path.chmod(0o644)
 
 
+    def test_query_only_connection(self, tmp_path):
+        """The read-only case for any user, root included: the store's
+        own connection refuses writes, so a flush meets
+        ``SQLITE_READONLY`` and drops its rows."""
+        writer = PersistentCache(tmp_path)
+        writer.put(("k",), 1)
+        writer.close()
+        reader = PersistentCache(tmp_path)
+        conn = reader._connection()
+        conn.execute("PRAGMA query_only=ON")
+        with pytest.raises(sqlite3.OperationalError) as refused:
+            conn.execute("DELETE FROM entries")
+        assert refused.value.sqlite_errorname == "SQLITE_READONLY"
+        assert reader.get(("k",)) == 1  # its touch cannot be written
+        reader.put(("k2",), 2)
+        assert reader.get(("k2",)) is None
+        stats = reader.stats
+        assert stats.writes == 0 and stats.flushes == 0
+        assert stats.corrupt == 0
+        assert stats.hits + stats.misses == stats.lookups == 2
+
+
 class TestDeletedStore:
     """A store deleted under an open connection is reopened, not served
     from the unlinked file."""

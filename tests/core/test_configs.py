@@ -27,13 +27,15 @@ class TestPolicyShapes:
     def test_flex_accel_m_restricted_to_m(self, bert_512, edge_accel):
         from repro.core.dataflow import Granularity
 
-        result = flex_accel_m().search(bert_512, edge_accel)
+        result = flex_accel_m().search(bert_512, edge_accel,
+                                       retain_points=True)
         for p in result.points:
             assert p.dataflow.granularity in (None, Granularity.M)
             assert not p.dataflow.fused
 
     def test_attacc_r_fixed_rows(self, bert_512, edge_accel):
-        result = attacc_r(64).search(bert_512, edge_accel)
+        result = attacc_r(64).search(bert_512, edge_accel,
+                                     retain_points=True)
         assert all(p.dataflow.rows == 64 for p in result.points)
         assert all(p.dataflow.fused for p in result.points)
 

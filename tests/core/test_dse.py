@@ -66,7 +66,8 @@ class TestEnumeration:
 
 class TestSearch:
     def test_best_is_minimum_over_points(self, bert_512, edge_accel):
-        result = search(bert_512, edge_accel, scope=Scope.LA)
+        result = search(bert_512, edge_accel, scope=Scope.LA,
+                        retain_points=True)
         best_cycles = result.best.cost.total_cycles
         assert all(
             p.cost.total_cycles >= best_cycles for p in result.points
@@ -78,7 +79,8 @@ class TestSearch:
 
     def test_energy_objective_finds_min_energy(self, bert_512, edge_accel):
         result = search(
-            bert_512, edge_accel, scope=Scope.LA, objective=Objective.ENERGY
+            bert_512, edge_accel, scope=Scope.LA, objective=Objective.ENERGY,
+            retain_points=True,
         )
         best = result.best.energy.total_j
         assert all(p.energy.total_j >= best for p in result.points)
@@ -92,7 +94,8 @@ class TestSearch:
 
     def test_edp_objective(self, bert_512, edge_accel):
         result = search(
-            bert_512, edge_accel, objective=Objective.EDP
+            bert_512, edge_accel, objective=Objective.EDP,
+            retain_points=True,
         )
         best = result.best
         key = best.energy.total_j * best.cost.total_cycles
@@ -103,7 +106,8 @@ class TestSearch:
 
     def test_footprint_objective(self, bert_512, edge_accel):
         result = search(
-            bert_512, edge_accel, objective=Objective.FOOTPRINT
+            bert_512, edge_accel, objective=Objective.FOOTPRINT,
+            retain_points=True,
         )
         best = result.best.footprint_bytes
         assert all(p.footprint_bytes >= best for p in result.points)
@@ -111,7 +115,7 @@ class TestSearch:
 
 class TestParetoFront:
     def test_front_is_strictly_improving(self, bert_512, edge_accel):
-        result = search(bert_512, edge_accel)
+        result = search(bert_512, edge_accel, retain_points=True)
         front = result.pareto_front()
         assert front
         for a, b in zip(front, front[1:]):
@@ -119,7 +123,7 @@ class TestParetoFront:
             assert a.utilization < b.utilization
 
     def test_front_dominates_all_points(self, bert_512, edge_accel):
-        result = search(bert_512, edge_accel)
+        result = search(bert_512, edge_accel, retain_points=True)
         front = result.pareto_front()
         for p in result.points:
             dominated = any(
@@ -142,7 +146,7 @@ class TestParetoFront:
 
         from repro.core.dse import DSEResult
 
-        result = search(bert_512, edge_accel)
+        result = search(bert_512, edge_accel, retain_points=True)
         front = result.pareto_front()
         dup = dataclasses.replace(
             front[0],
@@ -162,7 +166,7 @@ class TestParetoFront:
         assert swapped[1:] == front[1:]
 
     def test_front_is_deterministic(self, bert_512, edge_accel):
-        result = search(bert_512, edge_accel)
+        result = search(bert_512, edge_accel, retain_points=True)
         assert result.pareto_front() == result.pareto_front()
 
 

@@ -72,7 +72,8 @@ class TestEquivalence:
             assert_matches_oracle(result, oracle, objective)
 
     def test_retained_points_match_oracle(self, small_cfg, edge_accel):
-        retained = search(small_cfg, edge_accel, scope=Scope.LA)
+        retained = search(small_cfg, edge_accel, scope=Scope.LA,
+                          retain_points=True)
         dataflows = list(enumerate_dataflows(small_cfg, edge_accel))
         assert [p.dataflow for p in retained.points] == dataflows
         assert [p.cost for p in retained.points] == [
@@ -86,13 +87,17 @@ class TestEquivalence:
     def test_cache_does_not_change_best(self, bert_512, edge_accel):
         space = SearchSpace(exhaustive_staging=True)
         oracle = exhaustive_best(bert_512, edge_accel, space=space)
-        # Warm the per-point cache with the every-point path, then
-        # search best-only: cache hits seed the incumbent before any
-        # family is scored.
-        search(bert_512, edge_accel, space=space)
+        # The every-point answer of the space is cached, but no point
+        # is: the best-only search misses its own memo and scores the
+        # space, then its repeat is the memo's hit.
+        search(bert_512, edge_accel, space=space, retain_points=True)
         warm = search(bert_512, edge_accel, space=space, retain_points=False)
         assert_matches_oracle(warm, oracle)
-        assert warm.stats.cache_hits > 0
+        assert warm.stats.cache_hits == 0 and warm.stats.evaluated == 1
+        again = search(bert_512, edge_accel, space=space,
+                       retain_points=False)
+        assert again.best == warm.best
+        assert again.stats.cache_hits == again.stats.enumerated
 
 
 class TestBounds:
@@ -142,7 +147,7 @@ class TestStats:
         assert s.wall_time_s > 0
 
     def test_no_pruning_when_points_retained(self, small_cfg, edge_accel):
-        res = search(small_cfg, edge_accel)  # retain default
+        res = search(small_cfg, edge_accel, retain_points=True)
         assert res.stats.pruned == 0
         assert len(res.points) == res.stats.enumerated
 
@@ -505,8 +510,9 @@ class TestWinnerBreakdown:
         assert scalar == []
         assert res.stats.evaluated == 1 and res.stats.cache_hits == 0
 
-    def test_warm_seed_keeps_its_scalar_cost(self, scalar, bert_512,
-                                             edge_accel, cloud_accel):
+    def test_warm_seed_is_costed_by_the_scalar_model(
+        self, scalar, bert_512, edge_accel, cloud_accel
+    ):
         space = SearchSpace(exhaustive_staging=True)
         seed = make_incumbent(
             search(bert_512, cloud_accel, space=space, retain_points=False),
@@ -514,13 +520,30 @@ class TestWinnerBreakdown:
         assert scalar == []
         res = search(bert_512, edge_accel, space=space, retain_points=False,
                      warm_start=seed)
-        # The seed is re-evaluated by the scalar model; a seed that wins
-        # is the LRU hit it was before.
+        # The seed is re-evaluated by the scalar model; the winner takes
+        # its breakdown from the lane that scored it.
         assert len(scalar) == 1
         assert_matches_oracle(res, exhaustive_best(bert_512, edge_accel,
                                                    space=space))
-        if res.best.dataflow == seed.dataflow:
-            assert res.stats.evaluated == 0 and res.stats.cache_hits == 1
+        assert res.stats.evaluated == 1 and res.stats.cache_hits == 0
+
+    def test_winning_seed_takes_its_lane_breakdown(self, scalar, bert_512,
+                                                   edge_accel):
+        """A seed that wins is scored again with its family, and that
+        score replaces it: the winner's cost comes from its lane, and
+        the search books one breakdown, as an unseeded one does."""
+        space = SearchSpace(exhaustive_staging=True)
+        cold = search(bert_512, edge_accel, space=space, retain_points=False)
+        seed = make_incumbent(cold, Scope.LA, edge_accel)
+        clear_evaluation_cache()
+        res = search(bert_512, edge_accel, space=space, retain_points=False,
+                     warm_start=seed)
+        assert len(scalar) == 1  # the seed
+        assert res.best.dataflow == seed.dataflow
+        want = cost_scope(bert_512, Scope.LA, edge_accel, seed.dataflow)
+        assert pickle.dumps(res.best.cost) == pickle.dumps(want)
+        assert res.best == cold.best
+        assert res.stats.evaluated == 1 and res.stats.cache_hits == 0
 
 
 class TestRetainPoints:
@@ -530,7 +553,7 @@ class TestRetainPoints:
         assert res.best.energy is not None  # winner's energy still derived
 
     def test_retained_points_carry_energy(self, small_cfg, edge_accel):
-        res = search(small_cfg, edge_accel)
+        res = search(small_cfg, edge_accel, retain_points=True)
         assert res.points
         assert all(p.energy is not None for p in res.points)
 
@@ -540,17 +563,18 @@ class TestRetainPoints:
                                                 scope):
         """Points, stats and winner equal the route that costs every
         point with the scalar model (forced by a grid that always falls
-        back), with per-point LRU hits booked alike."""
+        back).  Both book every point as evaluated: the lineup answers
+        cached before hold no point the search could reuse."""
         space = SearchSpace(variants=(AttentionVariant.SOFTMAX,
                                       AttentionVariant.FLASH_D))
         dataflows = list(enumerate_dataflows(small_cfg, edge_accel, space))
 
         def run():
             clear_evaluation_cache()
-            for df in dataflows[2:4]:  # two points already in the LRU
+            for df in dataflows[2:4]:  # two lineup answers in the LRU
                 evaluate_cost(small_cfg, scope, edge_accel, df)
             return search(small_cfg, edge_accel, scope=scope, space=space,
-                          objective=Objective.EDP)
+                          objective=Objective.EDP, retain_points=True)
 
         grids = []
         real_grid = engine.evaluate_grid
@@ -574,8 +598,44 @@ class TestRetainPoints:
         assert on_grid.best == scalar.best
         assert (dataclasses.replace(on_grid.stats, wall_time_s=0.0)
                 == dataclasses.replace(scalar.stats, wall_time_s=0.0))
-        assert on_grid.stats.cache_hits == 2
-        assert on_grid.stats.evaluated == len(dataflows) - 2
+        assert on_grid.stats.cache_hits == 0
+        assert on_grid.stats.evaluated == len(dataflows)
+
+
+class TestAnswersNotPoints:
+    """The LRU memoizes answers — searches, every-point costs, fixed
+    lineups, scale-outs — and space tables, never a single point."""
+
+    _TAGS = {"search", "points", "cost", "space", "scaleout-memo"}
+
+    def test_no_per_point_key(self, small_cfg, edge_accel):
+        from repro.core.engine import CostRequest, evaluate_costs
+        from repro.core.scaleout import ScaleoutSystem, search_scaleout
+
+        space = SearchSpace(exhaustive_staging=True)
+        search(small_cfg, edge_accel, space=space, retain_points=False)
+        search(small_cfg, edge_accel, scope=Scope.BLOCK, retain_points=True)
+        lineup = list(enumerate_dataflows(small_cfg, edge_accel))[:3]
+        evaluate_costs([CostRequest(small_cfg, Scope.LA, edge_accel, df)
+                        for df in lineup])
+        search_scaleout(small_cfg, ScaleoutSystem(chip=edge_accel), 2)
+        # A per-point key was (cfg, accelerator fingerprint, dataflow,
+        # options, scope); every key here names its kind first.
+        assert {key[0] for key in engine._CACHE._data} == self._TAGS
+
+    def test_misses_book_what_they_build(self, small_cfg, edge_accel):
+        n = len(list(enumerate_dataflows(small_cfg, edge_accel)))
+        best = search(small_cfg, edge_accel, retain_points=False)
+        assert best.stats.evaluated == 1 and best.stats.cache_hits == 0
+        # The same space's every points: a miss, whatever the best-only
+        # search scored.
+        every = search(small_cfg, edge_accel, retain_points=True)
+        assert every.stats.evaluated == every.stats.enumerated == n
+        assert every.stats.cache_hits == 0
+        # And the best-only answer of another scope misses again.
+        block = search(small_cfg, edge_accel, scope=Scope.BLOCK,
+                       retain_points=False)
+        assert block.stats.evaluated == 1 and block.stats.cache_hits == 0
 
 
 class TestFingerprint:

@@ -433,25 +433,19 @@ class TestConsumers:
 
 def _evaluate_cost_loop(requests) -> list:
     """The reference for ``evaluate_costs``: per request, in list
-    order, one memo lookup (LRU, then disk) and, on a miss, the
-    per-point LRU or the scalar model — ``evaluate_cost`` as it was
-    before fixed lineups were scored together."""
+    order, one memo lookup (LRU, then disk) and, on a miss, the scalar
+    model — ``evaluate_cost`` as it was before fixed lineups were scored
+    together."""
     costs = []
     for req in requests:
-        ev = engine._Evaluator(req.cfg, req.scope, req.accel,
-                               engine.accelerator_fingerprint(req.accel),
-                               req.options)
-        sources = []
-
-        def compute():
-            cost, source = ev.resolve(req.dataflow)
-            sources.append(source)
-            return cost
-
-        cost, source = engine._memoized(("cost",) + ev.key(req.dataflow),
-                                        compute, get_default_cache())
-        engine._metric_inc(
-            engine._SOURCE_METRIC[sources[0] if sources else source])
+        key = ("cost", req.cfg, engine.accelerator_fingerprint(req.accel),
+               req.dataflow, req.options, req.scope)
+        cost, source = engine._memoized(
+            key,
+            lambda: engine.cost_scope(req.cfg, req.scope, req.accel,
+                                      req.dataflow, options=req.options),
+            get_default_cache())
+        engine._metric_inc(engine._SOURCE_METRIC[source])
         costs.append(cost)
     return costs
 
@@ -465,7 +459,7 @@ class TestEvaluateCosts:
     _ON_DISK = (CostRequest(_TINY, Scope.LA, edge(), flat_r(16)),
                 CostRequest(_CROSS, Scope.BLOCK, edge(), base()))
     _IN_LRU = (CostRequest(_DECODE, Scope.LA, edge(), flat_r(16)),)
-    # Every point of this space lands in the per-point LRU.
+    # An every-point answer: it caches no point a lineup could reuse.
     _POINTS = SearchRequest(_TINY, edge(), Scope.BLOCK, retain_points=True)
 
     def _requests(self) -> list:
@@ -489,7 +483,7 @@ class TestEvaluateCosts:
         return [
             misses[0], self._ON_DISK[0], misses[1], self._IN_LRU[0],
             past[0], misses[2], misses[0],  # a repeat of a miss
-            CostRequest(_TINY, Scope.BLOCK, edge(), point),  # point hit
+            CostRequest(_TINY, Scope.BLOCK, edge(), point),  # a miss
             misses[3], lone, self._ON_DISK[0],  # a repeat of a disk hit
             misses[4], past[1], self._ON_DISK[1], misses[5], misses[6],
             misses[3],
@@ -542,15 +536,16 @@ class TestEvaluateCosts:
             assert got == cost_scope(req.cfg, req.scope, req.accel,
                                      req.dataflow, options=req.options)
         assert batched[1:5] == looped[1:5]
-        # Five LRU hits (a memo, a repeated miss, a repeated disk hit,
-        # a per-point entry, a second repeat), two disk hits and ten
-        # distinct misses.
-        assert looped[1] == {"engine.lru_hits": 5, "engine.disk_hits": 2,
-                             "engine.evaluated": 10}
+        # Four LRU hits (a memo, a repeated miss, a repeated disk hit,
+        # a second repeat), two disk hits and eleven distinct misses:
+        # the point of the every-point answer is one of them.
+        assert looped[1] == {"engine.lru_hits": 4, "engine.disk_hits": 2,
+                             "engine.evaluated": 11}
         # The loop runs the scalar model per miss and no grid; the list
         # scores the LA misses (flexible and rigid) and the MODEL
         # misses on the grid, one segment per workload, and leaves the
-        # lone miss and the two past the headroom to the scalar model.
-        assert looped[5:] == ([], 10)
+        # lone misses (the cloud one and the BLOCK point) and the two
+        # past the headroom to the scalar model.
+        assert looped[5:] == ([], 11)
         assert sorted(batched[5]) == [2, 2, 3]
-        assert batched[6] == 3
+        assert batched[6] == 4

@@ -181,3 +181,15 @@ class TestStoreLifetime:
             except OSError:
                 continue  # closed while listing (the listing's own fd)
         assert not [path for path in held if str(root) in path], held
+
+    def test_run_pipeline_forgets_its_store(self, tmp_path):
+        """A process that runs the pipeline on many directories keeps no
+        store for any of them."""
+        from repro.core import cache as cache_mod
+
+        before = len(cache_mod._instances)
+        for i in range(5):
+            root = tmp_path / f"cache{i}"
+            run_pipeline(names=("table1",), workers=1, cache_dir=str(root))
+            shutil.rmtree(root, ignore_errors=True)
+        assert len(cache_mod._instances) == before

@@ -22,6 +22,7 @@ from repro.core.dse import Objective, SearchSpace, enumerate_families, search
 from repro.core.engine import (
     SearchRequest,
     clear_evaluation_cache,
+    evaluate_cost,
     run_searches,
 )
 from repro.core.scaleout import (
@@ -39,6 +40,7 @@ from repro.obs.summary import (
     trace_totals,
 )
 from repro.obs.trace import TRACE_SCHEMA, read_trace
+from repro.ops.attention import Scope
 
 
 class TestReportsUnchanged:
@@ -103,13 +105,14 @@ class TestEngineInstrumentation:
         assert attrs["scalar"] == 0
 
     def test_breakdown_sources(self, bert_512):
-        """``engine.breakdowns[grid|lru|scalar]`` says where each
-        winner's and point's cost came from."""
+        """``engine.breakdowns[grid|scalar]`` says where each winner's
+        and point's cost came from; no breakdown is reused from an
+        earlier search."""
         def sources(snap):
             return {
                 src: snap.get(f"engine.breakdowns[{src}]",
                               {"value": 0})["value"]
-                for src in ("grid", "lru", "scalar")
+                for src in ("grid", "scalar")
             }
 
         clear_evaluation_cache()
@@ -119,19 +122,26 @@ class TestEngineInstrumentation:
                            retain_points=False)
             missed = session.registry.snapshot()
             # Another objective misses the search memo; its winner is
-            # the same dataflow, whose breakdown the LRU holds.
+            # the same dataflow, again built from its lane.
             again = search(bert_512, edge(), objective=Objective.ENERGY,
                            retain_points=False)
             repeated = session.registry.snapshot()
-            # Every point: the winner from the LRU, the rest from the
-            # space's grid call.
-            every = search(bert_512, edge(), objective=Objective.RUNTIME)
+            # Every point, from the space's grid call.
+            every = search(bert_512, edge(), objective=Objective.RUNTIME,
+                           retain_points=True)
             snap = session.registry.snapshot()
+            # A lone fixed-dataflow miss takes the scalar model.
+            evaluate_cost(bert_512, Scope.LA, edge(), first.best.dataflow)
+            lone = session.registry.snapshot()
         assert again.best.dataflow == first.best.dataflow
-        assert sources(missed) == {"grid": 1, "lru": 0, "scalar": 0}
-        assert sources(repeated) == {"grid": 1, "lru": 1, "scalar": 0}
+        assert sources(missed) == {"grid": 1, "scalar": 0}
+        assert sources(repeated) == {"grid": 2, "scalar": 0}
         n = len(every.points)
-        assert sources(snap) == {"grid": n, "lru": 2, "scalar": 0}
+        assert sources(snap) == {"grid": 2 + n, "scalar": 0}
+        assert sources(lone) == {"grid": 2 + n, "scalar": 1}
+        assert {name for name in lone
+                if name.startswith("engine.breakdowns")} == {
+            "engine.breakdowns[grid]", "engine.breakdowns[scalar]"}
 
     def test_planned_search_records_candidate_plan(self, bert_512):
         clear_evaluation_cache()
@@ -153,7 +163,8 @@ class TestEngineInstrumentation:
     def test_every_point_path_skips_candidate_spans(self, bert_512):
         clear_evaluation_cache()
         with obs.observed() as session:
-            search(bert_512, edge(), objective=Objective.RUNTIME)
+            search(bert_512, edge(), objective=Objective.RUNTIME,
+                   retain_points=True)
             names = {e["name"] for e in session.collector.events}
             snap = session.registry.snapshot()
         assert "search" in names
