@@ -18,21 +18,19 @@ asks for:
   table: a ``Dataflow`` is built only for the winner, a warm seed and
   members scored past a ``BatchFallback``.  A space of at most
   ``_MERGE_BATCH_LIMIT`` candidates, and a ``FOOTPRINT`` search (no
-  cost bound exists) of any size, is scored whole in one call of the
-  vectorized backend (:func:`repro.core.batch.evaluate_grid`): no
-  plan, no bounds.  A larger space takes analytic candidate generation
-  with branch-and-bound (:mod:`repro.core.candidates`): each family
-  gets an admissible lower bound from its cheapest representative
-  member, and families are scored best-bound-first — the best
-  families' scores seed the incumbent, then every family whose bound
-  exceeds the incumbent is skipped without ever scoring its members,
-  and survivors' rows are scored by the vectorized backend.  When a
-  scoring call raises :class:`~repro.core.batch.BatchFallback` (a
-  workload past the array path's int64 headroom or float64-exact
-  staged footprint, beyond every paper workload), that call's members
-  are scored one by one by the memoized scalar model instead, so
-  family pruning and the winner memo cover those searches too.  On a
-  large space, a ``warm_start``
+  cost bound exists) of any size, is scored whole by the vectorized
+  backend (:func:`repro.core.batch.evaluate_grid`): no plan, no
+  bounds.  A larger space takes analytic candidate generation with
+  branch-and-bound (:mod:`repro.core.candidates`): each family gets an
+  admissible lower bound from its cheapest representative member; the
+  live families' representatives are scored first, then every family
+  whose bound exceeds the incumbent is skipped without ever scoring
+  its members, and survivors' rows are scored next.  When a grid call
+  raises :class:`~repro.core.batch.BatchFallback` (a workload past the
+  array path's int64 headroom or float64-exact staged footprint,
+  beyond every paper workload), the members it held are scored one by
+  one by the scalar model instead, so family pruning and the winner
+  memo cover those searches too.  On a large space, a ``warm_start``
   :class:`~repro.core.candidates.Incumbent` (the neighboring sweep
   point's winner, re-evaluated under the current config/accelerator —
   its value is never trusted) seeds the incumbent before any family is
@@ -49,17 +47,18 @@ scalar model's on every field, so the scalar model runs only for warm
 seeds, lone fixed-dataflow misses (:func:`evaluate_costs`) and past
 the array path's edge.
 
-**Many searches, one call.**  :func:`run_searches` checks every
-request's memo first, in list order, then scores the small missed
-spaces (and ``FOOTPRINT`` misses) of all requests sharing a scope,
-model options and accelerator in one
-:func:`~repro.core.batch.evaluate_grid` call per group — whatever
-their workloads, up to ``_MERGE_LANE_LIMIT`` lanes per call — and
-finishes each request in list order; larger spaces keep the
-one-search branch-and-bound with their warm seed.  Each result, its
-stats and the cache traffic equal those of a loop of
-:func:`run_search` calls over the list; :func:`run_search` is a
-one-request list.
+**Many searches, scored in rounds.**  :func:`run_searches` checks every
+request's memo first, in list order.  Its missed best-only searches
+then advance together: after planning, each round scores every
+search's rows — whole small spaces, planned searches' representatives,
+then their survivors — in one :func:`~repro.core.batch.evaluate_grid`
+call per group of searches sharing a scope, model options and
+accelerator, whatever their workloads, up to ``_MERGE_LANE_LIMIT``
+lanes per call (:func:`_scored`, the one place a list calls the grid),
+and each search gates its own families on its own incumbent.  Each
+request is then finished in list order.  Each result, its stats and
+the cache traffic equal those of a loop of :func:`run_search` calls
+over the list; :func:`run_search` is a one-request list.
 
 Both paths return the winner of a plain exhaustive loop: bounds are
 admissible, skipping is strict (``bound > incumbent``), and selection
@@ -516,12 +515,12 @@ _SOURCE_METRIC = {
 }
 
 
-# The most lanes (candidates of several small spaces, or fixed
-# dataflows) one merged scoring call holds.  Past a few hundred lanes a
+# The most lanes (rows of several searches, or fixed dataflows) one
+# merged scoring call holds.  Past a few hundred lanes a
 # call's rows dominate its fixed cost (~6-7 us per MODEL row against
 # ~0.3-0.5 ms per call), and the kernel's transient arrays grow ~2.3 KB
 # per lane: a paper pass peaks +3.4% higher in RSS with 512 lanes, +1.9%
-# with 256, for 10 fewer grid calls (see "Many searches, one call" in
+# with 256, for 10 fewer grid calls (see "Lane cap" in
 # docs/search_engine.md).
 _MERGE_LANE_LIMIT = 256
 
@@ -1190,52 +1189,6 @@ def _objective_value(objective: Objective, cost: ScopeCost,
     return objective.score(cost, energy)
 
 
-#: What a scoring call returns: the objective values of its members;
-#: for a grid call, ``None`` and ``(grid, lane of the first member)``;
-#: for the scalar model, each member's ``ScopeCost`` and ``None``.
-_Scores = Tuple[np.ndarray, Optional[List[ScopeCost]],
-                Optional[Tuple[GridEvaluation, int]]]
-
-
-def _scored(
-    req: SearchRequest,
-    table: SpaceTable,
-    index: Optional[np.ndarray],
-) -> _Scores:
-    """Objective values of the table's members ``index`` (every member
-    for ``None``) from one scoring call.
-
-    One :func:`~repro.core.batch.evaluate_grid` call over the table
-    rows, whose values equal the scalar model's bit for bit, and which
-    can rebuild any member's breakdown.  When the call raises
-    :class:`~repro.core.batch.BatchFallback` (only past the array
-    path's edge), the members are scored by :func:`_scalar_scored`.
-    """
-    try:
-        grid = evaluate_grid(req.cfg, req.scope, req.accel,
-                             GridRows(table.features, index),
-                             options=req.options)
-    except BatchFallback:
-        return _scalar_scored(req, table, index)
-    return (grid.objective_scores(req.objective, req.energy_table), None,
-            (grid, 0))
-
-
-def _scalar_scored(
-    req: SearchRequest,
-    table: SpaceTable,
-    index: Optional[np.ndarray],
-) -> _Scores:
-    """:func:`_scored` by the scalar model: each member's ``Dataflow``
-    is built and costed, and the second item lists the costs in
-    order."""
-    members = range(table.total) if index is None else index.tolist()
-    costs = [_breakdown(req, table.dataflow(i)) for i in members]
-    values = [_objective_value(req.objective, cost, req.energy_table)
-              for cost in costs]
-    return np.asarray(values, dtype=float), costs, None
-
-
 def _answered(n: int, source: str, start: float) -> SearchStats:
     """Stats of a search answered by the LRU or the disk: all hits."""
     return SearchStats(enumerated=n, evaluated=0, pruned=0, cache_hits=n,
@@ -1255,258 +1208,8 @@ def _member_rows(table: SpaceTable, families: Sequence[int],
     ])
 
 
-def _branch_and_bound(
-    req: SearchRequest,
-    table: SpaceTable,
-    plan: Optional[CandidatePlan],
-    start: float,
-    warm: Optional[Incumbent],
-    whole: Optional[Callable[[], _Scores]] = None,
-) -> Tuple[Dataflow, ScopeCost, SearchStats]:
-    """Branch-and-bound over a planned space, score survivors: the winner.
-
-    Candidates are rows of the space's table: every scoring call is one
-    :func:`~repro.core.batch.evaluate_grid` over row indices, and a
-    ``Dataflow`` is built only for the winner, a located warm seed and
-    members scored past a :class:`~repro.core.batch.BatchFallback`.
-    The incumbent remembers where it was scored, so the winner gets its
-    breakdown from the grid lane that scored it
-    (:meth:`~repro.core.batch.GridEvaluation.scope_cost`, equal to the
-    scalar model's) or keeps the scalar cost it was scored with.
-    Without a plan (a small space, or ``FOOTPRINT``) the whole table is
-    scored in one call, or taken from ``whole()`` — :func:`_scored`'s
-    result for the whole table, from a call that scored several
-    searches' tables at once (see :func:`run_searches`).  With one,
-    :func:`repro.core.candidates.plan_candidates` has derived one
-    admissible bound per family from its cheapest representative
-    member.  Families are gated twice — first against the
-    ``warm_start`` incumbent (when one is supplied), then against the
-    incumbent tightened by scoring the live families' *representatives*
-    (member 0 of each, the rows ``offsets[alive]``) — and only the
-    final survivors' remaining rows are scored.  At most two scoring
-    calls run per search (representatives, then surviving members), so
-    the fixed batch-call overhead cannot erase the pruning win.  On
-    ``BatchFallback`` (only past the array path's edge) a call's
-    members go through the scalar model instead (bit-equal, just
-    slower).
-
-    Selection minimizes ``(value, global enumeration index)`` over
-    every scored candidate.  A skipped candidate's true value strictly
-    exceeds the final optimum (member value >= member bound >= family
-    bound > incumbent >= optimum), so it can neither win nor displace a
-    tie — the result is identical to an exhaustive loop, bytes
-    included.
-    """
-    n = table.total
-    best_value: Optional[float] = None
-    best_index: Optional[int] = None
-    # Where the incumbent was scored: its scalar ScopeCost, or the
-    # (grid, lane) that scored it.
-    best_origin: Any = None
-
-    def _consider(value: float, index: int, origin: Any) -> None:
-        nonlocal best_value, best_index, best_origin
-        # ``<=`` on the index: the warm seed's re-score takes its place.
-        if (
-            best_value is None
-            or value < best_value
-            or (value == best_value and index <= best_index)
-        ):
-            best_value = value
-            best_index = index
-            best_origin = origin
-
-    # Warm seed: re-evaluate the neighboring winner under *this*
-    # config/accelerator (its carried value, if any, is never trusted)
-    # and let it gate families before anything is scored.  Not booked
-    # in the stats: its own family can never be family-pruned (the
-    # family's bound is <= the seed's value), so it is scored again
-    # there, and that score (equal value, equal index) replaces it.
-    warm_index = _locate_warm_start(warm, table, req.scope, req.objective,
-                                    req.options)
-    if warm_index is not None:
-        cost = _breakdown(req, warm.dataflow)
-        _consider(_objective_value(req.objective, cost, req.energy_table),
-                  warm_index, None)
-
-    generated = 0
-    family_skipped = 0
-    families_pruned = 0
-    evaluated = 0
-    batch_evaluations = 0
-
-    def _score(index: Optional[np.ndarray]) -> None:
-        """Score the members ``index`` (ascending; ``None``: all) in one
-        call (see :func:`_scored`) and keep the first minimum."""
-        nonlocal batch_evaluations, evaluated, generated
-        members = n if index is None else len(index)
-        if not members:
-            return
-        generated += members
-        if index is None and whole is not None:
-            values, costs, grid = whole()
-        else:
-            values, costs, grid = _scored(req, table, index)
-        # Rows ascend, so the first minimum is the (value, index) one.
-        k = int(np.argmin(values))
-        if costs is None:
-            batch_evaluations += members
-            origin: Any = (grid[0], grid[1] + k)
-        else:
-            evaluated += members
-            origin = costs[k]
-        _consider(float(values[k]), k if index is None else int(index[k]),
-                  origin)
-
-    # Branch and bound in two rounds of gating and two scoring calls.
-    # Round one gates on the warm incumbent (when present); the
-    # *representatives* of the live families — each one is member 0 of
-    # its family's expansion, see ``candidates.bound_rows`` — are then
-    # scored in a single call.  Representatives are the all-staged
-    # (and, where allowed, unfused) corners, which in practice include
-    # the optimum or something very near it, so the incumbent after
-    # this round is tight.  Round two re-gates every remaining family
-    # against it — those families are dropped without ever being
-    # scored — and the survivors' remaining members are scored in one
-    # further call.
-    def _gated(fi: int) -> bool:
-        # Strictly-beaten bound, or an exact tie the family cannot win:
-        # every member value >= bound >= the incumbent's value, and
-        # every member index >= the family offset > the incumbent's
-        # index, so no member survives the (value, index) tie-break.
-        # ``plan.bounds`` carry the _BOUND_SLACK factor, so comparing
-        # against ``best_value * _BOUND_SLACK`` tests the unslacked
-        # ``raw_bound >= best_value`` (rounding is monotone).
-        if best_value is None:
-            return False
-        bound = plan.bounds[fi]
-        if bound > best_value:
-            return True
-        return (
-            best_index is not None
-            and bound >= best_value * _BOUND_SLACK
-            and plan.offsets[fi] > best_index
-        )
-
-    with _span("candidate-score", families=len(table.families),
-               candidates=n) as sp:
-        if plan is None:
-            _score(None)
-        else:
-            alive: List[int] = []
-            for fi in plan.order:
-                if _gated(fi):
-                    families_pruned += 1
-                    family_skipped += plan.sizes[fi]
-                    continue
-                alive.append(fi)
-            # The warm seed can never gate its own family (that
-            # family's bound is <= the seed's re-evaluated value), so
-            # `alive` is never empty and the incumbent below is always
-            # established.
-            alive.sort()
-            # When at most a handful of members are live — typical for
-            # neighbor-seeded sweeps in the saturated regime — the
-            # representative round cannot pay for its own fixed
-            # batch-call overhead.  Score the live families' full
-            # expansions in a single call instead; scoring a member that
-            # a rep round would have skipped is exact, so the selection
-            # is unchanged.
-            if sum(plan.sizes[fi] for fi in alive) <= _MERGE_BATCH_LIMIT:
-                _score(_member_rows(table, alive))
-            else:
-                _score(np.array([plan.offsets[fi] for fi in alive],
-                                dtype=np.int64))
-                survivors: List[int] = []
-                for fi in alive:
-                    if _gated(fi):
-                        families_pruned += 1
-                        family_skipped += plan.sizes[fi] - 1  # rep scored
-                        continue
-                    survivors.append(fi)
-                if survivors:
-                    _score(_member_rows(table, survivors, skip_first=True))
-        sp.set(families_pruned=families_pruned,
-               candidates_skipped=family_skipped, scalar=evaluated)
-
-    assert best_origin is not None  # the winner was scored by a call
-    winner = table.dataflow(best_index)
-    if isinstance(best_origin, ScopeCost):
-        cost = best_origin  # booked with its scalar call
-        batch_losers = batch_evaluations
-    else:
-        cost = _breakdown(req, winner, best_origin)
-        evaluated += 1
-        batch_losers = batch_evaluations - 1
-
-    stats = SearchStats(
-        enumerated=n,
-        evaluated=evaluated,
-        pruned=family_skipped + batch_losers,
-        cache_hits=0,
-        wall_time_s=time.perf_counter() - start,
-        batch_evaluations=batch_evaluations,
-        candidates_generated=generated,
-        candidates_skipped=family_skipped,
-        families_pruned=families_pruned,
-    )
-    return winner, cost, stats
-
-
-def _score_all(req: SearchRequest, accel_fp: tuple, start: float,
-               store: Optional[PersistentCache]) -> DSEResult:
-    """Every-point path: enumerate the space, cost every point.
-
-    The whole space is scored in one
-    :func:`~repro.core.batch.evaluate_grid` call, and each point gets
-    its breakdown from its lane (the scalar model past a
-    :class:`~repro.core.batch.BatchFallback`).  The answer is the tuple
-    of costs in enumeration order, memoized whole (:func:`_memoized`);
-    the objective and energy are derived from it per caller.  Selection
-    keeps the first point attaining the minimum — exactly
-    ``min(points, key=...)`` over the enumeration.
-    """
-    dataflows = list(enumerate_dataflows(req.cfg, req.accel, req.space))
-    if not dataflows:
-        raise ValueError("search space is empty")
-    n = len(dataflows)
-
-    def _costs() -> Tuple[ScopeCost, ...]:
-        try:
-            grid = evaluate_grid(req.cfg, req.scope, req.accel, dataflows,
-                                 options=req.options)
-        except BatchFallback:
-            return tuple(_breakdown(req, df) for df in dataflows)
-        return tuple(_breakdown(req, df, (grid, i))
-                     for i, df in enumerate(dataflows))
-
-    key = ("points", req.cfg, accel_fp, req.options, req.scope, req.space)
-    costs, source = _memoized(key, _costs, store)
-    points: List[DesignPoint] = []
-    best: Optional[DesignPoint] = None
-    best_value = 0.0
-    for dataflow, cost in zip(dataflows, costs):
-        point = DesignPoint(dataflow=dataflow, cost=cost,
-                            energy=energy_report(cost.counts,
-                                                 req.energy_table))
-        value = req.objective.score(cost, point.energy)
-        if best is None or value < best_value:
-            best, best_value = point, value
-        points.append(point)
-    assert best is not None
-    if source == "model":
-        stats = SearchStats(enumerated=n, evaluated=n, pruned=0,
-                            cache_hits=0,
-                            wall_time_s=time.perf_counter() - start)
-    else:
-        stats = _answered(n, source, start)
-    _accumulate(stats)
-    return DSEResult(best=best, points=tuple(points),
-                     objective=req.objective, stats=stats)
-
-
 # ----------------------------------------------------------------------
-# many searches, one call
+# many searches, scored together in rounds
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SearchRequest:
@@ -1528,19 +1231,24 @@ class SearchRequest:
 class _Job:
     """One request of a :func:`run_searches` call, in flight.
 
-    ``answer`` is a memo hit's ``(dataflow, cost, space size)`` and
-    ``source`` where it came from; a miss holds its space ``table``.
-    A space scored whole shares a ``chunk`` — the jobs scored by one
-    grid call — and gets its objective values in ``scores`` and its
-    segment of the call in ``grid`` (``(grid, first lane)``, for the
-    winner's breakdown) when the chunk is first used (``scores`` is
-    :data:`_PAST_EDGE` when the grid cannot score it).  A solved job
-    drops both, so the chunk's call is freed with its last job.  A job
-    with none of these repeats an earlier miss's key.
+    ``answer`` is the request's ``(dataflow, cost, space size)``: a memo
+    hit's, with ``source`` saying where it came from, or the one its
+    rounds computed, with its ``stats``.  A missed best-only search
+    holds its space ``table``, its :func:`_merge_group` (``None``:
+    scored alone) and, when it is planned, its ``plan``; ``rows`` are what it scores in the next round
+    (``None``: nothing left), and ``alive`` the families whose
+    representatives those rows are, re-gated once they are scored.  Its
+    incumbent is ``value`` and ``index`` plus ``origin``: the scalar
+    ``ScopeCost`` it was scored with, or the ``(grid, lane)`` that scored
+    it.  The counters book what it scored (``scalar``: members scored by
+    the scalar model) and gated.  A job with neither ``answer`` nor
+    ``table`` repeats an earlier miss's key.
     """
 
-    __slots__ = ("request", "accel_fp", "start", "key", "answer",
-                 "source", "table", "chunk", "scores", "grid")
+    __slots__ = ("request", "accel_fp", "start", "key", "answer", "source",
+                 "stats", "table", "group", "plan", "rows", "alive",
+                 "value", "index", "origin", "generated", "skipped",
+                 "families_pruned", "scalar", "batch_evaluations")
 
     def __init__(self, request: SearchRequest, accel_fp: tuple,
                  start: float) -> None:
@@ -1550,113 +1258,309 @@ class _Job:
         self.key: Optional[tuple] = None
         self.answer: Optional[tuple] = None
         self.source: Optional[str] = None
+        self.stats: Optional[SearchStats] = None
         self.table: Optional[SpaceTable] = None
-        self.chunk: Optional[List["_Job"]] = None
-        self.scores: Any = None
-        self.grid: Optional[Tuple[GridEvaluation, int]] = None
+        self.group: Optional[tuple] = None
+        self.plan: Optional[CandidatePlan] = None
+        self.rows: Optional[GridRows] = None
+        self.alive: Optional[List[int]] = None
+        self.value: Optional[float] = None
+        self.index: Optional[int] = None
+        self.origin: Any = None
+        self.generated = self.skipped = self.families_pruned = 0
+        self.scalar = self.batch_evaluations = 0
+
+    def consider(self, value: float, index: int, origin: Any) -> None:
+        """Keep the ``(value, index)`` minimum as the incumbent."""
+        # ``<=`` on the index: the warm seed's re-score takes its place.
+        if (
+            self.value is None
+            or value < self.value
+            or (value == self.value and index <= self.index)
+        ):
+            self.value, self.index, self.origin = value, index, origin
+
+    def gate(self, families: Sequence[int], scored: int) -> List[int]:
+        """``families`` the incumbent does not gate; a gated one is
+        booked with its members but the first ``scored``.
+
+        A family is gated on a strictly beaten bound, or on an exact tie
+        it cannot win: every member value >= bound >= the incumbent's
+        value, and every member index >= the family offset > the
+        incumbent's index, so no member survives the ``(value, index)``
+        tie-break.  ``plan.bounds`` carry the _BOUND_SLACK factor, so
+        comparing against ``value * _BOUND_SLACK`` tests the unslacked
+        ``raw_bound >= value`` (rounding is monotone).
+        """
+        plan = self.plan
+        alive: List[int] = []
+        for fi in families:
+            bound = plan.bounds[fi]
+            if self.value is not None and (
+                bound > self.value
+                or (bound >= self.value * _BOUND_SLACK
+                    and plan.offsets[fi] > self.index)
+            ):
+                self.families_pruned += 1
+                self.skipped += plan.sizes[fi] - scored
+            else:
+                alive.append(fi)
+        return alive
+
+    def begin(self) -> None:
+        """The rows of round 1: the whole table without a plan;
+        otherwise the families the warm seed leaves alive — every member
+        when at most ``_MERGE_BATCH_LIMIT`` are, else their
+        representatives."""
+        table = self.table
+        if self.plan is None:
+            self.rows = GridRows(table.features)
+            return
+        # The warm seed can never gate its own family (that family's
+        # bound is <= the seed's re-evaluated value), so ``alive`` is
+        # never empty and the incumbent is always scored.
+        alive = sorted(self.gate(self.plan.order, 0))
+        if sum(table.sizes[fi] for fi in alive) <= _MERGE_BATCH_LIMIT:
+            # Scoring a member a representative round would have
+            # skipped is exact, so the selection is unchanged.
+            self.rows = GridRows(table.features, _member_rows(table, alive))
+        else:
+            self.alive = alive
+            self.rows = GridRows(table.features, np.array(
+                [table.offsets[fi] for fi in alive], dtype=np.int64))
+
+    def take(self, grid: Optional[GridEvaluation], lo: int,
+             values: Optional[np.ndarray]) -> None:
+        """Book this round's rows, scored from lane ``lo`` of ``grid``
+        with objective ``values`` (the scalar model when ``grid`` is
+        ``None``), and set the next round's rows or settle."""
+        req, rows, table = self.request, self.rows, self.table
+        self.generated += len(rows)
+        if grid is None:
+            members = (range(table.total) if rows.index is None
+                       else rows.index.tolist())
+            costs = [_breakdown(req, table.dataflow(i)) for i in members]
+            values = np.asarray(
+                [_objective_value(req.objective, cost, req.energy_table)
+                 for cost in costs], dtype=float)
+            self.scalar += len(rows)
+        else:
+            self.batch_evaluations += len(rows)
+        # Rows ascend, so the first minimum is the (value, index) one.
+        k = int(np.argmin(values))
+        self.consider(float(values[k]),
+                      k if rows.index is None else int(rows.index[k]),
+                      costs[k] if grid is None else (grid, lo + k))
+        self.rows = None
+        if self.alive is not None:
+            # The representatives tightened the incumbent: re-gate, and
+            # score the survivors' other members next round.
+            survivors = [fi for fi in self.gate(self.alive, 1)
+                         if table.sizes[fi] > 1]
+            self.alive = None
+            if survivors:
+                self.rows = GridRows(table.features, _member_rows(
+                    table, survivors, skip_first=True))
+        if self.rows is None:
+            self.settle()
+
+    def settle(self) -> None:
+        """The answer and stats, once no rows are left: the winner's
+        breakdown comes from the lane that scored it (or is the scalar
+        cost it was scored with), which frees that grid call."""
+        req, table = self.request, self.table
+        winner = table.dataflow(self.index)
+        evaluated = self.scalar
+        batch_losers = self.batch_evaluations
+        if isinstance(self.origin, ScopeCost):
+            cost = self.origin  # booked with its scalar call
+        else:
+            cost = _breakdown(req, winner, self.origin)
+            evaluated += 1
+            batch_losers -= 1
+        self.origin = self.plan = None
+        self.answer = (winner, cost, table.total)
+        self.stats = SearchStats(
+            enumerated=table.total,
+            evaluated=evaluated,
+            pruned=self.skipped + batch_losers,
+            cache_hits=0,
+            wall_time_s=time.perf_counter() - self.start,
+            batch_evaluations=self.batch_evaluations,
+            candidates_generated=self.generated,
+            candidates_skipped=self.skipped,
+            families_pruned=self.families_pruned,
+        )
 
 
-_PAST_EDGE = "past-edge"  # a grid call raised BatchFallback: go scalar
+def _scored(jobs: Sequence[_Job], tally: dict) -> Iterator[
+        Tuple[_Job, Optional[GridEvaluation], int, Optional[np.ndarray]]]:
+    """Score every job's ``rows``: the one place a search list calls
+    :func:`~repro.core.batch.evaluate_grid`.
 
-
-def _chunks(small: List[_Job]) -> None:
-    """Assign each small missed space the chunk it is scored with.
-
-    Spaces merge by :func:`_merge_group`; each chunk holds at most
-    :data:`_MERGE_LANE_LIMIT` lanes (a larger single space gets a chunk
-    of its own).  A workload past the int64 headroom is scored alone.
+    Segments merge by their job's ``group`` (``None``: alone); a call
+    holds at most :data:`_MERGE_LANE_LIMIT` lanes (a larger segment gets
+    a call of its own).  Yields each job with the call that scored its
+    rows, its first lane there and its objective values, which equal a
+    call on its rows alone; a call's jobs come before the next call
+    runs, so the call lives only while a job keeps a lane of it.  When
+    a call raises :class:`~repro.core.batch.BatchFallback` (the
+    staged-footprint check, which depends on the candidates) each
+    segment is scored alone, and one that raises again is yielded with
+    ``None``: the scalar model scores it.
     """
     groups: dict = {}
-    for job in small:
-        req = job.request
-        group = _merge_group(req.cfg, req.scope, req.options, req.accel,
-                             job.accel_fp)
-        groups.setdefault(job if group is None else group, []).append(job)
+    for job in jobs:
+        groups.setdefault(job if job.group is None else job.group,
+                          []).append(job)
+    chunks: List[List[_Job]] = []
     for members in groups.values():
-        chunk: List[_Job] = []
-        lanes = 0
+        lanes = _MERGE_LANE_LIMIT
         for job in members:
-            if chunk and lanes + job.table.total > _MERGE_LANE_LIMIT:
-                chunk, lanes = [], 0
-            chunk.append(job)
-            lanes += job.table.total
-            job.chunk = chunk
+            if lanes + len(job.rows) > _MERGE_LANE_LIMIT:
+                chunks.append([])
+                lanes = 0
+            chunks[-1].append(job)
+            lanes += len(job.rows)
+    chunks.reverse()
+    while chunks:
+        chunk = chunks.pop()
+        first = chunk[0].request
+        segments = GridLanes(tuple(job.rows for job in chunk))
+        tally["grid_calls"] += 1
+        try:
+            grid = evaluate_grid([job.request.cfg for job in chunk],
+                                 first.scope, first.accel, segments,
+                                 options=first.options)
+        except BatchFallback:
+            if len(chunk) == 1:
+                yield chunk[0], None, 0, None
+            else:
+                chunks.extend([job] for job in reversed(chunk))
+            continue
+        tally["segments"] += len(chunk)
+        scores: dict = {}
+        lo = 0
+        for job, rows in zip(chunk, segments.segments):
+            objective = (job.request.objective, job.request.energy_table)
+            values = scores.get(objective)
+            if values is None:
+                values = scores[objective] = grid.objective_scores(*objective)
+            yield job, grid, lo, values[lo:lo + len(rows)]
+            lo += len(rows)
+        del grid, scores, values
 
 
-def _score_chunk(chunk: List[_Job], tally: dict) -> None:
-    """Score every table of ``chunk`` in one grid call.
+def _search_rounds(jobs: List[_Job], tally: dict) -> None:
+    """Answer the missed best-only searches ``jobs`` together, in rounds.
 
-    Each job's values come from its own segment of the call, under its
-    own objective and energy table, and equal a call on its table alone.
-    When the call raises :class:`~repro.core.batch.BatchFallback` (the
-    staged-footprint check, which depends on the candidates) each
-    segment is scored alone, so only the offending one leaves the grid.
+    Planning comes first (span ``search-plan``): a space above
+    ``_MERGE_BATCH_LIMIT`` candidates, unless its objective is
+    ``FOOTPRINT``, gets :func:`~repro.core.candidates.plan_candidates`'
+    family bounds, and a valid ``warm_start`` is re-evaluated by the
+    scalar model under the current config and accelerator to seed the
+    incumbent.  Then each round (span ``search-round``) scores every
+    job's rows through :func:`_scored`, whatever their workloads, and
+    each job gates its own families on its own incumbent: round 1
+    scores whole tables, planned searches' live representatives, or the
+    few members a seed leaves alive; round 2 the survivors' other
+    members.  A job settles as soon as it has nothing left to score.
     """
-    first = chunk[0].request
-    tally["grid_calls"] += 1
-    try:
-        grid = evaluate_grid(
-            [job.request.cfg for job in chunk], first.scope, first.accel,
-            GridLanes(tuple(GridRows(job.table.features) for job in chunk)),
-            options=first.options,
-        )
-    except BatchFallback:
-        if len(chunk) == 1:
-            chunk[0].scores = _PAST_EDGE
-        else:
-            for job in chunk:
-                _score_chunk([job], tally)
-        return
-    tally["segments"] += len(chunk)
-    scores: dict = {}
-    lo = 0
-    for job in chunk:
-        objective = (job.request.objective, job.request.energy_table)
-        values = scores.get(objective)
-        if values is None:
-            values = scores[objective] = grid.objective_scores(*objective)
-        job.scores = values[lo:lo + job.table.total]
-        job.grid = (grid, lo)
-        lo += job.table.total
+    if len(jobs) > 1:  # a lone search has nothing to merge with
+        for job in jobs:
+            req = job.request
+            job.group = _merge_group(req.cfg, req.scope, req.options,
+                                     req.accel, job.accel_fp)
+    planned = [job for job in jobs
+               if job.table.total > _MERGE_BATCH_LIMIT
+               and job.request.objective is not Objective.FOOTPRINT]
+    if planned:
+        with _span("search-plan", searches=len(planned)):
+            for job in planned:
+                req = job.request
+                with _span("candidate-plan",
+                           families=len(job.table.families)):
+                    job.plan = plan_candidates(
+                        req.objective, req.cfg, req.scope, req.accel,
+                        req.space, options=req.options,
+                        energy_table=req.energy_table)
+                # Not booked in the stats: the seed's family is always
+                # scored, and that score (equal value, equal index)
+                # replaces it.
+                seed = _locate_warm_start(req.warm_start, job.table,
+                                          req.scope, req.objective,
+                                          req.options)
+                if seed is not None:
+                    cost = _breakdown(req, req.warm_start.dataflow)
+                    job.consider(_objective_value(req.objective, cost,
+                                                  req.energy_table),
+                                 seed, None)
+    for job in jobs:
+        job.begin()
+    # Planned searches last in each group: a round-1 incumbent keeps its
+    # call alive until round 2, so they had better share few calls.
+    jobs = sorted(jobs, key=lambda job: job.plan is not None)
+    number = 1
+    while jobs:
+        with _span("search-round", round=number) as sp:
+            calls = tally["grid_calls"]
+            for job, grid, lo, values in _scored(jobs, tally):
+                job.take(grid, lo, values)
+            sp.set(segments=len(jobs),
+                   grid_calls=tally["grid_calls"] - calls)
+        jobs = [job for job in jobs if job.rows is not None]
+        number += 1
 
 
-def _solve(job: _Job, tally: dict) -> Tuple[tuple, SearchStats]:
-    """A missed best-only search: ``(dataflow, cost, space size)`` and
-    its stats.
+def _score_all(job: _Job, store: Optional[PersistentCache],
+               tally: dict) -> DSEResult:
+    """Every-point path: enumerate the space, cost every point.
 
-    A space in a chunk is scored whole, from its chunk's grid call; any
-    other takes the one-search route — a space of at most
-    ``_MERGE_BATCH_LIMIT`` candidates, or a ``FOOTPRINT`` search, in one
-    call of its own, a larger one planned with bounds by
-    :func:`~repro.core.candidates.plan_candidates` and seeded with its
-    ``warm_start``.
+    The whole space is scored in one grid call (:func:`_scored`), and
+    each point gets its breakdown from its lane (the scalar model past a
+    :class:`~repro.core.batch.BatchFallback`).  The answer is the tuple
+    of costs in enumeration order, memoized whole (:func:`_memoized`);
+    the objective and energy are derived from it per caller.  Selection
+    keeps the first point attaining the minimum — exactly
+    ``min(points, key=...)`` over the enumeration.
     """
     req = job.request
-    table = (job.table if job.table is not None
-             else _space_table(req.cfg, req.space))
-    if table.total == 0:
+    dataflows = list(enumerate_dataflows(req.cfg, req.accel, req.space))
+    if not dataflows:
         raise ValueError("search space is empty")
-    plan: Optional[CandidatePlan] = None
-    seed = whole = None
-    if job.chunk is not None:
-        def whole() -> _Scores:
-            if job.scores is None:
-                _score_chunk(job.chunk, tally)
-            if job.scores is _PAST_EDGE:
-                return _scalar_scored(req, table, None)
-            return job.scores, None, job.grid
-    elif (table.total > _MERGE_BATCH_LIMIT
-          and req.objective is not Objective.FOOTPRINT):
-        with _span("candidate-plan", families=len(table.families)):
-            plan = plan_candidates(req.objective, req.cfg, req.scope,
-                                   req.accel, req.space,
-                                   options=req.options,
-                                   energy_table=req.energy_table)
-        seed = req.warm_start
-    dataflow, cost, stats = _branch_and_bound(req, table, plan, job.start,
-                                              seed, whole)
-    job.scores = job.grid = None  # the chunk's call lives while it is used
-    return (dataflow, cost, table.total), stats
+    n = len(dataflows)
+
+    def _costs() -> Tuple[ScopeCost, ...]:
+        job.rows = GridRows(_GridFeatures(req.cfg, dataflows))
+        ((_, grid, lo, _),) = _scored([job], tally)
+        return tuple(
+            _breakdown(req, df, None if grid is None else (grid, lo + i))
+            for i, df in enumerate(dataflows))
+
+    key = ("points", req.cfg, job.accel_fp, req.options, req.scope,
+           req.space)
+    costs, source = _memoized(key, _costs, store)
+    points: List[DesignPoint] = []
+    best: Optional[DesignPoint] = None
+    best_value = 0.0
+    for dataflow, cost in zip(dataflows, costs):
+        point = DesignPoint(dataflow=dataflow, cost=cost,
+                            energy=energy_report(cost.counts,
+                                                 req.energy_table))
+        value = req.objective.score(cost, point.energy)
+        if best is None or value < best_value:
+            best, best_value = point, value
+        points.append(point)
+    assert best is not None
+    if source == "model":
+        stats = SearchStats(enumerated=n, evaluated=n, pruned=0,
+                            cache_hits=0,
+                            wall_time_s=time.perf_counter() - job.start)
+    else:
+        stats = _answered(n, source, job.start)
+    _accumulate(stats)
+    return DSEResult(best=best, points=tuple(points),
+                     objective=req.objective, stats=stats)
 
 
 def _finish(job: _Job, store: Optional[PersistentCache],
@@ -1666,28 +1570,32 @@ def _finish(job: _Job, store: Optional[PersistentCache],
     with _span("search", scope=req.scope.name,
                objective=req.objective.name):
         if req.retain_points:
-            return _score_all(req, job.accel_fp, job.start, store)
+            return _score_all(job, store, tally)
         with _span("candidate-search"):
-            searched: List[SearchStats] = []
-
-            def _compute() -> tuple:
-                answer, stats = _solve(job, tally)
-                searched.append(stats)
-                return answer
-
-            if job.answer is not None:
-                answer, source = job.answer, job.source
-            elif job.table is None:
+            if job.answer is None and job.table is None:
                 # A repeat of an earlier miss: by now the LRU hit it
                 # is in a loop of run_search calls.
-                answer, source = _memoized(job.key, _compute, store)
+                job.answer, job.source = _lookup(job.key, store)
+                if job.answer is None:
+                    job.table = _space_table(req.cfg, req.space)
+                    if job.table.total:
+                        _search_rounds([job], tally)
+            table = job.table
+            if table is not None:
+                if not table.total:
+                    raise ValueError("search space is empty")
+                with _span("candidate-score", families=len(table.families),
+                           candidates=table.total,
+                           families_pruned=job.stats.families_pruned,
+                           candidates_skipped=job.stats.candidates_skipped,
+                           scalar=job.scalar):
+                    pass  # a ledger: the list's rounds scored its rows
+                _remember(job.key, job.answer, store)
+                stats = job.stats
             else:
-                answer = _compute()
-                _remember(job.key, answer, store)
-            dataflow, cost, total = answer
-            stats = (searched[0] if searched
-                     else _answered(total, source, job.start))
+                stats = _answered(job.answer[2], job.source, job.start)
             _accumulate(stats)
+            dataflow, cost, _ = job.answer
             best = DesignPoint(dataflow=dataflow, cost=cost,
                                energy=energy_report(cost.counts,
                                                     req.energy_table))
@@ -1702,16 +1610,17 @@ def _run_searches(requests: Sequence[SearchRequest],
 
     First every best-only request checks its memo (LRU, then disk) in
     list order; a miss takes its space table, and a repeat of an earlier
-    miss waits for that answer.  Then each request is finished in list
-    order; a small space's chunk is scored when its first job needs it.
-    :func:`repro.core.scaleout.search_scaleout` runs its inner searches
-    with ``store=None``: it persists its own answer, one entry per call.
+    miss waits for that answer.  Then the misses run their rounds
+    together (:func:`_search_rounds`), and each request is finished in
+    list order.  :func:`repro.core.scaleout.search_scaleout` runs its
+    inner searches with ``store=None``: it persists its own answer, one
+    entry per call.
     """
     jobs: List[_Job] = []
     # Memo keys of the misses, when a later request may repeat one (a
     # probe hashes the whole key).
     pending: Optional[set] = set() if len(requests) > 1 else None
-    small: List[_Job] = []
+    misses: List[_Job] = []
     memo_hits = 0
     for req in requests:
         job = _Job(req, accelerator_fingerprint(req.accel),
@@ -1731,12 +1640,11 @@ def _run_searches(requests: Sequence[SearchRequest],
         if pending is not None:
             pending.add(job.key)
         job.table = _space_table(req.cfg, req.space)
-        if job.table.total and (
-                job.table.total <= _MERGE_BATCH_LIMIT
-                or req.objective is Objective.FOOTPRINT):
-            small.append(job)
-    _chunks(small)
+        if job.table.total:
+            misses.append(job)
     tally = {"grid_calls": 0, "segments": 0}
+    if misses:
+        _search_rounds(misses, tally)
     results = [_finish(job, store, tally) for job in jobs]
     if batch_span is not None:
         batch_span.set(memo_hits=memo_hits, segments=tally["segments"],
@@ -1745,22 +1653,22 @@ def _run_searches(requests: Sequence[SearchRequest],
 
 
 def run_searches(requests: Sequence[SearchRequest]) -> List[DSEResult]:
-    """Answer a list of searches, scoring small spaces together.
+    """Answer a list of searches, scoring them together in rounds.
 
     Each result equals what :func:`run_search` returns for that request
     when the requests are run one by one in list order: the same winner
     and cost, the same :class:`SearchStats` (except ``wall_time_s``),
     the same :func:`search_totals` and the same LRU and disk entries; a
     request repeating an earlier one is booked as the LRU hit it would
-    be.  The difference is the number of grid calls: every missed
-    best-only space of at most ``_MERGE_BATCH_LIMIT`` candidates, and
-    every missed ``FOOTPRINT`` search, is scored in one
-    :func:`~repro.core.batch.evaluate_grid` call per group of searches
-    sharing a scope, model options and accelerator (up to
-    :data:`_MERGE_LANE_LIMIT` lanes per call), whatever their workloads;
-    each search's winner is the first minimum of its own segment.
-    Larger spaces take the one-search branch-and-bound with their
-    ``warm_start``, and ``retain_points=True`` requests score every
+    be.  The difference is the number of grid calls: the missed
+    best-only searches advance together, and each round scores every
+    search's rows — whole small spaces and ``FOOTPRINT`` searches,
+    planned searches' family representatives, then their survivors — in
+    one :func:`~repro.core.batch.evaluate_grid` call per group of
+    searches sharing a scope, model options and accelerator (up to
+    :data:`_MERGE_LANE_LIMIT` lanes per call), whatever their workloads.
+    Each search gates its own families on its own incumbent and takes
+    its own ``warm_start``; ``retain_points=True`` requests score every
     point, each in its turn.
     """
     requests = list(requests)
@@ -1782,19 +1690,20 @@ def run_search(
     """Evaluate the search space and return the optimum plus stats.
 
     With ``retain_points=False`` (the default) only the optimum
-    matters: a small space is scored in one call, a larger one's
-    candidates are gated family-by-family with branch-and-bound, energy
-    is computed lazily, and ``DSEResult.points`` comes back empty.
-    With ``retain_points=True`` every design point is evaluated, energy
-    included, and returned.  The ``FOOTPRINT``
-    objective has no cost bound, so its best-only search scores every
-    point in one call.  A one-request :func:`run_searches`.
+    matters: a small space is scored whole in one round, a larger one's
+    families are gated with branch-and-bound over two rounds
+    (representatives, then survivors), energy is computed lazily, and
+    ``DSEResult.points`` comes back empty.  With ``retain_points=True``
+    every design point is evaluated, energy included, and returned.
+    The ``FOOTPRINT`` objective has no cost bound, so its best-only
+    search scores every point in one round.  A one-request
+    :func:`run_searches`.
 
     ``warm_start`` optionally carries a neighboring search's winner
     (:class:`repro.core.candidates.Incumbent`); the best-only path
     re-evaluates that dataflow under the *current* config and
     accelerator and uses the resulting value as the initial incumbent
-    of a branch-and-bound (a space small enough for one scoring call
+    of a branch-and-bound (a space small enough to be scored whole
     ignores it).
     The incumbent's own recorded value is never reused — a stale seed
     can therefore never change the result, only the amount of work

@@ -349,7 +349,7 @@ class ConcurrencyRule(Rule):
         "thread lock; no blocking calls reachable from the event loop"
     )
 
-    _EXEMPT_FUNCTIONS = {"__init__", "__post_init__", "__new__"}
+    _CONSTRUCTORS = {"__init__", "__post_init__", "__new__"}
 
     def check(self, unit, contracts):
         contract = contracts.lock_inventory.get(unit.module)
@@ -378,13 +378,14 @@ class ConcurrencyRule(Rule):
         global_fields = {f for f in locks if "." not in f}
         for qual, info in index.functions.items():
             fn = info.node
-            if "." in qual and qual.rsplit(".", 1)[1] in \
-                    self._EXEMPT_FUNCTIONS:
-                continue
-            if qual in self._EXEMPT_FUNCTIONS:
-                continue
             if qual in held_by:
                 continue
+            # A constructor owns the instance it builds, but not the
+            # module's shared state.
+            own_fields = (
+                () if qual.rsplit(".", 1)[-1] in self._CONSTRUCTORS
+                else instance_fields
+            )
             local_names = self._local_bindings(fn)
             seen: Set[Tuple[int, int, str]] = set()
             for node, held in walk_with_locks(fn, lock_exprs):
@@ -393,7 +394,7 @@ class ConcurrencyRule(Rule):
                     chain = attr_chain(node)
                     if chain is None:
                         continue
-                    for candidate in instance_fields:
+                    for candidate in own_fields:
                         if chain == candidate or chain.startswith(
                             candidate + "."
                         ):

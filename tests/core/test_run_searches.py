@@ -35,6 +35,7 @@ from repro.core import batch as batch_backend
 from repro.core import engine
 from repro.core.batch import GridLanes, GridRows, evaluate_grid
 from repro.core.cache import default_cache_dir, get_default_cache
+from repro.core.candidates import Incumbent
 from repro.core.configs import (
     AcceleratorPolicy,
     attacc,
@@ -367,6 +368,175 @@ class TestSequentialEquivalence:
         assert answers[1] == expected[::-1]
 
 
+class TestGeneratedLists:
+    """Seeded lists that mix every kind of miss in shared merge groups.
+
+    Planned spaces (unseeded, with a valid warm seed, with a rejected
+    seed), small spaces, ``FOOTPRINT`` searches, decode and
+    cross-attention workloads, a workload past the int64 headroom and
+    one past the staged-footprint check, plus repeats.  Each answer is
+    the exhaustive oracle's and equals a ``run_search`` loop's, and each
+    round makes one grid call per chunk, plus the rescoring of a call
+    that raised ``BatchFallback``.
+    """
+
+    _PAST = TestFallbackIsolation._PAST
+    _WIDE = TestFallbackIsolation._WIDE
+
+    @staticmethod
+    def _seed(rng: random.Random, req: SearchRequest) -> Incumbent:
+        table = engine._space_table(req.cfg, req.space)
+        dataflow = table.dataflow(rng.randrange(table.total))
+        objective = req.objective
+        draw = rng.random()
+        if draw < 0.25:  # rejected: won under another objective
+            objective = rng.choice([o for o in Objective
+                                    if o is not req.objective])
+        elif draw < 0.4:  # rejected: a row count outside the ladder
+            dataflow = flat_r(5)
+        # A neighbor's winner on another platform: valid, never trusted.
+        return Incumbent(dataflow=dataflow, objective=objective,
+                         scope=req.scope, options=req.options,
+                         accel_fingerprint=engine.accelerator_fingerprint(
+                             cloud()),
+                         value=0.0)
+
+    def _draw(self, seed: int) -> list:
+        rng = random.Random(seed)
+        requests = []
+        for _ in range(36):
+            large = rng.random() < 0.5
+            req = SearchRequest(
+                cfg=rng.choice(_WORKLOADS),
+                accel=edge(),
+                scope=rng.choice(list(Scope)),
+                objective=rng.choice(list(Objective)),
+                space=rng.choice(_LARGE_SPACES if large else _SMALL_SPACES),
+                options=rng.choice(_OPTIONS),
+            )
+            if large and rng.random() < 0.6:
+                req = dataclasses.replace(req,
+                                          warm_start=self._seed(rng, req))
+            requests.append(req)
+        requests += [
+            # Past the int64 headroom: planned (99 members) and small,
+            # both scored by the scalar model, alone.
+            SearchRequest(self._PAST, edge(), Scope.LA),
+            SearchRequest(self._PAST, edge(), Scope.LA,
+                          space=TestFallbackIsolation._R64),
+            # Its staged footprint makes a merged call raise.
+            SearchRequest(self._WIDE, edge(), Scope.LA,
+                          space=TestFallbackIsolation._M),
+        ]
+        requests += rng.sample(requests, 4)  # repeats
+        rng.shuffle(requests)
+        return requests
+
+    @staticmethod
+    def _recording_grid(monkeypatch) -> list:
+        """Record ``(merge group, segment sizes, raised)`` per call."""
+        calls = []
+        real = engine.evaluate_grid
+
+        def recording(cfg, scope, accel, dataflows, options=PerfOptions()):
+            sizes = [len(s) for s in dataflows.segments]
+            group = engine._merge_group(
+                cfg[0], scope, options, accel,
+                engine.accelerator_fingerprint(accel))
+            calls.append([group or ("alone", len(calls)), sizes, False])
+            try:
+                return real(cfg, scope, accel, dataflows, options)
+            except batch_backend.BatchFallback:
+                calls[-1][2] = True
+                raise
+
+        monkeypatch.setattr(engine, "evaluate_grid", recording)
+        return calls
+
+    @staticmethod
+    def _check_rounds(calls: list, rounds: list) -> None:
+        """Each round's calls are its greedy chunks, in group order,
+        each followed by its segments alone when it raised."""
+        assert [r["round"] for r in rounds] == [1, 2]
+        assert sum(r["grid_calls"] for r in rounds) == len(calls)
+        limit = engine._MERGE_LANE_LIMIT
+        pending = iter(calls)
+        for r in rounds:
+            chunks: dict = {}
+            alone: list = []
+            segments = 0
+            for _ in range(r["grid_calls"]):
+                group, sizes, raised = next(pending)
+                if alone:
+                    assert sizes == [alone.pop(0)]
+                    continue
+                chunks.setdefault(group, []).append(sizes)
+                segments += len(sizes)
+                if raised and len(sizes) > 1:
+                    alone = list(sizes)
+            assert not alone
+            assert segments == r["segments"]
+            for parts in chunks.values():
+                assert all(len(p) == 1 or sum(p) <= limit for p in parts)
+                # The next segment did not fit in the previous call.
+                assert all(sum(a) + b[0] > limit
+                           for a, b in zip(parts, parts[1:]))
+
+    def _run(self, tmp_path, requests: list, batched: bool):
+        import repro.obs as obs
+
+        clear_evaluation_cache()
+        with default_cache_dir(str(tmp_path)), obs.observed() as session:
+            before = _snapshot()
+            if batched:
+                results = run_searches(requests)
+            else:
+                results = [
+                    run_search(r.cfg, r.accel, r.scope, r.objective,
+                               r.space, r.options, r.energy_table,
+                               r.retain_points, r.warm_start)
+                    for r in requests
+                ]
+            after = _snapshot()
+            snap = session.registry.snapshot()
+            rounds = [e["attrs"] for e in session.collector.events
+                      if e["name"] == "search-round"]
+            get_default_cache().close()
+        metrics = {name: snap.get(name, {"value": 0})["value"]
+                   for name in ("engine.warm_start.rejected",
+                                "engine.breakdowns[grid]",
+                                "engine.breakdowns[scalar]")}
+        return results, _delta(before, after), metrics, rounds
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_list_matches_oracle_and_loop(self, tmp_path, monkeypatch,
+                                          seed):
+        requests = self._draw(seed)
+        looped, loop_delta, loop_metrics, _ = self._run(
+            tmp_path / "loop", requests, batched=False)
+        calls = self._recording_grid(monkeypatch)
+        batched, delta, metrics, rounds = self._run(
+            tmp_path / "list", requests, batched=True)
+        assert delta == loop_delta
+        assert metrics == loop_metrics
+        assert metrics["engine.warm_start.rejected"] > 0
+        self._check_rounds(calls, rounds)
+        seeded = 0
+        for req, got, want in zip(requests, batched, looped, strict=True):
+            assert got.best == want.best
+            assert (dataclasses.replace(got.stats, wall_time_s=0.0)
+                    == dataclasses.replace(want.stats, wall_time_s=0.0))
+            assert_matches_oracle(got, _oracle(req), req.objective)
+            seeded += req.warm_start is not None
+        assert seeded
+        # The planned search past the headroom, scored by the scalar
+        # model: members booked evaluated, none on the grid.
+        (past,) = [r.stats for req, r in zip(requests, batched)
+                   if req.cfg is self._PAST and req.space == SearchSpace()
+                   and not r.stats.cache_hits]
+        assert past.batch_evaluations == 0 and past.families_pruned > 0
+
+
 class TestConsumers:
     """The sweeps that submit lists answer what their loops answered."""
 
@@ -391,9 +561,12 @@ class TestConsumers:
         sizes = (20 * 1024, 64 * 1024, 512 * 1024)
         calls = _counting_grid(monkeypatch)
         swept = buffer_sweeps(cases, edge(), sizes)
-        # Per (size, scope), one merged call scores the small curves and
-        # one the two workloads' fixed lineups.
-        assert calls.count(2) == len(sizes) * 2 * 2
+        # Per (size, scope), one merged call scores the two workloads'
+        # fixed lineups, and one the small curves together with the
+        # large curves' first round.  The large curves' survivors share
+        # a second-round call when both have some: 4 of the 6 times.
+        assert calls.count(4) == len(sizes) * 2
+        assert calls.count(2) == len(sizes) * 2 + 4
         clear_evaluation_cache()
         assert swept == [buffer_sweep(cfg, scope, edge(), lineup, sizes,
                                       dse_spaces=dse)

@@ -90,6 +90,33 @@ class TestGuardedFields:
         )
         assert result.findings == []
 
+    def test_init_touching_guarded_global_flags(self):
+        # The constructor exemption covers the instance it builds, not
+        # module-level state shared with every other instance.
+        result = run_lint(
+            """\
+            class Box:
+                def __init__(self):
+                    self._queue = []
+                    _totals["boxes"] = 1
+            """
+        )
+        finding = only_finding(result)
+        assert finding.rule == "R6" and finding.line == 4
+        assert "_TOTALS_LOCK" in finding.message
+
+    def test_init_touching_guarded_global_under_lock_is_clean(self):
+        result = run_lint(
+            """\
+            class Box:
+                def __init__(self):
+                    self._queue = []
+                    with _TOTALS_LOCK:
+                        _totals["boxes"] = 1
+            """
+        )
+        assert result.findings == []
+
     def test_module_global_write_without_lock_flags(self):
         result = run_lint(
             """\

@@ -155,10 +155,17 @@ class TestEngineInstrumentation:
             events = list(session.collector.events)
         (plan,) = [e for e in events if e["name"] == "candidate-plan"]
         parent = next(e for e in events if e["id"] == plan["parent"])
-        assert parent["name"] == "candidate-search"
+        # Planning runs before the list's scoring rounds.
+        assert parent["name"] == "search-plan"
+        assert parent["attrs"] == {"searches": 1}
         assert plan["attrs"] == {
             "families": len(list(enumerate_families(bert_512, space)))
         }
+        rounds = [e["attrs"] for e in events if e["name"] == "search-round"]
+        # The planned search scores representatives, then survivors;
+        # the small space is scored whole in one round.
+        assert [r["round"] for r in rounds] == [1, 2, 1]
+        assert all(r["segments"] == r["grid_calls"] == 1 for r in rounds)
 
     def test_every_point_path_skips_candidate_spans(self, bert_512):
         clear_evaluation_cache()
@@ -210,6 +217,33 @@ class TestEngineInstrumentation:
         searches = [e for e in events if e["name"] == "search"]
         assert len(searches) == n
         assert all(e["parent"] == batch["id"] for e in searches)
+
+    def test_search_batch_counts_every_round_call(self):
+        configs = [model_config(m, seq=512) for m in ("bert", "xlm")]
+        planned = SearchSpace(exhaustive_staging=True)
+        requests = [SearchRequest(cfg, edge(), space=space)
+                    for cfg in configs
+                    for space in (flex_accel().space, planned)]
+        clear_evaluation_cache()
+        with obs.observed() as session:
+            run_searches(requests)
+            events = list(session.collector.events)
+            snap = session.registry.snapshot()
+        (batch,) = [e for e in events if e["name"] == "search-batch"]
+        (plan,) = [e for e in events if e["name"] == "search-plan"]
+        rounds = [e for e in events if e["name"] == "search-round"]
+        assert plan["parent"] == batch["id"]
+        assert plan["attrs"] == {"searches": 2}
+        assert all(e["parent"] == batch["id"] for e in rounds)
+        # Round 1 scores the two small spaces and the two planned
+        # searches' representatives in one call.
+        assert rounds[0]["attrs"] == {"round": 1, "segments": 4,
+                                      "grid_calls": 1}
+        calls = sum(e["attrs"]["grid_calls"] for e in rounds)
+        assert batch["attrs"]["grid_calls"] == calls
+        assert snap["batch.grids"]["value"] == calls
+        assert batch["attrs"]["segments"] == sum(
+            e["attrs"]["segments"] for e in rounds)
 
 
 class TestScaleoutInstrumentation:
