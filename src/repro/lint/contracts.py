@@ -373,7 +373,7 @@ LOCK_INVENTORY: Mapping[str, Mapping[str, object]] = {
             "self._loop_task",
             "self._inflight",
         ),
-        "executor_only": ("CoalescingScheduler._map_queries",),
+        "executor_only": (),
     },
     "repro.serve.server": {
         "locks": {},

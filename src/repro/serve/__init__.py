@@ -8,8 +8,9 @@ disk cache and a response memo — and answers ``cost`` / ``search`` /
 
 The perf core is the **coalescing scheduler**
 (:mod:`repro.serve.scheduler`): concurrent cost queries that target
-the same workload / accelerator fingerprint / scope are merged into a
-single :func:`repro.core.batch.evaluate_grid` call, identical queries
+the same workload / accelerator fingerprint / scope are merged into
+one :func:`repro.core.engine.evaluate_costs` lineup (one grid call for
+its misses), identical queries
 collapse to one evaluation, and sweeps are decomposed into chunks that
 interleave fairly with short queries.  Around it sit admission control
 (a bounded queue with load-shedding), per-request deadlines and a

@@ -25,20 +25,20 @@ exact arithmetic of the scalar cost path, this makes a served response
 only deterministic quantities (cycles, traffic, activity counts,
 energy); wall times and engine statistics are deliberately absent.
 
-The payload builders have two implementations of the same numbers:
-:func:`cost_payload` reads a scalar :class:`~repro.core.perf.ScopeCost`
-and :func:`grid_payloads` reads a vectorized
-:class:`~repro.core.batch.GridEvaluation`.  The batch backend's
-contract (bit-for-bit equality with the scalar model, term-by-term
-energy replay) is what lets the coalescing scheduler answer a merged
-grid call with the same bytes a lone query would have received.
+Every query op resolves through one table, :data:`QUERY_RESOLVERS`:
+the daemon and the direct path both dispatch on its keys, so adding a
+query op is one resolver there plus its execution in
+:mod:`repro.serve.service`.  A cost answer is always
+:func:`cost_payload` of a scalar-equal
+:class:`~repro.core.perf.ScopeCost`, whether the engine scored it alone
+or in a coalesced lineup.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.arch.accelerator import Accelerator
 from repro.arch.config_io import (
@@ -63,13 +63,15 @@ __all__ = [
     "DeadlineExceeded",
     "Draining",
     "Query",
+    "QUERY_RESOLVERS",
     "resolve_query",
+    "resolve_sweep",
+    "resolve_deadline_s",
     "encode_line",
     "ok_response",
     "error_response",
     "progress_event",
     "cost_payload",
-    "grid_payloads",
     "search_payload",
     "scaleout_payload",
     "decode_payload",
@@ -169,6 +171,27 @@ def _resolve_scope(name: object) -> Scope:
     )
 
 
+def _integer(req: Dict[str, Any], name: str,
+             default: Optional[int] = None) -> int:
+    """A JSON-integer field; ``default`` when absent (``None``: required)."""
+    raw = req.get(name, default)
+    if raw is None:
+        raise ProtocolError(f"{req.get('op')} query needs {name!r}")
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ProtocolError(f"{name!r} must be an integer")
+    return raw
+
+
+def _resolve_objective(req: Dict[str, Any]) -> Objective:
+    try:
+        return Objective(str(req.get("objective", "runtime")))
+    except ValueError:
+        raise ProtocolError(
+            f"unknown objective {req.get('objective')!r}; choose from "
+            f"{[o.value for o in Objective]}"
+        ) from None
+
+
 def _resolve_workload(req: Dict[str, Any]) -> AttentionConfig:
     from repro.models.configs import model_config
 
@@ -183,12 +206,9 @@ def _resolve_workload(req: Dict[str, Any]) -> AttentionConfig:
     model = req.get("model")
     if model is None:
         raise ProtocolError("request needs 'workload' or 'model'")
+    seq, batch = _integer(req, "seq", 4096), _integer(req, "batch", 64)
     try:
-        return model_config(
-            str(model),
-            seq=int(req.get("seq", 4096)),
-            batch=int(req.get("batch", 64)),
-        )
+        return model_config(str(model), seq=seq, batch=batch)
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"workload invalid: {exc}") from None
 
@@ -214,20 +234,31 @@ def _resolve_accelerator(req: Dict[str, Any]) -> Accelerator:
 def _resolve_dataflow(spec: object) -> Dataflow:
     from repro.core.dataflow import parse_dataflow
 
-    if isinstance(spec, dict):
-        try:
-            return dataflow_from_dict(spec)
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from None
     try:
+        if isinstance(spec, dict):
+            return dataflow_from_dict(spec)
         return parse_dataflow(str(spec))
     except ValueError as exc:
         raise ProtocolError(str(exc)) from None
 
 
-def _resolve_scaleout(req: Dict[str, Any], accel: Accelerator) -> Tuple[
-    int, ScaleoutSystem
-]:
+# Each query op's own fields, resolved after the workload, accelerator
+# and scope every query shares: the :class:`Query` fields it sets.
+def _cost_fields(req: Dict[str, Any], cfg: AttentionConfig,
+                 accel: Accelerator) -> Dict[str, Any]:
+    spec = req.get("dataflow")
+    if spec is None:
+        raise ProtocolError("cost query needs 'dataflow'")
+    return {"dataflow": _resolve_dataflow(spec)}
+
+
+def _search_fields(req: Dict[str, Any], cfg: AttentionConfig,
+                   accel: Accelerator) -> Dict[str, Any]:
+    return {"objective": _resolve_objective(req)}
+
+
+def _scaleout_fields(req: Dict[str, Any], cfg: AttentionConfig,
+                     accel: Accelerator) -> Dict[str, Any]:
     """The ``chips`` count and :class:`ScaleoutSystem` of one request.
 
     Fabric and channel parameters are optional scalars with the
@@ -235,13 +266,7 @@ def _resolve_scaleout(req: Dict[str, Any], accel: Accelerator) -> Tuple[
     ``chips_per_channel``, ``contention``); validation failures become
     ``bad_request`` before the scheduler sees the query.
     """
-    raw = req.get("chips")
-    if raw is None:
-        raise ProtocolError("scaleout query needs 'chips'")
-    try:
-        chips = int(raw)
-    except (TypeError, ValueError):
-        raise ProtocolError("'chips' must be an integer") from None
+    chips = _integer(req, "chips")
     if chips < 1:
         raise ProtocolError("'chips' must be >= 1")
     kind_name = str(req.get("fabric", FabricKind.MESH.value))
@@ -252,6 +277,7 @@ def _resolve_scaleout(req: Dict[str, Any], accel: Accelerator) -> Tuple[
             f"unknown fabric {kind_name!r}; choose from "
             f"{[k.value for k in FabricKind]}"
         ) from None
+    chips_per_channel = _integer(req, "chips_per_channel", 1)
     defaults = FabricSpec()
     try:
         fabric = FabricSpec(
@@ -268,83 +294,71 @@ def _resolve_scaleout(req: Dict[str, Any], accel: Accelerator) -> Tuple[
         system = ScaleoutSystem(
             chip=accel,
             fabric=fabric,
-            chips_per_channel=int(req.get("chips_per_channel", 1)),
+            chips_per_channel=chips_per_channel,
             channel_contention=float(req.get("contention", 1.0)),
         )
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"scaleout system invalid: {exc}") from None
-    return chips, system
+    return {"chips": chips, "system": system}
+
+
+def _decode_fields(req: Dict[str, Any], cfg: AttentionConfig,
+                   accel: Accelerator) -> Dict[str, Any]:
+    from repro.ops.decode import decode_config
+
+    kv_len = _integer(req, "kv_len")
+    objective = _resolve_objective(req)
+    variants = req.get("variants", True)
+    if not isinstance(variants, bool):
+        raise ProtocolError("'variants' must be a boolean")
+    try:
+        step = decode_config(cfg, kv_len)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
+    return {"cfg": step, "objective": objective, "variants": variants}
+
+
+#: The query ops: each op's resolver of its own :class:`Query` fields.
+#: These keys are the only list of query ops; the daemon and the direct
+#: path dispatch on them.
+QUERY_RESOLVERS: Dict[str, Callable[..., Dict[str, Any]]] = {
+    "cost": _cost_fields,
+    "search": _search_fields,
+    "scaleout": _scaleout_fields,
+    "decode": _decode_fields,
+}
 
 
 def resolve_query(req: Dict[str, Any]) -> Query:
-    """Validate one ``cost``/``search``/``scaleout`` request into a
-    :class:`Query`.
+    """Validate one query request (an op of :data:`QUERY_RESOLVERS`)
+    into a :class:`Query`.
 
     Raises :class:`ProtocolError` (``bad_request``) on anything
     malformed; resolution is pure, so a bad request is rejected before
     it ever reaches the scheduler.
     """
     op = req.get("op")
-    if op not in ("cost", "search", "scaleout", "decode"):
+    fields = QUERY_RESOLVERS.get(op) if isinstance(op, str) else None
+    if fields is None:
         raise ProtocolError(
-            f"op {op!r} is not a query (cost/search/scaleout/decode)"
+            f"op {op!r} is not a query ({'/'.join(QUERY_RESOLVERS)})"
         )
     cfg = _resolve_workload(req)
     accel = _resolve_accelerator(req)
-    scope = _resolve_scope(req.get("scope", "L-A"))
-    if op == "decode":
-        from repro.ops.decode import decode_config
+    query = {"kind": op, "cfg": cfg, "accel": accel,
+             "scope": _resolve_scope(req.get("scope", "L-A"))}
+    query.update(fields(req, cfg, accel))
+    return Query(**query)
 
-        raw = req.get("kv_len")
-        if raw is None:
-            raise ProtocolError("decode query needs 'kv_len'")
-        try:
-            kv_len = int(raw)
-        except (TypeError, ValueError):
-            raise ProtocolError("'kv_len' must be an integer") from None
-        try:
-            objective = Objective(str(req.get("objective", "runtime")))
-        except ValueError:
-            raise ProtocolError(
-                f"unknown objective {req.get('objective')!r}; choose from "
-                f"{[o.value for o in Objective]}"
-            ) from None
-        variants = req.get("variants", True)
-        if not isinstance(variants, bool):
-            raise ProtocolError("'variants' must be a boolean")
-        try:
-            step = decode_config(cfg, kv_len)
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from None
-        return Query(
-            kind="decode", cfg=step, accel=accel, scope=scope,
-            objective=objective, variants=variants,
-        )
-    if op == "cost":
-        spec = req.get("dataflow")
-        if spec is None:
-            raise ProtocolError("cost query needs 'dataflow'")
-        return Query(
-            kind="cost", cfg=cfg, accel=accel, scope=scope,
-            dataflow=_resolve_dataflow(spec),
-        )
-    if op == "scaleout":
-        chips, system = _resolve_scaleout(req, accel)
-        return Query(
-            kind="scaleout", cfg=cfg, accel=accel, scope=scope,
-            chips=chips, system=system,
-        )
-    try:
-        objective = Objective(str(req.get("objective", "runtime")))
-    except ValueError:
-        raise ProtocolError(
-            f"unknown objective {req.get('objective')!r}; choose from "
-            f"{[o.value for o in Objective]}"
-        ) from None
-    return Query(
-        kind="search", cfg=cfg, accel=accel, scope=scope,
-        objective=objective,
-    )
+
+def resolve_sweep(req: Dict[str, Any]) -> List[Query]:
+    """Validate a ``sweep`` request's sub-requests into queries."""
+    subs = req.get("requests")
+    if not isinstance(subs, list) or not subs:
+        raise ProtocolError("sweep needs a non-empty 'requests' list")
+    if not all(isinstance(sub, dict) for sub in subs):
+        raise ProtocolError("sweep 'requests' entries must be objects")
+    return [resolve_query(sub) for sub in subs]
 
 
 def resolve_deadline_s(req: Dict[str, Any]) -> Optional[float]:
@@ -395,8 +409,6 @@ def progress_event(req_id: object, done: int, total: int) -> Dict[str, Any]:
 def cost_payload(cost: ScopeCost) -> Dict[str, Any]:
     """The served fields of one evaluation, from the scalar path.
 
-    Restricted to quantities :func:`grid_payloads` can reproduce
-    bit-for-bit from a :class:`~repro.core.batch.GridEvaluation` row;
     ``energy_j`` uses the default energy table (callers with custom
     tables derive joules client-side from the activity counts, which
     are all here).
@@ -413,33 +425,6 @@ def cost_payload(cost: ScopeCost) -> Dict[str, Any]:
         "sfu_ops": float(counts.sfu_ops),
         "energy_j": float(energy_report(counts).total_j),
     }
-
-
-def grid_payloads(grid) -> List[Dict[str, Any]]:
-    """Per-row payloads of one ``evaluate_grid`` call.
-
-    The energy term replays ``objective_scores(ENERGY)`` — which itself
-    replays ``energy_report`` term by term — so every field equals the
-    scalar :func:`cost_payload` bit for bit (the batch backend's
-    contract, asserted in ``tests/serve/test_protocol.py``).
-    """
-    energy = grid.objective_scores(Objective.ENERGY)
-    out: List[Dict[str, Any]] = []
-    for i in range(len(grid)):
-        out.append(
-            {
-                "total_cycles": float(grid.total_cycles[i]),
-                "dram_bytes": float(grid.dram_bytes[i]),
-                "footprint_bytes": int(grid.footprint_bytes[i]),
-                "macs": float(grid.macs[i]),
-                "sl_words": float(grid.sl_words[i]),
-                "sg_words": float(grid.sg_words[i]),
-                "dram_words": float(grid.dram_words[i]),
-                "sfu_ops": float(grid.sfu_ops[i]),
-                "energy_j": float(energy[i]),
-            }
-        )
-    return out
 
 
 def search_payload(result: DSEResult) -> Dict[str, Any]:

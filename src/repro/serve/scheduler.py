@@ -20,25 +20,21 @@ then:
    every waiter — this is also what guarantees one disk write for N
    coalesced identical requests.
 
-3. **Dispatch.**  A cost group with several distinct dataflows becomes
-   one :func:`~repro.core.batch.evaluate_grid` call
-   (:func:`~repro.serve.service.execute_cost_group`); a single cost
-   query takes the memoized scalar model, and a search query the
-   engine's search — grid scoring of its space plus one scalar
-   breakdown of the winner
-   (:func:`~repro.serve.service.execute_query`).  Evaluation runs on
-   a thread-pool executor (default: one worker, so engine state is
+3. **Dispatch.**  Each group goes to one injected group function
+   (default :func:`~repro.serve.service.execute_group`): a cost group
+   is one :func:`~repro.core.engine.evaluate_costs` lineup, whose two
+   or more misses share one grid call, and a search-like group maps
+   the engine's search over its queries.  Evaluation runs on a
+   thread-pool executor (default: one worker, so engine state is
    never contended) while the event loop keeps accepting and batching
    — group dispatches are tracked as in-flight tasks, not awaited
    inline, so a slow search never blocks the next micro-batch.
 
 Completed payloads also land in a bounded **response memo** keyed by
 the dedupe key: a warm repeat is answered inline at submit time
-without touching the queue.  (A coalesced cost group's payloads are
-read straight off the grid arrays and written back to none of the
-engine's ScopeCost caches, so this memo is the serving tier's warm
-store; scalar evaluations additionally warm the engine LRU and the
-disk cache.)
+without touching the queue.  Every evaluated answer also warms the
+engine LRU (and the disk cache, when one is configured), so a repeat
+evicted from the memo is still an engine hit.
 
 Admission control sheds with ``overloaded`` when the queue is full,
 and :meth:`CoalescingScheduler.drain` finishes queued + in-flight work
@@ -65,7 +61,7 @@ from repro.serve.protocol import (
     ProtocolError,
     Query,
 )
-from repro.serve.service import execute_cost_group, execute_query
+from repro.serve.service import execute_group
 
 __all__ = ["SchedulerConfig", "CoalescingScheduler"]
 
@@ -121,22 +117,21 @@ _STAT_KEYS = (
 class CoalescingScheduler:
     """Single-event-loop request coalescer over the evaluation engine.
 
-    ``cost_group_fn`` / ``query_fn`` default to the real service
-    functions and are injectable for scheduler-behavior tests (a stub
-    can block, fail or count calls without paying for the cost model).
+    ``group_fn`` answers one group's deduplicated queries with
+    ``(payloads, used_grid)``; it defaults to the real service function
+    and is injectable for scheduler-behavior tests (a stub can block,
+    fail or count calls without paying for the cost model).
     """
 
     def __init__(
         self,
         config: SchedulerConfig = SchedulerConfig(),
-        cost_group_fn: Callable[
+        group_fn: Callable[
             [List[Query]], Tuple[List[Dict[str, Any]], bool]
-        ] = execute_cost_group,
-        query_fn: Callable[[Query], Dict[str, Any]] = execute_query,
+        ] = execute_group,
     ) -> None:
         self.config = config
-        self._cost_group_fn = cost_group_fn
-        self._query_fn = query_fn
+        self._group_fn = group_fn
         self._queue: Deque[_Pending] = deque()
         self._wakeup = asyncio.Event()
         self._memo: "OrderedDict[Tuple, Dict[str, Any]]" = OrderedDict()
@@ -273,31 +268,17 @@ class CoalescingScheduler:
         self, groups: Dict[Tuple, "OrderedDict[Tuple, _Pending]"]
     ) -> None:
         await asyncio.gather(
-            *(
-                self._dispatch_group(group_key[0], list(unique.values()))
-                for group_key, unique in groups.items()
-            )
+            *(self._dispatch_group(list(unique.values()))
+              for unique in groups.values())
         )
 
-    async def _dispatch_group(
-        self, kind: str, items: List[_Pending]
-    ) -> None:
+    async def _dispatch_group(self, items: List[_Pending]) -> None:
         loop = asyncio.get_running_loop()
         queries = [item.query for item in items]
         try:
-            if kind == "cost":
-                payloads, used_grid = await loop.run_in_executor(
-                    self._executor, self._cost_group_fn, queries
-                )
-                if used_grid:
-                    self._stats["grid_calls"] += 1
-                    self._stats["grid_rows"] += len(queries)
-                    self._metric_inc("serve.grid_calls")
-                    self._metric_inc("serve.grid_rows", len(queries))
-            else:
-                payloads = await loop.run_in_executor(
-                    self._executor, self._map_queries, queries
-                )
+            payloads, used_grid = await loop.run_in_executor(
+                self._executor, self._group_fn, queries
+            )
         except ProtocolError as exc:
             self._fail(items, exc)
             return
@@ -306,14 +287,16 @@ class CoalescingScheduler:
                 f"{type(exc).__name__}: {exc}", code="internal"
             ))
             return
+        if used_grid:
+            self._stats["grid_calls"] += 1
+            self._stats["grid_rows"] += len(queries)
+            self._metric_inc("serve.grid_calls")
+            self._metric_inc("serve.grid_rows", len(queries))
         self._stats["evaluations"] += len(items)
         self._metric_inc("serve.evaluations", len(items))
         for item, payload in zip(items, payloads):
             self._memo_put(item.key, payload)
             self._resolve(item, payload)
-
-    def _map_queries(self, queries: List[Query]) -> List[Dict[str, Any]]:
-        return [self._query_fn(q) for q in queries]
 
     @staticmethod
     def _resolve(item: _Pending, payload: Dict[str, Any]) -> None:
@@ -359,9 +342,12 @@ class CoalescingScheduler:
         piggybacked on an identical queued request; ``evaluations`` the
         distinct evaluations dispatched.  ``requests - memo_hits -
         coalesced - shed - deadline_expired == evaluations`` once the
-        queue is drained.  ``grid_calls``/``grid_rows`` count actual
-        multi-request ``evaluate_grid`` dispatches and their total row
-        count.
+        queue is drained.  ``grid_calls`` counts the cost groups of two
+        or more distinct queries handed to
+        :func:`~repro.core.engine.evaluate_costs` as one lineup, and
+        ``grid_rows`` their queries; the engine scores only the lineup's
+        LRU and disk misses, so such a group's grid call can be smaller
+        than its row count, or absent.
         """
         out = dict(self._stats)
         out["queued"] = len(self._queue)

@@ -7,7 +7,7 @@ task, so one connection can pipeline queries and a long search never
 blocks a ping on the same socket.  Response lines are serialized per
 connection through a writer lock.
 
-Operations:
+Operations, one entry each in :attr:`DSEServer.OPS`:
 
 ``ping`` / ``stats``
     liveness and the scheduler/engine-cache counters.
@@ -46,12 +46,15 @@ import asyncio
 import json
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (
+    Any, Awaitable, Callable, Dict, List, Optional, Tuple,
+)
 
 from repro.obs.metrics import active as _metrics_active
 from repro.obs.trace import span as _span
 from repro.serve.protocol import (
     PROTOCOL,
+    QUERY_RESOLVERS,
     Draining,
     ProtocolError,
     encode_line,
@@ -60,10 +63,15 @@ from repro.serve.protocol import (
     progress_event,
     resolve_deadline_s,
     resolve_query,
+    resolve_sweep,
 )
 from repro.serve.scheduler import CoalescingScheduler, SchedulerConfig
 
 __all__ = ["DSEServer", "ServerThread", "run_server"]
+
+JSON = Dict[str, Any]
+#: An op handler's progress callback: ``await progress(done, total)``.
+Progress = Callable[[int, int], Awaitable[None]]
 
 
 class DSEServer:
@@ -218,9 +226,9 @@ class DSEServer:
         self._observe(op, start)
         await self._send(writer, write_lock, ok_response(req_id, result))
 
-    @staticmethod
+    @classmethod
     def _observe(
-        op: object, start: float, error: Optional[str] = None
+        cls, op: object, start: float, error: Optional[str] = None
     ) -> None:
         registry = _metrics_active()
         if registry is None:
@@ -228,7 +236,9 @@ class DSEServer:
         registry.histogram("serve.request_s").observe(
             time.perf_counter() - start
         )
-        registry.counter(f"serve.op[{op}]").inc()
+        # The client picks ``op``: book only the table's names.
+        known = isinstance(op, str) and op in cls.OPS
+        registry.counter(f"serve.op[{op if known else 'unknown'}]").inc()
         if error is not None:
             registry.counter(f"serve.error[{error}]").inc()
 
@@ -241,24 +251,22 @@ class DSEServer:
         write_lock: asyncio.Lock,
     ) -> Dict[str, Any]:
         op = req.get("op")
-        if op == "ping":
-            return {"protocol": PROTOCOL}
-        if op == "stats":
-            return self._stats_payload()
-        if op == "shutdown":
-            asyncio.get_running_loop().create_task(self.shutdown())
-            return {"draining": True}
-        if op in ("cost", "search", "scaleout", "decode"):
-            query = resolve_query(req)
-            deadline_s = resolve_deadline_s(req)
-            return await self.scheduler.submit(query, deadline_s)
-        if op == "sweep":
-            return await self._execute_sweep(req, req_id, writer, write_lock)
-        if op == "experiment":
-            return await self._execute_experiment(req)
-        raise ProtocolError(f"unknown op {op!r}")
+        handler = self.OPS.get(op) if isinstance(op, str) else None
+        if handler is None:
+            raise ProtocolError(f"unknown op {op!r}")
 
-    def _stats_payload(self) -> Dict[str, Any]:
+        async def progress(done: int, total: int) -> None:
+            await self._send(writer, write_lock,
+                             progress_event(req_id, done, total))
+
+        return await handler(self, req, progress)
+
+    # Every op handler takes the request and an async ``progress(done,
+    # total)`` that streams a progress event to the caller.
+    async def _ping(self, req: JSON, progress: Progress) -> JSON:
+        return {"protocol": PROTOCOL}
+
+    async def _stats(self, req: JSON, progress: Progress) -> JSON:
         from repro.core.cache import get_default_cache
         from repro.core.engine import evaluation_cache_info
 
@@ -273,17 +281,16 @@ class DSEServer:
             payload["disk_cache"] = pcache.stats.as_dict()
         return payload
 
-    async def _execute_sweep(
-        self,
-        req: Dict[str, Any],
-        req_id: object,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> Dict[str, Any]:
-        subs = req.get("requests")
-        if not isinstance(subs, list) or not subs:
-            raise ProtocolError("sweep needs a non-empty 'requests' list")
-        queries = [resolve_query(sub) for sub in subs]
+    async def _shutdown(self, req: JSON, progress: Progress) -> JSON:
+        asyncio.get_running_loop().create_task(self.shutdown())
+        return {"draining": True}
+
+    async def _query(self, req: JSON, progress: Progress) -> JSON:
+        query = resolve_query(req)
+        return await self.scheduler.submit(query, resolve_deadline_s(req))
+
+    async def _sweep(self, req: JSON, progress: Progress) -> JSON:
+        queries = resolve_sweep(req)
         deadline_s = resolve_deadline_s(req)
         loop = asyncio.get_running_loop()
         deadline = (
@@ -312,14 +319,10 @@ class DSEServer:
                 )
             )
             if lo + chunk_size < len(queries):
-                await self._send(writer, write_lock, progress_event(
-                    req_id, len(results), len(queries)
-                ))
+                await progress(len(results), len(queries))
         return {"results": results, "total": len(queries)}
 
-    async def _execute_experiment(
-        self, req: Dict[str, Any]
-    ) -> Dict[str, Any]:
+    async def _experiment(self, req: JSON, progress: Progress) -> JSON:
         if self._draining:
             raise Draining("server is draining; no new work accepted")
         name = req.get("name")
@@ -348,6 +351,19 @@ class DSEServer:
                 self._experiment_executor,
                 _experiment_payload, name,
             )
+
+    #: The op table: every op the daemon answers, and its handler.
+    #: Adding an op is one entry here; a query op is instead its
+    #: resolver in :data:`~repro.serve.protocol.QUERY_RESOLVERS` and its
+    #: answer in :func:`~repro.serve.service.execute_query`.
+    OPS: Dict[str, Callable[..., Awaitable[JSON]]] = {
+        "ping": _ping,
+        "stats": _stats,
+        "shutdown": _shutdown,
+        "sweep": _sweep,
+        "experiment": _experiment,
+        **dict.fromkeys(QUERY_RESOLVERS, _query),
+    }
 
 
 def _experiment_payload(name: str) -> Dict[str, Any]:

@@ -1,10 +1,8 @@
 """Tests for the serving wire protocol: resolution, encoding, payloads.
 
-The load-bearing assertion lives in
-:class:`TestPayloadEquivalence`: the grid payload builder (what a
-coalesced batch answers with) must reproduce the scalar payload
-builder (what a lone query answers with) *bit for bit* — that is the
-whole basis of the served-vs-direct byte equivalence.
+Served and direct answers share one resolution route and one payload
+builder; the byte equivalence of the two is asserted end to end in
+``test_server.py``.
 """
 
 from __future__ import annotations
@@ -14,8 +12,7 @@ import json
 import pytest
 
 from repro.arch.presets import edge
-from repro.core.batch import evaluate_grid
-from repro.core.dataflow import base, flat_r, parse_dataflow
+from repro.core.dataflow import flat_r, parse_dataflow
 from repro.core.perf import cost_scope
 from repro.models.configs import model_config
 from repro.ops.attention import Scope
@@ -24,7 +21,6 @@ from repro.serve.protocol import (
     ProtocolError,
     cost_payload,
     encode_line,
-    grid_payloads,
     resolve_deadline_s,
     resolve_query,
     scaleout_payload,
@@ -72,6 +68,20 @@ class TestResolveQuery:
          "unknown objective"),
         ({"op": "search", "workload": "not-a-dict"}, "must be an object"),
         ({"op": "search", "model": "bert", "accel": 3}, "must be an object"),
+        ({"op": "search", "model": "bert", "seq": True}, "must be an integer"),
+        ({"op": "search", "model": "bert", "seq": 512.0},
+         "must be an integer"),
+        ({"op": "search", "model": "bert", "seq": "512"},
+         "must be an integer"),
+        ({"op": "search", "model": "bert", "batch": 4.5},
+         "must be an integer"),
+        ({"op": "search", "model": "bert", "batch": False},
+         "must be an integer"),
+        ({"op": "decode", "model": "bert", "kv_len": 2048.5},
+         "must be an integer"),
+        ({"op": "decode", "model": "bert", "kv_len": True},
+         "must be an integer"),
+        ({"op": ["cost"], "model": "bert"}, "not a query"),
     ])
     def test_malformed_requests_rejected(self, req, fragment):
         with pytest.raises(ProtocolError) as excinfo:
@@ -133,6 +143,14 @@ class TestResolveScaleout:
           "contention": 0.5}, "scaleout system invalid"),
         ({"op": "scaleout", "model": "bert", "chips": 4, "link_gbs": 0},
          "scaleout system invalid"),
+        ({"op": "scaleout", "model": "bert", "chips": 8.5},
+         "must be an integer"),
+        ({"op": "scaleout", "model": "bert", "chips": True},
+         "must be an integer"),
+        ({"op": "scaleout", "model": "bert", "chips": 4,
+          "chips_per_channel": 2.5}, "must be an integer"),
+        ({"op": "scaleout", "model": "bert", "chips": 4,
+          "chips_per_channel": True}, "must be an integer"),
     ])
     def test_malformed_requests_rejected(self, req, fragment):
         with pytest.raises(ProtocolError) as excinfo:
@@ -176,22 +194,6 @@ class TestCanonicalEncoding:
 
 
 class TestPayloadEquivalence:
-    def test_grid_payloads_equal_scalar_payloads_bit_for_bit(self):
-        cfg = model_config("bert", seq=512, batch=4)
-        accel = edge()
-        dataflows = [base(), flat_r(16), flat_r(64), flat_r(128)]
-        grid = evaluate_grid(cfg, Scope.LA, accel, dataflows)
-        from_grid = grid_payloads(grid)
-        assert len(from_grid) == len(dataflows)
-        for dataflow, payload in zip(dataflows, from_grid):
-            scalar = cost_payload(
-                cost_scope(cfg, Scope.LA, accel, dataflow)
-            )
-            assert payload == scalar, dataflow.name
-            # Byte-level, not just ==: int vs float of the same value
-            # compare equal in Python but encode differently.
-            assert encode_line(payload) == encode_line(scalar)
-
     def test_payload_types_are_stable(self):
         cfg = model_config("bert", seq=512, batch=4)
         payload = cost_payload(cost_scope(cfg, Scope.LA, edge(), flat_r(64)))

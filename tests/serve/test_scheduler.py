@@ -2,7 +2,7 @@
 
 Every test runs a scenario coroutine under ``asyncio.run`` (the suite
 has no async test plugin) against a :class:`CoalescingScheduler` whose
-``cost_group_fn`` / ``query_fn`` are counting stubs — scheduling
+``group_fn`` is a counting stub — scheduling
 behavior (batching, dedup, memoization, shedding, deadlines, drain) is
 asserted without paying for the cost model.  End-to-end correctness of
 the real evaluation paths is covered by ``test_server.py``.
@@ -43,27 +43,25 @@ def other_workload_query(r: int = 64) -> Query:
 
 
 class StubEngine:
-    """Counting stand-in for execute_cost_group / execute_query."""
+    """Counting stand-in for execute_group: cost groups are recorded
+    whole, other queries one by one."""
 
     def __init__(self, fail_with: Exception = None) -> None:
         self.group_calls = []
         self.query_calls = []
         self.fail_with = fail_with
 
-    def cost_group(self, queries):
+    def group(self, queries):
         if self.fail_with is not None:
             raise self.fail_with
+        if queries[0].kind != "cost":
+            self.query_calls.extend(queries)
+            return [{"kind": q.kind} for q in queries], False
         self.group_calls.append(list(queries))
         payloads = [
             {"df": q.dataflow.name, "rows": len(queries)} for q in queries
         ]
         return payloads, len(queries) > 1
-
-    def query(self, query):
-        if self.fail_with is not None:
-            raise self.fail_with
-        self.query_calls.append(query)
-        return {"kind": query.kind}
 
 
 def run_scenario(scenario, config=None, engine=None):
@@ -72,9 +70,7 @@ def run_scenario(scenario, config=None, engine=None):
     config = config if config is not None else SchedulerConfig(window_ms=20)
 
     async def _main():
-        scheduler = CoalescingScheduler(
-            config, cost_group_fn=engine.cost_group, query_fn=engine.query
-        )
+        scheduler = CoalescingScheduler(config, group_fn=engine.group)
         scheduler.start()
         try:
             return await scenario(scheduler)
@@ -291,10 +287,7 @@ class TestDrain:
         config = SchedulerConfig(window_ms=500)
 
         async def _main():
-            scheduler = CoalescingScheduler(
-                config, cost_group_fn=engine.cost_group,
-                query_fn=engine.query,
-            )
+            scheduler = CoalescingScheduler(config, group_fn=engine.group)
             scheduler.start()
             # Queued behind a long window; drain must still answer it.
             pending = asyncio.ensure_future(scheduler.submit(cost_query()))

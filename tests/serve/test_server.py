@@ -79,7 +79,7 @@ class TestLifecycleAndOps:
 
     def test_sweep_streams_progress_events(self, server):
         events = []
-        sweep = {"op": "sweep", "requests": [
+        sweep = {"op": "sweep", "id": "g1", "requests": [
             {"op": "cost", "model": "bert", "seq": 128, "batch": 2,
              "dataflow": f"flat-r{2 ** i}"}
             for i in range(1, 9)
@@ -169,11 +169,27 @@ class TestErrors:
         assert response["code"] == "bad_request"
         assert response["id"] is None
 
-    def test_error_responses_match_direct_bytes(self, server):
-        bad = {"op": "cost", "id": "e1", "model": "bert", "scope": "zz",
-               "dataflow": "base"}
+    @pytest.mark.parametrize("bad", [
+        {"op": "cost", "model": "bert", "scope": "zz", "dataflow": "base"},
+        {"op": "search", "model": "bert", "seq": 512, "batch": 4,
+         "deadline_ms": "x"},
+        {"op": "cost", "model": "bert", "seq": 512, "batch": 4,
+         "dataflow": "base", "deadline_ms": -5},
+        {"op": "sweep", "requests": [{"op": "cost", "model": "bert",
+                                      "seq": 512, "batch": 4,
+                                      "dataflow": "base"}],
+         "deadline_ms": "x"},
+        {"op": "sweep", "requests": [5]},
+        {"op": "search", "model": "bert", "seq": True},
+        {"op": "nope"},
+        {"op": ["cost"]},
+    ], ids=["scope", "deadline-text", "deadline-negative", "sweep-deadline",
+            "sweep-entry", "seq-bool", "unknown-op", "list-op"])
+    def test_error_responses_match_direct_bytes(self, server, bad):
+        bad = dict(bad, id="e1")
         with ServeClient(*server) as client:
             response = client.request(bad)
+        assert response["code"] == "bad_request"
         assert encode_line(response) == encode_line(answer_direct(bad))
 
 
@@ -202,6 +218,63 @@ class TestSharedCache:
         disk = stats["disk_cache"]
         assert disk["writes"] == 1, disk
         assert disk["corrupt"] == 0
+
+
+    def test_coalesced_cost_group_is_one_lineup_memoized(
+        self, tmp_path, monkeypatch
+    ):
+        """A cold group of k distinct cost dataflows is one grid call of
+        k rows, and its answers land in the engine LRU and on disk."""
+        from repro.core import engine
+        from repro.core.engine import evaluation_cache_info
+
+        rows = []
+        real = engine.evaluate_grid
+
+        def counting(cfg, scope, accel, dataflows, options):
+            rows.append(len(dataflows))
+            return real(cfg, scope, accel, dataflows, options)
+
+        monkeypatch.setattr(engine, "evaluate_grid", counting)
+        dataflows = ("base", "flat-r16", "flat-r32", "flat-r64", "flat-r128")
+        sweep = {"op": "sweep", "id": "g1", "requests": [
+            {"op": "cost", "model": "xlm", "seq": 256, "batch": 2,
+             "dataflow": dataflow} for dataflow in dataflows
+        ]}
+        clear_evaluation_cache()
+        with default_cache_dir(str(tmp_path)):
+            with ServerThread(SchedulerConfig(window_ms=50.0)) as address:
+                with ServeClient(*address) as client:
+                    response = client.request(sweep)
+                    stats = client.stats()
+            direct = answer_direct(sweep)
+        assert response["ok"] is True
+        assert encode_line(response) == encode_line(direct)
+        assert rows == [len(dataflows)]
+        assert stats["scheduler"]["grid_calls"] == 1
+        assert stats["scheduler"]["grid_rows"] == len(dataflows)
+        assert stats["engine_lru"]["entries"] == len(dataflows)
+        assert stats["disk_cache"]["writes"] == len(dataflows)
+        # The direct answers were the daemon's LRU hits: nothing new.
+        assert evaluation_cache_info()["entries"] == len(dataflows)
+
+
+class TestObservability:
+    def test_op_metric_names_are_bounded_by_the_op_table(self):
+        from repro import obs
+
+        ops = ["ping", "nope", "zz-1", "zz-2", ["x"], None, "ping"]
+        with obs.observed() as session:
+            with ServerThread(SchedulerConfig(window_ms=0.0)) as address:
+                with ServeClient(*address) as client:
+                    for op in ops:
+                        client.request({"op": op})
+            counters = {
+                name: data["value"]
+                for name, data in session.registry.snapshot().items()
+                if name.startswith("serve.op[")
+            }
+        assert counters == {"serve.op[ping]": 2, "serve.op[unknown]": 5}
 
 
 class TestShutdown:
