@@ -1,4 +1,9 @@
-"""Utilization-curve helpers shared by the Figure 8/9 harnesses."""
+"""Utilization-curve helpers shared by the Figure 8/9 harnesses.
+
+A buffer sweep asks the engine one list per buffer size: the fixed
+dataflows' costs, then the DSE curves' best-only searches
+(:func:`buffer_sweeps`).
+"""
 
 from __future__ import annotations
 
@@ -12,7 +17,6 @@ from repro.core.dse import Objective, SearchSpace
 from repro.core.engine import (
     CostRequest,
     SearchRequest,
-    evaluate_costs,
     run_searches,
 )
 from repro.core.perf import PerfOptions, ScopeCost
@@ -94,10 +98,9 @@ def buffer_sweeps(
 ) -> List[List[SweepPoint]]:
     """:func:`buffer_sweep` of every case, one buffer size at a time.
 
-    At each size every case's fixed dataflows are evaluated together in
-    one :func:`~repro.core.engine.evaluate_costs` call, then every
-    case's DSE entries are searched together in one
-    :func:`~repro.core.engine.run_searches` call, so the lineups' misses
+    At each size every case's fixed dataflows and then every case's DSE
+    entries go to the engine as one
+    :func:`~repro.core.engine.run_searches` list, so the lineups' misses
     and the small spaces share grid calls.  Returns each case's points,
     size-major, fixed dataflows before DSE entries at every size.
 
@@ -117,24 +120,24 @@ def buffer_sweeps(
         lineup = [(c, cfg, scope, dataflow)
                   for c, (cfg, scope, dataflows, _) in enumerate(cases)
                   for dataflow in dataflows]
-        # Memoized (LRU + persistent cache) fixed-point evaluations.
-        costs = evaluate_costs([
-            CostRequest(cfg, scope, sized, dataflow, options)
-            for _, cfg, scope, dataflow in lineup
-        ])
-        for (c, _, _, dataflow), cost in zip(lineup, costs):
-            points[c].append(_point(dataflow.name, size, cost))
         curves = [(c, name, cfg, scope, space)
                   for c, (cfg, scope, _, dse_spaces) in enumerate(cases)
                   for name, space in (dse_spaces or {}).items()]
-        # Only the optimum matters here: let the engine prune and defer
-        # energy to the winner.
-        results = run_searches([
+        # Memoized (LRU + persistent cache) fixed-point evaluations, then
+        # the curves: only their optimum matters, so the engine prunes
+        # and defers energy to the winner.
+        answers = run_searches([
+            CostRequest(cfg, scope, sized, dataflow, options)
+            for _, cfg, scope, dataflow in lineup
+        ] + [
             SearchRequest(cfg, sized, scope, Objective.RUNTIME, space,
                           options, warm_start=incumbents.get((c, name)))
             for c, name, cfg, scope, space in curves
         ])
-        for (c, name, _, scope, _), result in zip(curves, results):
+        for (c, _, _, dataflow), cost in zip(lineup, answers):
+            points[c].append(_point(dataflow.name, size, cost))
+        for (c, name, _, scope, _), result in zip(curves,
+                                                   answers[len(lineup):]):
             incumbents[c, name] = make_incumbent(result, scope, sized,
                                                  options)
             points[c].append(_point(name, size, result.best.cost))

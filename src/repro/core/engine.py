@@ -2,11 +2,12 @@
 
 :func:`repro.core.dse.search` delegates the actual work to
 :func:`run_search` here, and :func:`run_searches` answers a whole list
-of searches (a :class:`SearchRequest` each) at once.  The paper's
-exhaustive sweep (section 5.3.3) is repeated across five models,
-sequence lengths 512 to 256K, two platforms and several accelerator
-variants; a search takes one of two paths, chosen by what the caller
-asks for:
+of questions at once: searches (a :class:`SearchRequest` each) and
+fixed dataflows (a :class:`CostRequest` each, the figure harnesses'
+lineups).  The paper's exhaustive sweep (section 5.3.3) is repeated
+across five models, sequence lengths 512 to 256K, two platforms and
+several accelerator variants; a search takes one of two paths, chosen
+by what the caller asks for:
 
 * **Best only** (``retain_points=False``, the default): the space is one
   :class:`~repro.core.candidates.SpaceTable` — its *families*
@@ -37,30 +38,32 @@ asks for:
   scored, turning most sweep searches into bound-confirmation passes;
   a small space ignores it.
 * **Every point** (``retain_points=True``, e.g. the Figure 10
-  scatter): the space is enumerated and scored in one grid call, and
-  every point takes its breakdown from its lane
+  scatter): the whole space table is scored, and every point takes its
+  breakdown from its lane
   (:meth:`~repro.core.batch.GridEvaluation.scope_cost`).
 
-On both paths a grid-scored point's full ``ScopeCost`` — a best-only
-winner's, every point's — is built from its grid lane, equal to the
-scalar model's on every field, so the scalar model runs only for warm
-seeds, lone fixed-dataflow misses (:func:`evaluate_costs`) and past
-the array path's edge.
+A fixed dataflow is one lane.  On every path a grid-scored point's
+full ``ScopeCost`` — a best-only winner's, every point's, a fixed
+dataflow's — is built from its grid lane, equal to the scalar model's
+on every field, so the scalar model runs only for warm seeds, lanes
+alone in their call (one ``cost_scope`` call is cheaper than a one-row
+grid call) and past the array path's edge.
 
-**Many searches, scored in rounds.**  :func:`run_searches` checks every
-request's memo first, in list order.  Its missed best-only searches
-then advance together: after planning, each round scores every
-search's rows — whole small spaces, planned searches' representatives,
-then their survivors — in one :func:`~repro.core.batch.evaluate_grid`
-call per group of searches sharing a scope, model options and
-accelerator, whatever their workloads, up to ``_MERGE_LANE_LIMIT``
-lanes per call (:func:`_scored`, the one place a list calls the grid),
-and each search gates its own families on its own incumbent.  Each
-request is then finished in list order.  Each result, its stats and
-the cache traffic equal those of a loop of :func:`run_search` calls
-over the list; :func:`run_search` is a one-request list.
+**One list, scored in rounds.**  :func:`run_searches` checks every
+request's memo first, in list order.  Its misses then advance
+together: after planning, each round scores every miss's rows — fixed
+dataflows, every-point spaces and whole small spaces, planned
+searches' representatives, then their survivors — in one
+:func:`~repro.core.batch.evaluate_grid` call per group of requests
+sharing a scope, model options and accelerator, whatever their
+workloads, up to ``_MERGE_LANE_LIMIT`` lanes per call (:func:`_scored`,
+the one place the engine calls the grid), and each search gates its
+own families on its own incumbent.  Each request is then finished in
+list order.  Each result and the cache traffic equal those of a loop
+of one-request lists over the list (:func:`run_search`,
+:func:`evaluate_cost`).
 
-Both paths return the winner of a plain exhaustive loop: bounds are
+Both search paths return the winner of a plain exhaustive loop: bounds are
 admissible, skipping is strict (``bound > incumbent``), and selection
 minimizes ``(value, global enumeration index)`` — the exhaustive
 first-in-order tie-break.  Three more optimizations sit under both:
@@ -80,10 +83,10 @@ first-in-order tie-break.  Three more optimizations sit under both:
   caller (it depends on the energy table).
 * **Cross-run persistence.**  When a cache directory is configured
   (``--cache-dir`` / ``REPRO_CACHE_DIR``; see :mod:`repro.core.cache`),
-  every search, :func:`evaluate_cost` and
+  every request of a list and
   :func:`repro.core.scaleout.search_scaleout` look their answer up on
   disk after an LRU miss and write a fresh answer back — one entry per
-  call (:func:`_memoized`).  A re-run of any sweep, in any process,
+  request, committed once per list.  A re-run of any sweep, in any process,
   starts warm; entries are invalidated wholesale when the cost-model
   source fingerprint changes.
 
@@ -100,7 +103,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
@@ -139,7 +142,6 @@ from repro.core.dse import (
     DSEResult,
     Objective,
     SearchSpace,
-    enumerate_dataflows,
 )
 from repro.core.footprint import fused_la_elements
 from repro.core.perf import (
@@ -457,7 +459,7 @@ def _breakdown(q: Any, dataflow: Dataflow,
 
     Both give the same value, so the source shows only in the
     ``engine.breakdowns[grid|scalar]`` counters.  Nothing is cached
-    here: the answer the breakdown belongs to is (:func:`_memoized`).
+    here: the answer the breakdown belongs to is (:func:`_finish`).
     """
     if lane is None:
         _metric_inc("engine.breakdowns[scalar]")
@@ -494,8 +496,8 @@ def _memoized(key: tuple, compute: Callable[[], Any],
               store: Optional[PersistentCache]) -> Tuple[Any, str]:
     """The one LRU -> disk -> ``compute()`` lookup of a re-asked answer.
 
-    :func:`run_searches`, :func:`evaluate_cost` and
-    :func:`repro.core.scaleout.search_scaleout` answer through
+    :func:`run_searches` (per request) and
+    :func:`repro.core.scaleout.search_scaleout` (here) answer through
     :func:`_lookup` and :func:`_remember`, so each answer costs at most
     one disk lookup and one disk write.  Returns the value and its
     source: ``"lru"``, ``"disk"`` or ``"model"`` (computed).
@@ -544,126 +546,14 @@ def _merge_group(cfg: AttentionConfig, scope: Scope, options: PerfOptions,
 
 @dataclass(frozen=True)
 class CostRequest:
-    """One fixed dataflow of an :func:`evaluate_costs` list: the
-    arguments of :func:`evaluate_cost`."""
+    """One fixed dataflow of a :func:`run_searches` list: the arguments
+    of :func:`evaluate_cost`."""
 
     cfg: AttentionConfig
     scope: Scope
     accel: Accelerator
     dataflow: Dataflow
     options: PerfOptions = PerfOptions()
-
-
-def _lineup_lanes(chunk: List[int], requests: Sequence[CostRequest]) -> dict:
-    """Score the missed requests ``chunk`` (one merge group) in one grid
-    call, one segment per workload: each request's ``(grid, lane)``.
-
-    A lone miss is left to the scalar model (no lanes): one
-    ``cost_scope`` call is cheaper than a one-row grid call.  So is a
-    chunk whose call raises :class:`~repro.core.batch.BatchFallback`.
-    """
-    if len(chunk) < 2:
-        return {}
-    by_cfg: dict = {}
-    for r in chunk:
-        by_cfg.setdefault(requests[r].cfg, []).append(r)
-    first = requests[chunk[0]]
-    try:
-        grid = evaluate_grid(
-            list(by_cfg), first.scope, first.accel,
-            GridLanes(tuple(
-                GridRows(_GridFeatures(cfg, [requests[r].dataflow
-                                             for r in members]))
-                for cfg, members in by_cfg.items())),
-            options=first.options,
-        )
-    except BatchFallback:
-        return {}
-    order = [r for members in by_cfg.values() for r in members]
-    return {r: (grid, lane) for lane, r in enumerate(order)}
-
-
-def evaluate_costs(requests: Sequence[CostRequest]) -> List[ScopeCost]:
-    """Memoized :func:`~repro.core.perf.cost_scope` of a fixed lineup.
-
-    The caching entry point for callers outside the search loop (the
-    figure harnesses evaluate fixed dataflow lineups): each request
-    checks its answer memo — the in-process LRU, then the persistent
-    cross-run cache — in list order.  The misses are grouped like the
-    small spaces of :func:`run_searches` (scope, model options,
-    accelerator, operator kinds), and each group of two or more is
-    scored in one :func:`~repro.core.batch.evaluate_grid` call (at most
-    :data:`_MERGE_LANE_LIMIT` lanes, one segment per workload), whose
-    lanes give the breakdowns
-    (:meth:`~repro.core.batch.GridEvaluation.scope_cost`); a lone miss,
-    or a group the grid cannot score, takes the scalar model.  Each
-    value is stored in both tiers.
-
-    The result equals a loop of :func:`evaluate_cost` over the list:
-    the same values, the same ``engine.lru_hits`` /
-    ``engine.disk_hits`` / ``engine.evaluated`` counts, and the same LRU
-    and disk entries; a request repeating an earlier miss is booked as
-    the LRU hit it would be.
-    """
-    requests = list(requests)
-    store = get_default_cache()
-    costs: List[Optional[ScopeCost]] = [None] * len(requests)
-    keys: List[tuple] = []
-    pending: set = set()  # answer memo keys of the misses
-    missed: set = set()
-    groups: dict = {}
-    for r, req in enumerate(requests):
-        accel_fp = accelerator_fingerprint(req.accel)
-        key = ("cost", req.cfg, accel_fp, req.dataflow, req.options,
-               req.scope)
-        keys.append(key)
-        if pending and key in pending:
-            continue  # a repeat, answered after the miss it repeats
-        cost, source = _lookup(key, store)
-        if cost is None:
-            pending.add(key)
-            missed.add(r)
-            group = _merge_group(req.cfg, req.scope, req.options,
-                                 req.accel, accel_fp)
-            groups.setdefault(r if group is None else group, []).append(r)
-            continue
-        _metric_inc(_SOURCE_METRIC[source])
-        costs[r] = cost
-    lanes: dict = {}  # a grid-scored miss -> (grid, lane)
-    for members in groups.values():
-        for lo in range(0, len(members), _MERGE_LANE_LIMIT):
-            lanes.update(_lineup_lanes(members[lo:lo + _MERGE_LANE_LIMIT],
-                                       requests))
-    for r, req in enumerate(requests):
-        if costs[r] is not None:
-            continue
-        if r in missed:
-            costs[r] = _breakdown(req, req.dataflow, lanes.pop(r, None))
-            _remember(keys[r], costs[r], store)
-            _metric_inc("engine.evaluated")
-        else:
-            # By now the repeated miss is answered: as in a loop of
-            # evaluate_cost calls, this is its memo's LRU hit.
-            (costs[r],) = evaluate_costs([req])
-    return costs
-
-
-def evaluate_cost(
-    cfg: AttentionConfig,
-    scope: Scope,
-    accel: Accelerator,
-    dataflow: Dataflow,
-    options: PerfOptions = PerfOptions(),
-) -> ScopeCost:
-    """Memoized :func:`~repro.core.perf.cost_scope` for one fixed dataflow.
-
-    Checks the in-process LRU, then the persistent cross-run cache, and
-    only then runs the cost model — storing the result in both.
-    Semantically identical to calling ``cost_scope`` directly.  A
-    one-request :func:`evaluate_costs`.
-    """
-    return evaluate_costs([CostRequest(cfg, scope, accel, dataflow,
-                                       options)])[0]
 
 
 # ----------------------------------------------------------------------
@@ -1231,32 +1121,45 @@ class SearchRequest:
 class _Job:
     """One request of a :func:`run_searches` call, in flight.
 
-    ``answer`` is the request's ``(dataflow, cost, space size)``: a memo
-    hit's, with ``source`` saying where it came from, or the one its
-    rounds computed, with its ``stats``.  A missed best-only search
-    holds its space ``table``, its :func:`_merge_group` (``None``:
-    scored alone) and, when it is planned, its ``plan``; ``rows`` are what it scores in the next round
-    (``None``: nothing left), and ``alive`` the families whose
-    representatives those rows are, re-gated once they are scored.  Its
-    incumbent is ``value`` and ``index`` plus ``origin``: the scalar
-    ``ScopeCost`` it was scored with, or the ``(grid, lane)`` that scored
-    it.  The counters book what it scored (``scalar``: members scored by
-    the scalar model) and gated.  A job with neither ``answer`` nor
-    ``table`` repeats an earlier miss's key.
+    ``kind`` is its memo key's tag: ``"cost"`` (a :class:`CostRequest`),
+    ``"points"`` (an every-point search) or ``"search"`` (best-only).
+    ``answer`` is the request's memo value — a ``ScopeCost``, every
+    point's cost in enumeration order, or ``(dataflow, cost, space
+    size)`` — a memo hit's, with ``source`` saying where it came from,
+    or the one its rounds computed (``source`` ``"model"``), with a
+    search's ``stats``; ``source`` stays ``None`` for a repeat of an
+    earlier miss's key.  A miss holds its :func:`_merge_group`
+    (``None``: scored alone), a missed search its space ``table`` and,
+    when it is planned, its ``plan``; ``rows`` are what it scores in
+    the next round (``None``: nothing left), and ``alive`` the families
+    whose representatives those rows are, re-gated once they are
+    scored.  A best-only search's incumbent is ``value`` and ``index``
+    plus ``origin``: the scalar ``ScopeCost`` it was scored with, or the
+    ``(grid, lane)`` that scored it.  The counters book what it scored
+    (``scalar``: members scored by the scalar model) and gated.
     """
 
-    __slots__ = ("request", "accel_fp", "start", "key", "answer", "source",
-                 "stats", "table", "group", "plan", "rows", "alive",
-                 "value", "index", "origin", "generated", "skipped",
-                 "families_pruned", "scalar", "batch_evaluations")
+    __slots__ = ("request", "accel_fp", "start", "kind", "key", "answer",
+                 "source", "stats", "table", "group", "plan", "rows",
+                 "alive", "value", "index", "origin", "generated",
+                 "skipped", "families_pruned", "scalar",
+                 "batch_evaluations")
 
-    def __init__(self, request: SearchRequest, accel_fp: tuple,
-                 start: float) -> None:
-        self.request = request
-        self.accel_fp = accel_fp
-        self.start = start
-        self.key: Optional[tuple] = None
-        self.answer: Optional[tuple] = None
+    def __init__(self, request: Any) -> None:
+        self.request = r = request
+        self.accel_fp = accel_fp = accelerator_fingerprint(r.accel)
+        self.start = time.perf_counter()
+        if isinstance(r, CostRequest):
+            self.key = ("cost", r.cfg, accel_fp, r.dataflow, r.options,
+                        r.scope)
+        elif r.retain_points:
+            self.key = ("points", r.cfg, accel_fp, r.options, r.scope,
+                        r.space)
+        else:
+            self.key = ("search", r.cfg, accel_fp, r.options, r.scope,
+                        r.objective, r.energy_table, r.space)
+        self.kind: str = self.key[0]
+        self.answer: Any = None
         self.source: Optional[str] = None
         self.stats: Optional[SearchStats] = None
         self.table: Optional[SpaceTable] = None
@@ -1269,6 +1172,15 @@ class _Job:
         self.origin: Any = None
         self.generated = self.skipped = self.families_pruned = 0
         self.scalar = self.batch_evaluations = 0
+
+    def miss(self) -> bool:
+        """Book a memo miss; whether it has rows to score (an empty
+        space has none)."""
+        self.source = "model"
+        if self.kind == "cost":
+            return True
+        self.table = _space_table(self.request.cfg, self.request.space)
+        return self.table.total > 0
 
     def consider(self, value: float, index: int, origin: Any) -> None:
         """Keep the ``(value, index)`` minimum as the incumbent."""
@@ -1308,11 +1220,14 @@ class _Job:
         return alive
 
     def begin(self) -> None:
-        """The rows of round 1: the whole table without a plan;
-        otherwise the families the warm seed leaves alive — every member
-        when at most ``_MERGE_BATCH_LIMIT`` are, else their
-        representatives."""
-        table = self.table
+        """The rows of round 1: a fixed dataflow's one lane; the whole
+        table without a plan; otherwise the families the warm seed
+        leaves alive — every member when at most ``_MERGE_BATCH_LIMIT``
+        are, else their representatives."""
+        req, table = self.request, self.table
+        if self.kind == "cost":
+            self.rows = GridRows(_GridFeatures(req.cfg, [req.dataflow]))
+            return
         if self.plan is None:
             self.rows = GridRows(table.features)
             return
@@ -1332,9 +1247,27 @@ class _Job:
     def take(self, grid: Optional[GridEvaluation], lo: int,
              values: Optional[np.ndarray]) -> None:
         """Book this round's rows, scored from lane ``lo`` of ``grid``
-        with objective ``values`` (the scalar model when ``grid`` is
-        ``None``), and set the next round's rows or settle."""
+        (the scalar model when ``grid`` is ``None``), and set the next
+        round's rows or settle.  A search selects on its objective
+        ``values``; a fixed dataflow or an every-point search settles at
+        once, every lane's breakdown taken, so no job holds a grid past
+        its round."""
         req, rows, table = self.request, self.rows, self.table
+        self.rows = None
+        if self.kind != "search":
+            def lane(i: int) -> Optional[Tuple[GridEvaluation, int]]:
+                return None if grid is None else (grid, lo + i)
+
+            if self.kind == "cost":
+                self.answer = _breakdown(req, req.dataflow, lane(0))
+                return
+            n = table.total
+            self.answer = tuple(_breakdown(req, table.dataflow(i), lane(i))
+                                for i in range(n))
+            self.stats = SearchStats(
+                enumerated=n, evaluated=n, pruned=0, cache_hits=0,
+                wall_time_s=time.perf_counter() - self.start)
+            return
         self.generated += len(rows)
         if grid is None:
             members = (range(table.total) if rows.index is None
@@ -1351,7 +1284,6 @@ class _Job:
         self.consider(float(values[k]),
                       k if rows.index is None else int(rows.index[k]),
                       costs[k] if grid is None else (grid, lo + k))
-        self.rows = None
         if self.alive is not None:
             # The representatives tightened the incumbent: re-gate, and
             # score the survivors' other members next round.
@@ -1395,19 +1327,22 @@ class _Job:
 
 def _scored(jobs: Sequence[_Job], tally: dict) -> Iterator[
         Tuple[_Job, Optional[GridEvaluation], int, Optional[np.ndarray]]]:
-    """Score every job's ``rows``: the one place a search list calls
+    """Score every job's ``rows``: the one place the engine calls
     :func:`~repro.core.batch.evaluate_grid`.
 
     Segments merge by their job's ``group`` (``None``: alone); a call
     holds at most :data:`_MERGE_LANE_LIMIT` lanes (a larger segment gets
     a call of its own).  Yields each job with the call that scored its
-    rows, its first lane there and its objective values, which equal a
-    call on its rows alone; a call's jobs come before the next call
-    runs, so the call lives only while a job keeps a lane of it.  When
+    rows, its first lane there and, for a job that selects a winner, its
+    objective values, which equal a call on its rows alone; a call's
+    jobs come before the next call runs, so the call lives only while a
+    job keeps a lane of it.  A call of one lane is never made: one
+    ``cost_scope`` call is cheaper than a one-row grid call, so that
+    job is yielded with ``None`` and the scalar model scores it.  When
     a call raises :class:`~repro.core.batch.BatchFallback` (the
     staged-footprint check, which depends on the candidates) each
     segment is scored alone, and one that raises again is yielded with
-    ``None``: the scalar model scores it.
+    ``None`` too.
     """
     groups: dict = {}
     for job in jobs:
@@ -1427,6 +1362,9 @@ def _scored(jobs: Sequence[_Job], tally: dict) -> Iterator[
         chunk = chunks.pop()
         first = chunk[0].request
         segments = GridLanes(tuple(job.rows for job in chunk))
+        if len(segments) == 1:
+            yield chunk[0], None, 0, None
+            continue
         tally["grid_calls"] += 1
         try:
             grid = evaluate_grid([job.request.cfg for job in chunk],
@@ -1442,37 +1380,43 @@ def _scored(jobs: Sequence[_Job], tally: dict) -> Iterator[
         scores: dict = {}
         lo = 0
         for job, rows in zip(chunk, segments.segments):
-            objective = (job.request.objective, job.request.energy_table)
-            values = scores.get(objective)
-            if values is None:
-                values = scores[objective] = grid.objective_scores(*objective)
-            yield job, grid, lo, values[lo:lo + len(rows)]
+            values = None
+            if job.kind == "search":
+                objective = (job.request.objective, job.request.energy_table)
+                values = scores.get(objective)
+                if values is None:
+                    values = scores[objective] = grid.objective_scores(
+                        *objective)
+                values = values[lo:lo + len(rows)]
+            yield job, grid, lo, values
             lo += len(rows)
         del grid, scores, values
 
 
 def _search_rounds(jobs: List[_Job], tally: dict) -> None:
-    """Answer the missed best-only searches ``jobs`` together, in rounds.
+    """Answer the missed requests ``jobs`` together, in rounds.
 
-    Planning comes first (span ``search-plan``): a space above
+    Planning comes first (span ``search-plan``): a best-only space above
     ``_MERGE_BATCH_LIMIT`` candidates, unless its objective is
     ``FOOTPRINT``, gets :func:`~repro.core.candidates.plan_candidates`'
     family bounds, and a valid ``warm_start`` is re-evaluated by the
     scalar model under the current config and accelerator to seed the
     incumbent.  Then each round (span ``search-round``) scores every
     job's rows through :func:`_scored`, whatever their workloads, and
-    each job gates its own families on its own incumbent: round 1
-    scores whole tables, planned searches' live representatives, or the
-    few members a seed leaves alive; round 2 the survivors' other
-    members.  A job settles as soon as it has nothing left to score.
+    each search gates its own families on its own incumbent: round 1
+    scores fixed dataflows, every-point tables, whole small tables,
+    planned searches' live representatives, or the few members a seed
+    leaves alive; round 2 the survivors' other members.  A job settles
+    as soon as it has nothing left to score.
     """
-    if len(jobs) > 1:  # a lone search has nothing to merge with
+    if len(jobs) > 1:  # a lone request has nothing to merge with
         for job in jobs:
             req = job.request
             job.group = _merge_group(req.cfg, req.scope, req.options,
                                      req.accel, job.accel_fp)
     planned = [job for job in jobs
-               if job.table.total > _MERGE_BATCH_LIMIT
+               if job.kind == "search"
+               and job.table.total > _MERGE_BATCH_LIMIT
                and job.request.objective is not Objective.FOOTPRINT]
     if planned:
         with _span("search-plan", searches=len(planned)):
@@ -1504,117 +1448,89 @@ def _search_rounds(jobs: List[_Job], tally: dict) -> None:
     while jobs:
         with _span("search-round", round=number) as sp:
             calls = tally["grid_calls"]
+            segments = tally["segments"]
             for job, grid, lo, values in _scored(jobs, tally):
                 job.take(grid, lo, values)
-            sp.set(segments=len(jobs),
+            sp.set(segments=tally["segments"] - segments,
                    grid_calls=tally["grid_calls"] - calls)
         jobs = [job for job in jobs if job.rows is not None]
         number += 1
 
 
-def _score_all(job: _Job, store: Optional[PersistentCache],
-               tally: dict) -> DSEResult:
-    """Every-point path: enumerate the space, cost every point.
+def _finish(job: _Job, store: Optional[PersistentCache],
+            tally: dict) -> Any:
+    """The result of one request, produced in list order: a
+    ``ScopeCost`` for a :class:`CostRequest`, else a ``DSEResult``.
 
-    The whole space is scored in one grid call (:func:`_scored`), and
-    each point gets its breakdown from its lane (the scalar model past a
-    :class:`~repro.core.batch.BatchFallback`).  The answer is the tuple
-    of costs in enumeration order, memoized whole (:func:`_memoized`);
-    the objective and energy are derived from it per caller.  Selection
-    keeps the first point attaining the minimum — exactly
-    ``min(points, key=...)`` over the enumeration.
+    A computed answer is stored here.  A fixed dataflow books its source
+    as ``engine.lru_hits``, ``engine.disk_hits`` or ``engine.evaluated``
+    and opens no span; a search books its :class:`SearchStats`.  An
+    every-point search's best point is the first attaining the minimum
+    — exactly ``min(points, key=...)`` over the enumeration.
     """
     req = job.request
-    dataflows = list(enumerate_dataflows(req.cfg, req.accel, req.space))
-    if not dataflows:
-        raise ValueError("search space is empty")
-    n = len(dataflows)
-
-    def _costs() -> Tuple[ScopeCost, ...]:
-        job.rows = GridRows(_GridFeatures(req.cfg, dataflows))
-        ((_, grid, lo, _),) = _scored([job], tally)
-        return tuple(
-            _breakdown(req, df, None if grid is None else (grid, lo + i))
-            for i, df in enumerate(dataflows))
-
-    key = ("points", req.cfg, job.accel_fp, req.options, req.scope,
-           req.space)
-    costs, source = _memoized(key, _costs, store)
-    points: List[DesignPoint] = []
-    best: Optional[DesignPoint] = None
-    best_value = 0.0
-    for dataflow, cost in zip(dataflows, costs):
-        point = DesignPoint(dataflow=dataflow, cost=cost,
-                            energy=energy_report(cost.counts,
-                                                 req.energy_table))
-        value = req.objective.score(cost, point.energy)
-        if best is None or value < best_value:
-            best, best_value = point, value
-        points.append(point)
-    assert best is not None
-    if source == "model":
-        stats = SearchStats(enumerated=n, evaluated=n, pruned=0,
-                            cache_hits=0,
-                            wall_time_s=time.perf_counter() - job.start)
-    else:
-        stats = _answered(n, source, job.start)
-    _accumulate(stats)
-    return DSEResult(best=best, points=tuple(points),
-                     objective=req.objective, stats=stats)
-
-
-def _finish(job: _Job, store: Optional[PersistentCache],
-            tally: dict) -> DSEResult:
-    """The result of one request, produced in list order."""
-    req = job.request
+    if job.source is None:
+        # A repeat of an earlier miss: by now the LRU hit it is in a
+        # loop of one-request lists.
+        job.answer, job.source = _lookup(job.key, store)
+        if job.answer is None and job.miss():
+            _search_rounds([job], tally)
+    if job.source == "model":
+        if job.answer is None:
+            raise ValueError("search space is empty")
+        _remember(job.key, job.answer, store)
+    if job.kind == "cost":
+        _metric_inc(_SOURCE_METRIC[job.source])
+        return job.answer
     with _span("search", scope=req.scope.name,
                objective=req.objective.name):
-        if req.retain_points:
-            return _score_all(job, store, tally)
-        with _span("candidate-search"):
-            if job.answer is None and job.table is None:
-                # A repeat of an earlier miss: by now the LRU hit it
-                # is in a loop of run_search calls.
-                job.answer, job.source = _lookup(job.key, store)
-                if job.answer is None:
-                    job.table = _space_table(req.cfg, req.space)
-                    if job.table.total:
-                        _search_rounds([job], tally)
-            table = job.table
-            if table is not None:
-                if not table.total:
-                    raise ValueError("search space is empty")
-                with _span("candidate-score", families=len(table.families),
-                           candidates=table.total,
-                           families_pruned=job.stats.families_pruned,
-                           candidates_skipped=job.stats.candidates_skipped,
-                           scalar=job.scalar):
-                    pass  # a ledger: the list's rounds scored its rows
-                _remember(job.key, job.answer, store)
-                stats = job.stats
-            else:
-                stats = _answered(job.answer[2], job.source, job.start)
-            _accumulate(stats)
+        stats = job.stats
+        if stats is None:
+            n = len(job.answer) if job.kind == "points" else job.answer[2]
+            stats = _answered(n, job.source, job.start)
+        _accumulate(stats)
+        if job.kind == "points":
+            table = job.table or _space_table(req.cfg, req.space)
+            points = tuple(
+                DesignPoint(dataflow=table.dataflow(i), cost=cost,
+                            energy=energy_report(cost.counts,
+                                                 req.energy_table))
+                for i, cost in enumerate(job.answer))
+            best = min(points, key=lambda p: req.objective.score(p.cost,
+                                                                 p.energy))
+        else:
+            with _span("candidate-search"):
+                if job.source == "model":
+                    table = job.table
+                    with _span("candidate-score",
+                               families=len(table.families),
+                               candidates=table.total,
+                               families_pruned=stats.families_pruned,
+                               candidates_skipped=stats.candidates_skipped,
+                               scalar=job.scalar):
+                        pass  # a ledger: the list's rounds scored its rows
             dataflow, cost, _ = job.answer
+            points = ()
             best = DesignPoint(dataflow=dataflow, cost=cost,
                                energy=energy_report(cost.counts,
                                                     req.energy_table))
-            return DSEResult(best=best, points=(), objective=req.objective,
-                             stats=stats)
+        return DSEResult(best=best, points=points, objective=req.objective,
+                         stats=stats)
 
 
-def _run_searches(requests: Sequence[SearchRequest],
+def _run_searches(requests: Sequence[Any],
                   store: Optional[PersistentCache],
-                  batch_span: Any = None) -> List[DSEResult]:
+                  batch_span: Any = None) -> List[Any]:
     """:func:`run_searches` against an explicit disk ``store`` (or none).
 
-    First every best-only request checks its memo (LRU, then disk) in
-    list order; a miss takes its space table, and a repeat of an earlier
-    miss waits for that answer.  Then the misses run their rounds
-    together (:func:`_search_rounds`), and each request is finished in
-    list order.  :func:`repro.core.scaleout.search_scaleout` runs its
-    inner searches with ``store=None``: it persists its own answer, one
-    entry per call.
+    First every request checks its memo (LRU, then disk) in list order;
+    a miss takes its space table, and a repeat of an earlier miss waits
+    for that answer.  Then the misses run their rounds together
+    (:func:`_search_rounds`), and each request is finished in list
+    order, inside one ``store.batch()``: the list's disk writes commit
+    once.  :func:`repro.core.scaleout.search_scaleout` runs its inner
+    searches with ``store=None``: it persists its own answer, one entry
+    per call.
     """
     jobs: List[_Job] = []
     # Memo keys of the misses, when a later request may repeat one (a
@@ -1622,58 +1538,80 @@ def _run_searches(requests: Sequence[SearchRequest],
     pending: Optional[set] = set() if len(requests) > 1 else None
     misses: List[_Job] = []
     memo_hits = 0
-    for req in requests:
-        job = _Job(req, accelerator_fingerprint(req.accel),
-                   time.perf_counter())
-        jobs.append(job)
-        if req.retain_points:
-            continue
-        job.key = ("search", req.cfg, job.accel_fp, req.options, req.scope,
-                   req.objective, req.energy_table, req.space)
-        if pending and job.key in pending:
-            memo_hits += 1
-            continue
-        job.answer, job.source = _lookup(job.key, store)
-        if job.answer is not None:
-            memo_hits += 1
-            continue
-        if pending is not None:
-            pending.add(job.key)
-        job.table = _space_table(req.cfg, req.space)
-        if job.table.total:
-            misses.append(job)
     tally = {"grid_calls": 0, "segments": 0}
-    if misses:
-        _search_rounds(misses, tally)
-    results = [_finish(job, store, tally) for job in jobs]
+    with store.batch() if store is not None else nullcontext():
+        for req in requests:
+            job = _Job(req)
+            jobs.append(job)
+            if pending and job.key in pending:
+                memo_hits += 1
+                continue
+            job.answer, job.source = _lookup(job.key, store)
+            if job.answer is not None:
+                memo_hits += 1
+                continue
+            if pending is not None:
+                pending.add(job.key)
+            if job.miss():
+                misses.append(job)
+        if misses:
+            _search_rounds(misses, tally)
+        results = [_finish(job, store, tally) for job in jobs]
     if batch_span is not None:
         batch_span.set(memo_hits=memo_hits, segments=tally["segments"],
                        grid_calls=tally["grid_calls"])
     return results
 
 
-def run_searches(requests: Sequence[SearchRequest]) -> List[DSEResult]:
-    """Answer a list of searches, scoring them together in rounds.
+def run_searches(requests: Sequence[Any]) -> List[Any]:
+    """Answer a list of searches and fixed dataflows together, in rounds.
 
-    Each result equals what :func:`run_search` returns for that request
-    when the requests are run one by one in list order: the same winner
-    and cost, the same :class:`SearchStats` (except ``wall_time_s``),
-    the same :func:`search_totals` and the same LRU and disk entries; a
-    request repeating an earlier one is booked as the LRU hit it would
-    be.  The difference is the number of grid calls: the missed
-    best-only searches advance together, and each round scores every
-    search's rows — whole small spaces and ``FOOTPRINT`` searches,
-    planned searches' family representatives, then their survivors — in
-    one :func:`~repro.core.batch.evaluate_grid` call per group of
-    searches sharing a scope, model options and accelerator (up to
-    :data:`_MERGE_LANE_LIMIT` lanes per call), whatever their workloads.
-    Each search gates its own families on its own incumbent and takes
-    its own ``warm_start``; ``retain_points=True`` requests score every
-    point, each in its turn.
+    A :class:`SearchRequest`'s result is its ``DSEResult``; a
+    :class:`CostRequest`'s is its ``ScopeCost``.  Each result equals
+    what a one-request list (:func:`run_search`, :func:`evaluate_cost`)
+    returns for that request when the requests are run one by one in
+    list order: the same winner and cost, the same
+    :class:`SearchStats` (except ``wall_time_s``), the same
+    :func:`search_totals`, the same ``engine.lru_hits`` /
+    ``engine.disk_hits`` / ``engine.evaluated`` counts and the same LRU
+    and disk entries; a request repeating an earlier one is booked as
+    the LRU hit it would be.  A fixed dataflow never enters the search
+    stats.  The difference is the number of grid calls: the misses
+    advance together, and each round scores every miss's rows — fixed
+    dataflows, every-point spaces, whole small spaces and ``FOOTPRINT``
+    searches, planned searches' family representatives, then their
+    survivors — in one :func:`~repro.core.batch.evaluate_grid` call per
+    group of requests sharing a scope, model options and accelerator
+    (up to :data:`_MERGE_LANE_LIMIT` lanes per call), whatever their
+    workloads.  A lane alone in its call takes the scalar model
+    instead, so a search whose round is one lane alone books that
+    member as scalar-``evaluated`` where, sharing a call in a list, it
+    books a ``batch_evaluations``.  Each search gates its own families
+    on its own incumbent and takes its own ``warm_start``.
     """
     requests = list(requests)
     with _span("search-batch", requests=len(requests)) as sp:
         return _run_searches(requests, get_default_cache(), sp)
+
+
+def evaluate_costs(requests: Sequence[CostRequest]) -> List[ScopeCost]:
+    """Memoized :func:`~repro.core.perf.cost_scope` of a fixed lineup:
+    a :func:`run_searches` list of :class:`CostRequest` entries."""
+    return run_searches(requests)
+
+
+def evaluate_cost(
+    cfg: AttentionConfig,
+    scope: Scope,
+    accel: Accelerator,
+    dataflow: Dataflow,
+    options: PerfOptions = PerfOptions(),
+) -> ScopeCost:
+    """Memoized :func:`~repro.core.perf.cost_scope` for one fixed
+    dataflow: the LRU, then the persistent cross-run cache, then the
+    scalar model, its answer stored in both.  A one-request list."""
+    return _run_searches([CostRequest(cfg, scope, accel, dataflow,
+                                      options)], get_default_cache())[0]
 
 
 def run_search(

@@ -37,6 +37,7 @@ or in a coalesced lineup.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -362,14 +363,20 @@ def resolve_sweep(req: Dict[str, Any]) -> List[Query]:
 
 
 def resolve_deadline_s(req: Dict[str, Any]) -> Optional[float]:
-    """The request's relative deadline in seconds, if any."""
+    """The request's relative deadline in seconds, if any: a finite JSON
+    number of milliseconds, not a string, a boolean, ``NaN`` or
+    ``Infinity``."""
     raw = req.get("deadline_ms")
     if raw is None:
         return None
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ProtocolError("'deadline_ms' must be a number")
     try:
         deadline = float(raw)
-    except (TypeError, ValueError):
-        raise ProtocolError("'deadline_ms' must be a number") from None
+    except OverflowError:  # an integer past the float range
+        deadline = math.inf
+    if not math.isfinite(deadline):
+        raise ProtocolError("'deadline_ms' must be a number")
     if deadline < 0:
         raise ProtocolError("'deadline_ms' must be >= 0")
     return deadline / 1000.0

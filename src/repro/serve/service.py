@@ -8,10 +8,13 @@
   from its grid lane.
 
 * :func:`execute_cost_group` answers the deduplicated cost queries of
-  one coalescing group as one :func:`~repro.core.engine.evaluate_costs`
-  lineup: two or more misses share one grid call, a lone miss takes the
-  scalar model, and every answer lands in the engine LRU and the
-  persistent disk cache.  The grid lanes' breakdowns equal
+  one coalescing group as one engine list
+  (:func:`~repro.core.engine.evaluate_costs`, a
+  :func:`~repro.core.engine.run_searches` list of fixed dataflows):
+  misses that share a scope, options and accelerator share one grid
+  call, a lane alone in its call takes the scalar model, and every
+  answer lands in the engine LRU and the persistent disk cache, whose
+  writes the group commits once.  The grid lanes' breakdowns equal
   :func:`~repro.core.perf.cost_scope` (the batch backend's contract),
   so a coalesced answer has the bytes a lone one would.
 
@@ -90,7 +93,9 @@ def execute_query(query: Query) -> Dict[str, Any]:
 
 def execute_cost_group(queries: List[Query]) -> List[Dict[str, Any]]:
     """Payloads of cost queries, aligned with ``queries``, from one
-    :func:`~repro.core.engine.evaluate_costs` lineup."""
+    engine list of fixed dataflows
+    (:func:`~repro.core.engine.evaluate_costs`), committed to disk
+    once."""
     return [cost_payload(cost) for cost in evaluate_costs([
         CostRequest(q.cfg, q.scope, q.accel, q.dataflow, _OPTIONS)
         for q in queries

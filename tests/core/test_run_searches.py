@@ -49,11 +49,17 @@ from repro.core.dataflow import (
     flat_r,
     flat_x,
 )
-from repro.core.dse import Objective, SearchSpace, enumerate_dataflows
+from repro.core.dse import (
+    DSEResult,
+    Objective,
+    SearchSpace,
+    enumerate_dataflows,
+)
 from repro.core.engine import (
     CostRequest,
     SearchRequest,
     clear_evaluation_cache,
+    evaluate_cost,
     evaluate_costs,
     evaluation_cache_info,
     run_search,
@@ -337,6 +343,10 @@ class TestSequentialEquivalence:
             assert a.points == b.points
             assert (dataclasses.replace(a.stats, wall_time_s=0.0)
                     == dataclasses.replace(b.stats, wall_time_s=0.0))
+        # The list commits its writes and touches once; the loop once
+        # per list, i.e. per request that staged something.
+        assert batch_delta["disk"].pop("flushes") == 1
+        assert loop_delta["disk"].pop("flushes") > 1
         assert batch_delta == loop_delta
         disk = batch_delta["disk"]
         assert disk["hits"] + disk["misses"] == disk["lookups"]
@@ -372,11 +382,13 @@ class TestGeneratedLists:
     """Seeded lists that mix every kind of miss in shared merge groups.
 
     Planned spaces (unseeded, with a valid warm seed, with a rejected
-    seed), small spaces, ``FOOTPRINT`` searches, decode and
-    cross-attention workloads, a workload past the int64 headroom and
-    one past the staged-footprint check, plus repeats.  Each answer is
-    the exhaustive oracle's and equals a ``run_search`` loop's, and each
-    round makes one grid call per chunk, plus the rescoring of a call
+    seed), small spaces, ``FOOTPRINT`` searches, every-point searches,
+    fixed dataflows, decode and cross-attention workloads, a workload
+    past the int64 headroom and one past the staged-footprint check,
+    plus repeats.  Each answer is the exhaustive oracle's (a fixed
+    dataflow's: ``cost_scope``) and equals a loop of one-request lists
+    (``run_search``, ``evaluate_cost``), and each round makes one grid
+    call per chunk of more than one lane, plus the rescoring of a call
     that raised ``BatchFallback``.
     """
 
@@ -418,12 +430,27 @@ class TestGeneratedLists:
                 req = dataclasses.replace(req,
                                           warm_start=self._seed(rng, req))
             requests.append(req)
+        for _ in range(4):
+            requests.append(SearchRequest(
+                cfg=rng.choice(_WORKLOADS), accel=edge(),
+                scope=rng.choice(list(Scope)),
+                objective=rng.choice(list(Objective)),
+                space=rng.choice(_SMALL_SPACES),
+                options=rng.choice(_OPTIONS), retain_points=True))
+        for _ in range(16):
+            cfg = rng.choice(_WORKLOADS)
+            table = engine._space_table(cfg, rng.choice(_SMALL_SPACES))
+            requests.append(CostRequest(
+                cfg, rng.choice(list(Scope)), rng.choice((edge(), cloud())),
+                table.dataflow(rng.randrange(table.total)),
+                rng.choice(_OPTIONS)))
         requests += [
             # Past the int64 headroom: planned (99 members) and small,
             # both scored by the scalar model, alone.
             SearchRequest(self._PAST, edge(), Scope.LA),
             SearchRequest(self._PAST, edge(), Scope.LA,
                           space=TestFallbackIsolation._R64),
+            CostRequest(self._PAST, Scope.LA, edge(), flat_r(64)),
             # Its staged footprint makes a merged call raise.
             SearchRequest(self._WIDE, edge(), Scope.LA,
                           space=TestFallbackIsolation._M),
@@ -459,6 +486,7 @@ class TestGeneratedLists:
         each followed by its segments alone when it raised."""
         assert [r["round"] for r in rounds] == [1, 2]
         assert sum(r["grid_calls"] for r in rounds) == len(calls)
+        assert all(sum(sizes) > 1 for _, sizes, _ in calls)
         limit = engine._MERGE_LANE_LIMIT
         pending = iter(calls)
         for r in rounds:
@@ -467,13 +495,14 @@ class TestGeneratedLists:
             segments = 0
             for _ in range(r["grid_calls"]):
                 group, sizes, raised = next(pending)
+                segments += 0 if raised else len(sizes)
                 if alone:
                     assert sizes == [alone.pop(0)]
                     continue
                 chunks.setdefault(group, []).append(sizes)
-                segments += len(sizes)
                 if raised and len(sizes) > 1:
-                    alone = list(sizes)
+                    # Rescored alone; one lane takes the scalar model.
+                    alone = [n for n in sizes if n > 1]
             assert not alone
             assert segments == r["segments"]
             for parts in chunks.values():
@@ -491,21 +520,20 @@ class TestGeneratedLists:
             if batched:
                 results = run_searches(requests)
             else:
-                results = [
-                    run_search(r.cfg, r.accel, r.scope, r.objective,
-                               r.space, r.options, r.energy_table,
-                               r.retain_points, r.warm_start)
-                    for r in requests
-                ]
+                results = [_one_request(r) for r in requests]
             after = _snapshot()
             snap = session.registry.snapshot()
             rounds = [e["attrs"] for e in session.collector.events
                       if e["name"] == "search-round"]
             get_default_cache().close()
-        metrics = {name: snap.get(name, {"value": 0})["value"]
-                   for name in ("engine.warm_start.rejected",
-                                "engine.breakdowns[grid]",
-                                "engine.breakdowns[scalar]")}
+        # A breakdown's source depends on what shares its call; their
+        # number does not.
+        metrics = {name: data["value"] for name, data in snap.items()
+                   if name.startswith("engine.")
+                   and not name.startswith("engine.breakdowns[")}
+        metrics["engine.breakdowns"] = sum(
+            snap.get(f"engine.breakdowns[{source}]", {"value": 0})["value"]
+            for source in ("grid", "scalar"))
         return results, _delta(before, after), metrics, rounds
 
     @pytest.mark.parametrize("seed", [3, 11])
@@ -517,24 +545,47 @@ class TestGeneratedLists:
         calls = self._recording_grid(monkeypatch)
         batched, delta, metrics, rounds = self._run(
             tmp_path / "list", requests, batched=True)
+        # The list commits its disk writes once, the loop per request.
+        assert delta["disk"].pop("flushes") == 1
+        loop_delta["disk"].pop("flushes")
         assert delta == loop_delta
         assert metrics == loop_metrics
         assert metrics["engine.warm_start.rejected"] > 0
         self._check_rounds(calls, rounds)
         seeded = 0
         for req, got, want in zip(requests, batched, looped, strict=True):
+            if isinstance(req, CostRequest):
+                assert got == want
+                assert pickle.dumps(got) == pickle.dumps(want)
+                assert got == cost_scope(req.cfg, req.scope, req.accel,
+                                         req.dataflow, options=req.options)
+                continue
             assert got.best == want.best
+            assert got.points == want.points
             assert (dataclasses.replace(got.stats, wall_time_s=0.0)
                     == dataclasses.replace(want.stats, wall_time_s=0.0))
             assert_matches_oracle(got, _oracle(req), req.objective)
             seeded += req.warm_start is not None
         assert seeded
+        assert any(r.points for r in batched if isinstance(r, DSEResult))
         # The planned search past the headroom, scored by the scalar
         # model: members booked evaluated, none on the grid.
         (past,) = [r.stats for req, r in zip(requests, batched)
-                   if req.cfg is self._PAST and req.space == SearchSpace()
+                   if isinstance(req, SearchRequest)
+                   and req.cfg is self._PAST and req.space == SearchSpace()
                    and not r.stats.cache_hits]
         assert past.batch_evaluations == 0 and past.families_pruned > 0
+
+
+def _one_request(req):
+    """``req`` answered as a one-request list, through its public
+    entry point."""
+    if isinstance(req, CostRequest):
+        return evaluate_cost(req.cfg, req.scope, req.accel, req.dataflow,
+                             req.options)
+    return run_search(req.cfg, req.accel, req.scope, req.objective,
+                      req.space, req.options, req.energy_table,
+                      req.retain_points, req.warm_start)
 
 
 class TestConsumers:
@@ -562,11 +613,11 @@ class TestConsumers:
         calls = _counting_grid(monkeypatch)
         swept = buffer_sweeps(cases, edge(), sizes)
         # Per (size, scope), one merged call scores the two workloads'
-        # fixed lineups, and one the small curves together with the
-        # large curves' first round.  The large curves' survivors share
-        # a second-round call when both have some: 4 of the 6 times.
-        assert calls.count(4) == len(sizes) * 2
-        assert calls.count(2) == len(sizes) * 2 + 4
+        # fixed lineups together with the small curves and the large
+        # curves' first round.  The large curves' survivors share a
+        # second-round call when both have some: 4 of the 6 times.
+        assert calls.count(6) == len(sizes) * 2
+        assert calls.count(2) == 4
         clear_evaluation_cache()
         assert swept == [buffer_sweep(cfg, scope, edge(), lineup, sizes,
                                       dse_spaces=dse)
@@ -708,6 +759,9 @@ class TestEvaluateCosts:
             assert pickle.dumps(got) == pickle.dumps(want)
             assert got == cost_scope(req.cfg, req.scope, req.accel,
                                      req.dataflow, options=req.options)
+        # One commit for the list, one per request for the loop.
+        assert batched[2]["disk"].pop("flushes") == 1
+        assert looped[2]["disk"].pop("flushes") == len(requests) - 4
         assert batched[1:5] == looped[1:5]
         # Four LRU hits (a memo, a repeated miss, a repeated disk hit,
         # a second repeat), two disk hits and eleven distinct misses:
@@ -722,3 +776,31 @@ class TestEvaluateCosts:
         assert looped[5:] == ([], 11)
         assert sorted(batched[5]) == [2, 2, 3]
         assert batched[6] == 4
+
+    @pytest.mark.parametrize("n,grid_calls,scalar_calls", [(1, 0, 1),
+                                                           (2, 1, 0)])
+    def test_a_lone_lane_takes_the_scalar_model(self, monkeypatch, n,
+                                                grid_calls, scalar_calls):
+        calls = _counting_grid(monkeypatch)
+        scalar = []
+        real_cost = engine.cost_scope
+        monkeypatch.setattr(engine, "cost_scope", lambda *a, **k: (
+            scalar.append(1) or real_cost(*a, **k)))
+        requests = [CostRequest(_TINY, Scope.LA, edge(), df)
+                    for df in (flat_r(16), base())[:n]]
+        costs = evaluate_costs(requests)
+        assert (len(calls), len(scalar)) == (grid_calls, scalar_calls)
+        assert costs == [real_cost(r.cfg, r.scope, r.accel, r.dataflow)
+                         for r in requests]
+
+    def test_a_list_commits_its_disk_writes_once(self, tmp_path):
+        requests = [CostRequest(cfg, Scope.BLOCK, edge(), df)
+                    for cfg in _WORKLOADS for df in (flat_r(16), base())]
+        with default_cache_dir(str(tmp_path)):
+            store = get_default_cache()
+            before = store.stats.copy()
+            evaluate_costs(requests)
+            delta = (store.stats - before).as_dict()
+            store.close()
+        assert delta["writes"] == len(requests)
+        assert delta["flushes"] == 1

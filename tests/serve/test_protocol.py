@@ -176,7 +176,10 @@ class TestDeadline:
     def test_milliseconds_to_seconds(self):
         assert resolve_deadline_s({"deadline_ms": 1500}) == 1.5
 
-    @pytest.mark.parametrize("raw", ["soon", -1])
+    @pytest.mark.parametrize("raw", [
+        "soon", -1, "nan", "5", True, False, [5], float("nan"),
+        float("inf"), float("-inf"), 10 ** 400,
+    ])
     def test_invalid_rejected(self, raw):
         with pytest.raises(ProtocolError):
             resolve_deadline_s({"deadline_ms": raw})

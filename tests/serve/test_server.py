@@ -183,8 +183,20 @@ class TestErrors:
         {"op": "search", "model": "bert", "seq": True},
         {"op": "nope"},
         {"op": ["cost"]},
+        {"op": "cost", "model": "bert", "seq": 512, "batch": 4,
+         "dataflow": "base", "deadline_ms": "nan"},
+        {"op": "cost", "model": "bert", "seq": 512, "batch": 4,
+         "dataflow": "base", "deadline_ms": float("nan")},
+        {"op": "cost", "model": "bert", "seq": 512, "batch": 4,
+         "dataflow": "base", "deadline_ms": float("inf")},
+        {"op": "search", "model": "bert", "seq": 512, "batch": 4,
+         "deadline_ms": True},
+        {"op": "search", "model": "bert", "seq": 512, "batch": 4,
+         "deadline_ms": "5"},
     ], ids=["scope", "deadline-text", "deadline-negative", "sweep-deadline",
-            "sweep-entry", "seq-bool", "unknown-op", "list-op"])
+            "sweep-entry", "seq-bool", "unknown-op", "list-op",
+            "deadline-nan-text", "deadline-nan", "deadline-infinity",
+            "deadline-bool", "deadline-numeric-text"])
     def test_error_responses_match_direct_bytes(self, server, bad):
         bad = dict(bad, id="e1")
         with ServeClient(*server) as client:
