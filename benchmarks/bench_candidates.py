@@ -151,8 +151,9 @@ def test_candidate_generation_speedup(benchmark, report_printer):
 
 
 def test_plan_is_cheaper_than_enumeration(report_printer):
-    """Planning the space must cost well under expanding it."""
-    from repro.core.candidates import plan_candidates
+    """Planning the space — its table, then its family bounds, what a
+    cold planned miss pays — must cost well under expanding it."""
+    from repro.core.candidates import plan_candidates, space_table
     from repro.core.dse import enumerate_dataflows
 
     cfg = model_config(
@@ -161,18 +162,20 @@ def test_plan_is_cheaper_than_enumeration(report_printer):
     accel = edge()
 
     t0 = time.perf_counter()
-    plan = plan_candidates(Objective.RUNTIME, cfg, Scope.LA, accel, SPACE)
+    table = space_table(cfg, SPACE)
+    bounds = plan_candidates(Objective.RUNTIME, cfg, Scope.LA, accel, table)
     plan_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     n = len(list(enumerate_dataflows(cfg, accel, SPACE)))
     enum_s = time.perf_counter() - t0
 
     report_printer(
-        f"plan: {len(plan.families)} families / {plan.total} candidates "
+        f"table + plan: {len(bounds)} families / {table.total} candidates "
         f"in {plan_s * 1e6:.0f} us (grid expansion alone: "
         f"{enum_s * 1e6:.0f} us)"
     )
-    assert plan.total == n
+    assert len(bounds) == len(table.families)
+    assert table.total == n
     assert plan_s < enum_s * 5, (
         "planning should be comparable to bare enumeration, it avoids "
         f"the per-candidate model entirely ({plan_s * 1e6:.0f} us vs "

@@ -38,6 +38,7 @@ from repro.serve import (
     answer_direct,
     encode_line,
 )
+from repro.sim.batching import nearest_rank_percentile
 
 CLIENTS = 4
 
@@ -129,13 +130,6 @@ def _served_load(host, port, requests):
     return wall, answers, sorted(latencies)
 
 
-def _percentile(sorted_values, fraction):
-    """Nearest rank ``ceil(fraction * n)``, computed in exact integers."""
-    ppm = round(fraction * 1_000_000)
-    rank = -(-ppm * len(sorted_values) // 1_000_000)
-    return sorted_values[min(len(sorted_values), max(1, rank)) - 1]
-
-
 def test_serve_load_speedup_and_sla(
     benchmark, report_printer, record_serving, monkeypatch
 ):
@@ -157,8 +151,8 @@ def test_serve_load_speedup_and_sla(
         with ServeClient(host, port) as client:
             stats = client.stats()["scheduler"]
 
-    p50_ms = _percentile(latencies, 0.50) * 1e3
-    p99_ms = _percentile(latencies, 0.99) * 1e3
+    p50_ms = nearest_rank_percentile(latencies, 0.50) * 1e3
+    p99_ms = nearest_rank_percentile(latencies, 0.99) * 1e3
     qps = total / served_s
     speedup = baseline_s / served_s
     coalesce_ratio = stats["requests"] / max(1, stats["evaluations"])

@@ -143,18 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scope_from_name(name: str):
-    from repro.ops.attention import Scope
-
-    for scope in Scope:
-        if scope.value.lower() == name.lower():
-            return scope
-    raise ValueError(
-        f"unknown scope {name!r}; choose from "
-        f"{[s.value for s in Scope]}"
-    )
-
-
 def _run_cost(args) -> str:
     from repro.analysis.reports import format_bytes, format_table
     from repro.arch.config_io import load_accelerator, load_workload
@@ -164,6 +152,7 @@ def _run_cost(args) -> str:
     from repro.core.perf import cost_scope
     from repro.energy.model import energy_report
     from repro.models.configs import model_config
+    from repro.ops.attention import Scope
 
     if args.workload_json:
         cfg = load_workload(args.workload_json)
@@ -173,7 +162,7 @@ def _run_cost(args) -> str:
         accel = load_accelerator(args.accel_json)
     else:
         accel = get_platform(args.platform)
-    scope = _scope_from_name(args.scope)
+    scope = Scope.from_name(args.scope)
 
     if args.dataflow:
         dataflow = parse_dataflow(args.dataflow)

@@ -19,25 +19,24 @@ Four pieces:
   ``(batch, heads, seq_q, space)`` and scores row indices of it;
   :meth:`SpaceTable.dataflow` builds a single member (the winner) and
   :meth:`SpaceTable.locate` finds one (a warm seed).
-* **Family planning** (:func:`plan_candidates`) — the space is listed
-  as :class:`~repro.core.dse.DataflowFamily` units (stationarity x
-  granularity x row count), each sized and offset against the global
-  enumeration order without expanding anything, and each bounded by
-  its cheapest *representative member* (see :func:`bound_rows`): fully
-  staged, unfused where the space allows it.  Representative bounds
-  are admissible for every member — staging can only add traffic
-  floors, fusion can only add serialized spill terms, and the compute
-  floor is shared family-wide —
-  so a family whose bound exceeds the incumbent provably contains no
-  winner.  A plan bounds all of its families in one array pass
-  (:func:`repro.core.engine.bound_table` over :func:`bound_rows`, read
-  off the family fields).
+* **Family planning** (:func:`plan_candidates`) — each
+  :class:`~repro.core.dse.DataflowFamily` of a space table
+  (stationarity x granularity x row count) is bounded by its cheapest
+  *representative member* (see :func:`bound_rows`): fully staged,
+  unfused where the space allows it.  Representative bounds are
+  admissible for every member — staging can only add traffic floors,
+  fusion can only add serialized spill terms, and the compute floor is
+  shared family-wide — so a family whose bound exceeds the incumbent
+  provably contains no winner.  A plan bounds all of the table's
+  families in one array pass (:func:`repro.core.engine.bound_table`
+  over :func:`bound_rows`, read off the family fields); the table
+  already holds their sizes and offsets.
 * **Footprint inversion** (:func:`feasible_row_interval`) — Table 2's
   R-granularity footprint is affine in the row count, so the largest
   fully resident FLAT-R tile for a given buffer is exact integer
   arithmetic (:func:`repro.core.footprint.invert_r_gran_rows`) instead
-  of trial evaluation.  The plan reports the interval; row families
-  inside it have a zero spill term in their bound by construction.
+  of trial evaluation.  Row families inside the interval have a zero
+  spill term in their bound by construction.
 * **Warm starts** (:class:`Incumbent`) — a sweep driver hands the
   neighboring point's winner to the next search.  The incumbent is a
   *hint, never a value*: the engine re-evaluates the seed dataflow
@@ -56,7 +55,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,6 +76,7 @@ from repro.core.dse import (
     Objective,
     SearchSpace,
     _enabled_stagings,
+    _toggles,
     enumerate_families,
     family_size,
 )
@@ -88,7 +88,6 @@ from repro.ops.attention import AttentionConfig, Scope
 __all__ = [
     "Incumbent",
     "make_incumbent",
-    "CandidatePlan",
     "plan_candidates",
     "bound_rows",
     "family_lower_bound",
@@ -275,71 +274,30 @@ def feasible_row_interval(
     return 1, min(hi, cfg.seq_q)
 
 
-@dataclass(frozen=True)
-class CandidatePlan:
-    """A planned search: families, sizes, offsets, bounds, visit order.
-
-    ``offsets[i]`` is the global enumeration index of family ``i``'s
-    first member (prefix sums of ``sizes``), so a family's members are
-    exactly the index range ``[offsets[i], offsets[i] + sizes[i])`` of
-    :func:`repro.core.dse.enumerate_dataflows` — nothing is expanded
-    to know that.  ``order`` lists family positions best-bound-first
-    (ties by position, keeping the plan deterministic);
-    ``resident_rows`` is the :func:`feasible_row_interval` the bounds
-    already incorporate, reported for observability and tests.
-    """
-
-    families: Tuple[DataflowFamily, ...]
-    sizes: Tuple[int, ...]
-    offsets: Tuple[int, ...]
-    bounds: Tuple[float, ...]
-    order: Tuple[int, ...]
-    total: int
-    resident_rows: Tuple[int, int]
-
-
 def plan_candidates(
     objective: Objective,
     cfg: AttentionConfig,
     scope: Scope,
     accel: Accelerator,
-    space: SearchSpace = SearchSpace(),
+    table: SpaceTable,
     options: PerfOptions = PerfOptions(),
     energy_table: Optional[EnergyTable] = None,
-) -> CandidatePlan:
-    """Plan a search without expanding a single candidate.
+) -> Tuple[float, ...]:
+    """Admissible bounds of ``table.families`` on ``cfg``, in order.
 
-    Cost: one :func:`repro.core.engine.bound_table` call over the
-    families' :func:`bound_rows` — every family's closed-form
-    bound in one array pass, orders of magnitude below expanding and
-    screening the full grid.
+    Plans a search without expanding a single candidate: one
+    :func:`repro.core.engine.bound_table` call over the families'
+    :func:`bound_rows` — every family's closed-form bound in one array
+    pass.  ``table`` is the space's :class:`SpaceTable` on ``cfg``'s
+    shape; its sizes and offsets place each family's members.
     """
     from repro.core.engine import bound_table
 
     if objective is Objective.FOOTPRINT:
         raise ValueError("FOOTPRINT searches have no candidate bounds")
-    families = tuple(enumerate_families(cfg, space))
-    sizes = tuple(family_size(f, space) for f in families)
-    offsets_list: List[int] = []
-    total = 0
-    for size in sizes:
-        offsets_list.append(total)
-        total += size
-    bounds = tuple(bound_table(objective, scope, accel,
-                               bound_rows(cfg, families, space), options,
-                               energy_table).tolist())
-    order = tuple(
-        sorted(range(len(families)), key=lambda i: (bounds[i], i))
-    )
-    return CandidatePlan(
-        families=families,
-        sizes=sizes,
-        offsets=tuple(offsets_list),
-        bounds=bounds,
-        order=order,
-        total=total,
-        resident_rows=feasible_row_interval(cfg, accel, options),
-    )
+    return tuple(bound_table(objective, scope, accel,
+                             bound_rows(cfg, table.families, table.space),
+                             options, energy_table).tolist())
 
 
 # ----------------------------------------------------------------------
@@ -360,16 +318,6 @@ def _staging_rows(exhaustive: bool) -> "np.ndarray":
 def _staging_positions(exhaustive: bool) -> dict:
     """Staging policy -> its position among the enabled corners."""
     return {s: i for i, s in enumerate(_enabled_stagings(exhaustive))}
-
-
-def _toggles(family: DataflowFamily, space: SearchSpace) -> int:
-    """Members per staging corner: the unfused and fused toggles an
-    M/B/H family expands (1 or 2); one for every other family."""
-    if family.granularity is None or family.granularity is Granularity.R:
-        return 1
-    variant_only = family.variant is not AttentionVariant.SOFTMAX
-    return int(space.allow_unfused and not variant_only) + int(
-        space.allow_fused)
 
 
 def _member(family: DataflowFamily, space: SearchSpace,

@@ -351,19 +351,25 @@ def expand_family(
                          stationarity=stat, variant=family.variant)
 
 
+def _toggles(family: DataflowFamily, space: SearchSpace) -> int:
+    """Members per staging corner: the unfused and fused toggles an
+    M/B/H family expands (1 or 2; a variant family only the fused one);
+    one for every other family."""
+    if family.granularity is None or family.granularity is Granularity.R:
+        return 1
+    variant_only = family.variant is not AttentionVariant.SOFTMAX
+    return int(space.allow_unfused and not variant_only) + int(
+        space.allow_fused)
+
+
 def family_size(
     family: DataflowFamily, space: SearchSpace = SearchSpace()
 ) -> int:
     """Member count of :func:`expand_family` without expanding it."""
     if family.granularity is None:
         return 1
-    n_stagings = len(_enabled_stagings(space.exhaustive_staging))
-    if family.granularity is Granularity.R:
-        return n_stagings
-    if family.variant is not AttentionVariant.SOFTMAX:
-        # Variant families expand to fused members only.
-        return n_stagings * int(space.allow_fused)
-    return n_stagings * (int(space.allow_unfused) + int(space.allow_fused))
+    return len(_enabled_stagings(space.exhaustive_staging)) * _toggles(
+        family, space)
 
 
 def enumerate_dataflows(

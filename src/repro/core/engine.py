@@ -125,7 +125,6 @@ from repro.core.batch import (
 )
 from repro.core.cache import PersistentCache, get_default_cache
 from repro.core.candidates import (
-    CandidatePlan,
     Incumbent,
     SpaceTable,
     plan_candidates,
@@ -1127,22 +1126,23 @@ class _Job:
     point's cost in enumeration order, or ``(dataflow, cost, space
     size)`` — a memo hit's, with ``source`` saying where it came from,
     or the one its rounds computed (``source`` ``"model"``), with a
-    search's ``stats``; ``source`` stays ``None`` for a repeat of an
-    earlier miss's key.  A miss holds its :func:`_merge_group`
-    (``None``: scored alone), a missed search its space ``table`` and,
-    when it is planned, its ``plan``; ``rows`` are what it scores in
-    the next round (``None``: nothing left), and ``alive`` the families
-    whose representatives those rows are, re-gated once they are
-    scored.  A best-only search's incumbent is ``value`` and ``index``
-    plus ``origin``: the scalar ``ScopeCost`` it was scored with, or the
+    search's ``stats`` and an every-point search's ``dataflows``;
+    ``source`` stays ``None`` for a repeat of an earlier miss's key.  A
+    miss holds its :func:`_merge_group` (``None``: scored alone), a
+    missed search its space ``table`` and, when it is planned, its
+    families' ``bounds``; ``rows`` are what it scores in the next round
+    (``None``: nothing left), and ``alive`` the families whose
+    representatives those rows are, re-gated once they are scored.  A
+    best-only search's incumbent is ``value`` and ``index`` plus
+    ``origin``: the scalar ``ScopeCost`` it was scored with, or the
     ``(grid, lane)`` that scored it.  The counters book what it scored
     (``scalar``: members scored by the scalar model) and gated.
     """
 
     __slots__ = ("request", "accel_fp", "start", "kind", "key", "answer",
-                 "source", "stats", "table", "group", "plan", "rows",
-                 "alive", "value", "index", "origin", "generated",
-                 "skipped", "families_pruned", "scalar",
+                 "source", "stats", "dataflows", "table", "group",
+                 "bounds", "rows", "alive", "value", "index", "origin",
+                 "generated", "skipped", "families_pruned", "scalar",
                  "batch_evaluations")
 
     def __init__(self, request: Any) -> None:
@@ -1162,9 +1162,10 @@ class _Job:
         self.answer: Any = None
         self.source: Optional[str] = None
         self.stats: Optional[SearchStats] = None
+        self.dataflows: Optional[Tuple[Dataflow, ...]] = None
         self.table: Optional[SpaceTable] = None
         self.group: Optional[tuple] = None
-        self.plan: Optional[CandidatePlan] = None
+        self.bounds: Optional[Tuple[float, ...]] = None
         self.rows: Optional[GridRows] = None
         self.alive: Optional[List[int]] = None
         self.value: Optional[float] = None
@@ -1200,21 +1201,21 @@ class _Job:
         it cannot win: every member value >= bound >= the incumbent's
         value, and every member index >= the family offset > the
         incumbent's index, so no member survives the ``(value, index)``
-        tie-break.  ``plan.bounds`` carry the _BOUND_SLACK factor, so
+        tie-break.  ``bounds`` carry the _BOUND_SLACK factor, so
         comparing against ``value * _BOUND_SLACK`` tests the unslacked
         ``raw_bound >= value`` (rounding is monotone).
         """
-        plan = self.plan
+        bounds, table = self.bounds, self.table
         alive: List[int] = []
         for fi in families:
-            bound = plan.bounds[fi]
+            bound = bounds[fi]
             if self.value is not None and (
                 bound > self.value
                 or (bound >= self.value * _BOUND_SLACK
-                    and plan.offsets[fi] > self.index)
+                    and table.offsets[fi] > self.index)
             ):
                 self.families_pruned += 1
-                self.skipped += plan.sizes[fi] - scored
+                self.skipped += table.sizes[fi] - scored
             else:
                 alive.append(fi)
         return alive
@@ -1228,13 +1229,13 @@ class _Job:
         if self.kind == "cost":
             self.rows = GridRows(_GridFeatures(req.cfg, [req.dataflow]))
             return
-        if self.plan is None:
+        if self.bounds is None:
             self.rows = GridRows(table.features)
             return
         # The warm seed can never gate its own family (that family's
         # bound is <= the seed's re-evaluated value), so ``alive`` is
         # never empty and the incumbent is always scored.
-        alive = sorted(self.gate(self.plan.order, 0))
+        alive = self.gate(range(len(self.bounds)), 0)
         if sum(table.sizes[fi] for fi in alive) <= _MERGE_BATCH_LIMIT:
             # Scoring a member a representative round would have
             # skipped is exact, so the selection is unchanged.
@@ -1262,8 +1263,9 @@ class _Job:
                 self.answer = _breakdown(req, req.dataflow, lane(0))
                 return
             n = table.total
-            self.answer = tuple(_breakdown(req, table.dataflow(i), lane(i))
-                                for i in range(n))
+            self.dataflows = tuple(map(table.dataflow, range(n)))
+            self.answer = tuple(_breakdown(req, dataflow, lane(i))
+                                for i, dataflow in enumerate(self.dataflows))
             self.stats = SearchStats(
                 enumerated=n, evaluated=n, pruned=0, cache_hits=0,
                 wall_time_s=time.perf_counter() - self.start)
@@ -1310,7 +1312,7 @@ class _Job:
             cost = _breakdown(req, winner, self.origin)
             evaluated += 1
             batch_losers -= 1
-        self.origin = self.plan = None
+        self.origin = self.bounds = None
         self.answer = (winner, cost, table.total)
         self.stats = SearchStats(
             enumerated=table.total,
@@ -1424,9 +1426,9 @@ def _search_rounds(jobs: List[_Job], tally: dict) -> None:
                 req = job.request
                 with _span("candidate-plan",
                            families=len(job.table.families)):
-                    job.plan = plan_candidates(
+                    job.bounds = plan_candidates(
                         req.objective, req.cfg, req.scope, req.accel,
-                        req.space, options=req.options,
+                        job.table, options=req.options,
                         energy_table=req.energy_table)
                 # Not booked in the stats: the seed's family is always
                 # scored, and that score (equal value, equal index)
@@ -1443,7 +1445,7 @@ def _search_rounds(jobs: List[_Job], tally: dict) -> None:
         job.begin()
     # Planned searches last in each group: a round-1 incumbent keeps its
     # call alive until round 2, so they had better share few calls.
-    jobs = sorted(jobs, key=lambda job: job.plan is not None)
+    jobs = sorted(jobs, key=lambda job: job.bounds is not None)
     number = 1
     while jobs:
         with _span("search-round", round=number) as sp:
@@ -1490,12 +1492,15 @@ def _finish(job: _Job, store: Optional[PersistentCache],
             stats = _answered(n, job.source, job.start)
         _accumulate(stats)
         if job.kind == "points":
-            table = job.table or _space_table(req.cfg, req.space)
+            dataflows = job.dataflows
+            if dataflows is None:  # a memo hit
+                table = _space_table(req.cfg, req.space)
+                dataflows = map(table.dataflow, range(len(job.answer)))
             points = tuple(
-                DesignPoint(dataflow=table.dataflow(i), cost=cost,
+                DesignPoint(dataflow=dataflow, cost=cost,
                             energy=energy_report(cost.counts,
                                                  req.energy_table))
-                for i, cost in enumerate(job.answer))
+                for dataflow, cost in zip(dataflows, job.answer))
             best = min(points, key=lambda p: req.objective.score(p.cost,
                                                                  p.energy))
         else:

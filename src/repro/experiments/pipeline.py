@@ -178,6 +178,22 @@ def _execute(name: str,
     )
 
 
+def _selected(names: Optional[Sequence[str]]) -> List[str]:
+    """``names`` (default: the whole registry), validated: an unknown
+    name or an empty selection is a ``ValueError``."""
+    selected = list(names) if names is not None else experiment_names()
+    known = set(experiment_names())
+    unknown = [n for n in selected if n not in known]
+    if unknown:
+        raise ValueError(
+            f"unknown experiments {unknown}; choose from "
+            f"{experiment_names()}"
+        )
+    if not selected:
+        raise ValueError("no experiments selected")
+    return selected
+
+
 def run_pipeline(
     names: Optional[Sequence[str]] = None,
     workers: Optional[int] = None,
@@ -203,16 +219,7 @@ def run_pipeline(
     forgotten (:func:`~repro.core.cache.close_cache`), so a directory
     removed afterwards holds no open descriptors and no store.
     """
-    selected = list(names) if names is not None else experiment_names()
-    known = set(experiment_names())
-    unknown = [n for n in selected if n not in known]
-    if unknown:
-        raise ValueError(
-            f"unknown experiments {unknown}; choose from "
-            f"{experiment_names()}"
-        )
-    if not selected:
-        raise ValueError("no experiments selected")
+    selected = _selected(names)
     if workers is None:
         workers = max(1, min(len(selected), os.cpu_count() or 1))
     if workers < 1:
@@ -318,16 +325,7 @@ def run_pipeline_via_server(
     """
     from repro.serve.client import ServeClient
 
-    selected = list(names) if names is not None else experiment_names()
-    known = set(experiment_names())
-    unknown = [n for n in selected if n not in known]
-    if unknown:
-        raise ValueError(
-            f"unknown experiments {unknown}; choose from "
-            f"{experiment_names()}"
-        )
-    if not selected:
-        raise ValueError("no experiments selected")
+    selected = _selected(names)
 
     def _rebuild(name: str, response: Dict[str, object]) -> ExperimentRun:
         if not response.get("ok"):

@@ -116,6 +116,16 @@ class Scope(enum.Enum):
     BLOCK = "Block"
     MODEL = "Model"
 
+    @classmethod
+    def from_name(cls, name: object) -> "Scope":
+        """The scope whose value is ``name``, ignoring case."""
+        for scope in cls:
+            if scope.value.lower() == str(name).lower():
+                return scope
+        raise ValueError(
+            f"unknown scope {name!r}; choose from {[s.value for s in cls]}"
+        )
+
 
 def build_attention_layer(cfg: AttentionConfig) -> List[GemmOperator]:
     """The six operators of one attention layer: Q, K, V, L, A, O."""

@@ -163,15 +163,6 @@ class Query:
         )
 
 
-def _resolve_scope(name: object) -> Scope:
-    for scope in Scope:
-        if scope.value.lower() == str(name).lower():
-            return scope
-    raise ProtocolError(
-        f"unknown scope {name!r}; choose from {[s.value for s in Scope]}"
-    )
-
-
 def _integer(req: Dict[str, Any], name: str,
              default: Optional[int] = None) -> int:
     """A JSON-integer field; ``default`` when absent (``None``: required)."""
@@ -346,8 +337,11 @@ def resolve_query(req: Dict[str, Any]) -> Query:
         )
     cfg = _resolve_workload(req)
     accel = _resolve_accelerator(req)
-    query = {"kind": op, "cfg": cfg, "accel": accel,
-             "scope": _resolve_scope(req.get("scope", "L-A"))}
+    try:
+        scope = Scope.from_name(req.get("scope", "L-A"))
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
+    query = {"kind": op, "cfg": cfg, "accel": accel, "scope": scope}
     query.update(fields(req, cfg, accel))
     return Query(**query)
 

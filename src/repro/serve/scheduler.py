@@ -25,8 +25,8 @@ then:
    is one :func:`~repro.core.engine.evaluate_costs` lineup, whose two
    or more misses share one grid call, and a search-like group maps
    the engine's search over its queries.  Evaluation runs on a
-   thread-pool executor (default: one worker, so engine state is
-   never contended) while the event loop keeps accepting and batching
+   single-thread executor (so engine work is strictly ordered and
+   uncontended) while the event loop keeps accepting and batching
    — group dispatches are tracked as in-flight tasks, not awaited
    inline, so a slow search never blocks the next micro-batch.
 
@@ -72,11 +72,7 @@ class SchedulerConfig:
 
     ``window_ms`` trades a little first-request latency for batch
     density; ``0`` dispatches every loop wakeup immediately (useful in
-    tests).  ``eval_workers`` is the evaluator thread count — the
-    default of 1 serializes engine work, which keeps per-request cost
-    work strictly ordered and uncontended; raising it is safe (the
-    engine's shared state is lock-guarded) but rarely pays below
-    several cores of headroom.
+    tests).
     """
 
     window_ms: float = 2.0
@@ -84,16 +80,13 @@ class SchedulerConfig:
     max_queue: int = 256
     sweep_chunk: int = 8
     memo_size: int = 4096
-    eval_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.window_ms < 0:
             raise ValueError("window_ms must be >= 0")
-        if min(self.max_batch, self.max_queue, self.sweep_chunk,
-               self.eval_workers) < 1:
+        if min(self.max_batch, self.max_queue, self.sweep_chunk) < 1:
             raise ValueError(
-                "max_batch, max_queue, sweep_chunk and eval_workers "
-                "must be >= 1"
+                "max_batch, max_queue and sweep_chunk must be >= 1"
             )
         if self.memo_size < 0:
             raise ValueError("memo_size must be >= 0")
@@ -149,8 +142,7 @@ class CoalescingScheduler:
         from concurrent.futures import ThreadPoolExecutor
 
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.eval_workers,
-            thread_name_prefix="serve-eval",
+            max_workers=1, thread_name_prefix="serve-eval",
         )
         self._loop_task = asyncio.get_running_loop().create_task(
             self._run()

@@ -56,6 +56,7 @@ __all__ = [
     "step_passes",
     "run_serving",
     "synthetic_trace",
+    "nearest_rank_percentile",
 ]
 
 
@@ -137,12 +138,13 @@ class ServingReport:
     metrics: Tuple[RequestMetrics, ...]
 
 
-def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
+def nearest_rank_percentile(sorted_values: Sequence[float],
+                            fraction: float) -> float:
     """Nearest-rank percentile: the ``ceil(fraction * n)``-th smallest.
 
     The rank is computed in exact integers (``fraction`` in parts per
     million): in floats ``0.07 * 100`` is ``7.000000000000001``, whose
-    ceil is 8.  Matches ``benchmarks/bench_serve.py``.
+    ceil is 8.
     """
     ppm = round(fraction * 1_000_000)
     rank = -(-ppm * len(sorted_values) // 1_000_000)
@@ -435,10 +437,10 @@ def run_serving(
         completed=len(done),
         steps=steps,
         makespan_cycles=clock,
-        ttft_p50=_percentile(ttfts, 0.50),
-        ttft_p99=_percentile(ttfts, 0.99),
-        tpot_p50=_percentile(tpots, 0.50),
-        tpot_p99=_percentile(tpots, 0.99),
+        ttft_p50=nearest_rank_percentile(ttfts, 0.50),
+        ttft_p99=nearest_rank_percentile(ttfts, 0.99),
+        tpot_p50=nearest_rank_percentile(tpots, 0.50),
+        tpot_p99=nearest_rank_percentile(tpots, 0.99),
         tokens_per_kilocycle=1000.0 * total_tokens / clock,
         metrics=tuple(done),
     )

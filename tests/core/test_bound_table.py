@@ -15,7 +15,11 @@ import pytest
 
 from repro.arch.presets import cloud, edge
 from repro.core import engine
-from repro.core.candidates import family_lower_bound, plan_candidates
+from repro.core.candidates import (
+    family_lower_bound,
+    plan_candidates,
+    space_table,
+)
 from repro.core.dataflow import AttentionVariant, Stationarity
 from repro.core.dse import (
     Objective,
@@ -198,11 +202,12 @@ class TestOneCallPerCaller:
     def test_plan_bounds_every_family_in_one_call(self, monkeypatch):
         counter = _CountingTable(monkeypatch)
         cfg = CONFIGS[0]
-        plan = plan_candidates(Objective.ENERGY, cfg, Scope.LA, edge(),
-                               WIDE_SPACE)
+        table = space_table(cfg, WIDE_SPACE)
+        bounds = plan_candidates(Objective.ENERGY, cfg, Scope.LA, edge(),
+                                 table)
         assert counter.calls == 1
-        assert counter.rows == [len(plan.families)]
-        for family, bound in zip(plan.families, plan.bounds):
+        assert counter.rows == [len(table.families)] == [len(bounds)]
+        for family, bound in zip(table.families, bounds):
             assert bound == scalar_family_bound(
                 Objective.ENERGY, cfg, Scope.LA, edge(), family, WIDE_SPACE
             )

@@ -109,29 +109,10 @@ class TestPlanStructure:
             first = next(iter(expand_family(bert_512, fam, space)))
             assert family_representative(fam, space) == first
 
-    def test_offsets_are_prefix_sums(self, bert_512, edge_accel):
-        space = SearchSpace(exhaustive_staging=True)
-        plan = plan_candidates(Objective.RUNTIME, bert_512, Scope.LA,
-                               edge_accel, space)
-        total = 0
-        for size, offset in zip(plan.sizes, plan.offsets):
-            assert offset == total
-            total += size
-        assert plan.total == total == len(
-            list(enumerate_dataflows(bert_512, edge_accel, space))
-        )
-
-    def test_order_is_best_bound_first(self, bert_512, edge_accel):
-        plan = plan_candidates(Objective.RUNTIME, bert_512, Scope.LA,
-                               edge_accel)
-        keys = [(plan.bounds[i], i) for i in plan.order]
-        assert keys == sorted(keys)
-        assert sorted(plan.order) == list(range(len(plan.families)))
-
     def test_footprint_objective_rejected(self, bert_512, edge_accel):
         with pytest.raises(ValueError):
             plan_candidates(Objective.FOOTPRINT, bert_512, Scope.LA,
-                            edge_accel)
+                            edge_accel, space_table(bert_512))
 
 
 class TestLocate:
@@ -241,9 +222,11 @@ class TestBoundAdmissibility:
             variants=(tuple(AttentionVariant) if variants
                       else (AttentionVariant.SOFTMAX,)),
         )
-        plan = plan_candidates(objective, cfg, scope, accel, space,
-                               options)
-        for fam, bound in zip(plan.families, plan.bounds):
+        table = space_table(cfg, space)
+        bounds = plan_candidates(objective, cfg, scope, accel, table,
+                                 options)
+        assert len(bounds) == len(table.families)
+        for fam, bound in zip(table.families, bounds):
             for df in expand_family(cfg, fam, space):
                 cost = cost_scope(cfg, scope, accel, df, options=options)
                 value = objective.score(cost, energy_report(cost.counts))
@@ -257,22 +240,23 @@ class TestBoundAdmissibility:
         fire against it (the family offset is <= the winner index)."""
         accel = edge().with_scratchpad_bytes(kb * 1024)
         space = SearchSpace()
-        plan = plan_candidates(Objective.RUNTIME, cfg, Scope.LA, accel,
-                               space)
+        table = space_table(cfg, space)
+        bounds = plan_candidates(Objective.RUNTIME, cfg, Scope.LA, accel,
+                                 table)
         best_value, best_index = None, None
         for i, df in enumerate(enumerate_dataflows(cfg, accel, space)):
             value = cost_scope(cfg, Scope.LA, accel, df).total_cycles
             if best_value is None or value < best_value:
                 best_value, best_index = value, i
         fi = max(
-            i for i in range(len(plan.families))
-            if plan.offsets[i] <= best_index
+            i for i in range(len(table.families))
+            if table.offsets[i] <= best_index
         )
-        assert plan.bounds[fi] <= best_value
-        assert plan.offsets[fi] <= best_index
-        gated = plan.bounds[fi] > best_value or (
-            plan.bounds[fi] >= best_value * _BOUND_SLACK
-            and plan.offsets[fi] > best_index
+        assert bounds[fi] <= best_value
+        assert table.offsets[fi] <= best_index
+        gated = bounds[fi] > best_value or (
+            bounds[fi] >= best_value * _BOUND_SLACK
+            and table.offsets[fi] > best_index
         )
         assert not gated
 

@@ -246,6 +246,27 @@ class TestMemoHitSkipsPlanning:
         assert_matches_oracle(cold, exhaustive_best(bert_4k, edge_accel,
                                                     space=space))
 
+    def test_planned_miss_lists_the_families_once(self, plans, monkeypatch,
+                                                  bert_4k, edge_accel):
+        """The plan bounds the space table's families: a cold planned
+        search enumerates them once, for its table."""
+        from repro.core import candidates
+
+        listed = []
+        real = candidates.enumerate_families
+
+        def families(*args, **kwargs):
+            listed.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(candidates, "enumerate_families", families)
+        res = search(bert_4k, edge_accel, space=self._SPACE,
+                     retain_points=False)
+        assert len(plans) == 1
+        assert len(listed) == 1
+        assert_matches_oracle(res, exhaustive_best(bert_4k, edge_accel,
+                                                   space=self._SPACE))
+
 
 class TestOneCallRoute:
     """A best-only space of at most ``_MERGE_BATCH_LIMIT`` candidates is
@@ -556,6 +577,29 @@ class TestRetainPoints:
         res = search(small_cfg, edge_accel, retain_points=True)
         assert res.points
         assert all(p.energy is not None for p in res.points)
+
+    def test_each_member_is_built_once(self, monkeypatch, small_cfg,
+                                       edge_accel):
+        """A cold every-point search builds each member's ``Dataflow``
+        once, for its breakdown and its point; a memo hit builds each
+        once for its point."""
+        from repro.core.candidates import SpaceTable
+
+        built = []
+        real = SpaceTable.dataflow
+
+        def dataflow(table, index):
+            built.append(index)
+            return real(table, index)
+
+        monkeypatch.setattr(SpaceTable, "dataflow", dataflow)
+        cold = search(small_cfg, edge_accel, retain_points=True)
+        n = cold.stats.enumerated
+        assert sorted(built) == list(range(n))
+        built.clear()
+        hit = search(small_cfg, edge_accel, retain_points=True)
+        assert sorted(built) == list(range(n))
+        assert hit.points == cold.points
 
     @pytest.mark.parametrize("scope", [Scope.LA, Scope.BLOCK, Scope.MODEL])
     def test_grid_points_equal_the_scalar_route(self, monkeypatch,

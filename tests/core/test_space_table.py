@@ -112,6 +112,19 @@ class TestGeneratedSpaces:
             _assert_columns_equal(table.features,
                                   _GridFeatures(cfg, members))
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(cfg=workloads, space=spaces())
+    def test_offsets_are_prefix_sums(self, cfg, space):
+        table = space_table(cfg, space)
+        assert len(table.offsets) == len(table.sizes) == len(table.families)
+        total = 0
+        for size, offset in zip(table.sizes, table.offsets):
+            assert offset == total
+            total += size
+        assert table.total == total == len(
+            list(enumerate_dataflows(cfg, edge(), space))
+        )
+
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(cfg=workloads, space=spaces())
     def test_members_round_trip(self, cfg, space):

@@ -35,7 +35,7 @@ from repro.sim.batching import (
     RequestMetrics,
     ServeRequest,
     ServingReport,
-    _percentile,
+    nearest_rank_percentile,
     run_serving,
     step_passes,
     synthetic_trace,
@@ -134,10 +134,10 @@ def _reference_run_serving(
         completed=len(done),
         steps=steps,
         makespan_cycles=clock,
-        ttft_p50=_percentile(ttfts, 0.50),
-        ttft_p99=_percentile(ttfts, 0.99),
-        tpot_p50=_percentile(tpots, 0.50),
-        tpot_p99=_percentile(tpots, 0.99),
+        ttft_p50=nearest_rank_percentile(ttfts, 0.50),
+        ttft_p99=nearest_rank_percentile(ttfts, 0.99),
+        tpot_p50=nearest_rank_percentile(tpots, 0.50),
+        tpot_p99=nearest_rank_percentile(tpots, 0.99),
         tokens_per_kilocycle=1000.0 * sum(m.output_tokens for m in done)
         / clock,
         metrics=tuple(done),
@@ -311,23 +311,23 @@ class TestCostingCount:
 class TestPercentileRank:
     def test_p99_of_twelve_is_the_maximum(self):
         values = [float(v) for v in range(1, 13)]
-        assert _percentile(values, 0.99) == 12.0
-        assert _percentile(values, 0.50) == 6.0
+        assert nearest_rank_percentile(values, 0.99) == 12.0
+        assert nearest_rank_percentile(values, 0.50) == 6.0
 
     def test_integer_ranks_are_unchanged(self):
         # The 200- and 500-sample ranks the recorded goldens rely on.
         for n in (200, 500):
             values = [float(v) for v in range(1, n + 1)]
-            assert _percentile(values, 0.99) == 0.99 * n
-            assert _percentile(values, 0.50) == 0.50 * n
+            assert nearest_rank_percentile(values, 0.99) == 0.99 * n
+            assert nearest_rank_percentile(values, 0.50) == 0.50 * n
 
     def test_rank_is_exact_where_float_ceil_is_not(self):
         # 0.07 * 100 == 7.000000000000001 in binary floating point; a
         # float ceil would pick the 8th value.
         values = [float(v) for v in range(1, 101)]
-        assert _percentile(values, 0.07) == 7.0
+        assert nearest_rank_percentile(values, 0.07) == 7.0
 
     def test_extremes(self):
-        assert _percentile([3.0], 0.99) == 3.0
-        assert _percentile([1.0, 2.0], 0.0) == 1.0
-        assert _percentile([1.0, 2.0], 1.0) == 2.0
+        assert nearest_rank_percentile([3.0], 0.99) == 3.0
+        assert nearest_rank_percentile([1.0, 2.0], 0.0) == 1.0
+        assert nearest_rank_percentile([1.0, 2.0], 1.0) == 2.0
