@@ -12,7 +12,12 @@ asserts the serving PR's acceptance criteria:
 * every served response is byte-identical to the direct in-process
   answer for the same request,
 * the scheduler's work accounting balances:
-  ``requests - memo_hits - coalesced - shed - expired == evaluations``.
+  ``requests - memo_hits - coalesced - shed - expired == evaluations``,
+* what the daemon avoided, from its own counters and so independent of
+  the host's speed: every distinct query is evaluated at least once and
+  at most once per client connection (a repeat either waits in the
+  memo or coalesces), which bounds the memo-hit plus coalesced share of
+  the submits from below and the evaluations per submit from above.
 
 The baseline models what exists without the daemon: each query pays a
 cold engine (one CLI process per query), simulated by clearing the
@@ -37,6 +42,7 @@ from repro.serve import (
     ServerThread,
     answer_direct,
     encode_line,
+    resolve_query,
 )
 from repro.sim.batching import nearest_rank_percentile
 
@@ -80,6 +86,13 @@ def _request(index):
     model, seq, dataflow = _COST_KEYS[index % len(_COST_KEYS)]
     return {"op": "cost", "id": f"r{index}", "model": model, "seq": seq,
             "batch": 8, "dataflow": dataflow}
+
+
+def _distinct_queries(requests):
+    """How many distinct scheduler identities the requests submit."""
+    subs = [sub for req in requests
+            for sub in req.get("requests", [req])]
+    return len({resolve_query(sub).dedupe_key() for sub in subs})
 
 
 def _serial_baseline(requests):
@@ -156,6 +169,11 @@ def test_serve_load_speedup_and_sla(
     qps = total / served_s
     speedup = baseline_s / served_s
     coalesce_ratio = stats["requests"] / max(1, stats["evaluations"])
+    distinct = _distinct_queries(requests)
+    avoided_share = (
+        (stats["memo_hits"] + stats["coalesced"]) / stats["requests"]
+    )
+    evals_per_request = stats["evaluations"] / stats["requests"]
     report_printer("\n".join([
         f"queries: {total} mixed ({CLIENTS} client connections)",
         f"serial baseline : {baseline_s * 1e3:9.1f} ms",
@@ -167,6 +185,9 @@ def test_serve_load_speedup_and_sla(
         f"{stats['evaluations']} evaluations, "
         f"{stats['memo_hits']} memo hits, {stats['coalesced']} coalesced, "
         f"{stats['grid_calls']} grid calls ({stats['grid_rows']} rows)",
+        f"avoided         : {avoided_share:.1%} of submits memo hits or "
+        f"coalesced, {evals_per_request:.3f} evaluations per submit "
+        f"({distinct} distinct queries)",
     ]))
 
     # Byte-identical to the direct reference path, response by response.
@@ -186,6 +207,17 @@ def test_serve_load_speedup_and_sla(
         - stats["shed"] - stats["deadline_expired"]
         == stats["evaluations"]
     )
+
+    # What the daemon avoided, independent of the host: each distinct
+    # query is evaluated at least once (the stream starts cold) and at
+    # most once per connection, so every other submit was a memo hit or
+    # coalesced.
+    most_evaluated = CLIENTS * distinct / stats["requests"]
+    assert stats["evaluations"] >= distinct
+    assert evals_per_request <= most_evaluated, (
+        f"{stats['evaluations']} evaluations of {distinct} distinct queries"
+    )
+    assert avoided_share >= 1 - most_evaluated
 
     # The SLA: throughput versus the per-request baseline, and tail
     # latency under concurrent load.

@@ -15,6 +15,8 @@ never dominates.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.arch.accelerator import Accelerator
 from repro.arch.memory import OffChipSpec, ScratchpadSpec
 from repro.arch.noc import NoCKind, NoCSpec
@@ -61,10 +63,20 @@ def cloud(noc_kind: NoCKind = NoCKind.SYSTOLIC) -> Accelerator:
 PLATFORMS = {"edge": edge, "cloud": cloud}
 
 
+@lru_cache(maxsize=None)
+def _preset(name: str) -> Accelerator:
+    return PLATFORMS[name]()
+
+
 def get_platform(name: str) -> Accelerator:
-    """Look up a platform preset by name (``"edge"`` or ``"cloud"``)."""
+    """Look up a platform preset by name (``"edge"`` or ``"cloud"``).
+
+    Each name's preset is built once and shared: an
+    :class:`Accelerator` is frozen, so callers derive variants with
+    ``dataclasses.replace``.
+    """
     try:
-        return PLATFORMS[name]()
+        return _preset(name)
     except KeyError:
         raise ValueError(
             f"unknown platform {name!r}; choose from {sorted(PLATFORMS)}"

@@ -192,10 +192,21 @@ class ScopeCost:
 
     @property
     def counts(self) -> ActivityCounts:
-        total = ActivityCounts()
+        """The operators' counts summed field by field in one pass (the
+        same order and ``0.0`` start as folding ``ActivityCounts.__add__``,
+        so bit-equal to it), times ``replication``."""
+        macs = sl_words = sg_words = dram_words = sfu_ops = 0.0
         for c in self.operator_costs:
-            total = total + c.counts
-        return total.scaled(self.replication)
+            k = c.counts
+            macs += k.macs
+            sl_words += k.sl_words
+            sg_words += k.sg_words
+            dram_words += k.dram_words
+            sfu_ops += k.sfu_ops
+        return ActivityCounts(
+            macs=macs, sl_words=sl_words, sg_words=sg_words,
+            dram_words=dram_words, sfu_ops=sfu_ops,
+        ).scaled(self.replication)
 
     @property
     def max_footprint_bytes(self) -> int:

@@ -368,12 +368,13 @@ LOCK_INVENTORY: Mapping[str, Mapping[str, object]] = {
             "self._queue",
             "self._wakeup",
             "self._memo",
+            "self.queries",
             "self._stats",
             "self._draining",
             "self._loop_task",
             "self._inflight",
         ),
-        "executor_only": (),
+        "executor_only": ("_answer_group",),
     },
     "repro.serve.server": {
         "locks": {},

@@ -25,6 +25,13 @@ exact arithmetic of the scalar cost path, this makes a served response
 only deterministic quantities (cycles, traffic, activity counts,
 energy); wall times and engine statistics are deliberately absent.
 
+**Paying once per distinct request.**  The daemon resolves through a
+:class:`Memo` of queries keyed on a request's typed scalar fields
+(:func:`resolve_query`), a :class:`Query` hashes its coalescing and
+dedupe keys once, and each memoized answer is stored once, as its
+canonical text (:class:`Encoded`), which :func:`encode_line` splices
+into every response that carries it.
+
 Every query op resolves through one table, :data:`QUERY_RESOLVERS`:
 the daemon and the direct path both dispatch on its keys, so adding a
 query op is one resolver there plus its execution in
@@ -38,8 +45,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import sys
+from collections import OrderedDict
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.arch.accelerator import Accelerator
 from repro.arch.config_io import (
@@ -55,6 +65,7 @@ from repro.core.engine import accelerator_fingerprint
 from repro.core.perf import ScopeCost
 from repro.core.scaleout import ScaleoutResult, ScaleoutSystem
 from repro.energy.model import energy_report
+from repro.obs.metrics import active as _metrics_active
 from repro.ops.attention import AttentionConfig, Scope
 
 __all__ = [
@@ -64,6 +75,9 @@ __all__ = [
     "DeadlineExceeded",
     "Draining",
     "Query",
+    "QueryKey",
+    "Memo",
+    "Encoded",
     "QUERY_RESOLVERS",
     "resolve_query",
     "resolve_sweep",
@@ -114,6 +128,28 @@ class Draining(ProtocolError):
 # ----------------------------------------------------------------------
 # request resolution
 # ----------------------------------------------------------------------
+class QueryKey:
+    """A query identity hashed once: the scheduler's group and memo
+    dictionaries probe it without rehashing its nested parts."""
+
+    __slots__ = ("parts", "_hash")
+
+    def __init__(self, parts: Tuple) -> None:
+        self.parts = parts
+        self._hash = hash(parts)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QueryKey):
+            return NotImplemented
+        return self._hash == other._hash and self.parts == other.parts
+
+    def __repr__(self) -> str:
+        return f"QueryKey{self.parts!r}"
+
+
 @dataclass(frozen=True)
 class Query:
     """One resolved, hashable unit of schedulable work.
@@ -127,7 +163,8 @@ class Query:
     key on; the accelerator participates through its cost-observable
     fingerprint so two accelerators differing only in name coalesce
     (their costs — and therefore payloads — are identical by
-    construction).
+    construction).  Both keys are built and hashed once, at
+    construction.
     """
 
     kind: str
@@ -139,28 +176,79 @@ class Query:
     chips: Optional[int] = None
     system: Optional[ScaleoutSystem] = None
     variants: Optional[bool] = None
+    _group: QueryKey = field(init=False, repr=False, compare=False)
+    _dedupe: QueryKey = field(init=False, repr=False, compare=False)
 
-    def group_key(self) -> Tuple:
-        """Coalescing group: queries sharing it can share one grid call."""
-        return (
+    def __post_init__(self) -> None:
+        group = (
             self.kind, self.cfg, accelerator_fingerprint(self.accel),
             self.scope,
         )
-
-    def dedupe_key(self) -> Tuple:
-        """Full identity: equal keys receive the same response payload.
-
-        The scale-out fields enter through the system's name-blind
-        fingerprint — two queries differing only in chip count or
-        fabric must *not* dedupe to one payload.
-        """
-        return self.group_key() + (
+        # The scale-out fields enter through the system's name-blind
+        # fingerprint — two queries differing only in chip count or
+        # fabric must *not* dedupe to one payload.
+        dedupe = group + (
             self.dataflow,
             self.objective,
             self.chips,
             self.system.fingerprint() if self.system is not None else None,
             self.variants,
         )
+        object.__setattr__(self, "_group", QueryKey(group))
+        object.__setattr__(self, "_dedupe", QueryKey(dedupe))
+
+    def group_key(self) -> QueryKey:
+        """Coalescing group: queries sharing it can share one grid call."""
+        return self._group
+
+    def dedupe_key(self) -> QueryKey:
+        """Full identity: equal keys receive the same response payload."""
+        return self._dedupe
+
+
+class Memo:
+    """A bounded least-recently-used map that counts its lookups.
+
+    ``size`` 0 keeps nothing.  Every :meth:`get` is a hit or a miss;
+    with ``metric`` set, each is mirrored to the ``<metric>_hits`` or
+    ``<metric>_misses`` counter when observability is on.
+    """
+
+    __slots__ = ("size", "hits", "misses", "_metric", "_entries")
+
+    def __init__(self, size: int, metric: Optional[str] = None) -> None:
+        self.size = size
+        self.hits = 0
+        self.misses = 0
+        self._metric = metric
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+
+    def get(self, key: Hashable) -> Any:
+        """The value stored under ``key`` (now most recent), or ``None``."""
+        value = self._entries.get(key)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+            self._entries.move_to_end(key)
+        if self._metric is not None:
+            registry = _metrics_active()
+            if registry is not None:
+                outcome = "misses" if value is None else "hits"
+                registry.counter(f"{self._metric}_{outcome}").inc()
+        return value
+
+    def put(self, key: Hashable, value: Any) -> None:
+        """Store ``value``, evicting the least recently used overflow."""
+        if self.size <= 0:
+            return
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.size:
+            self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 def _integer(req: Dict[str, Any], name: str,
@@ -321,14 +409,73 @@ QUERY_RESOLVERS: Dict[str, Callable[..., Dict[str, Any]]] = {
 }
 
 
-def resolve_query(req: Dict[str, Any]) -> Query:
+#: Request fields that never change what a query resolves to.
+_UNRESOLVED = frozenset({"id", "deadline_ms"})
+#: Only a small request is keyed, so that the memo never keeps much of
+#: what a client sends (a request line may hold 64 KiB of fields the
+#: resolvers ignore): at most this many fields, strings of at most
+#: this many characters and integers of at most this many bits.
+_MAX_KEYED_FIELDS = 32
+_MAX_KEYED_CHARS = 64
+_MAX_KEYED_BITS = 64
+
+
+def _request_key(req: Dict[str, Any]) -> Optional[Tuple]:
+    """A request's resolution identity: its fields but ``id`` and
+    ``deadline_ms`` in request order, each value tagged with its JSON
+    type so that ``true``, ``1`` and ``1.0`` never collide (a float is
+    keyed by its repr, so ``-0.0`` is not ``0.0``); ``None`` when a
+    field is a nested object or list, or the request is not small
+    (such a request is always resolved in full)."""
+    if len(req) > _MAX_KEYED_FIELDS:
+        return None
+    parts: List[Any] = []
+    for name, value in req.items():
+        if name in _UNRESOLVED:
+            continue
+        kind = type(value)
+        if kind is float:
+            value = repr(value)
+        elif kind is str:
+            if len(value) > _MAX_KEYED_CHARS:
+                return None
+        elif kind is int:
+            if value.bit_length() > _MAX_KEYED_BITS:
+                return None
+        elif kind is not bool and value is not None:
+            return None
+        parts += (name, kind, value)
+    return tuple(parts)
+
+
+def resolve_query(req: Dict[str, Any], memo: Optional[Memo] = None) -> Query:
     """Validate one query request (an op of :data:`QUERY_RESOLVERS`)
     into a :class:`Query`.
 
     Raises :class:`ProtocolError` (``bad_request``) on anything
     malformed; resolution is pure, so a bad request is rejected before
-    it ever reaches the scheduler.
+    it ever reaches the scheduler.  With a ``memo``, a request whose
+    fields are all scalars is looked up by :func:`_request_key` first,
+    and a repeat returns the identical :class:`Query`; an error is
+    never stored.
     """
+    if memo is None:
+        return _resolve(req)
+    key = _request_key(req)
+    query = memo.get(key)
+    if query is None:
+        query = _resolve(req)
+        if key is not None:
+            # Interned, the stored keys share one copy of each field
+            # name and value instead of keeping every request's own.
+            memo.put(tuple(
+                sys.intern(part) if type(part) is str else part
+                for part in key
+            ), query)
+    return query
+
+
+def _resolve(req: Dict[str, Any]) -> Query:
     op = req.get("op")
     fields = QUERY_RESOLVERS.get(op) if isinstance(op, str) else None
     if fields is None:
@@ -346,14 +493,17 @@ def resolve_query(req: Dict[str, Any]) -> Query:
     return Query(**query)
 
 
-def resolve_sweep(req: Dict[str, Any]) -> List[Query]:
-    """Validate a ``sweep`` request's sub-requests into queries."""
+def resolve_sweep(
+    req: Dict[str, Any], memo: Optional[Memo] = None,
+) -> List[Query]:
+    """Validate a ``sweep`` request's sub-requests into queries (each
+    through ``memo``, as :func:`resolve_query`)."""
     subs = req.get("requests")
     if not isinstance(subs, list) or not subs:
         raise ProtocolError("sweep needs a non-empty 'requests' list")
     if not all(isinstance(sub, dict) for sub in subs):
         raise ProtocolError("sweep 'requests' entries must be objects")
-    return [resolve_query(sub) for sub in subs]
+    return [resolve_query(sub, memo) for sub in subs]
 
 
 def resolve_deadline_s(req: Dict[str, Any]) -> Optional[float]:
@@ -379,15 +529,80 @@ def resolve_deadline_s(req: Dict[str, Any]) -> Optional[float]:
 # ----------------------------------------------------------------------
 # canonical encoding + envelopes
 # ----------------------------------------------------------------------
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+class Encoded(Mapping):
+    """An answer stored once, as its canonical JSON text.
+
+    The scheduler encodes each evaluated payload once and memoizes this
+    form only; :func:`encode_line` splices ``text`` into every response
+    envelope that carries it.  Reading it as a mapping (in-process
+    callers and tests) decodes the text on each access.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, payload: Dict[str, Any]) -> None:
+        self.text = _ENCODER.encode(payload)
+
+    def payload(self) -> Dict[str, Any]:
+        return json.loads(self.text)
+
+    def __getitem__(self, key: str) -> Any:
+        return self.payload()[key]
+
+    def __iter__(self):
+        return iter(self.payload())
+
+    def __len__(self) -> int:
+        return len(self.payload())
+
+    def __repr__(self) -> str:
+        return f"Encoded({self.text})"
+
+
+def _holds_encoded(container: Any) -> bool:
+    """Whether a plain dict or list holds an :class:`Encoded` answer."""
+    items = container.values() if type(container) is dict else container
+    for item in items:
+        kind = type(item)
+        if kind is Encoded or (
+            (kind is dict or kind is list) and _holds_encoded(item)
+        ):
+            return True
+    return False
+
+
+def _canonical(value: Any) -> str:
+    """Canonical JSON text of ``value``, splicing in the stored text of
+    every :class:`Encoded` answer it holds (envelopes are plain dicts
+    with string keys, and lists)."""
+    kind = type(value)
+    if kind is Encoded:
+        return value.text
+    if value is True:  # an envelope's "ok", without building an encoder
+        return "true"
+    if kind is dict and _holds_encoded(value):
+        return "{" + ",".join(
+            f"{_ENCODER.encode(key)}:{_canonical(value[key])}"
+            for key in sorted(value)
+        ) + "}"
+    if kind is list and _holds_encoded(value):
+        return "[" + ",".join(map(_canonical, value)) + "]"
+    return _ENCODER.encode(value)
+
+
 def encode_line(obj: Dict[str, Any]) -> bytes:
     """One canonical JSON line: sorted keys, minimal separators.
 
     Deterministic byte-for-byte for equal values — the foundation of
-    the served-vs-direct equivalence diff.
+    the served-vs-direct equivalence diff.  An :class:`Encoded` answer
+    inside ``obj`` contributes its stored text, which is the text of
+    its payload, so the line is byte-identical to encoding the plain
+    payload.
     """
-    return (
-        json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode()
+    return (_canonical(obj) + "\n").encode()
 
 
 def ok_response(req_id: object, result: Dict[str, Any]) -> Dict[str, Any]:

@@ -30,11 +30,16 @@ then:
    — group dispatches are tracked as in-flight tasks, not awaited
    inline, so a slow search never blocks the next micro-batch.
 
-Completed payloads also land in a bounded **response memo** keyed by
-the dedupe key: a warm repeat is answered inline at submit time
-without touching the queue.  Every evaluated answer also warms the
-engine LRU (and the disk cache, when one is configured), so a repeat
-evicted from the memo is still an engine hit.
+Each evaluated payload is encoded once, on the evaluator thread, into
+an :class:`~repro.serve.protocol.Encoded` answer: that text is what
+every waiter receives and what lands in a bounded **response memo**
+keyed by the dedupe key, so a warm repeat is answered inline at submit
+time without touching the queue or encoding again.  The daemon resolves
+requests through a second memo of the same size
+(:attr:`CoalescingScheduler.queries`), so a repeat also skips
+resolution.  Every evaluated answer also warms the engine LRU (and the
+disk cache, when one is configured), so a repeat evicted from the memo
+is still an engine hit.
 
 Admission control sheds with ``overloaded`` when the queue is full,
 and :meth:`CoalescingScheduler.drain` finishes queued + in-flight work
@@ -49,7 +54,7 @@ threads run pure evaluation functions.  Counters live in
 from __future__ import annotations
 
 import asyncio
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -57,9 +62,12 @@ from repro.obs.metrics import active as _metrics_active
 from repro.serve.protocol import (
     DeadlineExceeded,
     Draining,
+    Encoded,
+    Memo,
     Overloaded,
     ProtocolError,
     Query,
+    QueryKey,
 )
 from repro.serve.service import execute_group
 
@@ -72,7 +80,8 @@ class SchedulerConfig:
 
     ``window_ms`` trades a little first-request latency for batch
     density; ``0`` dispatches every loop wakeup immediately (useful in
-    tests).
+    tests).  ``memo_size`` bounds both the response memo and the
+    resolved-query memo.
     """
 
     window_ms: float = 2.0
@@ -95,16 +104,27 @@ class SchedulerConfig:
 @dataclass
 class _Pending:
     query: Query
-    key: Tuple
-    future: "asyncio.Future[Dict[str, Any]]"
+    key: QueryKey
+    future: "asyncio.Future[Encoded]"
     deadline: Optional[float] = None
     members: List["_Pending"] = field(default_factory=list)
 
 
 _STAT_KEYS = (
-    "requests", "memo_hits", "shed", "deadline_expired", "coalesced",
+    "requests", "shed", "deadline_expired", "coalesced",
     "batches", "evaluations", "grid_calls", "grid_rows",
+    "encodings_reused",
 )
+
+GroupFn = Callable[[List[Query]], Tuple[List[Dict[str, Any]], bool]]
+
+
+def _answer_group(
+    group_fn: GroupFn, queries: List[Query],
+) -> Tuple[List[Encoded], bool]:
+    """One group's answers, each encoded once (on the evaluator thread)."""
+    payloads, used_grid = group_fn(queries)
+    return [Encoded(payload) for payload in payloads], used_grid
 
 
 class CoalescingScheduler:
@@ -119,15 +139,15 @@ class CoalescingScheduler:
     def __init__(
         self,
         config: SchedulerConfig = SchedulerConfig(),
-        group_fn: Callable[
-            [List[Query]], Tuple[List[Dict[str, Any]], bool]
-        ] = execute_group,
+        group_fn: GroupFn = execute_group,
     ) -> None:
         self.config = config
         self._group_fn = group_fn
         self._queue: Deque[_Pending] = deque()
         self._wakeup = asyncio.Event()
-        self._memo: "OrderedDict[Tuple, Dict[str, Any]]" = OrderedDict()
+        self._memo = Memo(config.memo_size, metric="serve.memo")
+        #: Resolved queries by request, for the daemon's ``resolve_query``.
+        self.queries = Memo(config.memo_size, metric="serve.resolve")
         self._stats: Dict[str, int] = {key: 0 for key in _STAT_KEYS}
         self._draining = False
         self._loop_task: Optional[asyncio.Task] = None
@@ -165,8 +185,9 @@ class CoalescingScheduler:
     # -- submission ----------------------------------------------------
     async def submit(
         self, query: Query, deadline_s: Optional[float] = None
-    ) -> Dict[str, Any]:
-        """Admit one query; resolves to its payload (or a typed error).
+    ) -> Encoded:
+        """Admit one query; resolves to its encoded answer (or a typed
+        error).
 
         Must be awaited on the scheduler's event loop.  ``deadline_s``
         is relative: the request is dropped with ``deadline_exceeded``
@@ -177,10 +198,10 @@ class CoalescingScheduler:
         if self._draining:
             raise Draining("server is draining; no new work accepted")
         key = query.dedupe_key()
-        memoized = self._memo_get(key)
+        memoized = self._memo.get(key)
         if memoized is not None:
-            self._stats["memo_hits"] += 1
-            self._metric_inc("serve.memo_hits")
+            self._stats["encodings_reused"] += 1
+            self._metric_inc("serve.encodings_reused")
             return memoized
         if len(self._queue) >= self.config.max_queue:
             self._stats["shed"] += 1
@@ -231,9 +252,9 @@ class CoalescingScheduler:
 
     def _form_groups(
         self, batch: List[_Pending], now: float
-    ) -> Dict[Tuple, "OrderedDict[Tuple, _Pending]"]:
+    ) -> Dict[QueryKey, Dict[QueryKey, _Pending]]:
         """Triage deadlines, group by group_key, dedupe by dedupe_key."""
-        groups: Dict[Tuple, "OrderedDict[Tuple, _Pending]"] = {}
+        groups: Dict[QueryKey, Dict[QueryKey, _Pending]] = {}
         for item in batch:
             if item.future.done():
                 continue
@@ -244,9 +265,7 @@ class CoalescingScheduler:
                     "deadline passed while the request was queued"
                 ))
                 continue
-            unique = groups.setdefault(
-                item.query.group_key(), OrderedDict()
-            )
+            unique = groups.setdefault(item.query.group_key(), {})
             head = unique.get(item.key)
             if head is None:
                 unique[item.key] = item
@@ -257,7 +276,7 @@ class CoalescingScheduler:
         return {key: unique for key, unique in groups.items() if unique}
 
     async def _dispatch(
-        self, groups: Dict[Tuple, "OrderedDict[Tuple, _Pending]"]
+        self, groups: Dict[QueryKey, Dict[QueryKey, _Pending]]
     ) -> None:
         await asyncio.gather(
             *(self._dispatch_group(list(unique.values()))
@@ -268,8 +287,8 @@ class CoalescingScheduler:
         loop = asyncio.get_running_loop()
         queries = [item.query for item in items]
         try:
-            payloads, used_grid = await loop.run_in_executor(
-                self._executor, self._group_fn, queries
+            answers, used_grid = await loop.run_in_executor(
+                self._executor, _answer_group, self._group_fn, queries
             )
         except ProtocolError as exc:
             self._fail(items, exc)
@@ -286,15 +305,15 @@ class CoalescingScheduler:
             self._metric_inc("serve.grid_rows", len(queries))
         self._stats["evaluations"] += len(items)
         self._metric_inc("serve.evaluations", len(items))
-        for item, payload in zip(items, payloads):
-            self._memo_put(item.key, payload)
-            self._resolve(item, payload)
-
-    @staticmethod
-    def _resolve(item: _Pending, payload: Dict[str, Any]) -> None:
-        for waiter in (item, *item.members):
-            if not waiter.future.done():
-                waiter.future.set_result(payload)
+        for item, answer in zip(items, answers):
+            self._memo.put(item.key, answer)
+            if not item.future.done():
+                item.future.set_result(answer)
+            for waiter in item.members:
+                if not waiter.future.done():
+                    waiter.future.set_result(answer)
+                    self._stats["encodings_reused"] += 1
+                    self._metric_inc("serve.encodings_reused")
 
     @staticmethod
     def _fail(items: List[_Pending], exc: ProtocolError) -> None:
@@ -302,21 +321,6 @@ class CoalescingScheduler:
             for waiter in (item, *item.members):
                 if not waiter.future.done():
                     waiter.future.set_exception(exc)
-
-    # -- memo ----------------------------------------------------------
-    def _memo_get(self, key: Tuple) -> Optional[Dict[str, Any]]:
-        payload = self._memo.get(key)
-        if payload is not None:
-            self._memo.move_to_end(key)
-        return payload
-
-    def _memo_put(self, key: Tuple, payload: Dict[str, Any]) -> None:
-        if self.config.memo_size <= 0:
-            return
-        self._memo[key] = payload
-        self._memo.move_to_end(key)
-        while len(self._memo) > self.config.memo_size:
-            self._memo.popitem(last=False)
 
     # -- accounting ----------------------------------------------------
     @staticmethod
@@ -340,9 +344,21 @@ class CoalescingScheduler:
         ``grid_rows`` their queries; the engine scores only the lineup's
         LRU and disk misses, so such a group's grid call can be smaller
         than its row count, or absent.
+
+        ``resolves`` counts the requests and sweep sub-requests resolved
+        through :attr:`queries`, each a ``resolve_hits`` (a repeat
+        answered with its memoized query) or a ``resolve_misses``
+        (resolved in full); ``encodings_reused`` counts the answers sent
+        with an encoding made for an earlier request (memo hits and
+        coalesced waiters).
         """
         out = dict(self._stats)
+        out["memo_hits"] = self._memo.hits
+        out["resolves"] = self.queries.hits + self.queries.misses
+        out["resolve_hits"] = self.queries.hits
+        out["resolve_misses"] = self.queries.misses
         out["queued"] = len(self._queue)
         out["memo_entries"] = len(self._memo)
+        out["resolve_entries"] = len(self.queries)
         out["draining"] = self._draining
         return out

@@ -12,8 +12,11 @@ Operations, one entry each in :attr:`DSEServer.OPS`:
 ``ping`` / ``stats``
     liveness and the scheduler/engine-cache counters.
 ``cost`` / ``search`` / ``scaleout`` / ``decode``
-    resolved into a :class:`~repro.serve.protocol.Query` and submitted
-    to the scheduler (coalescing, memo, admission control, deadlines).
+    resolved into a :class:`~repro.serve.protocol.Query` (a repeat
+    through the scheduler's memo of resolved queries) and submitted
+    to the scheduler (coalescing, memo, admission control, deadlines);
+    the answer comes back encoded once and is spliced into its
+    response line.
     A ``scaleout`` query runs the two-level multi-chip search
     (:func:`~repro.core.scaleout.search_scaleout`) for one chip count;
     a ``decode`` query searches one KV-cached decode step, optionally
@@ -286,11 +289,11 @@ class DSEServer:
         return {"draining": True}
 
     async def _query(self, req: JSON, progress: Progress) -> JSON:
-        query = resolve_query(req)
+        query = resolve_query(req, self.scheduler.queries)
         return await self.scheduler.submit(query, resolve_deadline_s(req))
 
     async def _sweep(self, req: JSON, progress: Progress) -> JSON:
-        queries = resolve_sweep(req)
+        queries = resolve_sweep(req, self.scheduler.queries)
         deadline_s = resolve_deadline_s(req)
         loop = asyncio.get_running_loop()
         deadline = (

@@ -1,8 +1,11 @@
 """Unit tests for the analytical performance model."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.dataflow import (
+    AttentionVariant,
     Granularity,
     StagingPolicy,
     Stationarity,
@@ -10,7 +13,9 @@ from repro.core.dataflow import (
     base_x,
     flat_r,
     flat_x,
+    parse_dataflow,
 )
+from repro.core.dse import SearchSpace, enumerate_dataflows
 from repro.core.perf import (
     PerfOptions,
     cost_fused_la,
@@ -18,8 +23,10 @@ from repro.core.perf import (
     cost_operator,
     cost_scope,
 )
+from repro.models.configs import model_config
 from repro.ops.attention import Scope, operators_for_scope
 from repro.ops.operator import OperatorKind
+from tests.oracles import chained_counts
 
 
 class TestBasicInvariants:
@@ -246,3 +253,30 @@ class TestPerfOptionsValidation:
     def test_rejects_bad_warmup_credit(self):
         with pytest.raises(ValueError):
             PerfOptions(fused_warmup_credit=1.5)
+
+
+class TestScopeCounts:
+    """``ScopeCost.counts`` sums in one pass what a chained
+    ``ActivityCounts`` fold sums, bit for bit."""
+
+    @pytest.mark.parametrize("scope", list(Scope))
+    @pytest.mark.parametrize("model,seq", [("bert", 512), ("t5", 1024)])
+    def test_one_pass_equals_the_chained_fold(self, scope, model, seq,
+                                              edge_accel):
+        cfg = model_config(model, seq=seq, batch=4)
+        space = SearchSpace(variants=tuple(AttentionVariant))
+        dataflows = list(enumerate_dataflows(cfg, edge_accel, space))
+        assert len(dataflows) > 20
+        specs = [parse_dataflow(s) for s in
+                 ("flat-r64+flashd", "flat-r64+fusemax", "base")]
+        replications = set()
+        for df in dataflows[::7] + specs:
+            cost = cost_scope(cfg, scope, edge_accel, df)
+            replications.add(cost.replication)
+            assert _bits(cost.counts) == _bits(chained_counts(cost)), df.name
+        if scope is Scope.MODEL:
+            assert replications == {cfg.num_blocks} and cfg.num_blocks > 1
+
+
+def _bits(counts):
+    return tuple(float(v).hex() for v in dataclasses.astuple(counts))

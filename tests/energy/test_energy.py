@@ -22,6 +22,13 @@ class TestEnergyTable:
 
 
 class TestActivityCounts:
+    @pytest.mark.parametrize(
+        "name", ["macs", "sl_words", "sg_words", "dram_words", "sfu_ops"]
+    )
+    def test_rejects_each_negative_field(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative$"):
+            ActivityCounts(**{name: -1.0})
+
     def test_addition(self):
         a = ActivityCounts(macs=1, sl_words=2, sg_words=3, dram_words=4,
                            sfu_ops=5)

@@ -14,6 +14,9 @@ in plain Python.  ``family_bound_rows`` builds each family's bound row
 from its representative ``Dataflow`` (``family_representative``), the
 route the engine's field-read :func:`~repro.core.candidates.bound_rows`
 must equal.
+``chained_counts`` is :attr:`~repro.core.perf.ScopeCost.counts` as a
+fold of ``ActivityCounts.__add__``, the sum the one-pass property must
+equal bit for bit.
 """
 
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -46,6 +49,7 @@ from repro.core.engine import (
     dataflow_bound_row,
 )
 from repro.core.footprint import fused_la_footprint
+from repro.energy.model import ActivityCounts
 from repro.core.perf import (
     PerfOptions,
     ScopeCost,
@@ -473,3 +477,13 @@ def family_bound_rows(
         )
         for family in families
     ]
+
+
+def chained_counts(cost: ScopeCost) -> ActivityCounts:
+    """A scope's activity counts folded with ``ActivityCounts.__add__``
+    from ``ActivityCounts()`` over its operators, then scaled by its
+    replication."""
+    total = ActivityCounts()
+    for op in cost.operator_costs:
+        total = total + op.counts
+    return total.scaled(cost.replication)

@@ -18,11 +18,15 @@ from repro.models.configs import model_config
 from repro.ops.attention import Scope
 from repro.serve.protocol import (
     PROTOCOL,
+    Encoded,
+    Memo,
     ProtocolError,
     cost_payload,
     encode_line,
+    ok_response,
     resolve_deadline_s,
     resolve_query,
+    resolve_sweep,
     scaleout_payload,
     search_payload,
 )
@@ -194,6 +198,125 @@ class TestCanonicalEncoding:
         a = {"id": "x", "ok": True, "result": {"v": 1.0 / 3.0}}
         b = json.loads(encode_line(a))
         assert encode_line(b) == encode_line(a)
+
+
+_COST = {"op": "cost", "model": "bert", "seq": 512, "batch": 4,
+         "dataflow": "flat-r64"}
+_WORKLOAD = {
+    "name": "custom", "batch": 2, "heads": 4, "d_model": 64,
+    "seq_q": 32, "seq_kv": 32, "d_ff": 128, "num_blocks": 2,
+}
+
+
+class TestResolveMemo:
+    def test_repeat_returns_the_identical_query(self):
+        memo = Memo(8)
+        first = resolve_query(dict(_COST, id="a", deadline_ms=5), memo)
+        second = resolve_query(dict(_COST, id=7), memo)
+        assert second is first
+        assert (memo.hits, memo.misses, len(memo)) == (1, 1, 1)
+
+    def test_memoized_query_equals_a_full_resolution(self):
+        memo = Memo(8)
+        resolve_query(dict(_COST), memo)
+        assert resolve_query(dict(_COST), memo) == resolve_query(_COST)
+
+    @pytest.mark.parametrize("raw", [True, 1.0, "1"])
+    def test_json_types_never_collide(self, raw):
+        memo = Memo(8)
+        resolve_query({"op": "search", "model": "bert", "seq": 1}, memo)
+        with pytest.raises(ProtocolError, match="must be an integer"):
+            resolve_query({"op": "search", "model": "bert", "seq": raw}, memo)
+        assert memo.hits == 0
+
+    def test_negative_zero_is_not_zero(self):
+        memo = Memo(8)
+        base = {"op": "scaleout", "model": "bert", "seq": 512, "batch": 4,
+                "chips": 8}
+        zero = resolve_query(dict(base, hop_ns=0.0), memo)
+        assert resolve_query(dict(base, hop_ns=-0.0), memo) is not zero
+        assert memo.hits == 0
+
+    def test_an_error_is_never_memoized(self):
+        memo = Memo(8)
+        bad = {"op": "cost", "model": "bert"}
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match="needs 'dataflow'"):
+                resolve_query(dict(bad), memo)
+        assert (memo.hits, memo.misses, len(memo)) == (0, 2, 0)
+
+    def test_nested_objects_resolve_in_full(self):
+        memo = Memo(8)
+        req = {"op": "search", "workload": _WORKLOAD,
+               "accel": {"pe_rows": 8, "pe_cols": 8, "sg_bytes": 65536,
+                         "onchip_gbps": 100.0, "offchip_gbps": 25.0}}
+        expected = resolve_query(req)
+        first = resolve_query(req, memo)
+        second = resolve_query(req, memo)
+        assert first == second == expected and first is not second
+        assert (memo.hits, memo.misses, len(memo)) == (0, 2, 0)
+
+    @pytest.mark.parametrize("extra", [
+        {"note": "x" * 65}, {"note": 2 ** 64},
+        {f"f{i}": i for i in range(32)},
+    ])
+    def test_large_requests_are_never_kept(self, extra):
+        memo = Memo(8)
+        req = dict(_COST, **extra)
+        first = resolve_query(req, memo)
+        assert resolve_query(req, memo) == first
+        assert (memo.hits, len(memo)) == (0, 0)
+
+    def test_sweep_resolves_as_before(self):
+        memo = Memo(8)
+        req = {"op": "sweep", "requests": [
+            dict(_COST, dataflow=d) for d in ("base", "flat-r16", "base")
+        ]}
+        queries = resolve_sweep(req, memo)
+        assert queries == resolve_sweep(req)
+        assert queries[2] is queries[0]
+        assert (memo.hits, memo.misses, len(memo)) == (1, 2, 2)
+
+    def test_memo_is_bounded_least_recently_used(self):
+        memo = Memo(1)
+        resolve_query(dict(_COST), memo)
+        resolve_query(dict(_COST, dataflow="base"), memo)
+        resolve_query(dict(_COST), memo)
+        assert (memo.hits, memo.misses, len(memo)) == (0, 3, 1)
+        assert len(Memo(0)) == 0
+
+
+def _plain(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":"))
+            + "\n").encode()
+
+
+class TestSplicedEncoding:
+    PAYLOAD = {"total_cycles": 1.0 / 3.0, "name": "flat", "z": [1, 2],
+               "a": {"y": None, "x": True}}
+
+    @pytest.mark.parametrize("req_id", [
+        "q\u00e9\u4e2d\U0001f600", 7, -2.5, None, True, False,
+        [1, "a", None], {"z": 1, "a": [2], "m": {"b": 1, "a": 0}},
+    ])
+    def test_spliced_line_equals_the_plain_envelope(self, req_id):
+        answer = Encoded(self.PAYLOAD)
+        assert encode_line(ok_response(req_id, answer)) == _plain(
+            ok_response(req_id, self.PAYLOAD))
+
+    def test_sweep_envelope(self):
+        payloads = [self.PAYLOAD, dict(self.PAYLOAD, name="base")]
+        # Keys out of order: the splice sorts them as json.dumps does.
+        result = {"total": 2, "results": [Encoded(p) for p in payloads]}
+        plain = {"total": 2, "results": payloads}
+        assert encode_line(ok_response("s", result)) == _plain(
+            ok_response("s", plain))
+
+    def test_reads_as_its_payload(self):
+        answer = Encoded(self.PAYLOAD)
+        assert answer == self.PAYLOAD and self.PAYLOAD == answer
+        assert answer["name"] == "flat" and len(answer) == 4
+        assert answer == Encoded(dict(self.PAYLOAD))
 
 
 class TestPayloadEquivalence:

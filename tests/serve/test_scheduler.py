@@ -22,6 +22,7 @@ from repro.ops.attention import Scope
 from repro.serve.protocol import (
     DeadlineExceeded,
     Draining,
+    Encoded,
     Overloaded,
     ProtocolError,
     Query,
@@ -99,7 +100,8 @@ class TestCoalescing:
             return results, scheduler.stats()
 
         (results, stats), engine = run_scenario(scenario)
-        assert results[0] == results[1] == results[2]
+        assert results[0] is results[1] is results[2]
+        assert stats["encodings_reused"] == stats["coalesced"] == 2
         # One dispatched group with one unique query in it.
         assert len(engine.group_calls) == 1
         assert len(engine.group_calls[0]) == 1
@@ -160,8 +162,10 @@ class TestMemo:
 
         (first, second, stats), engine = run_scenario(scenario)
         assert first == second
+        assert second is first, "the memo stores one encoded answer"
         assert len(engine.group_calls) == 1
         assert stats["memo_hits"] == 1
+        assert stats["encodings_reused"] == 1
         assert stats["evaluations"] == 1
         assert_accounting_balances(stats)
 
@@ -209,7 +213,7 @@ class TestAdmissionControl:
 
         (results, stats), _ = run_scenario(scenario, config=config)
         shed = [r for r in results if isinstance(r, Overloaded)]
-        served = [r for r in results if isinstance(r, dict)]
+        served = [r for r in results if isinstance(r, Encoded)]
         assert len(shed) == 2 and len(served) == 2
         assert stats["shed"] == 2
         assert_accounting_balances(stats)
@@ -226,7 +230,7 @@ class TestAdmissionControl:
             return live, dead, scheduler.stats()
 
         (live, dead, stats), engine = run_scenario(scenario, config=config)
-        assert isinstance(live, dict)
+        assert isinstance(live, Encoded)
         assert isinstance(dead, DeadlineExceeded)
         assert stats["deadline_expired"] == 1
         # The expired query never reached the engine.
@@ -239,7 +243,7 @@ class TestAdmissionControl:
             return await scheduler.submit(cost_query(), deadline_s=30.0)
 
         result, _ = run_scenario(scenario)
-        assert isinstance(result, dict)
+        assert isinstance(result, Encoded)
 
 
 class TestFailures:
@@ -300,7 +304,7 @@ class TestDrain:
             return result, scheduler.stats()
 
         result, stats = asyncio.run(_main())
-        assert isinstance(result, dict)
+        assert isinstance(result, Encoded)
         assert stats["draining"] is True
         assert stats["evaluations"] == 1
 

@@ -56,7 +56,9 @@ class TestLifecycleAndOps:
         assert stats["protocol"] == PROTOCOL
         assert stats["draining"] is False
         for key in ("requests", "evaluations", "memo_hits", "coalesced",
-                    "grid_calls", "grid_rows", "shed", "deadline_expired"):
+                    "grid_calls", "grid_rows", "shed", "deadline_expired",
+                    "resolves", "resolve_hits", "resolve_misses",
+                    "encodings_reused"):
             assert key in stats["scheduler"], key
         assert set(stats["engine_lru"]) == {
             "entries", "maxsize", "hits", "misses",
@@ -287,6 +289,36 @@ class TestObservability:
                 if name.startswith("serve.op[")
             }
         assert counters == {"serve.op[ping]": 2, "serve.op[unknown]": 5}
+
+
+    def test_repeats_reuse_resolution_and_encoding(self):
+        from repro import obs
+
+        req = {"op": "cost", "model": "bert", "seq": 256, "batch": 2,
+               "dataflow": "flat-r8"}
+        requests = [dict(req, id=f"r{i}") for i in range(3)] + [
+            {"op": "sweep", "id": "s", "requests": [dict(req), dict(req)]},
+        ]
+        with obs.observed() as session:
+            with ServerThread(SchedulerConfig(window_ms=0.0)) as address:
+                with ServeClient(*address) as client:
+                    responses = [client.request(r) for r in requests]
+                    stats = client.stats()["scheduler"]
+            counters = {
+                name: data["value"]
+                for name, data in session.registry.snapshot().items()
+                if name.startswith(("serve.resolve_", "serve.encodings"))
+            }
+        assert [encode_line(r) for r in responses] == [
+            encode_line(answer_direct(r)) for r in requests
+        ]
+        assert stats["resolves"] == 5
+        assert (stats["resolve_hits"], stats["resolve_misses"]) == (4, 1)
+        assert stats["resolve_entries"] == 1
+        assert stats["encodings_reused"] == stats["memo_hits"] == 4
+        assert counters == {"serve.resolve_hits": 4,
+                            "serve.resolve_misses": 1,
+                            "serve.encodings_reused": 4}
 
 
 class TestShutdown:
