@@ -84,12 +84,24 @@ to ``cost_scope``'s and pickled to the same bytes — without running
 the scalar model.  The scalar model remains the reference the kernel
 mirrors, the path past the exactness ceiling, and the cheaper route for
 a single point (one ``cost_scope`` call beats a one-row grid call).
+
+What a call costs beyond its rows is kept small.  L2 tiles come from
+the memoized records of :func:`repro.core.tiling.tile_plan` (one
+``(tile, reuse passes)`` record per GEMM shape, budget and array, which
+the scalar model reads too), gathered once per distinct (tile shape,
+budget slot) code; the two L2 budgets are memoized per scratchpad and
+option set.  Per-tensor formulas are stacked calls of the shared cores:
+the L-A pair's four pass blends are one ``_blend_passes`` call on
+``(4, n)`` rows and its five phases one ``_phase_time`` call, and the
+operators' three blends one call on ``(3, operators, n)`` planes.  An
+L-A scope builds no operator list.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,7 +123,7 @@ from repro.core.perf import (
     partition_scratchpad,
     sg_stream_words,
 )
-from repro.core.tiling import ceil_div, choose_l2_tile, reuse_passes
+from repro.core.tiling import ceil_div, tile_plan
 from repro.energy.model import _PJ, ActivityCounts
 from repro.energy.tables import EnergyTable, default_table
 from repro.obs.metrics import active as _metrics_active
@@ -375,21 +387,40 @@ def _check_footprint(fp_bytes: "np.ndarray") -> None:
         )
 
 
+# From this many values on, _distinct's dense remap beats its dict.
+_DENSE_MIN = 128
+
+
 def _distinct(values: "np.ndarray") -> tuple:
     """``(keys, inverse)``: the distinct values as Python scalars, and
     each lane's index among them (``inverse`` has ``values``' shape).
 
-    A dict, not ``np.unique``: grids here have at most a few hundred
-    lanes (the engine caps a merged call at 256), where the dict is
-    faster below ~100 lanes and at most tens of microseconds slower
-    above, and it keeps the GIL
-    (``np.unique``'s sort releases it, and a thread that hands the GIL
-    over mid-call can wait out a whole switch interval to get it back —
-    the serve daemon's executor threads share it with the event loop).
+    From :data:`_DENSE_MIN` int64 values on, when they span a range no
+    wider than a few times their count (tile codes of stacked
+    operators, budget slots), a dense remap: a presence table over the
+    range, whose running count numbers the keys in ascending order
+    (~13 us flat, against ~0.12 us per value for the dict).  Fewer,
+    wider or non-int64 values (iteration spaces, Python-int columns)
+    go through a dict in first-seen order.  Callers gather by
+    ``inverse``, so the key order does not matter.  Neither route
+    sorts: ``np.unique``'s sort releases the GIL, and a thread that
+    hands the GIL over mid-call can wait out a whole switch interval to
+    get it back — the serve daemon's executor threads share it with the
+    event loop.
     """
+    flat = values.ravel()
+    if flat.dtype == np.int64 and flat.size >= _DENSE_MIN:
+        lo = int(flat.min())
+        span = int(flat.max()) - lo + 1
+        if span <= 4 * flat.size + 64:
+            offset = flat - lo
+            present = np.zeros(span, dtype=bool)
+            present[offset] = True
+            rank = np.cumsum(present, dtype=np.intp) - 1
+            return ((np.flatnonzero(present) + lo).tolist(),
+                    rank[offset].reshape(values.shape))
     index: dict = {}
-    inverse = [index.setdefault(v, len(index))
-               for v in values.ravel().tolist()]
+    inverse = [index.setdefault(v, len(index)) for v in flat.tolist()]
     return (list(index),
             np.asarray(inverse, dtype=np.intp).reshape(values.shape))
 
@@ -419,6 +450,23 @@ def _traffic_sum(x_staged, x_float, x_int, y_staged, y_float, y_int):
     return np.where(x_staged | y_staged, x + y, (x_int + y_int).astype(float))
 
 
+class _Scratchpad(NamedTuple):
+    """What ``partition_scratchpad`` reads of an accelerator."""
+
+    sg_bytes: int
+    bytes_per_element: int
+
+
+@lru_cache(maxsize=64)
+def _l2_budgets(scratchpad: _Scratchpad, options: PerfOptions) -> tuple:
+    """``partition_scratchpad``'s staging-idle and staging-active L2
+    budgets, once per scratchpad and option set."""
+    return (partition_scratchpad(0, False, scratchpad, options)
+            .l2_budget_elements,
+            partition_scratchpad(1, True, scratchpad, options)
+            .l2_budget_elements)
+
+
 def _l2_budget_slots(budget, accel: Accelerator,
                      options: PerfOptions) -> tuple:
     """The two L2 budgets of ``partition_scratchpad`` and each lane's slot.
@@ -428,10 +476,8 @@ def _l2_budget_slots(budget, accel: Accelerator,
     most two entries per tile shape.  When both budgets coincide every
     lane reads slot 1, which holds the same value.
     """
-    values = (partition_scratchpad(0, False, accel, options)
-              .l2_budget_elements,
-              partition_scratchpad(1, True, accel, options)
-              .l2_budget_elements)
+    values = _l2_budgets(
+        _Scratchpad(accel.sg_bytes, accel.bytes_per_element), options)
     slots = (budget.l2_budget_elements == values[1]).astype(np.int64)
     return values, slots
 
@@ -439,15 +485,51 @@ def _l2_budget_slots(budget, accel: Accelerator,
 def _tile_luts(codes: "np.ndarray", build) -> List["np.ndarray"]:
     """Gather ``build(code)`` records out to the lanes of ``codes``.
 
-    ``choose_l2_tile``/``reuse_passes`` are scalar (and lru-cached); a
-    grid has only a handful of distinct tile keys per workload, so the
-    tile search runs once per distinct code and gathers back out to all
-    lanes.
+    ``build`` reads the memoized scalar :func:`~repro.core.tiling.tile_plan`
+    records of one distinct code; a grid has only a handful of distinct
+    tile keys per workload, so it runs once per distinct code and
+    gathers back out to all lanes.
     """
     keys, inverse = _distinct(codes)
     records = [build(code) for code in keys]
     return [np.asarray([rec[j] for rec in records])[inverse]
             for j in range(len(records[0]))]
+
+
+def _la_tiles(r: "np.ndarray", shape_of, shapes: Sequence[Tuple[int, int]],
+              slot: "np.ndarray", l2_values: tuple,
+              accel: Accelerator) -> List["np.ndarray"]:
+    """The L-A pair's tile columns ``(l_lhs, l_rhs, a_rhs, ko_a,
+    warmup_cap)``: the L stage's lhs and rhs passes, the A stage's rhs
+    passes and temporal k split, and the warm-up cap of both tiles in
+    bytes.
+
+    One record per (rows, ``shapes[shape_of]`` = (seq_kv, d_head), L2
+    budget slot) code; ``shape_of`` is each lane's shape index, or 0
+    when ``shapes`` has one entry.  The model and the engine's bound
+    read the same records.
+    """
+    e = accel.bytes_per_element
+    rows_pe, cols_pe = accel.pe_array.rows, accel.pe_array.cols
+    n_shapes = len(shapes)
+
+    def build(code):
+        rest, l2 = code >> 1, l2_values[code & 1]
+        r_i, (nkv, dk) = rest // n_shapes, shapes[rest % n_shapes]
+        plan_l = tile_plan(r_i, dk, nkv, l2, rows_pe, cols_pe)
+        plan_a = tile_plan(r_i, nkv, dk, l2, rows_pe, cols_pe)
+        return (
+            plan_l.lhs_passes,
+            plan_l.rhs_passes,
+            plan_a.rhs_passes,
+            ceil_div(nkv, plan_a.tk),
+            float(
+                (plan_l.footprint_elements()
+                 + plan_a.footprint_elements()) * e
+            ),
+        )
+
+    return _tile_luts((r * n_shapes + shape_of) * 2 + slot, build)
 
 
 # ----------------------------------------------------------------------
@@ -565,36 +647,14 @@ def _evaluate_la_pair(
     n_pass_f = n_pass.astype(float)
 
     l2_values, slot = _l2_budget_slots(budget, accel, options)
-
-    # One tile record per (rows, (seq_kv, d_head), L2 budget slot).
     shapes: dict = {}
     shape_of = [shapes.setdefault((cfg.seq_kv, cfg.d_head), len(shapes))
                 for cfg in w.configs]
-    shape_list = list(shapes)
-    n_shapes = len(shape_list)
-
-    def build(code):
-        rest, l2_i = code >> 1, l2_values[code & 1]
-        r_i, (nkv_i, dk_i) = rest // n_shapes, shape_list[rest % n_shapes]
-        tile_l = choose_l2_tile(r_i, dk_i, nkv_i, l2_i, rows_pe, cols_pe)
-        tile_a = choose_l2_tile(r_i, nkv_i, dk_i, l2_i, rows_pe, cols_pe)
-        passes_l = reuse_passes(r_i, dk_i, nkv_i, tile_l)
-        passes_a = reuse_passes(r_i, nkv_i, dk_i, tile_a)
-        return (
-            passes_l.lhs_passes,
-            passes_l.rhs_passes,
-            passes_a.rhs_passes,
-            ceil_div(nkv_i, tile_a.tk),
-            float(
-                (tile_l.footprint_elements() + tile_a.footprint_elements())
-                * e
-            ),
-        )
-
-    key = f.r if n_shapes == 1 else (
-        f.r * n_shapes + np.asarray(shape_of, dtype=np.int64)[w.lane])
-    l_lhs, l_rhs, a_rhs, ko_a, warmup_cap = _tile_luts(key * 2 + slot,
-                                                       build)
+    if len(shapes) > 1:
+        shape_of = np.asarray(shape_of, dtype=np.int64)[w.lane]
+    l_lhs, l_rhs, a_rhs, ko_a, warmup_cap = _la_tiles(
+        f.r, shape_of if len(shapes) > 1 else 0, list(shapes), slot,
+        l2_values, accel)
 
     fit_int, fit_k, fit_v, fit_q, fit_out = _allocate_staging(
         [
@@ -607,16 +667,18 @@ def _evaluate_la_pair(
         budget.staging_budget_bytes,
     )
 
-    extra = options.spill_extra_pass_only
     q_on, k_on, v_on = staged & f.s_lhs, staged & f.s_rhs, staged & f.s_rhs2
     k_l2 = row_passes * l_rhs
     v_l2 = row_passes * a_rhs
-    q_mult = _blend_passes(q_on, fit_q, l_lhs, extra)
-    k_mult = _blend_passes(k_on, fit_k, k_l2, extra)
-    v_mult = _blend_passes(v_on, fit_v, v_l2, extra)
-    out_mult = _blend_passes(
-        staged & f.s_out, fit_out,
-        _psum_passes_from_ko(ko_a, f.is_output).astype(float), extra,
+    # One blend over the Q, K, V and output rows.  Stacked as floats,
+    # the small int pass counts convert exactly, as a lone blend of an
+    # int row converts them.
+    q_mult, k_mult, v_mult, out_mult = _blend_passes(
+        np.stack([q_on, k_on, v_on, staged & f.s_out]),
+        np.stack([fit_q, fit_k, fit_v, fit_out]),
+        np.stack([l_lhs, k_l2, v_l2,
+                  _psum_passes_from_ko(ko_a, f.is_output)]).astype(float),
+        options.spill_extra_pass_only,
     )
     int_offchip = np.where(staged & f.s_int, 1.0 - fit_int, 1.0)
 
@@ -671,20 +733,31 @@ def _evaluate_la_pair(
         np.maximum(compute, sm_fused),
         compute + sm_fused,
     )
-    fused_steady = _phase_time(
-        fused_busy, fused_dram_main, fused_sg, accel,
-    ) + _phase_time(0.0, 2.0 * int_spill, 0.0, accel)
     fused_dram = fused_dram_main + 2.0 * int_spill
 
     # Unfused: three serial phases (L, softmax, A).
     unf_dram_l = dram_l_inputs + int_cold * int_offchip
     unf_dram_sm = 2.0 * int_cold * int_offchip
     unf_dram_a = dram_a_inputs + int_cold * int_offchip
-    unf_steady = (
-        _phase_time(compute_l, unf_dram_l, sg_base_l + int_cold, accel)
-        + _phase_time(softmax_cycles, unf_dram_sm, 0.0, accel)
-    ) + _phase_time(compute_a, unf_dram_a, sg_base_a + int_cold, accel)
     unf_dram = (unf_dram_l + unf_dram_sm) + unf_dram_a
+
+    # Every phase of both executions in one call, one row each: the
+    # fused phase and its spill phase, then the unfused L, softmax and
+    # A phases.  Each (busy, DRAM, SG) term is already a float, so a
+    # row holds the values the lone calls took.
+    phases = np.empty((3, 5, len(f)))
+    for j, terms in enumerate((
+        (fused_busy, fused_dram_main, fused_sg),
+        (0.0, 2.0 * int_spill, 0.0),
+        (compute_l, unf_dram_l, sg_base_l + int_cold),
+        (softmax_cycles, unf_dram_sm, 0.0),
+        (compute_a, unf_dram_a, sg_base_a + int_cold),
+    )):
+        for i, term in enumerate(terms):
+            phases[i, j] = term
+    times = _phase_time(phases[0], phases[1], phases[2], accel)
+    fused_steady = times[0] + times[1]
+    unf_steady = (times[2] + times[3]) + times[4]
     unf_sg = (sg_base_l + int_cold) + (sg_base_a + int_cold)
 
     steady = np.where(f.fused, fused_steady, unf_steady)
@@ -796,28 +869,28 @@ def _evaluate_operators(
 
     def build(code):
         (m_i, k_i, n_i), l2_i = shape_list[code >> 1], l2_values[code & 1]
-        tile = choose_l2_tile(m_i, k_i, n_i, l2_i, rows_pe, cols_pe)
-        passes = reuse_passes(m_i, k_i, n_i, tile)
+        plan = tile_plan(m_i, k_i, n_i, l2_i, rows_pe, cols_pe)
         return (
-            passes.lhs_passes,
-            passes.rhs_passes,
-            passes.out_passes,
-            ceil_div(k_i, tile.tk),
-            float(tile.footprint_elements() * e),
+            plan.lhs_passes,
+            plan.rhs_passes,
+            plan.out_passes,
+            ceil_div(k_i, plan.tk),
+            float(plan.footprint_elements() * e),
         )
 
     lhs_p, rhs_p, out_p, ko, warmup_cap = _tile_luts(
         shape_index * 2 + slot, build)
     out_l2 = _psum_passes_from_ko(ko, f.is_output)
 
-    fit = budget.fit_fraction
-    extra = options.spill_extra_pass_only
-    lhs_mult = _blend_passes(f.o_lhs, fit, lhs_p, extra)
     # Weights are re-streamed once per instance pass unless staged.
     rhs_l2 = np.where(is_weight, rhs_p * inst_passes, rhs_p)
-    rhs_mult = _blend_passes(f.o_rhs, fit, rhs_l2, extra)
-    out_mult = _blend_passes(
-        f.o_out, fit, np.maximum(out_p, out_l2).astype(float), extra
+    # One blend over the lhs, rhs and output planes, as in the L-A pair
+    # (the small int pass counts stack as exact floats).
+    lhs_mult, rhs_mult, out_mult = _blend_passes(
+        np.stack([f.o_lhs, f.o_rhs, f.o_out])[:, None],
+        budget.fit_fraction,
+        np.stack([lhs_p, rhs_l2, np.maximum(out_p, out_l2)]).astype(float),
+        options.spill_extra_pass_only,
     )
 
     dram_words = _traffic_sum(
@@ -1014,14 +1087,26 @@ class GridLanes:
         )
 
 
-def _scope_plan(ops: Sequence[GemmOperator],
+def _la_stage_macs(cfg: AttentionConfig) -> int:
+    """MACs of each stage of the L-A pair (A has L's MAC count)."""
+    return cfg.batch * cfg.heads * cfg.seq_q * cfg.seq_kv * cfg.d_head
+
+
+def _scope_plan(cfg: AttentionConfig, scope: Scope,
                 e: int) -> Tuple[Tuple[Optional[int], ...],
                                  List[GemmOperator]]:
     """A scope's cost rows in execution order, and its non-L-A operators.
 
     ``None`` is the L-A pair, an int is a row of the stacked non-L-A
     operators.  Raises :class:`BatchFallback` past the int64 headroom.
+    The L-A scope is the pair alone, read off the config without
+    building its operator list.
     """
+    if scope is Scope.LA:
+        if _la_stage_macs(cfg) * e >= _MAX_INT64_MAC_BYTES:
+            raise BatchFallback("operator exceeds the int64 headroom")
+        return (None,), []
+    ops = operators_for_scope(cfg, scope)
     plan: List[Optional[int]] = []
     others: List[GemmOperator] = []
     i = 0
@@ -1100,7 +1185,7 @@ def evaluate_grid(
         registry.histogram("batch.grid_segments").observe(segments)
 
     e = accel.bytes_per_element
-    plans = [_scope_plan(operators_for_scope(c, scope), e) for c in configs]
+    plans = [_scope_plan(c, scope, e) for c in configs]
     plan = plans[0][0]
     if any(p != plan for p, _ in plans):
         raise ValueError("grid workloads must share one operator plan")

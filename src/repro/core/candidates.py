@@ -28,9 +28,10 @@ Four pieces:
   fusion can only add serialized spill terms, and the compute floor is
   shared family-wide — so a family whose bound exceeds the incumbent
   provably contains no winner.  A plan bounds all of the table's
-  families in one array pass (:func:`repro.core.engine.bound_table`
-  over :func:`bound_rows`, read off the family fields); the table
-  already holds their sizes and offsets.
+  families in one array pass (:func:`family_bounds`: the
+  :func:`bound_rows` of every family as columns, memoized per query
+  length and space by :func:`family_columns`); the table already holds
+  their sizes and offsets.
 * **Footprint inversion** (:func:`feasible_row_interval`) — Table 2's
   R-granularity footprint is affine in the row count, so the largest
   fully resident FLAT-R tile for a given buffer is exact integer
@@ -55,7 +56,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,6 +80,7 @@ from repro.core.dse import (
     _toggles,
     enumerate_families,
     family_size,
+    query_families,
 )
 from repro.core.footprint import invert_r_gran_rows
 from repro.core.perf import PerfOptions, partition_scratchpad
@@ -90,6 +92,8 @@ __all__ = [
     "make_incumbent",
     "plan_candidates",
     "bound_rows",
+    "family_bounds",
+    "family_columns",
     "family_lower_bound",
     "feasible_row_interval",
     "SpaceTable",
@@ -183,6 +187,90 @@ def _family_flags(family: DataflowFamily, allow_unfused: bool,
                else StagingPolicy.all_disabled())
     return bound_flags(fused, staging, family.variant, family.stationarity,
                        staged and allow_fused)
+
+
+# Each family's cross-tile rule (see _family_tile): the whole workload,
+# one batch, one batch and head, or R rows of one batch and head.
+_TILE_RULE = {None: 0, Granularity.M: 0, Granularity.B: 1,
+              Granularity.H: 2, Granularity.R: 3}
+
+
+class FamilyColumns(NamedTuple):
+    """A space's families on one query length, and the columns their
+    bound rows are made of: each family's cross-tile rule and R row
+    count (0 outside R), and its 13 :func:`_family_flags` as rows of
+    ``flags``."""
+
+    families: Tuple[DataflowFamily, ...]
+    rule: "np.ndarray"
+    rows: "np.ndarray"
+    flags: "np.ndarray"
+
+
+@lru_cache(maxsize=128)
+def family_columns(seq_q: int, space: SearchSpace) -> FamilyColumns:
+    """The :class:`FamilyColumns` of ``space`` on query length ``seq_q``.
+
+    Memoized: families and flags depend on nothing else of a workload,
+    so every plan and every shard of one query length reads them once.
+    """
+    families = tuple(query_families(seq_q, space))
+    unfused, fused = space.allow_unfused, space.allow_fused
+    columns = FamilyColumns(
+        families=families,
+        rule=np.array([_TILE_RULE[f.granularity] for f in families],
+                      dtype=np.int64),
+        rows=np.array([f.rows or 0 for f in families], dtype=np.int64),
+        flags=np.array([_family_flags(f, unfused, fused)
+                        for f in families], dtype=bool).reshape(-1, 13).T,
+    )
+    for array in columns[1:]:
+        array.flags.writeable = False
+    return columns
+
+
+def family_bounds(
+    objective: Objective,
+    scope: Scope,
+    accel: Accelerator,
+    configs: Sequence[AttentionConfig],
+    space: SearchSpace = SearchSpace(),
+    options: PerfOptions = PerfOptions(),
+    energy_table: Optional[EnergyTable] = None,
+) -> Tuple["np.ndarray", List[int]]:
+    """Every family's bound on each workload of ``configs``, workload
+    after workload, and each workload's family count.
+
+    One :func:`repro.core.engine.bound_table` pass over the
+    :func:`bound_rows` of all of them, as columns assembled from the
+    memoized :func:`family_columns`: the cross tiles are
+    :func:`_family_tile` evaluated as arrays, and no row is built in
+    Python.
+    """
+    from repro.core.engine import BoundColumns, bound_table
+
+    parts = [family_columns(cfg.seq_q, space) for cfg in configs]
+    counts = [len(p.families) for p in parts]
+    if not all(counts):
+        raise ValueError("search space is empty")
+    workload = np.repeat(np.arange(len(configs)), counts)
+    batch, heads, seq_q = np.array(
+        [(cfg.batch, cfg.heads, cfg.seq_q) for cfg in configs],
+        dtype=np.int64)[workload].T
+    if len(parts) == 1:
+        rule, r_rows, flags = parts[0].rule, parts[0].rows, parts[0].flags
+    else:
+        rule = np.concatenate([p.rule for p in parts])
+        r_rows = np.concatenate([p.rows for p in parts])
+        flags = np.concatenate([p.flags for p in parts], axis=1)
+    tiles = np.stack([
+        np.where(rule == 0, batch, np.minimum(1, batch)),
+        np.where(rule <= 1, heads, np.minimum(1, heads)),
+        np.where(rule == 3, np.minimum(r_rows, seq_q), seq_q),
+    ])
+    columns = BoundColumns(tuple(configs), workload, tiles, flags)
+    return bound_table(objective, scope, accel, columns, options,
+                       energy_table), counts
 
 
 def bound_rows(
@@ -286,18 +374,17 @@ def plan_candidates(
     """Admissible bounds of ``table.families`` on ``cfg``, in order.
 
     Plans a search without expanding a single candidate: one
-    :func:`repro.core.engine.bound_table` call over the families'
-    :func:`bound_rows` — every family's closed-form bound in one array
-    pass.  ``table`` is the space's :class:`SpaceTable` on ``cfg``'s
-    shape; its sizes and offsets place each family's members.
+    :func:`family_bounds` call over the families' memoized columns —
+    every family's closed-form bound in one array pass.  ``table`` is
+    the space's :class:`SpaceTable` on ``cfg``'s shape; its sizes and
+    offsets place each family's members.
     """
-    from repro.core.engine import bound_table
 
     if objective is Objective.FOOTPRINT:
         raise ValueError("FOOTPRINT searches have no candidate bounds")
-    return tuple(bound_table(objective, scope, accel,
-                             bound_rows(cfg, table.families, table.space),
-                             options, energy_table).tolist())
+    bounds, _ = family_bounds(objective, scope, accel, [cfg], table.space,
+                              options, energy_table)
+    return tuple(bounds.tolist())
 
 
 # ----------------------------------------------------------------------

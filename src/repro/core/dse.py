@@ -292,10 +292,18 @@ def enumerate_families(
     (compute efficiency, K/V streaming passes, intermediate residency)
     varies with the row count.
     """
+    return query_families(cfg.seq_q, space)
+
+
+def query_families(
+    seq_q: int, space: SearchSpace = SearchSpace()
+) -> Iterator[DataflowFamily]:
+    """:func:`enumerate_families` on any workload of query length
+    ``seq_q``: the families depend on nothing else of it."""
     rows = (
         space.row_choices
         if space.row_choices is not None
-        else _default_row_choices(cfg.seq_q)
+        else _default_row_choices(seq_q)
     )
     for stat in space.stationarities:
         if space.allow_unfused and space.include_plain_base:

@@ -119,8 +119,9 @@ from repro.core.batch import (
     GridRows,
     _GridFeatures,
     _l2_budget_slots,
+    _la_stage_macs,
+    _la_tiles,
     _per_value,
-    _tile_luts,
     evaluate_grid,
 )
 from repro.core.cache import PersistentCache, get_default_cache
@@ -147,13 +148,14 @@ from repro.core.perf import (
     PerfOptions,
     ScopeCost,
     _compute_cycles_from_eff,
+    _psum_passes_from_ko,
     _strict_axis_eff,
     _warmup_cycles,
     cost_scope,
     partition_scratchpad,
     sg_stream_words,
 )
-from repro.core.tiling import ceil_div, choose_l2_tile, reuse_passes
+from repro.core.tiling import ceil_div
 from repro.energy.model import ActivityCounts, energy_report
 from repro.energy.tables import EnergyTable
 from repro.obs.metrics import active as _metrics_active
@@ -169,6 +171,7 @@ __all__ = [
     "run_searches",
     "accelerator_fingerprint",
     "bound_table",
+    "BoundColumns",
     "bound_flags",
     "dataflow_bound_row",
     "cycles_lower_bound",
@@ -525,6 +528,9 @@ _SOURCE_METRIC = {
 # docs/search_engine.md).
 _MERGE_LANE_LIMIT = 256
 
+# The operator kinds of the L-A scope, as operators_for_scope lists them.
+_LA_KINDS = (OperatorKind.LOGIT, OperatorKind.ATTEND)
+
 
 def _merge_group(cfg: AttentionConfig, scope: Scope, options: PerfOptions,
                  accel: Accelerator, accel_fp: tuple) -> Optional[tuple]:
@@ -536,11 +542,15 @@ def _merge_group(cfg: AttentionConfig, scope: Scope, options: PerfOptions,
     Lanes merge when they share the scope, the model options, the
     accelerator and the scope's operator kinds (one operator plan).
     """
-    ops = operators_for_scope(cfg, scope)
-    if (max(op.macs for op in ops) * accel.bytes_per_element
-            >= _MAX_INT64_MAC_BYTES):
+    if scope is Scope.LA:
+        # The pair is the whole scope: no operator list to build.
+        macs, kinds = _la_stage_macs(cfg), _LA_KINDS
+    else:
+        ops = operators_for_scope(cfg, scope)
+        macs, kinds = max(op.macs for op in ops), tuple(op.kind for op in ops)
+    if macs * accel.bytes_per_element >= _MAX_INT64_MAC_BYTES:
         return None
-    return (scope, options, accel_fp, tuple(op.kind for op in ops))
+    return (scope, options, accel_fp, kinds)
 
 
 @dataclass(frozen=True)
@@ -642,6 +652,25 @@ def _scope_static_bound(
 BoundRow = Tuple[AttentionConfig, Tuple[int, int, int], Tuple[bool, ...]]
 
 
+@dataclass(frozen=True, eq=False)
+class BoundColumns:
+    """Bound rows (:data:`BoundRow`) as columns, the form :func:`bound_table`
+    computes on: row ``i`` is bounded on ``configs[workload[i]]`` with
+    cross tile ``tiles[:, i]`` (``b_t, h_t, r``; int64) and the
+    :func:`bound_flags` ``flags[:, i]`` (bool).  The family rows of a
+    search space come this way from their memo
+    (:func:`repro.core.candidates.family_bounds`), with no per-row
+    Python."""
+
+    configs: Tuple[AttentionConfig, ...]
+    workload: np.ndarray
+    tiles: np.ndarray
+    flags: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.workload.shape[0])
+
+
 def bound_flags(fused: bool, staging: StagingPolicy,
                 variant: AttentionVariant, stationarity: Stationarity,
                 may_fuse: bool) -> Tuple[bool, ...]:
@@ -730,7 +759,7 @@ def bound_table(
     objective: Objective,
     scope: Scope,
     accel: Accelerator,
-    rows: Sequence[BoundRow],
+    rows: "Sequence[BoundRow] | BoundColumns",
     options: PerfOptions = PerfOptions(),
     energy_table: Optional[EnergyTable] = None,
 ) -> np.ndarray:
@@ -740,8 +769,9 @@ def bound_table(
     its own workload, so one call covers every family of a plan or
     every family of every distinct shard of a partition grid.  A
     family's row comes straight from its fields
-    (:func:`repro.core.candidates.bound_rows`), a dataflow's from
-    :func:`dataflow_bound_row`.  The bound of a row is
+    (:func:`repro.core.candidates.bound_rows`, or as
+    :class:`BoundColumns` from the memoized family columns), a
+    dataflow's from :func:`dataflow_bound_row`.  The bound of a row is
     a roofline over floors the L-A pair can never beat, sharing the
     model's own closed forms — the L2 tile choice, the staging-budget
     split, the reuse-pass counts and the warm-up arithmetic are the
@@ -782,7 +812,8 @@ def bound_table(
     Every lane performs the scalar formulas' operations on their
     operand types, so each bound is the one a per-row Python evaluation
     gives, bit for bit: workload-level terms are computed in Python,
-    tile choices go through :func:`~repro.core.batch._tile_luts` and
+    tile choices are the model's own records
+    (:func:`~repro.core.batch._la_tiles`) and
     the int / int mapping efficiencies through
     :func:`~repro.core.batch._per_value`.  Integer columns are int64;
     when a workload reaches the int64 headroom (``macs *
@@ -792,29 +823,33 @@ def bound_table(
     """
     if objective is Objective.FOOTPRINT:
         raise ValueError("FOOTPRINT objective has no candidate bound")
-    if not rows:
+    if not len(rows):
         raise ValueError("bound_table needs at least one row")
-    configs: dict = {}  # workload -> index
-    index_rows = []
-    flag_rows = []
-    last = ci = None
-    for cfg, tile, flags in rows:
-        if cfg is not last:  # rows usually come grouped by workload
-            ci = configs.setdefault(cfg, len(configs))
-            last = cfg
-        index_rows.append((ci,) + tile)
-        flag_rows.append(flags)
+    if not isinstance(rows, BoundColumns):
+        configs: dict = {}  # workload -> index
+        index_rows = []
+        flag_rows = []
+        last = ci = None
+        for cfg, tile, flags in rows:
+            if cfg is not last:  # rows usually come grouped by workload
+                ci = configs.setdefault(cfg, len(configs))
+                last = cfg
+            index_rows.append((ci,) + tile)
+            flag_rows.append(flags)
+        ci, b_t, h_t, r = np.array(index_rows, dtype=np.int64).T
+        rows = BoundColumns(tuple(configs), ci, np.stack([b_t, h_t, r]),
+                            np.array(flag_rows, dtype=bool).T)
 
     e = accel.bytes_per_element
     rows_pe, cols_pe = accel.pe_array.rows, accel.pe_array.cols
-    cfg_list = list(configs)
+    cfg_list = rows.configs
+    ci = rows.workload
     terms = [_config_terms(cfg, scope, accel) for cfg in cfg_list]
     wide = any(t[0][5] * e >= _MAX_INT64_MAC_BYTES for t in terms)
     idt = object if wide else np.int64
-    ci, b_t, h_t, r = np.array(index_rows, dtype=idt).T
-    ci = ci.astype(np.int64)
+    b_t, h_t, r = rows.tiles.astype(idt, copy=False)
     (fused, s_lhs, s_rhs, s_rhs2, s_out, s_int, s_any, v_flash, v_pipe,
-     output, weight, inputs, may_fuse) = np.array(flag_rows, dtype=bool).T
+     output, weight, inputs, may_fuse) = rows.flags
     (b, h, nq, nkv, dk, macs_l, int_cold, q_cold, k_cold,
      replication) = np.array([t[0] for t in terms], dtype=idt)[ci].T
     (softmax, flashd, sg_fused, sg_unfused, static_cycles, static_dram,
@@ -834,37 +869,16 @@ def bound_table(
         ceil_div(b, b_t) * ceil_div(h, h_t) * row_passes
     ).astype(float)
 
-    # One tile record per (rows, seq_kv, d_head, L2 budget slot).
+    # The model's tile records (batch._la_tiles), one per (rows,
+    # seq_kv, d_head, L2 budget slot).
     l2_values, slot = _l2_budget_slots(budget, accel, options)
     shapes: dict = {}
     shape_of = np.array(
         [shapes.setdefault((cfg.seq_kv, cfg.d_head), len(shapes))
          for cfg in cfg_list], dtype=np.int64,
     )[ci]
-    shape_list = list(shapes)
-    n_shapes = len(shape_list)
-
-    def build(code):
-        rest, l2_i = code >> 1, l2_values[code & 1]
-        r_i, (nkv_i, dk_i) = rest // n_shapes, shape_list[rest % n_shapes]
-        tile_l = choose_l2_tile(r_i, dk_i, nkv_i, l2_i, rows_pe, cols_pe)
-        tile_a = choose_l2_tile(r_i, nkv_i, dk_i, l2_i, rows_pe, cols_pe)
-        passes_l = reuse_passes(r_i, dk_i, nkv_i, tile_l)
-        passes_a = reuse_passes(r_i, nkv_i, dk_i, tile_a)
-        return (
-            passes_l.lhs_passes,
-            passes_l.rhs_passes,
-            passes_a.rhs_passes,
-            passes_a.out_passes,
-            float(
-                (tile_l.footprint_elements() + tile_a.footprint_elements())
-                * e
-            ),
-        )
-
-    l_lhs, l_rhs, a_rhs, a_out, warmup_cap = _tile_luts(
-        (r * n_shapes + shape_of) * 2 + slot, build
-    )
+    l_lhs, l_rhs, a_rhs, ko_a, warmup_cap = _la_tiles(
+        r, shape_of, list(shapes), slot, l2_values, accel)
 
     # Each tensor's fit if it alone were granted the whole staging
     # budget (for the intermediate, its fit under the exact budget
@@ -885,7 +899,7 @@ def bound_table(
         l_lhs,
         row_passes * l_rhs,
         row_passes * a_rhs,
-        np.where(output, 1, a_out),
+        _psum_passes_from_ko(ko_a, output),
     ])
     if options.spill_extra_pass_only:
         blend = fit_max * 1.0 + (1.0 - fit_max) * 2.0

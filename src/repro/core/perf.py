@@ -38,7 +38,7 @@ import numpy as _np
 from repro.arch.accelerator import Accelerator
 from repro.core.dataflow import AttentionVariant, Dataflow, Stationarity
 from repro.core.footprint import fused_la_footprint, operator_l3_footprint
-from repro.core.tiling import L2Tile, ceil_div, choose_l2_tile, reuse_passes
+from repro.core.tiling import TilePlan, ceil_div, tile_plan
 from repro.energy.model import ActivityCounts
 from repro.ops.attention import AttentionConfig, Scope, operators_for_scope
 from repro.ops.operator import GemmOperator, OperatorKind
@@ -289,7 +289,8 @@ def _compute_cycles_from_eff(macs, eff, tile_switches, accel, options):
     return macs / (accel.peak_macs_per_cycle * eff) + switches * fill
 
 
-def _psum_out_passes(k: int, tile: L2Tile, stationarity: Stationarity) -> int:
+def _psum_out_passes(k: int, tile: TilePlan,
+                     stationarity: Stationarity) -> int:
     """Output read-modify-write passes due to partial-sum spilling.
 
     With an output-stationary array the accumulator lives in the PE for
@@ -618,12 +619,11 @@ def cost_operator(
     total_inst = op.instances
     n_pass = ceil_div(total_inst, inst_per_pass) * ceil_div(op.m, r)
 
-    tile = choose_l2_tile(
+    passes = tile_plan(
         r, op.k, op.n, budget.l2_budget_elements,
         accel.pe_array.rows, accel.pe_array.cols,
     )
-    passes = reuse_passes(r, op.k, op.n, tile)
-    out_l2_passes = _psum_out_passes(op.k, tile, dataflow.stationarity)
+    out_l2_passes = _psum_out_passes(op.k, passes, dataflow.stationarity)
 
     s = dataflow.staging
     fit = budget.fit_fraction
@@ -677,7 +677,7 @@ def cost_operator(
         footprint_bytes=footprint.total_bytes(e),
         n_pass=float(n_pass),
         fused=False,
-        warmup_cap_bytes=float(tile.footprint_elements() * e),
+        warmup_cap_bytes=float(passes.footprint_elements() * e),
         accel=accel,
         options=options,
     )
@@ -757,16 +757,14 @@ def cost_la_pair(
     n_pass = ceil_div(b, b_t) * ceil_div(h, h_t) * row_passes
 
     # L2 tiles for each stage's per-pass GEMM.
-    tile_l = choose_l2_tile(
+    passes_l = tile_plan(
         r, dk, nkv, budget.l2_budget_elements,
         accel.pe_array.rows, accel.pe_array.cols,
     )
-    tile_a = choose_l2_tile(
+    passes_a = tile_plan(
         r, nkv, dk, budget.l2_budget_elements,
         accel.pe_array.rows, accel.pe_array.cols,
     )
-    passes_l = reuse_passes(r, dk, nkv, tile_l)
-    passes_a = reuse_passes(r, nkv, dk, tile_a)
 
     s = dataflow.staging
     staged = dataflow.has_l3
@@ -809,7 +807,7 @@ def cost_la_pair(
     )
     out_mult = _blend_passes(
         staged and s.out, fit_out,
-        float(_psum_out_passes(nkv, tile_a, dataflow.stationarity)),
+        float(_psum_out_passes(nkv, passes_a, dataflow.stationarity)),
         extra,
     )
     # The intermediate: on-chip when staged and fitting.
@@ -888,7 +886,7 @@ def cost_la_pair(
         ]
 
     warmup_cap = float(
-        (tile_l.footprint_elements() + tile_a.footprint_elements()) * e
+        (passes_l.footprint_elements() + passes_a.footprint_elements()) * e
     )
     return _assemble(
         name=f"{cfg.name}.logit+attend[{dataflow.name}]",
@@ -947,6 +945,10 @@ def cost_scope(
         else:
             other_dataflow = la_dataflow
 
+    if scope is Scope.LA:
+        # The pair is the whole scope: no operator list to build.
+        return ScopeCost(operator_costs=[
+            cost_la_pair(cfg, la_dataflow, accel, options)])
     ops = operators_for_scope(cfg, scope)
     costs: List[OperatorCost] = []
     i = 0

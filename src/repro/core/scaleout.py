@@ -25,8 +25,8 @@ The outer bound is admissible by construction:
 
 * **compute floor** — min over dataflow families of the family bound
   on the sharded workload: no per-chip dataflow beats the best family
-  floor.  One :func:`repro.core.engine.bound_table` call bounds every
-  family of every distinct shard of the grid;
+  floor.  One :func:`repro.core.candidates.family_bounds` call bounds
+  every family of every distinct shard of the grid;
 * **fabric term** — the point's *exact* collective cycles (the
   schedule is fixed at the outer level, so nothing is unknown), which
   dominates the schedule-independent bisection floor
@@ -87,11 +87,11 @@ from repro.arch.fabric import (
 )
 from repro.core.candidates import (
     Incumbent,
-    bound_rows,
+    family_bounds,
     make_incumbent,
 )
 from repro.core.dataflow import Dataflow
-from repro.core.dse import Objective, SearchSpace, enumerate_families
+from repro.core.dse import Objective, SearchSpace
 from repro.core.perf import PerfOptions, ScopeCost
 from repro.obs.trace import span as _span
 from repro.ops.attention import AttentionConfig, Scope
@@ -381,14 +381,12 @@ def evaluate_partition_grid(
     (payload bytes, group sizes -> alpha-beta terms per schedule).  The
     compute floors are closed-form family bounds over the *distinct*
     shard configs (partitions that shard to the same workload share
-    one floor).  One :func:`~repro.core.engine.bound_table` call
-    bounds every (shard, family) row, read off the family fields by
-    :func:`~repro.core.candidates.bound_rows` (no ``Dataflow`` is
-    built, and no member is expanded), and a shard's floor is the min
-    of its rows.
+    one floor).  One :func:`~repro.core.candidates.family_bounds` call
+    bounds every (shard, family) row, assembled from the memoized
+    family columns of each shard's query length (no ``Dataflow`` is
+    built, no member is expanded and no row is built in Python), and
+    a shard's floor is the min of its rows.
     """
-    from repro.core.engine import bound_table
-
     partitions = _outer_space(cfg, chips, schedules)
     e = system.chip.bytes_per_element
     freq = system.chip.frequency_hz
@@ -454,16 +452,10 @@ def evaluate_partition_grid(
     )
     fabric_floor_cycles = (floor_s[0] + floor_s[1]) * freq
 
-    rows = []
-    starts = []
-    for shard in shards:
-        families = tuple(enumerate_families(shard, space))
-        if not families:
-            raise ValueError("search space is empty")
-        starts.append(len(rows))
-        rows.extend(bound_rows(shard, families, space))
-    bounds = bound_table(Objective.RUNTIME, scope, system.chip_view(),
-                         rows, options)
+    bounds, counts = family_bounds(Objective.RUNTIME, scope,
+                                   system.chip_view(), shards, space,
+                                   options)
+    starts = np.cumsum([0] + counts[:-1])
     compute_floor = np.minimum.reduceat(bounds, starts)[shard_of]
 
     return PartitionGrid(

@@ -115,9 +115,10 @@ POLYMORPHIC_CORES: Mapping[str, FrozenSet[str]] = _table({
 
 #: R2 — helpers the batch backend may import even though they are
 #: scalar-only: it calls them once per *unique* key through its LUT
-#: gather (``_tile_luts``), never on arrays.
+#: gather (``_tile_luts``), never on arrays.  ``tile_plan`` is the
+#: memoized tile record (tile and reuse passes) every tile reader shares.
 SCALAR_LUT_HELPERS: Mapping[str, FrozenSet[str]] = _table({
-    "repro.core.tiling": {"choose_l2_tile", "reuse_passes"},
+    "repro.core.tiling": {"tile_plan"},
 })
 
 #: R2 — non-formula names (config and result classes, constants)

@@ -127,6 +127,20 @@ class Scope(enum.Enum):
         )
 
 
+def _la_pair(cfg: AttentionConfig) -> List[GemmOperator]:
+    """The layer's Logit and Attend operators."""
+    return [
+        GemmOperator.logit(
+            f"{cfg.name}.logit", cfg.batch, cfg.heads, cfg.seq_q,
+            cfg.seq_kv, cfg.d_head,
+        ),
+        GemmOperator.attend(
+            f"{cfg.name}.attend", cfg.batch, cfg.heads, cfg.seq_q,
+            cfg.seq_kv, cfg.d_head,
+        ),
+    ]
+
+
 def build_attention_layer(cfg: AttentionConfig) -> List[GemmOperator]:
     """The six operators of one attention layer: Q, K, V, L, A, O."""
     prefix = cfg.name
@@ -142,14 +156,7 @@ def build_attention_layer(cfg: AttentionConfig) -> List[GemmOperator]:
         OperatorKind.VALUE, f"{prefix}.value", cfg.batch, cfg.seq_kv,
         cfg.d_model, cfg.d_model,
     )
-    logit = GemmOperator.logit(
-        f"{prefix}.logit", cfg.batch, cfg.heads, cfg.seq_q, cfg.seq_kv,
-        cfg.d_head,
-    )
-    attend = GemmOperator.attend(
-        f"{prefix}.attend", cfg.batch, cfg.heads, cfg.seq_q, cfg.seq_kv,
-        cfg.d_head,
-    )
+    logit, attend = _la_pair(cfg)
     out = GemmOperator.projection(
         OperatorKind.OUTPUT, f"{prefix}.output", cfg.batch, cfg.seq_q,
         cfg.d_model, cfg.d_model,
@@ -200,8 +207,7 @@ def operators_for_scope(
     tuple and its frozen operators are shared between callers.
     """
     if scope is Scope.LA:
-        ops = build_attention_layer(cfg)
-        return tuple(op for op in ops if op.is_activation_activation)
+        return tuple(_la_pair(cfg))
     if scope is Scope.BLOCK:
         return tuple(build_attention_block(cfg))
     if scope is Scope.MODEL:

@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 
 from repro.arch.presets import edge
 from repro.core.batch import GridRows, _GridFeatures, evaluate_grid
-from repro.core.candidates import bound_rows, space_table
+from repro.core.candidates import (
+    bound_rows,
+    family_bounds,
+    family_columns,
+    space_table,
+)
 from repro.core.dataflow import (
     AttentionVariant,
     Granularity,
@@ -155,6 +160,30 @@ class TestGeneratedSpaces:
         assert bound_table(objective, scope, accel, rows).tolist() == (
             bound_table(objective, scope, accel, oracle).tolist()
         )
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(cfgs=st.lists(workloads, min_size=1, max_size=3),
+           space=spaces(), objective=st.sampled_from(OBJECTIVES))
+    def test_family_columns_bound_as_the_representative_rows(
+            self, cfgs, space, objective):
+        """The memoized family columns of several workloads bound, in
+        one call, exactly as each workload's representative rows."""
+        if not list(enumerate_families(cfgs[0], space)):
+            return
+        accel = edge().with_scratchpad_bytes(64 * 1024)
+        bounds, counts = family_bounds(objective, Scope.LA, accel, cfgs,
+                                       space)
+        want = []
+        for cfg in cfgs:
+            families = list(enumerate_families(cfg, space))
+            assert family_columns(cfg.seq_q, space).families == tuple(
+                families)
+            want += bound_table(objective, Scope.LA, accel,
+                                family_bound_rows(cfg, families,
+                                                  space)).tolist()
+        assert counts == [len(list(enumerate_families(c, space)))
+                          for c in cfgs]
+        assert bounds.tolist() == want
 
 
 class TestRowsScoreAsDataflows:

@@ -17,6 +17,11 @@ must equal.
 ``chained_counts`` is :attr:`~repro.core.perf.ScopeCost.counts` as a
 fold of ``ActivityCounts.__add__``, the sum the one-pass property must
 equal bit for bit.
+``loop_tile_plan`` is the L2 tile search as a plain loop over the
+candidate grid, with its own candidate ladder and reuse-pass formula:
+the record :func:`~repro.core.tiling.tile_plan`'s array search must
+equal, and the tile code ``la_pair_bound`` runs, so the bound oracle
+shares none with the scorer.
 """
 
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -66,7 +71,7 @@ from repro.core.scaleout import (
     induced_collectives,
     shard_config,
 )
-from repro.core.tiling import ceil_div, choose_l2_tile, reuse_passes
+from repro.core.tiling import ceil_div
 from repro.energy.model import ActivityCounts, EnergyReport, energy_report
 from repro.energy.tables import EnergyTable
 from repro.ops.attention import AttentionConfig, Scope
@@ -171,6 +176,69 @@ def exhaustive_scaleout_best(
 # ----------------------------------------------------------------------
 # the scalar admissible bound
 # ----------------------------------------------------------------------
+class LoopTilePlan(NamedTuple):
+    """``loop_tile_plan``'s answer: the tile, its reuse passes and its
+    double-buffered footprint in elements."""
+
+    tm: int
+    tk: int
+    tn: int
+    lhs_passes: int
+    rhs_passes: int
+    out_passes: int
+    footprint: int
+
+
+def _loop_candidates(dim: int, unit: int) -> List[int]:
+    """Tile sizes along one dimension: ``unit`` doubled while below
+    ``dim`` (``dim`` itself first when it is smaller), then ``dim``."""
+    sizes = []
+    size = min(unit, dim)
+    while size < dim:
+        sizes.append(size)
+        size *= 2
+    return sizes + [dim]
+
+
+def loop_tile_plan(m: int, k: int, n: int, budget_elements: int,
+                   array_rows: int, array_cols: int) -> LoopTilePlan:
+    """The L2 tile search, one candidate at a time.
+
+    Loops ``tm``, then ``tn``, then ``tk`` over the geometric grid and
+    keeps the first candidate that strictly improves ``(traffic,
+    -footprint)``; with no fitting candidate, the minimal array-shaped
+    tile.  Each tensor's passes take the cheaper of the two loop orders
+    (lhs resident or rhs resident), and the output spills a
+    read-modify-write pass per extra k step.
+    """
+
+    def passes(tm: int, tk: int, tn: int) -> Tuple[int, int, int]:
+        mo, no, ko = ceil_div(m, tm), ceil_div(n, tn), ceil_div(k, tk)
+        out = 1 if ko == 1 else 2 * ko - 1
+        if m * k + k * n * mo <= m * k * no + k * n:
+            return 1, mo, out
+        return no, 1, out
+
+    k_unit = max(array_rows, array_cols)
+    best = None
+    for tm in _loop_candidates(m, array_rows):
+        for tn in _loop_candidates(n, array_cols):
+            for tk in _loop_candidates(k, k_unit):
+                footprint = 2 * (tm * tk + tk * tn + tm * tn)
+                if footprint > budget_elements:
+                    continue
+                lhs, rhs, out = passes(tm, tk, tn)
+                key = (m * k * lhs + k * n * rhs + m * n * out, -footprint)
+                if best is None or key < best[0]:
+                    best = (key, LoopTilePlan(tm, tk, tn, lhs, rhs, out,
+                                              footprint))
+    if best is not None:
+        return best[1]
+    tm, tk, tn = min(array_rows, m), min(k_unit, k), min(array_cols, n)
+    return LoopTilePlan(tm, tk, tn, *passes(tm, tk, tn),
+                        2 * (tm * tk + tk * tn + tm * tn))
+
+
 def la_pair_bound(
     cfg: AttentionConfig,
     accel: Accelerator,
@@ -181,10 +249,12 @@ def la_pair_bound(
     """Scalar bound for the L-A pair under one candidate dataflow.
 
     A roofline over floors the pair can never beat, sharing the model's
-    own closed forms — the L2 tile choice, the staging-budget split,
-    the reuse-pass counts and the warm-up arithmetic are the very
-    functions :func:`~repro.core.perf.cost_la_pair` calls, and none of
-    them depend on the staging policy, so one evaluation of this bound
+    own closed forms — the staging-budget split and the warm-up
+    arithmetic are the very functions
+    :func:`~repro.core.perf.cost_la_pair` calls, and the L2 tile choice
+    with its reuse-pass counts is :func:`loop_tile_plan`, the loop the
+    model's array search must equal.  None of them depend on the staging
+    policy, so one evaluation of this bound
     is admissible for a whole *family* of staging corners at once and
     is *exact* (bit-equal to the model) whenever the binding constraint
     is one this floor captures:
@@ -245,23 +315,21 @@ def la_pair_bound(
     row_passes = ceil_div(nq, r)
     n_pass = ceil_div(b, b_t) * ceil_div(h, h_t) * row_passes
 
-    # The model's own (staging-policy-independent) budget split, tile
-    # choice and reuse analysis.
+    # The model's own (staging-policy-independent) budget split, and the
+    # loop tile search with its reuse analysis.
     footprint = fused_la_footprint(cfg, dataflow)
     budget = partition_scratchpad(
         footprint.total_bytes(e), staged and s.any_enabled, accel, options
     )
     staging_bytes = float(budget.staging_budget_bytes)
-    tile_l = choose_l2_tile(
+    passes_l = loop_tile_plan(
         r, dk, nkv, budget.l2_budget_elements,
         accel.pe_array.rows, accel.pe_array.cols,
     )
-    tile_a = choose_l2_tile(
+    passes_a = loop_tile_plan(
         r, nkv, dk, budget.l2_budget_elements,
         accel.pe_array.rows, accel.pe_array.cols,
     )
-    passes_l = reuse_passes(r, dk, nkv, tile_l)
-    passes_a = reuse_passes(r, nkv, dk, tile_a)
 
     if staged and s.intermediate:
         int_bytes = footprint.intermediate_elements * e
@@ -345,9 +413,7 @@ def la_pair_bound(
     # Exposed prefetch warm-up on the traffic floor (monotone in the
     # DRAM bytes, so a floor in, a floor out); any possibly-fused
     # member gets the overlap credit.
-    warmup_cap = float(
-        (tile_l.footprint_elements() + tile_a.footprint_elements()) * e
-    )
+    warmup_cap = float((passes_l.footprint + passes_a.footprint) * e)
     warmup_bytes = min(dram_bytes / max(float(n_pass), 1.0), warmup_cap)
     warmup = warmup_bytes / accel.offchip_bytes_per_cycle
     if may_fuse:
