@@ -106,7 +106,9 @@ from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -1131,6 +1133,24 @@ class SearchRequest:
     warm_start: Optional[Incumbent] = None
 
 
+class _CostLane:
+    """A fixed dataflow's one round-1 row.  Its grid features are built
+    (:meth:`grid_rows`) only when a call scores it: a lane alone in its
+    call takes the scalar model, which reads none."""
+
+    __slots__ = ("cfg", "dataflow")
+
+    def __init__(self, cfg: AttentionConfig, dataflow: Dataflow) -> None:
+        self.cfg = cfg
+        self.dataflow = dataflow
+
+    def __len__(self) -> int:
+        return 1
+
+    def grid_rows(self) -> GridRows:
+        return GridRows(_GridFeatures(self.cfg, [self.dataflow]))
+
+
 class _Job:
     """One request of a :func:`run_searches` call, in flight.
 
@@ -1180,7 +1200,7 @@ class _Job:
         self.table: Optional[SpaceTable] = None
         self.group: Optional[tuple] = None
         self.bounds: Optional[Tuple[float, ...]] = None
-        self.rows: Optional[GridRows] = None
+        self.rows: Union[GridRows, _CostLane, None] = None
         self.alive: Optional[List[int]] = None
         self.value: Optional[float] = None
         self.index: Optional[int] = None
@@ -1241,7 +1261,7 @@ class _Job:
         are, else their representatives."""
         req, table = self.request, self.table
         if self.kind == "cost":
-            self.rows = GridRows(_GridFeatures(req.cfg, [req.dataflow]))
+            self.rows = _CostLane(req.cfg, req.dataflow)
             return
         if self.bounds is None:
             self.rows = GridRows(table.features)
@@ -1377,10 +1397,12 @@ def _scored(jobs: Sequence[_Job], tally: dict) -> Iterator[
     while chunks:
         chunk = chunks.pop()
         first = chunk[0].request
-        segments = GridLanes(tuple(job.rows for job in chunk))
-        if len(segments) == 1:
+        if sum(len(job.rows) for job in chunk) == 1:
             yield chunk[0], None, 0, None
             continue
+        segments = GridLanes(tuple(
+            job.rows.grid_rows() if isinstance(job.rows, _CostLane)
+            else job.rows for job in chunk))
         tally["grid_calls"] += 1
         try:
             grid = evaluate_grid([job.request.cfg for job in chunk],

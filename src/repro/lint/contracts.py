@@ -367,13 +367,13 @@ LOCK_INVENTORY: Mapping[str, Mapping[str, object]] = {
         "held_by": (),
         "loop_confined": (
             "self._queue",
-            "self._wakeup",
             "self._memo",
             "self.queries",
             "self._stats",
             "self._draining",
-            "self._loop_task",
-            "self._inflight",
+            "self._flush_handle",
+            "self._outstanding",
+            "self._idle",
         ),
         "executor_only": ("_answer_group",),
     },
@@ -382,17 +382,20 @@ LOCK_INVENTORY: Mapping[str, Mapping[str, object]] = {
         "write_only": (),
         "held_by": (),
         "loop_confined": (
-            "self._conn_tasks",
-            "self._writers",
+            "self._connections",
             "self._draining",
             "self._done",
+            "self.owed",
+            "self._settled",
         ),
         "executor_only": ("_experiment_payload",),
     },
 }
 
-#: Modules whose coroutines drive the serving event loop: no blocking
-#: primitive may be statically reachable from an ``async def`` here
+#: Modules whose coroutines and callbacks drive the serving event
+#: loop: no blocking primitive may be statically reachable from an
+#: ``async def`` here, nor from a function handed to ``call_soon``,
+#: ``call_later``, ``call_soon_threadsafe`` or ``add_done_callback``,
 #: except through a declared executor-only escape hatch.
 EVENT_LOOP_MODULES: FrozenSet[str] = frozenset({
     "repro.serve.server",

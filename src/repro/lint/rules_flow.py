@@ -18,9 +18,10 @@ prose contracts and :mod:`repro.lint.contracts` for the tables.
   only under their lock (or in declared ``held_by`` helpers),
   ``write_only`` fields allowing benign racy reads, no ``await``
   while a thread lock is held, no blocking primitive statically
-  reachable from an event-loop coroutine, and executor-only escape
-  hatches neither called from coroutines nor touching loop-confined
-  state.
+  reachable from the event loop (its coroutines and the callbacks
+  handed to ``call_soon``/``call_later``/``call_soon_threadsafe``/
+  ``add_done_callback``), and executor-only escape hatches neither
+  called nor scheduled on the loop, nor touching loop-confined state.
 * **R7** ``bound-purity`` — the admissible-bound roots
   (``contracts.BOUND_FUNCTIONS``) and their transitive static call
   graph within the linted tree must stay pure: no parameter/global
@@ -351,20 +352,63 @@ class ConcurrencyRule(Rule):
 
     _CONSTRUCTORS = {"__init__", "__post_init__", "__new__"}
 
+    #: Event-loop methods that take a callback to run on the loop, and
+    #: the callback's argument position.
+    _CALLBACK_ARGS = {
+        "call_soon": 0,
+        "call_soon_threadsafe": 0,
+        "call_later": 1,
+        "add_done_callback": 0,
+    }
+
     def check(self, unit, contracts):
         contract = contracts.lock_inventory.get(unit.module)
-        index = None
+        on_loop = unit.module in contracts.event_loop_modules
+        if not contract and not on_loop:
+            return
+        index = ModuleIndex.build(unit)
+        handed = self._handed_callbacks(unit.tree) if on_loop else []
+        # What runs on the event loop: every coroutine, and in an
+        # event-loop module every function handed to the loop.
+        roots = {qual for qual, info in index.functions.items()
+                 if info.is_async}
+        for _, _, name in handed:
+            roots.update(index.by_name.get(name, ()))
         if contract:
-            index = ModuleIndex.build(unit)
             yield from self._check_guarded_fields(unit, index, contract)
             yield from self._check_await_under_lock(unit, index,
                                                     contract)
-            yield from self._check_executor_only(unit, index, contract)
-        if unit.module in contracts.event_loop_modules:
-            if index is None:
-                index = ModuleIndex.build(unit)
+            yield from self._check_executor_only(unit, index, contract,
+                                                 roots, handed)
+        if on_loop:
             yield from self._check_blocking(unit, index, contracts,
-                                            contract or {})
+                                            contract or {}, roots)
+
+    @classmethod
+    def _handed_callbacks(cls, tree) -> List[Tuple[ast.Call, str, str]]:
+        """``(call, loop method, function name)`` for every named
+        function handed to a loop method of :attr:`_CALLBACK_ARGS`,
+        looking through ``functools.partial``.  A lambda's body is
+        already part of the function that builds it."""
+        handed = []
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in cls._CALLBACK_ARGS):
+                continue
+            position = cls._CALLBACK_ARGS[node.func.attr]
+            if len(node.args) <= position:
+                continue
+            target = node.args[position]
+            if (isinstance(target, ast.Call) and target.args
+                    and (attr_chain(target.func) or "").rsplit(".", 1)[-1]
+                    == "partial"):
+                target = target.args[0]
+            chain = attr_chain(target)
+            if chain is not None:
+                handed.append((node, node.func.attr,
+                               chain.rsplit(".", 1)[-1]))
+        return handed
 
     # -- guarded fields ------------------------------------------------
     def _check_guarded_fields(self, unit, index, contract):
@@ -469,12 +513,20 @@ class ConcurrencyRule(Rule):
                     )
 
     # -- executor-only escape hatches ----------------------------------
-    def _check_executor_only(self, unit, index, contract):
+    def _check_executor_only(self, unit, index, contract, roots, handed):
         executor_only = frozenset(contract.get("executor_only", ()))
         loop_confined = frozenset(contract.get("loop_confined", ()))
         if not executor_only:
             return
         simple_names = {q.rsplit(".", 1)[-1] for q in executor_only}
+        for node, method, name in handed:
+            if name in simple_names:
+                yield self.finding(
+                    unit, node,
+                    f"executor-only '{name}' is handed to {method}, "
+                    "which runs it on the event loop: dispatch it "
+                    "through run_in_executor or executor.submit",
+                )
         for qual, info in index.functions.items():
             if qual in executor_only:
                 for node in walk_function(info.node):
@@ -489,8 +541,9 @@ class ConcurrencyRule(Rule):
                             "threads must not share event-loop state",
                         )
                 continue
-            if not info.is_async:
+            if qual not in roots:
                 continue
+            kind = "coroutine" if info.is_async else "loop callback"
             for node in walk_function(info.node):
                 if not isinstance(node, ast.Call):
                     continue
@@ -503,13 +556,14 @@ class ConcurrencyRule(Rule):
                 if called in simple_names:
                     yield self.finding(
                         unit, node,
-                        f"coroutine '{qual}' calls executor-only "
+                        f"{kind} '{qual}' calls executor-only "
                         f"'{called}' directly: dispatch it through "
-                        "run_in_executor so the loop stays free",
+                        "run_in_executor or executor.submit so the "
+                        "loop stays free",
                     )
 
     # -- blocking calls reachable from coroutines ----------------------
-    def _check_blocking(self, unit, index, contracts, contract):
+    def _check_blocking(self, unit, index, contracts, contract, roots):
         executor_only = frozenset(contract.get("executor_only", ()))
         blocking: Dict[str, List[Tuple[ast.AST, str]]] = {}
         calls: Dict[str, Set[str]] = {}
@@ -531,9 +585,9 @@ class ConcurrencyRule(Rule):
                     called.add(name)
             blocking[qual] = found
             calls[qual] = called
-        for root, info in sorted(index.functions.items()):
-            if not info.is_async or root in executor_only:
-                continue
+        for root in sorted(roots - executor_only):
+            kind = ("coroutine" if index.functions[root].is_async
+                    else "callback")
             seen: Set[str] = set()
             stack = [root]
             while stack:
@@ -546,9 +600,10 @@ class ConcurrencyRule(Rule):
                     yield self.finding(
                         unit, node,
                         f"blocking call '{spelled}' is reachable from "
-                        f"event-loop coroutine '{root}'{via}; move it "
-                        "behind run_in_executor (and declare the "
-                        "helper executor-only in the contract)",
+                        f"event-loop {kind} '{root}'{via}; move it "
+                        "behind run_in_executor or executor.submit "
+                        "(and declare the helper executor-only in the "
+                        "contract)",
                     )
                 for callee in calls.get(qual, ()):
                     for target in index.by_name.get(callee, ()):

@@ -41,6 +41,7 @@ __all__ = [
     "TraceCollector",
     "TraceData",
     "span",
+    "open_span",
     "active",
     "activate",
     "deactivate",
@@ -66,6 +67,9 @@ class _NullSpan:
     def set(self, **attrs) -> "_NullSpan":
         return self
 
+    def end(self, error: Optional[str] = None) -> None:
+        pass
+
 
 _NULL_SPAN = _NullSpan()
 
@@ -74,7 +78,8 @@ class Span:
     """One timed block; use via ``with span(...) as sp``.
 
     ``set(**attrs)`` attaches or updates attributes mid-flight (e.g.
-    a pruned-candidate count known only at the end of the block).
+    a pruned-candidate count known only at the end of the block).  A
+    span from :func:`open_span` is closed by ``end()`` instead.
     """
 
     __slots__ = (
@@ -92,27 +97,39 @@ class Span:
         self.attrs.update(attrs)
         return self
 
-    def __enter__(self) -> "Span":
+    def _open(self, parent: int, depth: int) -> None:
         collector = self._collector
         with collector._id_lock:
             self.id = collector._next_id
             collector._next_id += 1
-        stack = collector._stack
-        self.parent = stack[-1].id if stack else 0
-        self._depth = len(stack)
-        stack.append(self)
+        self.parent = parent
+        self._depth = depth
         self._child_s = 0.0
         self._start = time.perf_counter()
+
+    def __enter__(self) -> "Span":
+        stack = self._collector._stack
+        self._open(stack[-1].id if stack else 0, len(stack))
+        stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         end = time.perf_counter()
-        collector = self._collector
-        stack = collector._stack
+        stack = self._collector._stack
         stack.pop()
         dur = end - self._start
         if stack:
             stack[-1]._child_s += dur
+        self._record(dur, None if exc_type is None else exc_type.__name__)
+        return False
+
+    def end(self, error: Optional[str] = None) -> None:
+        """Close a span from :func:`open_span`; ``error`` names the
+        exception the work it timed failed with, if any."""
+        self._record(time.perf_counter() - self._start, error)
+
+    def _record(self, dur: float, error: Optional[str]) -> None:
+        collector = self._collector
         event: Dict[str, object] = {
             "type": "span",
             "name": self.name,
@@ -126,10 +143,9 @@ class Span:
         }
         if self.attrs:
             event["attrs"] = dict(self.attrs)
-        if exc_type is not None:
-            event["error"] = exc_type.__name__
+        if error is not None:
+            event["error"] = error
         collector.events.append(event)
-        return False
 
 
 class TraceCollector:
@@ -213,6 +229,23 @@ def span(name: str, /, **attrs):
     if collector is None:
         return _NULL_SPAN
     return Span(collector, name, attrs)
+
+
+def open_span(name: str, /, **attrs):
+    """A span that starts now and ends at its ``end()`` call, which a
+    later callback may make: the work it times need not be one block.
+
+    It stays off the thread's nesting stack, so requests that overlap
+    on one event loop each keep their own boundaries: it is recorded
+    at depth 0 with no parent, and no span counts it as a child.  A
+    shared no-op when tracing is off, like :func:`span`.
+    """
+    collector = _active
+    if collector is None:
+        return _NULL_SPAN
+    opened = Span(collector, name, attrs)
+    opened._open(0, 0)
+    return opened
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """The coalescing scheduler: micro-batching, dedup, memo, admission.
 
-The server's perf core.  Requests are admitted onto one bounded queue;
-a dispatch loop pops them in **micro-batches** — it waits up to
-``window_ms`` after the first arrival (or until ``max_batch`` requests
-are waiting) so that concurrent callers land in the same batch — and
-then:
+The server's perf core.  :meth:`CoalescingScheduler.submit` runs on
+the event loop and returns at once: a repeat gets its memoized answer,
+any other query is admitted onto one bounded queue and gets a loop
+future.  The first arrival on an empty queue arms a flush
+``window_ms`` later (``call_later``), so concurrent callers land in
+the same **micro-batch**; a queue that reaches ``max_batch``, or any
+arrival when ``window_ms`` is 0, flushes on the next loop pass
+(``call_soon``) instead.  A flush pops at most ``max_batch`` requests,
+re-arms for any left behind, and then:
 
 1. **Deadline triage.**  Queued requests whose deadline has already
    passed are answered with ``deadline_exceeded`` without costing
@@ -24,11 +28,12 @@ then:
    (default :func:`~repro.serve.service.execute_group`): a cost group
    is one :func:`~repro.core.engine.evaluate_costs` lineup, whose two
    or more misses share one grid call, and a search-like group maps
-   the engine's search over its queries.  Evaluation runs on a
-   single-thread executor (so engine work is strictly ordered and
-   uncontended) while the event loop keeps accepting and batching
-   — group dispatches are tracked as in-flight tasks, not awaited
-   inline, so a slow search never blocks the next micro-batch.
+   the engine's search over its queries.  Each group is handed to a
+   single-thread executor (``executor.submit``; engine work stays
+   strictly ordered and uncontended) and settled back on the loop by
+   ``call_soon_threadsafe`` as soon as it is done, so a cheap group
+   never waits for a slow group of its batch, and the loop never
+   waits for a group: it keeps accepting and batching.
 
 Each evaluated payload is encoded once, on the evaluator thread, into
 an :class:`~repro.serve.protocol.Encoded` answer: that text is what
@@ -42,11 +47,12 @@ disk cache, when one is configured), so a repeat evicted from the memo
 is still an engine hit.
 
 Admission control sheds with ``overloaded`` when the queue is full,
-and :meth:`CoalescingScheduler.drain` finishes queued + in-flight work
-while new submissions fail with ``draining``.
+and :meth:`CoalescingScheduler.drain` flushes the queue at once and
+waits until no group is outstanding, while new submissions fail with
+``draining``.
 
 All scheduler state is touched only on the event loop; the executor
-threads run pure evaluation functions.  Counters live in
+thread runs pure evaluation functions.  Counters live in
 :meth:`CoalescingScheduler.stats` and are mirrored to
 :mod:`repro.obs.metrics` when observability is on.
 """
@@ -55,8 +61,10 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
+from concurrent.futures import Future as ExecutorFuture
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.obs.metrics import active as _metrics_active
 from repro.serve.protocol import (
@@ -79,9 +87,9 @@ class SchedulerConfig:
     """Knobs of the coalescing scheduler.
 
     ``window_ms`` trades a little first-request latency for batch
-    density; ``0`` dispatches every loop wakeup immediately (useful in
-    tests).  ``memo_size`` bounds both the response memo and the
-    resolved-query memo.
+    density; ``0`` flushes what one loop pass admitted on the next
+    pass (useful in tests).  ``memo_size`` bounds both the response
+    memo and the resolved-query memo.
     """
 
     window_ms: float = 2.0
@@ -143,55 +151,64 @@ class CoalescingScheduler:
     ) -> None:
         self.config = config
         self._group_fn = group_fn
+        self._window_s = config.window_ms / 1000.0
         self._queue: Deque[_Pending] = deque()
-        self._wakeup = asyncio.Event()
         self._memo = Memo(config.memo_size, metric="serve.memo")
         #: Resolved queries by request, for the daemon's ``resolve_query``.
         self.queries = Memo(config.memo_size, metric="serve.resolve")
         self._stats: Dict[str, int] = {key: 0 for key in _STAT_KEYS}
         self._draining = False
-        self._loop_task: Optional[asyncio.Task] = None
-        self._inflight: set = set()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._executor = None
+        #: The armed flush: a window timer, or a call on the next pass.
+        self._flush_handle: Optional[asyncio.Handle] = None
+        #: Groups handed to the executor and not settled yet.
+        self._outstanding = 0
+        #: What :meth:`drain` awaits while groups are outstanding.
+        self._idle: Optional["asyncio.Future[None]"] = None
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
-        """Spawn the dispatch loop on the running event loop."""
-        if self._loop_task is not None:
+        """Bind to the running event loop and start the evaluator."""
+        if self._loop is not None:
             raise RuntimeError("scheduler already started")
         from concurrent.futures import ThreadPoolExecutor
 
+        self._loop = asyncio.get_running_loop()
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-eval",
         )
-        self._loop_task = asyncio.get_running_loop().create_task(
-            self._run()
-        )
 
     async def drain(self) -> None:
-        """Finish queued + in-flight work; reject new submissions."""
+        """Flush the queue at once and wait until no group is
+        outstanding; new submissions are rejected from now on."""
         self._draining = True
-        self._wakeup.set()
-        if self._loop_task is not None:
-            await self._loop_task
-            self._loop_task = None
-        while self._inflight:
-            await asyncio.gather(*list(self._inflight),
-                                 return_exceptions=True)
+        if self._flush_handle is not None:
+            self._flush_handle.cancel()
+            self._flush_handle = None
+        while self._queue:
+            self._dispatch(self._pop_batch())
+        if self._outstanding:
+            assert self._loop is not None
+            self._idle = self._loop.create_future()
+            await self._idle
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
 
     # -- submission ----------------------------------------------------
-    async def submit(
+    def submit(
         self, query: Query, deadline_s: Optional[float] = None
-    ) -> Encoded:
-        """Admit one query; resolves to its encoded answer (or a typed
-        error).
+    ) -> Union[Encoded, "asyncio.Future[Encoded]"]:
+        """Admit one query: its memoized encoded answer, or a loop
+        future of the answer (or of a typed error).
 
-        Must be awaited on the scheduler's event loop.  ``deadline_s``
-        is relative: the request is dropped with ``deadline_exceeded``
-        if it is still queued when the budget runs out.
+        Call on the scheduler's event loop.  Raises
+        :class:`~repro.serve.protocol.Draining` or
+        :class:`~repro.serve.protocol.Overloaded` when the query is
+        refused.  ``deadline_s`` is relative: the request is dropped
+        with ``deadline_exceeded`` if it is still queued when the
+        budget runs out.
         """
         self._stats["requests"] += 1
         self._metric_inc("serve.requests")
@@ -203,52 +220,73 @@ class CoalescingScheduler:
             self._stats["encodings_reused"] += 1
             self._metric_inc("serve.encodings_reused")
             return memoized
-        if len(self._queue) >= self.config.max_queue:
+        queue = self._queue
+        if len(queue) >= self.config.max_queue:
             self._stats["shed"] += 1
             self._metric_inc("serve.shed")
             raise Overloaded(
                 f"queue full ({self.config.max_queue} pending); retry later"
             )
-        loop = asyncio.get_running_loop()
-        item = _Pending(
+        loop = self._loop
+        assert loop is not None, "scheduler not started"
+        future = loop.create_future()
+        queue.append(_Pending(
             query=query,
             key=key,
-            future=loop.create_future(),
+            future=future,
             deadline=(
                 loop.time() + deadline_s if deadline_s is not None else None
             ),
-        )
-        self._queue.append(item)
-        self._wakeup.set()
-        return await item.future
+        ))
+        if self._flush_handle is None or len(queue) >= self.config.max_batch:
+            self._arm()
+        return future
 
-    # -- dispatch loop -------------------------------------------------
-    async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            if not self._queue:
-                if self._draining:
-                    return
-                await self._wakeup.wait()
-                self._wakeup.clear()
-                continue
-            if (
-                self.config.window_ms > 0
-                and len(self._queue) < self.config.max_batch
-                and not self._draining
-            ):
-                # The micro-batch window: let concurrent callers pile in.
-                await asyncio.sleep(self.config.window_ms / 1000.0)
-            batch: List[_Pending] = []
-            while self._queue and len(batch) < self.config.max_batch:
-                batch.append(self._queue.popleft())
-            groups = self._form_groups(batch, loop.time())
-            if not groups:
-                continue
-            self._stats["batches"] += 1
-            task = loop.create_task(self._dispatch(groups))
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
+    # -- micro-batches -------------------------------------------------
+    def _arm(self) -> None:
+        """Schedule the next flush: on the next loop pass when a batch
+        is full (or there is no window), else when the window of the
+        first request waiting closes."""
+        assert self._loop is not None
+        soon = (len(self._queue) >= self.config.max_batch
+                or not self._window_s)
+        handle = self._flush_handle
+        if handle is not None:
+            if not (soon and isinstance(handle, asyncio.TimerHandle)):
+                return
+            handle.cancel()
+        self._flush_handle = (
+            self._loop.call_soon(self._flush) if soon
+            else self._loop.call_later(self._window_s, self._flush)
+        )
+
+    def _flush(self) -> None:
+        """Dispatch one micro-batch; re-arm for the requests left."""
+        self._flush_handle = None
+        self._dispatch(self._pop_batch())
+        if self._queue:
+            self._arm()
+
+    def _pop_batch(self) -> List[_Pending]:
+        queue = self._queue
+        return [queue.popleft()
+                for _ in range(min(len(queue), self.config.max_batch))]
+
+    def _dispatch(self, batch: List[_Pending]) -> None:
+        """Hand each group of one batch to the evaluator executor."""
+        assert self._loop is not None and self._executor is not None
+        groups = self._form_groups(batch, self._loop.time())
+        if not groups:
+            return
+        self._stats["batches"] += 1
+        for unique in groups.values():
+            items = list(unique.values())
+            self._outstanding += 1
+            done = self._executor.submit(
+                _answer_group, self._group_fn,
+                [item.query for item in items],
+            )
+            done.add_done_callback(partial(self._evaluated, items))
 
     def _form_groups(
         self, batch: List[_Pending], now: float
@@ -275,34 +313,38 @@ class CoalescingScheduler:
                 self._metric_inc("serve.coalesced")
         return {key: unique for key, unique in groups.items() if unique}
 
-    async def _dispatch(
-        self, groups: Dict[QueryKey, Dict[QueryKey, _Pending]]
-    ) -> None:
-        await asyncio.gather(
-            *(self._dispatch_group(list(unique.values()))
-              for unique in groups.values())
-        )
+    def _evaluated(self, items: List[_Pending], done: ExecutorFuture) -> None:
+        """The executor's done-callback (on its thread): settle the
+        group on the loop."""
+        assert self._loop is not None
+        self._loop.call_soon_threadsafe(self._settle, items, done)
 
-    async def _dispatch_group(self, items: List[_Pending]) -> None:
-        loop = asyncio.get_running_loop()
-        queries = [item.query for item in items]
+    def _settle(self, items: List[_Pending], done: ExecutorFuture) -> None:
+        """Answer one evaluated group's waiters, on the loop."""
+        self._outstanding -= 1
         try:
-            answers, used_grid = await loop.run_in_executor(
-                self._executor, _answer_group, self._group_fn, queries
-            )
+            answers, used_grid = done.result()
         except ProtocolError as exc:
             self._fail(items, exc)
-            return
         except Exception as exc:  # noqa: BLE001 - typed error to callers
             self._fail(items, ProtocolError(
                 f"{type(exc).__name__}: {exc}", code="internal"
             ))
-            return
+        else:
+            self._answer(items, answers, used_grid)
+        idle = self._idle
+        if not self._outstanding and idle is not None:
+            self._idle = None
+            if not idle.done():  # a cancelled drain cancels it
+                idle.set_result(None)
+
+    def _answer(self, items: List[_Pending], answers: List[Encoded],
+                used_grid: bool) -> None:
         if used_grid:
             self._stats["grid_calls"] += 1
-            self._stats["grid_rows"] += len(queries)
+            self._stats["grid_rows"] += len(items)
             self._metric_inc("serve.grid_calls")
-            self._metric_inc("serve.grid_rows", len(queries))
+            self._metric_inc("serve.grid_rows", len(items))
         self._stats["evaluations"] += len(items)
         self._metric_inc("serve.evaluations", len(items))
         for item, answer in zip(items, answers):

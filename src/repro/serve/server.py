@@ -2,10 +2,19 @@
 
 One :class:`DSEServer` owns a :class:`~repro.serve.scheduler.
 CoalescingScheduler` plus a listening socket.  Each connection reads
-newline-delimited JSON requests; every request is handled as its own
-task, so one connection can pipeline queries and a long search never
-blocks a ping on the same socket.  Response lines are serialized per
-connection through a writer lock.
+newline-delimited JSON requests and hands every line to
+:meth:`DSEServer._handle_line` on the read loop's own pass.  A query
+op is answered there: it is parsed, resolved through the memo and
+submitted; a memo hit's response is written at once, and a queued
+query's is written by a done-callback on its future when its
+micro-batch settles.  The other ops run as tasks of their own, so a
+connection can pipeline queries and a long sweep or experiment never
+blocks a ping on the same socket.  Responses are written as they are
+ready, in completion order; nothing waits for the socket to take them
+unless the client reads so slowly that the connection's buffer passes
+its high-water mark, and then the read loop stops reading until the
+client catches up.  A connection stays open until every answer it is
+owed is written, even after the client has stopped sending.
 
 Operations, one entry each in :attr:`DSEServer.OPS`:
 
@@ -36,7 +45,8 @@ Operations, one entry each in :attr:`DSEServer.OPS`:
     attribution stays exact.  This is what ``run-all --serve`` uses.
 ``shutdown``
     graceful drain: the listener closes, queued and in-flight work
-    completes, new submissions fail with ``draining``, then the
+    completes, new submissions fail with ``draining``, every
+    connection is hung up once its answers are written, then the
     process-level waiter (:meth:`DSEServer.wait_done`) releases.
 
 :class:`ServerThread` runs the whole event loop on a background thread
@@ -54,11 +64,12 @@ from typing import (
 )
 
 from repro.obs.metrics import active as _metrics_active
-from repro.obs.trace import span as _span
+from repro.obs.trace import open_span as _open_span
 from repro.serve.protocol import (
     PROTOCOL,
     QUERY_RESOLVERS,
     Draining,
+    Encoded,
     ProtocolError,
     encode_line,
     error_response,
@@ -73,8 +84,102 @@ from repro.serve.scheduler import CoalescingScheduler, SchedulerConfig
 __all__ = ["DSEServer", "ServerThread", "run_server"]
 
 JSON = Dict[str, Any]
-#: An op handler's progress callback: ``await progress(done, total)``.
-Progress = Callable[[int, int], Awaitable[None]]
+#: An op handler's progress callback: ``progress(done, total)``.
+Progress = Callable[[int, int], None]
+
+
+class _Connection:
+    """One client connection: its writer and the answers it is owed."""
+
+    __slots__ = ("writer", "task", "owed", "_transport", "_settled")
+
+    def __init__(self, writer: asyncio.StreamWriter,
+                 task: Optional["asyncio.Task[None]"]) -> None:
+        self.writer = writer
+        self.task = task
+        #: Requests read and not answered yet.
+        self.owed = 0
+        self._transport = writer.transport
+        self._settled: Optional["asyncio.Future[None]"] = None
+
+    def send(self, obj: JSON) -> None:
+        """Encode one response or event line and write it; the line of
+        a client that is gone is dropped."""
+        line = encode_line(obj)
+        if not self._transport.is_closing():
+            self.writer.write(line)
+
+    def paid(self) -> None:
+        """One owed answer is written."""
+        self.owed -= 1
+        settled = self._settled
+        if not self.owed and settled is not None:
+            self._settled = None
+            if not settled.done():  # a cancelled waiter cancels it
+                settled.set_result(None)
+
+    async def settled(self) -> None:
+        """Return once every answer owed so far is written."""
+        if self.owed:
+            if self._settled is None or self._settled.done():
+                self._settled = asyncio.get_running_loop().create_future()
+            await self._settled
+
+
+class _Request:
+    """One request line being answered: where, and what to book.
+
+    The ``serve.request`` span and the ``serve.request_s`` histogram
+    run from the line's receipt to the write of its response, whether
+    that write happens on the read loop's pass, in a done-callback or
+    at the end of an op's task.
+    """
+
+    __slots__ = ("conn", "id", "op", "start", "span")
+
+    def __init__(self, conn: _Connection, req_id: object, op: object,
+                 start: float) -> None:
+        self.conn = conn
+        self.id = req_id
+        self.op = op
+        self.start = start
+        self.span = _open_span("serve.request", op=str(op))
+
+    def reply(self, result: Any) -> None:
+        self.conn.send(ok_response(self.id, result))
+        self.span.end()
+        _observe(self.op, self.start)
+
+    def fail(self, exc: BaseException) -> None:
+        error = exc if isinstance(exc, ProtocolError) else ProtocolError(
+            f"{type(exc).__name__}: {exc}", code="internal"
+        )
+        self.conn.send(error_response(self.id, error.code, str(error)))
+        self.span.end(error=type(exc).__name__)
+        _observe(self.op, self.start, error=error.code)
+
+    def settle(self, future: "asyncio.Future[Encoded]") -> None:
+        """A queued query's done-callback: write its answer."""
+        exc = future.exception()
+        if exc is None:
+            self.reply(future.result())
+        else:
+            self.fail(exc)
+        self.conn.paid()
+
+
+def _observe(op: object, start: float, error: Optional[str] = None) -> None:
+    registry = _metrics_active()
+    if registry is None:
+        return
+    registry.histogram("serve.request_s").observe(
+        time.perf_counter() - start
+    )
+    # The client picks ``op``: book only the table's names.
+    known = isinstance(op, str) and op in DSEServer.OPS
+    registry.counter(f"serve.op[{op if known else 'unknown'}]").inc()
+    if error is not None:
+        registry.counter(f"serve.error[{error}]").inc()
 
 
 class DSEServer:
@@ -94,13 +199,12 @@ class DSEServer:
         self._experiment_executor = None
         self._draining = False
         self._done: Optional[asyncio.Event] = None
-        self._conn_tasks: set = set()
-        self._writers: set = set()
+        self._connections: set = set()
         self.address: Tuple[str, int] = (host, port)
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> Tuple[str, int]:
-        """Bind the listener and spawn the scheduler; returns (host, port)."""
+        """Bind the listener and start the scheduler; returns (host, port)."""
         self._experiment_lock = asyncio.Lock()
         self._done = asyncio.Event()
         self.scheduler.start()
@@ -120,21 +224,19 @@ class DSEServer:
             self._server.close()
             await self._server.wait_closed()
         await self.scheduler.drain()
-        # Hang up lingering connections (e.g. the one that sent the
-        # shutdown op) so their handler tasks finish before the event
-        # loop does — an abandoned handler would be cancelled at loop
-        # teardown, which asyncio's stream glue logs as an error.
-        # close() flushes buffered responses first, so the shutdown
-        # acknowledgement still reaches its caller.
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
-        if self._conn_tasks:
-            await asyncio.gather(
-                *list(self._conn_tasks), return_exceptions=True
-            )
+        # Hang up every connection (e.g. the one that sent the shutdown
+        # op) once its answers are written, so its handler finishes
+        # before the event loop does — an abandoned handler would be
+        # cancelled at loop teardown, which asyncio's stream glue logs
+        # as an error.  close() flushes buffered responses first, so
+        # the shutdown acknowledgement still reaches its caller.
+        for conn in list(self._connections):
+            await conn.settled()
+            conn.writer.close()
+        handlers = [conn.task for conn in self._connections
+                    if conn.task is not None]
+        if handlers:
+            await asyncio.gather(*handlers, return_exceptions=True)
         if self._experiment_executor is not None:
             self._experiment_executor.shutdown(wait=True)
             self._experiment_executor = None
@@ -150,121 +252,99 @@ class DSEServer:
     async def _on_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        write_lock = asyncio.Lock()
-        tasks: set = set()
-        conn_task = asyncio.current_task()
-        if conn_task is not None:
-            self._conn_tasks.add(conn_task)
-        self._writers.add(writer)
+        conn = _Connection(writer, asyncio.current_task())
+        self._connections.add(conn)
+        transport = writer.transport
+        high_water = transport.get_write_buffer_limits()[1]
         try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                task = asyncio.get_running_loop().create_task(
-                    self._handle_line(line, writer, write_lock)
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-            while tasks:
-                await asyncio.gather(*list(tasks), return_exceptions=True)
+            try:
+                while True:
+                    line = await reader.readline()
+                    if not line:
+                        break
+                    if line.strip():
+                        self._handle_line(line, conn)
+                    if transport.get_write_buffer_size() > high_water:
+                        # The client reads slower than it asks: read no
+                        # more until it has taken what it is sent.
+                        await writer.drain()
+            except ConnectionError:
+                pass  # the client is gone; its answers are dropped
+            await conn.settled()
         finally:
-            self._writers.discard(writer)
-            if conn_task is not None:
-                self._conn_tasks.discard(conn_task)
+            self._connections.discard(conn)
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
 
-    async def _send(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        obj: Dict[str, Any],
-    ) -> None:
-        async with write_lock:
-            writer.write(encode_line(obj))
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass  # client went away; its results are moot
-
-    async def _handle_line(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
+    def _handle_line(self, line: bytes, conn: _Connection) -> None:
+        """Answer one request line: a query op on this pass or in its
+        future's done-callback, any other op in a task of its own."""
+        start = time.perf_counter()
         try:
             req = json.loads(line)
-        except json.JSONDecodeError as exc:
-            await self._send(writer, write_lock, error_response(
+        except (ValueError, RecursionError) as exc:  # not JSON, or not UTF-8
+            conn.send(error_response(
                 None, "bad_request", f"invalid JSON: {exc}"
             ))
             return
-        req_id = req.get("id") if isinstance(req, dict) else None
-        op = req.get("op") if isinstance(req, dict) else None
-        start = time.perf_counter()
-        try:
-            if not isinstance(req, dict):
-                raise ProtocolError("request must be a JSON object")
-            with _span("serve.request", op=str(op)):
-                result = await self._execute(req, req_id, writer, write_lock)
-        except ProtocolError as exc:
-            self._observe(op, start, error=exc.code)
-            await self._send(writer, write_lock, error_response(
-                req_id, exc.code, str(exc)
-            ))
+        if not isinstance(req, dict):
+            request = _Request(conn, None, None, start)
+            request.fail(ProtocolError("request must be a JSON object"))
             return
-        except Exception as exc:  # noqa: BLE001 - a request must not kill the server
-            self._observe(op, start, error="internal")
-            await self._send(writer, write_lock, error_response(
-                req_id, "internal", f"{type(exc).__name__}: {exc}"
-            ))
-            return
-        self._observe(op, start)
-        await self._send(writer, write_lock, ok_response(req_id, result))
-
-    @classmethod
-    def _observe(
-        cls, op: object, start: float, error: Optional[str] = None
-    ) -> None:
-        registry = _metrics_active()
-        if registry is None:
-            return
-        registry.histogram("serve.request_s").observe(
-            time.perf_counter() - start
-        )
-        # The client picks ``op``: book only the table's names.
-        known = isinstance(op, str) and op in cls.OPS
-        registry.counter(f"serve.op[{op if known else 'unknown'}]").inc()
-        if error is not None:
-            registry.counter(f"serve.error[{error}]").inc()
-
-    # -- operations ----------------------------------------------------
-    async def _execute(
-        self,
-        req: Dict[str, Any],
-        req_id: object,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> Dict[str, Any]:
         op = req.get("op")
+        request = _Request(conn, req.get("id"), op, start)
         handler = self.OPS.get(op) if isinstance(op, str) else None
         if handler is None:
-            raise ProtocolError(f"unknown op {op!r}")
+            request.fail(ProtocolError(f"unknown op {op!r}"))
+            return
+        if op not in QUERY_RESOLVERS:
+            conn.owed += 1
+            asyncio.get_running_loop().create_task(
+                self._run_op(handler, req, request)
+            )
+            return
+        try:
+            answer = handler(self, req)
+        except Exception as exc:  # noqa: BLE001 - a request must not kill the server
+            request.fail(exc)
+            return
+        if isinstance(answer, Encoded):
+            request.reply(answer)
+        else:
+            conn.owed += 1
+            answer.add_done_callback(request.settle)
 
-        async def progress(done: int, total: int) -> None:
-            await self._send(writer, write_lock,
-                             progress_event(req_id, done, total))
+    async def _run_op(
+        self,
+        handler: Callable[..., Awaitable[JSON]],
+        req: JSON,
+        request: _Request,
+    ) -> None:
+        """One task op, from its handler to its response."""
+        conn = request.conn
 
-        return await handler(self, req, progress)
+        def progress(done: int, total: int) -> None:
+            conn.send(progress_event(request.id, done, total))
 
-    # Every op handler takes the request and an async ``progress(done,
+        try:
+            result = await handler(self, req, progress)
+        except Exception as exc:  # noqa: BLE001 - a request must not kill the server
+            request.fail(exc)
+        else:
+            request.reply(result)
+        finally:
+            conn.paid()
+
+    # -- operations ----------------------------------------------------
+    def _query(self, req: JSON) -> Any:
+        """A query op's answer: memoized, or a future of it."""
+        query = resolve_query(req, self.scheduler.queries)
+        return self.scheduler.submit(query, resolve_deadline_s(req))
+
+    # Every task op's handler takes the request and a ``progress(done,
     # total)`` that streams a progress event to the caller.
     async def _ping(self, req: JSON, progress: Progress) -> JSON:
         return {"protocol": PROTOCOL}
@@ -288,10 +368,6 @@ class DSEServer:
         asyncio.get_running_loop().create_task(self.shutdown())
         return {"draining": True}
 
-    async def _query(self, req: JSON, progress: Progress) -> JSON:
-        query = resolve_query(req, self.scheduler.queries)
-        return await self.scheduler.submit(query, resolve_deadline_s(req))
-
     async def _sweep(self, req: JSON, progress: Progress) -> JSON:
         queries = resolve_sweep(req, self.scheduler.queries)
         deadline_s = resolve_deadline_s(req)
@@ -300,7 +376,7 @@ class DSEServer:
             loop.time() + deadline_s if deadline_s is not None else None
         )
         chunk_size = self.scheduler.config.sweep_chunk
-        results: List[Dict[str, Any]] = []
+        results: List[Any] = []
         for lo in range(0, len(queries), chunk_size):
             remaining = None
             if deadline is not None:
@@ -311,18 +387,28 @@ class DSEServer:
                         f"{len(queries)} results",
                         code="deadline_exceeded",
                     )
-            chunk = queries[lo:lo + chunk_size]
             # Submitted together: the chunk lands in one micro-batch and
             # coalesces into a single grid call.  Between chunks, other
             # clients' requests join the queue — that is the fairness
             # interleave.
-            results.extend(
-                await asyncio.gather(
-                    *(self.scheduler.submit(q, remaining) for q in chunk)
-                )
-            )
+            answers: List[Any] = []
+            try:
+                for query in queries[lo:lo + chunk_size]:
+                    answers.append(self.scheduler.submit(query, remaining))
+            except ProtocolError:
+                # The sweep fails here; an unawaited gather still
+                # retrieves the answers this chunk already queued.
+                asyncio.gather(*(a for a in answers
+                                 if not isinstance(a, Encoded)),
+                               return_exceptions=True)
+                raise
+            queued = [a for a in answers if not isinstance(a, Encoded)]
+            if queued:
+                await asyncio.gather(*queued)
+            results.extend(a if isinstance(a, Encoded) else a.result()
+                           for a in answers)
             if lo + chunk_size < len(queries):
-                await progress(len(results), len(queries))
+                progress(len(results), len(queries))
         return {"results": results, "total": len(queries)}
 
     async def _experiment(self, req: JSON, progress: Progress) -> JSON:
@@ -355,11 +441,14 @@ class DSEServer:
                 _experiment_payload, name,
             )
 
-    #: The op table: every op the daemon answers, and its handler.
-    #: Adding an op is one entry here; a query op is instead its
-    #: resolver in :data:`~repro.serve.protocol.QUERY_RESOLVERS` and its
-    #: answer in :func:`~repro.serve.service.execute_query`.
-    OPS: Dict[str, Callable[..., Awaitable[JSON]]] = {
+    #: The op table: every op the daemon answers, and its handler.  A
+    #: query op's handler (:meth:`_query`) runs on the read loop's pass
+    #: and returns the answer or a future of it; every other handler is
+    #: a coroutine run as a task.  Adding an op is one entry here; a
+    #: query op is instead its resolver in
+    #: :data:`~repro.serve.protocol.QUERY_RESOLVERS` and its answer in
+    #: :func:`~repro.serve.service.execute_query`.
+    OPS: Dict[str, Callable[..., Any]] = {
         "ping": _ping,
         "stats": _stats,
         "shutdown": _shutdown,

@@ -793,6 +793,20 @@ class TestEvaluateCosts:
         assert costs == [real_cost(r.cfg, r.scope, r.accel, r.dataflow)
                          for r in requests]
 
+    @pytest.mark.parametrize("n,builds", [(1, 0), (2, 2)])
+    def test_a_lone_cost_request_builds_no_grid_features(
+            self, monkeypatch, n, builds):
+        built = []
+        real = engine._GridFeatures
+        monkeypatch.setattr(engine, "_GridFeatures", lambda *a: (
+            built.append(1) or real(*a)))
+        requests = [CostRequest(_TINY, Scope.LA, edge(), df)
+                    for df in (flat_r(16), base())[:n]]
+        costs = evaluate_costs(requests)
+        assert len(built) == builds
+        assert costs == [cost_scope(r.cfg, r.scope, r.accel, r.dataflow)
+                         for r in requests]
+
     def test_a_list_commits_its_disk_writes_once(self, tmp_path):
         requests = [CostRequest(cfg, Scope.BLOCK, edge(), df)
                     for cfg in _WORKLOADS for df in (flat_r(16), base())]

@@ -268,6 +268,60 @@ class TestBlockingReachability:
         )
         assert result.findings == []
 
+    def test_sleep_in_done_callback_flags(self):
+        result = run_lint(
+            """\
+            import time
+
+            class Box:
+                def _written(self, future):
+                    time.sleep(0.1)
+
+                def handle(self, future):
+                    future.add_done_callback(self._written)
+            """
+        )
+        finding = only_finding(result)
+        assert finding.rule == "R6" and finding.line == 5
+        assert "time.sleep" in finding.message
+        assert "callback 'Box._written'" in finding.message
+
+    def test_blocking_behind_partial_timer_callback_flags(self):
+        result = run_lint(
+            """\
+            import functools
+            import subprocess
+
+            def _flush(spec):
+                subprocess.run(spec)
+
+            def arm(loop, spec):
+                loop.call_later(0.1, functools.partial(_flush, spec))
+            """
+        )
+        finding = only_finding(result)
+        assert finding.rule == "R6" and finding.line == 5
+        assert "callback '_flush'" in finding.message
+
+    def test_callback_dispatching_through_executor_submit_is_clean(self):
+        result = run_lint(
+            """\
+            import time
+
+            class Box:
+                def _score(self, xs):
+                    time.sleep(0.1)
+                    return xs
+
+                def _flush(self):
+                    self._executor.submit(self._score, [])
+
+                def arm(self, loop):
+                    loop.call_soon(self._flush)
+            """
+        )
+        assert result.findings == []
+
     def test_blocking_outside_event_loop_module_is_clean(self):
         result = run_lint(
             """\
@@ -305,6 +359,34 @@ class TestExecutorEscapeHatches:
         finding = only_finding(result)
         assert finding.rule == "R6" and finding.line == 3
         assert "run_in_executor" in finding.message
+
+
+    def test_loop_callback_calling_executor_only_directly_flags(self):
+        result = run_lint(
+            """\
+            class Box:
+                def _flush(self):
+                    return self._score([])
+
+                def arm(self, loop):
+                    loop.call_soon(self._flush)
+            """
+        )
+        finding = only_finding(result)
+        assert finding.rule == "R6" and finding.line == 3
+        assert "executor.submit" in finding.message
+
+    def test_executor_only_handed_to_the_loop_flags(self):
+        result = run_lint(
+            """\
+            class Box:
+                def arm(self, loop):
+                    loop.call_soon_threadsafe(self._score, [])
+            """
+        )
+        finding = only_finding(result)
+        assert finding.rule == "R6" and finding.line == 3
+        assert "runs it on the event loop" in finding.message
 
 
 class TestSuppressionReasons:

@@ -10,6 +10,7 @@ from repro.obs import trace as trace_mod
 from repro.obs.trace import (
     TRACE_SCHEMA,
     TraceCollector,
+    open_span,
     read_trace,
     span,
     write_trace,
@@ -72,6 +73,38 @@ class TestSpans:
         drained = collector.drain()
         assert len(drained) == 1
         assert collector.events == []
+
+
+class TestOpenSpans:
+    def test_open_span_keeps_off_the_nesting_stack(self, monkeypatch):
+        collector = TraceCollector()
+        monkeypatch.setattr(trace_mod, "_active", collector)
+        with span("outer"):
+            first = open_span("request", op="cost")
+            second = open_span("request", op="ping")
+            with span("inner"):
+                pass
+        second.end(error="Overloaded")
+        first.end()
+        inner, outer, late, early = collector.events
+        assert inner["parent"] == outer["id"] and inner["depth"] == 1
+        assert outer["self_s"] == pytest.approx(
+            outer["dur_s"] - inner["dur_s"], abs=1e-9
+        ), "an open span is nobody's child"
+        for event in (late, early):
+            assert event["parent"] == 0 and event["depth"] == 0
+            assert event["self_s"] == event["dur_s"]
+        assert early["attrs"] == {"op": "cost"} and "error" not in early
+        assert late["error"] == "Overloaded"
+        assert early["dur_s"] >= late["dur_s"]
+        assert not collector._stack
+
+    def test_open_span_is_the_shared_null_when_off(self):
+        assert trace_mod.active() is None
+        opened = open_span("request", op="cost")
+        assert opened is span("other")
+        assert opened.set(op="ping") is opened
+        opened.end(error="Overloaded")
 
 
 class TestDisabledNoOp:

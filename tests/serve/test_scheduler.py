@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import threading
 
 import pytest
 
@@ -65,6 +66,12 @@ class StubEngine:
         return payloads, len(queries) > 1
 
 
+async def answer(scheduler, query, deadline_s=None):
+    """``submit`` awaited: the memoized answer, or the queued one."""
+    pending = scheduler.submit(query, deadline_s)
+    return pending if isinstance(pending, Encoded) else await pending
+
+
 def run_scenario(scenario, config=None, engine=None):
     """Start a scheduler, run the coroutine, always drain."""
     engine = engine if engine is not None else StubEngine()
@@ -93,9 +100,9 @@ class TestCoalescing:
     def test_identical_concurrent_requests_share_one_evaluation(self):
         async def scenario(scheduler):
             results = await asyncio.gather(
-                scheduler.submit(cost_query()),
-                scheduler.submit(cost_query()),
-                scheduler.submit(cost_query()),
+                answer(scheduler, cost_query()),
+                answer(scheduler, cost_query()),
+                answer(scheduler, cost_query()),
             )
             return results, scheduler.stats()
 
@@ -112,9 +119,9 @@ class TestCoalescing:
     def test_distinct_dataflows_form_one_grid_group(self):
         async def scenario(scheduler):
             await asyncio.gather(
-                scheduler.submit(cost_query(16)),
-                scheduler.submit(cost_query(64)),
-                scheduler.submit(cost_query(128)),
+                answer(scheduler, cost_query(16)),
+                answer(scheduler, cost_query(64)),
+                answer(scheduler, cost_query(128)),
             )
             return scheduler.stats()
 
@@ -129,8 +136,8 @@ class TestCoalescing:
     def test_different_workloads_are_separate_groups(self):
         async def scenario(scheduler):
             await asyncio.gather(
-                scheduler.submit(cost_query()),
-                scheduler.submit(other_workload_query()),
+                answer(scheduler, cost_query()),
+                answer(scheduler, other_workload_query()),
             )
             return scheduler.stats()
 
@@ -145,7 +152,7 @@ class TestCoalescing:
         )
 
         async def scenario(scheduler):
-            return await scheduler.submit(query)
+            return await answer(scheduler, query)
 
         result, engine = run_scenario(scenario)
         assert result == {"kind": "search"}
@@ -156,8 +163,8 @@ class TestCoalescing:
 class TestMemo:
     def test_repeat_is_served_from_the_memo(self):
         async def scenario(scheduler):
-            first = await scheduler.submit(cost_query())
-            second = await scheduler.submit(cost_query())
+            first = await answer(scheduler, cost_query())
+            second = await answer(scheduler, cost_query())
             return first, second, scheduler.stats()
 
         (first, second, stats), engine = run_scenario(scenario)
@@ -171,8 +178,8 @@ class TestMemo:
 
     def test_memo_size_zero_disables_the_memo(self):
         async def scenario(scheduler):
-            await scheduler.submit(cost_query())
-            await scheduler.submit(cost_query())
+            await answer(scheduler, cost_query())
+            await answer(scheduler, cost_query())
             return scheduler.stats()
 
         stats, engine = run_scenario(
@@ -184,9 +191,9 @@ class TestMemo:
 
     def test_memo_evicts_least_recently_used(self):
         async def scenario(scheduler):
-            await scheduler.submit(cost_query(16))
-            await scheduler.submit(cost_query(64))  # evicts flat-r16
-            await scheduler.submit(cost_query(16))  # must re-evaluate
+            await answer(scheduler, cost_query(16))
+            await answer(scheduler, cost_query(64))  # evicts flat-r16
+            await answer(scheduler, cost_query(16))  # must re-evaluate
             return scheduler.stats()
 
         stats, engine = run_scenario(
@@ -203,10 +210,10 @@ class TestAdmissionControl:
 
         async def scenario(scheduler):
             results = await asyncio.gather(
-                scheduler.submit(cost_query(2)),
-                scheduler.submit(cost_query(4)),
-                scheduler.submit(cost_query(8)),
-                scheduler.submit(cost_query(16)),
+                answer(scheduler, cost_query(2)),
+                answer(scheduler, cost_query(4)),
+                answer(scheduler, cost_query(8)),
+                answer(scheduler, cost_query(16)),
                 return_exceptions=True,
             )
             return results, scheduler.stats()
@@ -223,8 +230,8 @@ class TestAdmissionControl:
 
         async def scenario(scheduler):
             live, dead = await asyncio.gather(
-                scheduler.submit(cost_query(2)),
-                scheduler.submit(cost_query(4), deadline_s=0.001),
+                answer(scheduler, cost_query(2)),
+                answer(scheduler, cost_query(4), deadline_s=0.001),
                 return_exceptions=True,
             )
             return live, dead, scheduler.stats()
@@ -240,7 +247,7 @@ class TestAdmissionControl:
 
     def test_generous_deadline_is_met(self):
         async def scenario(scheduler):
-            return await scheduler.submit(cost_query(), deadline_s=30.0)
+            return await answer(scheduler, cost_query(), deadline_s=30.0)
 
         result, _ = run_scenario(scenario)
         assert isinstance(result, Encoded)
@@ -252,7 +259,7 @@ class TestFailures:
 
         async def scenario(scheduler):
             with pytest.raises(ProtocolError) as excinfo:
-                await scheduler.submit(cost_query())
+                await answer(scheduler, cost_query())
             return excinfo.value
 
         error, _ = run_scenario(scenario, engine=engine)
@@ -263,7 +270,7 @@ class TestFailures:
 
         async def scenario(scheduler):
             with pytest.raises(ProtocolError) as excinfo:
-                await scheduler.submit(cost_query())
+                await answer(scheduler, cost_query())
             return excinfo.value
 
         error, _ = run_scenario(scenario, engine=engine)
@@ -275,14 +282,101 @@ class TestFailures:
 
         async def scenario(scheduler):
             results = await asyncio.gather(
-                scheduler.submit(cost_query()),
-                scheduler.submit(cost_query()),
+                answer(scheduler, cost_query()),
+                answer(scheduler, cost_query()),
                 return_exceptions=True,
             )
             return results
 
         results, _ = run_scenario(scenario, engine=engine)
         assert all(isinstance(r, ProtocolError) for r in results)
+
+
+class TestFlush:
+    def test_zero_window_flushes_on_the_next_pass(self):
+        async def scenario(scheduler):
+            pending = scheduler.submit(cost_query())
+            queued = scheduler.stats()["queued"]
+            await asyncio.sleep(0)
+            flushed = scheduler.stats()
+            await pending
+            return queued, flushed
+
+        (queued, flushed), engine = run_scenario(
+            scenario, config=SchedulerConfig(window_ms=0)
+        )
+        assert queued == 1
+        assert flushed["queued"] == 0 and flushed["batches"] == 1
+        assert len(engine.group_calls) == 1
+
+    def test_full_batch_flushes_before_its_window_closes(self):
+        config = SchedulerConfig(window_ms=60_000, max_batch=3)
+
+        async def scenario(scheduler):
+            pending = [scheduler.submit(cost_query(r)) for r in (2, 4)]
+            await asyncio.sleep(0)
+            waiting = scheduler.stats()["queued"]
+            pending.append(scheduler.submit(cost_query(8)))
+            await asyncio.sleep(0)
+            full = scheduler.stats()
+            await asyncio.wait_for(asyncio.gather(*pending), timeout=30)
+            return waiting, full
+
+        (waiting, full), engine = run_scenario(scenario, config=config)
+        assert waiting == 2, "below max_batch the window stays open"
+        assert full["queued"] == 0 and full["batches"] == 1
+        assert [len(call) for call in engine.group_calls] == [3]
+
+    def test_failing_group_fails_only_its_own_waiters(self):
+        class Picky(StubEngine):
+            def group(self, queries):
+                if queries[0].cfg != _CFG:
+                    raise ValueError("kaboom")
+                return super().group(queries)
+
+        async def scenario(scheduler):
+            return await asyncio.gather(
+                answer(scheduler, cost_query(16)),
+                answer(scheduler, other_workload_query()),
+                answer(scheduler, cost_query(64)),
+                answer(scheduler, other_workload_query()),
+                return_exceptions=True,
+            ), scheduler.stats()
+
+        (results, stats), engine = run_scenario(scenario, engine=Picky())
+        assert isinstance(results[0], Encoded)
+        assert isinstance(results[2], Encoded)
+        for failed in (results[1], results[3]):
+            assert isinstance(failed, ProtocolError)
+            assert failed.code == "internal" and "kaboom" in str(failed)
+        assert stats["batches"] == 1 and stats["evaluations"] == 2
+        assert [len(call) for call in engine.group_calls] == [2]
+
+    def test_cheap_group_is_answered_while_its_batch_blocks(self):
+        release = threading.Event()
+
+        class Blocking(StubEngine):
+            def group(self, queries):
+                if queries[0].cfg != _CFG:
+                    release.wait(timeout=30)
+                return super().group(queries)
+
+        async def scenario(scheduler):
+            cheap = scheduler.submit(cost_query())
+            blocked = scheduler.submit(other_workload_query())
+            try:
+                first = await asyncio.wait_for(cheap, timeout=30)
+                blocked_done = blocked.done()
+            finally:
+                release.set()
+            return first, blocked_done, await blocked, scheduler.stats()
+
+        (first, blocked_done, last, stats), _ = run_scenario(
+            scenario, engine=Blocking()
+        )
+        assert isinstance(first, Encoded) and isinstance(last, Encoded)
+        assert not blocked_done, "the blocked group was still running"
+        assert stats["batches"] == 1, "both groups shared one batch"
 
 
 class TestDrain:
@@ -294,13 +388,13 @@ class TestDrain:
             scheduler = CoalescingScheduler(config, group_fn=engine.group)
             scheduler.start()
             # Queued behind a long window; drain must still answer it.
-            pending = asyncio.ensure_future(scheduler.submit(cost_query()))
+            pending = asyncio.ensure_future(answer(scheduler, cost_query()))
             await asyncio.sleep(0.01)
             await scheduler.drain()
             assert pending.done()
             result = await pending
             with pytest.raises(Draining):
-                await scheduler.submit(cost_query(2))
+                scheduler.submit(cost_query(2))
             return result, scheduler.stats()
 
         result, stats = asyncio.run(_main())

@@ -10,6 +10,9 @@ again in CI at replay scale.
 
 from __future__ import annotations
 
+import asyncio
+import json
+import socket
 import threading
 
 import pytest
@@ -24,6 +27,8 @@ from repro.serve import (
     encode_line,
 )
 from repro.serve.protocol import PROTOCOL
+from repro.serve.scheduler import CoalescingScheduler
+from repro.serve.server import DSEServer
 
 MIXED_REQUESTS = [
     {"op": "ping", "id": "q1"},
@@ -291,6 +296,40 @@ class TestObservability:
         assert counters == {"serve.op[ping]": 2, "serve.op[unknown]": 5}
 
 
+    def test_callback_answers_are_timed_from_receipt_to_write(self):
+        """A queued query is answered by a done-callback: its span and
+        its ``serve.request_s`` sample still cover the micro-batch
+        window it waited in, and an error it gets there is booked."""
+        from repro import obs
+
+        window_s = 0.05
+        req = {"op": "cost", "model": "xlm", "seq": 256, "batch": 2,
+               "dataflow": "flat-r16"}
+        requests = [dict(req, id="miss"),
+                    dict(req, id="expired", dataflow="base",
+                         deadline_ms=1)]
+        with obs.observed() as session:
+            config = SchedulerConfig(window_ms=window_s * 1e3)
+            with ServerThread(config) as address:
+                with ServeClient(*address) as client:
+                    responses = client.request_many(requests)
+            snap = session.registry.snapshot()
+            spans = [event for event in session.collector.events
+                     if event["name"] == "serve.request"]
+        assert [r["ok"] for r in responses] == [True, False]
+        assert responses[1]["code"] == "deadline_exceeded"
+        assert len(spans) == 2
+        # The second line arrives within the first one's window.
+        assert min(event["dur_s"] for event in spans) > window_s * 0.8
+        assert sorted(event.get("error", "") for event in spans) == [
+            "", "DeadlineExceeded"]
+        assert all(event["depth"] == 0 and event["parent"] == 0
+                   for event in spans)
+        latency = snap["serve.request_s"]
+        assert latency["count"] == 2 and latency["min"] > window_s * 0.8
+        assert snap["serve.error[deadline_exceeded]"]["value"] == 1
+        assert snap["serve.op[cost]"]["value"] == 2
+
     def test_repeats_reuse_resolution_and_encoding(self):
         from repro import obs
 
@@ -332,3 +371,166 @@ class TestShutdown:
         thread.stop(timeout=30)
         with pytest.raises((ConnectionError, OSError)):
             ServeClient(host, port, timeout=2.0).connect().ping()
+
+
+def _cost(req_id, dataflow="flat-r64", model="bert"):
+    return {"op": "cost", "id": req_id, "model": model, "seq": 512,
+            "batch": 4, "dataflow": dataflow}
+
+
+class _Gate:
+    """A group function that blocks until released and answers with a
+    payload of ``pad`` bytes."""
+
+    def __init__(self, pad: int = 0) -> None:
+        self.release = threading.Event()
+        self.started = threading.Event()
+        self.pad = pad
+
+    def __call__(self, queries):
+        self.started.set()
+        self.release.wait(timeout=30)
+        return [{"pad": "x" * self.pad} for _ in queries], False
+
+
+def _serve(gate, scenario, config=SchedulerConfig(window_ms=1.0)):
+    """Run ``scenario(server, reader, writer, errors)`` against an
+    in-process daemon whose evaluator is ``gate``; ``errors`` collects
+    what the event loop's exception handler sees."""
+
+    async def main():
+        errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: errors.append(context)
+        )
+        server = DSEServer(config=config)
+        server.scheduler = CoalescingScheduler(config, group_fn=gate)
+        host, port = await server.start()
+        # A client buffer of a few lines: past it, the client's
+        # transport stops reading until the scenario reads.
+        reader, writer = await asyncio.open_connection(
+            host, port, limit=1 << 17
+        )
+        try:
+            return await scenario(server, reader, writer, errors)
+        finally:
+            gate.release.set()
+            writer.close()
+            await server.shutdown()
+
+    return asyncio.run(main())
+
+
+async def _send(writer, requests):
+    for req in requests:
+        writer.write(encode_line(req))
+    await writer.drain()
+
+
+async def _wait_for(predicate, timeout=30.0):
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not predicate():
+        assert loop.time() < deadline, "timed out"
+        await asyncio.sleep(0.005)
+
+
+class TestConnections:
+    def test_half_closed_client_receives_every_answer(self):
+        dataflows = ("base", "flat-r8", "flat-r16", "flat-r32", "flat-r64")
+        requests = [_cost(f"h{i}", dataflow, model="flaubert")
+                    for i, dataflow in enumerate(dataflows)]
+        clear_evaluation_cache()
+        with ServerThread(SchedulerConfig(window_ms=20.0)) as address:
+            with socket.create_connection(address, timeout=60) as sock:
+                for req in requests:
+                    sock.sendall(encode_line(req))
+                sock.shutdown(socket.SHUT_WR)
+                received = b""
+                while True:
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        break
+                    received += chunk
+        responses = [json.loads(line) for line in received.splitlines()]
+        assert sorted(r["id"] for r in responses) == [
+            req["id"] for req in requests
+        ]
+        by_id = {r["id"]: encode_line(r) for r in responses}
+        for req in requests:
+            assert by_id[req["id"]] == encode_line(answer_direct(req))
+
+    def test_client_that_stops_reading_pauses_reads_until_it_reads(self):
+        total = 400
+
+        async def scenario(server, reader, writer, errors):
+            gate.release.set()
+            await _send(writer, [_cost("warm")])
+            await reader.readline()
+            # Memo hits of a 64 KB answer, each written on the read
+            # loop's pass.
+            await _send(writer, [_cost(f"s{i}") for i in range(total)])
+            stats = server.scheduler.stats
+            await _wait_for(lambda: stats()["requests"] > 1)
+            await asyncio.sleep(0.3)
+            paused = stats()["requests"]
+            await asyncio.sleep(0.2)
+            still = stats()["requests"]
+            lines = [await reader.readline() for _ in range(total)]
+            return paused, still, lines, stats()["requests"], errors
+
+        gate = _Gate(pad=64 * 1024)
+        paused, still, lines, final, errors = _serve(gate, scenario)
+        assert paused == still < total, "reads stay paused"
+        assert final == total + 1, "reads resume once the client reads"
+        assert sorted(json.loads(line)["id"] for line in lines) == sorted(
+            f"s{i}" for i in range(total))
+        assert errors == []
+
+    def test_disconnect_with_misses_in_flight_raises_nothing(self):
+        requests = [_cost(f"d{i}", dataflow) for i, dataflow in
+                    enumerate(("base", "flat-r8", "flat-r16", "flat-r16"))]
+
+        async def scenario(server, reader, writer, errors):
+            await _send(writer, requests)
+            await _wait_for(gate.started.is_set)
+            writer.close()
+            await writer.wait_closed()
+            await asyncio.sleep(0.05)
+            gate.release.set()
+            await server.shutdown()
+            return server.scheduler.stats(), errors
+
+        gate = _Gate()
+        stats, errors = _serve(gate, scenario)
+        assert errors == []
+        assert stats["requests"] == len(requests)
+        assert stats["evaluations"] == 3 and stats["coalesced"] == 1
+        assert (stats["requests"] - stats["memo_hits"] - stats["coalesced"]
+                - stats["shed"] - stats["deadline_expired"]
+                == stats["evaluations"]), stats
+
+    def test_shutdown_answers_queued_and_in_flight_work(self):
+        config = SchedulerConfig(window_ms=60_000.0, max_batch=2)
+
+        async def scenario(server, reader, writer, errors):
+            # A full batch flushes at once and blocks the evaluator; the
+            # next request waits out a window that shutdown cuts short.
+            await _send(writer, [_cost("a", "base"), _cost("b", "flat-r8")])
+            await _wait_for(gate.started.is_set)
+            await _send(writer, [_cost("queued", "flat-r16")])
+            await _wait_for(lambda: server.scheduler.stats()["queued"])
+            shutdown = asyncio.ensure_future(server.shutdown())
+            asyncio.get_running_loop().call_later(0.05, gate.release.set)
+            lines = [await reader.readline() for _ in range(3)]
+            eof = await reader.readline()
+            await shutdown
+            return lines, eof, errors
+
+        gate = _Gate()
+        lines, eof, errors = _serve(gate, scenario, config)
+        responses = [json.loads(line) for line in lines]
+        assert [r["id"] for r in responses] == ["a", "b", "queued"]
+        assert all(r["ok"] for r in responses)
+        assert eof == b"", "the daemon hangs up once its answers are out"
+        assert errors == []
