@@ -71,7 +71,6 @@ from repro.core.cache import (
     set_default_cache_dir,
 )
 from repro.core.batch import (
-    BatchFallback,
     GridEvaluation,
     best_index,
     evaluate_grid,
@@ -131,7 +130,6 @@ __all__ = [
     "SearchSpace",
     "enumerate_dataflows",
     "search",
-    "BatchFallback",
     "GridEvaluation",
     "best_index",
     "evaluate_grid",

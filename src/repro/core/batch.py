@@ -34,8 +34,8 @@ index-ordered strictly-less scan, so tie-breaking is preserved too.
 
 Why exactness holds: every elementary operation appears in the same
 order with the same operands in both paths, and each operand has the
-same type — a Python ``int`` in the scalar path is an int64 lane here,
-a ``float`` is a float64 lane.  Float operations then round alike
+same type — a Python ``int`` in the scalar path is an integer lane
+here, a ``float`` is a float64 lane.  Float operations then round alike
 (IEEE-754), int operations are exact in both, and an int meets a float
 through the same single correctly-rounded conversion.  The argument is
 per lane, so it spans workloads: the terms that depend only on the
@@ -45,7 +45,7 @@ operator's shape and counts) are computed in Python once per distinct
 workload of a call, exactly as the scalar path computes them, and
 gathered to the lanes by workload index (:class:`_Workloads`).  A
 one-workload call keeps them as Python scalars, which broadcast; a
-merged call holds the same values in int64 / float64 lanes.  Tile
+merged call holds the same values in integer / float64 lanes.  Tile
 lookup tables are keyed on the workload's shape as well, so every lane
 of a merged call equals its one-workload call bit for bit.  Three
 places need care, because there the two paths could still part:
@@ -54,27 +54,29 @@ places need care, because there the two paths could still part:
   an int in the scalar model, so ``cold * passes`` is an exact int,
   and two such terms (Q and K of the L-A pair, lhs and rhs of an
   operator) add exactly before the sum meets its first float.  Those
-  products and sums are formed in int64 here (:func:`_traffic_sum`)
-  and converted once, where the scalar path converts.  Every other
-  traffic term is a float product in both paths.
+  products and sums are formed in integer lanes here
+  (:func:`_traffic_sum`) and converted once, where the scalar path
+  converts.  Every other traffic term is a float product in both paths.
 * **int / int true division.**  Python rounds the exact quotient once;
   numpy rounds both int64 operands to float64 first, which is inexact
   past 2**53.  The mapping efficiencies are therefore divided in Python
-  once per distinct iteration space (:func:`_per_value`), and the
-  staged footprint entering the staging-fit division is checked
-  against 2**53.
+  once per distinct iteration space (:func:`_per_value`); the staged
+  footprint entering the staging-fit division is the one int / int
+  division left to the arrays.
 * **int64 overflow.**  Every int64 intermediate — footprints in bytes,
   pass counts, iteration spaces, integer traffic terms — is at most
-  ``9 * bytes_per_element`` times an operator's MAC count, so a static
-  ceiling of 2**58 on that product keeps them all below 2**62.
+  ``9 * bytes_per_element`` times an operator's MAC count.
 
-:class:`BatchFallback` is raised only at those two checks.  The paper
-registry stays below both: its largest operators (XLM at 512K tokens,
-fig12b) reach 2**56 MAC-bytes and ~2**49 staged footprint bytes.
-Workloads beyond them take the scalar path.  The headroom check is
-per workload, so the engine scores a workload past it alone; the
-footprint check depends on the candidates, and the engine reruns a
-merged call that raises it one segment at a time.
+The last two hold in int64 lanes only below two static edges per
+workload (:func:`is_wide`): every operator's ``macs *
+bytes_per_element`` below 2**58 keeps every intermediate below 2**62,
+and twice the scope's full tensor volume in bytes below 2**53 bounds
+every candidate's staged footprint (a staged tile is at most its
+tensor, double-buffered).  Past either edge the integer columns are
+Python ints (object lanes): the same kernel on the scalar path's
+operand type, exact at every size, only slower.  No paper workload
+reaches either edge (XLM at 512K tokens, fig12b, peaks at 2**56
+MAC-bytes and ~2**49 staged bytes).
 
 The kernel keeps its per-operator arrays (:class:`_OpArrays`) on the
 :class:`GridEvaluation`, so :meth:`GridEvaluation.scope_cost` rebuilds
@@ -82,8 +84,8 @@ any lane's full :class:`~repro.core.perf.ScopeCost` — every
 :class:`~repro.core.perf.OperatorCost` field, as Python scalars, equal
 to ``cost_scope``'s and pickled to the same bytes — without running
 the scalar model.  The scalar model remains the reference the kernel
-mirrors, the path past the exactness ceiling, and the cheaper route for
-a single point (one ``cost_scope`` call beats a one-row grid call).
+mirrors and the cheaper route for a single point (one ``cost_scope``
+call beats a one-row grid call).
 
 What a call costs beyond its rows is kept small.  L2 tiles come from
 the memoized records of :func:`repro.core.tiling.tile_plan` (one
@@ -131,12 +133,12 @@ from repro.ops.attention import AttentionConfig, Scope, operators_for_scope
 from repro.ops.operator import GemmOperator, OperatorKind
 
 __all__ = [
-    "BatchFallback",
     "GridEvaluation",
     "GridLanes",
     "GridRows",
     "evaluate_grid",
     "best_index",
+    "is_wide",
 ]
 
 # Ceiling on ``macs * bytes_per_element`` of any operator: every int64
@@ -153,20 +155,6 @@ _STAT_INDEX = {
     Stationarity.WEIGHT: 1,
     Stationarity.INPUT: 2,
 }
-
-
-class BatchFallback(RuntimeError):
-    """This grid cannot be batch-evaluated exactly; use the scalar path."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        # Counters only (this module is cache-fingerprinted, so no
-        # timing dependencies belong here); every raise site uses a
-        # fixed reason string, giving a stable per-reason breakdown.
-        registry = _metrics_active()
-        if registry is not None:
-            registry.counter("batch.fallbacks").inc()
-            registry.counter(f"batch.fallback[{reason}]").inc()
 
 
 @dataclass(frozen=True)
@@ -379,14 +367,6 @@ class _OpArrays:
     sfu_ops: object  # ndarray (variant-dependent), or a float constant
 
 
-def _check_footprint(fp_bytes: "np.ndarray") -> None:
-    # The staging fit divides by the footprint (int / int).
-    if int(fp_bytes.max()) >= _MAX_EXACT_INT:
-        raise BatchFallback(
-            "staged footprint exceeds the float64-exact range"
-        )
-
-
 # From this many values on, _distinct's dense remap beats its dict.
 _DENSE_MIN = 128
 
@@ -488,12 +468,14 @@ def _tile_luts(codes: "np.ndarray", build) -> List["np.ndarray"]:
     ``build`` reads the memoized scalar :func:`~repro.core.tiling.tile_plan`
     records of one distinct code; a grid has only a handful of distinct
     tile keys per workload, so it runs once per distinct code and
-    gathers back out to all lanes.
+    gathers back out to all lanes.  Integer records take the codes'
+    dtype, so a wide call's (Python-int) lanes stay Python ints.
     """
     keys, inverse = _distinct(codes)
     records = [build(code) for code in keys]
-    return [np.asarray([rec[j] for rec in records])[inverse]
-            for j in range(len(records[0]))]
+    return [np.asarray(column, dtype=codes.dtype
+                       if isinstance(column[0], int) else float)[inverse]
+            for column in zip(*records)]
 
 
 def _la_tiles(r: "np.ndarray", shape_of, shapes: Sequence[Tuple[int, int]],
@@ -624,7 +606,7 @@ def _evaluate_la_pair(
     rigid = not options.flexible_mapping
     terms = [_la_terms(cfg, accel, rigid) for cfg in w.configs]
     b, h, nq, nkv, dk, q_cold, k_cold, int_cold, macs_l = w.gather(
-        [t[0] for t in terms], np.int64)
+        [t[0] for t in terms], f.ints.dtype)
     floats = w.gather([t[1] for t in terms], float)
     (softmax_cycles, flashd, sg_base_l, sg_base_a, macs, sl_words,
      flashd_flops, softmax_flops) = floats[:8]
@@ -637,7 +619,6 @@ def _evaluate_la_pair(
     )
     fp_total = fp_lhs + fp_rhs + fp_rhs2 + fp_out + fp_int
     fp_bytes = fp_total * e
-    _check_footprint(fp_bytes)
     budget = partition_scratchpad(
         fp_bytes, staged & f.s_any, accel, options
     )
@@ -842,7 +823,7 @@ def _evaluate_operators(
         for t in terms
     ]
     m, k, n, is_weight, instances, lhs_n, rhs_n, shape_index = (
-        w.gather_slots(ints, np.int64))
+        w.gather_slots(ints, f.ints.dtype))
     out_n, op_macs, sg_words, op_sl = w.gather_slots(
         [t[1] for t in terms], float)
     shape_list = list(shapes)
@@ -859,7 +840,6 @@ def _evaluate_operators(
     )
     fp_total = lhs_e + rhs_e + out_e
     fp_bytes = fp_total * e
-    _check_footprint(fp_bytes)
     budget = partition_scratchpad(fp_bytes, f.o_any, accel, options)
 
     inst_passes = ceil_div(instances, f.o_b_t)
@@ -901,11 +881,14 @@ def _evaluate_operators(
         pes = accel.pe_array.num_pes
         eff = _per_value(m * k * n * f.o_b_t,
                          lambda v: v / (pes * ceil_div(v, pes)))
-    elif w.lane is None:
-        eff = np.asarray(terms[0][2])[:, f.stat_idx]
     else:
-        table = np.asarray([t[2] for t in terms])
-        eff = table[w.lane, np.arange(table.shape[1])[:, None], f.stat_idx]
+        # A wide call's stationarity indices are Python ints too.
+        stat = f.stat_idx.astype(np.intp, copy=False)
+        if w.lane is None:
+            eff = np.asarray(terms[0][2])[:, stat]
+        else:
+            table = np.asarray([t[2] for t in terms])
+            eff = table[w.lane, np.arange(table.shape[1])[:, None], stat]
     compute = _compute_cycles_from_eff(op_macs, eff, n_pass_f, accel,
                                        options)
     steady = _phase_time(compute, dram_words, sg_words, accel)
@@ -1087,24 +1070,34 @@ class GridLanes:
         )
 
 
-def _la_stage_macs(cfg: AttentionConfig) -> int:
-    """MACs of each stage of the L-A pair (A has L's MAC count)."""
-    return cfg.batch * cfg.heads * cfg.seq_q * cfg.seq_kv * cfg.d_head
+def is_wide(cfg: AttentionConfig, scope: Scope, e: int) -> bool:
+    """Whether grids on ``cfg`` run their integer columns as Python ints:
+    past an operator's ``macs * e`` of 2**58, or twice the full volume
+    of the scope's tensors, in bytes, of 2**53 (see the module
+    docstring).  The L-A scope is read off the config without building
+    its operator list.
+    """
+    if scope is Scope.LA:
+        bh, nq, nkv = cfg.batch * cfg.heads, cfg.seq_q, cfg.seq_kv
+        macs = bh * nq * nkv * cfg.d_head
+        volume = bh * (2 * (nq + nkv) * cfg.d_head + nq * nkv)
+    else:
+        ops = operators_for_scope(cfg, scope)
+        macs = max(op.macs for op in ops)
+        volume = sum(op.min_traffic_elements() for op in ops)
+    return (macs * e >= _MAX_INT64_MAC_BYTES
+            or 2 * volume * e >= _MAX_EXACT_INT)
 
 
-def _scope_plan(cfg: AttentionConfig, scope: Scope,
-                e: int) -> Tuple[Tuple[Optional[int], ...],
-                                 List[GemmOperator]]:
+def _scope_plan(cfg: AttentionConfig, scope: Scope
+                ) -> Tuple[Tuple[Optional[int], ...], List[GemmOperator]]:
     """A scope's cost rows in execution order, and its non-L-A operators.
 
     ``None`` is the L-A pair, an int is a row of the stacked non-L-A
-    operators.  Raises :class:`BatchFallback` past the int64 headroom.
-    The L-A scope is the pair alone, read off the config without
-    building its operator list.
+    operators.  The L-A scope is the pair alone, read off the config
+    without building its operator list.
     """
     if scope is Scope.LA:
-        if _la_stage_macs(cfg) * e >= _MAX_INT64_MAC_BYTES:
-            raise BatchFallback("operator exceeds the int64 headroom")
         return (None,), []
     ops = operators_for_scope(cfg, scope)
     plan: List[Optional[int]] = []
@@ -1112,8 +1105,6 @@ def _scope_plan(cfg: AttentionConfig, scope: Scope,
     i = 0
     while i < len(ops):
         op = ops[i]
-        if op.macs * e >= _MAX_INT64_MAC_BYTES:
-            raise BatchFallback("operator exceeds the int64 headroom")
         if (
             op.kind is OperatorKind.LOGIT
             and i + 1 < len(ops)
@@ -1153,9 +1144,8 @@ def evaluate_grid(
     their operator plan (every scope lists the same operator kinds for
     every model).
 
-    Raises :class:`BatchFallback` when a workload is large enough that
-    the array path could round, or overflow, where Python's integers
-    stay exact (see the module docstring).
+    A call with a workload past the int64 lanes' edges (:func:`is_wide`)
+    runs its integer columns as Python ints, so it is exact too.
     """
     lane = None
     if isinstance(dataflows, GridLanes):
@@ -1184,8 +1174,7 @@ def evaluate_grid(
         registry.histogram("batch.grid_points").observe(n)
         registry.histogram("batch.grid_segments").observe(segments)
 
-    e = accel.bytes_per_element
-    plans = [_scope_plan(c, scope, e) for c in configs]
+    plans = [_scope_plan(c, scope) for c in configs]
     plan = plans[0][0]
     if any(p != plan for p, _ in plans):
         raise ValueError("grid workloads must share one operator plan")
@@ -1195,6 +1184,9 @@ def evaluate_grid(
         f = dataflows.take()
     else:
         f = _GridFeatures(cfg, dataflows)
+    e = accel.bytes_per_element
+    if any(is_wide(c, scope, e) for c in configs):
+        f = _GridFeatures.from_columns(f.ints.astype(object), f.flags)
     la = _evaluate_la_pair(w, accel, options, f) if None in plan else None
     stacked = (
         _evaluate_operators(w, [others for _, others in plans], accel,

@@ -32,12 +32,6 @@ Four pieces:
   :func:`bound_rows` of every family as columns, memoized per query
   length and space by :func:`family_columns`); the table already holds
   their sizes and offsets.
-* **Footprint inversion** (:func:`feasible_row_interval`) — Table 2's
-  R-granularity footprint is affine in the row count, so the largest
-  fully resident FLAT-R tile for a given buffer is exact integer
-  arithmetic (:func:`repro.core.footprint.invert_r_gran_rows`) instead
-  of trial evaluation.  Row families inside the interval have a zero
-  spill term in their bound by construction.
 * **Warm starts** (:class:`Incumbent`) — a sweep driver hands the
   neighboring point's winner to the next search.  The incumbent is a
   *hint, never a value*: the engine re-evaluates the seed dataflow
@@ -82,8 +76,7 @@ from repro.core.dse import (
     family_size,
     query_families,
 )
-from repro.core.footprint import invert_r_gran_rows
-from repro.core.perf import PerfOptions, partition_scratchpad
+from repro.core.perf import PerfOptions
 from repro.energy.tables import EnergyTable
 from repro.ops.attention import AttentionConfig, Scope
 
@@ -95,7 +88,6 @@ __all__ = [
     "family_bounds",
     "family_columns",
     "family_lower_bound",
-    "feasible_row_interval",
     "SpaceTable",
     "space_table",
 ]
@@ -335,31 +327,6 @@ def family_lower_bound(
     return float(bound_table(objective, scope, accel,
                              bound_rows(cfg, [family], space), options,
                              energy_table)[0])
-
-
-def feasible_row_interval(
-    cfg: AttentionConfig,
-    accel: Accelerator,
-    options: PerfOptions = PerfOptions(),
-) -> Tuple[int, int]:
-    """Rows ``(lo, hi)`` whose all-enabled FLAT-R tile is fully resident.
-
-    Inverts the Table 2 closed form against the model's own staging
-    budget (:func:`repro.core.perf.partition_scratchpad` — the budget
-    is independent of the tile's footprint, so the inversion is exact):
-    for every ``r`` in the interval, ``footprint_r_gran(r, N, dk)``
-    fits the staging region entirely and the bound's intermediate
-    spill term is zero by construction.  Returns ``(1, 0)`` (an empty
-    interval) when not even one staged row fits; the upper end is
-    capped at the sequence length, past which R granularity degenerates.
-    """
-    e = accel.bytes_per_element
-    # The staging budget does not depend on the footprint argument; any
-    # positive sentinel selects the staging-active partition.
-    budget = partition_scratchpad(1, True, accel, options)
-    budget_elements = budget.staging_budget_bytes // e
-    hi = invert_r_gran_rows(budget_elements, cfg.seq_kv, cfg.d_head)
-    return 1, min(hi, cfg.seq_q)
 
 
 def plan_candidates(

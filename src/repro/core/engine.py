@@ -17,7 +17,7 @@ by what the caller asks for:
   generated from family fields and memoized in the LRU per
   ``(batch, heads, seq_q, space)``.  Candidates are rows of that
   table: a ``Dataflow`` is built only for the winner, a warm seed and
-  members scored past a ``BatchFallback``.  A space of at most
+  a lane alone in its call.  A space of at most
   ``_MERGE_BATCH_LIMIT`` candidates, and a ``FOOTPRINT`` search (no
   cost bound exists) of any size, is scored whole by the vectorized
   backend (:func:`repro.core.batch.evaluate_grid`): no plan, no
@@ -26,12 +26,10 @@ by what the caller asks for:
   admissible lower bound from its cheapest representative member; the
   live families' representatives are scored first, then every family
   whose bound exceeds the incumbent is skipped without ever scoring
-  its members, and survivors' rows are scored next.  When a grid call
-  raises :class:`~repro.core.batch.BatchFallback` (a workload past the
-  array path's int64 headroom or float64-exact staged footprint,
-  beyond every paper workload), the members it held are scored one by
-  one by the scalar model instead, so family pruning and the winner
-  memo cover those searches too.  On a large space, a ``warm_start``
+  its members, and survivors' rows are scored next.  A workload past
+  the int64 lanes' edges (:func:`~repro.core.batch.is_wide`, beyond
+  every paper workload) is scored on the grid like any other, merged
+  only with other wide workloads.  On a large space, a ``warm_start``
   :class:`~repro.core.candidates.Incumbent` (the neighboring sweep
   point's winner, re-evaluated under the current config/accelerator —
   its value is never trusted) seeds the incumbent before any family is
@@ -45,9 +43,9 @@ by what the caller asks for:
 A fixed dataflow is one lane.  On every path a grid-scored point's
 full ``ScopeCost`` — a best-only winner's, every point's, a fixed
 dataflow's — is built from its grid lane, equal to the scalar model's
-on every field, so the scalar model runs only for warm seeds, lanes
+on every field, so the scalar model runs only for warm seeds and lanes
 alone in their call (one ``cost_scope`` call is cheaper than a one-row
-grid call) and past the array path's edge.
+grid call).
 
 **One list, scored in rounds.**  :func:`run_searches` checks every
 request's memo first, in list order.  Its misses then advance
@@ -114,17 +112,15 @@ import numpy as np
 
 from repro.arch.accelerator import Accelerator
 from repro.core.batch import (
-    _MAX_INT64_MAC_BYTES,
-    BatchFallback,
     GridEvaluation,
     GridLanes,
     GridRows,
     _GridFeatures,
     _l2_budget_slots,
-    _la_stage_macs,
     _la_tiles,
     _per_value,
     evaluate_grid,
+    is_wide,
 )
 from repro.core.cache import PersistentCache, get_default_cache
 from repro.core.candidates import (
@@ -211,8 +207,7 @@ class SearchStats:
     the in-process LRU: a search answered from disk books its whole
     space there.  A search that misses its memo books no hits, and its
     ``evaluated`` counts the full breakdowns it built, from a grid lane
-    or by the scalar model: every point of an every-point search, every
-    member a best-only search scored through the scalar fallback, and
+    or by the scalar model: every point of an every-point search, and
     otherwise the winner's breakdown.  ``batch_evaluations`` counts
     candidates scored by the vectorized backend only; it sits outside
     the invariant — a batch-scored loser is accounted as ``pruned`` (it
@@ -535,24 +530,20 @@ _LA_KINDS = (OperatorKind.LOGIT, OperatorKind.ATTEND)
 
 
 def _merge_group(cfg: AttentionConfig, scope: Scope, options: PerfOptions,
-                 accel: Accelerator, accel_fp: tuple) -> Optional[tuple]:
-    """The key under which grid calls on ``cfg`` merge with others', or
-    ``None`` for a workload past the int64 headroom (scored alone, so
-    its :class:`~repro.core.batch.BatchFallback` keeps the others on
-    the grid).
+                 accel: Accelerator, accel_fp: tuple) -> tuple:
+    """The key under which grid calls on ``cfg`` merge with others'.
 
     Lanes merge when they share the scope, the model options, the
-    accelerator and the scope's operator kinds (one operator plan).
+    accelerator, the scope's operator kinds (one operator plan) and
+    whether the workload is past the int64 lanes' edges
+    (:func:`~repro.core.batch.is_wide`): a wide workload's calls run
+    Python-int lanes, so int64 lanes never run as objects.
     """
-    if scope is Scope.LA:
-        # The pair is the whole scope: no operator list to build.
-        macs, kinds = _la_stage_macs(cfg), _LA_KINDS
-    else:
-        ops = operators_for_scope(cfg, scope)
-        macs, kinds = max(op.macs for op in ops), tuple(op.kind for op in ops)
-    if macs * accel.bytes_per_element >= _MAX_INT64_MAC_BYTES:
-        return None
-    return (scope, options, accel_fp, kinds)
+    # The pair is the whole L-A scope: no operator list to build.
+    kinds = (_LA_KINDS if scope is Scope.LA
+             else tuple(op.kind for op in operators_for_scope(cfg, scope)))
+    return (scope, options, accel_fp, kinds,
+            is_wide(cfg, scope, accel.bytes_per_element))
 
 
 @dataclass(frozen=True)
@@ -818,9 +809,10 @@ def bound_table(
     (:func:`~repro.core.batch._la_tiles`) and
     the int / int mapping efficiencies through
     :func:`~repro.core.batch._per_value`.  Integer columns are int64;
-    when a workload reaches the int64 headroom (``macs *
-    bytes_per_element >= 2**58``) they hold Python integers instead
-    (object dtype), which the same code runs on exactly.  ``FOOTPRINT``
+    when a workload is past the int64 lanes' edges
+    (:func:`~repro.core.batch.is_wide`) they hold Python integers
+    instead (object dtype), which the same code runs on exactly, as
+    the grid does.  ``FOOTPRINT``
     has no bound and is rejected.
     """
     if objective is Objective.FOOTPRINT:
@@ -847,8 +839,8 @@ def bound_table(
     cfg_list = rows.configs
     ci = rows.workload
     terms = [_config_terms(cfg, scope, accel) for cfg in cfg_list]
-    wide = any(t[0][5] * e >= _MAX_INT64_MAC_BYTES for t in terms)
-    idt = object if wide else np.int64
+    idt = (object if any(is_wide(cfg, scope, e) for cfg in cfg_list)
+           else np.int64)
     b_t, h_t, r = rows.tiles.astype(idt, copy=False)
     (fused, s_lhs, s_rhs, s_rhs2, s_out, s_int, s_any, v_flash, v_pipe,
      output, weight, inputs, may_fuse) = rows.flags
@@ -1162,7 +1154,7 @@ class _Job:
     or the one its rounds computed (``source`` ``"model"``), with a
     search's ``stats`` and an every-point search's ``dataflows``;
     ``source`` stays ``None`` for a repeat of an earlier miss's key.  A
-    miss holds its :func:`_merge_group` (``None``: scored alone), a
+    miss holds its :func:`_merge_group` (``None`` when alone), a
     missed search its space ``table`` and, when it is planned, its
     families' ``bounds``; ``rows`` are what it scores in the next round
     (``None``: nothing left), and ``alive`` the families whose
@@ -1282,11 +1274,11 @@ class _Job:
     def take(self, grid: Optional[GridEvaluation], lo: int,
              values: Optional[np.ndarray]) -> None:
         """Book this round's rows, scored from lane ``lo`` of ``grid``
-        (the scalar model when ``grid`` is ``None``), and set the next
-        round's rows or settle.  A search selects on its objective
-        ``values``; a fixed dataflow or an every-point search settles at
-        once, every lane's breakdown taken, so no job holds a grid past
-        its round."""
+        (a lone lane, by the scalar model, when ``grid`` is ``None``),
+        and set the next round's rows or settle.  A search selects on
+        its objective ``values``; a fixed dataflow or an every-point
+        search settles at once, every lane's breakdown taken, so no job
+        holds a grid past its round."""
         req, rows, table = self.request, self.rows, self.table
         self.rows = None
         if self.kind != "search":
@@ -1306,20 +1298,18 @@ class _Job:
             return
         self.generated += len(rows)
         if grid is None:
-            members = (range(table.total) if rows.index is None
-                       else rows.index.tolist())
-            costs = [_breakdown(req, table.dataflow(i)) for i in members]
-            values = np.asarray(
-                [_objective_value(req.objective, cost, req.energy_table)
-                 for cost in costs], dtype=float)
-            self.scalar += len(rows)
+            index = 0 if rows.index is None else int(rows.index[0])
+            cost = _breakdown(req, table.dataflow(index))
+            self.scalar += 1
+            self.consider(float(_objective_value(
+                req.objective, cost, req.energy_table)), index, cost)
         else:
             self.batch_evaluations += len(rows)
-        # Rows ascend, so the first minimum is the (value, index) one.
-        k = int(np.argmin(values))
-        self.consider(float(values[k]),
-                      k if rows.index is None else int(rows.index[k]),
-                      costs[k] if grid is None else (grid, lo + k))
+            # Rows ascend, so the first minimum is the (value, index) one.
+            k = int(np.argmin(values))
+            self.consider(float(values[k]),
+                          k if rows.index is None else int(rows.index[k]),
+                          (grid, lo + k))
         if self.alive is not None:
             # The representatives tightened the incumbent: re-gate, and
             # score the survivors' other members next round.
@@ -1374,11 +1364,7 @@ def _scored(jobs: Sequence[_Job], tally: dict) -> Iterator[
     jobs come before the next call runs, so the call lives only while a
     job keeps a lane of it.  A call of one lane is never made: one
     ``cost_scope`` call is cheaper than a one-row grid call, so that
-    job is yielded with ``None`` and the scalar model scores it.  When
-    a call raises :class:`~repro.core.batch.BatchFallback` (the
-    staged-footprint check, which depends on the candidates) each
-    segment is scored alone, and one that raises again is yielded with
-    ``None`` too.
+    job is yielded with ``None`` and the scalar model scores it.
     """
     groups: dict = {}
     for job in jobs:
@@ -1393,9 +1379,7 @@ def _scored(jobs: Sequence[_Job], tally: dict) -> Iterator[
                 lanes = 0
             chunks[-1].append(job)
             lanes += len(job.rows)
-    chunks.reverse()
-    while chunks:
-        chunk = chunks.pop()
+    for chunk in chunks:
         first = chunk[0].request
         if sum(len(job.rows) for job in chunk) == 1:
             yield chunk[0], None, 0, None
@@ -1404,16 +1388,9 @@ def _scored(jobs: Sequence[_Job], tally: dict) -> Iterator[
             job.rows.grid_rows() if isinstance(job.rows, _CostLane)
             else job.rows for job in chunk))
         tally["grid_calls"] += 1
-        try:
-            grid = evaluate_grid([job.request.cfg for job in chunk],
-                                 first.scope, first.accel, segments,
-                                 options=first.options)
-        except BatchFallback:
-            if len(chunk) == 1:
-                yield chunk[0], None, 0, None
-            else:
-                chunks.extend([job] for job in reversed(chunk))
-            continue
+        grid = evaluate_grid([job.request.cfg for job in chunk],
+                             first.scope, first.accel, segments,
+                             options=first.options)
         tally["segments"] += len(chunk)
         scores: dict = {}
         lo = 0

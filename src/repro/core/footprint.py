@@ -33,7 +33,6 @@ __all__ = [
     "footprint_b_gran",
     "footprint_h_gran",
     "footprint_r_gran",
-    "invert_r_gran_rows",
 ]
 
 _DOUBLE_BUFFER = 2
@@ -184,21 +183,3 @@ def footprint_h_gran(n: int, d_head: int) -> int:
 def footprint_r_gran(rows: int, n: int, d_head: int) -> int:
     """``O(4*R*dk + 4*N*dk + R*N)`` — row granularity; linear in N."""
     return 4 * rows * d_head + 4 * n * d_head + rows * n
-
-
-def invert_r_gran_rows(budget_elements: int, n: int, d_head: int) -> int:
-    """Largest row count whose R-granularity footprint fits a budget.
-
-    Inverts the Table 2 closed form: ``footprint_r_gran(R, n, d_head)``
-    is affine in R (slope ``4*d_head + n``, intercept ``4*n*d_head``),
-    so the feasibility frontier is exact integer division.  Returns the
-    largest ``R >= 0`` with ``footprint_r_gran(R, n, d_head) <=
-    budget_elements``; 0 means not even a single staged row fits.  The
-    candidate generator (:mod:`repro.core.candidates`) uses this to
-    report the analytically feasible row interval for a buffer size
-    instead of testing row choices one by one.
-    """
-    slack = budget_elements - 4 * n * d_head
-    if slack < 0:
-        return 0
-    return slack // (4 * d_head + n)

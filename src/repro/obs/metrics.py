@@ -9,7 +9,7 @@ the parent's registry after a pool job ships its numbers home.
 Three instrument kinds cover the repo's needs:
 
 * :class:`Counter` — monotonically increasing event counts
-  (``cache.hits``, ``engine.evaluated``, ``batch.fallbacks``).
+  (``cache.hits``, ``engine.evaluated``, ``batch.grids``).
 * :class:`Gauge` — last-written level (``engine.lru_entries``).
 * :class:`Histogram` — count/total/min/max of observed samples
   (``cache.get_s`` latencies, ``batch.grid_points``).  No buckets: the

@@ -12,16 +12,14 @@ stats dict.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.trace import TRACE_SCHEMA, TraceData, read_trace
+from repro.obs.trace import TRACE_SCHEMA, TraceData
 
 __all__ = [
     "rollup_spans",
     "cache_invariant",
     "format_summary",
-    "render_summary",
     "trace_totals",
 ]
 
@@ -129,15 +127,6 @@ def format_summary(data: TraceData, top: int = 12) -> str:
             f"{hits} + {misses} == {lookups} [{verdict}]"
         )
     return "\n".join(lines)
-
-
-def render_summary(path: os.PathLike, top: int = 12) -> str:
-    """Read a trace file and return its formatted summary.
-
-    Exits nonzero upstream (the CLI) when the cache invariant is
-    violated; here we only raise on unreadable/foreign files.
-    """
-    return format_summary(read_trace(path), top=top)
 
 
 def trace_totals(

@@ -12,7 +12,7 @@ DAG and the fusion-legality check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.ops.operator import GemmOperator, OperatorKind
 
@@ -152,8 +152,3 @@ def check_fusion_legality(
         ),
         min_rows=1,
     )
-
-
-def block_graph(operators: Sequence[GemmOperator]) -> OperatorGraph:
-    """Convenience wrapper: build a graph from an operator list."""
-    return OperatorGraph(list(operators))

@@ -20,7 +20,9 @@
 
 * :func:`execute_group` is the scheduler's work for one coalescing
   group: cost groups go to :func:`execute_cost_group`, every other kind
-  maps :func:`execute_query` over its queries.
+  maps :func:`execute_query` over its queries inside one
+  :meth:`~repro.core.cache.PersistentCache.batch`, so the group's disk
+  writes commit once.
 
 * :func:`answer_direct` wraps the same resolution and execution into a
   full response envelope for in-process replay (``repro-flat query
@@ -30,8 +32,10 @@
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Tuple
 
+from repro.core.cache import get_default_cache
 from repro.core.dataflow import AttentionVariant
 from repro.core.dse import SearchSpace, search
 from repro.core.engine import CostRequest, evaluate_costs
@@ -111,10 +115,14 @@ def execute_group(
     ``used_grid`` is ``True`` for a cost group of two or more queries,
     which :func:`~repro.core.engine.evaluate_costs` scores as one
     lineup; it feeds the scheduler's ``grid_calls``/``grid_rows``.
+    Any other group runs one search per query, its disk writes committed
+    once.
     """
     if queries[0].kind == "cost":
         return execute_cost_group(queries), len(queries) > 1
-    return [execute_query(q) for q in queries], False
+    store = get_default_cache()
+    with store.batch() if store is not None else nullcontext():
+        return [execute_query(q) for q in queries], False
 
 
 def _direct_query(req: Dict[str, Any]) -> Dict[str, Any]:

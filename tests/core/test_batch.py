@@ -24,7 +24,6 @@ from repro.analysis.utilization import default_buffer_sizes
 from repro.arch.presets import cloud, edge, get_platform
 from repro.core import batch as batch_backend
 from repro.core.batch import (
-    BatchFallback,
     best_index,
     evaluate_grid,
 )
@@ -336,7 +335,8 @@ def _fallback_shapes(experiment):
 
 
 class TestFallback:
-    """Both sides of the old float64 edge and of the new int64 one."""
+    """Both sides of the int64 lanes' edges, where the grid once fell
+    back to the scalar model, and of the retired float64 guard."""
 
     # 64 * 16 * 262144^2 * 64 = 2^52 MACs in the logit operator alone,
     # four times past the retired 2^50 ceiling on the L-A pair.
@@ -361,17 +361,19 @@ class TestFallback:
     # so the search plans and gates families.
     _WIDE_LADDER = dataclasses.replace(_LADDER, exhaustive_staging=True)
 
-    def test_grid_raises(self, edge_accel):
+    def test_grid_past_the_int64_headroom_is_exact(self, edge_accel):
         cfg = self._PAST
         macs = cfg.batch * cfg.heads * cfg.seq_q * cfg.seq_kv * cfg.d_head
         assert macs * edge_accel.bytes_per_element == (
             batch_backend._MAX_INT64_MAC_BYTES
         )
-        dataflows = _grid(cfg, edge_accel, self._SPACE)
-        with pytest.raises(BatchFallback, match="int64 headroom"):
-            evaluate_grid(cfg, Scope.LA, edge_accel, dataflows)
+        assert batch_backend.is_wide(cfg, Scope.LA, 2)
+        assert not batch_backend.is_wide(_edge_cfg(batch=2 ** 12),
+                                         Scope.LA, 2)
+        _assert_grid_matches_scalar(cfg, Scope.LA, edge_accel,
+                                    _grid(cfg, edge_accel, self._SPACE))
 
-    def test_staged_footprint_past_float64_raises(self, edge_accel):
+    def test_staged_footprint_past_float64_is_exact(self, edge_accel):
         # An M-granular intermediate of 2^52 elements: 2^53 bytes enter
         # the int / int staging-fit division, below the int64 ceiling.
         cfg = AttentionConfig(
@@ -381,21 +383,26 @@ class TestFallback:
         space = SearchSpace(allow_unfused=False,
                             granularities=(Granularity.M,),
                             include_plain_base=False)
-        with pytest.raises(BatchFallback, match="staged footprint"):
-            evaluate_grid(cfg, Scope.LA, edge_accel,
-                          _grid(cfg, edge_accel, space))
+        ops = operators_for_scope(cfg, Scope.LA)
+        assert max(op.macs for op in ops) * 2 < (
+            batch_backend._MAX_INT64_MAC_BYTES)
+        assert batch_backend.is_wide(cfg, Scope.LA, 2)
+        grid = _assert_grid_matches_scalar(cfg, Scope.LA, edge_accel,
+                                           _grid(cfg, edge_accel, space))
+        assert int(grid.footprint_bytes.max()) >= (
+            batch_backend._MAX_EXACT_INT)
 
-    def test_engine_falls_back_to_scalar(self, edge_accel):
+    def test_engine_scores_past_the_edge_on_the_grid(self, edge_accel):
         oracle = exhaustive_best(self._PAST, edge_accel, scope=Scope.LA,
                                  space=self._SPACE)
         fast = search(self._PAST, edge_accel, scope=Scope.LA,
                       space=self._SPACE, retain_points=False)
         assert_matches_oracle(fast, oracle)
-        assert fast.stats.batch_evaluations == 0
+        assert fast.stats.batch_evaluations == fast.stats.enumerated
 
-    def test_small_space_past_the_edge_scores_scalar(self, edge_accel,
-                                                     monkeypatch):
-        """A one-call space past the edge: one fallback, no plan."""
+    def test_small_space_past_the_edge_is_one_call(self, edge_accel,
+                                                   monkeypatch):
+        """A one-call space past the edge: one grid call, no plan."""
         import repro.obs as obs
 
         plans = []
@@ -407,15 +414,17 @@ class TestFallback:
             res = search(self._PAST, edge_accel, scope=Scope.LA,
                          space=self._SPACE, retain_points=False)
             snap = session.registry.snapshot()
-        assert snap["batch.fallbacks"]["value"] == 1
+        assert snap["batch.grids"]["value"] == 1
+        assert "engine.breakdowns[scalar]" not in snap
         assert plans == []
         assert_matches_oracle(
             res, exhaustive_best(self._PAST, edge_accel, scope=Scope.LA,
                                  space=self._SPACE),
         )
         s = res.stats
-        assert s.batch_evaluations == 0
-        assert s.evaluated == s.enumerated == s.candidates_generated == n
+        assert s.batch_evaluations == s.enumerated == n
+        assert s.candidates_generated == n
+        assert s.evaluated == 1
 
     def test_edge_repeat_search_served_from_memo(self, edge_accel):
         """Past the edge: oracle winner, balanced ledger, memo."""
@@ -431,12 +440,13 @@ class TestFallback:
         s = first.stats
         assert s.enumerated == len(dataflows)
         assert s.enumerated == s.cache_hits + s.pruned + s.evaluated
-        # Scalar-scored members count as evaluated, never as batch
-        # evaluations; whole families are still gated.
-        assert s.batch_evaluations == 0
-        assert s.evaluated == s.candidates_generated
+        # Every generated member is batch-scored; whole families are
+        # still gated.
+        assert s.batch_evaluations == s.candidates_generated
+        assert s.evaluated == 1
         assert s.families_pruned > 0
-        assert s.pruned == s.candidates_skipped > 0
+        assert s.candidates_skipped > 0
+        assert s.pruned == s.candidates_skipped + s.batch_evaluations - 1
 
         again = search(cfg, edge_accel, scope=Scope.LA,
                        space=self._WIDE_LADDER, retain_points=False)
@@ -571,6 +581,7 @@ def _assert_lane_is_scalar(grid, i, cfg, scope, accel, dataflow, options):
     assert got == want, label
     assert pickle.dumps(got) == pickle.dumps(want), label
     _assert_python_leaves(got, want)
+    return want
 
 
 def _draws(seed: int):
@@ -647,3 +658,96 @@ class TestScopeCost:
         scores = batch_backend.GridEvaluation(*([np.zeros(1)] * 8))
         with pytest.raises(ValueError, match="per-operator"):
             scores.scope_cost(0, df)
+
+
+# ----------------------------------------------------------------------
+# past the int64 lanes' edges: Python-int lanes
+# ----------------------------------------------------------------------
+_WIDE_WORKLOADS = (
+    # Exactly at the int64 headroom: 2^13 * 2^44 MACs per operator.
+    _edge_cfg(batch=2 ** 13),
+    # Below the headroom, but an M-granular intermediate stages 2^53
+    # bytes.
+    AttentionConfig(name="wide", batch=2 ** 14, heads=16, d_model=256,
+                    seq_q=2 ** 17, seq_kv=2 ** 17, d_ff=1024, num_blocks=1),
+    # 2^65 MACs per L-A stage: past int64 itself.
+    AttentionConfig(name="giant", batch=2 ** 21, heads=16, d_model=1024,
+                    seq_q=2 ** 17, seq_kv=2 ** 17, d_ff=4096, num_blocks=3),
+    # Cold volumes past int64 too (Q alone is 2^67 elements): every
+    # product with a tile record's pass count stays a Python int.
+    AttentionConfig(name="colossal", batch=2 ** 40, heads=16, d_model=1024,
+                    seq_q=2 ** 17, seq_kv=2 ** 17, d_ff=4096, num_blocks=2),
+)
+
+
+def _wide_draws(seed: int):
+    """Draws of (workload, accelerator, space) past the edges: the
+    fixed workloads, then seeded random ones with odd sizes (remainder
+    tiles, cross-attention) until the time box closes."""
+    rng = random.Random(seed)
+    accels = _breakdown_accels()
+    for k, cfg in enumerate(_WIDE_WORKLOADS):
+        yield (cfg, accels[k % len(accels)],
+               _BREAKDOWN_SPACES[k % len(_BREAKDOWN_SPACES)], rng)
+    deadline = time.perf_counter() + _DRAW_BUDGET_S
+    while time.perf_counter() < deadline:
+        heads, d_head = rng.choice((9, 16)), rng.choice((64, 129))
+        seq_q = rng.randrange(2 ** 16, 2 ** 18)
+        seq_kv = rng.choice((seq_q, rng.randrange(2 ** 16, 2 ** 18)))
+        cfg = AttentionConfig(
+            name="drawn", batch=rng.randrange(2 ** 16, 2 ** 22),
+            heads=heads, d_model=heads * d_head, seq_q=seq_q, seq_kv=seq_kv,
+            d_ff=4 * heads * d_head, num_blocks=rng.randint(1, 4))
+        yield (cfg, rng.choice(accels), rng.choice(_BREAKDOWN_SPACES), rng)
+
+
+class TestWideLanes:
+    """Past the int64 lanes' edges every grid lane is ``cost_scope``:
+    ``scope_cost`` in value and pickle bytes, and every objective's
+    score."""
+
+    @staticmethod
+    def _assert_scores(grid, i, cost):
+        for objective in Objective:
+            energy = energy_report(cost.counts)
+            assert grid.objective_scores(objective)[i] == (
+                objective.score(cost, energy)), objective
+
+    @pytest.mark.parametrize("options", _BREAKDOWN_OPTIONS,
+                             ids=["flexible", "rigid"])
+    @pytest.mark.parametrize("scope", _SCOPES)
+    def test_every_lane_is_cost_scope(self, scope, options):
+        for cfg, accel, space, _ in _wide_draws(0x3D6 + _SCOPES.index(scope)):
+            assert batch_backend.is_wide(cfg, scope,
+                                         accel.bytes_per_element)
+            dataflows = _grid(cfg, accel, space)
+            grid = evaluate_grid(cfg, scope, accel, dataflows, options)
+            for i, dataflow in enumerate(dataflows):
+                cost = _assert_lane_is_scalar(grid, i, cfg, scope, accel,
+                                              dataflow, options)
+                self._assert_scores(grid, i, cost)
+
+    @pytest.mark.parametrize("scope", _SCOPES)
+    def test_merged_calls_mixing_wide_and_normal_workloads(self, scope):
+        """Multi-workload calls whose segments mix wide and normal
+        workloads: every lane on its own segment's workload."""
+        workloads = _WIDE_WORKLOADS + _BREAKDOWN_WORKLOADS
+        for _, accel, _, rng in _wide_draws(0x9A1 + _SCOPES.index(scope)):
+            options = rng.choice(_BREAKDOWN_OPTIONS)
+            configs, segments, members = [], [], []
+            for cfg in rng.sample(workloads, 4) + [_WIDE_WORKLOADS[2]]:
+                table = engine._space_table(cfg,
+                                            rng.choice(_BREAKDOWN_SPACES))
+                index = np.sort(rng.sample(range(table.total),
+                                           rng.randint(1, 6)))
+                configs.append(cfg)
+                segments.append(batch_backend.GridRows(table.features,
+                                                       index))
+                members += [(cfg, table.dataflow(int(i))) for i in index]
+            grid = evaluate_grid(configs, scope, accel,
+                                 batch_backend.GridLanes(tuple(segments)),
+                                 options)
+            for i, (cfg, dataflow) in enumerate(members):
+                cost = _assert_lane_is_scalar(grid, i, cfg, scope, accel,
+                                              dataflow, options)
+                self._assert_scores(grid, i, cost)

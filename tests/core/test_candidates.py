@@ -21,7 +21,6 @@ from repro.arch.presets import cloud, edge
 from repro.core.candidates import (
     Incumbent,
     family_lower_bound,
-    feasible_row_interval,
     make_incumbent,
     plan_candidates,
     space_table,
@@ -37,8 +36,7 @@ from repro.core.dse import (
     search,
 )
 from repro.core.engine import _BOUND_SLACK, clear_evaluation_cache
-from repro.core.footprint import footprint_r_gran
-from repro.core.perf import PerfOptions, cost_scope, partition_scratchpad
+from repro.core.perf import PerfOptions, cost_scope
 from repro.energy.model import energy_report
 from repro.ops.attention import AttentionConfig, Scope
 from tests.oracles import (
@@ -125,26 +123,6 @@ class TestLocate:
 
     def test_foreign_row_count_absent(self, bert_512):
         assert space_table(bert_512, SearchSpace()).locate(flat_r(3)) is None
-
-
-class TestIntervalInversion:
-    @settings(max_examples=30, deadline=None)
-    @given(cfg=workloads, kb=buffer_kb)
-    def test_interval_matches_closed_form(self, cfg, kb):
-        accel = edge().with_scratchpad_bytes(kb * 1024)
-        options = PerfOptions()
-        lo, hi = feasible_row_interval(cfg, accel, options)
-        assert lo == 1
-        assert hi <= cfg.seq_q
-        e = accel.bytes_per_element
-        budget = partition_scratchpad(1, True, accel, options)
-        budget_elements = budget.staging_budget_bytes // e
-        if hi >= 1:
-            assert footprint_r_gran(hi, cfg.seq_kv,
-                                    cfg.d_head) <= budget_elements
-        if hi < cfg.seq_q:
-            assert footprint_r_gran(hi + 1, cfg.seq_kv,
-                                    cfg.d_head) > budget_elements
 
 
 class TestBoundAdmissibility:

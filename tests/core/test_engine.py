@@ -15,7 +15,6 @@ import pytest
 
 from repro.core import engine
 from repro.core.cache import default_cache_dir
-from repro.core.batch import BatchFallback
 from repro.core.candidates import make_incumbent
 from repro.core.dataflow import AttentionVariant, Granularity, Stationarity
 from repro.core.dse import Objective, SearchSpace, enumerate_dataflows, search
@@ -29,6 +28,7 @@ from repro.core.engine import (
     objective_lower_bound,
 )
 from repro.core.perf import cost_scope
+from repro.energy.model import energy_report
 from repro.ops.attention import Scope
 from tests.oracles import assert_matches_oracle, exhaustive_best
 
@@ -606,9 +606,9 @@ class TestRetainPoints:
                                                 small_cfg, edge_accel,
                                                 scope):
         """Points, stats and winner equal the route that costs every
-        point with the scalar model (forced by a grid that always falls
-        back).  Both book every point as evaluated: the lineup answers
-        cached before hold no point the search could reuse."""
+        point with the scalar model, to the pickle bytes.  Every point
+        is booked as evaluated: the lineup answers cached before hold
+        no point the search could reuse."""
         space = SearchSpace(variants=(AttentionVariant.SOFTMAX,
                                       AttentionVariant.FLASH_D))
         dataflows = list(enumerate_dataflows(small_cfg, edge_accel, space))
@@ -630,20 +630,22 @@ class TestRetainPoints:
         monkeypatch.setattr(engine, "evaluate_grid", counting)
         on_grid = run()
         assert len(grids) == 1
-
-        def past_edge(*args, **kwargs):
-            raise BatchFallback("forced")
-
-        monkeypatch.setattr(engine, "evaluate_grid", past_edge)
-        scalar = run()
+        costs = [cost_scope(small_cfg, scope, edge_accel, df)
+                 for df in dataflows]
         assert [p.dataflow for p in on_grid.points] == dataflows
-        assert on_grid.points == scalar.points
-        assert pickle.dumps(on_grid.points) == pickle.dumps(scalar.points)
-        assert on_grid.best == scalar.best
-        assert (dataclasses.replace(on_grid.stats, wall_time_s=0.0)
-                == dataclasses.replace(scalar.stats, wall_time_s=0.0))
-        assert on_grid.stats.cache_hits == 0
-        assert on_grid.stats.evaluated == len(dataflows)
+        assert [p.cost for p in on_grid.points] == costs
+        assert (pickle.dumps([p.cost for p in on_grid.points])
+                == pickle.dumps(costs))
+        assert [p.energy for p in on_grid.points] == [
+            energy_report(cost.counts) for cost in costs]
+        assert_matches_oracle(
+            on_grid, exhaustive_best(small_cfg, edge_accel, scope=scope,
+                                     objective=Objective.EDP, space=space),
+            Objective.EDP)
+        n = len(dataflows)
+        assert dataclasses.replace(on_grid.stats, wall_time_s=0.0) == (
+            SearchStats(enumerated=n, evaluated=n, pruned=0, cache_hits=0,
+                        wall_time_s=0.0))
 
 
 class TestAnswersNotPoints:

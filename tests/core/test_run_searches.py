@@ -7,9 +7,9 @@ spaces, whatever their workloads.  These tests check three things:
 * every answer is the exhaustive oracle's (``tests/oracles.py``), and
   every lane of a multi-workload grid call equals the one-workload call
   on every :class:`~repro.core.batch.GridEvaluation` field;
-* a segment the grid cannot score (past the int64 headroom, or raising
-  the staged-footprint :class:`~repro.core.batch.BatchFallback`) takes
-  the scalar route alone, and the other segments stay on the grid;
+* a workload past the int64 lanes' edges (the int64 headroom, or a
+  staged footprint past float64's exact range) is scored on the grid
+  in calls of its own, and the other segments still merge;
 * the answers, stats and cache traffic equal those of a
   :func:`~repro.core.engine.run_search` loop over the same list.
 
@@ -219,13 +219,17 @@ class TestLanes:
 
 
 class TestFallbackIsolation:
+    """A wide workload (:func:`~repro.core.batch.is_wide`), where the
+    grid once fell back to the scalar model, gets grid calls of its
+    own: its lanes run as Python ints, the others stay int64."""
+
     # Past the int64 headroom: 2^13 * 2^44 MACs per operator at two
     # bytes per element.
     _PAST = AttentionConfig(name="past", batch=2 ** 13, heads=16,
                             d_model=1024, seq_q=2 ** 17, seq_kv=2 ** 17,
                             d_ff=4096)
     # Below the headroom, but an M-granular intermediate of 2^52
-    # elements stages 2^53 bytes: the footprint check raises.
+    # elements stages 2^53 bytes, past float64's exact range.
     _WIDE = AttentionConfig(name="wide", batch=2 ** 14, heads=16,
                             d_model=256, seq_q=2 ** 17, seq_kv=2 ** 17,
                             d_ff=1024)
@@ -246,25 +250,23 @@ class TestFallbackIsolation:
         scored = [r.stats for req, r in zip(requests, results)
                   if req is not edge_case]
         assert all(s.batch_evaluations == s.enumerated for s in scored)
-        assert results[2].stats.batch_evaluations == 0
-        assert results[2].stats.evaluated == results[2].stats.enumerated
-        return calls
-
-    def test_past_the_int64_headroom_is_scored_alone(self, monkeypatch):
-        edge_case = SearchRequest(self._PAST, edge(), space=self._R64)
-        calls = self._check(monkeypatch, edge_case)
+        edge_stats = results[2].stats
+        assert edge_stats.batch_evaluations == edge_stats.enumerated
+        assert edge_stats.evaluated == 1
         # The four normal spaces in one call, the edge case alone.
         assert sorted(calls) == [1, 4]
 
-    def test_footprint_fallback_leaves_the_others_on_the_grid(
-            self, monkeypatch):
+    def test_past_the_int64_headroom_is_scored_alone(self, monkeypatch):
+        edge_case = SearchRequest(self._PAST, edge(), space=self._R64)
+        self._check(monkeypatch, edge_case)
+
+    def test_past_the_footprint_edge_is_scored_alone(self, monkeypatch):
         edge_case = SearchRequest(self._WIDE, edge(), space=self._M)
         ops = engine.operators_for_scope(self._WIDE, Scope.LA)
         assert max(op.macs for op in ops) * 2 < (
             batch_backend._MAX_INT64_MAC_BYTES)
-        calls = self._check(monkeypatch, edge_case)
-        # The merged call raises; then each segment is scored alone.
-        assert calls == [5, 1, 1, 1, 1, 1]
+        assert batch_backend.is_wide(self._WIDE, Scope.LA, 2)
+        self._check(monkeypatch, edge_case)
 
 
 def _snapshot() -> tuple:
@@ -384,12 +386,11 @@ class TestGeneratedLists:
     Planned spaces (unseeded, with a valid warm seed, with a rejected
     seed), small spaces, ``FOOTPRINT`` searches, every-point searches,
     fixed dataflows, decode and cross-attention workloads, a workload
-    past the int64 headroom and one past the staged-footprint check,
+    past the int64 headroom and one past the staged-footprint edge,
     plus repeats.  Each answer is the exhaustive oracle's (a fixed
     dataflow's: ``cost_scope``) and equals a loop of one-request lists
     (``run_search``, ``evaluate_cost``), and each round makes one grid
-    call per chunk of more than one lane, plus the rescoring of a call
-    that raised ``BatchFallback``.
+    call per chunk of more than one lane.
     """
 
     _PAST = TestFallbackIsolation._PAST
@@ -446,12 +447,12 @@ class TestGeneratedLists:
                 rng.choice(_OPTIONS)))
         requests += [
             # Past the int64 headroom: planned (99 members) and small,
-            # both scored by the scalar model, alone.
+            # both batch-scored in calls of their own.
             SearchRequest(self._PAST, edge(), Scope.LA),
             SearchRequest(self._PAST, edge(), Scope.LA,
                           space=TestFallbackIsolation._R64),
             CostRequest(self._PAST, Scope.LA, edge(), flat_r(64)),
-            # Its staged footprint makes a merged call raise.
+            # Past the staged-footprint edge: calls of its own too.
             SearchRequest(self._WIDE, edge(), Scope.LA,
                           space=TestFallbackIsolation._M),
         ]
@@ -461,49 +462,35 @@ class TestGeneratedLists:
 
     @staticmethod
     def _recording_grid(monkeypatch) -> list:
-        """Record ``(merge group, segment sizes, raised)`` per call."""
+        """Record ``(merge group, segment sizes)`` per call."""
         calls = []
         real = engine.evaluate_grid
 
         def recording(cfg, scope, accel, dataflows, options=PerfOptions()):
-            sizes = [len(s) for s in dataflows.segments]
             group = engine._merge_group(
                 cfg[0], scope, options, accel,
                 engine.accelerator_fingerprint(accel))
-            calls.append([group or ("alone", len(calls)), sizes, False])
-            try:
-                return real(cfg, scope, accel, dataflows, options)
-            except batch_backend.BatchFallback:
-                calls[-1][2] = True
-                raise
+            calls.append((group, [len(s) for s in dataflows.segments]))
+            return real(cfg, scope, accel, dataflows, options)
 
         monkeypatch.setattr(engine, "evaluate_grid", recording)
         return calls
 
     @staticmethod
     def _check_rounds(calls: list, rounds: list) -> None:
-        """Each round's calls are its greedy chunks, in group order,
-        each followed by its segments alone when it raised."""
+        """Each round's calls are its greedy chunks, in group order."""
         assert [r["round"] for r in rounds] == [1, 2]
         assert sum(r["grid_calls"] for r in rounds) == len(calls)
-        assert all(sum(sizes) > 1 for _, sizes, _ in calls)
+        assert all(sum(sizes) > 1 for _, sizes in calls)
         limit = engine._MERGE_LANE_LIMIT
         pending = iter(calls)
         for r in rounds:
             chunks: dict = {}
-            alone: list = []
             segments = 0
             for _ in range(r["grid_calls"]):
-                group, sizes, raised = next(pending)
-                segments += 0 if raised else len(sizes)
-                if alone:
-                    assert sizes == [alone.pop(0)]
-                    continue
+                group, sizes = next(pending)
+                segments += len(sizes)
                 chunks.setdefault(group, []).append(sizes)
-                if raised and len(sizes) > 1:
-                    # Rescored alone; one lane takes the scalar model.
-                    alone = [n for n in sizes if n > 1]
-            assert not alone
             assert segments == r["segments"]
             for parts in chunks.values():
                 assert all(len(p) == 1 or sum(p) <= limit for p in parts)
@@ -568,13 +555,14 @@ class TestGeneratedLists:
             seeded += req.warm_start is not None
         assert seeded
         assert any(r.points for r in batched if isinstance(r, DSEResult))
-        # The planned search past the headroom, scored by the scalar
-        # model: members booked evaluated, none on the grid.
+        # The planned search past the headroom: batch-scored, its
+        # families gated.
         (past,) = [r.stats for req, r in zip(requests, batched)
                    if isinstance(req, SearchRequest)
                    and req.cfg is self._PAST and req.space == SearchSpace()
                    and not r.stats.cache_hits]
-        assert past.batch_evaluations == 0 and past.families_pruned > 0
+        assert past.batch_evaluations == past.candidates_generated > 0
+        assert past.evaluated == 1 and past.families_pruned > 0
 
 
 def _one_request(req):
@@ -701,7 +689,7 @@ class TestEvaluateCosts:
                         PerfOptions(flexible_mapping=False)),
         ]
         lone = CostRequest(_CROSS, Scope.LA, cloud(), flat_r(16))
-        # Past the int64 headroom: scalar, the others stay on the grid.
+        # Past the int64 headroom: a grid call of their own.
         past = [CostRequest(self._PAST, Scope.LA, edge(), df)
                 for df in (flat_r(64), base())]
         return [
@@ -769,13 +757,13 @@ class TestEvaluateCosts:
         assert looped[1] == {"engine.lru_hits": 4, "engine.disk_hits": 2,
                              "engine.evaluated": 11}
         # The loop runs the scalar model per miss and no grid; the list
-        # scores the LA misses (flexible and rigid) and the MODEL
-        # misses on the grid, one segment per workload, and leaves the
-        # lone misses (the cloud one and the BLOCK point) and the two
-        # past the headroom to the scalar model.
+        # scores the LA misses (flexible and rigid), the MODEL misses
+        # and, in a call of their own, the two past the headroom on the
+        # grid, one segment per workload, and leaves the lone misses
+        # (the cloud one and the BLOCK point) to the scalar model.
         assert looped[5:] == ([], 11)
-        assert sorted(batched[5]) == [2, 2, 3]
-        assert batched[6] == 4
+        assert sorted(batched[5]) == [2, 2, 2, 3]
+        assert batched[6] == 2
 
     @pytest.mark.parametrize("n,grid_calls,scalar_calls", [(1, 0, 1),
                                                            (2, 1, 0)])
