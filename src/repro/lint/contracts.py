@@ -385,7 +385,13 @@ LOCK_INVENTORY: Mapping[str, Mapping[str, object]] = {
             "self._connections",
             "self._draining",
             "self._done",
+            "self.transport",
             "self.owed",
+            "self.closed",
+            "self._buffer",
+            "self._skipping",
+            "self._paused",
+            "self._eof",
             "self._settled",
         ),
         "executor_only": ("_experiment_payload",),

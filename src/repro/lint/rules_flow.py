@@ -361,6 +361,17 @@ class ConcurrencyRule(Rule):
         "add_done_callback": 0,
     }
 
+    #: asyncio's stream protocol classes, and the callbacks the loop
+    #: calls on an instance of one of them.
+    _PROTOCOL_BASES = frozenset({
+        "BaseProtocol", "Protocol", "BufferedProtocol",
+    })
+    _PROTOCOL_CALLBACKS = frozenset({
+        "connection_made", "connection_lost", "pause_writing",
+        "resume_writing", "data_received", "eof_received", "get_buffer",
+        "buffer_updated",
+    })
+
     def check(self, unit, contracts):
         contract = contracts.lock_inventory.get(unit.module)
         on_loop = unit.module in contracts.event_loop_modules
@@ -369,11 +380,14 @@ class ConcurrencyRule(Rule):
         index = ModuleIndex.build(unit)
         handed = self._handed_callbacks(unit.tree) if on_loop else []
         # What runs on the event loop: every coroutine, and in an
-        # event-loop module every function handed to the loop.
+        # event-loop module every function handed to the loop and the
+        # callbacks of every asyncio protocol class.
         roots = {qual for qual, info in index.functions.items()
                  if info.is_async}
-        for _, _, name in handed:
-            roots.update(index.by_name.get(name, ()))
+        if on_loop:
+            for _, _, name in handed:
+                roots.update(index.by_name.get(name, ()))
+            roots.update(self._protocol_callbacks(index))
         if contract:
             yield from self._check_guarded_fields(unit, index, contract)
             yield from self._check_await_under_lock(unit, index,
@@ -383,6 +397,32 @@ class ConcurrencyRule(Rule):
         if on_loop:
             yield from self._check_blocking(unit, index, contracts,
                                             contract or {}, roots)
+
+    @classmethod
+    def _protocol_callbacks(cls, index) -> Set[str]:
+        """Qualnames of the loop callbacks defined by classes that
+        derive from an asyncio protocol class."""
+        found: Set[str] = set()
+        for name, klass in index.classes.items():
+            if not any(cls._is_asyncio_protocol(base, index)
+                       for base in klass.bases):
+                continue
+            found.update(
+                f"{name}.{stmt.name}" for stmt in klass.body
+                if isinstance(stmt, ast.FunctionDef)
+                and stmt.name in cls._PROTOCOL_CALLBACKS
+            )
+        return found & index.functions.keys()
+
+    @classmethod
+    def _is_asyncio_protocol(cls, base, index) -> bool:
+        chain = attr_chain(base)
+        if chain is None:
+            return False
+        # ``asyncio.Protocol`` names the module, ``Protocol`` the class.
+        head, _, attr = chain.rpartition(".")
+        module = index.imports.get(head or attr, (head, None))[0]
+        return attr in cls._PROTOCOL_BASES and module == "asyncio"
 
     @classmethod
     def _handed_callbacks(cls, tree) -> List[Tuple[ast.Call, str, str]]:

@@ -1,20 +1,24 @@
 """The asyncio TCP daemon: connections, operations, drain, lifecycle.
 
 One :class:`DSEServer` owns a :class:`~repro.serve.scheduler.
-CoalescingScheduler` plus a listening socket.  Each connection reads
-newline-delimited JSON requests and hands every line to
-:meth:`DSEServer._handle_line` on the read loop's own pass.  A query
+CoalescingScheduler` plus a listening socket.  Each connection is an
+:class:`asyncio.Protocol` (:class:`_Connection`): ``data_received``
+splits every complete newline-delimited JSON request out of what the
+socket delivered and hands it to :meth:`DSEServer._handle_line` on
+the same loop pass, with no stream, task or future per line.  A query
 op is answered there: it is parsed, resolved through the memo and
 submitted; a memo hit's response is written at once, and a queued
 query's is written by a done-callback on its future when its
 micro-batch settles.  The other ops run as tasks of their own, so a
 connection can pipeline queries and a long sweep or experiment never
 blocks a ping on the same socket.  Responses are written as they are
-ready, in completion order; nothing waits for the socket to take them
-unless the client reads so slowly that the connection's buffer passes
-its high-water mark, and then the read loop stops reading until the
-client catches up.  A connection stays open until every answer it is
-owed is written, even after the client has stopped sending.
+ready, in completion order; nothing waits for the socket to take them.
+When a client reads so slowly that the transport's write buffer passes
+its high-water mark, ``pause_writing`` stops the connection handling
+lines and reading until ``resume_writing``.  A line longer than
+:data:`MAX_LINE` is answered ``bad_request`` and skipped.  A client
+that half-closes has a final line without a newline answered, and the
+connection stays open until every answer it is owed is written.
 
 Operations, one entry each in :attr:`DSEServer.OPS`:
 
@@ -88,35 +92,145 @@ JSON = Dict[str, Any]
 Progress = Callable[[int, int], None]
 
 
-class _Connection:
-    """One client connection: its writer and the answers it is owed."""
+#: The longest request line the daemon reads, its newline excluded.  A
+#: longer line is answered ``bad_request`` and skipped through its
+#: newline; the connection goes on with the next line.
+MAX_LINE = 64 * 1024
 
-    __slots__ = ("writer", "task", "owed", "_transport", "_settled")
 
-    def __init__(self, writer: asyncio.StreamWriter,
-                 task: Optional["asyncio.Task[None]"]) -> None:
-        self.writer = writer
-        self.task = task
+class _Connection(asyncio.Protocol):
+    """One client connection: its line buffer, its transport and the
+    answers it is owed."""
+
+    __slots__ = ("_handle_line", "_connections", "transport", "owed",
+                 "closed", "_buffer", "_skipping", "_paused", "_eof",
+                 "_settled")
+
+    def __init__(self, server: "DSEServer") -> None:
+        # Bound once, under its own name: lint rule R6 follows
+        # ``self._handle_line`` calls to the server's method.
+        self._handle_line = server._handle_line
+        self._connections = server._connections
+        self.transport: Optional[asyncio.Transport] = None
         #: Requests read and not answered yet.
         self.owed = 0
-        self._transport = writer.transport
+        #: Done once the transport has called :meth:`connection_lost`.
+        self.closed: "asyncio.Future[None]" = (
+            asyncio.get_running_loop().create_future()
+        )
+        self._buffer = bytearray()
+        # Inside a line longer than MAX_LINE: drop through its newline.
+        self._skipping = False
+        # The transport's buffer is past its high-water mark.
+        self._paused = False
+        # The client has stopped sending.
+        self._eof = False
         self._settled: Optional["asyncio.Future[None]"] = None
+
+    # -- asyncio.Protocol callbacks ------------------------------------
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        self._connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._connections.discard(self)
+        if not self.closed.done():
+            self.closed.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        if b"\n" in data:
+            self._answer_lines()
+        else:  # a partial line only grows: nothing to rescan
+            self._hold_partial()
+
+    def eof_received(self) -> bool:
+        """The client half-closed: answer a final line that has no
+        newline, and keep the write side open until every owed answer
+        is written."""
+        self._eof = True
+        self._answer_lines()
+        return True
+
+    def pause_writing(self) -> None:
+        """The client reads slower than it asks: handle no more lines,
+        and read none, until it has taken what it is sent."""
+        self._paused = True
+        if not self._eof:
+            self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._answer_lines()
+        if not self._paused and not self._eof:
+            self.transport.resume_reading()
+
+    # -- lines and answers -----------------------------------------------
+    def _answer_lines(self) -> None:
+        """Answer every complete line buffered, on this pass, until
+        writing pauses; after EOF the unterminated rest is a line too.
+        Once every line is handled and answered, a client that has
+        stopped sending is hung up."""
+        buffer = self._buffer
+        start = 0
+        while not self._paused:
+            end = buffer.find(b"\n", start)
+            if end < 0:
+                if not self._eof or start >= len(buffer):
+                    break
+                end = len(buffer)
+            line_start, start = start, end + 1
+            if self._skipping:
+                self._skipping = False
+            elif end - line_start > MAX_LINE:
+                self._refuse_long_line()
+            else:
+                line = bytes(buffer[line_start:start])
+                if line.strip():
+                    self._handle_line(line, self)
+        del buffer[:start]
+        if not self._paused:
+            self._hold_partial()
+            if self._eof and not self.owed:
+                self.transport.close()
+
+    def _hold_partial(self) -> None:
+        """Keep a partial line buffered until its newline arrives; one
+        longer than :data:`MAX_LINE` is refused as soon as it is, so a
+        long line gets the same answer in one read or in many."""
+        buffer = self._buffer
+        if self._skipping:
+            buffer.clear()
+        elif len(buffer) > MAX_LINE:
+            self._refuse_long_line()
+            self._skipping = True
+            buffer.clear()
+
+    def _refuse_long_line(self) -> None:
+        self.send(error_response(
+            None, "bad_request",
+            f"request line longer than {MAX_LINE} bytes",
+        ))
 
     def send(self, obj: JSON) -> None:
         """Encode one response or event line and write it; the line of
         a client that is gone is dropped."""
         line = encode_line(obj)
-        if not self._transport.is_closing():
-            self.writer.write(line)
+        if not self.transport.is_closing():
+            self.transport.write(line)
 
     def paid(self) -> None:
         """One owed answer is written."""
         self.owed -= 1
+        if self.owed:
+            return
         settled = self._settled
-        if not self.owed and settled is not None:
+        if settled is not None:
             self._settled = None
             if not settled.done():  # a cancelled waiter cancels it
                 settled.set_result(None)
+        if self._eof and not self._buffer:
+            self.transport.close()
 
     async def settled(self) -> None:
         """Return once every answer owed so far is written."""
@@ -131,7 +245,7 @@ class _Request:
 
     The ``serve.request`` span and the ``serve.request_s`` histogram
     run from the line's receipt to the write of its response, whether
-    that write happens on the read loop's pass, in a done-callback or
+    that write happens on the line's own pass, in a done-callback or
     at the end of an op's task.
     """
 
@@ -208,8 +322,8 @@ class DSEServer:
         self._experiment_lock = asyncio.Lock()
         self._done = asyncio.Event()
         self.scheduler.start()
-        self._server = await asyncio.start_server(
-            self._on_client, self._host, self._port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self._host, self._port
         )
         sock = self._server.sockets[0]
         self.address = sock.getsockname()[:2]
@@ -225,18 +339,15 @@ class DSEServer:
             await self._server.wait_closed()
         await self.scheduler.drain()
         # Hang up every connection (e.g. the one that sent the shutdown
-        # op) once its answers are written, so its handler finishes
-        # before the event loop does — an abandoned handler would be
-        # cancelled at loop teardown, which asyncio's stream glue logs
-        # as an error.  close() flushes buffered responses first, so
-        # the shutdown acknowledgement still reaches its caller.
-        for conn in list(self._connections):
+        # op) once its answers are written, and wait until each is
+        # gone.  close() flushes buffered responses first, so the
+        # shutdown acknowledgement still reaches its caller.
+        connections = list(self._connections)
+        for conn in connections:
             await conn.settled()
-            conn.writer.close()
-        handlers = [conn.task for conn in self._connections
-                    if conn.task is not None]
-        if handlers:
-            await asyncio.gather(*handlers, return_exceptions=True)
+            conn.transport.close()
+        for conn in connections:
+            await conn.closed
         if self._experiment_executor is not None:
             self._experiment_executor.shutdown(wait=True)
             self._experiment_executor = None
@@ -248,37 +359,7 @@ class DSEServer:
         assert self._done is not None, "server not started"
         await self._done.wait()
 
-    # -- connection handling -------------------------------------------
-    async def _on_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = _Connection(writer, asyncio.current_task())
-        self._connections.add(conn)
-        transport = writer.transport
-        high_water = transport.get_write_buffer_limits()[1]
-        try:
-            try:
-                while True:
-                    line = await reader.readline()
-                    if not line:
-                        break
-                    if line.strip():
-                        self._handle_line(line, conn)
-                    if transport.get_write_buffer_size() > high_water:
-                        # The client reads slower than it asks: read no
-                        # more until it has taken what it is sent.
-                        await writer.drain()
-            except ConnectionError:
-                pass  # the client is gone; its answers are dropped
-            await conn.settled()
-        finally:
-            self._connections.discard(conn)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
+    # -- request lines -------------------------------------------------
     def _handle_line(self, line: bytes, conn: _Connection) -> None:
         """Answer one request line: a query op on this pass or in its
         future's done-callback, any other op in a task of its own."""
@@ -442,7 +523,7 @@ class DSEServer:
             )
 
     #: The op table: every op the daemon answers, and its handler.  A
-    #: query op's handler (:meth:`_query`) runs on the read loop's pass
+    #: query op's handler (:meth:`_query`) runs on its line's loop pass
     #: and returns the answer or a future of it; every other handler is
     #: a coroutine run as a task.  Adding an op is one entry here; a
     #: query op is instead its resolver in

@@ -322,6 +322,75 @@ class TestBlockingReachability:
         )
         assert result.findings == []
 
+    def test_sleep_under_protocol_data_received_flags(self):
+        result = run_lint(
+            """\
+            import asyncio
+            import time
+
+            class Server:
+                def _handle_line(self, line):
+                    time.sleep(0.1)
+
+            class Conn(asyncio.Protocol):
+                def __init__(self, server):
+                    self._handle_line = server._handle_line
+
+                def data_received(self, data):
+                    self._handle_line(data)
+            """
+        )
+        finding = only_finding(result)
+        assert finding.rule == "R6" and finding.line == 6
+        assert "callback 'Conn.data_received'" in finding.message
+        assert "via 'Server._handle_line'" in finding.message
+
+    def test_sleep_in_protocol_imported_by_name_flags(self):
+        result = run_lint(
+            """\
+            import time
+            from asyncio import BufferedProtocol
+
+            class Conn(BufferedProtocol):
+                def buffer_updated(self, nbytes):
+                    time.sleep(0.1)
+            """
+        )
+        finding = only_finding(result)
+        assert finding.rule == "R6" and finding.line == 6
+        assert "callback 'Conn.buffer_updated'" in finding.message
+
+    def test_typing_protocol_methods_are_not_loop_callbacks(self):
+        result = run_lint(
+            """\
+            import time
+            from typing import Protocol
+
+            class Sink(Protocol):
+                def data_received(self, data):
+                    time.sleep(0.1)
+            """
+        )
+        assert result.findings == []
+
+    def test_blocking_call_on_the_servers_read_path_flags(self):
+        # The daemon's connections are protocols: a line reaches
+        # DSEServer._handle_line from data_received, not a coroutine.
+        path = SRC_REPRO / "serve" / "server.py"
+        anchor = "        start = time.perf_counter()\n        try:\n"
+        source = path.read_text()
+        assert source.count(anchor) == 1
+        unit = ModuleUnit.from_source(
+            "repro.serve.server",
+            source.replace(anchor, "        time.sleep(0)\n" + anchor),
+        )
+        engine = LintEngine(Contracts.discover(SRC_REPRO.parent),
+                            rules=[ConcurrencyRule()])
+        messages = [f.message for f in engine.lint_units([unit]).findings]
+        assert messages and all("'time.sleep'" in m for m in messages)
+        assert any("callback '_Connection.data_received' via "
+                   "'DSEServer._handle_line'" in m for m in messages)
+
     def test_blocking_outside_event_loop_module_is_clean(self):
         result = run_lint(
             """\

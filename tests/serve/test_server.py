@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import socket
 import threading
+import time
 
 import pytest
 
@@ -28,7 +30,7 @@ from repro.serve import (
 )
 from repro.serve.protocol import PROTOCOL
 from repro.serve.scheduler import CoalescingScheduler
-from repro.serve.server import DSEServer
+from repro.serve.server import MAX_LINE, DSEServer, _Connection
 
 MIXED_REQUESTS = [
     {"op": "ping", "id": "q1"},
@@ -435,6 +437,99 @@ async def _wait_for(predicate, timeout=30.0):
         await asyncio.sleep(0.005)
 
 
+def _exchange(address, chunks, pause_s=0.0):
+    """Send ``chunks`` as separate sends, half-close, and return every
+    response line the daemon writes before it hangs up."""
+    with socket.create_connection(address, timeout=60) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for chunk in chunks:
+            sock.sendall(chunk)
+            if pause_s:
+                time.sleep(pause_s)
+        sock.shutdown(socket.SHUT_WR)
+        received = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            received += chunk
+    return [json.loads(line) for line in received.splitlines()]
+
+
+def _ping(req_id):
+    return encode_line({"op": "ping", "id": req_id})
+
+
+def _long_ping():
+    """A ping line longer than the daemon reads."""
+    return encode_line({"op": "ping", "id": "long", "pad": "x" * MAX_LINE})
+
+
+class _Transport(asyncio.Transport):
+    """Records what a connection writes; reads and writes never pause."""
+
+    def __init__(self):
+        super().__init__()
+        self.written = bytearray()
+        self.closing = False
+
+    def write(self, data):
+        self.written += data
+
+    def is_closing(self):
+        return self.closing
+
+    def close(self):
+        self.closing = True
+
+
+class _PausingTransport(_Transport):
+    """Each write passes the high-water mark while ``pausing`` is set."""
+
+    def __init__(self, protocol):
+        super().__init__()
+        self.protocol = protocol
+        self.pausing = True
+        self.reading = True
+
+    def write(self, data):
+        super().write(data)
+        if self.pausing:
+            self.protocol.pause_writing()
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+
+def _feed(data, size):
+    """Hand ``data`` to a fresh connection ``size`` bytes per read, then
+    EOF; returns the response lines it wrote."""
+
+    async def main():
+        server = DSEServer()
+        conn = _Connection(server)
+        transport = _Transport()
+        conn.connection_made(transport)
+        for lo in range(0, len(data), size):
+            conn.data_received(data[lo:lo + size])
+        conn.eof_received()
+        await conn.settled()
+        assert transport.closing, "hung up once every answer is written"
+        return [json.loads(line) for line in transport.written.splitlines()]
+
+    return asyncio.run(main())
+
+
+def _outcomes(responses):
+    return sorted((str(r["id"]), r["ok"]) for r in responses)
+
+
+_REFUSED_BETWEEN_PINGS = [("None", False), ("p1", True), ("p2", True)]
+
+
 class TestConnections:
     def test_half_closed_client_receives_every_answer(self):
         dataflows = ("base", "flat-r8", "flat-r16", "flat-r32", "flat-r64")
@@ -534,3 +629,76 @@ class TestConnections:
         assert all(r["ok"] for r in responses)
         assert eof == b"", "the daemon hangs up once its answers are out"
         assert errors == []
+
+    def test_request_split_across_byte_sized_sends(self, server):
+        line = _ping("split")
+        responses = _exchange(server, [line[i:i + 1]
+                                       for i in range(len(line))],
+                              pause_s=0.0005)
+        assert [(r["id"], r["ok"]) for r in responses] == [("split", True)]
+
+    def test_many_requests_in_one_send(self, server):
+        ids = [f"m{i}" for i in range(50)]
+        responses = _exchange(server,
+                              [b"".join(_ping(req_id) for req_id in ids)])
+        assert sorted(r["id"] for r in responses) == sorted(ids)
+        assert all(r["ok"] for r in responses)
+
+    def test_blank_lines_are_skipped(self, server):
+        responses = _exchange(server, [
+            b"\n", b"   \n\r\n", _ping("b1"), b"\n\t\n", _ping("b2"),
+        ])
+        assert sorted(r["id"] for r in responses) == ["b1", "b2"]
+
+    def test_final_line_without_newline_is_answered_at_eof(self, server):
+        responses = _exchange(server, [_ping("first"),
+                                       _ping("last").rstrip(b"\n")])
+        assert sorted(r["id"] for r in responses) == ["first", "last"]
+
+    def test_long_line_is_refused_and_the_connection_goes_on(
+        self, server, caplog
+    ):
+        with caplog.at_level(logging.ERROR):
+            responses = _exchange(server, [_ping("p1"), _long_ping(),
+                                           _ping("p2")])
+        # A ping is answered by a task, so the refusal may come first.
+        assert _outcomes(responses) == _REFUSED_BETWEEN_PINGS
+        refusal, = [r for r in responses if r["id"] is None]
+        assert refusal["code"] == "bad_request"
+        assert str(MAX_LINE) in refusal["error"]
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] \
+            == []
+
+    @pytest.mark.parametrize("size", [None, 4096, 1])
+    def test_long_line_gets_one_refusal_in_one_read_or_many(self, size):
+        data = _ping("p1") + _long_ping() + _ping("p2")
+        assert _outcomes(_feed(data, size or len(data))) == (
+            _REFUSED_BETWEEN_PINGS)
+
+    def test_line_of_max_length_is_read(self):
+        line = b'{"op": "ping", "id": "edge", "pad": "'
+        line += b"x" * (MAX_LINE - len(line) - 2) + b'"}\n'
+        assert len(line) == MAX_LINE + 1
+        for size in (len(line), 1000):
+            responses = _feed(line + _ping("next"), size)
+            assert _outcomes(responses) == [("edge", True), ("next", True)]
+
+    def test_paused_writing_holds_lines_and_reads_until_resumed(self):
+        async def main():
+            conn = _Connection(DSEServer())
+            transport = _PausingTransport(conn)
+            conn.connection_made(transport)
+            # A line that is not JSON is answered on the spot.
+            conn.data_received(b"bad 1\nbad 2\n\nbad 3\n")
+            seen = [(transport.written.count(b"\n"), transport.reading)]
+            for _ in range(2):
+                conn.resume_writing()
+                seen.append((transport.written.count(b"\n"),
+                             transport.reading))
+            transport.pausing = False
+            conn.resume_writing()
+            seen.append((transport.written.count(b"\n"), transport.reading))
+            return seen
+
+        assert asyncio.run(main()) == [(1, False), (2, False), (3, False),
+                                       (3, True)]
