@@ -28,11 +28,12 @@ import pytest
 from repro.arch.presets import edge
 from repro.analysis.utilization import default_buffer_sizes
 from repro.core.batch import best_index, evaluate_grid
-from repro.core.candidates import make_incumbent
-from repro.core.dse import Objective, SearchSpace, enumerate_dataflows, search
+from repro.core.dse import Objective, SearchSpace, enumerate_dataflows
 from repro.core.engine import (
+    SearchRequest,
     clear_evaluation_cache,
     reset_search_totals,
+    run_searches,
     search_totals,
 )
 from repro.core.perf import cost_scope
@@ -55,16 +56,14 @@ def _sweep(cfg, warm):
     reset_search_totals()
     start = time.perf_counter()
     winners = []
-    incumbent = None
+    seed = None
     for size in default_buffer_sizes():
         accel = edge().with_scratchpad_bytes(size)
-        res = search(
-            cfg, accel, scope=Scope.LA, objective=Objective.RUNTIME,
-            space=SPACE, retain_points=False,
-            warm_start=incumbent if warm else None,
-        )
+        (res,) = run_searches([SearchRequest(
+            cfg, accel, Scope.LA, Objective.RUNTIME, SPACE, warm_start=seed,
+        )])
         if warm:
-            incumbent = make_incumbent(res, Scope.LA, accel)
+            seed = res.best.dataflow
         winners.append((res.best.dataflow, res.best.cost.total_cycles))
     return winners, search_totals(), time.perf_counter() - start
 

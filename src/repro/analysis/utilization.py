@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.accelerator import Accelerator
-from repro.core.candidates import Incumbent, make_incumbent
 from repro.core.dataflow import Dataflow
 from repro.core.dse import Objective, SearchSpace
 from repro.core.engine import (
@@ -103,17 +102,10 @@ def buffer_sweeps(
     :func:`~repro.core.engine.run_searches` list, so the lineups' misses
     and the small spaces share grid calls.  Returns each case's points,
     size-major, fixed dataflows before DSE entries at every size.
-
-    Each re-search is seeded with the previous buffer size's winner for
-    the same case and curve — neighboring sweep points usually share
-    their optimum, so the seed lets branch-and-bound gate most families
-    immediately.  The seed changes only the amount of work: the engine
-    re-evaluates it under the current buffer size.
     """
     sizes = tuple(buffer_sizes) if buffer_sizes is not None else (
         default_buffer_sizes()
     )
-    incumbents: Dict[Tuple[int, str], Incumbent] = {}
     points: List[List[SweepPoint]] = [[] for _ in cases]
     for size in sizes:
         sized = accel.with_scratchpad_bytes(size)
@@ -131,15 +123,12 @@ def buffer_sweeps(
             for _, cfg, scope, dataflow in lineup
         ] + [
             SearchRequest(cfg, sized, scope, Objective.RUNTIME, space,
-                          options, warm_start=incumbents.get((c, name)))
-            for c, name, cfg, scope, space in curves
+                          options)
+            for _, _, cfg, scope, space in curves
         ])
         for (c, _, _, dataflow), cost in zip(lineup, answers):
             points[c].append(_point(dataflow.name, size, cost))
-        for (c, name, _, scope, _), result in zip(curves,
-                                                   answers[len(lineup):]):
-            incumbents[c, name] = make_incumbent(result, scope, sized,
-                                                 options)
+        for (c, name, _, _, _), result in zip(curves, answers[len(lineup):]):
             points[c].append(_point(name, size, result.best.cost))
     return points
 

@@ -9,7 +9,7 @@ feasibility and win-ability analytically decidable per *family* of
 candidates, so whole families are expanded only if they can still beat
 the incumbent.
 
-Four pieces:
+Three pieces:
 
 * **The space table** (:class:`SpaceTable`, :func:`space_table`) —
   the space's families with their sizes and offsets, plus the
@@ -32,12 +32,12 @@ Four pieces:
   :func:`bound_rows` of every family as columns, memoized per query
   length and space by :func:`family_columns`); the table already holds
   their sizes and offsets.
-* **Warm starts** (:class:`Incumbent`) — a sweep driver hands the
-  neighboring point's winner to the next search.  The incumbent is a
-  *hint, never a value*: the engine re-evaluates the seed dataflow
-  under the current config/accelerator before using it, so a stale
-  incumbent (different buffer size, different platform) can change the
-  amount of work but never the result.
+* **Warm seeds** (:meth:`SpaceTable.locate`) — a seed is a plain
+  ``Dataflow``, a hint for the branch-and-bound incumbent.  The engine
+  finds it in the table and re-scores it under the receiving search's
+  own config, accelerator, scope, objective and options; any member's
+  value bounds the optimum from above, whichever search won it, so a
+  seed can change the amount of work but never the result.
 
 Everything here is deterministic and feeds cached evaluations, so this
 module is covered by the R3 determinism lint and the disk cache's
@@ -81,8 +81,6 @@ from repro.energy.tables import EnergyTable
 from repro.ops.attention import AttentionConfig, Scope
 
 __all__ = [
-    "Incumbent",
-    "make_incumbent",
     "plan_candidates",
     "bound_rows",
     "family_bounds",
@@ -91,54 +89,6 @@ __all__ = [
     "SpaceTable",
     "space_table",
 ]
-
-
-@dataclass(frozen=True)
-class Incumbent:
-    """A previous search's winner, offered as a warm start.
-
-    Carries the winning *dataflow* plus the search identity it was won
-    under.  ``objective``, ``scope`` and ``options`` must match the
-    receiving search exactly (a winner under another objective proves
-    nothing here) — the engine rejects mismatches.  The config and
-    accelerator deliberately need *not* match: neighbor-seeding across
-    a buffer-size or sequence-length sweep is the whole point, and the
-    engine re-evaluates the dataflow under its own config/accelerator.
-
-    ``value`` and ``accel_fingerprint`` are informational (provenance
-    for logs and tests).  The engine never reads ``value`` — a
-    poisoned or stale value cannot leak into a search result.
-    """
-
-    dataflow: Dataflow
-    objective: Objective
-    scope: Scope
-    options: PerfOptions
-    accel_fingerprint: Optional[tuple] = None
-    value: Optional[float] = None
-
-
-def make_incumbent(
-    result,
-    scope: Scope,
-    accel: Accelerator,
-    options: PerfOptions = PerfOptions(),
-) -> Incumbent:
-    """Build an :class:`Incumbent` from a finished search's result.
-
-    ``result`` is the :class:`~repro.core.dse.DSEResult` of the search
-    that just ran with the same ``scope``/``options`` on ``accel``.
-    """
-    from repro.core.engine import accelerator_fingerprint
-
-    return Incumbent(
-        dataflow=result.best.dataflow,
-        objective=result.objective,
-        scope=scope,
-        options=options,
-        accel_fingerprint=accelerator_fingerprint(accel),
-        value=result.objective.score(result.best.cost, result.best.energy),
-    )
 
 
 def _family_tile(family: DataflowFamily, batch: int, heads: int,

@@ -37,7 +37,6 @@ from repro.energy.tables import EnergyTable
 from repro.ops.attention import AttentionConfig, Scope
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.candidates import Incumbent
     from repro.core.engine import SearchStats
 
 __all__ = [
@@ -406,7 +405,6 @@ def search(
     options: PerfOptions = PerfOptions(),
     energy_table: Optional[EnergyTable] = None,
     retain_points: bool = False,
-    warm_start: Optional["Incumbent"] = None,
 ) -> DSEResult:
     """Exhaustively evaluate the space and return the optimum.
 
@@ -418,11 +416,8 @@ def search(
     Evaluation runs through :mod:`repro.core.engine`: by default
     (``retain_points=False``) everything but the winner is dropped,
     enabling branch-and-bound pruning and lazy energy accounting;
-    ``retain_points=True`` returns every point.  ``warm_start``
-    optionally seeds the candidate-generation path with a neighboring search's
-    winner (see :class:`repro.core.candidates.Incumbent`).  The best
-    point is identical either way; see
-    :func:`repro.core.engine.run_search`.
+    ``retain_points=True`` returns every point.  The best point is
+    identical either way; see :func:`repro.core.engine.run_search`.
     """
     from repro.core.engine import run_search
 
@@ -435,5 +430,4 @@ def search(
         options=options,
         energy_table=energy_table,
         retain_points=retain_points,
-        warm_start=warm_start,
     )

@@ -29,12 +29,17 @@ by what the caller asks for:
   its members, and survivors' rows are scored next.  A workload past
   the int64 lanes' edges (:func:`~repro.core.batch.is_wide`, beyond
   every paper workload) is scored on the grid like any other, merged
-  only with other wide workloads.  On a large space, a ``warm_start``
-  :class:`~repro.core.candidates.Incumbent` (the neighboring sweep
-  point's winner, re-evaluated under the current config/accelerator —
-  its value is never trusted) seeds the incumbent before any family is
-  scored, turning most sweep searches into bound-confirmation passes;
-  a small space ignores it.
+  only with other wide workloads.  On a large space, a
+  :class:`SearchRequest`'s ``warm_start`` dataflow (a hint: the
+  previous chip count's per-chip winner in
+  :func:`~repro.core.scaleout.sweep_chip_counts`) is found in the
+  table and re-scored under the search's own config, accelerator,
+  scope, objective and options to seed the incumbent before any family
+  is scored; a seed outside the space is rejected, and a small space
+  ignores it.  Any member's value bounds the optimum from above, so a
+  seed changes the amount of work, never the result.  A paper registry
+  pass re-scores 2 seeds (ext-scaleout's); the serve daemon and the
+  decode tier pass none.
 * **Every point** (``retain_points=True``, e.g. the Figure 10
   scatter): the whole space table is scored, and every point takes its
   breakdown from its lane
@@ -124,7 +129,6 @@ from repro.core.batch import (
 )
 from repro.core.cache import PersistentCache, get_default_cache
 from repro.core.candidates import (
-    Incumbent,
     SpaceTable,
     plan_candidates,
     space_table,
@@ -1042,40 +1046,6 @@ def _space_table(cfg: AttentionConfig, space: SearchSpace) -> SpaceTable:
     return table
 
 
-def _locate_warm_start(
-    warm: Optional[Incumbent],
-    table: SpaceTable,
-    scope: Scope,
-    objective: Objective,
-    options: PerfOptions,
-) -> Optional[int]:
-    """Global enumeration index of a valid ``warm_start`` seed, or ``None``.
-
-    An incumbent is *rejected* (``engine.warm_start.rejected`` counter)
-    when it was found under a different objective, scope or model
-    options, or when its dataflow is not a member of the current space
-    (e.g. a row count outside this config's ladder).  A differing
-    accelerator or config is *not* a rejection: the incumbent carries
-    no trusted value — the engine re-evaluates the seed dataflow under
-    the current config/accelerator, which is exactly what makes
-    neighbor-seeding across a buffer or sequence sweep safe.
-    """
-    if warm is None:
-        return None
-    if (
-        warm.objective is not objective
-        or warm.scope is not scope
-        or warm.options != options
-    ):
-        _metric_inc("engine.warm_start.rejected")
-        return None
-    index = table.locate(warm.dataflow)
-    if index is None:
-        _metric_inc("engine.warm_start.rejected")
-        return None
-    return index
-
-
 def _objective_value(objective: Objective, cost: ScopeCost,
                      energy_table: Optional[EnergyTable]) -> float:
     """``objective.score`` of one scalar cost, energy derived on demand."""
@@ -1112,7 +1082,8 @@ def _member_rows(table: SpaceTable, families: Sequence[int],
 class SearchRequest:
     """One search of a :func:`run_searches` list: the arguments of
     :func:`run_search`, best-only unless ``retain_points`` asks for
-    every point."""
+    every point.  ``warm_start`` is a dataflow hint for a planned
+    best-only search: see :func:`_search_rounds`."""
 
     cfg: AttentionConfig
     accel: Accelerator
@@ -1122,7 +1093,7 @@ class SearchRequest:
     options: PerfOptions = PerfOptions()
     energy_table: Optional[EnergyTable] = None
     retain_points: bool = False
-    warm_start: Optional[Incumbent] = None
+    warm_start: Optional[Dataflow] = None
 
 
 class _CostLane:
@@ -1414,15 +1385,18 @@ def _search_rounds(jobs: List[_Job], tally: dict) -> None:
     Planning comes first (span ``search-plan``): a best-only space above
     ``_MERGE_BATCH_LIMIT`` candidates, unless its objective is
     ``FOOTPRINT``, gets :func:`~repro.core.candidates.plan_candidates`'
-    family bounds, and a valid ``warm_start`` is re-evaluated by the
-    scalar model under the current config and accelerator to seed the
-    incumbent.  Then each round (span ``search-round``) scores every
-    job's rows through :func:`_scored`, whatever their workloads, and
-    each search gates its own families on its own incumbent: round 1
-    scores fixed dataflows, every-point tables, whole small tables,
-    planned searches' live representatives, or the few members a seed
-    leaves alive; round 2 the survivors' other members.  A job settles
-    as soon as it has nothing left to score.
+    family bounds, and its ``warm_start`` dataflow, when the space
+    holds it (:meth:`~repro.core.candidates.SpaceTable.locate`; else
+    ``engine.warm_start.rejected`` is booked), is re-evaluated by the
+    scalar model under the request's own config, accelerator, scope,
+    objective and options to seed the incumbent.  Then each round
+    (span ``search-round``) scores every job's rows through
+    :func:`_scored`, whatever their workloads, and each search gates
+    its own families on its own incumbent: round 1 scores fixed
+    dataflows, every-point tables, whole small tables, planned searches'
+    live representatives, or the few members a seed leaves alive; round
+    2 the survivors' other members.  A job settles as soon as it has
+    nothing left to score.
     """
     if len(jobs) > 1:  # a lone request has nothing to merge with
         for job in jobs:
@@ -1446,14 +1420,16 @@ def _search_rounds(jobs: List[_Job], tally: dict) -> None:
                 # Not booked in the stats: the seed's family is always
                 # scored, and that score (equal value, equal index)
                 # replaces it.
-                seed = _locate_warm_start(req.warm_start, job.table,
-                                          req.scope, req.objective,
-                                          req.options)
-                if seed is not None:
-                    cost = _breakdown(req, req.warm_start.dataflow)
-                    job.consider(_objective_value(req.objective, cost,
-                                                  req.energy_table),
-                                 seed, None)
+                if req.warm_start is None:
+                    continue
+                seed = job.table.locate(req.warm_start)
+                if seed is None:
+                    _metric_inc("engine.warm_start.rejected")
+                    continue
+                cost = _breakdown(req, req.warm_start)
+                job.consider(_objective_value(req.objective, cost,
+                                              req.energy_table),
+                             seed, None)
     for job in jobs:
         job.begin()
     # Planned searches last in each group: a round-1 incumbent keeps its
@@ -1605,7 +1581,7 @@ def run_searches(requests: Sequence[Any]) -> List[Any]:
     instead, so a search whose round is one lane alone books that
     member as scalar-``evaluated`` where, sharing a call in a list, it
     books a ``batch_evaluations``.  Each search gates its own families
-    on its own incumbent and takes its own ``warm_start``.
+    on its own incumbent and takes its own ``warm_start`` dataflow.
     """
     requests = list(requests)
     with _span("search-batch", requests=len(requests)) as sp:
@@ -1641,7 +1617,6 @@ def run_search(
     options: PerfOptions = PerfOptions(),
     energy_table: Optional[EnergyTable] = None,
     retain_points: bool = False,
-    warm_start: Optional[Incumbent] = None,
 ) -> DSEResult:
     """Evaluate the search space and return the optimum plus stats.
 
@@ -1655,22 +1630,11 @@ def run_search(
     search scores every point in one round.  A one-request
     :func:`run_searches`.
 
-    ``warm_start`` optionally carries a neighboring search's winner
-    (:class:`repro.core.candidates.Incumbent`); the best-only path
-    re-evaluates that dataflow under the *current* config and
-    accelerator and uses the resulting value as the initial incumbent
-    of a branch-and-bound (a space small enough to be scored whole
-    ignores it).
-    The incumbent's own recorded value is never reused — a stale seed
-    can therefore never change the result, only the amount of work
-    (see "Warm starts" in ``docs/search_engine.md``).
-
-    Regardless of ``retain_points``, cache warmth and ``warm_start``,
-    the returned best design point (dataflow and objective value) is
-    identical to a naive serial full evaluation: bounds are admissible,
-    pruning is strict, and ties resolve to the first candidate in
-    enumeration order.
+    Regardless of ``retain_points`` and cache warmth, the returned best
+    design point (dataflow and objective value) is identical to a naive
+    serial full evaluation: bounds are admissible, pruning is strict,
+    and ties resolve to the first candidate in enumeration order.
     """
     request = SearchRequest(cfg, accel, scope, objective, space, options,
-                            energy_table, retain_points, warm_start)
+                            energy_table, retain_points)
     return _run_searches([request], get_default_cache())[0]

@@ -39,7 +39,7 @@ from repro.core.perf import (
     _assemble,
     _compute_cycles,
     _Phase,
-    _sg_stream_words,
+    sg_stream_words,
 )
 from repro.core.dataflow import Stationarity
 from repro.core.tiling import ceil_div
@@ -155,7 +155,7 @@ def cost_online_la(
             softmax_cycles=softmax_cycles,
             softmax_elements=float(logit_elements),
             dram_elements=dram_elements,
-            sg_words=_sg_stream_words(macs, accel) + out_cold,
+            sg_words=sg_stream_words(macs, accel) + out_cold,
         )
     ]
     return _assemble(

@@ -379,11 +379,6 @@ def partition_scratchpad(
     )
 
 
-# Backward-compatible aliases (pre-engine private spellings).
-_StagingBudget = StagingBudget
-_partition_scratchpad = partition_scratchpad
-
-
 def _blend_passes(
     staged: bool, fit: float, l2_passes: float, extra_pass_only: bool = True
 ) -> float:
@@ -504,10 +499,6 @@ def sg_stream_words(macs: float, accel: Accelerator) -> float:
     return macs * (pe.rows + pe.cols) / (pe.rows * pe.cols)
 
 
-# Backward-compatible alias (pre-engine private spelling).
-_sg_stream_words = sg_stream_words
-
-
 def _warmup_cycles(dram_bytes, n_pass, warmup_cap_bytes, fused, accel,
                    options):
     """Exposed prefetch warm-up (polymorphic core of :func:`_assemble`).
@@ -607,7 +598,7 @@ def cost_operator(
         )
     footprint = operator_l3_footprint(op, dataflow, cfg.batch, cfg.heads)
     e = accel.bytes_per_element
-    budget = _partition_scratchpad(
+    budget = partition_scratchpad(
         footprint.total_bytes(e), dataflow.staging.any_enabled, accel, options
     )
     # Per-pass GEMM rows: granularity slices the m dimension / instances.
@@ -656,7 +647,7 @@ def cost_operator(
     gemm_phase = _Phase(
         compute_cycles=compute,
         dram_elements=dram_elements,
-        sg_words=_sg_stream_words(op.macs, accel) + op.out.num_elements,  # repro-lint: ignore[R5] -- the SG drains one word per output element; intended 1:1 elements->words cast
+        sg_words=sg_stream_words(op.macs, accel) + op.out.num_elements,  # repro-lint: ignore[R5] -- the SG drains one word per output element; intended 1:1 elements->words cast
     )
     phases = [gemm_phase]
     if op.softmax_after:
@@ -744,7 +735,7 @@ def cost_la_pair(
     e = accel.bytes_per_element
 
     footprint = fused_la_footprint(cfg, dataflow)
-    budget = _partition_scratchpad(
+    budget = partition_scratchpad(
         footprint.total_bytes(e),
         dataflow.has_l3 and dataflow.staging.any_enabled,
         accel,
@@ -824,8 +815,8 @@ def cost_la_pair(
 
     dram_l_inputs = q_cold * q_mult + k_cold * k_mult
     dram_a_inputs = v_cold * v_mult + out_cold * out_mult
-    sg_base_l = _sg_stream_words(macs_l, accel)
-    sg_base_a = _sg_stream_words(macs_a, accel) + out_cold
+    sg_base_l = sg_stream_words(macs_l, accel)
+    sg_base_a = sg_stream_words(macs_a, accel) + out_cold
 
     sfu_ops_override: Optional[float] = None
     if dataflow.fused:

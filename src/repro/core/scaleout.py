@@ -17,9 +17,10 @@ structure-of-arrays grid (:func:`evaluate_partition_grid`, the
 payloads, fabric cycles per schedule, and admissible lower bounds are
 computed in vectorized NumPy with no inner search.  The *inner* level
 — the per-chip search — is delegated to the existing candidate-gated
-engine's best-only search, seeded with the previous
-partition's (or chip count's) winner, and only runs for outer points
-that survive branch-and-bound against the incumbent.
+engine's best-only search, and only runs for outer points that survive
+branch-and-bound against the incumbent.  A sweep over chip counts
+(:func:`sweep_chip_counts`) hands each count's per-chip winner to the
+next count's first inner search as a warm seed.
 
 The outer bound is admissible by construction:
 
@@ -85,11 +86,7 @@ from repro.arch.fabric import (
     collective_floor_s,
     collective_time_s,
 )
-from repro.core.candidates import (
-    Incumbent,
-    family_bounds,
-    make_incumbent,
-)
+from repro.core.candidates import family_bounds
 from repro.core.dataflow import Dataflow
 from repro.core.dse import Objective, SearchSpace
 from repro.core.perf import PerfOptions, ScopeCost
@@ -556,16 +553,11 @@ class ScaleoutPoint:
 
 @dataclass(frozen=True)
 class ScaleoutResult:
-    """Outcome of one :func:`search_scaleout`.
-
-    ``incumbent`` is the winner's per-chip incumbent, the seed for the
-    neighboring chip count's search.
-    """
+    """Outcome of one :func:`search_scaleout`."""
 
     best: ScaleoutPoint
     chips: int
     stats: ScaleoutStats
-    incumbent: Incumbent
 
 
 def search_scaleout(
@@ -576,26 +568,21 @@ def search_scaleout(
     space: SearchSpace = SearchSpace(),
     options: PerfOptions = PerfOptions(),
     schedules: Sequence[CollectiveSchedule] = DEFAULT_SCHEDULES,
-    warm_start: Optional[Incumbent] = None,
+    warm_start: Optional[Dataflow] = None,
 ) -> ScaleoutResult:
     """Find the best (partition, schedule, per-chip dataflow) for ``T``.
 
     Outer points are visited best-bound-first, and every point whose
     admissible bound strictly exceeds the incumbent is pruned before
     its inner search ever runs; the winner is the exhaustive
-    cross-product's (see module docstring).  ``warm_start`` seeds the
-    first inner search with a neighboring sweep's winner, and each inner
-    search seeds the next; winners also land in the engine's LRU and the
+    cross-product's (see module docstring).  ``warm_start``, a dataflow
+    hint (the neighboring chip count's per-chip winner), seeds the first
+    inner search; winners also land in the engine's LRU and the
     persistent disk cache.  The outer grid is built only when the memo
     misses: a hit runs no bound and no inner search.
     """
     from repro.core.cache import get_default_cache
-    from repro.core.engine import (
-        SearchRequest,
-        _memoized,
-        _run_searches,
-        accelerator_fingerprint,
-    )
+    from repro.core.engine import SearchRequest, _memoized, _run_searches
 
     schedules = tuple(schedules)
     partitions = _outer_space(cfg, chips, schedules)
@@ -604,34 +591,20 @@ def search_scaleout(
 
     view = system.chip_view()
 
-    def _result(best: ScaleoutPoint) -> ScaleoutResult:
-        _accumulate(stats)
-        incumbent = Incumbent(
-            dataflow=best.dataflow,
-            objective=Objective.RUNTIME,
-            scope=scope,
-            options=options,
-            accel_fingerprint=accelerator_fingerprint(view),
-            value=best.chip_cycles,
-        )
-        return ScaleoutResult(best=best, chips=chips, stats=stats,
-                              incumbent=incumbent)
-
-    seed = warm_start
     inner_cache: Dict[int, tuple] = {}  # partition index -> (result, cycles)
 
     def _inner(p_idx: int) -> tuple:
-        nonlocal seed
         cached = inner_cache.get(p_idx)
         if cached is not None:
             stats.inner_reused += 1
             return cached
         shard = shard_config(cfg, partitions[p_idx])
+        # Only the first inner search takes the sweep's seed.
         (result,) = _run_searches([SearchRequest(
             shard, view, scope, space=space, options=options,
-            warm_start=seed)], None)
+            warm_start=None if stats.inner_searches else warm_start)],
+            None)
         stats.inner_searches += 1
-        seed = make_incumbent(result, scope, view, options)
         entry = (result, float(result.best.cost.total_cycles))
         inner_cache[p_idx] = entry
         return entry
@@ -683,7 +656,8 @@ def search_scaleout(
                                  get_default_cache())
     if source != "model":
         stats.memo_hits = 1
-    return _result(best)
+    _accumulate(stats)
+    return ScaleoutResult(best=best, chips=chips, stats=stats)
 
 
 def sweep_chip_counts(
@@ -697,12 +671,12 @@ def sweep_chip_counts(
 ) -> List[ScaleoutResult]:
     """Run :func:`search_scaleout` at each chip count, warm-chaining.
 
-    Each count's inner searches are seeded with the previous count's
-    winning per-chip incumbent — the fig8-sweep idiom of
-    :func:`repro.analysis.utilization.buffer_sweep` one level up.
+    Each count's first inner search is seeded with the previous count's
+    per-chip winning dataflow.  The seed changes the amount of work,
+    never a winner.
     """
     results: List[ScaleoutResult] = []
-    warm: Optional[Incumbent] = None
+    warm: Optional[Dataflow] = None
     for chips in chip_counts:
         result = search_scaleout(
             cfg,
@@ -714,6 +688,6 @@ def sweep_chip_counts(
             schedules=schedules,
             warm_start=warm,
         )
-        warm = result.incumbent
+        warm = result.best.dataflow
         results.append(result)
     return results

@@ -20,6 +20,7 @@ import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.contracts import Contracts
+from repro.lint.dataflow import attr_chain
 from repro.lint.engine import (
     SEVERITY_ERROR,
     SEVERITY_WARNING,
@@ -98,18 +99,6 @@ def names_in(node: ast.AST) -> Set[str]:
 def _call_name(node: ast.Call) -> Optional[str]:
     if isinstance(node.func, ast.Name):
         return node.func.id
-    return None
-
-
-def _attr_chain(node: ast.AST) -> Optional[str]:
-    """Dotted name of an attribute chain (``math.floor``), if plain."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
     return None
 
 
@@ -221,7 +210,7 @@ class CeilQuantizationRule(Rule):
                 )
             elif isinstance(node, ast.Call):
                 called = _call_name(node)
-                chain = _attr_chain(node.func)
+                chain = attr_chain(node.func)
                 if called in self._BANNED_BUILTINS:
                     yield self.finding(
                         unit, node,
@@ -500,7 +489,7 @@ class ShapePolymorphismRule(Rule):
                     )
             elif isinstance(expr, ast.Call):
                 called = _call_name(expr)
-                chain = _attr_chain(expr.func)
+                chain = attr_chain(expr.func)
                 args_tainted = any(
                     names_in(a) & tainted
                     for a in list(expr.args)
@@ -663,7 +652,7 @@ class DeterminismRule(Rule):
         for node in ast.walk(unit.tree):
             if isinstance(node, ast.Call):
                 called = _call_name(node)
-                chain = _attr_chain(node.func)
+                chain = attr_chain(node.func)
                 if called == "hash":
                     yield self.finding(
                         unit, node,
@@ -678,7 +667,7 @@ class DeterminismRule(Rule):
                         f"{self._BANNED_CHAINS[chain]}",
                     )
             elif isinstance(node, ast.Attribute):
-                chain = _attr_chain(node)
+                chain = attr_chain(node)
                 if chain == "os.environ":
                     yield self.finding(
                         unit, node,
@@ -800,7 +789,7 @@ class ConfigImmutabilityRule(Rule):
         for node in ast.walk(unit.tree):
             if not isinstance(node, ast.Call):
                 continue
-            chain = _attr_chain(node.func)
+            chain = attr_chain(node.func)
             if chain != "object.__setattr__":
                 continue
             if enclosing.get(id(node)) == "__post_init__":
@@ -820,8 +809,8 @@ class ConfigImmutabilityRule(Rule):
         for deco in cls.decorator_list:
             name = _call_name(deco) if isinstance(deco, ast.Call) \
                 else None
-            chain = _attr_chain(deco.func) if isinstance(deco, ast.Call) \
-                else _attr_chain(deco)
+            chain = attr_chain(deco.func) if isinstance(deco, ast.Call) \
+                else attr_chain(deco)
             plain = deco.id if isinstance(deco, ast.Name) else None
             if "dataclass" in {name, chain, plain} or (
                 chain and chain.endswith(".dataclass")

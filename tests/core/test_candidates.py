@@ -19,9 +19,7 @@ from hypothesis import strategies as st
 
 from repro.arch.presets import cloud, edge
 from repro.core.candidates import (
-    Incumbent,
     family_lower_bound,
-    make_incumbent,
     plan_candidates,
     space_table,
 )
@@ -35,7 +33,12 @@ from repro.core.dse import (
     family_size,
     search,
 )
-from repro.core.engine import _BOUND_SLACK, clear_evaluation_cache
+from repro.core.engine import (
+    _BOUND_SLACK,
+    SearchRequest,
+    clear_evaluation_cache,
+    run_searches,
+)
 from repro.core.perf import PerfOptions, cost_scope
 from repro.energy.model import energy_report
 from repro.ops.attention import AttentionConfig, Scope
@@ -297,83 +300,68 @@ class TestSearchEquivalence:
         assert s.candidates_skipped <= s.pruned
 
 
+def _seeded(cfg, accel, seed, **fields):
+    """A best-only search seeded with the dataflow ``seed``."""
+    (result,) = run_searches([SearchRequest(cfg, accel, warm_start=seed,
+                                            **fields)])
+    return result
+
+
 class TestWarmStart:
     """Warm starts change the amount of work, never the answer."""
 
     def test_warm_sweep_bit_identical_to_cold(self, edge_accel):
         """Each point of a neighbor-chained sweep is the cold oracle's."""
         cfg = _small_cfg(seq=256)
+        # Above the one-call limit: only a planned search reads a seed.
+        space = SearchSpace(exhaustive_staging=True)
         sizes = [20 * 1024, 128 * 1024, 512 * 1024, 4096 * 1024]
         clear_evaluation_cache()
-        incumbent = None
+        seed = None
         for size in sizes:
             sized = edge_accel.with_scratchpad_bytes(size)
-            res = search(cfg, sized, scope=Scope.LA, retain_points=False,
-                         warm_start=incumbent)
-            incumbent = make_incumbent(res, Scope.LA, sized)
-            assert_matches_oracle(res, exhaustive_best(cfg, sized))
+            res = _seeded(cfg, sized, seed, scope=Scope.LA, space=space)
+            seed = res.best.dataflow
+            assert_matches_oracle(res, exhaustive_best(cfg, sized,
+                                                       space=space))
 
     def test_stale_incumbent_is_reevaluated(self, edge_accel,
                                             cloud_accel):
-        """A seed from another accelerator (with a poisoned carried
-        value) must be re-scored under the current one — the result
-        cannot depend on the stale value."""
+        """A seed won on another accelerator is re-scored under the
+        current one: the result cannot depend on where it was won."""
         cfg = _small_cfg(seq=64)
+        space = SearchSpace(exhaustive_staging=True)
         clear_evaluation_cache()
-        donor = search(cfg, cloud_accel, scope=Scope.LA, retain_points=False)
-        stale = Incumbent(
-            dataflow=donor.best.dataflow, objective=Objective.RUNTIME,
-            scope=Scope.LA, options=PerfOptions(), value=0.0,
-        )
+        donor = search(cfg, cloud_accel, scope=Scope.LA, space=space)
         clear_evaluation_cache()
-        baseline = search(cfg, edge_accel, scope=Scope.LA, retain_points=False)
+        baseline = search(cfg, edge_accel, scope=Scope.LA, space=space)
         clear_evaluation_cache()
-        seeded = search(cfg, edge_accel, scope=Scope.LA, retain_points=False,
-                        warm_start=stale)
+        seeded = _seeded(cfg, edge_accel, donor.best.dataflow,
+                         scope=Scope.LA, space=space)
         assert seeded.best.dataflow == baseline.best.dataflow
         assert seeded.best.cost == baseline.best.cost
 
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            dict(objective=Objective.ENERGY),
-            dict(scope=Scope.BLOCK),
-            dict(options=PerfOptions(l2_reserve_fraction=0.25)),
-            dict(dataflow=flat_r(3)),  # rows outside the ladder
-        ],
-        ids=["objective", "scope", "options", "not-in-space"],
-    )
-    def test_mismatched_incumbent_rejected(self, edge_accel, mutate):
+    def test_seed_outside_the_space_is_rejected(self, edge_accel):
         import repro.obs as obs
 
+        seed = flat_r(3)  # rows outside the ladder
         cfg = _small_cfg(seq=64)
         # Above the one-call limit: only a planned search reads a seed.
         space = SearchSpace(exhaustive_staging=True)
-        clear_evaluation_cache()
-        donor = search(cfg, edge_accel, scope=Scope.LA, space=space,
-                       retain_points=False)
-        fields = dict(
-            dataflow=donor.best.dataflow, objective=Objective.RUNTIME,
-            scope=Scope.LA, options=PerfOptions(),
-        )
-        fields.update(mutate)
-        bad = Incumbent(**fields)
         clear_evaluation_cache()
         baseline = search(cfg, edge_accel, scope=Scope.LA, space=space,
                           retain_points=False)
         clear_evaluation_cache()
         with obs.observed() as session:
-            seeded = search(cfg, edge_accel, scope=Scope.LA, space=space,
-                            retain_points=False,
-                            warm_start=bad)
+            seeded = _seeded(cfg, edge_accel, seed, scope=Scope.LA,
+                             space=space)
             snap = session.registry.snapshot()
         assert snap["engine.warm_start.rejected"]["value"] == 1
         assert seeded.best.dataflow == baseline.best.dataflow
         assert seeded.best.cost == baseline.best.cost
 
     def test_buffer_sweep_matches_oracle(self, edge_accel):
-        """The sweep helper chains each curve's winner into the next
-        buffer size; every point must still be the oracle's."""
+        """Every point of a sweep helper's DSE curve is the oracle's."""
         from repro.analysis.utilization import SweepPoint, buffer_sweep
         from repro.energy.model import energy_report
 
@@ -404,3 +392,64 @@ class TestWarmStart:
         assert second.best.dataflow == first.best.dataflow
         assert second.stats.batch_evaluations == 0
         assert second.stats.candidates_generated == 0
+
+
+class TestGeneratedSeeds:
+    """A seed changes the work of a planned search, never its answer.
+
+    Drawn: a space above ``_MERGE_BATCH_LIMIT`` (exhaustive staging, or
+    the default space at seq 16384), the objective, the scope, the model
+    options, and a seed that is any member of the space, the winner of
+    a search under another objective, scope or option set, or a
+    dataflow outside the space.  The seeded list's winner and cost equal
+    the unseeded search's.
+    """
+
+    _PLANNED = (
+        (_small_cfg(seq=64), SearchSpace(exhaustive_staging=True)),
+        (_small_cfg(batch=1, seq=16384), SearchSpace()),
+    )
+    _OPTIONS = (PerfOptions(), PerfOptions(l2_reserve_fraction=0.25))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        workload=st.sampled_from(range(len(_PLANNED))),
+        objective=st.sampled_from([Objective.RUNTIME, Objective.ENERGY,
+                                   Objective.EDP]),
+        scope=st.sampled_from([Scope.LA, Scope.BLOCK]),
+        options=st.sampled_from(_OPTIONS),
+        seed=st.one_of(
+            st.tuples(st.just("member"), st.integers(min_value=0)),
+            st.tuples(st.just("won"), st.sampled_from(list(Objective)),
+                      st.sampled_from(list(Scope)),
+                      st.sampled_from(_OPTIONS)),
+            st.tuples(st.just("outside"),
+                      st.sampled_from([flat_r(3), flat_r(5)])),
+        ),
+    )
+    def test_seeded_winner_equals_unseeded(self, workload, objective,
+                                           scope, options, seed):
+        from repro.core import engine
+
+        cfg, space = self._PLANNED[workload]
+        accel = edge()
+        table = space_table(cfg, space)
+        assert table.total > engine._MERGE_BATCH_LIMIT
+        kind, *draw = seed
+        if kind == "member":
+            dataflow = table.dataflow(draw[0] % table.total)
+        elif kind == "won":
+            donor_objective, donor_scope, donor_options = draw
+            dataflow = search(cfg, accel, scope=donor_scope,
+                              objective=donor_objective, space=space,
+                              options=donor_options).best.dataflow
+        else:
+            dataflow = draw[0]
+        fields = dict(scope=scope, objective=objective, space=space,
+                      options=options)
+        clear_evaluation_cache()
+        unseeded = search(cfg, accel, **fields)
+        clear_evaluation_cache()
+        seeded = _seeded(cfg, accel, dataflow, **fields)
+        assert seeded.best.dataflow == unseeded.best.dataflow
+        assert seeded.best.cost == unseeded.best.cost

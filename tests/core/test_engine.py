@@ -15,10 +15,10 @@ import pytest
 
 from repro.core import engine
 from repro.core.cache import default_cache_dir
-from repro.core.candidates import make_incumbent
 from repro.core.dataflow import AttentionVariant, Granularity, Stationarity
 from repro.core.dse import Objective, SearchSpace, enumerate_dataflows, search
 from repro.core.engine import (
+    SearchRequest,
     SearchStats,
     accelerator_fingerprint,
     clear_evaluation_cache,
@@ -26,11 +26,19 @@ from repro.core.engine import (
     evaluate_cost,
     evaluation_cache_info,
     objective_lower_bound,
+    run_searches,
 )
 from repro.core.perf import cost_scope
 from repro.energy.model import energy_report
 from repro.ops.attention import Scope
 from tests.oracles import assert_matches_oracle, exhaustive_best
+
+
+def _seeded(cfg, accel, seed, **fields):
+    """A best-only search seeded with the dataflow ``seed``."""
+    (result,) = run_searches([SearchRequest(cfg, accel, warm_start=seed,
+                                            **fields)])
+    return result
 
 
 @pytest.fixture(autouse=True)
@@ -234,12 +242,10 @@ class TestMemoHitSkipsPlanning:
         space = self._SPACE
         small = edge_accel.with_scratchpad_bytes(edge_accel.sg_bytes // 4)
         neighbor = search(bert_4k, small, space=space, retain_points=False)
-        warm = make_incumbent(neighbor, Scope.LA, small)
-        cold = search(bert_4k, edge_accel, space=space, retain_points=False,
-                      warm_start=warm)
+        warm = neighbor.best.dataflow
+        cold = _seeded(bert_4k, edge_accel, warm, space=space)
         assert len(plans) == 2
-        again = search(bert_4k, edge_accel, space=space, retain_points=False,
-                       warm_start=warm)
+        again = _seeded(bert_4k, edge_accel, warm, space=space)
         assert len(plans) == 2
         assert again.best == cold.best
         assert again.stats == self._hit_stats(cold.stats, again.stats, False)
@@ -338,13 +344,10 @@ class TestOneCallRoute:
         cold = search(bert_512, edge_accel, space=space,
                       retain_points=False)
         small = edge_accel.with_scratchpad_bytes(edge_accel.sg_bytes // 4)
-        warm = make_incumbent(
-            search(bert_512, small, space=space, retain_points=False),
-            Scope.LA, small,
-        )
+        warm = search(bert_512, small, space=space,
+                      retain_points=False).best.dataflow
         clear_evaluation_cache()
-        seeded = search(bert_512, edge_accel, space=space,
-                        retain_points=False, warm_start=warm)
+        seeded = _seeded(bert_512, edge_accel, warm, space=space)
         assert calls == {"plan": 0, "grid": 3}
         assert seeded.best == cold.best
         assert_matches_oracle(seeded, exhaustive_best(bert_512, edge_accel))
@@ -449,10 +452,9 @@ class TestSpaceTableReuse:
         space = self._SPACE
         first = search(bert_4k, edge_accel, space=space, retain_points=False)
         assert counts["tables"] == 1
-        warm = make_incumbent(first, Scope.LA, edge_accel)
         counts["dataflows"] = 0
-        again = search(bert_4k, cloud_accel, space=space,
-                       retain_points=False, warm_start=warm)
+        again = _seeded(bert_4k, cloud_accel, first.best.dataflow,
+                        space=space)
         assert counts["tables"] == 1
         assert counts["dataflows"] <= 2  # the winner and the warm seed
         assert_matches_oracle(again, exhaustive_best(bert_4k, cloud_accel,
@@ -535,12 +537,10 @@ class TestWinnerBreakdown:
         self, scalar, bert_512, edge_accel, cloud_accel
     ):
         space = SearchSpace(exhaustive_staging=True)
-        seed = make_incumbent(
-            search(bert_512, cloud_accel, space=space, retain_points=False),
-            Scope.LA, cloud_accel)
+        seed = search(bert_512, cloud_accel, space=space,
+                      retain_points=False).best.dataflow
         assert scalar == []
-        res = search(bert_512, edge_accel, space=space, retain_points=False,
-                     warm_start=seed)
+        res = _seeded(bert_512, edge_accel, seed, space=space)
         # The seed is re-evaluated by the scalar model; the winner takes
         # its breakdown from the lane that scored it.
         assert len(scalar) == 1
@@ -555,13 +555,12 @@ class TestWinnerBreakdown:
         the search books one breakdown, as an unseeded one does."""
         space = SearchSpace(exhaustive_staging=True)
         cold = search(bert_512, edge_accel, space=space, retain_points=False)
-        seed = make_incumbent(cold, Scope.LA, edge_accel)
+        seed = cold.best.dataflow
         clear_evaluation_cache()
-        res = search(bert_512, edge_accel, space=space, retain_points=False,
-                     warm_start=seed)
+        res = _seeded(bert_512, edge_accel, seed, space=space)
         assert len(scalar) == 1  # the seed
-        assert res.best.dataflow == seed.dataflow
-        want = cost_scope(bert_512, Scope.LA, edge_accel, seed.dataflow)
+        assert res.best.dataflow == seed
+        want = cost_scope(bert_512, Scope.LA, edge_accel, seed)
         assert pickle.dumps(res.best.cost) == pickle.dumps(want)
         assert res.best == cold.best
         assert res.stats.evaluated == 1 and res.stats.cache_hits == 0

@@ -15,8 +15,8 @@ from repro.core.perf import (
     _blend_passes,
     _mapping_efficiency,
     _Phase,
-    _sg_stream_words,
     _strict_axis_eff,
+    sg_stream_words,
 )
 
 _EDGE = edge()
@@ -118,5 +118,5 @@ class TestPhase:
 class TestSgStreamWords:
     def test_systolic_injection_rate(self):
         # (rows + cols) / (rows * cols) words per MAC.
-        words = _sg_stream_words(1024.0, _EDGE)
+        words = sg_stream_words(1024.0, _EDGE)
         assert words == pytest.approx(1024.0 * 64 / 1024)

@@ -393,7 +393,6 @@ class TestSearchEquivalence:
         assert again.stats.memo_hits == 1
         assert again.stats.inner_searches == 0
         assert self._key(again) == self._key(first)
-        assert again.incumbent == first.incumbent
 
     @pytest.mark.parametrize("disk", [False, True], ids=["lru", "disk"])
     def test_memo_hit_builds_no_grid(self, monkeypatch, tmp_path, disk):
@@ -429,11 +428,9 @@ class TestSearchEquivalence:
         assert scaleout_totals() == again.stats.as_dict()
         assert first.stats.outer_enumerated == points
         assert self._key(again) == self._key(first)
-        assert again.incumbent == first.incumbent
 
     def test_warm_chained_sweep_bit_identical_to_cold(self):
-        """Every count of the chained sweep is the cold oracle's, and
-        each result hands its winner on as the next count's seed."""
+        """Every count of the chained sweep is the cold oracle's."""
         cfg = _cfg(batch=8, heads=8, seq=128)
         system = _system(chips_per_channel=2)
         counts = (2, 4, 8)
@@ -443,7 +440,36 @@ class TestSearchEquivalence:
             ref = exhaustive_scaleout_best(cfg, system, chips)
             assert self._key(result) == self._oracle_key(ref), chips
             assert result.best.total_cycles == ref.total_cycles
-            assert result.incumbent.dataflow == result.best.dataflow
+
+    def test_sweep_equals_unseeded_searches(self, monkeypatch):
+        """The ext-scaleout sweep seeds each count's first inner search
+        with the previous count's per-chip winner; every count answers
+        what one unseeded search at that count answers, and at least
+        one seed is found in its space and re-scored."""
+        from repro.core.candidates import SpaceTable
+        from repro.experiments.ext_scaleout import build_system
+        from repro.models.configs import model_config
+
+        # The ext-scaleout workload: 99-member inner spaces, planned.
+        cfg = model_config("xlm", seq=16384, batch=8)
+        system = build_system()
+        counts = (8, 16, 32, 64)
+        located = []
+        real = SpaceTable.locate
+
+        def locate(table, dataflow):
+            index = real(table, dataflow)
+            located.append(index)
+            return index
+
+        monkeypatch.setattr(SpaceTable, "locate", locate)
+        clear_evaluation_cache()
+        swept = sweep_chip_counts(cfg, system, counts)
+        assert any(index is not None for index in located), located
+        for chips, result in zip(counts, swept):
+            clear_evaluation_cache()
+            alone = search_scaleout(cfg, system, chips)
+            assert result.best == alone.best, chips
 
     def test_sweep_prunes_and_avoids_inner_searches(self):
         """The ext-scaleout sweep: outer pruning fires, the ledger
