@@ -28,8 +28,6 @@ Five modes:
   flags]`` — send queries to a running daemon and print one canonical
   JSON response line per request; ``--direct`` answers the same
   requests in-process instead (the equivalence reference path).
-  ``run-all --serve HOST:PORT`` routes the experiment pipeline through
-  a daemon.
 
 Every mode honors ``--cache-dir`` (or ``REPRO_CACHE_DIR``): a
 persistent cross-run cache of DSE answers that makes warm re-runs
@@ -112,11 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for reports + manifest.json (default: "
              "pipeline_output)",
     )
-    pipe.add_argument(
-        "--serve", default=None, metavar="HOST:PORT",
-        help="route experiments through a running DSE service daemon "
-             "(see 'repro-flat serve') instead of a local process pool",
-    )
     cost = parser.add_argument_group("cost mode")
     cost.add_argument("--model", default="bert",
                       help="zoo model name (default: bert)")
@@ -196,22 +189,10 @@ def _run_svg(args) -> str:
     return "wrote:\n" + "\n".join(f"  {p}" for p in paths)
 
 
-def _parse_host_port(spec: str) -> "tuple[str, int]":
-    """Split ``HOST:PORT`` (host may be omitted: ``:7321``, ``7321``)."""
-    host, _, port = spec.rpartition(":")
-    try:
-        return host or "127.0.0.1", int(port)
-    except ValueError:
-        raise ValueError(
-            f"invalid address {spec!r}; expected HOST:PORT"
-        ) from None
-
-
 def _run_pipeline_mode(args) -> int:
     import repro.obs as obs
     from repro.experiments.pipeline import (
         run_pipeline,
-        run_pipeline_via_server,
         write_manifest,
     )
     from repro.obs.summary import trace_totals
@@ -231,18 +212,11 @@ def _run_pipeline_mode(args) -> int:
         )
 
     try:
-        if args.serve:
-            host, port = _parse_host_port(args.serve)
-            result = run_pipeline_via_server(
-                names=names, host=host, port=port,
-                progress=None if args.quiet else _progress,
-            )
-        else:
-            result = run_pipeline(
-                names=names, workers=args.workers,
-                progress=None if args.quiet else _progress,
-            )
-    except (ValueError, ConnectionError, OSError) as exc:
+        result = run_pipeline(
+            names=names, workers=args.workers,
+            progress=None if args.quiet else _progress,
+        )
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     trace = None
@@ -256,12 +230,8 @@ def _run_pipeline_mode(args) -> int:
     manifest_path = write_manifest(result, args.output_dir, trace=trace)
     search = result.aggregate_search()
     cache = result.aggregate_cache()
-    backend = (
-        f"via server {args.serve}" if args.serve
-        else f"with {result.workers} workers"
-    )
     print(
-        f"ran {len(result.runs)} experiments {backend} in "
+        f"ran {len(result.runs)} experiments with {result.workers} workers in "
         f"{result.wall_time_s:.1f}s "
         f"({len(result.failures)} failed)"
     )

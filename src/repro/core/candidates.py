@@ -22,16 +22,16 @@ Three pieces:
 * **Family planning** (:func:`plan_candidates`) — each
   :class:`~repro.core.dse.DataflowFamily` of a space table
   (stationarity x granularity x row count) is bounded by its cheapest
-  *representative member* (see :func:`bound_rows`): fully staged,
+  *representative member* (see :func:`family_columns`): fully staged,
   unfused where the space allows it.  Representative bounds are
   admissible for every member — staging can only add traffic floors,
   fusion can only add serialized spill terms, and the compute floor is
   shared family-wide — so a family whose bound exceeds the incumbent
   provably contains no winner.  A plan bounds all of the table's
-  families in one array pass (:func:`family_bounds`: the
-  :func:`bound_rows` of every family as columns, memoized per query
-  length and space by :func:`family_columns`); the table already holds
-  their sizes and offsets.
+  families in one array pass (:func:`family_bounds`: every family's
+  bound row as columns, memoized per query length and space by
+  :func:`family_columns`); the table already holds their sizes and
+  offsets.
 * **Warm seeds** (:meth:`SpaceTable.locate`) — a seed is a plain
   ``Dataflow``, a hint for the branch-and-bound incumbent.  The engine
   finds it in the table and re-scores it under the receiving search's
@@ -82,7 +82,6 @@ from repro.ops.attention import AttentionConfig, Scope
 
 __all__ = [
     "plan_candidates",
-    "bound_rows",
     "family_bounds",
     "family_columns",
     "family_lower_bound",
@@ -91,30 +90,14 @@ __all__ = [
 ]
 
 
-def _family_tile(family: DataflowFamily, batch: int, heads: int,
-                seq_q: int) -> Tuple[int, int, int]:
-    """The cross-loop tile ``(b_t, h_t, r)`` every member of ``family``
-    has on a ``batch x heads x seq_q`` workload.
-
-    Members never set ``batch_tile``/``head_tile`` (both stay 1), so
-    this is :meth:`~repro.core.dataflow.Dataflow.cross_tile` read off
-    the family's granularity and row count alone.
-    """
-    granularity = family.granularity
-    if granularity is None or granularity is Granularity.M:
-        return batch, heads, seq_q
-    if granularity is Granularity.B:
-        return min(1, batch), heads, seq_q
-    if granularity is Granularity.H:
-        return 1, min(1, heads), seq_q
-    return 1, 1, min(family.rows, seq_q)
-
-
 @lru_cache(maxsize=4096)
 def _family_flags(family: DataflowFamily, allow_unfused: bool,
                   allow_fused: bool) -> Tuple[bool, ...]:
     """The bound flags of a family's representative, widened to the
-    family (see :func:`bound_rows`)."""
+    family (see :func:`family_columns`): its warm-up credit and SG
+    floor depend on whether any member fuses (a plain-Base family
+    never fuses, a row family always does, and an M/B/H family fuses
+    exactly when the space allows fusion)."""
     from repro.core.engine import bound_flags
 
     staged = family.granularity is not None
@@ -131,10 +114,28 @@ def _family_flags(family: DataflowFamily, allow_unfused: bool,
                        staged and allow_fused)
 
 
-# Each family's cross-tile rule (see _family_tile): the whole workload,
+# Each family's cross-tile rule (see _cross_tiles): the whole workload,
 # one batch, one batch and head, or R rows of one batch and head.
 _TILE_RULE = {None: 0, Granularity.M: 0, Granularity.B: 1,
               Granularity.H: 2, Granularity.R: 3}
+
+
+def _cross_tiles(rule: "np.ndarray", rows: "np.ndarray", batch, heads,
+                 seq_q) -> "np.ndarray":
+    """The cross-loop tiles ``(b_t, h_t, r)`` of families with tile
+    rules ``rule`` and R row counts ``rows`` on ``batch x heads x
+    seq_q`` workloads (scalars or arrays aligned with ``rule``), as
+    the rows of a ``(3, n)`` array.
+
+    Members never set ``batch_tile``/``head_tile`` (both stay 1), so
+    this is :meth:`~repro.core.dataflow.Dataflow.cross_tile` read off
+    the family's granularity and row count alone.
+    """
+    return np.stack([
+        np.where(rule == 0, batch, np.minimum(1, batch)),
+        np.where(rule <= 1, heads, np.minimum(1, heads)),
+        np.where(rule == 3, np.minimum(rows, seq_q), seq_q),
+    ])
 
 
 class FamilyColumns(NamedTuple):
@@ -152,6 +153,26 @@ class FamilyColumns(NamedTuple):
 @lru_cache(maxsize=128)
 def family_columns(seq_q: int, space: SearchSpace) -> FamilyColumns:
     """The :class:`FamilyColumns` of ``space`` on query length ``seq_q``.
+
+    Each family's columns are those of its *representative*, the
+    member whose bound lower-bounds the whole family: fully staged,
+    and unfused wherever the space allows it.  Fully enabled staging
+    minimizes every traffic floor the bound charges (staged K/V stream
+    once instead of once per row pass; the staged intermediate spills
+    only its non-fitting fraction), and the unfused serialized-softmax
+    term is never larger than the fused one.  The compute floor is
+    identical across a family — it depends only on stationarity,
+    granularity and row count, which the family fixes.  Hence
+    ``bound(representative) <= bound(member) <= cost(member)`` for
+    every member.  A family with a non-default attention variant
+    contains only fused members that all share the variant's (weakly
+    smaller) serial softmax term, so its representative is the fused
+    all-staged member.  Every representative is member 0 of its
+    family's expansion, the invariant the engine's representative
+    round depends on.  The flags are widened to the family
+    (:func:`_family_flags`).  No ``Dataflow`` is built; the columns
+    bound exactly as the representative ``Dataflow``'s rows
+    (``tests/oracles.py::family_bound_rows``).
 
     Memoized: families and flags depend on nothing else of a workload,
     so every plan and every shard of one query length reads them once.
@@ -183,11 +204,10 @@ def family_bounds(
     """Every family's bound on each workload of ``configs``, workload
     after workload, and each workload's family count.
 
-    One :func:`repro.core.engine.bound_table` pass over the
-    :func:`bound_rows` of all of them, as columns assembled from the
-    memoized :func:`family_columns`: the cross tiles are
-    :func:`_family_tile` evaluated as arrays, and no row is built in
-    Python.
+    One :func:`repro.core.engine.bound_table` pass over the bound rows
+    of all of them, as columns assembled from the memoized
+    :func:`family_columns`: the cross tiles are computed as arrays
+    (:func:`_cross_tiles`), and no row is built in Python.
     """
     from repro.core.engine import BoundColumns, bound_table
 
@@ -205,54 +225,10 @@ def family_bounds(
         rule = np.concatenate([p.rule for p in parts])
         r_rows = np.concatenate([p.rows for p in parts])
         flags = np.concatenate([p.flags for p in parts], axis=1)
-    tiles = np.stack([
-        np.where(rule == 0, batch, np.minimum(1, batch)),
-        np.where(rule <= 1, heads, np.minimum(1, heads)),
-        np.where(rule == 3, np.minimum(r_rows, seq_q), seq_q),
-    ])
+    tiles = _cross_tiles(rule, r_rows, batch, heads, seq_q)
     columns = BoundColumns(tuple(configs), workload, tiles, flags)
     return bound_table(objective, scope, accel, columns, options,
                        energy_table), counts
-
-
-def bound_rows(
-    cfg: AttentionConfig,
-    families: Sequence[DataflowFamily],
-    space: SearchSpace = SearchSpace(),
-) -> list:
-    """Each family's :func:`repro.core.engine.bound_table` row, read
-    straight off its fields.
-
-    The row is that of the family's *representative*, the member whose
-    bound lower-bounds the whole family: fully staged, and unfused
-    wherever the space allows it.  Fully enabled staging minimizes
-    every traffic floor the bound charges (staged K/V stream once
-    instead of once per row pass; the staged intermediate spills only
-    its non-fitting fraction), and the unfused serialized-softmax term
-    is never larger than the fused one.  The compute floor is identical
-    across a family — it depends only on stationarity, granularity and
-    row count, which the family fixes.  Hence ``bound(representative)
-    <= bound(member) <= cost(member)`` for every member.  A family with
-    a non-default attention variant contains only fused members that
-    all share the variant's (weakly smaller) serial softmax term, so
-    its representative is the fused all-staged member.  Every
-    representative is member 0 of its family's expansion, the
-    invariant the engine's representative round depends on.
-
-    The row is widened to the family: its warm-up credit and SG floor
-    depend on whether any member fuses (a plain-Base family never
-    fuses, a row family always does, and an M/B/H family fuses exactly
-    when the space allows fusion).  No ``Dataflow`` is built; the rows
-    equal those of the representative ``Dataflow``
-    (``tests/oracles.py::family_bound_rows``).
-    """
-    batch, heads, seq_q = cfg.batch, cfg.heads, cfg.seq_q
-    unfused, fused = space.allow_unfused, space.allow_fused
-    return [
-        (cfg, _family_tile(family, batch, heads, seq_q),
-         _family_flags(family, unfused, fused))
-        for family in families
-    ]
 
 
 def family_lower_bound(
@@ -267,16 +243,14 @@ def family_lower_bound(
 ) -> float:
     """Admissible objective lower bound for every member of a family.
 
-    The engine's bound (:func:`repro.core.engine.bound_table`) on the
-    family's :func:`bound_rows` row; see
-    :func:`bound_rows` for why that bounds all members.
+    ``family``'s entry of :func:`family_bounds` on ``cfg``; see
+    :func:`family_columns` for why it bounds all members.
     ``FOOTPRINT`` has no bound and is rejected.
     """
-    from repro.core.engine import bound_table
-
-    return float(bound_table(objective, scope, accel,
-                             bound_rows(cfg, [family], space), options,
-                             energy_table)[0])
+    index = family_columns(cfg.seq_q, space).families.index(family)
+    bounds, _ = family_bounds(objective, scope, accel, [cfg], space,
+                              options, energy_table)
+    return float(bounds[index])
 
 
 def plan_candidates(
@@ -419,7 +393,7 @@ def space_table(cfg: AttentionConfig,
     repeated over each family's members, and each member's staging
     corner is its position divided by its family's toggle count.
     """
-    batch, heads, seq_q = cfg.batch, cfg.heads, cfg.seq_q
+    batch = cfg.batch
     families = tuple(enumerate_families(cfg, space))
     sizes = tuple(family_size(f, space) for f in families)
     offsets = tuple(accumulate(sizes, initial=0))[:-1]
@@ -430,7 +404,8 @@ def space_table(cfg: AttentionConfig,
     for family in families:
         staged = family.granularity is not None
         toggles = _toggles(family, space)
-        per_family.append(_family_tile(family, batch, heads, seq_q) + (
+        per_family.append((
+            _TILE_RULE[family.granularity], family.rows or 0,
             _STAT_INDEX[family.stationarity], toggles,
             # every member's fused flag, in a one-toggle family
             staged and toggles == 1 and space.allow_fused,
@@ -438,8 +413,11 @@ def space_table(cfg: AttentionConfig,
             family.variant is AttentionVariant.FLASH_D,
             family.variant is AttentionVariant.FUSEMAX,
         ))
-    columns = np.repeat(np.array(per_family, dtype=np.int64).reshape(-1, 9),
-                        sizes, axis=0).T
+    values = np.array(per_family, dtype=np.int64).reshape(-1, 8).T
+    columns = np.repeat(np.concatenate([
+        _cross_tiles(values[0], values[1], batch, cfg.heads, cfg.seq_q),
+        values[2:],
+    ]), sizes, axis=1)
     b_t, h_t, r, stat_idx, toggles = columns[:5]
     fused_one, has_l3, v_flash, v_pipe = columns[5:].astype(bool)
     position = np.arange(total) - np.repeat(

@@ -308,8 +308,9 @@ def scoped_search_totals() -> Iterator[None]:
     scope itself is not isolated from other threads: searches run by a
     concurrent thread while the block is active land in (and are then
     discarded with) the scoped window.  Serialize callers that need an
-    exact per-block attribution — the serve layer runs experiments on a
-    dedicated single-thread executor for exactly this reason.
+    exact per-block attribution.  The pipeline opens one scope per
+    experiment, in-process or in a pool worker; the serve daemon opens
+    none and runs all of its engine work on its one evaluator thread.
     """
     with _TOTALS_LOCK:
         saved = dict(_totals)
@@ -765,10 +766,10 @@ def bound_table(
     Each :data:`BoundRow` ``(cfg, cross tile, flags)`` is bounded on
     its own workload, so one call covers every family of a plan or
     every family of every distinct shard of a partition grid.  A
-    family's row comes straight from its fields
-    (:func:`repro.core.candidates.bound_rows`, or as
-    :class:`BoundColumns` from the memoized family columns), a
-    dataflow's from :func:`dataflow_bound_row`.  The bound of a row is
+    family's row comes straight from its fields, as
+    :class:`BoundColumns` from the memoized family columns
+    (:func:`repro.core.candidates.family_bounds`), a dataflow's from
+    :func:`dataflow_bound_row`.  The bound of a row is
     a roofline over floors the L-A pair can never beat, sharing the
     model's own closed forms — the L2 tile choice, the staging-budget
     split, the reuse-pass counts and the warm-up arithmetic are the

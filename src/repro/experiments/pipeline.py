@@ -49,7 +49,6 @@ __all__ = [
     "ExperimentRun",
     "PipelineResult",
     "run_pipeline",
-    "run_pipeline_via_server",
     "write_manifest",
     "MANIFEST_SCHEMA",
 ]
@@ -295,83 +294,6 @@ def _run_jobs(selected: List[str], workers: int, cache_dir: Optional[str],
             if progress is not None:
                 progress(run, done, len(selected))
     return outcomes
-
-
-def run_pipeline_via_server(
-    names: Optional[Sequence[str]] = None,
-    host: str = "127.0.0.1",
-    port: int = 7321,
-    progress: Optional[ProgressFn] = None,
-    timeout: float = 3600.0,
-) -> PipelineResult:
-    """Run ``names`` through a live DSE service daemon.
-
-    The ``run-all --serve HOST:PORT`` backend: every experiment becomes
-    one ``experiment`` request pipelined over a single connection; the
-    daemon executes them serially on its dedicated experiment thread
-    (sharing its warm engine LRU and persistent cache across callers)
-    and the responses are rebuilt into :class:`ExperimentRun` records,
-    so :func:`write_manifest` and the CLI summary work unchanged.
-    Report text is deterministic, hence byte-identical to a local
-    :func:`run_pipeline` — only the accounting (wall times, cache
-    warmth) differs.
-
-    ``workers`` is reported as ``0`` in the result: the work happened
-    in the daemon's process, not a local pool.  ``cache_dir`` is
-    ``None`` for the same reason — cache traffic is accounted per run
-    from the daemon's counters, but the directory is the daemon's.
-    A failing experiment (or a rejected request) is an
-    ``status="error"`` run, mirroring :func:`run_pipeline`.
-    """
-    from repro.serve.client import ServeClient
-
-    selected = _selected(names)
-
-    def _rebuild(name: str, response: Dict[str, object]) -> ExperimentRun:
-        if not response.get("ok"):
-            return ExperimentRun(
-                name=name, status="error",
-                report=f"{response.get('code')}: {response.get('error')}",
-                wall_time_s=0.0, search={}, cache={},
-            )
-        payload = response["result"]
-        return ExperimentRun(
-            name=str(payload["name"]),
-            status=str(payload["status"]),
-            report=str(payload["report"]),
-            wall_time_s=float(payload["wall_time_s"]),
-            search=dict(payload["search"]),
-            cache=dict(payload["cache"]),
-        )
-
-    requests = [
-        {"op": "experiment", "name": name, "id": f"exp{index}"}
-        for index, name in enumerate(selected)
-    ]
-    by_id = {req["id"]: req["name"] for req in requests}
-
-    done = 0
-
-    def _on_response(msg: Dict[str, object]) -> None:
-        nonlocal done
-        done += 1
-        if progress is not None:
-            progress(_rebuild(by_id[str(msg.get("id"))], msg), done,
-                     len(selected))
-
-    start = time.perf_counter()
-    with ServeClient(host, port, timeout=timeout) as client:
-        responses = client.request_many(requests, on_response=_on_response)
-    runs = tuple(
-        _rebuild(name, response)
-        for name, response in zip(selected, responses)
-    )
-    return PipelineResult(
-        runs=runs,
-        wall_time_s=time.perf_counter() - start,
-        workers=0,
-        cache_dir=None,
-    )
 
 
 def _execute_isolated(name: str,

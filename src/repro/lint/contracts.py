@@ -394,7 +394,7 @@ LOCK_INVENTORY: Mapping[str, Mapping[str, object]] = {
             "self._eof",
             "self._settled",
         ),
-        "executor_only": ("_experiment_payload",),
+        "executor_only": (),
     },
 }
 

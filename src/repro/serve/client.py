@@ -3,9 +3,9 @@
 A thin socket wrapper speaking the NDJSON protocol: one request per
 line out, responses matched back by ``id`` (the server may answer out
 of order when requests pipeline), progress events surfaced through a
-callback.  Used by ``repro-flat query``, the pipeline's
-``run-all --serve`` mode, the load benchmark and the equivalence CI
-job; tests drive it against :class:`~repro.serve.server.ServerThread`.
+callback.  Used by ``repro-flat query``, the load benchmark and the
+equivalence CI job; tests drive it against
+:class:`~repro.serve.server.ServerThread`.
 
 The client is intentionally synchronous — callers that want
 concurrency open one client per thread (connections are cheap; the
@@ -109,16 +109,13 @@ class ServeClient:
         self,
         reqs: Sequence[Dict[str, Any]],
         on_event: Optional[EventFn] = None,
-        on_response: Optional[EventFn] = None,
     ) -> List[Dict[str, Any]]:
         """Pipeline many requests on this connection.
 
         All requests are written up front; responses are collected by
         ``id`` (arrival order is completion order, which the
         coalescing scheduler does not promise matches request order)
-        and returned aligned with ``reqs``.  ``on_response`` fires per
-        final response in arrival order — the pipeline's progress
-        hook.
+        and returned aligned with ``reqs``.
         """
         tagged: List[Dict[str, Any]] = []
         for req in reqs:
@@ -143,8 +140,6 @@ class ServeClient:
                 continue  # stale response from an earlier exchange
             want.discard(key)
             by_id[key] = msg
-            if on_response is not None:
-                on_response(msg)
         return [by_id[str(i)] for i in ids]
 
     # -- convenience verbs ---------------------------------------------

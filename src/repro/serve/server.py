@@ -10,8 +10,8 @@ op is answered there: it is parsed, resolved through the memo and
 submitted; a memo hit's response is written at once, and a queued
 query's is written by a done-callback on its future when its
 micro-batch settles.  The other ops run as tasks of their own, so a
-connection can pipeline queries and a long sweep or experiment never
-blocks a ping on the same socket.  Responses are written as they are
+connection can pipeline queries and a long sweep never blocks a ping
+on the same socket.  Responses are written as they are
 ready, in completion order; nothing waits for the socket to take them.
 When a client reads so slowly that the transport's write buffer passes
 its high-water mark, ``pause_writing`` stops the connection handling
@@ -42,11 +42,6 @@ Operations, one entry each in :attr:`DSEServer.OPS`:
     join the queue — long sweeps interleave fairly with short queries
     instead of monopolizing the evaluator.  A progress event streams
     after every chunk.
-``experiment``
-    one registry experiment (``table1``, ``fig9-edge``, ...) executed
-    through the pipeline's job runner on a dedicated single-thread
-    executor, serialized by a lock so its scoped search-totals
-    attribution stays exact.  This is what ``run-all --serve`` uses.
 ``shutdown``
     graceful drain: the listener closes, queued and in-flight work
     completes, new submissions fail with ``draining``, every
@@ -72,7 +67,6 @@ from repro.obs.trace import open_span as _open_span
 from repro.serve.protocol import (
     PROTOCOL,
     QUERY_RESOLVERS,
-    Draining,
     Encoded,
     ProtocolError,
     encode_line,
@@ -309,8 +303,6 @@ class DSEServer:
         self._port = port
         self.scheduler = CoalescingScheduler(config)
         self._server: Optional[asyncio.AbstractServer] = None
-        self._experiment_lock: Optional[asyncio.Lock] = None
-        self._experiment_executor = None
         self._draining = False
         self._done: Optional[asyncio.Event] = None
         self._connections: set = set()
@@ -319,7 +311,6 @@ class DSEServer:
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> Tuple[str, int]:
         """Bind the listener and start the scheduler; returns (host, port)."""
-        self._experiment_lock = asyncio.Lock()
         self._done = asyncio.Event()
         self.scheduler.start()
         self._server = await asyncio.get_running_loop().create_server(
@@ -348,9 +339,6 @@ class DSEServer:
             conn.transport.close()
         for conn in connections:
             await conn.closed
-        if self._experiment_executor is not None:
-            self._experiment_executor.shutdown(wait=True)
-            self._experiment_executor = None
         if self._done is not None:
             self._done.set()
 
@@ -492,36 +480,6 @@ class DSEServer:
                 progress(len(results), len(queries))
         return {"results": results, "total": len(queries)}
 
-    async def _experiment(self, req: JSON, progress: Progress) -> JSON:
-        if self._draining:
-            raise Draining("server is draining; no new work accepted")
-        name = req.get("name")
-        if not isinstance(name, str) or not name:
-            raise ProtocolError("experiment needs a 'name'")
-        from repro.experiments.runner import experiment_names
-
-        if name not in experiment_names():
-            raise ProtocolError(
-                f"unknown experiment {name!r}; choose from "
-                f"{experiment_names()}"
-            )
-        if self._experiment_executor is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            # Dedicated single thread: experiments never starve short
-            # queries on the scheduler's evaluator, and serializing them
-            # keeps scoped_search_totals attribution exact.
-            self._experiment_executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="serve-exp"
-            )
-        assert self._experiment_lock is not None
-        async with self._experiment_lock:
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(
-                self._experiment_executor,
-                _experiment_payload, name,
-            )
-
     #: The op table: every op the daemon answers, and its handler.  A
     #: query op's handler (:meth:`_query`) runs on its line's loop pass
     #: and returns the answer or a future of it; every other handler is
@@ -534,30 +492,7 @@ class DSEServer:
         "stats": _stats,
         "shutdown": _shutdown,
         "sweep": _sweep,
-        "experiment": _experiment,
         **dict.fromkeys(QUERY_RESOLVERS, _query),
-    }
-
-
-def _experiment_payload(name: str) -> Dict[str, Any]:
-    """Run one experiment job and flatten its run record to JSON.
-
-    Reuses the pipeline's job runner (same scoped totals, same cache
-    accounting), minus the observability shipping — the server owns
-    its own session.  The dict mirrors ``ExperimentRun`` field-for-
-    field so ``run-all --serve`` can rebuild the run object.
-    """
-    from repro.core.cache import resolve_cache_dir
-    from repro.experiments.pipeline import _execute
-
-    run = _execute(name, resolve_cache_dir())
-    return {
-        "name": run.name,
-        "status": run.status,
-        "report": run.report,
-        "wall_time_s": run.wall_time_s,
-        "search": run.search,
-        "cache": run.cache,
     }
 
 
@@ -646,16 +581,27 @@ class ServerThread:
         await self._server.wait_done()
 
     def stop(self, timeout: float = 60.0) -> None:
-        """Drain gracefully and join the loop thread."""
+        """Drain gracefully and join the loop thread.
+
+        The drain is requested by a loop callback and waited for by
+        joining the thread, which ends once the server's drain is done.
+        After a ``shutdown`` op the loop may already be ending, and then
+        drops the callback or refuses it; the thread ends all the same.
+        """
         if self._thread is None or self._loop is None:
             return
         if self._thread.is_alive() and self._server is not None:
-            future = asyncio.run_coroutine_threadsafe(
-                self._server.shutdown(), self._loop
-            )
-            future.result(timeout=timeout)
+            try:
+                self._loop.call_soon_threadsafe(self._drain)
+            except RuntimeError:  # the loop is closed
+                pass
         self._thread.join(timeout=timeout)
+        if self._thread.is_alive():
+            raise TimeoutError(f"server thread did not stop in {timeout} s")
         self._thread = None
+
+    def _drain(self) -> None:
+        self._loop.create_task(self._server.shutdown())
 
     def __enter__(self) -> Tuple[str, int]:
         return self.start()

@@ -153,9 +153,8 @@ def answer_direct(req: Dict[str, Any]) -> Dict[str, Any]:
 
     Mirrors the server's handling of the deterministic operations
     (``ping``, the query ops, ``sweep``) byte-for-byte, error envelopes
-    included; the stateful operations (``stats``, ``experiment``,
-    ``shutdown``) only make sense against a live daemon and are
-    rejected.
+    included; the stateful operations (``stats``, ``shutdown``) only
+    make sense against a live daemon and are rejected.
     """
     req_id = req.get("id") if isinstance(req, dict) else None
     try:

@@ -28,7 +28,7 @@ from repro.arch.fabric import (
     collective_floor_s,
     collective_time_s,
 )
-from repro.arch.presets import edge
+from repro.arch.presets import cloud, edge
 from repro.core import engine
 from repro.core.cache import default_cache_dir
 from repro.core.candidates import family_lower_bound
@@ -517,3 +517,43 @@ class TestSearchEquivalence:
         assert best.total_cycles == (
             exhaustive_scaleout_best(cfg, _system(), 4).total_cycles
         )
+
+
+def _unnamed(cost):
+    """``cost`` with its operator names blanked: a shard is labelled
+    ``<model>/b1-h1-s1``, the unsharded workload ``<model>``."""
+    from dataclasses import replace
+
+    return replace(cost, operator_costs=[
+        replace(op, name="") for op in cost.operator_costs
+    ])
+
+
+class TestSingleChip:
+    """A 1-chip scale-out is the single-chip search: the one partition
+    shards nothing and moves nothing over the fabric."""
+
+    @pytest.mark.parametrize("space", [
+        SearchSpace(), SearchSpace(exhaustive_staging=True),
+    ], ids=["default", "exhaustive-staging"])
+    @pytest.mark.parametrize("scope", [Scope.LA, Scope.BLOCK],
+                             ids=["LA", "Block"])
+    @pytest.mark.parametrize("model,seq", [
+        ("bert", 512), ("xlm", 2048), ("t5", 1000), ("bert", 16384),
+    ])
+    @pytest.mark.parametrize("platform", [edge, cloud],
+                             ids=["edge", "cloud"])
+    def test_one_chip_equals_single_chip_search(self, platform, model,
+                                                seq, scope, space):
+        from repro.models.configs import model_config
+
+        cfg = model_config(model, seq=seq)
+        accel = platform()
+        clear_evaluation_cache()
+        with default_cache_dir(""):
+            scaled = search_scaleout(cfg, ScaleoutSystem(chip=accel), 1,
+                                     scope, space)
+            single = search(cfg, accel, scope, space=space)
+        assert scaled.best.dataflow == single.best.dataflow
+        assert scaled.best.fabric_cycles == 0
+        assert _unnamed(scaled.best.chip_cost) == _unnamed(single.best.cost)

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.arch.presets import edge
 from repro.core.batch import GridRows, _GridFeatures, evaluate_grid
 from repro.core.candidates import (
-    bound_rows,
     family_bounds,
     family_columns,
     space_table,
@@ -143,23 +142,6 @@ class TestGeneratedSpaces:
             assert table.locate(df) == members.index(df)
         with pytest.raises(IndexError):
             table.dataflow(len(members))
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(cfg=workloads, space=spaces(),
-           objective=st.sampled_from(OBJECTIVES),
-           scope=st.sampled_from(list(Scope)))
-    def test_bound_rows_equal_the_representative_rows(self, cfg, space,
-                                                      objective, scope):
-        families = list(enumerate_families(cfg, space))
-        if not families:
-            return
-        rows = bound_rows(cfg, families, space)
-        oracle = family_bound_rows(cfg, families, space)
-        assert rows == oracle
-        accel = edge().with_scratchpad_bytes(64 * 1024)
-        assert bound_table(objective, scope, accel, rows).tolist() == (
-            bound_table(objective, scope, accel, oracle).tolist()
-        )
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(cfgs=st.lists(workloads, min_size=1, max_size=3),

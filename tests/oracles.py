@@ -12,8 +12,8 @@ engine's vectorized :func:`~repro.core.engine.bound_table` must equal
 bit for bit: the same closed forms, evaluated one candidate at a time
 in plain Python.  ``family_bound_rows`` builds each family's bound row
 from its representative ``Dataflow`` (``family_representative``), the
-route the engine's field-read :func:`~repro.core.candidates.bound_rows`
-must equal.
+route the engine's field-read
+:func:`~repro.core.candidates.family_bounds` columns must bound as.
 ``chained_counts`` is :attr:`~repro.core.perf.ScopeCost.counts` as a
 fold of ``ActivityCounts.__add__``, the sum the one-pass property must
 equal bit for bit.
@@ -494,8 +494,8 @@ def family_representative(
     family: DataflowFamily, space: SearchSpace = SearchSpace()
 ) -> Dataflow:
     """The member whose bound lower-bounds the whole family, as a
-    ``Dataflow`` (see :func:`repro.core.candidates.bound_rows`, which
-    reads its row off the family fields instead).
+    ``Dataflow`` (see :func:`repro.core.candidates.family_columns`,
+    which reads its columns off the family fields instead).
 
     Fully enabled staging minimizes every traffic floor the bound
     charges (staged K/V stream once instead of once per row pass; the

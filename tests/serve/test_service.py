@@ -1,4 +1,5 @@
-"""``execute_group``: the scheduler's work for one coalescing group."""
+"""``execute_group``, the scheduler's work for one coalescing group,
+and ``answer_direct``, the in-process answer to one request."""
 
 from __future__ import annotations
 
@@ -38,3 +39,18 @@ def test_search_group_commits_to_disk_once(tmp_path, monkeypatch, k):
     assert len(searches) == 2 * k  # the group's, then the check's
     assert traffic["misses"] == traffic["writes"] == k
     assert traffic["flushes"] == 1
+
+
+@pytest.mark.parametrize("op,fragment", [
+    ("stats", "not available directly"),
+    ("shutdown", "not available directly"),
+    ("experiment", "unknown op"),
+])
+def test_answer_direct_refuses_daemon_only_and_unknown_ops(op, fragment):
+    """A daemon op with no in-process answer is refused by name; an op
+    the daemon does not have is unknown, as it is when served."""
+    response = service.answer_direct({"op": op, "id": "r1"})
+    assert response["ok"] is False
+    assert response["id"] == "r1"
+    assert response["code"] == "bad_request"
+    assert fragment in response["error"]
