@@ -330,17 +330,13 @@ def _run_serve(argv: List[str]) -> int:
     parser.add_argument("--max-queue", type=int, default=256,
                         help="admission-control queue bound; beyond it "
                              "requests are shed (default: 256)")
-    parser.add_argument("--sweep-chunk", type=int, default=8,
-                        help="sweep decomposition chunk size "
-                             "(default: 8)")
     parser.add_argument("--memo-size", type=int, default=4096,
                         help="served-response memo entries (default: 4096)")
     args = parser.parse_args(argv)
     try:
         config = SchedulerConfig(
             window_ms=args.window_ms, max_batch=args.max_batch,
-            max_queue=args.max_queue, sweep_chunk=args.sweep_chunk,
-            memo_size=args.memo_size,
+            max_queue=args.max_queue, memo_size=args.memo_size,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

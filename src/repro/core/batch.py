@@ -127,7 +127,7 @@ from repro.core.perf import (
 )
 from repro.core.tiling import ceil_div, tile_plan
 from repro.energy.model import _PJ, ActivityCounts
-from repro.energy.tables import EnergyTable, default_table
+from repro.energy.tables import default_table
 from repro.obs.metrics import active as _metrics_active
 from repro.ops.attention import AttentionConfig, Scope, operators_for_scope
 from repro.ops.operator import GemmOperator, OperatorKind
@@ -197,16 +197,12 @@ class GridEvaluation:
             raise ValueError("this evaluation keeps no per-operator arrays")
         return self._breakdown.scope_cost(i, dataflow)
 
-    def objective_scores(
-        self,
-        objective: "Objective",
-        energy_table: Optional[EnergyTable] = None,
-    ) -> "np.ndarray":
+    def objective_scores(self, objective: "Objective") -> "np.ndarray":
         """Per-candidate objective values, mirroring ``Objective.score``.
 
-        The energy objectives replay ``energy_report``'s arithmetic
-        term by term (same association order), so the scores equal the
-        scalar path's bit for bit.
+        The energy objectives replay ``energy_report``'s arithmetic on
+        the default energy table term by term (same association order),
+        so the scores equal the scalar path's bit for bit.
         """
         from repro.core.dse import Objective
 
@@ -214,7 +210,7 @@ class GridEvaluation:
             return self.total_cycles
         if objective is Objective.FOOTPRINT:
             return self.footprint_bytes.astype(float)
-        table = energy_table if energy_table is not None else default_table()
+        table = default_table()
         compute_j = self.macs * table.pj_per_mac * _PJ
         sl_j = self.sl_words * table.pj_per_sl_word * _PJ
         sg_j = self.sg_words * table.pj_per_sg_word * _PJ
@@ -438,17 +434,14 @@ class _Scratchpad(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _l2_budgets(scratchpad: _Scratchpad, options: PerfOptions) -> tuple:
+def _l2_budgets(scratchpad: _Scratchpad) -> tuple:
     """``partition_scratchpad``'s staging-idle and staging-active L2
-    budgets, once per scratchpad and option set."""
-    return (partition_scratchpad(0, False, scratchpad, options)
-            .l2_budget_elements,
-            partition_scratchpad(1, True, scratchpad, options)
-            .l2_budget_elements)
+    budgets, once per scratchpad."""
+    return (partition_scratchpad(0, False, scratchpad).l2_budget_elements,
+            partition_scratchpad(1, True, scratchpad).l2_budget_elements)
 
 
-def _l2_budget_slots(budget, accel: Accelerator,
-                     options: PerfOptions) -> tuple:
+def _l2_budget_slots(budget, accel: Accelerator) -> tuple:
     """The two L2 budgets of ``partition_scratchpad`` and each lane's slot.
 
     A lane's ``l2_budget_elements`` is the staging-idle budget (slot 0)
@@ -457,7 +450,7 @@ def _l2_budget_slots(budget, accel: Accelerator,
     lane reads slot 1, which holds the same value.
     """
     values = _l2_budgets(
-        _Scratchpad(accel.sg_bytes, accel.bytes_per_element), options)
+        _Scratchpad(accel.sg_bytes, accel.bytes_per_element))
     slots = (budget.l2_budget_elements == values[1]).astype(np.int64)
     return values, slots
 
@@ -619,15 +612,13 @@ def _evaluate_la_pair(
     )
     fp_total = fp_lhs + fp_rhs + fp_rhs2 + fp_out + fp_int
     fp_bytes = fp_total * e
-    budget = partition_scratchpad(
-        fp_bytes, staged & f.s_any, accel, options
-    )
+    budget = partition_scratchpad(fp_bytes, staged & f.s_any, accel)
 
     row_passes = ceil_div(nq, f.r)
     n_pass = ceil_div(b, f.b_t) * ceil_div(h, f.h_t) * row_passes
     n_pass_f = n_pass.astype(float)
 
-    l2_values, slot = _l2_budget_slots(budget, accel, options)
+    l2_values, slot = _l2_budget_slots(budget, accel)
     shapes: dict = {}
     shape_of = [shapes.setdefault((cfg.seq_kv, cfg.d_head), len(shapes))
                 for cfg in w.configs]
@@ -746,7 +737,7 @@ def _evaluate_la_pair(
     sg_words = np.where(f.fused, fused_sg, unf_sg)
     dram_bytes = dram_words * e
     warmup = _warmup_cycles(dram_bytes, n_pass_f, warmup_cap, f.fused,
-                            accel, options)
+                            accel)
     return _OpArrays(
         total_cycles=steady + warmup,
         dram_bytes=dram_bytes,
@@ -840,12 +831,12 @@ def _evaluate_operators(
     )
     fp_total = lhs_e + rhs_e + out_e
     fp_bytes = fp_total * e
-    budget = partition_scratchpad(fp_bytes, f.o_any, accel, options)
+    budget = partition_scratchpad(fp_bytes, f.o_any, accel)
 
     inst_passes = ceil_div(instances, f.o_b_t)
     n_pass_f = inst_passes.astype(float)
 
-    l2_values, slot = _l2_budget_slots(budget, accel, options)
+    l2_values, slot = _l2_budget_slots(budget, accel)
 
     def build(code):
         (m_i, k_i, n_i), l2_i = shape_list[code >> 1], l2_values[code & 1]
@@ -894,7 +885,7 @@ def _evaluate_operators(
     steady = _phase_time(compute, dram_words, sg_words, accel)
     dram_bytes = dram_words * e
     warmup = _warmup_cycles(dram_bytes, n_pass_f, warmup_cap, False,
-                            accel, options)
+                            accel)
     if w.lane is None:
         # Python floats, summed per operator as ScopeCost sums them.
         macs = [row[1] for row in terms[0][1]]

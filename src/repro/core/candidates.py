@@ -72,12 +72,10 @@ from repro.core.dse import (
     SearchSpace,
     _enabled_stagings,
     _toggles,
-    enumerate_families,
     family_size,
     query_families,
 )
 from repro.core.perf import PerfOptions
-from repro.energy.tables import EnergyTable
 from repro.ops.attention import AttentionConfig, Scope
 
 __all__ = [
@@ -199,7 +197,6 @@ def family_bounds(
     configs: Sequence[AttentionConfig],
     space: SearchSpace = SearchSpace(),
     options: PerfOptions = PerfOptions(),
-    energy_table: Optional[EnergyTable] = None,
 ) -> Tuple["np.ndarray", List[int]]:
     """Every family's bound on each workload of ``configs``, workload
     after workload, and each workload's family count.
@@ -227,8 +224,7 @@ def family_bounds(
         flags = np.concatenate([p.flags for p in parts], axis=1)
     tiles = _cross_tiles(rule, r_rows, batch, heads, seq_q)
     columns = BoundColumns(tuple(configs), workload, tiles, flags)
-    return bound_table(objective, scope, accel, columns, options,
-                       energy_table), counts
+    return bound_table(objective, scope, accel, columns, options), counts
 
 
 def family_lower_bound(
@@ -239,7 +235,6 @@ def family_lower_bound(
     family: DataflowFamily,
     space: SearchSpace = SearchSpace(),
     options: PerfOptions = PerfOptions(),
-    energy_table: Optional[EnergyTable] = None,
 ) -> float:
     """Admissible objective lower bound for every member of a family.
 
@@ -249,7 +244,7 @@ def family_lower_bound(
     """
     index = family_columns(cfg.seq_q, space).families.index(family)
     bounds, _ = family_bounds(objective, scope, accel, [cfg], space,
-                              options, energy_table)
+                              options)
     return float(bounds[index])
 
 
@@ -260,7 +255,6 @@ def plan_candidates(
     accel: Accelerator,
     table: SpaceTable,
     options: PerfOptions = PerfOptions(),
-    energy_table: Optional[EnergyTable] = None,
 ) -> Tuple[float, ...]:
     """Admissible bounds of ``table.families`` on ``cfg``, in order.
 
@@ -274,7 +268,7 @@ def plan_candidates(
     if objective is Objective.FOOTPRINT:
         raise ValueError("FOOTPRINT searches have no candidate bounds")
     bounds, _ = family_bounds(objective, scope, accel, [cfg], table.space,
-                              options, energy_table)
+                              options)
     return tuple(bounds.tolist())
 
 
@@ -391,10 +385,13 @@ def space_table(cfg: AttentionConfig,
     A handful of array operations for the whole space: per-family
     values (cross tile, stationarity, fused toggles, variant) are
     repeated over each family's members, and each member's staging
-    corner is its position divided by its family's toggle count.
+    corner is its position divided by its family's toggle count.  The
+    families, their tile rules and R row counts come from the memoized
+    :func:`family_columns`, the same listing a plan bounds.
     """
     batch = cfg.batch
-    families = tuple(enumerate_families(cfg, space))
+    listing = family_columns(cfg.seq_q, space)
+    families = listing.families
     sizes = tuple(family_size(f, space) for f in families)
     offsets = tuple(accumulate(sizes, initial=0))[:-1]
     total = sum(sizes)
@@ -405,7 +402,6 @@ def space_table(cfg: AttentionConfig,
         staged = family.granularity is not None
         toggles = _toggles(family, space)
         per_family.append((
-            _TILE_RULE[family.granularity], family.rows or 0,
             _STAT_INDEX[family.stationarity], toggles,
             # every member's fused flag, in a one-toggle family
             staged and toggles == 1 and space.allow_fused,
@@ -413,10 +409,11 @@ def space_table(cfg: AttentionConfig,
             family.variant is AttentionVariant.FLASH_D,
             family.variant is AttentionVariant.FUSEMAX,
         ))
-    values = np.array(per_family, dtype=np.int64).reshape(-1, 8).T
+    values = np.array(per_family, dtype=np.int64).reshape(-1, 6).T
     columns = np.repeat(np.concatenate([
-        _cross_tiles(values[0], values[1], batch, cfg.heads, cfg.seq_q),
-        values[2:],
+        _cross_tiles(listing.rule, listing.rows, batch, cfg.heads,
+                     cfg.seq_q),
+        values,
     ]), sizes, axis=1)
     b_t, h_t, r, stat_idx, toggles = columns[:5]
     fused_one, has_l3, v_flash, v_pipe = columns[5:].astype(bool)

@@ -23,7 +23,7 @@ Accelerators
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.arch.accelerator import Accelerator
 from repro.core.dataflow import Granularity
@@ -36,7 +36,6 @@ from repro.core.dse import (
 )
 from repro.core.engine import SearchRequest, run_searches
 from repro.core.perf import PerfOptions
-from repro.energy.tables import EnergyTable
 from repro.ops.attention import AttentionConfig, Scope
 
 __all__ = [
@@ -71,12 +70,9 @@ class AcceleratorPolicy:
         accel: Accelerator,
         scope: Scope = Scope.LA,
         objective: Objective = Objective.RUNTIME,
-        energy_table: Optional[EnergyTable] = None,
     ) -> DesignPoint:
         """Best design point only — runs the fast (pruned, lazy) path."""
-        return self.search(
-            cfg, accel, scope, objective, energy_table, retain_points=False,
-        ).best
+        return self.search(cfg, accel, scope, objective).best
 
     @staticmethod
     def evaluate_many(
@@ -84,7 +80,6 @@ class AcceleratorPolicy:
                              Accelerator]],
         scope: Scope = Scope.LA,
         objective: Objective = Objective.RUNTIME,
-        energy_table: Optional[EnergyTable] = None,
     ) -> List[DesignPoint]:
         """:meth:`evaluate` of every ``(policy, cfg, accel)`` job, in order.
 
@@ -95,7 +90,7 @@ class AcceleratorPolicy:
         """
         results = run_searches([
             SearchRequest(cfg, accel, scope, objective, policy.space,
-                          policy.options, energy_table)
+                          policy.options)
             for policy, cfg, accel in jobs
         ])
         return [result.best for result in results]
@@ -106,7 +101,6 @@ class AcceleratorPolicy:
         accel: Accelerator,
         scope: Scope = Scope.LA,
         objective: Objective = Objective.RUNTIME,
-        energy_table: Optional[EnergyTable] = None,
         retain_points: bool = False,
     ) -> DSEResult:
         return search(
@@ -116,7 +110,6 @@ class AcceleratorPolicy:
             objective=objective,
             space=self.space,
             options=self.options,
-            energy_table=energy_table,
             retain_points=retain_points,
         )
 

@@ -33,7 +33,6 @@ from repro.core.dataflow import (
 )
 from repro.core.perf import PerfOptions, ScopeCost
 from repro.energy.model import EnergyReport
-from repro.energy.tables import EnergyTable
 from repro.ops.attention import AttentionConfig, Scope
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -403,7 +402,6 @@ def search(
     objective: Objective = Objective.RUNTIME,
     space: SearchSpace = SearchSpace(),
     options: PerfOptions = PerfOptions(),
-    energy_table: Optional[EnergyTable] = None,
     retain_points: bool = False,
 ) -> DSEResult:
     """Exhaustively evaluate the space and return the optimum.
@@ -428,6 +426,5 @@ def search(
         objective=objective,
         space=space,
         options=options,
-        energy_table=energy_table,
         retain_points=retain_points,
     )

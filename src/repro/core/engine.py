@@ -82,8 +82,8 @@ first-in-order tie-break.  Three more optimizations sit under both:
   shared by every search of that space.  A point's ``ScopeCost`` comes
   from the grid lane that scored it or from the scalar model, never
   from a per-point entry.  Cached costs are deterministic
-  :class:`~repro.core.perf.ScopeCost` values; energy is derived per
-  caller (it depends on the energy table).
+  :class:`~repro.core.perf.ScopeCost` values; energy is derived from
+  them on demand (the default energy table's ``energy_report``).
 * **Cross-run persistence.**  When a cache directory is configured
   (``--cache-dir`` / ``REPRO_CACHE_DIR``; see :mod:`repro.core.cache`),
   every request of a list and
@@ -159,7 +159,6 @@ from repro.core.perf import (
 )
 from repro.core.tiling import ceil_div
 from repro.energy.model import ActivityCounts, energy_report
-from repro.energy.tables import EnergyTable
 from repro.obs.metrics import active as _metrics_active
 from repro.obs.trace import span as _span
 from repro.ops.attention import AttentionConfig, Scope, operators_for_scope
@@ -759,7 +758,6 @@ def bound_table(
     accel: Accelerator,
     rows: "Sequence[BoundRow] | BoundColumns",
     options: PerfOptions = PerfOptions(),
-    energy_table: Optional[EnergyTable] = None,
 ) -> np.ndarray:
     """Admissible objective lower bounds of many candidates, one pass.
 
@@ -860,7 +858,7 @@ def bound_table(
     fp = fused_la_elements(b_t, h_t, r, dk, nkv,
                            s_lhs, s_rhs, s_rhs2, s_out, s_int)
     budget = partition_scratchpad(
-        (fp[0] + fp[1] + fp[2] + fp[3] + fp[4]) * e, s_any, accel, options,
+        (fp[0] + fp[1] + fp[2] + fp[3] + fp[4]) * e, s_any, accel,
     )
     staging_bytes = budget.staging_budget_bytes.astype(float)
     row_passes = ceil_div(nq, r)
@@ -870,7 +868,7 @@ def bound_table(
 
     # The model's tile records (batch._la_tiles), one per (rows,
     # seq_kv, d_head, L2 budget slot).
-    l2_values, slot = _l2_budget_slots(budget, accel, options)
+    l2_values, slot = _l2_budget_slots(budget, accel)
     shapes: dict = {}
     shape_of = np.array(
         [shapes.setdefault((cfg.seq_kv, cfg.d_head), len(shapes))
@@ -963,7 +961,7 @@ def bound_table(
     # Exposed prefetch warm-up on the traffic floor (monotone in the
     # DRAM bytes, so a floor in, a floor out).
     warmup = _warmup_cycles(dram_bytes, n_pass_f, warmup_cap, may_fuse,
-                            accel, options)
+                            accel)
     total_cycles = replication * (static_cycles + (cycles + warmup))
     if objective is Objective.RUNTIME:
         return total_cycles.astype(float) * _BOUND_SLACK
@@ -977,7 +975,7 @@ def bound_table(
         sg_words=(static_sg + sg_words) * replication,
         dram_words=dram_words,
         sfu_ops=np.where(v_flash, sfu_flashd, sfu_softmax),
-    ).objective_scores(objective, energy_table)
+    ).objective_scores(objective)
     return scores.astype(float) * _BOUND_SLACK
 
 
@@ -1007,7 +1005,6 @@ def objective_lower_bound(
     accel: Accelerator,
     dataflow: Dataflow,
     options: PerfOptions = PerfOptions(),
-    energy_table: Optional[EnergyTable] = None,
     fused_in_family: Optional[bool] = None,
 ) -> Optional[float]:
     """Lower bound on the objective value, or ``None`` if unbounded.
@@ -1024,7 +1021,6 @@ def objective_lower_bound(
     return float(bound_table(
         objective, scope, accel,
         [dataflow_bound_row(cfg, dataflow, fused_in_family)], options,
-        energy_table,
     )[0])
 
 
@@ -1047,11 +1043,10 @@ def _space_table(cfg: AttentionConfig, space: SearchSpace) -> SpaceTable:
     return table
 
 
-def _objective_value(objective: Objective, cost: ScopeCost,
-                     energy_table: Optional[EnergyTable]) -> float:
+def _objective_value(objective: Objective, cost: ScopeCost) -> float:
     """``objective.score`` of one scalar cost, energy derived on demand."""
     energy = (
-        energy_report(cost.counts, energy_table)
+        energy_report(cost.counts)
         if objective in (Objective.ENERGY, Objective.EDP) else None
     )
     return objective.score(cost, energy)
@@ -1092,7 +1087,6 @@ class SearchRequest:
     objective: Objective = Objective.RUNTIME
     space: SearchSpace = SearchSpace()
     options: PerfOptions = PerfOptions()
-    energy_table: Optional[EnergyTable] = None
     retain_points: bool = False
     warm_start: Optional[Dataflow] = None
 
@@ -1155,7 +1149,7 @@ class _Job:
                         r.space)
         else:
             self.key = ("search", r.cfg, accel_fp, r.options, r.scope,
-                        r.objective, r.energy_table, r.space)
+                        r.objective, r.space)
         self.kind: str = self.key[0]
         self.answer: Any = None
         self.source: Optional[str] = None
@@ -1273,8 +1267,8 @@ class _Job:
             index = 0 if rows.index is None else int(rows.index[0])
             cost = _breakdown(req, table.dataflow(index))
             self.scalar += 1
-            self.consider(float(_objective_value(
-                req.objective, cost, req.energy_table)), index, cost)
+            self.consider(float(_objective_value(req.objective, cost)),
+                          index, cost)
         else:
             self.batch_evaluations += len(rows)
             # Rows ascend, so the first minimum is the (value, index) one.
@@ -1369,11 +1363,11 @@ def _scored(jobs: Sequence[_Job], tally: dict) -> Iterator[
         for job, rows in zip(chunk, segments.segments):
             values = None
             if job.kind == "search":
-                objective = (job.request.objective, job.request.energy_table)
+                objective = job.request.objective
                 values = scores.get(objective)
                 if values is None:
                     values = scores[objective] = grid.objective_scores(
-                        *objective)
+                        objective)
                 values = values[lo:lo + len(rows)]
             yield job, grid, lo, values
             lo += len(rows)
@@ -1416,8 +1410,7 @@ def _search_rounds(jobs: List[_Job], tally: dict) -> None:
                            families=len(job.table.families)):
                     job.bounds = plan_candidates(
                         req.objective, req.cfg, req.scope, req.accel,
-                        job.table, options=req.options,
-                        energy_table=req.energy_table)
+                        job.table, options=req.options)
                 # Not booked in the stats: the seed's family is always
                 # scored, and that score (equal value, equal index)
                 # replaces it.
@@ -1428,9 +1421,8 @@ def _search_rounds(jobs: List[_Job], tally: dict) -> None:
                     _metric_inc("engine.warm_start.rejected")
                     continue
                 cost = _breakdown(req, req.warm_start)
-                job.consider(_objective_value(req.objective, cost,
-                                              req.energy_table),
-                             seed, None)
+                job.consider(_objective_value(req.objective, cost), seed,
+                             None)
     for job in jobs:
         job.begin()
     # Planned searches last in each group: a round-1 incumbent keeps its
@@ -1488,8 +1480,7 @@ def _finish(job: _Job, store: Optional[PersistentCache],
                 dataflows = map(table.dataflow, range(len(job.answer)))
             points = tuple(
                 DesignPoint(dataflow=dataflow, cost=cost,
-                            energy=energy_report(cost.counts,
-                                                 req.energy_table))
+                            energy=energy_report(cost.counts))
                 for dataflow, cost in zip(dataflows, job.answer))
             best = min(points, key=lambda p: req.objective.score(p.cost,
                                                                  p.energy))
@@ -1507,8 +1498,7 @@ def _finish(job: _Job, store: Optional[PersistentCache],
             dataflow, cost, _ = job.answer
             points = ()
             best = DesignPoint(dataflow=dataflow, cost=cost,
-                               energy=energy_report(cost.counts,
-                                                    req.energy_table))
+                               energy=energy_report(cost.counts))
         return DSEResult(best=best, points=points, objective=req.objective,
                          stats=stats)
 
@@ -1616,7 +1606,6 @@ def run_search(
     objective: Objective = Objective.RUNTIME,
     space: SearchSpace = SearchSpace(),
     options: PerfOptions = PerfOptions(),
-    energy_table: Optional[EnergyTable] = None,
     retain_points: bool = False,
 ) -> DSEResult:
     """Evaluate the search space and return the optimum plus stats.
@@ -1637,5 +1626,5 @@ def run_search(
     and ties resolve to the first candidate in enumeration order.
     """
     request = SearchRequest(cfg, accel, scope, objective, space, options,
-                            energy_table, retain_points)
+                            retain_points)
     return _run_searches([request], get_default_cache())[0]

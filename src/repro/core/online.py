@@ -39,6 +39,7 @@ from repro.core.perf import (
     _assemble,
     _compute_cycles,
     _Phase,
+    l2_reserve_bytes,
     sg_stream_words,
 )
 from repro.core.dataflow import Stationarity
@@ -82,7 +83,6 @@ def online_footprint_elements(df: OnlineDataflow, d_head: int) -> int:
 
 def choose_online_tile(
     cfg: AttentionConfig, accel: Accelerator,
-    options: PerfOptions = PerfOptions(),
 ) -> OnlineDataflow:
     """Pick the largest square-ish (R, C) tile fitting the scratchpad.
 
@@ -91,9 +91,7 @@ def choose_online_tile(
     preferentially (it controls traffic) with C at least the head dim.
     """
     e = accel.bytes_per_element
-    reserve = max(options.min_l2_reserve_bytes,
-                  int(accel.sg_bytes * options.l2_reserve_fraction))
-    budget = max(1, (accel.sg_bytes - min(reserve, accel.sg_bytes // 2)) // e)
+    budget = max(1, (accel.sg_bytes - l2_reserve_bytes(accel.sg_bytes)) // e)
     cols = min(cfg.seq_kv, max(16, cfg.d_head))
     rows = 1
     while rows < cfg.seq_q:
@@ -168,5 +166,4 @@ def cost_online_la(
         fused=True,
         warmup_cap_bytes=float(footprint_bytes),
         accel=accel,
-        options=options,
     )

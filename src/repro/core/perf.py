@@ -78,8 +78,22 @@ __all__ = [
     "cost_scope",
     "la_pair_compute_cycles",
     "partition_scratchpad",
+    "l2_reserve_bytes",
     "sg_stream_words",
+    "L2_RESERVE_FRACTION",
+    "MIN_L2_RESERVE_BYTES",
+    "FUSED_WARMUP_CREDIT",
 ]
+
+#: Share of the scratchpad reserved for the double-buffered L2 working
+#: set while L3/FLAT staging is active (see :func:`l2_reserve_bytes`).
+L2_RESERVE_FRACTION = 0.125
+#: Floor on that reserve, in bytes.
+MIN_L2_RESERVE_BYTES = 4096
+#: Interleaved execution fetches the next FLAT-tile across *two* stages
+#: (paper section 5.1, feature 2), halving the exposed warm-up latency
+#: of fused operators.
+FUSED_WARMUP_CREDIT = 0.5
 
 
 @dataclass(frozen=True)
@@ -94,15 +108,6 @@ class PerfOptions:
         so spatial loss is pure ceil quantization.  Rigid accelerators
         (BaseAccel) map GEMM rows/cols onto array rows/cols directly and
         strand PEs when a dimension is smaller than the array edge.
-    l2_reserve_fraction:
-        Fraction of the scratchpad reserved for the double-buffered L2
-        working set when L3/FLAT staging is active.
-    min_l2_reserve_bytes:
-        Floor on that reserve.
-    fused_warmup_credit:
-        Interleaved execution fetches the next FLAT-tile across *two*
-        stages (paper section 5.1, feature 2), halving the exposed
-        warm-up latency of fused operators.
     spill_extra_pass_only:
         Accounting for a staged tensor that does not fully fit.  The
         default (``False``) re-streams the spilled fraction once per
@@ -116,18 +121,7 @@ class PerfOptions:
     """
 
     flexible_mapping: bool = True
-    l2_reserve_fraction: float = 0.125
-    min_l2_reserve_bytes: int = 4096
-    fused_warmup_credit: float = 0.5
     spill_extra_pass_only: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.l2_reserve_fraction < 1.0:
-            raise ValueError("l2_reserve_fraction must be in (0, 1)")
-        if self.min_l2_reserve_bytes <= 0:
-            raise ValueError("min_l2_reserve_bytes must be positive")
-        if not 0.0 <= self.fused_warmup_credit <= 1.0:
-            raise ValueError("fused_warmup_credit must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -326,11 +320,20 @@ class StagingBudget:
     fit_fraction: float  # 1.0 = everything staged fits
 
 
+def l2_reserve_bytes(sg_bytes: int) -> int:
+    """Scratchpad bytes kept for the double-buffered L2 working set
+    while L3/FLAT staging is active: :data:`L2_RESERVE_FRACTION` of the
+    scratchpad, at least :data:`MIN_L2_RESERVE_BYTES`, and never more
+    than half of it."""
+    reserve = max(MIN_L2_RESERVE_BYTES, int(sg_bytes * L2_RESERVE_FRACTION))
+    return min(reserve, sg_bytes // 2)
+
+
 def partition_scratchpad(
     footprint_bytes: int, staging_active: bool, accel: Accelerator,
-    options: PerfOptions,
 ) -> StagingBudget:
-    """Split the scratchpad into L2 working set and staging region.
+    """Split the scratchpad into L2 working set and staging region
+    (:func:`l2_reserve_bytes` goes to L2 while staging is active).
 
     Public because the DSE engine's admissible lower bounds
     (:mod:`repro.core.engine`) reuse the exact partition arithmetic to
@@ -341,11 +344,8 @@ def partition_scratchpad(
     """
     sg = accel.sg_bytes
     e = accel.bytes_per_element
+    reserve = l2_reserve_bytes(sg)
     if _any_array(footprint_bytes, staging_active):
-        reserve = max(
-            options.min_l2_reserve_bytes, int(sg * options.l2_reserve_fraction)
-        )
-        reserve = min(reserve, sg // 2)
         active = staging_active & (footprint_bytes > 0)
         return StagingBudget(
             l2_budget_elements=_np.where(
@@ -361,10 +361,6 @@ def partition_scratchpad(
             ),
         )
     if staging_active and footprint_bytes > 0:
-        reserve = max(
-            options.min_l2_reserve_bytes, int(sg * options.l2_reserve_fraction)
-        )
-        reserve = min(reserve, sg // 2)
         staging_budget = sg - reserve
         fit = min(1.0, staging_budget / footprint_bytes)
         return StagingBudget(
@@ -499,20 +495,20 @@ def sg_stream_words(macs: float, accel: Accelerator) -> float:
     return macs * (pe.rows + pe.cols) / (pe.rows * pe.cols)
 
 
-def _warmup_cycles(dram_bytes, n_pass, warmup_cap_bytes, fused, accel,
-                   options):
+def _warmup_cycles(dram_bytes, n_pass, warmup_cap_bytes, fused, accel):
     """Exposed prefetch warm-up (polymorphic core of :func:`_assemble`).
 
     Only the pipeline fill is exposed — the first L2 working set of the
     first pass must land on-chip before compute starts; after that,
     double buffering hides the fetch stream.  Fused operators prefetch
-    across two stages and get the overlap credit.
+    across two stages and get the overlap credit
+    (:data:`FUSED_WARMUP_CREDIT`).
     """
     warmup_bytes = _minimum(
         dram_bytes / _maximum(n_pass, 1.0), warmup_cap_bytes
     )
     warmup = warmup_bytes / accel.offchip_bytes_per_cycle
-    return _where(fused, warmup * options.fused_warmup_credit, warmup)
+    return _where(fused, warmup * FUSED_WARMUP_CREDIT, warmup)
 
 
 def _assemble(
@@ -525,7 +521,6 @@ def _assemble(
     fused: bool,
     warmup_cap_bytes: float,
     accel: Accelerator,
-    options: PerfOptions,
     sfu_ops: Optional[float] = None,
 ) -> OperatorCost:
     """Combine serial phases into an OperatorCost.
@@ -547,7 +542,7 @@ def _assemble(
 
     steady = sum(p.time(accel) for p in phases)
     warmup = _warmup_cycles(dram_bytes, n_pass, warmup_cap_bytes, fused,
-                            accel, options)
+                            accel)
     total = steady + warmup
     ideal = macs / accel.peak_macs_per_cycle
 
@@ -599,7 +594,7 @@ def cost_operator(
     footprint = operator_l3_footprint(op, dataflow, cfg.batch, cfg.heads)
     e = accel.bytes_per_element
     budget = partition_scratchpad(
-        footprint.total_bytes(e), dataflow.staging.any_enabled, accel, options
+        footprint.total_bytes(e), dataflow.staging.any_enabled, accel
     )
     # Per-pass GEMM rows: granularity slices the m dimension / instances.
     b_t, h_t, r = dataflow.cross_tile(cfg.batch, cfg.heads, op.m)
@@ -670,7 +665,6 @@ def cost_operator(
         fused=False,
         warmup_cap_bytes=float(passes.footprint_elements() * e),
         accel=accel,
-        options=options,
     )
 
 
@@ -739,7 +733,6 @@ def cost_la_pair(
         footprint.total_bytes(e),
         dataflow.has_l3 and dataflow.staging.any_enabled,
         accel,
-        options,
     )
     fit = budget.fit_fraction
 
@@ -889,7 +882,6 @@ def cost_la_pair(
         fused=dataflow.fused,
         warmup_cap_bytes=warmup_cap,
         accel=accel,
-        options=options,
         sfu_ops=sfu_ops_override,
     )
 

@@ -19,7 +19,12 @@ from __future__ import annotations
 
 from repro.arch.accelerator import Accelerator
 from repro.core.dataflow import Dataflow
-from repro.core.perf import OperatorCost, PerfOptions, cost_la_pair
+from repro.core.perf import (
+    FUSED_WARMUP_CREDIT,
+    OperatorCost,
+    PerfOptions,
+    cost_la_pair,
+)
 from repro.core.tiling import ceil_div
 from repro.ops.attention import AttentionConfig
 
@@ -64,7 +69,7 @@ def cost_fused_la_pipelined(
     lost_credit = (
         interleaved.dram_bytes / max(n_pass, 1)
         / accel.offchip_bytes_per_cycle
-        * (1.0 - options.fused_warmup_credit)
+        * (1.0 - FUSED_WARMUP_CREDIT)
     )
     total = interleaved.total_cycles + pipeline_bubble + lost_credit
     return OperatorCost(

@@ -8,7 +8,8 @@ what does the fabric charge for the cut".  The space is the product of
 * a **partition** — batch x head x sequence sharding ways whose
   product is the chip count (:func:`enumerate_partitions`),
 * a **collective schedule** — how the partition's induced collectives
-  are laid onto the fabric (:class:`~repro.arch.fabric.CollectiveSchedule`),
+  are laid onto the fabric (:class:`~repro.arch.fabric.CollectiveSchedule`;
+  every search weighs both :data:`DEFAULT_SCHEDULES`, ring and tree),
 * and, per partition, the full per-chip FLAT configuration space.
 
 Scoring is hierarchical.  The *outer* level is batch-scored on a
@@ -29,10 +30,7 @@ The outer bound is admissible by construction:
   floor.  One :func:`repro.core.candidates.family_bounds` call bounds
   every family of every distinct shard of the grid;
 * **fabric term** — the point's *exact* collective cycles (the
-  schedule is fixed at the outer level, so nothing is unknown), which
-  dominates the schedule-independent bisection floor
-  (:func:`~repro.arch.fabric.collective_floor_s`, kept on the grid for
-  reporting and admissibility tests).
+  schedule is fixed at the outer level, so nothing is unknown).
 
 Chip and fabric phases are modeled as serialized (no overlap of the
 collective with compute), so ``total = chip + fabric`` and the bound
@@ -83,7 +81,6 @@ from repro.arch.fabric import (
     CollectiveKind,
     CollectiveSchedule,
     FabricSpec,
-    collective_floor_s,
     collective_time_s,
 )
 from repro.core.candidates import family_bounds
@@ -182,17 +179,13 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _outer_space(cfg: AttentionConfig, chips: int,
-                 schedules: Sequence[CollectiveSchedule]
-                 ) -> Tuple[Partition, ...]:
+def _outer_space(cfg: AttentionConfig, chips: int) -> Tuple[Partition, ...]:
     """The partitions of an outer level; rejects an empty one."""
     partitions = enumerate_partitions(cfg, chips)
     if not partitions:
         raise ValueError(
             f"no feasible partition of {cfg.name!r} across {chips} chips"
         )
-    if not schedules:
-        raise ValueError("at least one collective schedule is required")
     return partitions
 
 
@@ -341,20 +334,18 @@ class ScaleoutSystem:
 class PartitionGrid:
     """Vectorized outer-level scores for one (workload, system, T).
 
-    Axis 0 is the partition (enumeration order), axis 1 the schedule.
-    ``fabric_cycles[p, s]`` is bit-identical to summing
-    :func:`~repro.arch.fabric.collective_time_s` over the partition's
-    induced collectives (asserted by ``tests/core/test_scaleout.py``);
-    ``fabric_floor_cycles[p]`` is the schedule-independent admissible
-    floor, and ``bound_cycles[p, s] = compute_floor_cycles[p] +
-    fabric_cycles[p, s]`` is the branch-and-bound gate.
+    Axis 0 is the partition (enumeration order), axis 1 the schedule
+    (:data:`DEFAULT_SCHEDULES`).  ``fabric_cycles[p, s]`` is
+    bit-identical to summing :func:`~repro.arch.fabric.collective_time_s`
+    over the partition's induced collectives (asserted by
+    ``tests/core/test_scaleout.py``), and ``bound_cycles[p, s] =
+    compute_floor_cycles[p] + fabric_cycles[p, s]`` is the
+    branch-and-bound gate.
     """
 
     partitions: Tuple[Partition, ...]
     schedules: Tuple[CollectiveSchedule, ...]
-    collective_bytes: np.ndarray  # (P,) aggregate payload bytes
     fabric_cycles: np.ndarray  # (P, S)
-    fabric_floor_cycles: np.ndarray  # (P,)
     compute_floor_cycles: np.ndarray  # (P,)
     bound_cycles: np.ndarray  # (P, S)
 
@@ -367,7 +358,6 @@ def evaluate_partition_grid(
     cfg: AttentionConfig,
     system: ScaleoutSystem,
     chips: int,
-    schedules: Sequence[CollectiveSchedule] = DEFAULT_SCHEDULES,
     scope: Scope = Scope.LA,
     space: SearchSpace = SearchSpace(),
     options: PerfOptions = PerfOptions(),
@@ -384,7 +374,7 @@ def evaluate_partition_grid(
     built, no member is expanded and no row is built in Python), and
     a shard's floor is the min of its rows.
     """
-    partitions = _outer_space(cfg, chips, schedules)
+    partitions = _outer_space(cfg, chips)
     e = system.chip.bytes_per_element
     freq = system.chip.frequency_hz
     p = len(partitions)
@@ -417,37 +407,18 @@ def evaluate_partition_grid(
     ways = np.stack([seq_ways, head_ways])
     phases = np.array([[1], [2]])
     frac = np.where(ways > 1, (ways - 1) / np.maximum(ways, 1), 0.0)
-    log_steps = np.ceil(np.log2(np.maximum(ways, 1)))
     active = (ways > 1) & (payload > 0)
 
-    fabric_cycles = np.empty((p, len(schedules)))
-    for si, schedule in enumerate(schedules):
+    fabric_cycles = np.empty((p, len(DEFAULT_SCHEDULES)))
+    for si, schedule in enumerate(DEFAULT_SCHEDULES):
         if schedule is CollectiveSchedule.RING:
             bw = frac * payload / (2.0 * link)
             steps = ways - 1
         else:
             bw = frac * payload / link
-            steps = log_steps
+            steps = np.ceil(np.log2(np.maximum(ways, 1)))
         time_s = np.where(active, phases * (bw + steps * hop), 0.0)
         fabric_cycles[:, si] = (time_s[0] + time_s[1]) * freq
-
-    link_floor = frac * payload / (2.0 * link)
-    group_sizes = ways.ravel().tolist()
-    bisection = {
-        w: system.fabric.bisection_bytes_per_sec(int(w)) if w > 1 else 1.0
-        for w in dict.fromkeys(group_sizes)
-    }
-    bisect = np.array([bisection[w] for w in group_sizes]).reshape(
-        ways.shape
-    )
-    bisect_floor = (payload / 2.0) / bisect
-    floor_s = np.where(
-        active,
-        phases * np.maximum(np.maximum(link_floor, bisect_floor),
-                            log_steps * hop),
-        0.0,
-    )
-    fabric_floor_cycles = (floor_s[0] + floor_s[1]) * freq
 
     bounds, counts = family_bounds(Objective.RUNTIME, scope,
                                    system.chip_view(), shards, space,
@@ -457,10 +428,8 @@ def evaluate_partition_grid(
 
     return PartitionGrid(
         partitions=partitions,
-        schedules=tuple(schedules),
-        collective_bytes=kv_bytes + out_bytes,
+        schedules=DEFAULT_SCHEDULES,
         fabric_cycles=fabric_cycles,
-        fabric_floor_cycles=fabric_floor_cycles,
         compute_floor_cycles=compute_floor,
         bound_cycles=compute_floor[:, None] + fabric_cycles,
     )
@@ -567,7 +536,6 @@ def search_scaleout(
     scope: Scope = Scope.LA,
     space: SearchSpace = SearchSpace(),
     options: PerfOptions = PerfOptions(),
-    schedules: Sequence[CollectiveSchedule] = DEFAULT_SCHEDULES,
     warm_start: Optional[Dataflow] = None,
 ) -> ScaleoutResult:
     """Find the best (partition, schedule, per-chip dataflow) for ``T``.
@@ -584,9 +552,8 @@ def search_scaleout(
     from repro.core.cache import get_default_cache
     from repro.core.engine import SearchRequest, _memoized, _run_searches
 
-    schedules = tuple(schedules)
-    partitions = _outer_space(cfg, chips, schedules)
-    n_sched = len(schedules)
+    partitions = _outer_space(cfg, chips)
+    n_sched = len(DEFAULT_SCHEDULES)
     stats = ScaleoutStats(outer_enumerated=len(partitions) * n_sched)
 
     view = system.chip_view()
@@ -612,7 +579,7 @@ def search_scaleout(
     def _outer_search() -> ScaleoutPoint:
         with _span("scaleout-outer"):
             grid = evaluate_partition_grid(
-                cfg, system, chips, schedules, scope, space, options
+                cfg, system, chips, scope, space, options
             )
         # Flat outer enumeration order: partition-major, schedule-minor.
         flat_bounds = grid.bound_cycles.reshape(-1)
@@ -639,7 +606,7 @@ def search_scaleout(
                 best_index = flat
                 best_point = ScaleoutPoint(
                     partition=grid.partitions[p_idx],
-                    schedule=schedules[s_idx],
+                    schedule=DEFAULT_SCHEDULES[s_idx],
                     dataflow=result.best.dataflow,
                     chip_cost=result.best.cost,
                     chip_cycles=chip_cycles,
@@ -649,8 +616,8 @@ def search_scaleout(
         assert best_point is not None
         return best_point
 
-    memo_key = ("scaleout-memo", cfg, system.fingerprint(), chips,
-                tuple(s.value for s in schedules), scope, space, options)
+    memo_key = ("scaleout-memo", cfg, system.fingerprint(), chips, scope,
+                space, options)
     with _span("scaleout", chips=chips, partitions=len(partitions)):
         best, source = _memoized(memo_key, _outer_search,
                                  get_default_cache())
@@ -667,7 +634,6 @@ def sweep_chip_counts(
     scope: Scope = Scope.LA,
     space: SearchSpace = SearchSpace(),
     options: PerfOptions = PerfOptions(),
-    schedules: Sequence[CollectiveSchedule] = DEFAULT_SCHEDULES,
 ) -> List[ScaleoutResult]:
     """Run :func:`search_scaleout` at each chip count, warm-chaining.
 
@@ -685,7 +651,6 @@ def sweep_chip_counts(
             scope=scope,
             space=space,
             options=options,
-            schedules=schedules,
             warm_start=warm,
         )
         warm = result.best.dataflow

@@ -50,13 +50,6 @@ class Fig11Row:
     def total_cycles(self) -> float:
         return self.la_cycles + self.projection_cycles + self.fc_cycles
 
-    def category_cycles(self, category: str) -> float:
-        return {
-            "L-A": self.la_cycles,
-            "Projection": self.projection_cycles,
-            "FC": self.fc_cycles,
-        }[category]
-
 
 def run(
     platform: str = "edge",

@@ -95,16 +95,13 @@ class SchedulerConfig:
     window_ms: float = 2.0
     max_batch: int = 64
     max_queue: int = 256
-    sweep_chunk: int = 8
     memo_size: int = 4096
 
     def __post_init__(self) -> None:
         if self.window_ms < 0:
             raise ValueError("window_ms must be >= 0")
-        if min(self.max_batch, self.max_queue, self.sweep_chunk) < 1:
-            raise ValueError(
-                "max_batch, max_queue and sweep_chunk must be >= 1"
-            )
+        if min(self.max_batch, self.max_queue) < 1:
+            raise ValueError("max_batch and max_queue must be >= 1")
         if self.memo_size < 0:
             raise ValueError("memo_size must be >= 0")
 

@@ -36,12 +36,12 @@ Operations, one entry each in :attr:`DSEServer.OPS`:
     with the attention-variant zoo competing (``"variants": false``
     restricts the space to the reference softmax dataflows).
 ``sweep``
-    decomposed into ``sweep_chunk``-sized slices submitted chunk by
-    chunk: the sub-queries of a chunk land in one micro-batch (dense
-    grid coalescing), while *between* chunks other clients' queries
-    join the queue — long sweeps interleave fairly with short queries
-    instead of monopolizing the evaluator.  A progress event streams
-    after every chunk.
+    decomposed into chunks of :data:`SWEEP_CHUNK` (8) sub-queries,
+    submitted chunk by chunk: the sub-queries of a chunk land in one
+    micro-batch (dense grid coalescing), while *between* chunks other
+    clients' queries join the queue — long sweeps interleave fairly
+    with short queries instead of monopolizing the evaluator.  A
+    progress event streams after every chunk.
 ``shutdown``
     graceful drain: the listener closes, queued and in-flight work
     completes, new submissions fail with ``draining``, every
@@ -90,6 +90,10 @@ Progress = Callable[[int, int], None]
 #: longer line is answered ``bad_request`` and skipped through its
 #: newline; the connection goes on with the next line.
 MAX_LINE = 64 * 1024
+
+#: Sub-queries of a ``sweep`` submitted together: one chunk lands in one
+#: micro-batch, and other clients' queries queue between chunks.
+SWEEP_CHUNK = 8
 
 
 class _Connection(asyncio.Protocol):
@@ -444,9 +448,8 @@ class DSEServer:
         deadline = (
             loop.time() + deadline_s if deadline_s is not None else None
         )
-        chunk_size = self.scheduler.config.sweep_chunk
         results: List[Any] = []
-        for lo in range(0, len(queries), chunk_size):
+        for lo in range(0, len(queries), SWEEP_CHUNK):
             remaining = None
             if deadline is not None:
                 remaining = deadline - loop.time()
@@ -462,7 +465,7 @@ class DSEServer:
             # interleave.
             answers: List[Any] = []
             try:
-                for query in queries[lo:lo + chunk_size]:
+                for query in queries[lo:lo + SWEEP_CHUNK]:
                     answers.append(self.scheduler.submit(query, remaining))
             except ProtocolError:
                 # The sweep fails here; an unawaited gather still
@@ -476,7 +479,7 @@ class DSEServer:
                 await asyncio.gather(*queued)
             results.extend(a if isinstance(a, Encoded) else a.result()
                            for a in answers)
-            if lo + chunk_size < len(queries):
+            if lo + SWEEP_CHUNK < len(queries):
                 progress(len(results), len(queries))
         return {"results": results, "total": len(queries)}
 

@@ -18,7 +18,11 @@ from typing import List
 from repro.arch.accelerator import Accelerator
 from repro.core.dataflow import Dataflow
 from repro.core.footprint import fused_la_footprint
-from repro.core.perf import PerfOptions, _compute_cycles  # noqa: F401
+from repro.core.perf import (  # noqa: F401
+    PerfOptions,
+    _compute_cycles,
+    l2_reserve_bytes,
+)
 from repro.core.tiling import ceil_div
 from repro.ops.attention import AttentionConfig
 
@@ -62,11 +66,7 @@ def build_la_schedule(
         raise ValueError("the simulator requires all FLAT-tiles enabled")
     e = accel.bytes_per_element
     footprint = fused_la_footprint(cfg, dataflow).total_bytes(e)
-    reserve = max(
-        options.min_l2_reserve_bytes,
-        int(accel.sg_bytes * options.l2_reserve_fraction),
-    )
-    if footprint > accel.sg_bytes - min(reserve, accel.sg_bytes // 2):
+    if footprint > accel.sg_bytes - l2_reserve_bytes(accel.sg_bytes):
         raise ValueError(
             f"footprint {footprint} B exceeds the staging budget; the "
             "simulator only validates the fitting regime"

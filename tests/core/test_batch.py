@@ -101,7 +101,7 @@ def _assert_grid_matches_scalar(cfg, scope, accel, dataflows,
     return grid
 
 
-def _operator_l2_budgets(cfg, scope, accel, dataflows, options):
+def _operator_l2_budgets(cfg, scope, accel, dataflows):
     """The L2 budgets the scalar model gives the non-L-A operators."""
     budgets = set()
     for df in dataflows:
@@ -115,7 +115,7 @@ def _operator_l2_budgets(cfg, scope, accel, dataflows, options):
             fp = operator_l3_footprint(op, other, cfg.batch, cfg.heads)
             budgets.add(partition_scratchpad(
                 fp.total_bytes(accel.bytes_per_element),
-                other.staging.any_enabled, accel, options,
+                other.staging.any_enabled, accel,
             ).l2_budget_elements)
     return budgets
 
@@ -159,8 +159,8 @@ class TestGridEquivalence:
                                     options)
         assert any(op.rhs.role.is_weight
                    for op in operators_for_scope(cfg, scope))
-        assert len(_operator_l2_budgets(cfg, scope, edge_accel, dataflows,
-                                        options)) == 2
+        assert len(_operator_l2_budgets(cfg, scope, edge_accel,
+                                        dataflows)) == 2
 
     def test_bert4k_cloud(self, bert_4k, cloud_accel):
         _assert_grid_matches_scalar(

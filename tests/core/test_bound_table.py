@@ -97,16 +97,13 @@ def _rows(configs, space=WIDE_SPACE, accel=None, stride=5):
     return rows
 
 
-def _assert_rows_equal(objective, scope, accel, rows, options,
-                       energy_table=None):
+def _assert_rows_equal(objective, scope, accel, rows, options):
     table = bound_table(objective, scope, accel,
-                        [dataflow_bound_row(*row) for row in rows], options,
-                        energy_table)
+                        [dataflow_bound_row(*row) for row in rows], options)
     assert table.shape == (len(rows),)
     for (cfg, df, fused_in_family), got in zip(rows, table.tolist()):
         want = scalar_objective_bound(objective, cfg, scope, accel, df,
-                                      options, energy_table,
-                                      fused_in_family)
+                                      options, fused_in_family)
         assert got == want, (objective, scope, cfg.name, df.name,
                              fused_in_family, got, want)
 

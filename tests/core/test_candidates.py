@@ -409,7 +409,7 @@ class TestGeneratedSeeds:
         (_small_cfg(seq=64), SearchSpace(exhaustive_staging=True)),
         (_small_cfg(batch=1, seq=16384), SearchSpace()),
     )
-    _OPTIONS = (PerfOptions(), PerfOptions(l2_reserve_fraction=0.25))
+    _OPTIONS = (PerfOptions(), PerfOptions(flexible_mapping=False))
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(

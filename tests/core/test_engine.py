@@ -255,17 +255,19 @@ class TestMemoHitSkipsPlanning:
     def test_planned_miss_lists_the_families_once(self, plans, monkeypatch,
                                                   bert_4k, edge_accel):
         """The plan bounds the space table's families: a cold planned
-        search enumerates them once, for its table."""
+        search lists them once, in the memoized family columns both its
+        table and its plan read."""
         from repro.core import candidates
 
         listed = []
-        real = candidates.enumerate_families
+        real = candidates.query_families
 
         def families(*args, **kwargs):
             listed.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(candidates, "enumerate_families", families)
+        candidates.family_columns.cache_clear()
+        monkeypatch.setattr(candidates, "query_families", families)
         res = search(bert_4k, edge_accel, space=self._SPACE,
                      retain_points=False)
         assert len(plans) == 1

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.core.dataflow import (
@@ -22,6 +23,8 @@ from repro.core.perf import (
     cost_la_pair,
     cost_operator,
     cost_scope,
+    l2_reserve_bytes,
+    partition_scratchpad,
 )
 from repro.models.configs import model_config
 from repro.ops.attention import Scope, operators_for_scope
@@ -243,16 +246,37 @@ class TestRigidVsFlexible:
         assert rigid.compute_cycles > 1.5 * flex.compute_cycles
 
 
-class TestPerfOptionsValidation:
-    def test_rejects_bad_reserve_fraction(self):
-        with pytest.raises(ValueError):
-            PerfOptions(l2_reserve_fraction=0.0)
-        with pytest.raises(ValueError):
-            PerfOptions(l2_reserve_fraction=1.0)
+class TestL2Reserve:
+    """The one L2-reserve rule: an eighth of the scratchpad, at least
+    4096 bytes, never more than half of it."""
 
-    def test_rejects_bad_warmup_credit(self):
-        with pytest.raises(ValueError):
-            PerfOptions(fused_warmup_credit=1.5)
+    # (scratchpad bytes, reserved bytes) in each regime.
+    _REGIMES = [
+        (16 * 1024, 4096),    # an eighth is 2048: the 4096-byte floor
+        (512 * 1024, 65536),  # the 12.5% share
+        (6000, 3000),         # the floor passes half: sg // 2
+    ]
+
+    @pytest.mark.parametrize("sg_bytes, reserve", _REGIMES)
+    def test_regimes(self, sg_bytes, reserve):
+        assert l2_reserve_bytes(sg_bytes) == reserve
+
+    @pytest.mark.parametrize("sg_bytes, reserve", _REGIMES)
+    def test_partition_takes_the_reserve(self, edge_accel, sg_bytes,
+                                         reserve):
+        """Both branches of ``partition_scratchpad`` hand the reserve to
+        L2 while staging is active, and the rest to staging."""
+        accel = edge_accel.with_scratchpad_bytes(sg_bytes)
+        e = accel.bytes_per_element
+        scalar = partition_scratchpad(1, True, accel)
+        assert scalar.staging_budget_bytes == sg_bytes - reserve
+        assert scalar.l2_budget_elements == reserve // e
+        lanes = partition_scratchpad(np.array([1, 1]),
+                                     np.array([True, False]), accel)
+        assert lanes.staging_budget_bytes.tolist() == [sg_bytes - reserve,
+                                                       0]
+        assert lanes.l2_budget_elements.tolist() == [reserve // e,
+                                                     sg_bytes // e]
 
 
 class TestScopeCounts:

@@ -134,8 +134,7 @@ def _draw_requests(rng: random.Random, n: int) -> list:
 def _oracle(req: SearchRequest):
     return exhaustive_best(req.cfg, req.accel, scope=req.scope,
                            objective=req.objective, space=req.space,
-                           options=req.options,
-                           energy_table=req.energy_table)
+                           options=req.options)
 
 
 class TestOracle:
@@ -329,8 +328,7 @@ class TestSequentialEquivalence:
             else:
                 results = [
                     run_search(r.cfg, r.accel, r.scope, r.objective,
-                               r.space, r.options, r.energy_table,
-                               r.retain_points)
+                               r.space, r.options, r.retain_points)
                     for r in requests
                 ]
             after = _snapshot()
@@ -564,8 +562,7 @@ def _one_request(req):
     if req.warm_start is not None:  # only a list takes a seed
         return run_searches([req])[0]
     return run_search(req.cfg, req.accel, req.scope, req.objective,
-                      req.space, req.options, req.energy_table,
-                      req.retain_points)
+                      req.space, req.options, req.retain_points)
 
 
 class TestConsumers:

@@ -25,7 +25,6 @@ from repro.arch.fabric import (
     CollectiveKind,
     CollectiveSchedule,
     FabricSpec,
-    collective_floor_s,
     collective_time_s,
 )
 from repro.arch.presets import cloud, edge
@@ -218,29 +217,6 @@ class TestGridFidelity:
                 )
                 assert grid.fabric_cycles[i, j] == expected, (part, schedule)
 
-    def test_fabric_floor_bit_identical_to_scalar(self):
-        cfg = _cfg(batch=8, heads=8, seq=128)
-        system = _system()
-        grid = evaluate_partition_grid(cfg, system, 8)
-        freq = system.chip.frequency_hz
-        for i, part in enumerate(grid.partitions):
-            expected = sum(
-                collective_floor_s(
-                    system.fabric, coll.kind, coll.group, coll.payload_bytes
-                )
-                for coll in induced_collectives(
-                    cfg, part, system.chip.bytes_per_element
-                )
-            ) * freq
-            assert grid.fabric_floor_cycles[i] == expected, part
-
-    def test_fabric_floor_never_above_any_schedule(self):
-        grid = evaluate_partition_grid(_cfg(batch=8, heads=8), _system(), 8)
-        for j in range(len(grid.schedules)):
-            assert (
-                grid.fabric_floor_cycles <= grid.fabric_cycles[:, j]
-            ).all()
-
     def test_bound_is_floor_plus_fabric(self):
         grid = evaluate_partition_grid(_cfg(), _system(), 4)
         assert (
@@ -252,8 +228,6 @@ class TestGridFidelity:
         with pytest.raises(ValueError):
             evaluate_partition_grid(_cfg(batch=1, heads=1, seq=1),
                                     _system(), 64)
-        with pytest.raises(ValueError):
-            evaluate_partition_grid(_cfg(), _system(), 4, schedules=())
 
 
 class TestBoundAdmissibility:

@@ -68,3 +68,11 @@ class TestCLI:
             main([mode, "--warm-start"])
         assert exc.value.code == 2
         assert "--warm-start" in capsys.readouterr().err
+
+    def test_removed_sweep_chunk_flag_is_rejected(self, capsys):
+        """A sweep is cut into chunks of a fixed 8: ``serve`` takes no
+        ``--sweep-chunk``."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--sweep-chunk", "4", "--port", "0"])
+        assert exc.value.code == 2
+        assert "--sweep-chunk" in capsys.readouterr().err

@@ -21,7 +21,10 @@ equal bit for bit.
 candidate grid, with its own candidate ladder and reuse-pass formula:
 the record :func:`~repro.core.tiling.tile_plan`'s array search must
 equal, and the tile code ``la_pair_bound`` runs, so the bound oracle
-shares none with the scorer.
+shares none with the scorer.  ``la_pair_bound`` also restates the
+scratchpad's staging-budget split and the fused warm-up credit with
+their literal constants instead of calling the model's
+``partition_scratchpad`` and ``_warmup_cycles``.
 """
 
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -60,7 +63,6 @@ from repro.core.perf import (
     ScopeCost,
     cost_scope,
     la_pair_compute_cycles,
-    partition_scratchpad,
     sg_stream_words,
 )
 from repro.core.scaleout import (
@@ -73,7 +75,6 @@ from repro.core.scaleout import (
 )
 from repro.core.tiling import ceil_div
 from repro.energy.model import ActivityCounts, EnergyReport, energy_report
-from repro.energy.tables import EnergyTable
 from repro.ops.attention import AttentionConfig, Scope
 from repro.ops.intensity import roofline_cycles
 
@@ -93,13 +94,12 @@ def exhaustive_best(
     objective: Objective = Objective.RUNTIME,
     space: SearchSpace = SearchSpace(),
     options: PerfOptions = PerfOptions(),
-    energy_table: Optional[EnergyTable] = None,
 ) -> OracleBest:
     """Minimum of ``(objective score, enumeration index)`` over the space."""
     best = None
     for index, df in enumerate(enumerate_dataflows(cfg, accel, space)):
         cost = cost_scope(cfg, scope, accel, df, options=options)
-        energy = energy_report(cost.counts, energy_table)
+        energy = energy_report(cost.counts)
         value = objective.score(cost, energy)
         if best is None or (value, index) < (best.value, best.index):
             best = OracleBest(index, df, cost, energy, value)
@@ -135,7 +135,6 @@ def exhaustive_scaleout_best(
     scope: Scope = Scope.LA,
     space: SearchSpace = SearchSpace(),
     options: PerfOptions = PerfOptions(),
-    schedules: Sequence[CollectiveSchedule] = DEFAULT_SCHEDULES,
 ) -> ScaleoutOracleBest:
     """The scale-out cross-product, one inner search per outer point.
 
@@ -150,7 +149,7 @@ def exhaustive_scaleout_best(
         collectives = induced_collectives(
             cfg, part, system.chip.bytes_per_element
         )
-        for schedule in schedules:
+        for schedule in DEFAULT_SCHEDULES:
             result = search(
                 shard_config(cfg, part), view, scope=scope,
                 objective=Objective.RUNTIME, space=space, options=options,
@@ -281,10 +280,9 @@ def la_pair_bound(
       budget split.
     * **Operand streaming** into the array on the SG port (plus the
       intermediate's SG round trip when no member fuses).
-    * **Prefetch warm-up.**  The model's own
-      :func:`~repro.core.perf._warmup_cycles` arithmetic applied to the
-      traffic floor, with the fused overlap credit whenever any member
-      may fuse.
+    * **Prefetch warm-up.**  The model's warm-up arithmetic, restated,
+      applied to the traffic floor, with the fused overlap credit
+      (half the warm-up) whenever any member may fuse.
 
     ``fused_in_family`` widens the bound to a family that mixes fused
     and unfused members (``None`` means "exactly this dataflow"): a
@@ -315,20 +313,25 @@ def la_pair_bound(
     row_passes = ceil_div(nq, r)
     n_pass = ceil_div(b, b_t) * ceil_div(h, h_t) * row_passes
 
-    # The model's own (staging-policy-independent) budget split, and the
-    # loop tile search with its reuse analysis.
+    # The scratchpad split (staging-policy independent), restated: while
+    # staging is active, an eighth of the scratchpad (at least 4096
+    # bytes, at most half of it) stays with the double-buffered L2
+    # working set and the rest is the staging budget; otherwise L2 has
+    # it all.  Then the loop tile search with its reuse analysis.
     footprint = fused_la_footprint(cfg, dataflow)
-    budget = partition_scratchpad(
-        footprint.total_bytes(e), staged and s.any_enabled, accel, options
-    )
-    staging_bytes = float(budget.staging_budget_bytes)
+    sg = accel.sg_bytes
+    if staged and s.any_enabled and footprint.total_bytes(e) > 0:
+        reserve = min(max(4096, int(sg * 0.125)), sg // 2)
+        staging_bytes = float(sg - reserve)
+        l2_elements = max(1, reserve // e)
+    else:
+        staging_bytes = 0.0
+        l2_elements = max(1, sg // e)
     passes_l = loop_tile_plan(
-        r, dk, nkv, budget.l2_budget_elements,
-        accel.pe_array.rows, accel.pe_array.cols,
+        r, dk, nkv, l2_elements, accel.pe_array.rows, accel.pe_array.cols,
     )
     passes_a = loop_tile_plan(
-        r, nkv, dk, budget.l2_budget_elements,
-        accel.pe_array.rows, accel.pe_array.cols,
+        r, nkv, dk, l2_elements, accel.pe_array.rows, accel.pe_array.cols,
     )
 
     if staged and s.intermediate:
@@ -412,12 +415,12 @@ def la_pair_bound(
     )
     # Exposed prefetch warm-up on the traffic floor (monotone in the
     # DRAM bytes, so a floor in, a floor out); any possibly-fused
-    # member gets the overlap credit.
+    # member gets the overlap credit, half the warm-up.
     warmup_cap = float((passes_l.footprint + passes_a.footprint) * e)
     warmup_bytes = min(dram_bytes / max(float(n_pass), 1.0), warmup_cap)
     warmup = warmup_bytes / accel.offchip_bytes_per_cycle
     if may_fuse:
-        warmup = warmup * options.fused_warmup_credit
+        warmup = warmup * 0.5
     cycles = cycles + warmup
     counts = ActivityCounts(
         macs=float(macs),
@@ -457,7 +460,6 @@ def scalar_objective_bound(
     accel,
     dataflow: Dataflow,
     options: PerfOptions = PerfOptions(),
-    energy_table: Optional[EnergyTable] = None,
     fused_in_family: Optional[bool] = None,
 ) -> float:
     """One candidate's objective bound, computed scalarly."""
@@ -466,7 +468,7 @@ def scalar_objective_bound(
     )
     if objective is Objective.RUNTIME:
         return cycles * _BOUND_SLACK
-    energy = energy_report(counts, energy_table).total_j
+    energy = energy_report(counts).total_j
     if objective is Objective.ENERGY:
         return energy * _BOUND_SLACK
     return energy * cycles * _BOUND_SLACK
@@ -480,12 +482,11 @@ def scalar_family_bound(
     family: DataflowFamily,
     space: SearchSpace = SearchSpace(),
     options: PerfOptions = PerfOptions(),
-    energy_table: Optional[EnergyTable] = None,
 ) -> float:
     """A family's bound: its representative's, widened to the family."""
     return scalar_objective_bound(
         objective, cfg, scope, accel, family_representative(family, space),
-        options, energy_table,
+        options,
         fused_in_family=family.granularity is not None and space.allow_fused,
     )
 

@@ -92,7 +92,7 @@ class TestLifecycleAndOps:
             {"op": "cost", "model": "bert", "seq": 128, "batch": 2,
              "dataflow": f"flat-r{2 ** i}"}
             for i in range(1, 9)
-        ] * 3}  # 24 sub-queries over sweep_chunk=8 -> progress at 8, 16
+        ] * 3}  # 24 sub-queries in chunks of 8 -> progress at 8, 16
         with ServeClient(*server) as client:
             response = client.request(sweep, on_event=events.append)
         assert response["ok"]
