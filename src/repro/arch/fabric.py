@@ -6,11 +6,8 @@ board-level fabric that connects ``T`` such dies into one system, in
 the style of the FlatAttention line of work (PAPERS.md) where the
 cross-chip collective is co-optimized with the per-chip dataflow.
 
-The fabric is a 2D mesh or torus of identical full-duplex links.  Chips
-are arranged near-square (:func:`FabricSpec.dims`); the bisection
-bandwidth of the arrangement (:meth:`FabricSpec.bisection_bytes_per_sec`)
-is the classic min-cut across the longer dimension, doubled for the
-torus wraparound.
+The fabric is a 2D mesh or torus of identical full-duplex links.  No
+cost reads the topology yet: collectives are charged per link, below.
 
 Collectives use the standard alpha-beta decomposition: a schedule pays
 a *bandwidth* term proportional to the payload and a *latency* term
@@ -26,13 +23,7 @@ proportional to its step count.
 Payloads are the *aggregate* tensor bytes across the group (each chip
 holds ``1/T`` before an all-gather, after a reduce-scatter).  An
 all-reduce is reduce-scatter followed by all-gather and pays both terms
-twice.  :func:`collective_floor_s` is the schedule-independent
-admissible floor used by the scale-out branch-and-bound
-(:mod:`repro.core.scaleout`): the max of the ring bandwidth term (the
-cheaper of the two schedules' bandwidth terms), the bisection-bandwidth
-bound on the bytes that must cross the fabric midline, and the tree
-latency term (the cheaper step count) — each individually a lower
-bound on both schedules, hence so is their max.
+twice.
 
 This module is in the persistent cache's fingerprint set
 (:data:`repro.core.cache._FINGERPRINT_MODULES`): cached scale-out
@@ -44,7 +35,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 __all__ = [
     "FabricKind",
@@ -52,7 +42,6 @@ __all__ = [
     "CollectiveSchedule",
     "FabricSpec",
     "collective_time_s",
-    "collective_floor_s",
 ]
 
 
@@ -109,35 +98,6 @@ class FabricSpec:
                 and self.hop_latency_s >= 0):
             raise ValueError("hop latency must be finite and >= 0")
 
-    @staticmethod
-    def dims(chips: int) -> Tuple[int, int]:
-        """Near-square ``(rows, cols)`` arrangement, ``rows <= cols``.
-
-        The largest divisor of ``chips`` at most ``sqrt(chips)`` is the
-        row count, so a power-of-two count folds square-ish (64 -> 8x8)
-        and a prime count degenerates to a 1xT line.
-        """
-        if chips < 1:
-            raise ValueError("chips must be >= 1")
-        rows = 1
-        for d in range(1, int(math.isqrt(chips)) + 1):
-            if chips % d == 0:
-                rows = d
-        return rows, chips // rows
-
-    def bisection_bytes_per_sec(self, chips: int) -> float:
-        """Bandwidth across the fabric midline for ``chips`` dies.
-
-        Cutting the longer dimension severs one link per row — two per
-        row on a torus (wraparound) — and each severed link carries
-        traffic in both directions.
-        """
-        if chips < 2:
-            raise ValueError("bisection needs at least 2 chips")
-        rows, _ = self.dims(chips)
-        cut_links = rows * (2 if self.kind is FabricKind.TORUS else 1)
-        return 2.0 * cut_links * self.link_bytes_per_sec
-
 
 def _steps(schedule: CollectiveSchedule, chips: int) -> int:
     if schedule is CollectiveSchedule.RING:
@@ -171,33 +131,3 @@ def collective_time_s(
         bw_term = frac * payload_bytes / spec.link_bytes_per_sec
     latency_term = _steps(schedule, chips) * spec.hop_latency_s
     return kind.phases * (bw_term + latency_term)
-
-
-def collective_floor_s(
-    spec: FabricSpec,
-    kind: CollectiveKind,
-    chips: int,
-    payload_bytes: float,
-) -> float:
-    """Schedule-independent admissible floor on the collective's time.
-
-    Max of three individually-admissible terms (see module docstring):
-
-    * ring bandwidth term — no schedule pays less per byte;
-    * midline bytes / bisection bandwidth — half the payload must
-      cross the cut regardless of schedule;
-    * tree latency term — no schedule takes fewer steps.
-    """
-    if chips < 1:
-        raise ValueError("chips must be >= 1")
-    if chips == 1 or payload_bytes <= 0:
-        return 0.0
-    frac = (chips - 1) / chips
-    link_floor = frac * payload_bytes / (2.0 * spec.link_bytes_per_sec)
-    bisection_floor = (
-        (payload_bytes / 2.0) / spec.bisection_bytes_per_sec(chips)
-    )
-    latency_floor = (
-        _steps(CollectiveSchedule.TREE, chips) * spec.hop_latency_s
-    )
-    return kind.phases * max(link_floor, bisection_floor, latency_floor)

@@ -79,13 +79,12 @@ from repro.core.engine import (
     SearchStats,
     accelerator_fingerprint,
     clear_evaluation_cache,
-    cycles_lower_bound,
     evaluate_cost,
     evaluation_cache_info,
-    objective_lower_bound,
     reset_search_totals,
     search_totals,
 )
+from repro.core.candidates import objective_lower_bound
 from repro.core.footprint import (
     FootprintBreakdown,
     footprint_b_gran,
@@ -136,7 +135,6 @@ __all__ = [
     "SearchStats",
     "accelerator_fingerprint",
     "clear_evaluation_cache",
-    "cycles_lower_bound",
     "evaluate_cost",
     "evaluation_cache_info",
     "objective_lower_bound",

@@ -129,8 +129,10 @@ from repro.core.tiling import ceil_div, tile_plan
 from repro.energy.model import _PJ, ActivityCounts
 from repro.energy.tables import default_table
 from repro.obs.metrics import active as _metrics_active
-from repro.ops.attention import AttentionConfig, Scope, operators_for_scope
-from repro.ops.operator import GemmOperator, OperatorKind
+from repro.ops.attention import (
+    AttentionConfig, Scope, operators_for_scope, scope_plan,
+)
+from repro.ops.operator import GemmOperator
 
 __all__ = [
     "GridEvaluation",
@@ -934,7 +936,7 @@ class _Breakdown:
     def __init__(self, plan: Tuple[Optional[int], ...],
                  la: Optional[_OpArrays], stacked: Optional[_OpArrays],
                  workloads: _Workloads,
-                 others: List[List[GemmOperator]], scope: Scope,
+                 others: List[Tuple[GemmOperator, ...]], scope: Scope,
                  accel: Accelerator) -> None:
         self.plan = plan
         self.la = la
@@ -1080,39 +1082,6 @@ def is_wide(cfg: AttentionConfig, scope: Scope, e: int) -> bool:
             or 2 * volume * e >= _MAX_EXACT_INT)
 
 
-def _scope_plan(cfg: AttentionConfig, scope: Scope
-                ) -> Tuple[Tuple[Optional[int], ...], List[GemmOperator]]:
-    """A scope's cost rows in execution order, and its non-L-A operators.
-
-    ``None`` is the L-A pair, an int is a row of the stacked non-L-A
-    operators.  The L-A scope is the pair alone, read off the config
-    without building its operator list.
-    """
-    if scope is Scope.LA:
-        return (None,), []
-    ops = operators_for_scope(cfg, scope)
-    plan: List[Optional[int]] = []
-    others: List[GemmOperator] = []
-    i = 0
-    while i < len(ops):
-        op = ops[i]
-        if (
-            op.kind is OperatorKind.LOGIT
-            and i + 1 < len(ops)
-            and ops[i + 1].kind is OperatorKind.ATTEND
-        ):
-            plan.append(None)  # the L-A pair (A has L's MAC count)
-            i += 2
-            continue
-        # Every scope lists L directly before A, so a standalone L or A
-        # (which only the scalar path costs) never reaches this point.
-        assert not (op.is_activation_activation or op.softmax_after), op
-        plan.append(len(others))
-        others.append(op)
-        i += 1
-    return tuple(plan), others
-
-
 def evaluate_grid(
     cfg: "AttentionConfig | Sequence[AttentionConfig]",
     scope: Scope,
@@ -1165,7 +1134,7 @@ def evaluate_grid(
         registry.histogram("batch.grid_points").observe(n)
         registry.histogram("batch.grid_segments").observe(segments)
 
-    plans = [_scope_plan(c, scope) for c in configs]
+    plans = [scope_plan(c, scope) for c in configs]
     plan = plans[0][0]
     if any(p != plan for p, _ in plans):
         raise ValueError("grid workloads must share one operator plan")

@@ -22,7 +22,10 @@ by what the caller asks for:
   cost bound exists) of any size, is scored whole by the vectorized
   backend (:func:`repro.core.batch.evaluate_grid`): no plan, no
   bounds.  A larger space takes analytic candidate generation with
-  branch-and-bound (:mod:`repro.core.candidates`): each family gets an
+  branch-and-bound (:mod:`repro.core.candidates`, the home of every
+  bound formula, :func:`~repro.core.candidates.bound_table`; this
+  module keeps the orchestration: memo, requests, rounds and stats):
+  each family gets an
   admissible lower bound from its cheapest representative member; the
   live families' representatives are scored first, then every family
   whose bound exceeds the incumbent is skipped without ever scoring
@@ -108,7 +111,6 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import (
     Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union,
 )
@@ -121,49 +123,28 @@ from repro.core.batch import (
     GridLanes,
     GridRows,
     _GridFeatures,
-    _l2_budget_slots,
-    _la_tiles,
-    _per_value,
     evaluate_grid,
     is_wide,
 )
 from repro.core.cache import PersistentCache, get_default_cache
 from repro.core.candidates import (
+    _BOUND_SLACK,
     SpaceTable,
     plan_candidates,
     space_table,
 )
-from repro.core.dataflow import (
-    AttentionVariant,
-    Dataflow,
-    StagingPolicy,
-    Stationarity,
-)
+from repro.core.dataflow import Dataflow
 from repro.core.dse import (
     DesignPoint,
     DSEResult,
     Objective,
     SearchSpace,
 )
-from repro.core.footprint import fused_la_elements
-from repro.core.perf import (
-    PerfOptions,
-    ScopeCost,
-    _compute_cycles_from_eff,
-    _psum_passes_from_ko,
-    _strict_axis_eff,
-    _warmup_cycles,
-    cost_scope,
-    partition_scratchpad,
-    sg_stream_words,
-)
-from repro.core.tiling import ceil_div
-from repro.energy.model import ActivityCounts, energy_report
-from repro.obs.metrics import active as _metrics_active
+from repro.core.perf import PerfOptions, ScopeCost, cost_scope
+from repro.energy.model import energy_report
+from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
-from repro.ops.attention import AttentionConfig, Scope, operators_for_scope
-from repro.ops.intensity import roofline_cycles
-from repro.ops.operator import GemmOperator, OperatorKind
+from repro.ops.attention import AttentionConfig, Scope
 
 __all__ = [
     "SearchRequest",
@@ -171,12 +152,6 @@ __all__ = [
     "run_search",
     "run_searches",
     "accelerator_fingerprint",
-    "bound_table",
-    "BoundColumns",
-    "bound_flags",
-    "dataflow_bound_row",
-    "cycles_lower_bound",
-    "objective_lower_bound",
     "clear_evaluation_cache",
     "evaluation_cache_info",
     "CostRequest",
@@ -186,11 +161,6 @@ __all__ = [
     "search_totals",
     "scoped_search_totals",
 ]
-
-# Multiplicative slack shaving ~1e-9 off every bound: the bound and the
-# model share their closed forms, and this keeps float rounding from
-# ever nudging a bound above the true cost it underestimates.
-_BOUND_SLACK = 1.0 - 1e-9
 
 # Up to this many candidates, planning, bounds and the representative
 # round of the branch-and-bound cannot recoup their cost: a grid call
@@ -322,13 +292,6 @@ def scoped_search_totals() -> Iterator[None]:
             _totals.update(saved)
 
 
-def _metric_inc(name: str, amount: int = 1) -> None:
-    if amount:
-        registry = _metrics_active()
-        if registry is not None:
-            registry.counter(name).inc(amount)
-
-
 def _accumulate(stats: SearchStats) -> None:
     with _TOTALS_LOCK:
         _totals["searches"] += 1
@@ -342,7 +305,7 @@ def _accumulate(stats: SearchStats) -> None:
         _totals["candidates_skipped"] += stats.candidates_skipped
         _totals["families_pruned"] += stats.families_pruned
         _totals["wall_time_s"] += stats.wall_time_s
-    registry = _metrics_active()
+    registry = _metrics.active()
     if registry is not None:
         registry.counter("engine.searches").inc()
         registry.counter("engine.enumerated").inc(stats.enumerated)
@@ -465,10 +428,10 @@ def _breakdown(q: Any, dataflow: Dataflow,
     here: the answer the breakdown belongs to is (:func:`_finish`).
     """
     if lane is None:
-        _metric_inc("engine.breakdowns[scalar]")
+        _metrics.inc("engine.breakdowns[scalar]")
         return cost_scope(q.cfg, q.scope, q.accel, dataflow,
                           options=q.options)
-    _metric_inc("engine.breakdowns[grid]")
+    _metrics.inc("engine.breakdowns[grid]")
     return lane[0].scope_cost(lane[1], dataflow)
 
 
@@ -529,24 +492,17 @@ _SOURCE_METRIC = {
 # docs/search_engine.md).
 _MERGE_LANE_LIMIT = 256
 
-# The operator kinds of the L-A scope, as operators_for_scope lists them.
-_LA_KINDS = (OperatorKind.LOGIT, OperatorKind.ATTEND)
-
-
 def _merge_group(cfg: AttentionConfig, scope: Scope, options: PerfOptions,
                  accel: Accelerator, accel_fp: tuple) -> tuple:
     """The key under which grid calls on ``cfg`` merge with others'.
 
-    Lanes merge when they share the scope, the model options, the
-    accelerator, the scope's operator kinds (one operator plan) and
-    whether the workload is past the int64 lanes' edges
-    (:func:`~repro.core.batch.is_wide`): a wide workload's calls run
-    Python-int lanes, so int64 lanes never run as objects.
+    Lanes merge when they share the scope (which fixes the operator
+    plan, :func:`~repro.ops.attention.scope_plan`), the model options,
+    the accelerator and whether the workload is past the int64 lanes'
+    edges (:func:`~repro.core.batch.is_wide`): a wide workload's calls
+    run Python-int lanes, so int64 lanes never run as objects.
     """
-    # The pair is the whole L-A scope: no operator list to build.
-    kinds = (_LA_KINDS if scope is Scope.LA
-             else tuple(op.kind for op in operators_for_scope(cfg, scope)))
-    return (scope, options, accel_fp, kinds,
+    return (scope, options, accel_fp,
             is_wide(cfg, scope, accel.bytes_per_element))
 
 
@@ -560,469 +516,6 @@ class CostRequest:
     accel: Accelerator
     dataflow: Dataflow
     options: PerfOptions = PerfOptions()
-
-
-# ----------------------------------------------------------------------
-# admissible lower bounds
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _BoundTerms:
-    """Lower bounds on cycles and activity counts for some operators."""
-
-    cycles: float
-    counts: ActivityCounts
-
-    def __add__(self, other: "_BoundTerms") -> "_BoundTerms":
-        return _BoundTerms(
-            cycles=self.cycles + other.cycles,
-            counts=self.counts + other.counts,
-        )
-
-
-def _operator_bound(op: GemmOperator, accel: Accelerator) -> _BoundTerms:
-    """Bound for one non-L-A operator, independent of its dataflow.
-
-    Every tensor's off-chip pass multiplier in
-    :func:`~repro.core.perf.cost_operator` is >= 1 (staged-and-fitting
-    tensors pay one cold pass; everything else pays at least its L2
-    reuse passes), so the compulsory traffic is a true floor, as are the
-    ideal MAC cycles and the serial softmax pass.
-    """
-    e = accel.bytes_per_element
-    out_elements = op.out.num_elements
-    ideal = op.macs / accel.peak_macs_per_cycle
-    softmax = (
-        accel.sfu.softmax_cycles(out_elements) if op.softmax_after else 0.0
-    )
-    cold = op.lhs.num_elements + op.rhs.num_elements + out_elements
-    sg_words = sg_stream_words(op.macs, accel) + out_elements
-    cycles = roofline_cycles(
-        ideal + softmax,
-        cold * e / accel.offchip_bytes_per_cycle,
-        sg_words * e / accel.onchip_bytes_per_cycle,
-    )
-    sfu_ops = accel.sfu.softmax_flops(out_elements) if op.softmax_after else 0
-    counts = ActivityCounts(
-        macs=float(op.macs),
-        sl_words=2.0 * op.macs + out_elements,
-        sg_words=sg_words,
-        dram_words=float(cold),
-        sfu_ops=float(sfu_ops),
-    )
-    return _BoundTerms(cycles=cycles, counts=counts)
-
-
-@lru_cache(maxsize=512)
-def _scope_static_bound(
-    cfg: AttentionConfig, scope: Scope, accel: Accelerator
-) -> Tuple[_BoundTerms, bool, int]:
-    """The candidate-independent part of a scope's lower bound.
-
-    Sums :func:`_operator_bound` over every operator the scope covers
-    except the L-A pair (whose bound depends on the candidate dataflow)
-    and reports whether such a pair is present plus the scope's
-    replication factor.  Mirrors the pair detection of
-    :func:`~repro.core.perf.cost_scope`.
-    """
-    ops = operators_for_scope(cfg, scope)
-    total = _BoundTerms(cycles=0.0, counts=ActivityCounts())
-    has_la = False
-    i = 0
-    while i < len(ops):
-        op = ops[i]
-        if (
-            op.kind is OperatorKind.LOGIT
-            and i + 1 < len(ops)
-            and ops[i + 1].kind is OperatorKind.ATTEND
-        ):
-            has_la = True
-            i += 2
-            continue
-        total = total + _operator_bound(op, accel)
-        i += 1
-    replication = cfg.num_blocks if scope is Scope.MODEL else 1
-    return total, has_la, replication
-
-
-#: One row of :func:`bound_table`: a workload, a candidate's cross-loop
-#: tile ``(b_t, h_t, r)`` on it, and the candidate's :func:`bound_flags`.
-BoundRow = Tuple[AttentionConfig, Tuple[int, int, int], Tuple[bool, ...]]
-
-
-@dataclass(frozen=True, eq=False)
-class BoundColumns:
-    """Bound rows (:data:`BoundRow`) as columns, the form :func:`bound_table`
-    computes on: row ``i`` is bounded on ``configs[workload[i]]`` with
-    cross tile ``tiles[:, i]`` (``b_t, h_t, r``; int64) and the
-    :func:`bound_flags` ``flags[:, i]`` (bool).  The family rows of a
-    search space come this way from their memo
-    (:func:`repro.core.candidates.family_bounds`), with no per-row
-    Python."""
-
-    configs: Tuple[AttentionConfig, ...]
-    workload: np.ndarray
-    tiles: np.ndarray
-    flags: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.workload.shape[0])
-
-
-def bound_flags(fused: bool, staging: StagingPolicy,
-                variant: AttentionVariant, stationarity: Stationarity,
-                may_fuse: bool) -> Tuple[bool, ...]:
-    """The flags of one :data:`BoundRow`: what the L-A pair bound reads
-    of a candidate, plus whether the family it stands for may contain
-    fused members."""
-    return (
-        (fused,) + staging.as_tuple() + (
-            staging.any_enabled, variant is AttentionVariant.FLASH_D,
-            variant is AttentionVariant.FUSEMAX,
-            stationarity is Stationarity.OUTPUT,
-            stationarity is Stationarity.WEIGHT,
-            stationarity is Stationarity.INPUT, may_fuse,
-        )
-    )
-
-
-def dataflow_bound_row(cfg: AttentionConfig, dataflow: Dataflow,
-                       fused_in_family: Optional[bool] = None) -> BoundRow:
-    """The :data:`BoundRow` of one dataflow; ``fused_in_family`` widens
-    it to a family (``None``: exactly this dataflow)."""
-    return (
-        cfg,
-        dataflow.cross_tile(cfg.batch, cfg.heads, cfg.seq_q),
-        bound_flags(
-            dataflow.fused, dataflow.staging, dataflow.variant,
-            dataflow.stationarity,
-            dataflow.fused if fused_in_family is None else fused_in_family,
-        ),
-    )
-
-
-def _config_terms(cfg: AttentionConfig, scope: Scope,
-                  accel: Accelerator) -> Tuple[tuple, tuple]:
-    """The candidate-independent terms of one workload's bound.
-
-    Returns ``(ints, floats)``.  The integers (shape, MAC and cold
-    volumes, replication) become integer columns; the floats are the
-    terms Python computes once per workload — the SFU cycles, the SG
-    stream (an int / int division), the non-L-A operators' bound
-    (:func:`_scope_static_bound`) and the activity counts no dataflow
-    changes, summed and scaled as ``ActivityCounts`` sums and scales
-    them.
-    """
-    if scope is Scope.LA:
-        # The pair is the whole scope: no other operator to bound (and
-        # no operator list to build, for a shard seen once).
-        static, replication = _BoundTerms(0.0, ActivityCounts()), 1
-    else:
-        static, has_la, replication = _scope_static_bound(cfg, scope,
-                                                          accel)
-        # Every scope lists L directly before A (see evaluate_grid).
-        assert has_la, scope
-    b, h = cfg.batch, cfg.heads
-    nq, nkv, dk = cfg.seq_q, cfg.seq_kv, cfg.d_head
-    macs_l = b * h * nq * nkv * dk
-    macs = 2 * macs_l
-    int_cold = b * h * nq * nkv
-    # Q and the output share one cold volume, as do K and V.
-    q_cold = b * h * nq * dk
-    k_cold = b * h * nkv * dk
-    sfu = accel.sfu
-    sg_base_l = sg_stream_words(macs_l, accel)
-    sg_base_a = sg_stream_words(macs_l, accel) + q_cold
-    c = static.counts
-    ints = (b, h, nq, nkv, dk, macs_l, int_cold, q_cold, k_cold,
-            replication)
-    floats = (
-        sfu.softmax_cycles(int_cold),
-        sfu.flashd_cycles(int_cold, q_cold),
-        sg_base_l + sg_base_a,
-        (sg_base_l + int_cold) + (sg_base_a + int_cold),
-        static.cycles,
-        c.dram_words,
-        c.sg_words,
-        (c.macs + float(macs)) * replication,
-        (c.sl_words + (2.0 * macs + q_cold)) * replication,
-        (c.sfu_ops + float(sfu.softmax_flops(int_cold))) * replication,
-        (c.sfu_ops + float(sfu.flashd_flops(int_cold, q_cold)))
-        * replication,
-    )
-    return ints, floats
-
-
-def bound_table(
-    objective: Objective,
-    scope: Scope,
-    accel: Accelerator,
-    rows: "Sequence[BoundRow] | BoundColumns",
-    options: PerfOptions = PerfOptions(),
-) -> np.ndarray:
-    """Admissible objective lower bounds of many candidates, one pass.
-
-    Each :data:`BoundRow` ``(cfg, cross tile, flags)`` is bounded on
-    its own workload, so one call covers every family of a plan or
-    every family of every distinct shard of a partition grid.  A
-    family's row comes straight from its fields, as
-    :class:`BoundColumns` from the memoized family columns
-    (:func:`repro.core.candidates.family_bounds`), a dataflow's from
-    :func:`dataflow_bound_row`.  The bound of a row is
-    a roofline over floors the L-A pair can never beat, sharing the
-    model's own closed forms — the L2 tile choice, the staging-budget
-    split, the reuse-pass counts and the warm-up arithmetic are the
-    very functions :func:`~repro.core.perf.cost_la_pair` calls, and none
-    of them depend on the staging policy, so one row is admissible for a
-    whole *family* of staging corners at once:
-
-    * **Serialized critical path.**  The exact compute-phase cycles of
-      both GEMM stages (mapping efficiency and fill/drain included),
-      plus the parts of the softmax story that provably serialize with
-      them: fused, the softmax is on the interleaved phase's busy time
-      and the spilled intermediate's softmax round trip is a separate
-      phase, so both add (FLASH-D swaps in its own serial term, FuseMax
-      takes the max with the GEMM stages); unfused, the softmax phase
-      takes at least ``max(softmax, spill round trip)``.
-    * **Compulsory traffic.**  Each tensor pays
-      ``min(l2_passes, fit_max + (1 - fit_max) * spill_passes)`` times
-      its cold volume, where ``fit_max`` grants the single tensor the
-      whole staging budget — priority allocation can only grant less,
-      and the blend is decreasing in fit, so the min covers every
-      staging policy.  The off-chip intermediate fraction pays its four
-      passes using the exact budget split.
-    * **Operand streaming** into the array on the SG port (plus the
-      intermediate's SG round trip when no member fuses).
-    * **Prefetch warm-up** on the traffic floor, with the fused overlap
-      credit whenever any member may fuse.
-
-    ``fused_in_family`` widens a row to a family that mixes fused and
-    unfused members (``None`` means "exactly this dataflow"): a fused
-    member takes the warm-up credit and skips the intermediate's SG
-    traffic, so those relaxations apply as soon as fusion is possible,
-    while the stronger fused *serial* chain is only used when the
-    dataflow itself fuses (then every member does).  The scope's other
-    operators add :func:`_scope_static_bound`, and ``ENERGY``/``EDP``
-    replay ``energy_report``'s arithmetic on the summed activity
-    counts (:meth:`~repro.core.batch.GridEvaluation.objective_scores`).
-
-    Every lane performs the scalar formulas' operations on their
-    operand types, so each bound is the one a per-row Python evaluation
-    gives, bit for bit: workload-level terms are computed in Python,
-    tile choices are the model's own records
-    (:func:`~repro.core.batch._la_tiles`) and
-    the int / int mapping efficiencies through
-    :func:`~repro.core.batch._per_value`.  Integer columns are int64;
-    when a workload is past the int64 lanes' edges
-    (:func:`~repro.core.batch.is_wide`) they hold Python integers
-    instead (object dtype), which the same code runs on exactly, as
-    the grid does.  ``FOOTPRINT``
-    has no bound and is rejected.
-    """
-    if objective is Objective.FOOTPRINT:
-        raise ValueError("FOOTPRINT objective has no candidate bound")
-    if not len(rows):
-        raise ValueError("bound_table needs at least one row")
-    if not isinstance(rows, BoundColumns):
-        configs: dict = {}  # workload -> index
-        index_rows = []
-        flag_rows = []
-        last = ci = None
-        for cfg, tile, flags in rows:
-            if cfg is not last:  # rows usually come grouped by workload
-                ci = configs.setdefault(cfg, len(configs))
-                last = cfg
-            index_rows.append((ci,) + tile)
-            flag_rows.append(flags)
-        ci, b_t, h_t, r = np.array(index_rows, dtype=np.int64).T
-        rows = BoundColumns(tuple(configs), ci, np.stack([b_t, h_t, r]),
-                            np.array(flag_rows, dtype=bool).T)
-
-    e = accel.bytes_per_element
-    rows_pe, cols_pe = accel.pe_array.rows, accel.pe_array.cols
-    cfg_list = rows.configs
-    ci = rows.workload
-    terms = [_config_terms(cfg, scope, accel) for cfg in cfg_list]
-    idt = (object if any(is_wide(cfg, scope, e) for cfg in cfg_list)
-           else np.int64)
-    b_t, h_t, r = rows.tiles.astype(idt, copy=False)
-    (fused, s_lhs, s_rhs, s_rhs2, s_out, s_int, s_any, v_flash, v_pipe,
-     output, weight, inputs, may_fuse) = rows.flags
-    (b, h, nq, nkv, dk, macs_l, int_cold, q_cold, k_cold,
-     replication) = np.array([t[0] for t in terms], dtype=idt)[ci].T
-    (softmax, flashd, sg_fused, sg_unfused, static_cycles, static_dram,
-     static_sg, macs_total, sl_total, sfu_softmax,
-     sfu_flashd) = np.array([t[1] for t in terms], dtype=float)[ci].T
-
-    # A dataflow without an L3 tile stages nothing (Dataflow enforces
-    # it), so each staging flag already implies the tile.
-    fp = fused_la_elements(b_t, h_t, r, dk, nkv,
-                           s_lhs, s_rhs, s_rhs2, s_out, s_int)
-    budget = partition_scratchpad(
-        (fp[0] + fp[1] + fp[2] + fp[3] + fp[4]) * e, s_any, accel,
-    )
-    staging_bytes = budget.staging_budget_bytes.astype(float)
-    row_passes = ceil_div(nq, r)
-    n_pass_f = (
-        ceil_div(b, b_t) * ceil_div(h, h_t) * row_passes
-    ).astype(float)
-
-    # The model's tile records (batch._la_tiles), one per (rows,
-    # seq_kv, d_head, L2 budget slot).
-    l2_values, slot = _l2_budget_slots(budget, accel)
-    shapes: dict = {}
-    shape_of = np.array(
-        [shapes.setdefault((cfg.seq_kv, cfg.d_head), len(shapes))
-         for cfg in cfg_list], dtype=np.int64,
-    )[ci]
-    l_lhs, l_rhs, a_rhs, ko_a, warmup_cap = _la_tiles(
-        r, shape_of, list(shapes), slot, l2_values, accel)
-
-    # Each tensor's fit if it alone were granted the whole staging
-    # budget (for the intermediate, its fit under the exact budget
-    # split: it is first in the priority order), rows Q, K, V, O, I.
-    tile_bytes = np.stack(fp) * e
-    fit = np.where(
-        tile_bytes <= 0, 1.0,
-        np.minimum(1.0, staging_bytes / np.maximum(tile_bytes, 1)),
-    )
-    int_offchip = np.where(s_int, 1.0 - fit[4], 1.0)
-
-    # min over staging choices of each tensor's pass multiplier:
-    # unstaged pays its L2 passes; staged pays blend(fit) >=
-    # blend(fit_max) (the blend is decreasing in fit, and priority
-    # allocation can never grant more than the whole budget).
-    fit_max = fit[:4]
-    l2_passes = np.stack([
-        l_lhs,
-        row_passes * l_rhs,
-        row_passes * a_rhs,
-        _psum_passes_from_ko(ko_a, output),
-    ])
-    if options.spill_extra_pass_only:
-        blend = fit_max * 1.0 + (1.0 - fit_max) * 2.0
-    else:
-        blend = fit_max * 1.0 + (1.0 - fit_max) * (l2_passes + 1.0)
-    q_mult, k_mult, v_mult, out_mult = np.minimum(
-        l2_passes.astype(float), blend
-    )
-
-    int_spill = int_cold * int_offchip
-    dram_elements = (
-        (q_cold * q_mult + k_cold * k_mult)
-        + (k_cold * v_mult + q_cold * out_mult)
-        + 4.0 * int_spill
-    )
-    spill_cycles = (2.0 * int_spill) * e / accel.offchip_bytes_per_cycle
-
-    # Exact compute-phase cycles of both stages (la_pair_compute_cycles).
-    if options.flexible_mapping:
-        # Both stages fold the same iteration space.
-        pes = accel.pe_array.num_pes
-        eff_l = _per_value(r * dk * nkv * (b_t * h_t),
-                           lambda v: v / (pes * ceil_div(v, pes)))
-        eff_a = eff_l
-    else:
-        def eff(d1, d2):
-            return (
-                _per_value(d1, lambda v: _strict_axis_eff(v, rows_pe))
-                * _per_value(d2, lambda v: _strict_axis_eff(v, cols_pe))
-            )
-
-        eff_l = eff(np.where(weight, dk, r), np.where(inputs, dk, nkv))
-        eff_a = eff(np.where(weight, nkv, r), np.where(inputs, nkv, dk))
-    compute_l = _compute_cycles_from_eff(macs_l, eff_l, n_pass_f, accel,
-                                         options)
-    compute_a = (
-        compute_l if eff_a is eff_l
-        else _compute_cycles_from_eff(macs_l, eff_a, n_pass_f, accel,
-                                      options)
-    )
-    compute = compute_l + compute_a
-    # Fused: every member fuses (the dataflow is the weakest corner in
-    # this respect): interleaved busy time plus the serialized spill
-    # round trip.  Unfused: mirrors the model's three-phase sum when
-    # each phase is compute-/softmax-bound; weaker than (hence
-    # admissible for) fused members of a mixed family.
-    serial = np.where(
-        fused,
-        np.where(
-            v_pipe,
-            np.maximum(compute, softmax),
-            compute + np.where(v_flash, flashd, softmax),
-        ) + spill_cycles,
-        (compute_l + np.maximum(softmax, spill_cycles)) + compute_a,
-    )
-    sg_words = np.where(may_fuse, sg_fused, sg_unfused)
-    dram_bytes = dram_elements * e
-    cycles = np.maximum(
-        np.maximum(serial, dram_bytes / accel.offchip_bytes_per_cycle),
-        sg_words * e / accel.onchip_bytes_per_cycle,
-    )
-    # Exposed prefetch warm-up on the traffic floor (monotone in the
-    # DRAM bytes, so a floor in, a floor out).
-    warmup = _warmup_cycles(dram_bytes, n_pass_f, warmup_cap, may_fuse,
-                            accel)
-    total_cycles = replication * (static_cycles + (cycles + warmup))
-    if objective is Objective.RUNTIME:
-        return total_cycles.astype(float) * _BOUND_SLACK
-    dram_words = (static_dram + dram_elements) * replication
-    scores = GridEvaluation(
-        total_cycles=total_cycles,
-        dram_bytes=dram_words * e,
-        footprint_bytes=tile_bytes.sum(axis=0),
-        macs=macs_total,
-        sl_words=sl_total,
-        sg_words=(static_sg + sg_words) * replication,
-        dram_words=dram_words,
-        sfu_ops=np.where(v_flash, sfu_flashd, sfu_softmax),
-    ).objective_scores(objective)
-    return scores.astype(float) * _BOUND_SLACK
-
-
-def cycles_lower_bound(
-    cfg: AttentionConfig,
-    scope: Scope,
-    accel: Accelerator,
-    dataflow: Dataflow,
-    options: PerfOptions = PerfOptions(),
-) -> float:
-    """Admissible lower bound on ``cost_scope(...).total_cycles``.
-
-    Never exceeds the true cost (see ``test_engine.py``'s admissibility
-    sweep), and costs ~an order of magnitude less to compute than the
-    full model because it needs no L2 tile search.  A one-row
-    :func:`bound_table`.
-    """
-    return float(bound_table(Objective.RUNTIME, scope, accel,
-                             [dataflow_bound_row(cfg, dataflow)],
-                             options)[0])
-
-
-def objective_lower_bound(
-    objective: Objective,
-    cfg: AttentionConfig,
-    scope: Scope,
-    accel: Accelerator,
-    dataflow: Dataflow,
-    options: PerfOptions = PerfOptions(),
-    fused_in_family: Optional[bool] = None,
-) -> Optional[float]:
-    """Lower bound on the objective value, or ``None`` if unbounded.
-
-    ``FOOTPRINT`` returns ``None`` — footprints need no cost bound and
-    the engine disables pruning for that objective.
-
-    ``fused_in_family`` (see :func:`bound_table`) widens the bound to
-    cover a whole dataflow family that may mix fused and unfused
-    members; ``None`` bounds exactly the given dataflow.
-    """
-    if objective is Objective.FOOTPRINT:
-        return None
-    return float(bound_table(
-        objective, scope, accel,
-        [dataflow_bound_row(cfg, dataflow, fused_in_family)], options,
-    )[0])
-
 
 
 # ----------------------------------------------------------------------
@@ -1418,7 +911,7 @@ def _search_rounds(jobs: List[_Job], tally: dict) -> None:
                     continue
                 seed = job.table.locate(req.warm_start)
                 if seed is None:
-                    _metric_inc("engine.warm_start.rejected")
+                    _metrics.inc("engine.warm_start.rejected")
                     continue
                 cost = _breakdown(req, req.warm_start)
                 job.consider(_objective_value(req.objective, cost), seed,
@@ -1464,7 +957,7 @@ def _finish(job: _Job, store: Optional[PersistentCache],
             raise ValueError("search space is empty")
         _remember(job.key, job.answer, store)
     if job.kind == "cost":
-        _metric_inc(_SOURCE_METRIC[job.source])
+        _metrics.inc(_SOURCE_METRIC[job.source])
         return job.answer
     with _span("search", scope=req.scope.name,
                objective=req.objective.name):

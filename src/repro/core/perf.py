@@ -40,8 +40,8 @@ from repro.core.dataflow import AttentionVariant, Dataflow, Stationarity
 from repro.core.footprint import fused_la_footprint, operator_l3_footprint
 from repro.core.tiling import TilePlan, ceil_div, tile_plan
 from repro.energy.model import ActivityCounts
-from repro.ops.attention import AttentionConfig, Scope, operators_for_scope
-from repro.ops.operator import GemmOperator, OperatorKind
+from repro.ops.attention import AttentionConfig, Scope, scope_plan
+from repro.ops.operator import GemmOperator
 
 
 def _any_array(*values) -> bool:
@@ -918,7 +918,9 @@ def cost_scope(
     ``la_dataflow`` drives the L/A pair (fused or not); the remaining
     operators run with ``other_dataflow`` (default: the same dataflow
     with fusion dropped, or plain Base when that is not expressible).
-    Model scope replicates the block ``cfg.num_blocks`` times.
+    Operators are costed in the order of
+    :func:`~repro.ops.attention.scope_plan`.  Model scope replicates
+    the block ``cfg.num_blocks`` times.
     """
     from repro.core.dataflow import base as base_dataflow
 
@@ -928,31 +930,11 @@ def cost_scope(
         else:
             other_dataflow = la_dataflow
 
-    if scope is Scope.LA:
-        # The pair is the whole scope: no operator list to build.
-        return ScopeCost(operator_costs=[
-            cost_la_pair(cfg, la_dataflow, accel, options)])
-    ops = operators_for_scope(cfg, scope)
-    costs: List[OperatorCost] = []
-    i = 0
-    while i < len(ops):
-        op = ops[i]
-        is_la_head = (
-            op.kind is OperatorKind.LOGIT
-            and i + 1 < len(ops)
-            and ops[i + 1].kind is OperatorKind.ATTEND
-        )
-        if is_la_head:
-            costs.append(cost_la_pair(cfg, la_dataflow, accel, options))
-            i += 2
-            continue
-        if op.is_activation_activation:
-            # An L or A without its partner (cross-scope slicing):
-            # cost it alone with the unfused machinery.
-            standalone = la_dataflow if not la_dataflow.fused else other_dataflow
-            costs.append(cost_operator(cfg, op, standalone, accel, options))
-        else:
-            costs.append(cost_operator(cfg, op, other_dataflow, accel, options))
-        i += 1
+    plan, others = scope_plan(cfg, scope)
+    costs = [
+        cost_la_pair(cfg, la_dataflow, accel, options) if row is None
+        else cost_operator(cfg, others[row], other_dataflow, accel, options)
+        for row in plan
+    ]
     replication = cfg.num_blocks if scope is Scope.MODEL else 1
     return ScopeCost(operator_costs=costs, replication=replication)

@@ -87,6 +87,7 @@ from repro.core.candidates import family_bounds
 from repro.core.dataflow import Dataflow
 from repro.core.dse import Objective, SearchSpace
 from repro.core.perf import PerfOptions, ScopeCost
+from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
 from repro.ops.attention import AttentionConfig, Scope
 
@@ -488,11 +489,7 @@ def _accumulate(stats: ScaleoutStats) -> None:
     with _TOTALS_LOCK:
         for key, value in stats.as_dict().items():
             _totals[key] += value
-    try:
-        from repro.obs.metrics import active
-    except ImportError:  # pragma: no cover - obs is stdlib-only
-        return
-    registry = active()
+    registry = _metrics.active()
     if registry is not None:
         registry.counter("scaleout.inner_searches").inc(stats.inner_searches)
         registry.counter("scaleout.partitions_pruned").inc(

@@ -436,9 +436,7 @@ BLOCKING_CALL_NAMES: FrozenSet[str] = frozenset({"open", "input"})
 #: and everything they transitively call are pure — an impure edit
 #: silently turns "provably no winner pruned" into "maybe".
 BOUND_FUNCTIONS: Mapping[str, FrozenSet[str]] = _table({
-    "repro.core.candidates": {"family_lower_bound"},
-    "repro.core.engine": {"bound_table"},
-    "repro.arch.fabric": {"collective_floor_s"},
+    "repro.core.candidates": {"bound_table", "family_bounds"},
     "repro.core.scaleout": {"evaluate_partition_grid"},
 })
 

@@ -37,6 +37,7 @@ __all__ = [
     "active",
     "activate",
     "deactivate",
+    "inc",
 ]
 
 
@@ -237,6 +238,15 @@ _active: Optional[MetricsRegistry] = None
 def active() -> Optional[MetricsRegistry]:
     """The registry hooks record into, or ``None`` when metrics are off."""
     return _active
+
+
+def inc(name: str, amount: int = 1) -> None:
+    """Add ``amount`` to the active registry's counter ``name``; a zero
+    amount, or metrics off, records nothing (no counter is created)."""
+    if amount:
+        registry = _active
+        if registry is not None:
+            registry.counter(name).inc(amount)
 
 
 def activate(registry: MetricsRegistry) -> None:

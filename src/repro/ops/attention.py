@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.ops.operator import GemmOperator, OperatorKind
 
@@ -23,6 +23,7 @@ __all__ = [
     "build_attention_block",
     "build_model",
     "operators_for_scope",
+    "scope_plan",
 ]
 
 
@@ -192,9 +193,9 @@ def build_model(cfg: AttentionConfig) -> List[GemmOperator]:
     return operators
 
 
-# Small on purpose: the cost model, the batch backend and the engine's
-# bounds ask for the same few (config, scope) pairs back to back, and a
-# larger table only holds more operator lists alive.
+# Small on purpose: the cost model, the batch backend and the
+# candidate bounds ask for the same few (config, scope) pairs back to
+# back, and a larger table only holds more operator lists alive.
 @lru_cache(maxsize=64)
 def operators_for_scope(
     cfg: AttentionConfig, scope: Scope
@@ -213,3 +214,41 @@ def operators_for_scope(
     if scope is Scope.MODEL:
         return tuple(build_attention_block(cfg))
     raise ValueError(f"unknown scope {scope!r}")
+
+
+@lru_cache(maxsize=64)
+def scope_plan(
+    cfg: AttentionConfig, scope: Scope
+) -> Tuple[Tuple[Optional[int], ...], Tuple[GemmOperator, ...]]:
+    """A scope's cost rows in execution order, and its non-L-A operators.
+
+    ``None`` is the L-A pair (a ``LOGIT`` directly followed by its
+    ``ATTEND``), an int is an index into the returned operators.  Every
+    scope holds exactly one pair, so every plan holds exactly one
+    ``None``; the scalar model, the grid and the candidate bounds all
+    read a scope's operators through this plan.  The L-A scope is the
+    pair alone, read off the config without building its operator list.
+    """
+    if scope is Scope.LA:
+        return (None,), ()
+    ops = operators_for_scope(cfg, scope)
+    plan: List[Optional[int]] = []
+    others: List[GemmOperator] = []
+    i = 0
+    while i < len(ops):
+        op = ops[i]
+        if (
+            op.kind is OperatorKind.LOGIT
+            and i + 1 < len(ops)
+            and ops[i + 1].kind is OperatorKind.ATTEND
+        ):
+            plan.append(None)
+            i += 2
+            continue
+        # An L or A without its partner has no cost row: no scope
+        # builds one.
+        assert not (op.is_activation_activation or op.softmax_after), op
+        plan.append(len(others))
+        others.append(op)
+        i += 1
+    return tuple(plan), tuple(others)

@@ -36,7 +36,7 @@ def roofline_cycles(compute_cycles: float, *traffic_floors: float) -> float:
     cycles) — the phase latency is the max of the competing streams.
     This is the paper's roofline argument (section 2.2) turned into the
     combining rule for the DSE engine's admissible lower bounds
-    (:mod:`repro.core.engine`): every term passed in must itself be a
+    (:mod:`repro.core.candidates`): every term passed in must itself be a
     floor, and the max of floors is a floor.
     """
     floor = compute_cycles

@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
-from repro.obs.metrics import active as _metrics_active
+from repro.obs import metrics as _metrics
 from repro.serve.protocol import (
     DeadlineExceeded,
     Draining,
@@ -208,19 +208,19 @@ class CoalescingScheduler:
         budget runs out.
         """
         self._stats["requests"] += 1
-        self._metric_inc("serve.requests")
+        _metrics.inc("serve.requests")
         if self._draining:
             raise Draining("server is draining; no new work accepted")
         key = query.dedupe_key()
         memoized = self._memo.get(key)
         if memoized is not None:
             self._stats["encodings_reused"] += 1
-            self._metric_inc("serve.encodings_reused")
+            _metrics.inc("serve.encodings_reused")
             return memoized
         queue = self._queue
         if len(queue) >= self.config.max_queue:
             self._stats["shed"] += 1
-            self._metric_inc("serve.shed")
+            _metrics.inc("serve.shed")
             raise Overloaded(
                 f"queue full ({self.config.max_queue} pending); retry later"
             )
@@ -295,7 +295,7 @@ class CoalescingScheduler:
                 continue
             if item.deadline is not None and now > item.deadline:
                 self._stats["deadline_expired"] += 1
-                self._metric_inc("serve.deadline_expired")
+                _metrics.inc("serve.deadline_expired")
                 item.future.set_exception(DeadlineExceeded(
                     "deadline passed while the request was queued"
                 ))
@@ -307,7 +307,7 @@ class CoalescingScheduler:
             else:
                 head.members.append(item)
                 self._stats["coalesced"] += 1
-                self._metric_inc("serve.coalesced")
+                _metrics.inc("serve.coalesced")
         return {key: unique for key, unique in groups.items() if unique}
 
     def _evaluated(self, items: List[_Pending], done: ExecutorFuture) -> None:
@@ -340,10 +340,10 @@ class CoalescingScheduler:
         if used_grid:
             self._stats["grid_calls"] += 1
             self._stats["grid_rows"] += len(items)
-            self._metric_inc("serve.grid_calls")
-            self._metric_inc("serve.grid_rows", len(items))
+            _metrics.inc("serve.grid_calls")
+            _metrics.inc("serve.grid_rows", len(items))
         self._stats["evaluations"] += len(items)
-        self._metric_inc("serve.evaluations", len(items))
+        _metrics.inc("serve.evaluations", len(items))
         for item, answer in zip(items, answers):
             self._memo.put(item.key, answer)
             if not item.future.done():
@@ -352,7 +352,7 @@ class CoalescingScheduler:
                 if not waiter.future.done():
                     waiter.future.set_result(answer)
                     self._stats["encodings_reused"] += 1
-                    self._metric_inc("serve.encodings_reused")
+                    _metrics.inc("serve.encodings_reused")
 
     @staticmethod
     def _fail(items: List[_Pending], exc: ProtocolError) -> None:
@@ -362,13 +362,6 @@ class CoalescingScheduler:
                     waiter.future.set_exception(exc)
 
     # -- accounting ----------------------------------------------------
-    @staticmethod
-    def _metric_inc(name: str, amount: int = 1) -> None:
-        if amount:
-            registry = _metrics_active()
-            if registry is not None:
-                registry.counter(name).inc(amount)
-
     def stats(self) -> Dict[str, int]:
         """Lifetime counters (also the ``stats`` op's payload core).
 

@@ -1,9 +1,9 @@
 """The vectorized bound table against the scalar bound oracle.
 
-:func:`repro.core.engine.bound_table` is the engine's only admissible
-bound: candidate planning, the one-row ``objective_lower_bound`` /
-``cycles_lower_bound`` / ``family_lower_bound`` and the scale-out outer
-grid all read it.  Pruning decisions compare bounds with ``>``, so the
+:func:`repro.core.candidates.bound_table` is the engine's only
+admissible bound: candidate planning, the one-row
+``objective_lower_bound`` / ``family_lower_bound`` and the scale-out
+outer grid all read it.  Pruning decisions compare bounds with ``>``, so the
 table must equal the scalar formulas (``tests/oracles.py``) *bit for
 bit* on every row — ``==``, never approx — or plans, pruning counts and
 winners could drift.
@@ -14,9 +14,12 @@ from dataclasses import replace
 import pytest
 
 from repro.arch.presets import cloud, edge
-from repro.core import engine
+from repro.core import candidates
 from repro.core.candidates import (
+    BoundColumns,
+    bound_table,
     family_lower_bound,
+    objective_lower_bound,
     plan_candidates,
     space_table,
 )
@@ -26,12 +29,6 @@ from repro.core.dse import (
     SearchSpace,
     enumerate_dataflows,
     enumerate_families,
-)
-from repro.core.engine import (
-    bound_table,
-    cycles_lower_bound,
-    dataflow_bound_row,
-    objective_lower_bound,
 )
 from repro.core.perf import PerfOptions
 from repro.core.scaleout import (
@@ -99,7 +96,7 @@ def _rows(configs, space=WIDE_SPACE, accel=None, stride=5):
 
 def _assert_rows_equal(objective, scope, accel, rows, options):
     table = bound_table(objective, scope, accel,
-                        [dataflow_bound_row(*row) for row in rows], options)
+                        BoundColumns.of_dataflows(rows), options)
     assert table.shape == (len(rows),)
     for (cfg, df, fused_in_family), got in zip(rows, table.tolist()):
         want = scalar_objective_bound(objective, cfg, scope, accel, df,
@@ -154,10 +151,10 @@ class TestBitEquality:
         accel = edge()
         cfg = CONFIGS[2]
         for df in list(enumerate_dataflows(cfg, accel, WIDE_SPACE))[::9]:
-            assert cycles_lower_bound(cfg, Scope.BLOCK, accel, df) == (
-                scalar_objective_bound(Objective.RUNTIME, cfg, Scope.BLOCK,
-                                       accel, df)
-            )
+            assert objective_lower_bound(
+                Objective.RUNTIME, cfg, Scope.BLOCK, accel, df
+            ) == scalar_objective_bound(Objective.RUNTIME, cfg, Scope.BLOCK,
+                                        accel, df)
             assert objective_lower_bound(
                 Objective.EDP, cfg, Scope.LA, accel, df
             ) == scalar_objective_bound(Objective.EDP, cfg, Scope.LA,
@@ -173,9 +170,10 @@ class TestBitEquality:
         rows = _rows(CONFIGS[:1])
         with pytest.raises(ValueError):
             bound_table(Objective.FOOTPRINT, Scope.LA, edge(),
-                        [dataflow_bound_row(*row) for row in rows])
+                        BoundColumns.of_dataflows(rows))
         with pytest.raises(ValueError):
-            bound_table(Objective.RUNTIME, Scope.LA, edge(), [])
+            bound_table(Objective.RUNTIME, Scope.LA, edge(),
+                        BoundColumns.of_dataflows([]))
         assert objective_lower_bound(
             Objective.FOOTPRINT, CONFIGS[0], Scope.LA, edge(), rows[0][1]
         ) is None
@@ -185,14 +183,14 @@ class _CountingTable:
     def __init__(self, monkeypatch):
         self.calls = 0
         self.rows = []
-        real = engine.bound_table
+        real = candidates.bound_table
 
         def counted(objective, scope, accel, rows, *args, **kwargs):
             self.calls += 1
             self.rows.append(len(rows))
             return real(objective, scope, accel, rows, *args, **kwargs)
 
-        monkeypatch.setattr(engine, "bound_table", counted)
+        monkeypatch.setattr(candidates, "bound_table", counted)
 
 
 class TestOneCallPerCaller:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.arch.presets import cloud, edge
 from repro.core.candidates import (
+    _BOUND_SLACK,
     family_lower_bound,
     plan_candidates,
     space_table,
@@ -34,7 +35,6 @@ from repro.core.dse import (
     search,
 )
 from repro.core.engine import (
-    _BOUND_SLACK,
     SearchRequest,
     clear_evaluation_cache,
     run_searches,

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import engine
 from repro.core.cache import default_cache_dir
+from repro.core.candidates import objective_lower_bound
 from repro.core.dataflow import AttentionVariant, Granularity, Stationarity
 from repro.core.dse import Objective, SearchSpace, enumerate_dataflows, search
 from repro.core.engine import (
@@ -22,10 +23,8 @@ from repro.core.engine import (
     SearchStats,
     accelerator_fingerprint,
     clear_evaluation_cache,
-    cycles_lower_bound,
     evaluate_cost,
     evaluation_cache_info,
-    objective_lower_bound,
     run_searches,
 )
 from repro.core.perf import cost_scope
@@ -113,7 +112,8 @@ class TestBounds:
         space = SearchSpace(exhaustive_staging=True)
         for scope in (Scope.LA, Scope.BLOCK):
             for df in enumerate_dataflows(small_cfg, edge_accel, space):
-                lb = cycles_lower_bound(small_cfg, scope, edge_accel, df)
+                lb = objective_lower_bound(Objective.RUNTIME, small_cfg,
+                                           scope, edge_accel, df)
                 actual = cost_scope(small_cfg, scope, edge_accel,
                                     df).total_cycles
                 assert lb <= actual, (df.name, df.staging, scope)
@@ -123,7 +123,8 @@ class TestBounds:
         # Long sequence on the edge platform: the regime where the
         # traffic floor dominates and pruning actually fires.
         for df in enumerate_dataflows(bert_4k, edge_accel):
-            lb = cycles_lower_bound(bert_4k, Scope.LA, edge_accel, df)
+            lb = objective_lower_bound(Objective.RUNTIME, bert_4k,
+                                       Scope.LA, edge_accel, df)
             actual = cost_scope(bert_4k, Scope.LA, edge_accel,
                                 df).total_cycles
             assert lb <= actual, (df.name, df.staging)

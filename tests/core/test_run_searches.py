@@ -69,7 +69,8 @@ from repro.core.engine import (
 from repro.core.perf import PerfOptions, cost_scope
 from repro.experiments import fig12
 from repro.models.configs import model_config
-from repro.ops.attention import AttentionConfig, Scope
+from repro.obs import metrics as obs_metrics
+from repro.ops.attention import AttentionConfig, Scope, operators_for_scope
 from tests.oracles import assert_matches_oracle, exhaustive_best
 
 _TINY = AttentionConfig(name="tiny", batch=2, heads=4, d_model=64,
@@ -261,7 +262,7 @@ class TestFallbackIsolation:
 
     def test_past_the_footprint_edge_is_scored_alone(self, monkeypatch):
         edge_case = SearchRequest(self._WIDE, edge(), space=self._M)
-        ops = engine.operators_for_scope(self._WIDE, Scope.LA)
+        ops = operators_for_scope(self._WIDE, Scope.LA)
         assert max(op.macs for op in ops) * 2 < (
             batch_backend._MAX_INT64_MAC_BYTES)
         assert batch_backend.is_wide(self._WIDE, Scope.LA, 2)
@@ -646,7 +647,7 @@ def _evaluate_cost_loop(requests) -> list:
             lambda: engine.cost_scope(req.cfg, req.scope, req.accel,
                                       req.dataflow, options=req.options),
             get_default_cache())
-        engine._metric_inc(engine._SOURCE_METRIC[source])
+        obs_metrics.inc(engine._SOURCE_METRIC[source])
         costs.append(cost)
     return costs
 

@@ -28,7 +28,7 @@ from repro.arch.fabric import (
     collective_time_s,
 )
 from repro.arch.presets import cloud, edge
-from repro.core import engine
+from repro.core import candidates
 from repro.core.cache import default_cache_dir
 from repro.core.candidates import family_lower_bound
 from repro.core.dataflow import AttentionVariant, Granularity, Stationarity
@@ -380,13 +380,13 @@ class TestSearchEquivalence:
             if disk:
                 clear_evaluation_cache()
             calls = []
-            real = engine.bound_table
+            real = candidates.bound_table
 
             def counted(*args, **kwargs):
                 calls.append(1)
                 return real(*args, **kwargs)
 
-            monkeypatch.setattr(engine, "bound_table", counted)
+            monkeypatch.setattr(candidates, "bound_table", counted)
             reset_scaleout_totals()
             again = search_scaleout(cfg, system, 8)
         assert calls == []

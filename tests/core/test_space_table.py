@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from repro.arch.presets import edge
 from repro.core.batch import GridRows, _GridFeatures, evaluate_grid
 from repro.core.candidates import (
+    BoundColumns,
+    bound_table,
     family_bounds,
     family_columns,
     space_table,
@@ -38,7 +40,6 @@ from repro.core.dse import (
     enumerate_dataflows,
     enumerate_families,
 )
-from repro.core.engine import bound_table
 from repro.core.perf import PerfOptions
 from repro.ops.attention import AttentionConfig, Scope
 from tests.oracles import family_bound_rows
@@ -161,8 +162,8 @@ class TestGeneratedSpaces:
             assert family_columns(cfg.seq_q, space).families == tuple(
                 families)
             want += bound_table(objective, Scope.LA, accel,
-                                family_bound_rows(cfg, families,
-                                                  space)).tolist()
+                                BoundColumns.of_dataflows(family_bound_rows(
+                                    cfg, families, space))).tolist()
         assert counts == [len(list(enumerate_families(c, space)))
                           for c in cfgs]
         assert bounds.tolist() == want

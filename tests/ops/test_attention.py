@@ -1,7 +1,10 @@
 """Unit tests for attention layer/block/model builders."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.models.configs import model_config, model_names
 from repro.ops.attention import (
     AttentionConfig,
     Scope,
@@ -9,6 +12,7 @@ from repro.ops.attention import (
     build_attention_layer,
     build_model,
     operators_for_scope,
+    scope_plan,
 )
 from repro.ops.operator import OperatorKind
 
@@ -86,3 +90,38 @@ class TestScope:
         # Model scope is block ops; the cost layer multiplies by
         # num_blocks.
         assert len(operators_for_scope(small_cfg, Scope.MODEL)) == 8
+
+
+def _zoo_shapes():
+    """Every zoo model as prefill, decode (one query row) and
+    cross-attention (query and key lengths differ)."""
+    for name in model_names():
+        cfg = model_config(name, seq=512)
+        yield cfg
+        yield replace(cfg, seq_q=1, seq_kv=2048)
+        yield replace(cfg, seq_q=384, seq_kv=1024)
+
+
+class TestScopePlan:
+    """The one reading of a scope's operators: every scope holds exactly
+    one L-A pair, so no L or A is ever costed alone."""
+
+    @pytest.mark.parametrize("scope", list(Scope), ids=lambda s: s.name)
+    def test_one_pair_and_the_rest_in_order(self, scope):
+        for cfg in _zoo_shapes():
+            plan, others = scope_plan(cfg, scope)
+            assert plan.count(None) == 1, (cfg, scope)
+            ops = operators_for_scope(cfg, scope)
+            kinds = [op.kind for op in ops]
+            pair = kinds.index(OperatorKind.LOGIT)
+            assert kinds[pair + 1] is OperatorKind.ATTEND
+            assert plan.index(None) == pair
+            assert others == tuple(
+                op for op in ops if op.kind not in (OperatorKind.LOGIT,
+                                                    OperatorKind.ATTEND))
+            assert [row for row in plan if row is not None] == list(
+                range(len(others)))
+
+    def test_memoized(self, small_cfg):
+        assert scope_plan(small_cfg, Scope.BLOCK) is scope_plan(
+            small_cfg, Scope.BLOCK)

@@ -8,12 +8,15 @@ bounds, no pruning, no caches, no vectorized backend.
 ``exhaustive_best`` — and adds the scalar fabric time, with no outer
 bounds, pruning or memo.
 ``scalar_objective_bound`` is the per-candidate admissible bound the
-engine's vectorized :func:`~repro.core.engine.bound_table` must equal
-bit for bit: the same closed forms, evaluated one candidate at a time
-in plain Python.  ``family_bound_rows`` builds each family's bound row
-from its representative ``Dataflow`` (``family_representative``), the
-route the engine's field-read
-:func:`~repro.core.candidates.family_bounds` columns must bound as.
+vectorized :func:`~repro.core.candidates.bound_table` must equal bit for
+bit: the same closed forms, evaluated one candidate at a time in plain
+Python, with its own slack literal, its own operator list walk, its
+own floor for the operators outside the L-A pair (``operator_floor``)
+and its own roofline (a plain ``max``), so it imports no bound code.
+``family_bound_rows`` builds each family's bound row from its
+representative ``Dataflow`` (``family_representative``), the route the
+field-read :func:`~repro.core.candidates.family_bounds` columns must
+bound as.
 ``chained_counts`` is :attr:`~repro.core.perf.ScopeCost.counts` as a
 fold of ``ActivityCounts.__add__``, the sum the one-pass property must
 equal bit for bit.
@@ -49,15 +52,7 @@ from repro.core.dse import (
     enumerate_dataflows,
     search,
 )
-from repro.core.engine import (
-    _BOUND_SLACK,
-    BoundRow,
-    _BoundTerms,
-    _scope_static_bound,
-    dataflow_bound_row,
-)
 from repro.core.footprint import fused_la_footprint
-from repro.energy.model import ActivityCounts
 from repro.core.perf import (
     PerfOptions,
     ScopeCost,
@@ -75,8 +70,22 @@ from repro.core.scaleout import (
 )
 from repro.core.tiling import ceil_div
 from repro.energy.model import ActivityCounts, EnergyReport, energy_report
-from repro.ops.attention import AttentionConfig, Scope
-from repro.ops.intensity import roofline_cycles
+from repro.ops.attention import AttentionConfig, Scope, operators_for_scope
+from repro.ops.operator import GemmOperator, OperatorKind
+
+#: The bounds' multiplicative slack, restated.
+BOUND_SLACK = 1.0 - 1e-9
+
+
+class BoundTerms(NamedTuple):
+    """Lower bounds on cycles and activity counts for some operators."""
+
+    cycles: float
+    counts: ActivityCounts
+
+    def plus(self, other: "BoundTerms") -> "BoundTerms":
+        return BoundTerms(self.cycles + other.cycles,
+                          self.counts + other.counts)
 
 
 class OracleBest(NamedTuple):
@@ -244,7 +253,7 @@ def la_pair_bound(
     dataflow: Dataflow,
     options: PerfOptions,
     fused_in_family: Optional[bool] = None,
-) -> _BoundTerms:
+) -> BoundTerms:
     """Scalar bound for the L-A pair under one candidate dataflow.
 
     A roofline over floors the pair can never beat, sharing the model's
@@ -408,7 +417,7 @@ def la_pair_bound(
         sg_words = (sg_base_l + int_cold) + (sg_base_a + int_cold)
 
     dram_bytes = dram_elements * e
-    cycles = roofline_cycles(
+    cycles = max(
         serial,
         dram_bytes / accel.offchip_bytes_per_cycle,
         sg_words * e / accel.onchip_bytes_per_cycle,
@@ -433,7 +442,26 @@ def la_pair_bound(
             else accel.sfu.softmax_flops(int_cold)
         ),
     )
-    return _BoundTerms(cycles=cycles, counts=counts)
+    return BoundTerms(cycles=cycles, counts=counts)
+
+
+def operator_floor(op: GemmOperator, accel: Accelerator) -> BoundTerms:
+    """Floors for one operator outside the L-A pair under any
+    dataflow: its ideal MAC cycles, its compulsory (cold) traffic and
+    its SG operand stream, overlapped (the max of the three)."""
+    e = accel.bytes_per_element
+    out = op.out.num_elements
+    cold = op.lhs.num_elements + op.rhs.num_elements + out
+    pe = accel.pe_array
+    sg_words = op.macs * (pe.rows + pe.cols) / (pe.rows * pe.cols) + out
+    cycles = max(
+        op.macs / accel.peak_macs_per_cycle,
+        cold * e / accel.offchip_bytes_per_cycle,
+        sg_words * e / accel.onchip_bytes_per_cycle,
+    )
+    return BoundTerms(cycles, ActivityCounts(
+        macs=float(op.macs), sl_words=2.0 * op.macs + out,
+        sg_words=sg_words, dram_words=float(cold)))
 
 
 def candidate_bound(
@@ -444,12 +472,13 @@ def candidate_bound(
     options: PerfOptions,
     fused_in_family: Optional[bool] = None,
 ) -> Tuple[float, ActivityCounts]:
-    static, has_la, replication = _scope_static_bound(cfg, scope, accel)
-    total = static
-    if has_la:
-        total = total + la_pair_bound(
-            cfg, accel, dataflow, options, fused_in_family
-        )
+    total = BoundTerms(0.0, ActivityCounts())
+    for op in operators_for_scope(cfg, scope):
+        if op.kind not in (OperatorKind.LOGIT, OperatorKind.ATTEND):
+            total = total.plus(operator_floor(op, accel))
+    total = total.plus(la_pair_bound(cfg, accel, dataflow, options,
+                                     fused_in_family))
+    replication = cfg.num_blocks if scope is Scope.MODEL else 1
     return replication * total.cycles, total.counts.scaled(replication)
 
 
@@ -467,11 +496,11 @@ def scalar_objective_bound(
         cfg, scope, accel, dataflow, options, fused_in_family
     )
     if objective is Objective.RUNTIME:
-        return cycles * _BOUND_SLACK
+        return cycles * BOUND_SLACK
     energy = energy_report(counts).total_j
     if objective is Objective.ENERGY:
-        return energy * _BOUND_SLACK
-    return energy * cycles * _BOUND_SLACK
+        return energy * BOUND_SLACK
+    return energy * cycles * BOUND_SLACK
 
 
 def scalar_family_bound(
@@ -534,14 +563,13 @@ def family_bound_rows(
     cfg: AttentionConfig,
     families: Sequence[DataflowFamily],
     space: SearchSpace = SearchSpace(),
-) -> List[BoundRow]:
-    """Each family's bound row through its representative ``Dataflow``,
+) -> List[Tuple[AttentionConfig, Dataflow, bool]]:
+    """Each family's ``(cfg, representative, fused_in_family)`` row
+    (see :meth:`~repro.core.candidates.BoundColumns.of_dataflows`),
     widened to the family's fused members."""
     return [
-        dataflow_bound_row(
-            cfg, family_representative(family, space),
-            family.granularity is not None and space.allow_fused,
-        )
+        (cfg, family_representative(family, space),
+         family.granularity is not None and space.allow_fused)
         for family in families
     ]
 
